@@ -38,7 +38,7 @@
 //! declares the peer lost — once framing is untrustworthy, skipping a
 //! frame would silently unbalance the termination wave).
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Discriminates frame roles on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,16 +134,27 @@ pub enum Decoded {
 /// seq.
 const HEADER_LEN: usize = 1 + 4 + 4 + 8 + 8;
 
+/// Bytes every frame starts with: length word, CRC word, fixed header.
+/// No frame on the wire is shorter, so a reader may ask for this many
+/// bytes before it has validated anything.
+const PREFIX_LEN: usize = 4 + 4 + HEADER_LEN;
+
 /// Refuse frames larger than this (corrupt length words otherwise turn
 /// into multi-gigabyte allocations).
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 // ---- CRC32 (IEEE 802.3 / zlib polynomial), hand-rolled -----------------
-// No new dependencies: a 256-entry table computed at compile time. This
-// is the reflected algorithm with polynomial 0xEDB88320.
+// No new dependencies. The reflected algorithm with polynomial
+// 0xEDB88320, in two implementations that produce the same register:
+// slicing-by-8 over eight 256-entry tables computed at compile time
+// (portable; also short inputs and tails), and on x86_64 a carry-less
+// multiply fold for inputs of at least `clmul::MIN_LEN` bytes.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the classic byte-at-a-time table; entry `i` of
+/// `CRC32_TABLES[k]` is the register after byte `i` and then `k` zero
+/// bytes, which is what lets eight input bytes be consumed per step.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -156,13 +167,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -170,12 +191,131 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Streaming update: feed chunks with `state` starting at `!0` and
-/// finish with `^ !0` (what [`crc32`] does in one call).
-fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = CRC32_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+/// finish with `^ !0` (what [`crc32`] does in one call). Any split of
+/// the input into chunks yields the same register.
+fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        let (blocks, tail) = bytes.split_at(bytes.len() & !15);
+        // SAFETY: `fold` requires the `pclmulqdq` and `sse4.1` CPU
+        // features, both detected at run time just above.
+        let state = unsafe { clmul::fold(state, blocks) };
+        return crc32_slice8(state, tail);
+    }
+    crc32_slice8(state, bytes)
+}
+
+/// Portable kernel: eight bytes per step, one lookup in each table.
+fn crc32_slice8(mut state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ state;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        state = t[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
+}
+
+/// Carry-less-multiply CRC32 (Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009, the
+/// bit-reflected variant): the message is a polynomial over GF(2), four
+/// 128-bit lanes of it are repeatedly multiplied by x^512 mod P and
+/// added to the next 64 bytes, the lanes are folded into one, and a
+/// Barrett reduction brings the last 128 bits down to the 32-bit
+/// register. A handful of multiplies per 64 bytes instead of 64 table
+/// lookups.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input the fold takes: one 64-byte block to fill the
+    /// four lanes.
+    pub(super) const MIN_LEN: usize = 64;
+
+    // x^n mod P for the distances the folds move data by, reflected
+    // and pre-shifted one bit as the reflected multiply needs.
+    const K1: i64 = 0x1_5444_2bd4; // n = 4*128 + 32
+    const K2: i64 = 0x1_c6e4_1596; // n = 4*128 - 32
+    const K3: i64 = 0x1_7519_97d0; // n = 128 + 32
+    const K4: i64 = 0x0_ccaa_009e; // n = 128 - 32
+    const K5: i64 = 0x1_63cd_6124; // n = 64
+    const POLY: i64 = 0x1_db71_0641; // P itself, reflected
+    const MU: i64 = 0x1_f701_1641; // floor(x^64 / P), reflected
+
+    /// Sixteen message bytes as one lane.
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    fn load(chunk: &[u8]) -> __m128i {
+        let lo = i64::from_le_bytes(chunk[..8].try_into().expect("16-byte chunk"));
+        let hi = i64::from_le_bytes(chunk[8..16].try_into().expect("16-byte chunk"));
+        _mm_set_epi64x(hi, lo)
+    }
+
+    /// `lane` moved forward by the distance `keys` encodes, plus `next`.
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    fn fold_into(lane: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(lane, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(lane, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// Advances the CRC register `state` over `bytes`, whose length
+    /// must be a multiple of 16 and at least [`MIN_LEN`] (checked).
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    pub(super) fn fold(state: u32, bytes: &[u8]) -> u32 {
+        assert!(bytes.len() >= MIN_LEN && bytes.len().is_multiple_of(16));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+
+        let mut blocks = bytes.chunks_exact(64);
+        let first = blocks.next().expect("at least one block");
+        let mut lanes = [
+            _mm_xor_si128(load(&first[..16]), _mm_cvtsi32_si128(state as i32)),
+            load(&first[16..32]),
+            load(&first[32..48]),
+            load(&first[48..]),
+        ];
+        for block in &mut blocks {
+            for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(16)) {
+                *lane = fold_into(*lane, load(chunk), k1k2);
+            }
+        }
+        let mut x = fold_into(lanes[0], lanes[1], k3k4);
+        x = fold_into(x, lanes[2], k3k4);
+        x = fold_into(x, lanes[3], k3k4);
+        for chunk in blocks.remainder().chunks_exact(16) {
+            x = fold_into(x, load(chunk), k3k4);
+        }
+
+        // 128 -> 96 -> 64 bits.
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett reduction, 64 -> 32 bits.
+        let poly_mu = _mm_set_epi64x(MU, POLY);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), poly_mu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32
+    }
 }
 
 impl Frame {
@@ -242,20 +382,14 @@ impl Frame {
 
     /// Appends the encoded frame to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let body_len = (HEADER_LEN + self.payload.len()) as u32;
-        buf.extend_from_slice(&body_len.to_le_bytes());
-        let mut crc = crc32_update(0xFFFF_FFFF, &[self.kind as u8]);
-        crc = crc32_update(crc, &self.priority.to_le_bytes());
-        crc = crc32_update(crc, &self.handler.to_le_bytes());
-        crc = crc32_update(crc, &self.span.to_le_bytes());
-        crc = crc32_update(crc, &self.seq.to_le_bytes());
-        crc = crc32_update(crc, &self.payload) ^ 0xFFFF_FFFF;
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf.push(self.kind as u8);
-        buf.extend_from_slice(&self.priority.to_le_bytes());
-        buf.extend_from_slice(&self.handler.to_le_bytes());
-        buf.extend_from_slice(&self.span.to_le_bytes());
-        buf.extend_from_slice(&self.seq.to_le_bytes());
+        buf.extend_from_slice(&encode_prefix(
+            self.kind,
+            self.priority,
+            self.handler,
+            self.span,
+            self.seq,
+            &self.payload,
+        ));
         buf.extend_from_slice(&self.payload);
     }
 
@@ -271,35 +405,18 @@ impl Frame {
     /// malformed bytes come back as [`Decoded::Corrupt`] so the caller
     /// can count them, and a clean EOF at a frame boundary as
     /// [`Decoded::Eof`].
+    ///
+    /// Never reads past the end of the frame, so it is safe on an
+    /// unbuffered socket whose following bytes belong to another reader
+    /// (the handshake). The fixed prefix goes to the stack; the payload
+    /// is read straight into the one exactly-sized `Vec` the frame
+    /// keeps.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Decoded> {
-        let mut len_bytes = [0u8; 4];
-        if !read_exact_or_eof(r, &mut len_bytes)? {
+        let mut prefix = [0u8; PREFIX_LEN];
+        if !read_exact_or_eof(r, &mut prefix)? {
             return Ok(Decoded::Eof);
         }
-        Self::finish_read(r, len_bytes)
-    }
-
-    /// [`Frame::read_from`] plus the busy time (ns) spent reading and
-    /// decoding the frame *after* its length prefix arrived — i.e. the
-    /// receiver-side read→decode stage, excluding the idle block waiting
-    /// for a frame to start. The clock is only consulted when the
-    /// `obs-wire` feature is compiled in (the reported time is 0
-    /// otherwise), so the off build pays nothing.
-    pub fn read_from_timed<R: Read>(r: &mut R) -> io::Result<(Decoded, u64)> {
-        let mut len_bytes = [0u8; 4];
-        if !read_exact_or_eof(r, &mut len_bytes)? {
-            return Ok((Decoded::Eof, 0));
-        }
-        let t0 = ttg_obs::wire::WireObs::now_ns();
-        let decoded = Self::finish_read(r, len_bytes)?;
-        let busy_ns = ttg_obs::wire::WireObs::now_ns().saturating_sub(t0);
-        Ok((decoded, busy_ns))
-    }
-
-    /// Shared tail of [`Frame::read_from`]: the length prefix is in
-    /// hand, read and validate the rest.
-    fn finish_read<R: Read>(r: &mut R, len_bytes: [u8; 4]) -> io::Result<Decoded> {
-        let body_len = u32::from_le_bytes(len_bytes) as usize;
+        let body_len = u32::from_le_bytes(prefix[0..4].try_into().expect("4 bytes")) as usize;
         if body_len < HEADER_LEN {
             return Ok(Decoded::Corrupt {
                 detail: format!("frame body too short: {body_len}"),
@@ -310,35 +427,121 @@ impl Frame {
                 detail: format!("frame body too long: {body_len}"),
             });
         }
-        let mut crc_bytes = [0u8; 4];
-        r.read_exact(&mut crc_bytes)?;
-        let want_crc = u32::from_le_bytes(crc_bytes);
-        let mut body = vec![0u8; body_len];
-        r.read_exact(&mut body)?;
-        let got_crc = crc32(&body);
+        let want_crc = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes"));
+        let header = &prefix[8..];
+        let payload_len = body_len - HEADER_LEN;
+        let mut payload = Vec::with_capacity(payload_len);
+        r.take(payload_len as u64).read_to_end(&mut payload)?;
+        if payload.len() != payload_len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "EOF inside frame",
+            ));
+        }
+        let got_crc = body_crc(header, &payload);
         if got_crc != want_crc {
             return Ok(Decoded::Corrupt {
                 detail: format!("crc mismatch: want {want_crc:#010x}, got {got_crc:#010x}"),
             });
         }
-        let Some(kind) = FrameKind::from_u8(body[0]) else {
+        let Some(kind) = FrameKind::from_u8(header[0]) else {
             return Ok(Decoded::Corrupt {
-                detail: format!("unknown frame kind {}", body[0]),
+                detail: format!("unknown frame kind {}", header[0]),
             });
         };
-        let priority = i32::from_le_bytes(body[1..5].try_into().expect("4 bytes"));
-        let handler = u32::from_le_bytes(body[5..9].try_into().expect("4 bytes"));
-        let span = u64::from_le_bytes(body[9..17].try_into().expect("8 bytes"));
-        let seq = u64::from_le_bytes(body[17..25].try_into().expect("8 bytes"));
-        let payload = body[HEADER_LEN..].to_vec();
         Ok(Decoded::Frame(Frame {
             kind,
-            priority,
-            handler,
-            span,
-            seq,
+            priority: i32::from_le_bytes(header[1..5].try_into().expect("4 bytes")),
+            handler: u32::from_le_bytes(header[5..9].try_into().expect("4 bytes")),
+            span: u64::from_le_bytes(header[9..17].try_into().expect("8 bytes")),
+            seq: u64::from_le_bytes(header[17..25].try_into().expect("8 bytes")),
             payload,
         }))
+    }
+
+    /// [`Frame::read_from`] on a buffered stream, plus the busy time
+    /// (ns) spent reading and decoding the frame *after* its first bytes
+    /// arrived — i.e. the receiver-side read→decode stage, excluding
+    /// the idle block waiting for a frame to start: the buffer is
+    /// filled (the only place this can block idle) before the clock
+    /// starts. The clock is only consulted when the `obs-wire` feature
+    /// is compiled in (the reported time is 0 otherwise), so the off
+    /// build pays nothing.
+    pub fn read_from_timed<R: BufRead>(r: &mut R) -> io::Result<(Decoded, u64)> {
+        loop {
+            match r.fill_buf() {
+                Ok([]) => return Ok((Decoded::Eof, 0)),
+                Ok(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let t0 = ttg_obs::wire::WireObs::now_ns();
+        let decoded = Self::read_from(r)?;
+        let busy_ns = ttg_obs::wire::WireObs::now_ns().saturating_sub(t0);
+        Ok((decoded, busy_ns))
+    }
+}
+
+/// The CRC word of a frame: over its fixed header, then its payload,
+/// through one streaming state (the two are never contiguous in memory
+/// on either side of the wire).
+fn body_crc(header: &[u8], payload: &[u8]) -> u32 {
+    crc32_update(crc32_update(0xFFFF_FFFF, header), payload) ^ 0xFFFF_FFFF
+}
+
+/// The first [`PREFIX_LEN`] bytes of a frame with these header fields
+/// and this payload: the header is laid out once and checksummed from
+/// that one array, then the payload through the same streaming state.
+fn encode_prefix(
+    kind: FrameKind,
+    priority: i32,
+    handler: u32,
+    span: u64,
+    seq: u64,
+    payload: &[u8],
+) -> [u8; PREFIX_LEN] {
+    let mut prefix = [0u8; PREFIX_LEN];
+    let body_len = (HEADER_LEN + payload.len()) as u32;
+    prefix[0..4].copy_from_slice(&body_len.to_le_bytes());
+    prefix[8] = kind as u8;
+    prefix[9..13].copy_from_slice(&priority.to_le_bytes());
+    prefix[13..17].copy_from_slice(&handler.to_le_bytes());
+    prefix[17..25].copy_from_slice(&span.to_le_bytes());
+    prefix[25..33].copy_from_slice(&seq.to_le_bytes());
+    let crc = body_crc(&prefix[8..], payload);
+    prefix[4..8].copy_from_slice(&crc.to_le_bytes());
+    prefix
+}
+
+/// Most payload words an [`EncodedControl`] holds.
+const CONTROL_WORDS_MAX: usize = 3;
+
+/// An unsequenced control frame of up to three payload words, encoded
+/// on the stack: what the transport's acks and heartbeats are written
+/// from, so that liveness traffic costs no heap allocation however
+/// often it fires. Byte-identical to [`Frame::control_with_words`] +
+/// [`Frame::encode_into`].
+pub(crate) struct EncodedControl {
+    bytes: [u8; PREFIX_LEN + 8 * CONTROL_WORDS_MAX],
+    len: usize,
+}
+
+impl EncodedControl {
+    pub(crate) fn new(kind: FrameKind, handler: u32, words: &[u64]) -> Self {
+        assert!(words.len() <= CONTROL_WORDS_MAX, "control frame too long");
+        let mut bytes = [0u8; PREFIX_LEN + 8 * CONTROL_WORDS_MAX];
+        let len = PREFIX_LEN + 8 * words.len();
+        for (slot, w) in bytes[PREFIX_LEN..len].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&w.to_le_bytes());
+        }
+        let prefix = encode_prefix(kind, 0, handler, 0, 0, &bytes[PREFIX_LEN..len]);
+        bytes[..PREFIX_LEN].copy_from_slice(&prefix);
+        EncodedControl { bytes, len }
+    }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
     }
 }
 
@@ -385,6 +588,214 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"hello"), 0x3610_A686);
+    }
+
+    /// The byte-at-a-time loop every faster kernel must agree with.
+    fn crc32_bytewise(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state = CRC32_TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        }
+        state
+    }
+
+    /// Every compiled-in kernel: the dispatched entry and the portable
+    /// one called directly (on x86_64 the first folds, elsewhere both
+    /// are the same code).
+    type Kernel = fn(u32, &[u8]) -> u32;
+    const KERNELS: [(&str, Kernel); 2] = [("dispatched", crc32_update), ("slice8", crc32_slice8)];
+
+    /// xorshift64*: enough randomness for test inputs, no dependency.
+    fn next_rand(s: &mut u64) -> u64 {
+        *s ^= *s >> 12;
+        *s ^= *s << 25;
+        *s ^= *s >> 27;
+        s.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut s = seed | 1;
+        (0..len).map(|_| (next_rand(&mut s) >> 32) as u8).collect()
+    }
+
+    #[test]
+    fn crc_kernels_match_the_bytewise_reference_at_every_length_and_alignment() {
+        let backing = random_bytes(11, 8 + 300);
+        for (name, kernel) in KERNELS {
+            for offset in 0..8 {
+                for len in 0..=300 {
+                    let input = &backing[offset..offset + len];
+                    for state in [0xFFFF_FFFF, 0, 0x1234_5678] {
+                        assert_eq!(
+                            kernel(state, input),
+                            crc32_bytewise(state, input),
+                            "{name}: offset {offset}, len {len}, state {state:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crc_kernels_stream_random_chunk_splits_of_64_kib() {
+        for seed in 1..=4u64 {
+            let input = random_bytes(seed, 64 << 10);
+            let want = crc32_bytewise(0xFFFF_FFFF, &input);
+            for (name, kernel) in KERNELS {
+                assert_eq!(kernel(0xFFFF_FFFF, &input), want, "{name}: one chunk");
+                let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let (mut state, mut rest) = (0xFFFF_FFFF, input.as_slice());
+                while !rest.is_empty() {
+                    // Mostly short chunks (both sides of the fold
+                    // threshold), now and then a long one.
+                    let r = next_rand(&mut s);
+                    let max = if r.is_multiple_of(8) { 20_000 } else { 200 };
+                    let n = (((r >> 8) % max) as usize).min(rest.len());
+                    state = kernel(state, &rest[..n]);
+                    rest = &rest[n..];
+                }
+                assert_eq!(state, want, "{name}: seed {seed}, random splits");
+            }
+        }
+    }
+
+    /// Wire compatibility: these bytes were produced independently
+    /// (Python `struct` + `zlib.crc32`) from the layout in the module
+    /// docs, and are what every earlier revision of this codec emits
+    /// for the same frames.
+    const GOLDEN_DATA: [u8; 39] = [
+        0x1f, 0x00, 0x00, 0x00, 0x36, 0xca, 0xff, 0x16, 0x00, 0xfd, 0xff, 0xff, 0xff, 0x07, 0x00,
+        0x00, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x09, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, b'g', b'o', b'l', b'd', b'e', b'n',
+    ];
+    const GOLDEN_ACK: [u8; 41] = [
+        0x21, 0x00, 0x00, 0x00, 0x24, 0xa8, 0x68, 0x49, 0x09, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    ];
+
+    #[test]
+    fn golden_bytes_pin_the_wire_format_in_both_directions() {
+        let mut data = Frame::data_with_span(7, -3, b"golden".to_vec(), 0x0102_0304_0506_0708);
+        data.seq = 9;
+        let ack = Frame::control_with_words(FrameKind::Ack, 1, &[42]);
+        for (frame, golden) in [(&data, &GOLDEN_DATA[..]), (&ack, &GOLDEN_ACK[..])] {
+            let mut buf = Vec::new();
+            frame.encode_into(&mut buf);
+            assert_eq!(buf, golden, "encoding of {frame:?} changed");
+            assert_eq!(&expect_frame(read_one(golden).unwrap()), frame);
+        }
+        // The stack-encoded control frame is the same bytes.
+        let stack = EncodedControl::new(FrameKind::Ack, 1, &[42]);
+        assert_eq!(stack.as_bytes(), GOLDEN_ACK);
+        let mut heartbeat = Vec::new();
+        Frame::control(FrameKind::Heartbeat, 3).encode_into(&mut heartbeat);
+        assert_eq!(
+            EncodedControl::new(FrameKind::Heartbeat, 3, &[]).as_bytes(),
+            heartbeat
+        );
+    }
+
+    /// A stream that hands out at most `step` bytes per `read` call.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Decodes until clean EOF.
+    fn read_all<R: Read>(mut r: R) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        loop {
+            match Frame::read_from(&mut r).unwrap() {
+                Decoded::Frame(f) => frames.push(f),
+                Decoded::Eof => return frames,
+                Decoded::Corrupt { detail } => panic!("corrupt: {detail}"),
+            }
+        }
+    }
+
+    #[test]
+    fn split_and_coalesced_reads_decode_like_a_cursor() {
+        let mut big = Frame::data(2, 0, random_bytes(5, 64 << 10));
+        big.seq = 77;
+        let frames = vec![
+            Frame::control(FrameKind::Heartbeat, 1),
+            Frame::data(1, 5, b"xyz".to_vec()),
+            Frame::control_with_words(FrameKind::Contribute, 2, &[9, 100, 99]),
+            big,
+            Frame::data(3, -1, random_bytes(6, 1000)),
+        ];
+        let mut wire = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut wire);
+        }
+        assert_eq!(read_all(Cursor::new(&wire)), frames);
+        // usize::MAX: the whole stream — three small frames and more —
+        // comes back from a single `read` call if the caller asks.
+        for step in [1, 2, 7, 4096, usize::MAX] {
+            let dribble = || Dribble { bytes: &wire, step };
+            assert_eq!(read_all(dribble()), frames, "unbuffered, step {step}");
+            for capacity in [16, 8 << 10, 128 << 10] {
+                let buffered = io::BufReader::with_capacity(capacity, dribble());
+                assert_eq!(
+                    read_all(buffered),
+                    frames,
+                    "buffered {capacity}, step {step}"
+                );
+            }
+        }
+        // The timed entry decodes the same stream.
+        let mut timed = io::BufReader::new(Dribble {
+            bytes: &wire,
+            step: 7,
+        });
+        for want in &frames {
+            let (got, _) = Frame::read_from_timed(&mut timed).unwrap();
+            assert_eq!(&expect_frame(got), want);
+        }
+        assert!(matches!(
+            Frame::read_from_timed(&mut timed).unwrap(),
+            (Decoded::Eof, 0)
+        ));
+    }
+
+    #[test]
+    fn a_large_payload_is_allocated_exactly_once() {
+        let mut wire = Vec::new();
+        Frame::data(0, 0, random_bytes(9, 64 << 10)).encode_into(&mut wire);
+        for step in [4096, usize::MAX] {
+            let mut buffered =
+                io::BufReader::with_capacity(16 << 10, Dribble { bytes: &wire, step });
+            let got = expect_frame(Frame::read_from(&mut buffered).unwrap());
+            assert_eq!(got.payload.len(), 64 << 10);
+            assert_eq!(
+                got.payload.capacity(),
+                got.payload.len(),
+                "payload grew past its exact size (step {step})"
+            );
+        }
+    }
+
+    #[test]
+    fn read_from_never_consumes_bytes_past_its_frame() {
+        // What lets the handshake read a Hello off a bare socket and
+        // leave whatever follows it to the reader thread.
+        let mut wire = Vec::new();
+        Frame::control(FrameKind::Hello, 3).encode_into(&mut wire);
+        let hello_len = wire.len();
+        Frame::data(1, 0, b"right behind".to_vec()).encode_into(&mut wire);
+        let mut cur = Cursor::new(&wire);
+        expect_frame(Frame::read_from(&mut cur).unwrap());
+        assert_eq!(cur.position() as usize, hello_len);
     }
 
     #[test]

@@ -68,11 +68,11 @@
 
 use crate::config::NetConfig;
 use crate::error::{NetError, NetResult};
-use crate::frame::{Decoded, Frame, FrameKind};
+use crate::frame::{Decoded, EncodedControl, Frame, FrameKind};
 use crate::transport::{FrameSink, Transport, TransportCounters};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -82,6 +82,31 @@ use ttg_obs::wire::{WireObs, WIRE_ENABLED};
 /// First retry delay; doubles up to [`CONNECT_RETRY_MAX`].
 const CONNECT_RETRY_START: Duration = Duration::from_millis(5);
 const CONNECT_RETRY_MAX: Duration = Duration::from_millis(250);
+
+/// Delivered-but-unacked bytes after which the reader acks at once
+/// rather than on the monitor tick (capped by a quarter of the sender's
+/// resend budget, see [`RecvState::eager_ack_due`]). Small on purpose:
+/// every unacked byte is a byte the *sender* still holds in its resend
+/// ring, so this — not the 100 ms tick — bounds the ring's residence
+/// under a stream faster than the tick. One ack per 16 KiB is one
+/// 41-byte write per ~30 small messages or per bulk message.
+const EAGER_ACK_BYTES: u64 = 16 << 10;
+
+/// Capacity of each reader thread's `BufReader`. It is the most one
+/// buffered `recv` can return, so small frames share a syscall, and it
+/// is the most of a large payload that is copied through the buffer
+/// rather than landing directly in the payload `Vec` (reads at least
+/// this large bypass the buffer). Measured with the benchmark's
+/// counters at 8 / 16 / 32 / 64 KiB: `net.read_syscalls_per_msg` on
+/// `burst` is 0.15–0.20 at every size (3.0 unbuffered; what is on the
+/// socket when the reader wakes binds, not the capacity),
+/// `net.read_syscalls_per_64KiB_msg` is 7.0 / 5.7 / 5.0 / 4.0 (6.3
+/// unbuffered), throughput is the same within noise on both workloads,
+/// and the share of a 64 KiB payload copied twice is the capacity's
+/// share of it: an eighth, a quarter, a half, all of it. 16 KiB is the
+/// smallest size that beats the unbuffered syscall count on large
+/// frames while three quarters of their bytes are still copied once.
+const READ_BUFFER_BYTES: usize = 16 << 10;
 
 /// Lifecycle of one peer link.
 enum PeerState {
@@ -95,6 +120,51 @@ enum PeerState {
     Closed,
     /// Declared lost; the error every subsequent send returns.
     Dead(NetError),
+}
+
+impl PeerState {
+    /// The typed error a send to `dst` fails with in this state, if the
+    /// link is gone for good.
+    fn send_error(&self, dst: usize) -> Option<NetError> {
+        match self {
+            PeerState::Dead(e) => Some(e.clone()),
+            PeerState::Closed => Some(NetError::PeerClosed {
+                rank: dst,
+                during: "send to a closed peer",
+            }),
+            PeerState::Connected | PeerState::Reconnecting { .. } => None,
+        }
+    }
+}
+
+/// How [`Shared::write_frame`] takes a peer's writer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum WriteMode {
+    /// A frame on behalf of a sender: waits for the writer, sleeps out
+    /// any fault-injected link delay inside the critical section (so
+    /// the stall backs up concurrent senders, visible as
+    /// `wire_lock_wait`, exactly like a slow socket would), and accounts
+    /// the lock wait and the write to the `obs-wire` stages.
+    Frame,
+    /// Rejoin replay: waits for the writer, but is neither delayed nor
+    /// accounted — the session locks are held across it.
+    Replay,
+    /// Acks and heartbeats: `try_lock` only, so the thread sending them
+    /// never stalls behind one slow link, and never delayed, so
+    /// liveness stays truthful on a fault-injected slow link.
+    Liveness,
+}
+
+/// What became of one [`Shared::write_frame`].
+enum Wrote {
+    /// On the socket; the link's send-idle timer was stamped.
+    Done,
+    /// Nothing written and nothing wrong: no socket installed (a state
+    /// transition is mid-flight) or, for [`WriteMode::Liveness`], the
+    /// writer was busy.
+    Skipped,
+    /// The socket refused the bytes.
+    Failed,
 }
 
 /// Send-side session state for one peer: the sequence counter and the
@@ -142,11 +212,7 @@ struct RecvState {
     /// Data-kind frames delivered from this peer this session.
     data_received: u64,
     /// Encoded bytes of sequenced frames delivered since the last
-    /// cumulative ack went out. Crossing `resend_buffer_limit / 4`
-    /// triggers an eager ack from the reader — without it, a fast
-    /// large-frame stream delivers a resend-buffer's worth of frames
-    /// inside one monitor tick and the sender dies on
-    /// [`NetError::ResendOverflow`] with a perfectly healthy link.
+    /// cumulative ack went out; drives [`RecvState::eager_ack_due`].
     bytes_since_ack: u64,
 }
 
@@ -159,6 +225,17 @@ impl RecvState {
             data_received: 0,
             bytes_since_ack: 0,
         }
+    }
+
+    /// Whether the reader should ack now instead of leaving it to the
+    /// monitor tick: more than [`EAGER_ACK_BYTES`] — or a quarter of the
+    /// sender's resend budget, if that is smaller — delivered since the
+    /// last ack. Without it a stream faster than the tick parks a
+    /// tick's worth of frames in the sender's resend ring (memory), and
+    /// a large-frame stream fills the ring to
+    /// [`NetError::ResendOverflow`] on a perfectly healthy link.
+    fn eager_ack_due(&self, resend_buffer_limit: u64) -> bool {
+        self.bytes_since_ack > EAGER_ACK_BYTES.min(resend_buffer_limit / 4)
     }
 }
 
@@ -180,9 +257,8 @@ struct PeerSlot {
     /// cannot tear down its successor connection.
     generation: AtomicU64,
     /// Artificial per-link write delay in ns (0 = none), installed by
-    /// [`Transport::set_link_delay`] and applied inside the writer
-    /// critical section of frame sends — a fault-injected slow link.
-    /// Heartbeats and acks bypass it so liveness stays truthful.
+    /// [`Transport::set_link_delay`] and applied to
+    /// [`WriteMode::Frame`] writes — a fault-injected slow link.
     delay_ns: AtomicU64,
 }
 
@@ -203,13 +279,11 @@ impl PeerSlot {
         }
     }
 
-    /// Sleeps out any fault-injected link delay. Called while holding
-    /// the writer lock, so the stall backs up concurrent senders
-    /// (visible as `wire_lock_wait`) exactly like a slow socket would.
-    fn apply_link_delay(&self) {
-        let ns = self.delay_ns.load(Ordering::Relaxed);
-        if ns > 0 {
-            std::thread::sleep(Duration::from_nanos(ns));
+    /// Takes the socket out of the slot and severs it both ways, which
+    /// also unblocks the link's reader.
+    fn close_socket(&self) {
+        if let Some(stream) = self.writer.lock().take() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
 }
@@ -281,6 +355,55 @@ impl Shared {
         self.peers.get(peer).and_then(|s| s.as_ref())
     }
 
+    /// `dst`'s slot for a send, unless the endpoint is shut down.
+    fn live_slot(&self, dst: usize) -> NetResult<&PeerSlot> {
+        match self.slot(dst) {
+            Some(slot) if !self.down.load(Ordering::Acquire) => Ok(slot),
+            _ => Err(NetError::NotConnected { rank: dst }),
+        }
+    }
+
+    /// The one place bytes reach a peer's socket: take the writer as
+    /// `mode` says, write `bytes` (one whole frame, so frames never
+    /// interleave on the stream) and stamp the link's send-idle timer.
+    fn write_frame(&self, slot: &PeerSlot, mode: WriteMode, bytes: &[u8]) -> Wrote {
+        let paced = mode == WriteMode::Frame;
+        let lw0 = WireObs::now_ns();
+        let mut writer = if mode == WriteMode::Liveness {
+            match slot.writer.try_lock() {
+                Some(writer) => writer,
+                None => return Wrote::Skipped,
+            }
+        } else {
+            slot.writer.lock()
+        };
+        if WIRE_ENABLED && paced {
+            self.wire
+                .record_lock_wait(WireObs::now_ns().saturating_sub(lw0));
+        }
+        let Some(stream) = writer.as_mut() else {
+            return Wrote::Skipped;
+        };
+        if paced {
+            let delay_ns = slot.delay_ns.load(Ordering::Relaxed);
+            if delay_ns > 0 {
+                std::thread::sleep(Duration::from_nanos(delay_ns));
+            }
+        }
+        let w0 = WireObs::now_ns();
+        let wrote = io::Write::write_all(stream, bytes);
+        if WIRE_ENABLED && paced {
+            self.wire
+                .record_write(WireObs::now_ns().saturating_sub(w0), bytes.len() as u64, 1);
+        }
+        drop(writer);
+        if wrote.is_err() {
+            return Wrote::Failed;
+        }
+        slot.last_send_ms.store(self.now_ms(), Ordering::Relaxed);
+        Wrote::Done
+    }
+
     fn spawn(self: &Arc<Self>, name: String, f: impl FnOnce() + Send + 'static) -> bool {
         match std::thread::Builder::new().name(name).spawn(f) {
             Ok(h) => {
@@ -324,11 +447,9 @@ impl Shared {
 
     /// Sends a cumulative ack for everything delivered from `peer` so
     /// far, if anything is unacknowledged and the link is writable.
-    /// Shared by the monitor tick and the reader's eager-ack path.
-    /// Uses try_lock on the writer: the monitor must never stall
-    /// behind one slow link while other peers wait for liveness
-    /// traffic, and a skipped ack simply goes out on the next tick
-    /// (or the next received frame, on the eager path).
+    /// Shared by the monitor tick and the reader's eager-ack path. An
+    /// ack skipped because the writer was busy simply goes out on the
+    /// next tick (or the next received frame, on the eager path).
     fn send_cumulative_ack(&self, slot: &PeerSlot) {
         let ack_due = {
             let recv = slot.recv.lock();
@@ -340,19 +461,8 @@ impl Shared {
         if !matches!(*slot.state.lock(), PeerState::Connected) {
             return;
         }
-        let mut ack = Frame::control(FrameKind::Ack, self.rank as u32);
-        ack.payload = seq.to_le_bytes().to_vec();
-        let mut bytes = Vec::with_capacity(ack.encoded_len());
-        ack.encode_into(&mut bytes);
-        let ok = match slot.writer.try_lock() {
-            Some(mut writer) => match writer.as_mut() {
-                Some(stream) => io::Write::write_all(stream, &bytes).is_ok(),
-                None => false,
-            },
-            None => false,
-        };
-        if ok {
-            slot.last_send_ms.store(self.now_ms(), Ordering::Relaxed);
+        let ack = EncodedControl::new(FrameKind::Ack, self.rank as u32, &[seq]);
+        if let Wrote::Done = self.write_frame(slot, WriteMode::Liveness, ack.as_bytes()) {
             let mut recv = slot.recv.lock();
             // Guard against a session reset racing the ack.
             if recv.last_seq >= seq {
@@ -446,20 +556,20 @@ impl Shared {
         // order, before releasing `out` (concurrent sequenced sends are
         // queued behind this lock and will follow in order).
         let mut replay_failed = false;
-        if reconnect && !out.buffer.is_empty() {
-            let mut writer = slot.writer.lock();
-            if let Some(stream) = writer.as_mut() {
-                for (_, bytes, _) in out.buffer.iter() {
-                    if io::Write::write_all(stream, bytes).is_err() {
+        if reconnect {
+            for (_, bytes, _) in out.buffer.iter() {
+                match self.write_frame(slot, WriteMode::Replay, bytes) {
+                    Wrote::Done => self
+                        .counters
+                        .frames_replayed
+                        .fetch_add(1, Ordering::Relaxed),
+                    Wrote::Skipped => break,
+                    Wrote::Failed => {
                         replay_failed = true;
                         break;
                     }
-                    self.counters
-                        .frames_replayed
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+                };
             }
-            slot.last_send_ms.store(self.now_ms(), Ordering::Relaxed);
         }
         drop(out);
 
@@ -520,9 +630,7 @@ impl Shared {
             };
             slot.state_changed.notify_all();
         }
-        if let Some(stream) = slot.writer.lock().take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        slot.close_socket();
         // Recovery window open: the sink may quarantine affected work
         // instead of failing it, pending a rejoin.
         self.sink.peer_recovering(peer);
@@ -560,9 +668,7 @@ impl Shared {
             *state = PeerState::Dead(err.clone());
             slot.state_changed.notify_all();
         }
-        if let Some(stream) = slot.writer.lock().take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        slot.close_socket();
         self.counters.peers_lost.fetch_add(1, Ordering::Relaxed);
         self.sink.peer_lost(peer, &err);
     }
@@ -585,21 +691,14 @@ impl Shared {
             *state = PeerState::Closed;
             slot.state_changed.notify_all();
         }
-        if let Some(stream) = slot.writer.lock().take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        slot.close_socket();
     }
 
     /// Sends pre-encoded frame bytes to `dst`, parking through a
     /// reconnect and resending on the fresh socket if the first write
     /// hit a broken one. Counts the frame exactly once, on success.
     fn send_encoded(self: &Arc<Self>, dst: usize, bytes: &[u8]) -> NetResult<()> {
-        if self.down.load(Ordering::Acquire) {
-            return Err(NetError::NotConnected { rank: dst });
-        }
-        let Some(slot) = self.slot(dst) else {
-            return Err(NetError::NotConnected { rank: dst });
-        };
+        let slot = self.live_slot(dst)?;
         // The monitor turns a lingering Reconnecting into Dead within
         // peer_dead_after; this is a backstop so send() can never park
         // forever even if the monitor thread itself died.
@@ -607,76 +706,39 @@ impl Shared {
         loop {
             let generation = {
                 let mut state = slot.state.lock();
-                match &*state {
-                    PeerState::Dead(e) => return Err(e.clone()),
-                    PeerState::Closed => {
+                if let Some(e) = state.send_error(dst) {
+                    return Err(e);
+                }
+                if let PeerState::Reconnecting { .. } = *state {
+                    if self.down.load(Ordering::Acquire) {
+                        return Err(NetError::NotConnected { rank: dst });
+                    }
+                    if Instant::now() >= give_up {
                         return Err(NetError::PeerClosed {
                             rank: dst,
-                            during: "send to a closed peer",
-                        })
+                            during: "send timed out awaiting reconnect",
+                        });
                     }
-                    PeerState::Reconnecting { .. } => {
-                        if self.down.load(Ordering::Acquire) {
-                            return Err(NetError::NotConnected { rank: dst });
-                        }
-                        if Instant::now() >= give_up {
-                            return Err(NetError::PeerClosed {
-                                rank: dst,
-                                during: "send timed out awaiting reconnect",
-                            });
-                        }
-                        slot.state_changed
-                            .wait_for(&mut state, Duration::from_millis(50));
-                        continue;
-                    }
-                    PeerState::Connected => slot.generation.load(Ordering::Relaxed),
-                }
-            };
-            let lw0 = WireObs::now_ns();
-            let mut writer = slot.writer.lock();
-            if WIRE_ENABLED {
-                self.wire
-                    .record_lock_wait(WireObs::now_ns().saturating_sub(lw0));
-            }
-            match writer.as_mut() {
-                None => {
-                    // Transient: a state transition is mid-flight.
-                    drop(writer);
-                    std::thread::sleep(Duration::from_millis(1));
+                    slot.state_changed
+                        .wait_for(&mut state, Duration::from_millis(50));
                     continue;
                 }
-                Some(stream) => {
-                    slot.apply_link_delay();
-                    let w0 = WireObs::now_ns();
-                    let wrote = io::Write::write_all(stream, bytes);
-                    if WIRE_ENABLED {
-                        self.wire.record_write(
-                            WireObs::now_ns().saturating_sub(w0),
-                            bytes.len() as u64,
-                            1,
-                        );
-                    }
-                    match wrote {
-                        Ok(()) => {
-                            drop(writer);
-                            slot.last_send_ms.store(self.now_ms(), Ordering::Relaxed);
-                            self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-                            self.counters
-                                .bytes_sent
-                                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                            return Ok(());
-                        }
-                        Err(_) => {
-                            drop(writer);
-                            // The peer's reader discards the partial
-                            // frame together with the dead socket, so
-                            // resending on the fresh one is
-                            // exactly-once.
-                            self.connection_lost(dst, generation);
-                            continue;
-                        }
-                    }
+                slot.generation.load(Ordering::Relaxed)
+            };
+            match self.write_frame(slot, WriteMode::Frame, bytes) {
+                Wrote::Done => {
+                    self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+                    self.counters
+                        .bytes_sent
+                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                    return Ok(());
                 }
+                // Transient: a state transition is mid-flight.
+                Wrote::Skipped => std::thread::sleep(Duration::from_millis(1)),
+                // The peer's reader discards the partial frame together
+                // with the dead socket, so resending on the fresh one
+                // is exactly-once.
+                Wrote::Failed => self.connection_lost(dst, generation),
             }
         }
     }
@@ -689,12 +751,7 @@ impl Shared {
     /// only failure modes are a dead/closed peer (typed, latched) and a
     /// full resend buffer ([`NetError::ResendOverflow`]).
     fn send_sequenced(self: &Arc<Self>, dst: usize, mut frame: Frame) -> NetResult<()> {
-        if self.down.load(Ordering::Acquire) {
-            return Err(NetError::NotConnected { rank: dst });
-        }
-        let Some(slot) = self.slot(dst) else {
-            return Err(NetError::NotConnected { rank: dst });
-        };
+        let slot = self.live_slot(dst)?;
         let mut out = slot.out.lock();
         frame.seq = out.next_seq;
         let e0 = WireObs::now_ns();
@@ -716,17 +773,10 @@ impl Shared {
         // fail typed, not silently accumulate buffered frames.
         let write_now = {
             let state = slot.state.lock();
-            match &*state {
-                PeerState::Dead(e) => return Err(e.clone()),
-                PeerState::Closed => {
-                    return Err(NetError::PeerClosed {
-                        rank: dst,
-                        during: "send to a closed peer",
-                    })
-                }
-                PeerState::Reconnecting { .. } => None,
-                PeerState::Connected => Some(slot.generation.load(Ordering::Relaxed)),
+            if let Some(e) = state.send_error(dst) {
+                return Err(e);
             }
+            matches!(*state, PeerState::Connected).then(|| slot.generation.load(Ordering::Relaxed))
         };
         out.next_seq += 1;
         if frame.kind == FrameKind::Data {
@@ -749,29 +799,13 @@ impl Shared {
         // it goes out on this socket or a replay.
         self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
         self.counters.bytes_sent.fetch_add(len, Ordering::Relaxed);
+        // Written from the ring's own copy. If the write fails the frame
+        // stays buffered and the rejoin replay re-sends it.
         let mut lost_generation = None;
         if let Some(generation) = write_now {
-            let lw0 = WireObs::now_ns();
-            let mut writer = slot.writer.lock();
-            if WIRE_ENABLED {
-                self.wire
-                    .record_lock_wait(WireObs::now_ns().saturating_sub(lw0));
-            }
-            if let Some(stream) = writer.as_mut() {
-                slot.apply_link_delay();
-                let (_, bytes, _) = out.buffer.back().expect("frame just buffered");
-                let w0 = WireObs::now_ns();
-                let wrote = io::Write::write_all(stream, bytes);
-                if WIRE_ENABLED {
-                    self.wire
-                        .record_write(WireObs::now_ns().saturating_sub(w0), len, 1);
-                }
-                if wrote.is_err() {
-                    // Stays buffered; the rejoin replay re-sends it.
-                    lost_generation = Some(generation);
-                } else {
-                    slot.last_send_ms.store(self.now_ms(), Ordering::Relaxed);
-                }
+            let (_, bytes, _) = out.buffer.back().expect("frame just buffered");
+            if let Wrote::Failed = self.write_frame(slot, WriteMode::Frame, bytes) {
+                lost_generation = Some(generation);
             }
         }
         drop(out);
@@ -781,9 +815,36 @@ impl Shared {
         Ok(())
     }
 
-    /// Unblocks the acceptor's `accept()` so it can observe `down`.
-    fn poke_acceptor(&self) {
+    /// Local end of the endpoint's life, however it ends (the caller
+    /// has set `down`): every socket is severed — after `farewell`, if
+    /// the end is orderly enough to say Goodbye — every link that is
+    /// not already dead is marked closed so parked senders wake with a
+    /// typed error, and the transport's threads are joined.
+    fn teardown(&self, farewell: Option<&[u8]>) {
+        for slot in self.peers.iter().flatten() {
+            if let Some(mut stream) = slot.writer.lock().take() {
+                if let Some(goodbye) = farewell {
+                    let _ = io::Write::write_all(&mut stream, goodbye);
+                }
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            let mut state = slot.state.lock();
+            if !matches!(*state, PeerState::Dead(_)) {
+                *state = PeerState::Closed;
+            }
+            slot.state_changed.notify_all();
+        }
+        // Unblock the acceptor's `accept()` so it can observe `down`.
         let _ = TcpStream::connect(self.local_addr);
+        loop {
+            let handles: Vec<_> = self.threads.lock().drain(..).collect();
+            if handles.is_empty() {
+                return;
+            }
+            for h in handles {
+                let _ = h.join();
+            }
+        }
     }
 }
 
@@ -911,22 +972,15 @@ impl TcpTransport {
         for peer in rank + 1..nranks {
             let slot = shared.slot(peer).expect("peer slot exists");
             let mut state = slot.state.lock();
-            loop {
+            let failure = loop {
                 match &*state {
-                    PeerState::Connected => break,
-                    PeerState::Dead(e) => {
-                        let e = e.clone();
-                        drop(state);
-                        fail_startup(&shared);
-                        return Err(e);
-                    }
+                    PeerState::Connected => break None,
+                    PeerState::Dead(e) => break Some(e.clone()),
                     PeerState::Closed => {
-                        drop(state);
-                        fail_startup(&shared);
-                        return Err(NetError::PeerClosed {
+                        break Some(NetError::PeerClosed {
                             rank: peer,
                             during: "initial handshake",
-                        });
+                        })
                     }
                     PeerState::Reconnecting { .. } => {
                         let remaining = deadline.saturating_duration_since(Instant::now());
@@ -936,9 +990,7 @@ impl TcpTransport {
                                 .wait_for(&mut state, remaining)
                                 .timed_out()
                         {
-                            drop(state);
-                            fail_startup(&shared);
-                            return Err(NetError::ConnectTimeout {
+                            break Some(NetError::ConnectTimeout {
                                 rank: peer,
                                 waited: started.elapsed(),
                                 attempts: 0,
@@ -947,6 +999,11 @@ impl TcpTransport {
                         }
                     }
                 }
+            };
+            drop(state);
+            if let Some(e) = failure {
+                fail_startup(&shared);
+                return Err(e);
             }
         }
 
@@ -975,12 +1032,9 @@ impl TcpTransport {
     /// normal recovery path: reconnect, session rejoin, replay. Drill
     /// hook for bounce testing.
     pub fn drop_connections(&self) {
-        let shared = &self.shared;
-        for peer in 0..shared.nranks {
-            if let Some(slot) = shared.slot(peer) {
-                if let Some(stream) = slot.writer.lock().as_ref() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
+        for slot in self.shared.peers.iter().flatten() {
+            if let Some(stream) = slot.writer.lock().as_ref() {
+                let _ = stream.shutdown(Shutdown::Both);
             }
         }
     }
@@ -990,50 +1044,15 @@ impl TcpTransport {
     /// survivors' dead-peer detection in-process.
     #[doc(hidden)]
     pub fn kill_connections(&self) {
-        let shared = &self.shared;
-        if shared.down.swap(true, Ordering::AcqRel) {
-            return;
+        if !self.shared.down.swap(true, Ordering::AcqRel) {
+            self.shared.teardown(None);
         }
-        for peer in 0..shared.nranks {
-            if let Some(slot) = shared.slot(peer) {
-                if let Some(stream) = slot.writer.lock().take() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                let mut state = slot.state.lock();
-                if !matches!(*state, PeerState::Dead(_)) {
-                    *state = PeerState::Closed;
-                }
-                slot.state_changed.notify_all();
-            }
-        }
-        shared.poke_acceptor();
-        join_all(shared);
     }
 }
 
 fn fail_startup(shared: &Arc<Shared>) {
     shared.down.store(true, Ordering::Release);
-    for peer in 0..shared.nranks {
-        if let Some(slot) = shared.slot(peer) {
-            if let Some(stream) = slot.writer.lock().take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-    }
-    shared.poke_acceptor();
-    join_all(shared);
-}
-
-fn join_all(shared: &Shared) {
-    loop {
-        let handles: Vec<_> = shared.threads.lock().drain(..).collect();
-        if handles.is_empty() {
-            return;
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-    }
+    shared.teardown(None);
 }
 
 /// Dials `peer` with exponential backoff until `deadline`, counting
@@ -1139,7 +1158,7 @@ fn reconnector(shared: &Arc<Shared>, peer: usize) {
 
 /// Accepts connections for the whole run: the initial higher-rank
 /// connects and any re-dial after a drop. Unblocked at shutdown by a
-/// self-connect ([`Shared::poke_acceptor`]).
+/// self-connect ([`Shared::teardown`]).
 fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
         match listener.accept() {
@@ -1198,7 +1217,8 @@ fn handle_incoming(shared: &Arc<Shared>, mut stream: TcpStream) {
 /// Decodes frames from one peer socket until it dies, closes, or the
 /// stream proves corrupt. Never panics: every failure routes into the
 /// link state machine.
-fn reader_loop(shared: &Arc<Shared>, peer: usize, mut stream: TcpStream, generation: u64) {
+fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation: u64) {
+    let mut stream = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
     let touch = |slot: &PeerSlot| slot.last_recv_ms.store(shared.now_ms(), Ordering::Relaxed);
     loop {
         match Frame::read_from_timed(&mut stream) {
@@ -1249,14 +1269,9 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, mut stream: TcpStream, generat
                                     recv.data_received += 1;
                                 }
                                 recv.bytes_since_ack += frame.encoded_len() as u64;
-                                // A quarter of the sender's resend budget
-                                // delivered since the last ack: ack now
-                                // rather than on the monitor tick, or a
-                                // fast large-frame stream fills the
-                                // sender's buffer to ResendOverflow
-                                // between ticks. (recv is a leaf lock —
-                                // release before touching the writer.)
-                                recv.bytes_since_ack > shared.cfg.resend_buffer_limit / 4
+                                // recv is a leaf lock — release before
+                                // touching the writer.
+                                recv.eager_ack_due(shared.cfg.resend_buffer_limit)
                             };
                             if eager_ack {
                                 shared.send_cumulative_ack(slot);
@@ -1318,8 +1333,7 @@ fn monitor_loop(shared: &Arc<Shared>) {
     let dead_ms = shared.cfg.peer_dead_after.as_millis() as u64;
     let tick = (shared.cfg.heartbeat_interval / 4)
         .clamp(Duration::from_millis(1), Duration::from_millis(100));
-    let mut heartbeat = Vec::new();
-    Frame::control(FrameKind::Heartbeat, shared.rank as u32).encode_into(&mut heartbeat);
+    let heartbeat = EncodedControl::new(FrameKind::Heartbeat, shared.rank as u32, &[]);
     loop {
         if shared.down.load(Ordering::Acquire) {
             return;
@@ -1361,27 +1375,18 @@ fn monitor_loop(shared: &Arc<Shared>) {
             match verdict {
                 Some(Err(err)) => shared.declare_dead(peer, err),
                 Some(Ok(generation)) => {
-                    // try_lock: a stalled or slow writer on this link must not
-                    // block the monitor thread, which also serves every other
-                    // peer. A busy writer means the link is actively sending,
-                    // so the heartbeat is redundant; retry next tick.
-                    let outcome = slot
-                        .writer
-                        .try_lock()
-                        .map(|mut writer| match writer.as_mut() {
-                            Some(stream) => io::Write::write_all(stream, &heartbeat).is_ok(),
-                            None => true,
-                        });
-                    match outcome {
-                        Some(false) => shared.connection_lost(peer, generation),
-                        Some(true) => {
-                            slot.last_send_ms.store(shared.now_ms(), Ordering::Relaxed);
+                    match shared.write_frame(slot, WriteMode::Liveness, heartbeat.as_bytes()) {
+                        Wrote::Failed => shared.connection_lost(peer, generation),
+                        Wrote::Done => {
                             shared
                                 .counters
                                 .heartbeats_sent
                                 .fetch_add(1, Ordering::Relaxed);
                         }
-                        None => {}
+                        // A busy writer means the link is actively
+                        // sending, so the heartbeat is redundant; retry
+                        // next tick.
+                        Wrote::Skipped => {}
                     }
                 }
                 None => {}
@@ -1422,26 +1427,10 @@ impl Transport for TcpTransport {
 
     fn shutdown(&self) {
         let shared = &self.shared;
-        if shared.down.swap(true, Ordering::AcqRel) {
-            return;
+        if !shared.down.swap(true, Ordering::AcqRel) {
+            let goodbye = EncodedControl::new(FrameKind::Goodbye, shared.rank as u32, &[]);
+            shared.teardown(Some(goodbye.as_bytes()));
         }
-        let mut goodbye = Vec::new();
-        Frame::control(FrameKind::Goodbye, shared.rank as u32).encode_into(&mut goodbye);
-        for peer in 0..shared.nranks {
-            if let Some(slot) = shared.slot(peer) {
-                if let Some(mut stream) = slot.writer.lock().take() {
-                    let _ = io::Write::write_all(&mut stream, &goodbye);
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                let mut state = slot.state.lock();
-                if !matches!(*state, PeerState::Dead(_)) {
-                    *state = PeerState::Closed;
-                }
-                slot.state_changed.notify_all();
-            }
-        }
-        shared.poke_acceptor();
-        join_all(shared);
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -1875,6 +1864,70 @@ mod tests {
         for t in &transports {
             t.shutdown();
         }
+    }
+
+    #[test]
+    fn eager_ack_trigger_is_a_byte_budget_capped_by_a_quarter_of_the_resend_limit() {
+        let due = |bytes_since_ack, limit| {
+            let mut recv = RecvState::new();
+            recv.bytes_since_ack = bytes_since_ack;
+            recv.eager_ack_due(limit)
+        };
+        let roomy = NetConfig::builtin().resend_buffer_limit;
+        assert!(
+            roomy / 4 > EAGER_ACK_BYTES,
+            "the constant is the binding cap"
+        );
+        assert!(!due(0, roomy));
+        assert!(!due(EAGER_ACK_BYTES - 1, roomy));
+        assert!(!due(EAGER_ACK_BYTES, roomy), "at the budget: not yet");
+        assert!(due(EAGER_ACK_BYTES + 1, roomy));
+        // A resend budget under 4x the constant: a quarter of it binds
+        // instead, or the sender would overflow before the first ack.
+        let tight = 256;
+        assert!(!due(tight / 4, tight));
+        assert!(due(tight / 4 + 1, tight));
+        assert!(due(1, 0), "no budget at all: ack everything at once");
+    }
+
+    #[test]
+    fn bytes_that_follow_a_hello_in_the_same_write_reach_the_reader() {
+        // Rank 1 is played by a bare socket whose first write carries the
+        // handshake and a data frame back to back. The acceptor reads
+        // the Hello unbuffered, so the data frame must still be on the
+        // socket when the reader thread (which does buffer) takes over.
+        let (mut listeners, addrs) = ephemeral_listeners(2).unwrap();
+        listeners.truncate(1);
+        let listener = listeners.pop().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let endpoint = {
+            let addrs = addrs.clone();
+            std::thread::spawn(move || {
+                let sink = Arc::new(FnSink(move |src, frame| {
+                    let _ = tx.send((src, frame));
+                }));
+                TcpTransport::with_listener_cfg(0, listener, &addrs, sink, NetConfig::builtin())
+                    .unwrap()
+            })
+        };
+        let mut raw = TcpStream::connect(addrs[0]).unwrap();
+        let mut bytes = Vec::new();
+        hello_frame(0, 1, 0xABCD, 0).encode_into(&mut bytes);
+        let mut data = Frame::data(7, 0, b"right behind the hello".to_vec());
+        data.seq = 1;
+        data.encode_into(&mut bytes);
+        io::Write::write_all(&mut raw, &bytes).unwrap();
+
+        let transport = endpoint.join().unwrap();
+        let (src, frame) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((src, frame.handler, frame.seq), (1, 7, 1));
+        assert_eq!(frame.payload, b"right behind the hello");
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match Frame::read_from(&mut raw).unwrap() {
+            Decoded::Frame(f) => assert_eq!(f.kind, FrameKind::Hello, "hello-ack"),
+            other => panic!("expected the hello-ack, got {other:?}"),
+        }
+        transport.shutdown();
     }
 
     /// Test-local helper: builder-style mutation for NetConfig.

@@ -315,10 +315,16 @@ fn multi_worker_trace_records_steals_and_parks_with_worker_ids() {
     let mut config = RuntimeConfig::optimized(WORKERS as usize);
     config.trace = true;
     let rt = Runtime::new(config);
-    // Two sessions: the gap between them parks every worker, and the
+    // Two sessions: the gap after each parks idle workers, and the
     // single-seed fan-out of sleepy tasks forces the idle workers to
-    // steal from the seeding worker's queue.
+    // steal from the seeding worker's queue. A gap lasts until the park
+    // counter says a worker went to sleep in it — however long the
+    // machine takes to get there — not for a fixed time. The counter
+    // moves when a park starts and the event is recorded when it ends,
+    // so events are collected until the first park shows up.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     for _ in 0..2 {
+        let parks_before = rt.stats().parks;
         rt.submit(0, |ctx| {
             for _ in 0..64 {
                 ctx.spawn(0, |_| {
@@ -327,9 +333,23 @@ fn multi_worker_trace_records_steals_and_parks_with_worker_ids() {
             }
         });
         rt.wait();
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        while rt.stats().parks == parks_before {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no worker parked after the session"
+            );
+            std::thread::yield_now();
+        }
     }
-    let events = rt.take_events();
+    let mut events = rt.take_events();
+    while !events.iter().any(|e| matches!(e.kind, EventKind::Park)) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "workers parked but no park event was recorded"
+        );
+        std::thread::yield_now();
+        events.extend(rt.take_events());
+    }
     assert!(events.iter().any(|e| matches!(e.kind, EventKind::Task)));
 
     let steals: Vec<_> = events

@@ -712,7 +712,12 @@ impl ServeEngine {
             let mut st = self.inner.state.lock();
             loop {
                 let queued: usize = st.tenants.values().map(|t| t.queue.len()).sum();
-                if queued == 0 && st.running.is_empty() && st.completions.is_empty() {
+                // `inflight_total`, not `running.is_empty()`: an admitted
+                // instance is counted from the moment the dispatcher pops
+                // it, but enters `running` only after it was built and
+                // started outside the lock — in between it is in neither
+                // the queue nor `running`, and must not look drained.
+                if queued == 0 && st.inflight_total == 0 && st.completions.is_empty() {
                     break;
                 }
                 let now = Instant::now();

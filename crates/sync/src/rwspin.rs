@@ -116,10 +116,17 @@ impl RawRwSpinLock {
             .is_ok()
     }
 
-    /// Releases the exclusive lock. A release store — no RMW needed.
+    /// Releases the exclusive lock by clearing the writer bit — and only
+    /// that bit. A plain `store(0)` would be cheaper but wrong: a reader
+    /// that arrived while the writer held has already added itself
+    /// optimistically and will subtract itself again on seeing the
+    /// writer bit, so the release must leave its increment in place or
+    /// that subtraction wraps the word (every later writer then spins
+    /// forever on a count that never returns to zero).
     #[inline]
     pub fn unlock_exclusive(&self) {
-        self.state.store(0, Ordering::Release);
+        note_rmw();
+        self.state.fetch_and(!WRITER, Ordering::Release);
     }
 
     /// Current number of readers (racy; diagnostics only).
@@ -327,6 +334,87 @@ mod tests {
             .map(|t| (0..ITERS).filter(|i| (i + t) % 4 == 0).count())
             .sum();
         assert_eq!(*lock.read(), expected);
+    }
+
+    #[test]
+    fn write_unlock_keeps_the_increment_of_a_reader_that_is_backing_out() {
+        // The interleaving, forced step by step with the reader's two
+        // halves issued by hand: it adds itself while the writer holds,
+        // the writer releases, and only then does it subtract itself.
+        let raw = RawRwSpinLock::new();
+        raw.lock_exclusive();
+        let seen = raw.state.fetch_add(READER, Ordering::Acquire);
+        assert_ne!(
+            seen & WRITER,
+            0,
+            "the reader must see the writer and back out"
+        );
+        raw.unlock_exclusive();
+        raw.state.fetch_sub(READER, Ordering::Relaxed);
+        assert_eq!(raw.state.load(Ordering::Relaxed), 0, "state word wrapped");
+        assert!(raw.try_lock_exclusive(), "a writer can get in again");
+        raw.unlock_exclusive();
+    }
+
+    #[test]
+    fn short_writer_sections_against_spinning_try_readers_leave_the_word_at_zero() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+        const WRITES: usize = 100_000;
+        const READERS: usize = 2;
+        let lock = Arc::new(RwSpinLock::new(0usize));
+        let writer_done = Arc::new(AtomicBool::new(false));
+        // Without a common start the writer can be done before the
+        // first reader is scheduled.
+        let start = Arc::new(Barrier::new(READERS + 1));
+        let (finished_tx, finished_rx) = mpsc::channel();
+        for _ in 0..READERS {
+            let (lock, writer_done, finished) = (
+                Arc::clone(&lock),
+                Arc::clone(&writer_done),
+                finished_tx.clone(),
+            );
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let mut last = 0;
+                while !writer_done.load(Ordering::Acquire) {
+                    if let Some(v) = lock.try_read() {
+                        assert!(*v >= last, "a read went backwards");
+                        last = *v;
+                    }
+                }
+                let _ = finished.send(());
+            });
+        }
+        {
+            let (lock, writer_done) = (Arc::clone(&lock), Arc::clone(&writer_done));
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..WRITES {
+                    let mut value = lock.write();
+                    *value += 1;
+                    // Hold just long enough that a spinning reader's
+                    // attempt lands inside the section; the release
+                    // then races that reader's back-out.
+                    for _ in 0..64 {
+                        std::hint::spin_loop();
+                    }
+                }
+                writer_done.store(true, Ordering::Release);
+                let _ = finished_tx.send(());
+            });
+        }
+        // Watchdog: a wrapped state word shows up as a writer that never
+        // gets in again, which must fail the test rather than hang it.
+        for _ in 0..READERS + 1 {
+            finished_rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("a thread died or the writer is locked out for good");
+        }
+        assert_eq!(lock.raw.state.load(Ordering::Relaxed), 0, "state word");
+        assert_eq!(*lock.read(), WRITES, "lost update");
     }
 
     #[test]
