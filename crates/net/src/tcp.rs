@@ -137,7 +137,9 @@ impl PeerState {
     }
 }
 
-/// How [`Shared::write_frame`] takes a peer's writer.
+/// How [`Shared::write_frames`] takes a peer's writer: two lock
+/// disciplines (wait, or `try_lock`), and the waiting one with or
+/// without the pacing and accounting a sender's frame gets.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum WriteMode {
     /// A frame on behalf of a sender: waits for the writer, sleeps out
@@ -146,8 +148,10 @@ enum WriteMode {
     /// `wire_lock_wait`, exactly like a slow socket would), and accounts
     /// the lock wait and the write to the `obs-wire` stages.
     Frame,
-    /// Rejoin replay: waits for the writer, but is neither delayed nor
-    /// accounted — the session locks are held across it.
+    /// Rejoin replay: waits for the writer and keeps it for the whole
+    /// resend ring, so nothing interleaves with the replayed frames;
+    /// neither delayed nor accounted — the session locks are held
+    /// across it.
     Replay,
     /// Acks and heartbeats: `try_lock` only, so the thread sending them
     /// never stalls behind one slow link, and never delayed, so
@@ -155,15 +159,15 @@ enum WriteMode {
     Liveness,
 }
 
-/// What became of one [`Shared::write_frame`].
+/// What became of one [`Shared::write_frames`].
 enum Wrote {
-    /// On the socket; the link's send-idle timer was stamped.
+    /// All on the socket; the link's send-idle timer was stamped.
     Done,
     /// Nothing written and nothing wrong: no socket installed (a state
     /// transition is mid-flight) or, for [`WriteMode::Liveness`], the
     /// writer was busy.
     Skipped,
-    /// The socket refused the bytes.
+    /// The socket refused a frame; none after it was written.
     Failed,
 }
 
@@ -364,9 +368,15 @@ impl Shared {
     }
 
     /// The one place bytes reach a peer's socket: take the writer as
-    /// `mode` says, write `bytes` (one whole frame, so frames never
-    /// interleave on the stream) and stamp the link's send-idle timer.
-    fn write_frame(&self, slot: &PeerSlot, mode: WriteMode, bytes: &[u8]) -> Wrote {
+    /// `mode` says, write every frame of `frames` under that one guard
+    /// (each whole, so frames never interleave on the stream) and stamp
+    /// the link's send-idle timer.
+    fn write_frames<'a>(
+        &self,
+        slot: &PeerSlot,
+        mode: WriteMode,
+        frames: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Wrote {
         let paced = mode == WriteMode::Frame;
         let lw0 = WireObs::now_ns();
         let mut writer = if mode == WriteMode::Liveness {
@@ -384,22 +394,26 @@ impl Shared {
         let Some(stream) = writer.as_mut() else {
             return Wrote::Skipped;
         };
-        if paced {
+        for bytes in frames {
             let delay_ns = slot.delay_ns.load(Ordering::Relaxed);
-            if delay_ns > 0 {
+            if paced && delay_ns > 0 {
                 std::thread::sleep(Duration::from_nanos(delay_ns));
             }
-        }
-        let w0 = WireObs::now_ns();
-        let wrote = io::Write::write_all(stream, bytes);
-        if WIRE_ENABLED && paced {
-            self.wire
-                .record_write(WireObs::now_ns().saturating_sub(w0), bytes.len() as u64, 1);
+            let w0 = WireObs::now_ns();
+            if io::Write::write_all(stream, bytes).is_err() {
+                return Wrote::Failed;
+            }
+            if WIRE_ENABLED && paced {
+                self.wire
+                    .record_write(WireObs::now_ns().saturating_sub(w0), bytes.len() as u64, 1);
+            }
+            if mode == WriteMode::Replay {
+                self.counters
+                    .frames_replayed
+                    .fetch_add(1, Ordering::Relaxed);
+            }
         }
         drop(writer);
-        if wrote.is_err() {
-            return Wrote::Failed;
-        }
         slot.last_send_ms.store(self.now_ms(), Ordering::Relaxed);
         Wrote::Done
     }
@@ -462,7 +476,7 @@ impl Shared {
             return;
         }
         let ack = EncodedControl::new(FrameKind::Ack, self.rank as u32, &[seq]);
-        if let Wrote::Done = self.write_frame(slot, WriteMode::Liveness, ack.as_bytes()) {
+        if let Wrote::Done = self.write_frames(slot, WriteMode::Liveness, [ack.as_bytes()]) {
             let mut recv = slot.recv.lock();
             // Guard against a session reset racing the ack.
             if recv.last_seq >= seq {
@@ -557,19 +571,11 @@ impl Shared {
         // queued behind this lock and will follow in order).
         let mut replay_failed = false;
         if reconnect {
-            for (_, bytes, _) in out.buffer.iter() {
-                match self.write_frame(slot, WriteMode::Replay, bytes) {
-                    Wrote::Done => self
-                        .counters
-                        .frames_replayed
-                        .fetch_add(1, Ordering::Relaxed),
-                    Wrote::Skipped => break,
-                    Wrote::Failed => {
-                        replay_failed = true;
-                        break;
-                    }
-                };
-            }
+            let ring = out.buffer.iter().map(|(_, bytes, _)| bytes.as_slice());
+            replay_failed = matches!(
+                self.write_frames(slot, WriteMode::Replay, ring),
+                Wrote::Failed
+            );
         }
         drop(out);
 
@@ -725,7 +731,7 @@ impl Shared {
                 }
                 slot.generation.load(Ordering::Relaxed)
             };
-            match self.write_frame(slot, WriteMode::Frame, bytes) {
+            match self.write_frames(slot, WriteMode::Frame, [bytes]) {
                 Wrote::Done => {
                     self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
                     self.counters
@@ -804,7 +810,7 @@ impl Shared {
         let mut lost_generation = None;
         if let Some(generation) = write_now {
             let (_, bytes, _) = out.buffer.back().expect("frame just buffered");
-            if let Wrote::Failed = self.write_frame(slot, WriteMode::Frame, bytes) {
+            if let Wrote::Failed = self.write_frames(slot, WriteMode::Frame, [bytes.as_slice()]) {
                 lost_generation = Some(generation);
             }
         }
@@ -1375,7 +1381,7 @@ fn monitor_loop(shared: &Arc<Shared>) {
             match verdict {
                 Some(Err(err)) => shared.declare_dead(peer, err),
                 Some(Ok(generation)) => {
-                    match shared.write_frame(slot, WriteMode::Liveness, heartbeat.as_bytes()) {
+                    match shared.write_frames(slot, WriteMode::Liveness, [heartbeat.as_bytes()]) {
                         Wrote::Failed => shared.connection_lost(peer, generation),
                         Wrote::Done => {
                             shared

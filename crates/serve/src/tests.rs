@@ -67,10 +67,14 @@ fn fragile_template() -> GraphTemplate {
 }
 
 /// Each task sleeps `ms` from the input — for saturating the engine.
+/// Building the instance itself takes `build_ms` (default 0), which
+/// holds it between the dispatcher's queue pop and `running`.
 fn slow_template() -> GraphTemplate {
     GraphTemplate::compile("slow", |graph, ctx| {
         let sink = ctx.sink.clone();
         let ms = ctx.input.get("ms").and_then(Value::as_u64).unwrap_or(10);
+        let build_ms = ctx.input.get("build_ms").and_then(Value::as_u64);
+        std::thread::sleep(Duration::from_millis(build_ms.unwrap_or(0)));
         let tt = graph.tt::<u64>("sleep").build(move |k, _in, _out| {
             std::thread::sleep(Duration::from_millis(ms));
             sink.emit(format!("slept/{k}"), Value::UInt(ms));
@@ -310,6 +314,27 @@ fn shutdown_drains_queued_work() {
     );
     let again = e.shutdown(Duration::from_secs(1));
     assert!(again.drained);
+}
+
+/// An instance the dispatcher has popped but is still building is in
+/// neither the queue nor `running`; shutdown must not take that gap for
+/// "drained" and abandon the instance the moment it starts.
+#[test]
+fn shutdown_waits_for_an_instance_still_being_built() {
+    let e = engine(2, ServeConfig::default());
+    let input = obj(vec![
+        ("ms", Value::UInt(30)),
+        ("build_ms", Value::UInt(150)),
+    ]);
+    let id = e.submit("acme", "slow", input).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while e.poll(id).unwrap() != InstanceStatus::Running {
+        assert!(std::time::Instant::now() < deadline, "never admitted");
+        std::thread::yield_now();
+    }
+    let report = e.shutdown(Duration::from_secs(10));
+    assert!(report.drained, "abandoned: {:?}", report.abandoned);
+    assert_eq!(e.poll(id).unwrap(), InstanceStatus::Completed);
 }
 
 #[test]
