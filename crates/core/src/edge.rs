@@ -2,7 +2,8 @@
 
 use crate::io::Dispatch;
 use crate::{Data, Key};
-use parking_lot::RwLock;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 use ttg_runtime::DataCopy;
 
@@ -12,22 +13,44 @@ pub(crate) trait Consumer<K, V>: Send + Sync {
     fn deliver(&self, d: &mut Dispatch<'_, '_>, key: &K, copy: DataCopy);
 }
 
+/// An immutable consumer list; boxed once more, it has a thin pointer.
+type ConsumerList<K, V> = Box<[Arc<dyn Consumer<K, V>>]>;
+
 pub(crate) struct EdgeInner<K, V> {
     name: String,
-    /// Input terminals fed by this edge. Written during graph
-    /// construction, read-only afterwards (hence the read-mostly lock —
-    /// sends take the read side only).
-    consumers: RwLock<Vec<Arc<dyn Consumer<K, V>>>>,
+    /// The input terminals fed by this edge: null (none) or the newest
+    /// box of `lists`. Replaced — never edited — while the graph is
+    /// built and at teardown, so a send is one `Acquire` load, no RMW.
+    consumers: AtomicPtr<ConsumerList<K, V>>,
+    /// Every list published since the last clear, newest last; the older
+    /// ones stay allocated (boxed: at a stable address) because a send
+    /// on another thread may still be walking one. The lock serializes
+    /// the writers.
+    #[allow(clippy::vec_box)]
+    lists: Mutex<Vec<Box<ConsumerList<K, V>>>>,
 }
 
 impl<K: Key, V: Data> EdgeInner<K, V> {
+    fn consumers(&self) -> &[Arc<dyn Consumer<K, V>>] {
+        let list = self.consumers.load(Ordering::Acquire);
+        if list.is_null() {
+            return &[];
+        }
+        // SAFETY: a non-null pointer was published by `register` with
+        // `Release` and points into a box owned by `lists`, which only
+        // `clear_consumers` empties — at graph teardown, after the graph
+        // has quiesced: only task bodies send, and every task has
+        // finished by then (the contract that also keeps a shell's raw
+        // pointer to its template task valid).
+        unsafe { &*list }
+    }
+
     /// Sends `copy` for `key` to every registered consumer. The copy is
     /// retained once per *additional* consumer: a single consumer (the
     /// common case) receives the sender's reference without touching the
     /// refcount.
     pub(crate) fn send(&self, d: &mut Dispatch<'_, '_>, key: &K, copy: DataCopy) {
-        let consumers = self.consumers.read();
-        match consumers.as_slice() {
+        match self.consumers() {
             [] => {
                 // No consumer: the datum is dropped (like sending into an
                 // unconnected terminal). Releasing the copy here keeps
@@ -35,23 +58,37 @@ impl<K: Key, V: Data> EdgeInner<K, V> {
                 drop(copy);
             }
             [only] => only.deliver(d, key, copy),
-            many => {
-                for c in &many[..many.len() - 1] {
+            [rest @ .., last] => {
+                for c in rest {
                     c.deliver(d, key, copy.clone());
                 }
-                many[many.len() - 1].deliver(d, key, copy);
+                last.deliver(d, key, copy);
             }
         }
     }
 
     pub(crate) fn register(&self, consumer: Arc<dyn Consumer<K, V>>) {
-        self.consumers.write().push(consumer);
+        let mut lists = self.lists.lock();
+        let grown = self.consumers().iter().cloned();
+        let grown = Box::new(grown.chain(std::iter::once(consumer)).collect());
+        self.consumers
+            .store(&*grown as *const _ as *mut _, Ordering::Release);
+        lists.push(grown);
     }
 
     /// Drops all consumer registrations (breaks Arc cycles at graph
-    /// teardown).
+    /// teardown). No send into this edge may be in flight — see
+    /// [`EdgeInner::consumers`].
     pub(crate) fn clear_consumers(&self) {
-        self.consumers.write().clear();
+        let lists = {
+            let mut lists = self.lists.lock();
+            self.consumers
+                .store(std::ptr::null_mut(), Ordering::Release);
+            std::mem::take(&mut *lists)
+        };
+        // Dropped outside the lock: releasing a consumer can free its
+        // template task and, through it, other edges.
+        drop(lists);
     }
 
     pub(crate) fn name(&self) -> &str {
@@ -59,7 +96,7 @@ impl<K: Key, V: Data> EdgeInner<K, V> {
     }
 
     pub(crate) fn consumer_count(&self) -> usize {
-        self.consumers.read().len()
+        self.consumers().len()
     }
 }
 
@@ -78,7 +115,8 @@ impl<K: Key, V: Data> Edge<K, V> {
         Edge {
             inner: Arc::new(EdgeInner {
                 name: name.into(),
-                consumers: RwLock::new(Vec::new()),
+                consumers: AtomicPtr::new(std::ptr::null_mut()),
+                lists: Mutex::new(Vec::new()),
             }),
         }
     }

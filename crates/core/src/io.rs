@@ -153,16 +153,14 @@ impl Inputs<'_> {
     /// arrival order (the aggregator gives *no* ordering guarantee —
     /// bodies needing an order must sort, as in the paper's Listing 1).
     pub fn aggregate<T: Data>(&self, idx: usize) -> AggregateView<'_, T> {
-        match &self.slots[idx] {
-            InputSlot::Many(v) => AggregateView {
-                items: v.as_slice(),
-                _marker: std::marker::PhantomData,
-            },
+        let items = match &self.slots[idx] {
+            InputSlot::Many(agg) => agg.items(),
             InputSlot::One(_) => panic!("input {idx} is a single-value terminal; use get()"),
-            InputSlot::Empty => AggregateView {
-                items: &[],
-                _marker: std::marker::PhantomData,
-            },
+            InputSlot::Empty => &[],
+        };
+        AggregateView {
+            items,
+            _marker: std::marker::PhantomData,
         }
     }
 
@@ -170,7 +168,7 @@ impl Inputs<'_> {
     /// forwarding.
     pub fn take_aggregate(&mut self, idx: usize) -> Vec<DataCopy> {
         match std::mem::take(&mut self.slots[idx]) {
-            InputSlot::Many(v) => v,
+            InputSlot::Many(agg) => agg.into_copies(),
             InputSlot::Empty => Vec::new(),
             InputSlot::One(_) => panic!("input {idx} is a single-value terminal; use take_copy()"),
         }
@@ -184,7 +182,8 @@ impl Inputs<'_> {
 
 /// Borrowed view over an aggregator terminal's values.
 pub struct AggregateView<'a, T> {
-    items: &'a [DataCopy],
+    /// Every element is `Some` (see `shell::Aggregate::items`).
+    items: &'a [Option<DataCopy>],
     _marker: std::marker::PhantomData<fn() -> T>,
 }
 
@@ -200,21 +199,23 @@ impl<'a, T: Data> AggregateView<'a, T> {
     }
 
     /// Iterates the aggregated values (arrival order).
-    pub fn iter(&self) -> impl Iterator<Item = &'a T> + '_ {
-        self.items.iter().map(|c| c.get::<T>())
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a T> + '_ {
+        self.items.iter().map(value_of::<T>)
     }
+}
+
+fn value_of<T: Data>(item: &Option<DataCopy>) -> &T {
+    let copy = item.as_ref().expect("aggregate items are a filled prefix");
+    copy.get::<T>()
 }
 
 impl<'a, T: Data> IntoIterator for &AggregateView<'a, T> {
     type Item = &'a T;
-    type IntoIter = std::vec::IntoIter<&'a T>;
+    type IntoIter =
+        std::iter::Map<std::slice::Iter<'a, Option<DataCopy>>, fn(&'a Option<DataCopy>) -> &'a T>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.items
-            .iter()
-            .map(|c| c.get::<T>())
-            .collect::<Vec<_>>()
-            .into_iter()
+        self.items.iter().map(value_of::<T>)
     }
 }
 
@@ -277,19 +278,16 @@ impl Outputs<'_, '_, '_> {
         value: V,
     ) {
         let b = Self::check_binding::<K2, V>(self.bindings, idx);
-        let keys: Vec<K2> = keys.into_iter().collect();
-        let n = keys.len();
-        let mut copy = Some(DataCopy::new(value, self.dispatch.ordering()));
-        for (i, key) in keys.into_iter().enumerate() {
-            let c = if i + 1 == n {
-                // Last recipient takes the sender's reference (no retain).
-                copy.take().expect("copy consumed early")
-            } else {
-                copy.as_ref().expect("copy consumed early").clone()
-            };
-            b.edge.send_erased(self.dispatch, &key, c);
+        let mut keys = keys.into_iter();
+        // One key of look-ahead tells the last recipient from the rest
+        // without collecting the keys. No key, no copy: `value` drops.
+        let Some(mut key) = keys.next() else { return };
+        let copy = DataCopy::new(value, self.dispatch.ordering());
+        for next in keys {
+            b.edge.send_erased(self.dispatch, &key, copy.clone());
+            key = next;
         }
-        // With an empty key set the unsent copy drops here, keeping
-        // refcounts balanced.
+        // Last recipient takes the sender's reference (no retain).
+        b.edge.send_erased(self.dispatch, &key, copy);
     }
 }

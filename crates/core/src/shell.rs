@@ -15,6 +15,57 @@ use std::sync::atomic::Ordering;
 use ttg_runtime::{DataCopy, RawTask, TaskHeader, TaskVTable};
 use ttg_sync::CAtomicUsize;
 
+/// How many aggregated copies a slot holds before it allocates.
+const INLINE_ITEMS: usize = 3;
+
+/// An aggregator terminal's copies in arrival order: up to
+/// [`INLINE_ITEMS`] inside the shell, more in one allocation. Either way
+/// a prefix of `Some`s, so readers see one slice type.
+#[derive(Debug)]
+pub(crate) enum Aggregate {
+    Inline([Option<DataCopy>; INLINE_ITEMS]),
+    Spilled(Vec<Option<DataCopy>>),
+}
+
+impl Aggregate {
+    /// Appends `copy`. `goal`, the number of items the terminal expects,
+    /// is asked only when the inline room runs out, to size the one
+    /// allocation exactly.
+    pub(crate) fn push(&mut self, copy: DataCopy, goal: impl FnOnce() -> usize) {
+        match self {
+            Aggregate::Inline(items) => match items.iter_mut().find(|i| i.is_none()) {
+                Some(free) => *free = Some(copy),
+                None => {
+                    let mut all = Vec::with_capacity(goal().max(INLINE_ITEMS + 1));
+                    all.extend(items.iter_mut().map(Option::take));
+                    all.push(Some(copy));
+                    *self = Aggregate::Spilled(all);
+                }
+            },
+            Aggregate::Spilled(all) => all.push(Some(copy)),
+        }
+    }
+
+    /// The items delivered so far (every element is `Some`).
+    pub(crate) fn items(&self) -> &[Option<DataCopy>] {
+        match self {
+            Aggregate::Inline(items) => {
+                let filled = items.iter().position(Option::is_none);
+                &items[..filled.unwrap_or(INLINE_ITEMS)]
+            }
+            Aggregate::Spilled(all) => all,
+        }
+    }
+
+    /// Moves the items out.
+    pub(crate) fn into_copies(self) -> Vec<DataCopy> {
+        match self {
+            Aggregate::Inline(items) => items.into_iter().flatten().collect(),
+            Aggregate::Spilled(all) => all.into_iter().flatten().collect(),
+        }
+    }
+}
+
 /// Storage for one input terminal of one task instance.
 #[derive(Debug, Default)]
 pub(crate) enum InputSlot {
@@ -23,8 +74,8 @@ pub(crate) enum InputSlot {
     Empty,
     /// A single-datum terminal's value.
     One(DataCopy),
-    /// An aggregator terminal's accumulated values (arrival order).
-    Many(Vec<DataCopy>),
+    /// An aggregator terminal's accumulated values.
+    Many(Aggregate),
 }
 
 impl InputSlot {
@@ -33,7 +84,7 @@ impl InputSlot {
         match self {
             InputSlot::Empty => 0,
             InputSlot::One(_) => 1,
-            InputSlot::Many(v) => v.len(),
+            InputSlot::Many(agg) => agg.items().len(),
         }
     }
 }
@@ -46,8 +97,6 @@ pub(crate) struct Shell<K: Key> {
     /// The owning template task. Shells never outlive their TT: the
     /// graph's teardown waits for execution and drains stale shells.
     pub(crate) tt: NonNull<TtInner<K>>,
-    pub(crate) key: K,
-    pub(crate) slots: [InputSlot; MAX_INPUTS],
     /// Total number of data deliveries required before the task is
     /// eligible (fixed inputs count 1 each; aggregators their per-key
     /// count).
@@ -55,6 +104,9 @@ pub(crate) struct Shell<K: Key> {
     /// Deliveries so far — the paper's "counter of available input data"
     /// (one atomic increment per input, N_ID = 1).
     pub(crate) satisfied: CAtomicUsize,
+    pub(crate) key: K,
+    /// Last: what every delivery touches sits in front of unused slots.
+    pub(crate) slots: [InputSlot; MAX_INPUTS],
 }
 
 // SAFETY: shells move between threads through the scheduler; all fields
@@ -123,5 +175,69 @@ impl<K: Key> Shell<K> {
         if let Some(scope) = scope {
             scope.task_completed();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ttg_sync::OrderingPolicy;
+
+    fn copy(v: usize) -> DataCopy {
+        DataCopy::new(v, OrderingPolicy::Relaxed)
+    }
+
+    fn values(agg: &Aggregate) -> Vec<usize> {
+        agg.items()
+            .iter()
+            .map(|c| *c.as_ref().expect("filled prefix").get::<usize>())
+            .collect()
+    }
+
+    #[test]
+    fn aggregate_stays_inline_up_to_three_then_spills_once_sized_for_the_goal() {
+        for goal in [1usize, 3, 4, 9] {
+            let mut agg = Aggregate::Inline([Some(copy(0)), None, None]);
+            for v in 1..goal {
+                agg.push(copy(v), || goal);
+                assert_eq!(values(&agg), (0..=v).collect::<Vec<_>>());
+            }
+            match &agg {
+                Aggregate::Inline(_) => assert!(goal <= INLINE_ITEMS),
+                Aggregate::Spilled(all) => {
+                    assert!(goal > INLINE_ITEMS);
+                    assert_eq!(all.capacity(), goal, "not one exactly sized allocation");
+                }
+            }
+            let taken: Vec<usize> = agg
+                .into_copies()
+                .into_iter()
+                .map(|c| c.try_take::<usize>().expect("sole owner"))
+                .collect();
+            assert_eq!(taken, (0..goal).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_count_closure_that_understates_the_goal_only_costs_a_regrow() {
+        let mut agg = Aggregate::Inline([Some(copy(0)), None, None]);
+        for v in 1..6 {
+            agg.push(copy(v), || 0);
+        }
+        assert_eq!(values(&agg), vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn slot_is_four_words_with_three_inline_copies() {
+        // Three copies plus a tag: the tags of `Aggregate` and
+        // `InputSlot` share one word.
+        assert_eq!(std::mem::size_of::<InputSlot>(), 32);
+        // Header, owner, counters and a small key come first — one cache
+        // line with the 32-byte header of the default features — and the
+        // slots follow.
+        assert_eq!(
+            std::mem::offset_of!(Shell<(u32, u32)>, slots),
+            std::mem::size_of::<TaskHeader>() + 4 * std::mem::size_of::<usize>()
+        );
     }
 }

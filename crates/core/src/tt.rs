@@ -2,7 +2,7 @@
 
 use crate::builder::AggCount;
 use crate::io::{Dispatch, Inputs, Outputs};
-use crate::shell::{InputSlot, Shell};
+use crate::shell::{Aggregate, InputSlot, Shell};
 use crate::{Data, Key};
 use std::any::{Any, TypeId};
 use std::ptr::NonNull;
@@ -140,20 +140,30 @@ impl<K: Key> TtInner<K> {
 
     /// Allocates a fresh shell for `key` from the pool. Not yet counted
     /// as discovered — that happens when the shell becomes runnable.
-    fn new_shell(&self, key: K) -> NonNull<Shell<K>> {
+    fn new_shell(&self, d: &Dispatch<'_, '_>, key: K) -> NonNull<Shell<K>> {
         let goal = self.goal_for(&key);
         let priority = self.priority_for(&key);
-        let shell = self
-            .pool
-            .alloc(Shell {
-                header: TaskHeader::new(priority, self.vtable),
-                tt: NonNull::from(self),
-                key,
-                slots: std::array::from_fn(|_| InputSlot::Empty),
-                goal,
-                satisfied: CAtomicUsize::new(0),
-            })
-            .into_raw();
+        let shell = || Shell {
+            header: TaskHeader::new(priority, self.vtable),
+            tt: NonNull::from(self),
+            key,
+            slots: std::array::from_fn(|_| InputSlot::Empty),
+            goal,
+            satisfied: CAtomicUsize::new(0),
+        };
+        let shell = match d {
+            // SAFETY: the pool has one slot per worker of `self.runtime`
+            // (`TtBuilder::build`); `ctx` is a worker of that runtime, so
+            // its id is below that count and no other thread holds a
+            // context with the same id — this thread is the slot's only
+            // popper. Workers of any other runtime, and every non-worker
+            // thread, take the shared slot.
+            Dispatch::Worker(ctx) if ctx.belongs_to(&self.runtime) => unsafe {
+                self.pool.alloc_in(ctx.id(), shell)
+            },
+            _ => self.pool.alloc(shell()),
+        }
+        .into_raw();
         // Scoped instances stamp every shell with the request's span so
         // the worker attributes execution (and downstream sends) to it;
         // a ZST no-op without `obs-spans`. The scheduling path may later
@@ -192,7 +202,7 @@ impl<K: Key> TtInner<K> {
             // "For single-input tasks, access to the hash table can be
             // eliminated because a newly discovered task can be scheduled
             // immediately."
-            let shell = self.new_shell(key.clone());
+            let shell = self.new_shell(d, key.clone());
             self.note_scheduled();
             // SAFETY: the shell is exclusively ours until scheduled.
             unsafe {
@@ -210,7 +220,7 @@ impl<K: Key> TtInner<K> {
                 NonNull::new(*addr as *mut Shell<K>).expect("null shell in table"),
                 false,
             ),
-            None => (self.new_shell(key.clone()), true),
+            None => (self.new_shell(d, key.clone()), true),
         };
         if fresh {
             bucket.insert(shell_ptr.as_ptr() as usize);
@@ -225,9 +235,9 @@ impl<K: Key> TtInner<K> {
                     "duplicate datum for single-value input {idx} of '{}'",
                     self.name
                 ),
-                (InputKind::Aggregate(_), InputSlot::Many(v)) => v.push(copy),
+                (InputKind::Aggregate(n), InputSlot::Many(agg)) => agg.push(copy, || n.count(key)),
                 (InputKind::Aggregate(_), slot @ InputSlot::Empty) => {
-                    *slot = InputSlot::Many(vec![copy])
+                    *slot = InputSlot::Many(Aggregate::Inline([Some(copy), None, None]))
                 }
                 (InputKind::Aggregate(_), InputSlot::One(_)) => {
                     unreachable!("aggregator slot holding a single value")
@@ -330,7 +340,7 @@ impl<K: Key> TtInner<K> {
             0,
             "invoke() requires a task with no pending inputs; use deliver()"
         );
-        let shell = self.new_shell(key);
+        let shell = self.new_shell(d, key);
         self.note_scheduled();
         // SAFETY: fresh shell, exclusively ours.
         unsafe { d.schedule_new(Shell::raw_task(shell)) };

@@ -159,24 +159,33 @@ fn aggregator_fixed_count() {
 #[test]
 fn aggregator_per_key_count_listing1_style() {
     // The Task-Bench pattern of Listing 1: each task aggregates a
-    // key-dependent number of inputs and sorts them in the body.
+    // key-dependent number of inputs and sorts them in the body. The
+    // counts straddle the shell's inline room (three copies): none, one,
+    // exactly full, one over, and well over.
+    const COUNTS: [u32; 5] = [0, 1, 3, 4, 9];
+    let count_of = |k: u32| COUNTS[k as usize % COUNTS.len()];
     let graph = Graph::new(RuntimeConfig::optimized(2));
     let agg: Edge<u32, u32> = Edge::new("agg");
     let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let s = Arc::clone(&seen);
     let point = graph
         .tt::<u32>("point")
-        .input_aggregator_with(&agg, |k: &u32| (*k % 3 + 1) as usize)
+        .input_aggregator_with(&agg, move |k: &u32| count_of(*k) as usize)
         .build(move |k, i, _o| {
-            let mut vals: Vec<u32> = i.aggregate::<u32>(0).iter().copied().collect();
+            let view = i.aggregate::<u32>(0);
+            assert_eq!(view.len(), i.count(0));
+            let mut vals: Vec<u32> = view.iter().copied().collect();
+            assert_eq!(vals, (&view).into_iter().copied().collect::<Vec<_>>());
             vals.sort_unstable();
             s.lock().push((*k, vals));
         });
     for k in 0..30u32 {
-        let n = k % 3 + 1;
+        if count_of(k) == 0 {
+            point.invoke(k);
+        }
         // Deliver in reverse order: the body sorts ("there is no
         // guaranteed order of the inputs in the aggregator").
-        for j in (0..n).rev() {
+        for j in (0..count_of(k)).rev() {
             point.deliver(0, k, j);
         }
     }
@@ -184,7 +193,7 @@ fn aggregator_per_key_count_listing1_style() {
     let got = seen.lock().clone();
     assert_eq!(got.len(), 30);
     for (k, vals) in got {
-        assert_eq!(vals, (0..k % 3 + 1).collect::<Vec<_>>());
+        assert_eq!(vals, (0..count_of(k)).collect::<Vec<_>>());
     }
 }
 
@@ -394,38 +403,47 @@ fn diamond_dataflow() {
 }
 
 #[test]
-fn edge_fan_out_to_two_consumers() {
-    // One edge feeding two different TTs: both receive every datum,
-    // sharing the tracked copy.
-    let graph = Graph::new(RuntimeConfig::optimized(2));
-    let e: Edge<u32, u64> = Edge::new("shared");
-    let a = Arc::new(AtomicU64::new(0));
-    let b = Arc::new(AtomicU64::new(0));
-    let a2 = Arc::clone(&a);
-    let _ta = graph
-        .tt::<u32>("a")
-        .input::<u64>(&e)
-        .build(move |_k, i, _o| {
-            a2.fetch_add(*i.get::<u64>(0), Ordering::Relaxed);
-        });
-    let b2 = Arc::clone(&b);
-    let _tb = graph
-        .tt::<u32>("b")
-        .input::<u64>(&e)
-        .build(move |_k, i, _o| {
-            b2.fetch_add(*i.get::<u64>(0), Ordering::Relaxed);
-        });
-    assert_eq!(e.fan_out(), 2);
-    let src = graph.tt::<u32>("src").output(&e).build(|k, _i, o| {
-        o.send(0, *k, *k as u64);
-    });
-    for k in 0..50 {
-        src.invoke(k);
+fn edge_fan_out_to_zero_one_two_and_three_consumers() {
+    // One edge feeding several TTs: each receives every datum, sharing
+    // the tracked copy, which is released exactly once whatever the
+    // fan-out — also when nobody listens.
+    struct Datum(u64, Arc<AtomicUsize>);
+    impl Drop for Datum {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::Relaxed);
+        }
     }
-    graph.wait();
-    let expect: u64 = (0..50u64).sum();
-    assert_eq!(a.load(Ordering::Relaxed), expect);
-    assert_eq!(b.load(Ordering::Relaxed), expect);
+    for consumers in [0usize, 1, 2, 3] {
+        let graph = Graph::new(RuntimeConfig::optimized(2));
+        let e: Edge<u32, Datum> = Edge::new("shared");
+        let sums: Vec<Arc<AtomicU64>> = (0..consumers).map(|_| Arc::default()).collect();
+        for (n, sum) in sums.iter().enumerate() {
+            assert_eq!(e.fan_out(), n);
+            let sum = Arc::clone(sum);
+            graph
+                .tt::<u32>(format!("consumer{n}"))
+                .input::<Datum>(&e)
+                .build(move |_k, i, _o| {
+                    sum.fetch_add(i.get::<Datum>(0).0, Ordering::Relaxed);
+                });
+        }
+        assert_eq!(e.fan_out(), consumers);
+        let drops = Arc::new(AtomicUsize::new(0));
+        let d = Arc::clone(&drops);
+        let src = graph.tt::<u32>("src").output(&e).build(move |k, _i, o| {
+            o.send(0, *k, Datum(*k as u64, Arc::clone(&d)));
+        });
+        for k in 0..50 {
+            src.invoke(k);
+        }
+        graph.wait();
+        for sum in &sums {
+            assert_eq!(sum.load(Ordering::Relaxed), (0..50u64).sum::<u64>());
+        }
+        assert_eq!(drops.load(Ordering::Relaxed), 50, "fan-out {consumers}");
+        drop(graph);
+        assert_eq!(e.fan_out(), 0, "teardown unwires the edge");
+    }
 }
 
 #[test]
@@ -705,4 +723,46 @@ fn wrong_payload_type_at_deliver_panics() {
     let e: Edge<u32, u64> = Edge::new("e");
     let tt = graph.tt::<u32>("t").input::<u64>(&e).build(|_k, _i, _o| {});
     tt.deliver(0, 1, 1u32); // u32 into a u64 terminal
+}
+
+/// Regression for the shell pool's two-popper ABA: with one worker, the
+/// seeding thread and worker 0 used to pop the same free list
+/// (`thread_id % 1`), so a shell could be handed out while live. Here
+/// the main thread delivers straight into `sink` while the worker's
+/// `src` tasks send into it (both allocate `sink` shells) and the worker
+/// recycles them; every task must run exactly once.
+#[test]
+fn seeding_thread_and_single_worker_never_share_a_shell() {
+    // Rounds keep the ready queue shallow, so the worker recycles
+    // shells while the main thread is still allocating them.
+    const ROUNDS: u64 = 100;
+    const N: u64 = 1_000;
+    let graph = Graph::new(RuntimeConfig::optimized(1));
+    let edge: Edge<u64, u64> = Edge::new("to-sink");
+    let runs: Arc<Vec<AtomicUsize>> =
+        Arc::new((0..2 * N * ROUNDS).map(|_| AtomicUsize::new(0)).collect());
+    let src = graph
+        .tt::<u64>("src")
+        .output(&edge)
+        .build(|k, _i, o| o.send(0, *k, *k));
+    let r = Arc::clone(&runs);
+    let sink = graph
+        .tt::<u64>("sink")
+        .input::<u64>(&edge)
+        .build(move |k, i, _o| {
+            assert_eq!(*i.get::<u64>(0), *k, "shell overwritten while live");
+            r[*k as usize].fetch_add(1, Ordering::Relaxed);
+        });
+    for round in 0..ROUNDS {
+        for k in (2 * round * N..).take(N as usize) {
+            src.invoke(k);
+            sink.deliver(0, N + k, N + k);
+        }
+        graph.wait();
+    }
+    let wrong = runs
+        .iter()
+        .filter(|c| c.load(Ordering::Relaxed) != 1)
+        .count();
+    assert_eq!(wrong, 0, "tasks lost or run twice");
 }

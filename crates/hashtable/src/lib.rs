@@ -27,8 +27,10 @@
 
 #![warn(missing_docs)]
 
+mod hash;
 mod lock;
 mod table;
 
+pub use hash::{FixedState, FoldHasher};
 pub use lock::LockKind;
 pub use table::{HashTableOptions, HashTableStats, LockedBucket, ScalableHashTable};

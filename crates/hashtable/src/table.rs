@@ -1,8 +1,8 @@
 //! The scalable chained-growth hash table (paper Section III-C, Figure 3).
 
+use crate::hash::FixedState;
 use crate::lock::{LockKind, TableLock, TableReadGuard};
 use std::cell::UnsafeCell;
-use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use ttg_sync::spin::SpinLockGuard;
@@ -35,8 +35,10 @@ impl<K, V> Bucket<K, V> {
     }
 }
 
-/// One table of the chain. `len` counts live entries so empty old tables
-/// can be detected and unlinked.
+/// One table of the chain. `len` counts an *old* table's remaining
+/// entries so that it can be unlinked once drained: set when a resize
+/// demotes the table, decremented as lookups take entries out. The main
+/// table keeps no count — its transactions touch their bucket only.
 #[derive(Debug)]
 struct SubTable<K, V> {
     mask: u64,
@@ -61,6 +63,11 @@ impl<K, V> SubTable<K, V> {
         // of a table", Figure 3).
         let idx = (hash ^ (hash >> 32)) & self.mask;
         &self.buckets[idx as usize]
+    }
+
+    /// Entries in this table, by locking each bucket in turn.
+    fn count_entries(&self) -> usize {
+        self.buckets.iter().map(|b| b.entries.lock().len()).sum()
     }
 }
 
@@ -137,7 +144,7 @@ pub struct HashTableStats {
 /// }
 /// assert_eq!(table.remove(&42).as_deref(), Some("task"));
 /// ```
-pub struct ScalableHashTable<K, V, S = RandomState> {
+pub struct ScalableHashTable<K, V, S = FixedState> {
     lock: TableLock,
     /// `chain[0]` is the main table; higher indices are progressively
     /// older (smaller) tables. Mutated only under the write lock; read
@@ -152,7 +159,6 @@ pub struct ScalableHashTable<K, V, S = RandomState> {
     resize_pending: AtomicBool,
     /// Set when an old table drained to empty; consumed by `maybe_maintain`.
     gc_pending: AtomicBool,
-    len: AtomicUsize,
     resizes: AtomicUsize,
     promotions: AtomicUsize,
     tables_collected: AtomicUsize,
@@ -168,14 +174,15 @@ unsafe impl<K: Send + Sync, V: Send + Sync, S: Sync> Sync for ScalableHashTable<
 
 impl<K: Hash + Eq, V> ScalableHashTable<K, V> {
     /// Creates a table with default options (16 buckets, threshold 16,
-    /// BRAVO table lock).
+    /// BRAVO table lock) and the fixed-seed default hasher (see
+    /// [`FixedState`] for when that is the wrong choice).
     pub fn new() -> Self {
         Self::with_options(HashTableOptions::default())
     }
 
     /// Creates a table with explicit options.
     pub fn with_options(opts: HashTableOptions) -> Self {
-        Self::with_options_and_hasher(opts, RandomState::new())
+        Self::with_options_and_hasher(opts, FixedState::default())
     }
 }
 
@@ -196,7 +203,6 @@ impl<K: Hash + Eq, V, S: BuildHasher> ScalableHashTable<K, V, S> {
             max_collisions: opts.max_collisions.max(1),
             resize_pending: AtomicBool::new(false),
             gc_pending: AtomicBool::new(false),
-            len: AtomicUsize::new(0),
             resizes: AtomicUsize::new(0),
             promotions: AtomicUsize::new(0),
             tables_collected: AtomicUsize::new(0),
@@ -210,9 +216,13 @@ impl<K: Hash + Eq, V, S: BuildHasher> ScalableHashTable<K, V, S> {
         self.hasher.hash_one(key)
     }
 
-    /// Number of live entries (racy snapshot).
+    /// Number of live entries: a sum over every bucket of the chain,
+    /// each locked in turn under the table read lock — for diagnostics
+    /// and tests, not hot paths, and not while the calling thread holds
+    /// a [`LockedBucket`] of this table. A racy snapshot while other
+    /// threads insert and remove.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.stats().len
     }
 
     /// True when no entries are stored (racy snapshot).
@@ -227,11 +237,11 @@ impl<K: Hash + Eq, V, S: BuildHasher> ScalableHashTable<K, V, S> {
 
     /// Snapshot of the table's dynamic-behaviour counters.
     pub fn stats(&self) -> HashTableStats {
-        let _w = self.lock.read();
+        let _r = self.lock.read();
         // SAFETY: read lock held; chain structure is stable.
         let chain = unsafe { &*self.chain.get() };
         HashTableStats {
-            len: self.len.load(Ordering::Relaxed),
+            len: chain.iter().map(|sub| sub.count_entries()).sum(),
             resizes: self.resizes.load(Ordering::Relaxed),
             promotions: self.promotions.load(Ordering::Relaxed),
             tables_collected: self.tables_collected.load(Ordering::Relaxed),
@@ -330,17 +340,15 @@ impl<K: Hash + Eq, V, S: BuildHasher> ScalableHashTable<K, V, S> {
         let _w = self.lock.write();
         // SAFETY: exclusive lock held.
         let chain = unsafe { &mut *self.chain.get() };
-        let mut out = Vec::with_capacity(self.len.load(Ordering::Relaxed));
+        let mut out = Vec::new();
         for sub in chain.iter_mut() {
             for bucket in sub.buckets.iter_mut() {
                 for e in bucket.entries.get_mut().drain(..) {
                     out.push((e.key, e.value));
                 }
             }
-            sub.len.store(0, Ordering::Relaxed);
         }
         chain.truncate(1);
-        self.len.store(0, Ordering::Relaxed);
         out
     }
 
@@ -363,11 +371,21 @@ impl<K: Hash + Eq, V, S: BuildHasher> ScalableHashTable<K, V, S> {
         // SAFETY: exclusive lock held.
         let chain = unsafe { &mut *self.chain.get() };
         if do_resize {
-            let new_buckets = chain[0].buckets.len() * 2;
+            // The main table becomes an old one: from here on its entry
+            // count is what tells when it has drained.
+            let main = &mut chain[0];
+            let entries = main
+                .buckets
+                .iter_mut()
+                .map(|b| b.entries.get_mut().len())
+                .sum();
+            *main.len.get_mut() = entries;
+            let new_buckets = main.buckets.len() * 2;
             chain.insert(0, Box::new(SubTable::with_buckets(new_buckets)));
             self.resizes.fetch_add(1, Ordering::Relaxed);
         }
-        if do_gc {
+        // A table demoted while empty has nobody left to report it.
+        if do_gc || do_resize {
             let before = chain.len();
             // Never collect the main table; sweep drained old ones.
             let mut i = 1;
@@ -404,7 +422,7 @@ impl<K: Hash + Eq + std::fmt::Debug, V, S: BuildHasher> std::fmt::Debug
 /// A locked-bucket transaction for one key — the TTG usage pattern of
 /// Section III-C2. Holds the table read lock plus the key's main-table
 /// bucket lock; both release when the handle drops.
-pub struct LockedBucket<'a, K, V, S = RandomState> {
+pub struct LockedBucket<'a, K, V, S = FixedState> {
     table: &'a ScalableHashTable<K, V, S>,
     // Field order matters: the bucket guard must drop before the table
     // read guard.
@@ -430,7 +448,6 @@ impl<'a, K: Hash + Eq, V, S: BuildHasher> LockedBucket<'a, K, V, S> {
         }
         if let Some(entry) = self.take_from_old() {
             self.table.promotions.fetch_add(1, Ordering::Relaxed);
-            self.chain[0].len.fetch_add(1, Ordering::Relaxed);
             self.guard.push(entry);
             let last = self.guard.len() - 1;
             return Some(&mut self.guard[last].value);
@@ -452,23 +469,18 @@ impl<'a, K: Hash + Eq, V, S: BuildHasher> LockedBucket<'a, K, V, S> {
             key: self.key.clone(),
             value,
         });
-        self.mark_inserted();
+        if self.guard.len() > self.table.max_collisions {
+            self.table.resize_pending.store(true, Ordering::Relaxed);
+        }
         None
     }
 
     /// Removes the key's entry, returning its value.
     pub fn remove(&mut self) -> Option<V> {
         if let Some(idx) = self.position_in_main() {
-            let entry = self.guard.swap_remove(idx);
-            self.chain[0].len.fetch_sub(1, Ordering::Relaxed);
-            self.table.len.fetch_sub(1, Ordering::Relaxed);
-            return Some(entry.value);
+            return Some(self.guard.swap_remove(idx).value);
         }
-        if let Some(entry) = self.take_from_old() {
-            self.table.len.fetch_sub(1, Ordering::Relaxed);
-            return Some(entry.value);
-        }
-        None
+        self.take_from_old().map(|entry| entry.value)
     }
 
     #[inline]
@@ -500,14 +512,6 @@ impl<'a, K: Hash + Eq, V, S: BuildHasher> LockedBucket<'a, K, V, S> {
             }
         }
         None
-    }
-
-    fn mark_inserted(&mut self) {
-        self.chain[0].len.fetch_add(1, Ordering::Relaxed);
-        self.table.len.fetch_add(1, Ordering::Relaxed);
-        if self.guard.len() > self.table.max_collisions {
-            self.table.resize_pending.store(true, Ordering::Relaxed);
-        }
     }
 }
 

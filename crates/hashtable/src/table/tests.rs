@@ -105,6 +105,35 @@ fn removals_shrink_len_and_collect_tables() {
 }
 
 #[test]
+fn derived_len_is_exact_at_every_step_across_two_resizes_and_a_gc() {
+    // `len` is a sum over buckets now, and only old tables keep a
+    // count: check both at each step of a table's life.
+    let t: ScalableHashTable<u64, u64> =
+        ScalableHashTable::with_options(small_opts(LockKind::Bravo));
+    let mut inserted = 0u64;
+    while t.stats().resizes < 2 {
+        t.insert(inserted, inserted);
+        inserted += 1;
+        assert_eq!(t.len(), inserted as usize);
+    }
+    let s = t.stats();
+    assert_eq!((s.len, s.chain_len), (inserted as usize, 3));
+    // Remove from the back: the newest keys sit in the main table, the
+    // oldest in the two demoted ones, which must drain to exactly zero
+    // to be collected.
+    for (removed, k) in (0..inserted).rev().enumerate() {
+        assert_eq!(t.remove(&k), Some(k));
+        assert_eq!(t.len(), inserted as usize - removed - 1);
+    }
+    assert!(t.is_empty());
+    t.insert(0, 0); // the next transaction runs the deferred GC
+    let s = t.stats();
+    assert_eq!((s.len, s.chain_len, s.tables_collected), (1, 1, 2));
+    assert_eq!(t.drain(), vec![(0, 0)]);
+    assert_eq!(t.len(), 0);
+}
+
+#[test]
 fn drain_and_for_each() {
     let t: ScalableHashTable<u64, u64> = ScalableHashTable::new();
     for k in 0..100 {

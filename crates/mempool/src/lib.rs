@@ -10,20 +10,28 @@
 //! [`FreeListPool`] reproduces exactly that:
 //!
 //! * Each slot (≈ thread) owns a Treiber free stack of retired nodes.
-//! * **Allocation** pops from the *calling* thread's stack — one CAS — or
-//!   falls back to the system allocator when the stack is empty.
+//! * **Allocation** pops from the caller's stack — one CAS — or falls
+//!   back to the system allocator when the stack is empty.
 //! * **Deallocation** pushes the node back onto the stack of the slot
 //!   that allocated it — one CAS — regardless of which thread frees it.
 //!
-//! The pop side is single-consumer (only the owning slot's thread pops),
-//! so the classic Treiber-pop ABA hazard does not arise: between reading
-//! `head` and the CAS, other threads can only *push*, which changes the
-//! head pointer and simply fails the CAS.
+//! Those two CASes are the only shared read-modify-writes on the path;
+//! statistics are derived when asked for.
+//!
+//! # Slot ownership (the ABA argument)
+//!
+//! The pop reads `head = X` and `X.next = Y`, then CASes `head` X → Y.
+//! A second popper could take X and Y and push X back in between; the
+//! CAS would still succeed and hand out Y while it is live. So each slot
+//! has **one popper at a time**, enforced by the interface: a thread that
+//! is provably a slot's only user names it through the `unsafe`
+//! [`FreeListPool::alloc_in`]; every other thread uses the safe
+//! [`FreeListPool::alloc`], which pops one extra *shared* slot under a
+//! spin lock. Pushes need no rule: one merely fails the popper's CAS.
 //!
 //! [`PoolBox`] is the owning handle. It stores raw pointers to the node
 //! and the pool; the pool must outlive every box it issued, which
-//! [`FreeListPool`]'s drop asserts at runtime (in debug builds) by
-//! counting live boxes.
+//! [`FreeListPool`]'s drop asserts by counting the nodes that came back.
 
 #![warn(missing_docs)]
 
@@ -34,7 +42,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use ttg_sync::counted::note_rmw;
-use ttg_sync::{thread_id, CachePadded};
+use ttg_sync::{CachePadded, SpinLock};
 
 /// Callback invoked when an allocation misses every free list and falls
 /// through to the system allocator ("pool refill"); receives the number
@@ -54,9 +62,12 @@ struct Node<T> {
     value: UnsafeCell<MaybeUninit<T>>,
 }
 
-/// Head of one slot's free stack.
+/// One slot's free stack.
 struct Slot<T> {
     head: AtomicPtr<Node<T>>,
+    /// Allocations this slot served from its stack. Written only by the
+    /// slot's popper (load + store, no RMW); read by `stats`.
+    reused: AtomicUsize,
 }
 
 /// Counters describing pool behaviour; used by tests and benchmarks.
@@ -86,11 +97,12 @@ pub struct PoolStats {
 /// assert_eq!(pool.stats().reused, 1);
 /// ```
 pub struct FreeListPool<T> {
+    /// The caller-named slots, then the shared slot (always last).
     slots: Box<[CachePadded<Slot<T>>]>,
-    live: AtomicUsize,
-    reused: AtomicUsize,
+    /// Serializes pops of the shared slot, making the lock holder its
+    /// single popper.
+    shared_pop: SpinLock<()>,
     fresh: AtomicUsize,
-    recycled: AtomicUsize,
     /// Optional hook fired on the fresh-allocation slow path only, so
     /// it costs nothing on the pooled fast path.
     refill_observer: OnceLock<RefillObserver>,
@@ -102,24 +114,21 @@ unsafe impl<T: Send> Send for FreeListPool<T> {}
 unsafe impl<T: Send> Sync for FreeListPool<T> {}
 
 impl<T> FreeListPool<T> {
-    /// Creates a pool with `slots` free lists (rounded up to 1). Threads
-    /// map to slots by dense thread id modulo `slots`; sizing it to the
-    /// number of runtime worker threads gives each worker a private list.
+    /// Creates a pool with `slots` caller-named free lists (one per
+    /// runtime worker; see [`FreeListPool::alloc_in`]) plus the shared
+    /// one every other thread allocates from.
     pub fn new(slots: usize) -> Self {
-        let slots = slots.max(1);
         FreeListPool {
-            slots: (0..slots)
+            slots: (0..slots + 1)
                 .map(|_| {
                     CachePadded::new(Slot {
                         head: AtomicPtr::new(std::ptr::null_mut()),
+                        reused: AtomicUsize::new(0),
                     })
                 })
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            live: AtomicUsize::new(0),
-            reused: AtomicUsize::new(0),
+                .collect(),
+            shared_pop: SpinLock::new(()),
             fresh: AtomicUsize::new(0),
-            recycled: AtomicUsize::new(0),
             refill_observer: OnceLock::new(),
         }
     }
@@ -130,66 +139,93 @@ impl<T> FreeListPool<T> {
         let _ = self.refill_observer.set(f);
     }
 
-    #[inline]
-    fn slot_for_current(&self) -> u32 {
-        (thread_id::current() % self.slots.len()) as u32
+    /// Allocates a pooled box holding `value` from the shared slot, from
+    /// any thread: the pop runs under a spin lock (one extra RMW), the
+    /// node still comes back with a lock-free push.
+    pub fn alloc(&self, value: T) -> PoolBox<'_, T> {
+        let shared = self.slots.len() - 1;
+        let popped = {
+            let _popper = self.shared_pop.lock();
+            // SAFETY: holding the lock makes this thread the shared
+            // slot's only popper for the duration of the pop.
+            unsafe { self.pop(shared) }
+        };
+        self.fill(shared, popped, || value)
     }
 
-    /// Allocates a pooled box holding `value`.
+    /// Allocates from the caller's own `slot` (below the count given to
+    /// [`FreeListPool::new`]) a box holding what `init` returns — called
+    /// once the node is in hand, so a large value is built in place. One
+    /// counted CAS, or one system allocation when the stack is empty.
     ///
-    /// Fast path: one counted CAS popping the calling slot's free stack.
-    /// Slow path (empty stack): one system allocation.
-    pub fn alloc(&self, value: T) -> PoolBox<'_, T> {
-        let origin = self.slot_for_current();
-        let slot = &self.slots[origin as usize];
-        // Single-consumer pop: only this thread (via its slot) pops, so
-        // reading `next` before the CAS is safe — concurrent pushes merely
-        // fail the CAS.
+    /// # Safety
+    ///
+    /// No other thread may be inside `alloc_in` with the same `slot` of
+    /// this pool at the same time (the pop is single-consumer).
+    #[inline]
+    pub unsafe fn alloc_in(&self, slot: usize, init: impl FnOnce() -> T) -> PoolBox<'_, T> {
+        assert!(slot + 1 < self.slots.len(), "no such pool slot: {slot}");
+        // SAFETY: forwarded contract; the assert keeps callers off the
+        // shared slot, whose popper is whoever holds `shared_pop`.
+        let popped = unsafe { self.pop(slot) };
+        self.fill(slot, popped, init)
+    }
+
+    /// Single-consumer Treiber pop of `slot`'s free stack.
+    ///
+    /// # Safety
+    ///
+    /// The caller is the only thread popping `slot` during the call.
+    #[inline]
+    unsafe fn pop(&self, slot: usize) -> Option<NonNull<Node<T>>> {
+        let slot = &self.slots[slot];
         let mut head = slot.head.load(Ordering::Acquire);
-        let node = loop {
-            if head.is_null() {
-                break None;
-            }
-            // SAFETY: a non-null head on our own slot stays allocated:
-            // nodes are only unlinked by this thread.
-            let next = unsafe { (*head).next.load(Ordering::Relaxed) };
+        loop {
+            let node = NonNull::new(head)?;
+            // SAFETY: nodes are only unlinked by this slot's popper —
+            // us — so a non-null head stays on the stack, and allocated,
+            // while we read its link; concurrent pushes merely fail the
+            // CAS below.
+            let next = unsafe { node.as_ref() }.next.load(Ordering::Relaxed);
             note_rmw();
             match slot
                 .head
                 .compare_exchange(head, next, Ordering::Acquire, Ordering::Acquire)
             {
-                Ok(_) => break Some(head),
+                Ok(_) => {
+                    // Single writer (this slot's popper): no RMW needed.
+                    let reused = slot.reused.load(Ordering::Relaxed);
+                    slot.reused.store(reused + 1, Ordering::Relaxed);
+                    return Some(node);
+                }
                 Err(h) => head = h,
             }
-        };
-        let node = match node {
-            Some(n) => {
-                self.reused.fetch_add(1, Ordering::Relaxed);
-                n
+        }
+    }
+
+    /// Wraps the popped node, or a fresh one, around `init`'s value.
+    #[inline]
+    fn fill(
+        &self,
+        slot: usize,
+        popped: Option<NonNull<Node<T>>>,
+        init: impl FnOnce() -> T,
+    ) -> PoolBox<'_, T> {
+        let node = popped.unwrap_or_else(|| {
+            self.fresh.fetch_add(1, Ordering::Relaxed);
+            if let Some(obs) = self.refill_observer.get() {
+                obs(1);
             }
-            None => {
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = self.refill_observer.get() {
-                    obs(1);
-                }
-                Box::into_raw(Box::new(Node {
-                    next: AtomicPtr::new(std::ptr::null_mut()),
-                    origin,
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                }))
-            }
-        };
+            NonNull::from(Box::leak(Box::new(Node {
+                next: AtomicPtr::new(std::ptr::null_mut()),
+                origin: slot as u32,
+                value: UnsafeCell::new(MaybeUninit::uninit()),
+            })))
+        });
         // SAFETY: `node` is exclusively ours (freshly unlinked or freshly
         // allocated); initialize the payload.
-        unsafe {
-            (*node).origin = origin;
-            (*(*node).value.get()).write(value);
-        }
-        self.live.fetch_add(1, Ordering::Relaxed);
-        PoolBox {
-            node: unsafe { NonNull::new_unchecked(node) },
-            pool: self,
-        }
+        unsafe { (*node.as_ref().value.get()).write(init()) };
+        PoolBox { node, pool: self }
     }
 
     /// Returns `node` (whose payload has already been dropped) to its
@@ -210,44 +246,72 @@ impl<T> FreeListPool<T> {
                 Err(h) => head = h,
             }
         }
-        self.recycled.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Number of live (not yet dropped) boxes issued by this pool.
+    /// Nodes resting on the free stacks. Exact while nothing allocates
+    /// or frees; otherwise an estimate, still memory-safe and bounded by
+    /// `fresh` (all nodes there are) steps per stack.
+    fn free_nodes(&self, fresh: usize) -> usize {
+        let mut free = 0;
+        for slot in self.slots.iter() {
+            let mut cur = slot.head.load(Ordering::Acquire);
+            let mut steps = 0;
+            while !cur.is_null() && steps < fresh {
+                steps += 1;
+                // SAFETY: nodes are freed only when the pool drops, and
+                // `&self` keeps it alive.
+                cur = unsafe { (*cur).next.load(Ordering::Relaxed) };
+            }
+            free += steps;
+        }
+        free
+    }
+
+    /// Number of live (not yet dropped) boxes: the nodes ever allocated
+    /// minus those on a free stack. Walks the stacks — for tests and
+    /// diagnostics; exact only while no thread allocates or frees.
     pub fn live(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
+        let fresh = self.fresh.load(Ordering::Relaxed);
+        fresh.saturating_sub(self.free_nodes(fresh))
     }
 
-    /// Behaviour counters (reuse rate etc.).
+    /// Behaviour counters, derived like [`FreeListPool::live`]: a node
+    /// that was reused, or rests on a free stack, was recycled to get
+    /// there.
     pub fn stats(&self) -> PoolStats {
+        let fresh = self.fresh.load(Ordering::Relaxed);
+        let reused = self
+            .slots
+            .iter()
+            .map(|s| s.reused.load(Ordering::Relaxed))
+            .sum();
         PoolStats {
-            reused: self.reused.load(Ordering::Relaxed),
-            fresh: self.fresh.load(Ordering::Relaxed),
-            recycled: self.recycled.load(Ordering::Relaxed),
+            reused,
+            fresh,
+            recycled: reused + self.free_nodes(fresh),
         }
     }
 }
 
 impl<T> Drop for FreeListPool<T> {
     fn drop(&mut self) {
-        assert_eq!(
-            self.live.load(Ordering::Relaxed),
-            0,
-            "FreeListPool dropped while {} PoolBox(es) are live",
-            self.live.load(Ordering::Relaxed)
-        );
         // Free the retired nodes; their payloads were already dropped.
-        for slot in self.slots.iter() {
-            let mut head = slot.head.load(Ordering::Relaxed);
+        let mut freed = 0;
+        for slot in self.slots.iter_mut() {
+            let mut head = *slot.head.get_mut();
             while !head.is_null() {
                 // SAFETY: exclusive access in Drop; nodes came from
-                // Box::into_raw.
-                let next = unsafe { (*head).next.load(Ordering::Relaxed) };
-                drop(unsafe { Box::from_raw(head) });
-                head = next;
+                // Box::into_raw and each is on exactly one stack.
+                let node = unsafe { Box::from_raw(head) };
+                head = node.next.load(Ordering::Relaxed);
+                freed += 1;
             }
         }
+        let live = *self.fresh.get_mut() - freed;
+        assert_eq!(
+            live, 0,
+            "FreeListPool dropped while {live} PoolBox(es) are live"
+        );
     }
 }
 
@@ -358,8 +422,9 @@ impl<T: std::fmt::Debug> std::fmt::Debug for PoolBox<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize as StdAtomicUsize;
+    use std::sync::atomic::{AtomicU64, AtomicUsize as StdAtomicUsize};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn alloc_drop_reuse_cycle() {
@@ -462,6 +527,121 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.recycled, THREADS * ITERS);
         assert!(s.reused > 0, "free lists were never reused: {s:?}");
+    }
+
+    /// Regression for the two-popper ABA: with threads mapped to slots
+    /// by `thread_id % slots`, two threads popped one slot; A read
+    /// `head = X, X.next = Y`, B popped X and Y and recycled X, A's
+    /// `CAS(X → Y)` succeeded and Y was live twice. The payload is
+    /// atomic so the test itself stays defined while it detects that.
+    #[test]
+    fn two_threads_never_receive_the_same_node() {
+        const ITERS: u64 = 20_000_000;
+        let pool: FreeListPool<[AtomicU64; 2]> = FreeListPool::new(1);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let tagged = |tag: u64| [AtomicU64::new(tag), AtomicU64::new(tag)];
+        let check = |b: &PoolBox<'_, [AtomicU64; 2]>, tag: u64| {
+            let seen = [b[0].load(Ordering::Relaxed), b[1].load(Ordering::Relaxed)];
+            assert_eq!(seen, [tag, tag], "box handed to two owners");
+        };
+        std::thread::scope(|s| {
+            for thread in 1..=2u64 {
+                let pool = &pool;
+                s.spawn(move || {
+                    for i in 0..ITERS {
+                        if i % 4096 == 0 && Instant::now() > deadline {
+                            break;
+                        }
+                        let ta = (thread << 56) | (2 * i);
+                        let tb = ta + 1;
+                        let a = pool.alloc(tagged(ta));
+                        let b = pool.alloc(tagged(tb));
+                        check(&a, ta);
+                        check(&b, tb);
+                        assert_ne!(a.as_ptr(), b.as_ptr(), "one node allocated twice");
+                        // First in, first out: the order that leaves the
+                        // other thread's stale `next` pointing at a live
+                        // node.
+                        drop(a);
+                        drop(b);
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.live(), 0);
+    }
+
+    #[test]
+    fn named_slots_are_private_and_the_shared_slot_serves_everyone_else() {
+        let pool: FreeListPool<u64> = FreeListPool::new(2);
+        // SAFETY: this thread is the only user of slots 0 and 1.
+        let (a, b) = unsafe { (pool.alloc_in(0, || 10), pool.alloc_in(1, || 11)) };
+        let c = pool.alloc(12);
+        let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_ptr());
+        drop((a, b, c));
+        // Each node went back to the stack it came from.
+        // SAFETY: as above.
+        unsafe {
+            assert_eq!(pool.alloc_in(1, || 0).as_ptr(), pb);
+            assert_eq!(pool.alloc_in(0, || 0).as_ptr(), pa);
+        }
+        assert_eq!(pool.alloc(0).as_ptr(), pc);
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                reused: 3,
+                fresh: 3,
+                recycled: 6
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no such pool slot")]
+    fn naming_the_shared_slot_is_rejected() {
+        let pool: FreeListPool<u8> = FreeListPool::new(1);
+        // SAFETY: single-threaded; the call must panic before popping.
+        let _ = unsafe { pool.alloc_in(1, || 0) };
+    }
+
+    #[test]
+    fn derived_stats_and_live_survive_cross_thread_frees() {
+        let pool: FreeListPool<usize> = FreeListPool::new(1);
+        // SAFETY: only this thread names slot 0.
+        let mine: Vec<_> = (0..5).map(|i| unsafe { pool.alloc_in(0, || i) }).collect();
+        let shared: Vec<_> = (5..8).map(|i| pool.alloc(i)).collect();
+        assert_eq!(pool.live(), 8);
+        assert_eq!(pool.stats().recycled, 0);
+        let mut mine = mine.into_iter();
+        let kept = mine.next().unwrap();
+        std::thread::scope(|s| {
+            // Freed by another thread: four back to slot 0, three to the
+            // shared slot.
+            s.spawn(move || drop((mine.collect::<Vec<_>>(), shared)));
+        });
+        assert_eq!(pool.live(), 1);
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                reused: 0,
+                fresh: 8,
+                recycled: 7
+            }
+        );
+        // SAFETY: as above.
+        let again = unsafe { pool.alloc_in(0, || 9) };
+        assert_eq!(pool.live(), 2);
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                reused: 1,
+                fresh: 8,
+                recycled: 7
+            }
+        );
+        drop((kept, again));
+        assert_eq!(pool.live(), 0);
+        assert_eq!(pool.stats().recycled, 9);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! model's N_RC = 2 (retain + release per reused input, Section IV-E)
 //! both live here.
 //!
-//! [`DataCopy`] is essentially a hand-rolled `Arc<dyn Any>`, written out
+//! [`DataCopy`] is essentially a hand-rolled `Arc<dyn Any>` (refcount,
+//! `TypeId`, drop function and payload in one allocation), written out
 //! explicitly so that (a) the refcount operations go through the counted
 //! atomics validating Equation (1), (b) the *move optimization* is
 //! expressible: "certain optimizations are applied if the current task is
@@ -15,24 +16,52 @@
 //! without any new allocation when the count is 1, and (c) the ordering
 //! policy of Section IV-A applies to the retain side.
 
-use std::any::Any;
+use std::any::TypeId;
+use std::mem::ManuallyDrop;
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 use ttg_sync::{CAtomicUsize, OrderingPolicy};
 
-struct CopyInner {
+/// What every copy object starts with, whatever its payload type `T`.
+struct Header {
     refs: CAtomicUsize,
-    value: Option<Box<dyn Any + Send + Sync>>,
+    /// `TypeId::of::<T>()`, checked before any cast back to `Block<T>`.
+    ty: TypeId,
+    /// `release_block::<T>`.
+    release: unsafe fn(NonNull<Header>),
+    policy: OrderingPolicy,
+}
+
+/// One copy object. `#[repr(C)]` puts the header at offset 0 whatever
+/// `T`'s alignment, so a `NonNull<Header>` also points to the block.
+#[repr(C)]
+struct Block<T> {
+    header: Header,
+    value: ManuallyDrop<T>,
+}
+
+/// Drops the payload and frees the block.
+///
+/// # Safety
+///
+/// `block` points to a live `Block<T>` of this same `T`; no handle uses
+/// it afterwards.
+unsafe fn release_block<T>(block: NonNull<Header>) {
+    // SAFETY: caller contract — the allocation is a `Box<Block<T>>` and
+    // we are its last user.
+    let mut block = unsafe { Box::from_raw(block.as_ptr().cast::<Block<T>>()) };
+    // SAFETY: the payload is initialized and is dropped only here.
+    unsafe { ManuallyDrop::drop(&mut block.value) };
 }
 
 /// A shared handle to one tracked datum.
 ///
 /// Cloning retains (one counted atomic RMW); dropping releases (one
 /// counted atomic RMW, with an acquire/release pairing on the final
-/// decrement so the destructor observes all writes).
+/// decrement so the destructor observes all writes). One pointer wide.
+#[repr(transparent)]
 pub struct DataCopy {
-    inner: NonNull<CopyInner>,
-    policy: OrderingPolicy,
+    inner: NonNull<Header>,
 }
 
 // SAFETY: the payload is `Send + Sync`; the refcount mediates ownership.
@@ -41,24 +70,38 @@ unsafe impl Sync for DataCopy {}
 
 impl DataCopy {
     /// Creates a copy holding `value` with refcount 1. This is the "new
-    /// copy" path of the cost model — it performs a heap allocation.
+    /// copy" path of the cost model — it performs one heap allocation.
     pub fn new<T: Send + Sync + 'static>(value: T, policy: OrderingPolicy) -> Self {
-        let inner = Box::new(CopyInner {
-            refs: CAtomicUsize::new(1),
-            value: Some(Box::new(value)),
+        let block = Box::new(Block {
+            header: Header {
+                refs: CAtomicUsize::new(1),
+                ty: TypeId::of::<T>(),
+                release: release_block::<T>,
+                policy,
+            },
+            value: ManuallyDrop::new(value),
         });
         DataCopy {
-            // SAFETY: Box::into_raw is non-null.
-            inner: unsafe { NonNull::new_unchecked(Box::into_raw(inner)) },
-            policy,
+            inner: NonNull::from(Box::leak(block)).cast(),
         }
+    }
+
+    #[inline]
+    fn header(&self) -> &Header {
+        // SAFETY: the block is live while any handle exists.
+        unsafe { self.inner.as_ref() }
+    }
+
+    /// The block as a `Block<T>`, if `T` is the payload type.
+    #[inline]
+    fn block<T: 'static>(&self) -> Option<NonNull<Block<T>>> {
+        (self.header().ty == TypeId::of::<T>()).then(|| self.inner.cast())
     }
 
     /// Current reference count (racy unless the caller holds the only
     /// handle).
     pub fn ref_count(&self) -> usize {
-        // SAFETY: inner is live while any handle exists.
-        unsafe { self.inner.as_ref() }.refs.load(Ordering::Relaxed)
+        self.header().refs.load(Ordering::Relaxed)
     }
 
     /// True if this is the only handle (the precondition for mutation and
@@ -71,14 +114,10 @@ impl DataCopy {
     /// graph-construction bug, akin to connecting terminals of different
     /// types in C++ TTG).
     pub fn get<T: 'static>(&self) -> &T {
-        // SAFETY: inner live; value present except transiently in
-        // try_take, which consumes the handle.
-        unsafe { self.inner.as_ref() }
-            .value
-            .as_ref()
-            .expect("copy value taken")
-            .downcast_ref::<T>()
-            .expect("data copy type mismatch")
+        let block = self.block::<T>().expect("data copy type mismatch");
+        // SAFETY: the type check makes this the block's real type; it is
+        // live, and its payload initialized, while any handle exists.
+        unsafe { &block.as_ref().value }
     }
 
     /// Mutably borrows the value when this is the only handle.
@@ -86,12 +125,10 @@ impl DataCopy {
         if !self.is_unique() {
             return None;
         }
-        // SAFETY: unique handle ⇒ exclusive access.
-        unsafe { self.inner.as_mut() }
-            .value
-            .as_mut()
-            .expect("copy value taken")
-            .downcast_mut::<T>()
+        let mut block = self.block::<T>()?;
+        // SAFETY: type checked as in `get`; unique handle borrowed
+        // mutably ⇒ exclusive access.
+        Some(unsafe { &mut block.as_mut().value })
     }
 
     /// The move optimization: if this handle is unique, moves the value
@@ -101,45 +138,40 @@ impl DataCopy {
         if !self.is_unique() {
             return Err(self);
         }
-        // SAFETY: unique ⇒ we free the inner box; suppress the normal
-        // Drop (which would decrement again).
-        let inner = unsafe { Box::from_raw(self.inner.as_ptr()) };
+        let block = self.block::<T>().expect("data copy type mismatch");
+        // Suppress the normal Drop (which would decrement and release).
         std::mem::forget(self);
-        let boxed = inner.value.expect("copy value taken");
-        Ok(*boxed.downcast::<T>().expect("data copy type mismatch"))
+        // SAFETY: type checked; unique ⇒ the block is ours to free. The
+        // payload moves out once; freeing a `ManuallyDrop` drops nothing.
+        let mut block = unsafe { Box::from_raw(block.as_ptr()) };
+        Ok(unsafe { ManuallyDrop::take(&mut block.value) })
     }
 
     /// Clones the *value* into a fresh copy object (the "new copy is
     /// created" path, used when two tasks may mutate the same datum).
     pub fn deep_clone<T: Clone + Send + Sync + 'static>(&self) -> DataCopy {
-        DataCopy::new(self.get::<T>().clone(), self.policy)
+        DataCopy::new(self.get::<T>().clone(), self.header().policy)
     }
 }
 
 impl Clone for DataCopy {
     /// Retain: one counted atomic RMW (N_RC's first half).
     fn clone(&self) -> Self {
-        // SAFETY: inner live.
-        unsafe { self.inner.as_ref() }
-            .refs
-            .fetch_add(1, self.policy.rmw());
-        DataCopy {
-            inner: self.inner,
-            policy: self.policy,
-        }
+        let header = self.header();
+        header.refs.fetch_add(1, header.policy.rmw());
+        DataCopy { inner: self.inner }
     }
 }
 
 impl Drop for DataCopy {
     /// Release: one counted atomic RMW; the final release frees.
     fn drop(&mut self) {
-        // SAFETY: inner live until the final release.
-        let prev = unsafe { self.inner.as_ref() }
-            .refs
-            .fetch_sub(1, self.policy.rmw_acqrel());
+        let header = self.header();
+        let prev = header.refs.fetch_sub(1, header.policy.rmw_acqrel());
         if prev == 1 {
-            // SAFETY: last handle; reclaim.
-            drop(unsafe { Box::from_raw(self.inner.as_ptr()) });
+            // SAFETY: last handle; `release` was instantiated for this
+            // block's payload type in `new`.
+            unsafe { (header.release)(self.inner) };
         }
     }
 }
@@ -185,6 +217,71 @@ mod tests {
         assert_eq!(drops.load(Ordering::Relaxed), 0);
         drop(c2);
         assert_eq!(drops.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn handle_is_one_pointer_wide() {
+        assert_eq!(
+            std::mem::size_of::<DataCopy>(),
+            std::mem::size_of::<usize>()
+        );
+        assert_eq!(
+            std::mem::size_of::<Option<DataCopy>>(),
+            std::mem::size_of::<usize>()
+        );
+    }
+
+    #[test]
+    fn zero_sized_and_over_aligned_payloads_share_the_block_with_the_header() {
+        let unit = DataCopy::new((), OrderingPolicy::Relaxed);
+        let unit2 = unit.clone();
+        assert_eq!(unit.ref_count(), 2);
+        drop(unit2);
+        unit.try_take::<()>().expect("unique");
+
+        #[derive(Clone, Debug, PartialEq)]
+        #[repr(align(64))]
+        struct Line([u8; 64]);
+        let mut c = DataCopy::new(Line([7; 64]), OrderingPolicy::Relaxed);
+        let addr = c.get::<Line>() as *const Line as usize;
+        assert_eq!(addr % 64, 0, "payload not aligned inside the block");
+        c.get_mut::<Line>().unwrap().0[63] = 9;
+        let d = c.deep_clone::<Line>();
+        assert_eq!(c.try_take::<Line>().unwrap().0[63], 9);
+        assert_eq!(d.get::<Line>().0[..63], [7; 63]);
+    }
+
+    #[test]
+    fn payload_drops_once_whether_released_taken_or_mistyped() {
+        struct Probe(Arc<AtomicUsize>);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        let probe = || Probe(Arc::clone(&drops));
+        // Moved out by the final owner: dropped by the caller, not by
+        // the block that held it.
+        let taken = DataCopy::new(probe(), OrderingPolicy::Relaxed)
+            .try_take::<Probe>()
+            .unwrap_or_else(|_| panic!("unique"));
+        assert_eq!(drops.load(Ordering::Relaxed), 0);
+        drop(taken);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        // A refused take hands the handle back intact.
+        let c = DataCopy::new(probe(), OrderingPolicy::Relaxed);
+        let c2 = c.clone();
+        let c = c.try_take::<Probe>().map(|_| ()).expect_err("shared");
+        drop(c);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        drop(c2);
+        assert_eq!(drops.load(Ordering::Relaxed), 2);
+        // A mistyped mutable borrow is refused without touching it.
+        let mut c = DataCopy::new(probe(), OrderingPolicy::Relaxed);
+        assert!(c.get_mut::<u64>().is_none());
+        drop(c);
+        assert_eq!(drops.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -502,6 +502,12 @@ impl Runtime {
         self.inner.rank
     }
 
+    /// Identity of this runtime's shared state (see
+    /// [`WorkerCtx::belongs_to`]).
+    pub(crate) fn inner_ptr(&self) -> *const Inner {
+        Arc::as_ptr(&self.inner)
+    }
+
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.inner.config.threads.max(1)

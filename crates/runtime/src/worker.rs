@@ -16,8 +16,9 @@ use ttg_sync::OrderingPolicy;
 /// the TTG frontend needs.
 pub struct WorkerCtx<'rt> {
     pub(crate) inner: &'rt Inner,
-    /// This worker's index within the runtime.
-    pub id: usize,
+    /// This worker's index within the runtime. Private: pools keyed by
+    /// it rely on no two live contexts of one runtime sharing an index.
+    id: usize,
     bundle: SortedChain,
     /// Remaining inline-execution budget below the current top-level
     /// task (see `RuntimeConfig::inline_tasks`).
@@ -41,6 +42,21 @@ impl<'rt> WorkerCtx<'rt> {
             completed_scope: None,
             current_span: 0,
         }
+    }
+
+    /// This worker's index within its runtime (`< threads()`): stable
+    /// for the worker thread's lifetime and held by no other thread.
+    #[inline]
+    pub fn id(&self) -> usize {
+        self.id
+    }
+
+    /// True when this context is a worker of `runtime` — what makes
+    /// [`WorkerCtx::id`] meaningful as an index into per-worker state
+    /// sized for that runtime.
+    #[inline]
+    pub fn belongs_to(&self, runtime: &crate::Runtime) -> bool {
+        std::ptr::eq(self.inner, runtime.inner_ptr())
     }
 
     /// Span context of the currently executing task (0 = unattributed).

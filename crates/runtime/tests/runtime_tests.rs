@@ -148,7 +148,7 @@ fn worker_ctx_exposes_runtime_facts() {
     rt.submit(0, move |ctx| {
         assert_eq!(ctx.threads(), 3);
         assert_eq!(ctx.rank(), 0);
-        assert!(ctx.id < 3);
+        assert!(ctx.id() < 3);
         c.fetch_add(1, Ordering::Relaxed);
     });
     rt.wait();

@@ -30,9 +30,19 @@ struct WorkerQueue {
     head: AtomicPtr<SchedNode>,
     /// Priority of the node `head` points at (hint; may lag).
     head_prio: AtomicI32,
+    /// Statistics, each written by the owning worker only (see
+    /// [`bump`]) and summed by `stats`.
     local_pops: AtomicUsize,
     steals: AtomicUsize,
     slow_pushes: AtomicUsize,
+}
+
+/// Adds one to a counter whose only writer is the calling thread: a
+/// load and a store, not an RMW — one per pop would be an atomic the
+/// cost model does not count.
+#[inline]
+fn bump(counter: &AtomicUsize) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 impl WorkerQueue {
@@ -77,9 +87,27 @@ impl WorkerQueue {
     /// the head being null and staying null (invariant 1).
     #[inline]
     fn reattach(&self, chain: SortedChain) {
-        let prio = chain.head_priority().unwrap_or(Priority::MIN);
         let (head, _tail, _len) = chain.into_raw();
+        // SAFETY: the chain was privately owned until this call.
+        unsafe { self.reattach_raw(head) };
+    }
+
+    /// [`WorkerQueue::reattach`] for a raw sorted list (null = empty).
+    ///
+    /// # Safety
+    ///
+    /// Owner-only, with the head detached; the caller owns every node
+    /// reachable from `head`.
+    #[inline]
+    unsafe fn reattach_raw(&self, head: *mut SchedNode) {
         debug_assert!(self.head.load(Ordering::Relaxed).is_null());
+        if head.is_null() {
+            // Nothing to publish; the stale hint is harmless (pushes
+            // onto a null head ignore it).
+            return;
+        }
+        // SAFETY: we own the list (caller contract).
+        let prio = unsafe { (*head).priority };
         self.head_prio.store(prio, Ordering::Relaxed);
         // Release store: publishes all link writes to future detachers.
         self.head.store(head, Ordering::Release);
@@ -113,7 +141,7 @@ impl Llp {
     /// Owner-only slow path: detach, merge, re-attach.
     fn push_slow(&self, worker: usize, mut incoming: SortedChain) {
         let q = &self.queues[worker];
-        q.slow_pushes.fetch_add(1, Ordering::Relaxed);
+        bump(&q.slow_pushes);
         loop {
             match q.try_detach() {
                 Some(head) => {
@@ -224,14 +252,16 @@ unsafe impl TaskQueue for Llp {
     fn pop_from(&self, worker: usize) -> Option<(NonNull<SchedNode>, crate::PopSource)> {
         let q = &self.queues[worker];
         // Local queue first.
-        if let Some(head) = q.try_detach() {
-            // SAFETY: detach grants ownership of the whole chain.
-            let mut chain = unsafe { SortedChain::from_raw(head.as_ptr()) };
-            let first = chain.pop_front().expect("detached chain is non-empty");
-            if !chain.is_empty() {
-                q.reattach(chain);
+        if let Some(first) = q.try_detach() {
+            // O(1): unlink the head and publish the rest as it is — no
+            // walk to a tail and a length the pop never uses.
+            // SAFETY: detach grants ownership of the whole chain, and we
+            // are the owner of a now-detached queue.
+            unsafe {
+                q.reattach_raw(first.as_ref().next());
+                first.as_ref().set_next(std::ptr::null_mut());
             }
-            q.local_pops.fetch_add(1, Ordering::Relaxed);
+            bump(&q.local_pops);
             return Some((first, crate::PopSource::Local));
         }
         // Steal: scan other workers starting after us.
@@ -248,7 +278,7 @@ unsafe impl TaskQueue for Llp {
                     // legal for depositing the remainder locally.
                     self.push_chain(worker, chain);
                 }
-                q.steals.fetch_add(1, Ordering::Relaxed);
+                bump(&q.steals);
                 return Some((first, crate::PopSource::Steal(victim)));
             }
             self.steal_empty.incr();

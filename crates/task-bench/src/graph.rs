@@ -1,6 +1,6 @@
 //! The task-graph descriptor and its ground-truth value function.
 
-use crate::{Kernel, Pattern};
+use crate::{Deps, Kernel, Pattern};
 
 /// A parameterized task graph: `steps × width` points, a dependence
 /// pattern between consecutive steps, and a kernel per task.
@@ -24,6 +24,12 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Folds one input into a task's value: a rotation by origin makes each
+/// origin contribute distinctly, the wrapping sum makes order irrelevant.
+fn add_input(acc: u64, origin: usize, value: u64) -> u64 {
+    acc.wrapping_add(value.rotate_left((origin % 63) as u32))
+}
+
 impl TaskGraph {
     /// Creates a graph.
     pub fn new(steps: usize, width: usize, pattern: Pattern, kernel: Kernel) -> Self {
@@ -41,13 +47,19 @@ impl TaskGraph {
     }
 
     /// Dependencies of (t, i) — see [`Pattern::dependencies`].
-    pub fn dependencies(&self, t: usize, i: usize) -> Vec<usize> {
+    pub fn dependencies(&self, t: usize, i: usize) -> Deps {
         self.pattern.dependencies(t, i, self.width)
+    }
+
+    /// Number of dependencies of (t, i) — see
+    /// [`Pattern::num_dependencies`].
+    pub fn num_dependencies(&self, t: usize, i: usize) -> usize {
+        self.pattern.num_dependencies(t, i, self.width)
     }
 
     /// Reverse dependencies of (t, i) — see
     /// [`Pattern::reverse_dependencies`].
-    pub fn reverse_dependencies(&self, t: usize, i: usize) -> Vec<usize> {
+    pub fn reverse_dependencies(&self, t: usize, i: usize) -> Deps {
         self.pattern
             .reverse_dependencies(t, i, self.width, self.steps)
     }
@@ -60,9 +72,45 @@ impl TaskGraph {
     pub fn task_value(&self, t: usize, i: usize, dep_values: &[(usize, u64)]) -> u64 {
         let mut acc = mix((t as u64) << 32 | i as u64);
         for &(origin, v) in dep_values {
-            acc = acc.wrapping_add(v.rotate_left((origin % 63) as u32));
+            acc = add_input(acc, origin, v);
         }
         acc
+    }
+
+    /// [`TaskGraph::task_value`] for an implementation that can look its
+    /// inputs up by origin (a row of the previous step, however it is
+    /// stored): the dependencies are queried here and no list of inputs
+    /// is built.
+    pub fn task_value_from(&self, t: usize, i: usize, value_of: impl Fn(usize) -> u64) -> u64 {
+        let mut acc = mix((t as u64) << 32 | i as u64);
+        for &origin in self.dependencies(t, i).iter() {
+            acc = add_input(acc, origin, value_of(origin));
+        }
+        acc
+    }
+
+    /// Hands `body` the inputs a data-flow task received, ordered by
+    /// origin (Listing 1's sorted insert: an aggregator delivers in
+    /// arrival order). Up to [`Deps::INLINE`] inputs are sorted in a
+    /// stack array.
+    pub fn with_sorted_inputs<R>(
+        inputs: impl ExactSizeIterator<Item = (usize, u64)>,
+        body: impl FnOnce(&[(usize, u64)]) -> R,
+    ) -> R {
+        let n = inputs.len();
+        let mut inline = [(0usize, 0u64); Deps::INLINE];
+        let mut spilled = Vec::new();
+        let sorted: &mut [(usize, u64)] = if n <= Deps::INLINE {
+            for (slot, input) in inline.iter_mut().zip(inputs) {
+                *slot = input;
+            }
+            &mut inline[..n]
+        } else {
+            spilled.extend(inputs);
+            &mut spilled
+        };
+        sorted.sort_unstable_by_key(|&(origin, _)| origin);
+        body(sorted)
     }
 
     /// Serial ground truth: the value of every point at the final step.
@@ -72,12 +120,7 @@ impl TaskGraph {
         for t in 0..self.steps {
             cur.clear();
             for i in 0..self.width {
-                let deps: Vec<(usize, u64)> = self
-                    .dependencies(t, i)
-                    .into_iter()
-                    .map(|j| (j, prev[j]))
-                    .collect();
-                cur.push(self.task_value(t, i, &deps));
+                cur.push(self.task_value_from(t, i, |j| prev[j]));
             }
             std::mem::swap(&mut prev, &mut cur);
         }

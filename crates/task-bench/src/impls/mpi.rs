@@ -89,12 +89,7 @@ impl BenchRunner for MpiRunner {
                 let mut cur_local = Vec::with_capacity(hi - lo);
                 for i in lo..hi {
                     spec.kernel.execute(&mut scratch);
-                    let deps: Vec<(usize, u64)> = spec
-                        .dependencies(t, i)
-                        .into_iter()
-                        .map(|j| (j, prev[j]))
-                        .collect();
-                    cur_local.push(spec.task_value(t, i, &deps));
+                    cur_local.push(spec.task_value_from(t, i, |j| prev[j]));
                 }
                 prev_local = cur_local;
             }

@@ -43,12 +43,8 @@ impl BenchRunner for OmpForRunner {
             let (src, dst) = if flip { (&cur, &prev) } else { (&prev, &cur) };
             self.pool.parallel_for_each(0, width, |i| {
                 SCRATCH.with(|s| g.kernel.execute(&mut s.borrow_mut()));
-                let deps: Vec<(usize, u64)> = g
-                    .dependencies(t, i)
-                    .into_iter()
-                    .map(|j| (j, src[j].load(Ordering::Relaxed)))
-                    .collect();
-                dst[i].store(g.task_value(t, i, &deps), Ordering::Relaxed);
+                let value = g.task_value_from(t, i, |j| src[j].load(Ordering::Relaxed));
+                dst[i].store(value, Ordering::Relaxed);
             });
             flip = !flip;
         }
@@ -106,12 +102,9 @@ impl BenchRunner for OmpTaskRunner {
                 let vals = Arc::clone(&values);
                 self.rt.task(&ins, &[DepVar(i)], move || {
                     SCRATCH.with(|s| spec.kernel.execute(&mut s.borrow_mut()));
-                    let deps: Vec<(usize, u64)> = spec
-                        .dependencies(t, i)
-                        .into_iter()
-                        .map(|j| (j, vals[t - 1][j].load(Ordering::Acquire)))
-                        .collect();
-                    vals[t][i].store(spec.task_value(t, i, &deps), Ordering::Release);
+                    let value =
+                        spec.task_value_from(t, i, |j| vals[t - 1][j].load(Ordering::Acquire));
+                    vals[t][i].store(value, Ordering::Release);
                 });
             }
         }

@@ -55,13 +55,10 @@ impl PtgState {
     /// Executes task (t, i) and releases its successors.
     fn execute(self: &Arc<Self>, ctx: &mut WorkerCtx<'_>, t: usize, i: usize) {
         SCRATCH.with(|s| self.spec.kernel.execute(&mut s.borrow_mut()));
-        let deps: Vec<(usize, u64)> = self
+        let value = self
             .spec
-            .dependencies(t, i)
-            .into_iter()
-            .map(|j| (j, self.values[t - 1][j].load(Ordering::Acquire)))
-            .collect();
-        self.values[t][i].store(self.spec.task_value(t, i, &deps), Ordering::Release);
+            .task_value_from(t, i, |j| self.values[t - 1][j].load(Ordering::Acquire));
+        self.values[t][i].store(value, Ordering::Release);
         if t + 1 < self.spec.steps {
             for j in self.spec.reverse_dependencies(t, i) {
                 if self.counts[t + 1][j].fetch_sub(1, Ordering::AcqRel) == 1 {

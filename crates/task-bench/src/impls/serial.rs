@@ -18,12 +18,7 @@ impl BenchRunner for SerialRunner {
             cur.clear();
             for i in 0..graph.width {
                 graph.kernel.execute(&mut scratch);
-                let deps: Vec<(usize, u64)> = graph
-                    .dependencies(t, i)
-                    .into_iter()
-                    .map(|j| (j, prev[j]))
-                    .collect();
-                cur.push(graph.task_value(t, i, &deps));
+                cur.push(graph.task_value_from(t, i, |j| prev[j]));
             }
             std::mem::swap(&mut prev, &mut cur);
         }

@@ -75,21 +75,19 @@ impl BenchRunner for TtgRunner {
         let point = graph
             .tt::<(u32, u32)>("point")
             .input_aggregator_with(&point_edge, move |&(t, i): &(u32, u32)| {
-                spec.dependencies(t as usize, i as usize).len()
+                spec.num_dependencies(t as usize, i as usize)
             })
             .output(&point_edge)
             .output(&wb_edge)
             .build(move |&(t, i), inputs, out| {
                 // Gather and order the aggregated inputs by origin
                 // (Listing 1's sorted_insert).
-                let mut deps: Vec<(usize, u64)> = inputs
-                    .aggregate::<Msg>(0)
-                    .iter()
-                    .map(|m| (m.origin as usize, m.value))
-                    .collect();
-                deps.sort_unstable_by_key(|&(o, _)| o);
                 SCRATCH.with(|s| spec.kernel.execute(&mut s.borrow_mut()));
-                let value = spec.task_value(t as usize, i as usize, &deps);
+                let received = inputs.aggregate::<Msg>(0);
+                let value = TaskGraph::with_sorted_inputs(
+                    received.iter().map(|m| (m.origin as usize, m.value)),
+                    |deps| spec.task_value(t as usize, i as usize, deps),
+                );
                 if t as usize + 1 == spec.steps {
                     // Final timestep: write back.
                     out.send(1, i, value);

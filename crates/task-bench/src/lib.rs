@@ -24,11 +24,13 @@
 
 #![warn(missing_docs)]
 
+pub mod deps;
 pub mod graph;
 pub mod impls;
 pub mod kernel;
 pub mod pattern;
 
+pub use deps::Deps;
 pub use graph::TaskGraph;
 pub use impls::{Implementation, RunResult};
 pub use kernel::Kernel;

@@ -8,6 +8,8 @@
 //! while backward-looking models (OpenMP tasks) declare inputs from
 //! forward queries.
 
+use crate::Deps;
+
 /// A Task-Bench dependence pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
@@ -72,115 +74,94 @@ impl Pattern {
     }
 
     /// Points of step `t-1` that (t, i) consumes. Empty for `t == 0`.
-    pub fn dependencies(&self, t: usize, i: usize, width: usize) -> Vec<usize> {
+    pub fn dependencies(&self, t: usize, i: usize, width: usize) -> Deps {
+        let mut deps = Deps::new();
         if t == 0 || width == 0 {
-            return Vec::new();
+            return deps;
         }
         match self {
-            Pattern::Trivial => Vec::new(),
-            Pattern::NoComm => vec![i],
-            Pattern::Stencil1D => {
-                let mut v = Vec::with_capacity(3);
-                if i > 0 {
-                    v.push(i - 1);
-                }
-                v.push(i);
-                if i + 1 < width {
-                    v.push(i + 1);
-                }
-                v
-            }
+            Pattern::Trivial => {}
+            Pattern::NoComm => deps = Deps::span(i, i),
+            Pattern::Stencil1D => deps = Deps::span(i.saturating_sub(1), (i + 1).min(width - 1)),
             Pattern::Stencil1DPeriodic => {
-                if width == 1 {
-                    return vec![0];
-                }
-                let left = (i + width - 1) % width;
-                let right = (i + 1) % width;
-                let mut v = vec![left, i, right];
-                v.sort_unstable();
-                v.dedup();
-                v
+                deps = [(i + width - 1) % width, i, (i + 1) % width]
+                    .into_iter()
+                    .collect();
+                deps.sort_dedup();
             }
             Pattern::Fft => {
                 let log = usize::BITS - (width.max(2) - 1).leading_zeros();
                 let stride = 1usize << ((t - 1) % log as usize);
                 let partner = i ^ stride;
-                if partner < width && partner != i {
-                    let mut v = vec![i.min(partner), i.max(partner)];
-                    v.dedup();
-                    v
+                if partner < width {
+                    deps.push(i.min(partner));
+                    deps.push(i.max(partner));
                 } else {
-                    vec![i]
+                    deps.push(i);
                 }
             }
-            Pattern::AllToAll => (0..width).collect(),
+            Pattern::AllToAll => deps = Deps::span(0, width - 1),
             Pattern::Spread { count } => {
                 let count = (*count).clamp(1, width);
-                let mut v: Vec<usize> = (0..count)
+                deps = (0..count)
                     .map(|k| (i + k * width.div_ceil(count)) % width)
                     .collect();
-                v.sort_unstable();
-                v.dedup();
-                v
+                deps.sort_dedup();
             }
             Pattern::Tree => {
                 if t % 2 == 1 {
                     // Scatter step: i receives from its tree parent i/2.
-                    vec![i / 2]
+                    deps.push(i / 2);
                 } else {
                     // Gather step: i receives from children 2i, 2i+1.
-                    let mut v: Vec<usize> = [2 * i, 2 * i + 1]
+                    deps = [2 * i, 2 * i + 1]
                         .into_iter()
                         .filter(|&j| j < width)
                         .collect();
-                    if v.is_empty() {
-                        v.push(i); // leaf rows carry themselves
+                    if deps.is_empty() {
+                        deps.push(i); // leaf rows carry themselves
                     }
-                    v
                 }
             }
-            Pattern::Dom => (0..=i).collect(),
+            Pattern::Dom => deps = Deps::span(0, i),
+        }
+        deps
+    }
+
+    /// `dependencies(t, i, width).len()` without building the list, for
+    /// the patterns where that is a closed form — what an aggregator's
+    /// count callback asks once per task.
+    pub fn num_dependencies(&self, t: usize, i: usize, width: usize) -> usize {
+        if t == 0 || width == 0 {
+            return 0;
+        }
+        match self {
+            Pattern::Trivial => 0,
+            Pattern::NoComm => 1,
+            Pattern::Stencil1D => 1 + usize::from(i > 0) + usize::from(i + 1 < width),
+            Pattern::Stencil1DPeriodic => width.min(3),
+            Pattern::AllToAll => width,
+            Pattern::Dom => i + 1,
+            Pattern::Fft | Pattern::Spread { .. } | Pattern::Tree => {
+                self.dependencies(t, i, width).len()
+            }
         }
     }
 
     /// Points of step `t+1` that consume (t, i). Empty when `t+1 ==
     /// steps`. This is the exact mirror of [`Pattern::dependencies`].
-    pub fn reverse_dependencies(
-        &self,
-        t: usize,
-        i: usize,
-        width: usize,
-        steps: usize,
-    ) -> Vec<usize> {
+    pub fn reverse_dependencies(&self, t: usize, i: usize, width: usize, steps: usize) -> Deps {
         if t + 1 >= steps || width == 0 {
-            return Vec::new();
+            return Deps::new();
         }
         match self {
-            Pattern::Trivial => Vec::new(),
-            Pattern::NoComm => vec![i],
-            Pattern::Stencil1D => {
-                let mut v = Vec::with_capacity(3);
-                if i > 0 {
-                    v.push(i - 1);
-                }
-                v.push(i);
-                if i + 1 < width {
-                    v.push(i + 1);
-                }
-                v
-            }
-            Pattern::Stencil1DPeriodic => {
-                if width == 1 {
-                    return vec![0];
-                }
-                let mut v = vec![(i + width - 1) % width, i, (i + 1) % width];
-                v.sort_unstable();
-                v.dedup();
-                v
-            }
-            // Symmetric patterns: reverse == forward at the consuming
-            // step (the xor partner / all-to-all relations are their own
-            // mirrors); defer to a generic inversion for exactness.
+            // Their own mirrors.
+            Pattern::Trivial
+            | Pattern::NoComm
+            | Pattern::Stencil1D
+            | Pattern::Stencil1DPeriodic => self.dependencies(t + 1, i, width),
+            // The xor-partner and all-to-all relations are symmetric as
+            // well; a generic inversion keeps every pattern exact.
             _ => (0..width)
                 .filter(|&j| self.dependencies(t + 1, j, width).contains(&i))
                 .collect(),

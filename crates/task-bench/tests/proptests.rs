@@ -82,10 +82,10 @@ proptest! {
         let i = i % width;
         let deps = pattern.dependencies(t, i, width);
         let mut sorted = deps.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
+        sorted.sort_dedup();
         prop_assert_eq!(&deps.len(), &sorted.len(), "duplicates in {:?}", deps);
         prop_assert!(deps.len() <= pattern.max_dependencies(width));
+        prop_assert_eq!(deps.len(), pattern.num_dependencies(t, i, width));
         if t == 0 {
             prop_assert!(deps.is_empty());
         }
