@@ -110,21 +110,14 @@ impl Job for TcpJob {
 /// One `--attribute` block: the TCP mesh's wire-path stage histograms
 /// (merged across ranks) rendered as a per-stage µs breakdown next to
 /// the measured end-to-end figure. Empty stages (a build without
-/// `obs-wire`) render a one-line note instead of a table of zeros.
+/// `obs`) render a one-line note instead of a table of zeros.
 fn wire_attribution(job: &TcpJob, payload_len: usize, us_per_msg: f64) -> String {
     let mut merged = ttg_obs::WireSnapshot::default();
     for m in &job.members {
-        let s = m.runtime().wire_snapshot();
-        merged.lock_wait.merge(&s.lock_wait);
-        merged.encode.merge(&s.encode);
-        merged.write.merge(&s.write);
-        merged.read_decode.merge(&s.read_decode);
-        merged.dispatch.merge(&s.dispatch);
+        merged.merge_stages(&m.runtime().wire_snapshot());
     }
     if merged.is_empty() {
-        return format!(
-            "  {payload_len}B: wire stages unavailable (build with --features obs-wire)"
-        );
+        return format!("  {payload_len}B: wire stages unavailable (build with --features obs)");
     }
     let us = |ns: u64| ns as f64 / 1_000.0;
     let mut out = format!("  {payload_len}B payload, {us_per_msg:.1} us/msg end-to-end:");

@@ -28,7 +28,7 @@
 //! `--attribute` turns on request-scoped span recording and, per
 //! tenant, splits the p50/p99 latency into queue/execute/wire
 //! components pulled from each instance's assembled span (needs the
-//! `obs-spans` build, which is the harness default). A shutdown that
+//! `obs` build, which is the harness default). A shutdown that
 //! abandons instances exits non-zero.
 //!
 //! `analyze` and `flame` both accept a crash flight dump (the
@@ -52,7 +52,7 @@
 //! `results/BENCH_imbalance.json`.
 //!
 //! `wire` attributes the TCP message path stage by stage: an all-to-all
-//! scatter over a real loopback mesh, then the `obs-wire` per-stage
+//! scatter over a real loopback mesh, then the per-stage
 //! histograms (encode, writer-lock wait, `write_all`, read→decode,
 //! decode→dispatch) printed in µs next to the end-to-end wall cost per
 //! message — the regression seed for `results/BENCH_wire.json`.
@@ -265,8 +265,8 @@ fn cmd_serve(argv: &[String]) {
     let graphs: usize = opt(&opts, "graphs", 400).max(clients);
     let tasks: u64 = opt(&opts, "tasks", 16).max(1);
     let bench_json: String = opt(&opts, "bench-json", String::new());
-    if attribute && !cfg!(feature = "obs-spans") {
-        eprintln!("warning: --attribute without the obs-spans feature reports zeros");
+    if attribute && !ttg_obs::OBS {
+        eprintln!("warning: --attribute without the obs feature reports zeros");
     }
 
     let mut rc = RuntimeConfig::optimized(threads);
@@ -795,8 +795,8 @@ fn cmd_wire(argv: &[String]) {
     if delay_ms > 0 && (delay_from >= nranks || delay_to >= nranks || delay_from == delay_to) {
         fail("--delay-from/--delay-to must name two distinct ranks in the mesh");
     }
-    if !ttg_obs::WIRE_ENABLED {
-        eprintln!("warning: built without the obs-wire feature — stage histograms will be empty");
+    if !ttg_obs::OBS {
+        eprintln!("warning: built without the obs feature — stage histograms will be empty");
     }
 
     // The mesh: every rank of a real TCP loopback job in this process,
@@ -953,13 +953,7 @@ fn cmd_wire(argv: &[String]) {
     }
     let mut merged = snaps.first().cloned().unwrap_or_default();
     for s in snaps.iter().skip(1) {
-        merged.lock_wait.merge(&s.lock_wait);
-        merged.encode.merge(&s.encode);
-        merged.write.merge(&s.write);
-        merged.read_decode.merge(&s.read_decode);
-        merged.dispatch.merge(&s.dispatch);
-        merged.bytes_per_write.merge(&s.bytes_per_write);
-        merged.frames_per_write.merge(&s.frames_per_write);
+        merged.merge_stages(s);
     }
     println!(
         "wire: {total_msgs} msgs x {payload}B all-to-all over {nranks} ranks \
@@ -994,16 +988,17 @@ fn cmd_wire(argv: &[String]) {
          (gap = socket flight + scheduler pickup)"
     );
     for l in &merged.links {
+        use ttg_obs::wire;
         println!(
             "  link rank0->{}: tx {}B/{}f rx {}B/{}f ack_lag {} ack_rtt {}us resend {}B",
             l.peer,
-            l.bytes_tx,
-            l.frames_tx,
-            l.bytes_rx,
-            l.frames_rx,
-            l.ack_lag_seq,
-            l.ack_rtt_us,
-            l.resend_buffer_bytes
+            l.values[wire::BYTES_TX],
+            l.values[wire::FRAMES_TX],
+            l.values[wire::BYTES_RX],
+            l.values[wire::FRAMES_RX],
+            l.values[wire::ACK_LAG_SEQ],
+            l.values[wire::ACK_RTT_US],
+            l.values[wire::RESEND_BUFFER_BYTES]
         );
     }
     if delay_ms > 0 {

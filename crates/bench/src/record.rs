@@ -67,18 +67,13 @@ impl BenchRecord {
     }
 
     /// Folds the process-global lock-contention counters in under a
-    /// `lock_` prefix (all zero unless `obs-contention` is on).
+    /// `lock_` prefix (all zero unless `obs` is on).
     pub fn attach_contention(&mut self) {
         let c = ttg_sync::lock_contention();
-        self.counter("lock_spin_acquisitions", c.spin_acquisitions);
-        self.counter("lock_spin_iters", c.spin_spin_iters);
-        self.counter("lock_rw_shared", c.rw_shared_acquisitions);
-        self.counter("lock_rw_exclusive", c.rw_exclusive_acquisitions);
-        self.counter("lock_rw_spin_iters", c.rw_spin_iters);
-        self.counter("lock_bravo_fast_reads", c.bravo_fast_reads);
-        self.counter("lock_bravo_slow_reads", c.bravo_slow_reads);
-        self.counter("lock_bravo_revocations", c.bravo_revocations);
-        self.counter("lock_bravo_revocation_ns", c.bravo_revocation_ns);
+        for (f, v) in ttg_sync::LOCK_FIELDS.iter().zip(c.0) {
+            let name = f.metric.strip_prefix("lock_").unwrap_or(f.metric);
+            self.counter(format!("lock_{name}"), v);
+        }
     }
 
     /// Folds a runtime's scheduler counters in under `prefix` (e.g.

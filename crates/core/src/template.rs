@@ -218,7 +218,7 @@ impl GraphTemplate {
         let tenant = tenant.into();
         // Link the scope to its span context before any task can be
         // scheduled under it; packs to 0 (unattributed) with the
-        // `obs-spans` feature off.
+        // `obs` feature off.
         scope.set_span(ttg_runtime::obs::pack_span(&tenant, id));
         let graph = Graph::with_runtime_scoped(Arc::clone(runtime), Arc::clone(&scope));
         let ctx = InstanceCtx {

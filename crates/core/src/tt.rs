@@ -166,7 +166,7 @@ impl<K: Key> TtInner<K> {
         .into_raw();
         // Scoped instances stamp every shell with the request's span so
         // the worker attributes execution (and downstream sends) to it;
-        // a ZST no-op without `obs-spans`. The scheduling path may later
+        // nothing without `obs`. The scheduling path may later
         // re-stamp-if-unset from the running task's span, which this
         // explicit stamp takes precedence over.
         if let Some(scope) = &self.scope {

@@ -118,10 +118,10 @@ pub struct HashTableStats {
     pub main_buckets: usize,
     /// Bucket-lock acquisitions that found the lock held (`try_lock`
     /// failed and the caller had to spin). Zero unless the
-    /// `obs-contention` feature is enabled.
+    /// `obs` feature is enabled.
     pub bucket_contended: u64,
     /// Table reads served by the BRAVO visible-readers fast path (zero
-    /// RMWs). Zero unless `obs-contention` is enabled or the lock is
+    /// RMWs). Zero unless `obs` is enabled or the lock is
     /// `Plain`.
     pub biased_reads: u64,
 }
@@ -162,7 +162,7 @@ pub struct ScalableHashTable<K, V, S = FixedState> {
     resizes: AtomicUsize,
     promotions: AtomicUsize,
     tables_collected: AtomicUsize,
-    /// Contention counters: zero-sized no-ops unless `obs-contention`.
+    /// Contention counters: zero-sized unless `obs`.
     bucket_contended: ContentionCounter,
     biased_reads: ContentionCounter,
 }

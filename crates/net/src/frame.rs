@@ -17,7 +17,7 @@
 //!
 //! `span` is the request-scoped span context of the sending task
 //! (`ttg_obs::spans` packing; 0 = unattributed). It is part of the fixed
-//! header *unconditionally* — builds with the `obs-spans` feature off
+//! header *unconditionally* — builds with the `obs` feature off
 //! simply send 0 — so mixed-feature deployments stay wire-compatible.
 //! Note the header grew from 9 to 17 bytes when the field was added:
 //! peers from before the change cannot talk to peers after it (the CRC
@@ -464,7 +464,7 @@ impl Frame {
     /// arrived — i.e. the receiver-side read→decode stage, excluding
     /// the idle block waiting for a frame to start: the buffer is
     /// filled (the only place this can block idle) before the clock
-    /// starts. The clock is only consulted when the `obs-wire` feature
+    /// starts. The clock is only consulted when the `obs` feature
     /// is compiled in (the reported time is 0 otherwise), so the off
     /// build pays nothing.
     pub fn read_from_timed<R: BufRead>(r: &mut R) -> io::Result<(Decoded, u64)> {

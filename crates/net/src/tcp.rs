@@ -77,7 +77,8 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ttg_obs::wire::{WireObs, WIRE_ENABLED};
+use ttg_obs::wire::WireObs;
+use ttg_sync::OBS;
 
 /// First retry delay; doubles up to [`CONNECT_RETRY_MAX`].
 const CONNECT_RETRY_START: Duration = Duration::from_millis(5);
@@ -146,7 +147,7 @@ enum WriteMode {
     /// any fault-injected link delay inside the critical section (so
     /// the stall backs up concurrent senders, visible as
     /// `wire_lock_wait`, exactly like a slow socket would), and accounts
-    /// the lock wait and the write to the `obs-wire` stages.
+    /// the lock wait and the write to the `obs` stages.
     Frame,
     /// Rejoin replay: waits for the writer and keeps it for the whole
     /// resend ring, so nothing interleaves with the replayed frames;
@@ -185,7 +186,7 @@ struct OutboundState {
     /// toward its termination wave for this peer).
     data_sent: u64,
     /// Unacked `(seq, encoded bytes, first-send ns)` in seq order. The
-    /// timestamp ([`WireObs::now_ns`]; 0 with `obs-wire` off) dates the
+    /// timestamp ([`WireObs::now_ns`]; 0 with `obs` off) dates the
     /// frame's entry to the wire path, so the cumulative ack that trims
     /// it yields the ack RTT — the replay-buffer residence time.
     buffer: VecDeque<(u64, Vec<u8>, u64)>,
@@ -341,7 +342,7 @@ struct Shared {
     /// `None` at our own index.
     peers: Vec<Option<PeerSlot>>,
     counters: TransportCounters,
-    /// Wire-path stage timers + per-link telemetry (`obs-wire`; every
+    /// Wire-path stage timers + per-link telemetry (`obs`; every
     /// recording call is an inlined no-op when the feature is off).
     wire: Arc<WireObs>,
     sink: Arc<dyn FrameSink>,
@@ -387,7 +388,7 @@ impl Shared {
         } else {
             slot.writer.lock()
         };
-        if WIRE_ENABLED && paced {
+        if OBS && paced {
             self.wire
                 .record_lock_wait(WireObs::now_ns().saturating_sub(lw0));
         }
@@ -403,7 +404,7 @@ impl Shared {
             if io::Write::write_all(stream, bytes).is_err() {
                 return Wrote::Failed;
             }
-            if WIRE_ENABLED && paced {
+            if OBS && paced {
                 self.wire
                     .record_write(WireObs::now_ns().saturating_sub(w0), bytes.len() as u64, 1);
             }
@@ -430,7 +431,7 @@ impl Shared {
 
     /// Drops acked entries from the front of `peer`'s outbound buffer,
     /// keeping the global and per-link resend gauges in step, and —
-    /// with `obs-wire` on — derives the link's ack RTT from the newest
+    /// with `obs` on — derives the link's ack RTT from the newest
     /// trimmed frame's first-send timestamp and refreshes its ack-lag
     /// gauge (unacked frames remaining in the buffer).
     fn trim_acked(&self, peer: usize, out: &mut OutboundState, acked: u64) {
@@ -449,7 +450,7 @@ impl Shared {
             newest_sent_ns = *sent_ns;
             out.buffer.pop_front();
         }
-        if WIRE_ENABLED && trimmed > 0 {
+        if OBS && trimmed > 0 {
             self.wire.resend_delta(peer, -(trimmed as i64));
             self.wire.set_ack_lag(peer, out.buffer.len() as u64);
             if newest_sent_ns > 0 {
@@ -531,7 +532,7 @@ impl Shared {
                 self.counters
                     .resend_buffer_bytes
                     .fetch_sub(out.buffered_bytes, Ordering::Relaxed);
-                if WIRE_ENABLED {
+                if OBS {
                     self.wire.resend_delta(peer, -(out.buffered_bytes as i64));
                     self.wire.set_ack_lag(peer, 0);
                 }
@@ -764,7 +765,7 @@ impl Shared {
         let mut bytes = Vec::with_capacity(frame.encoded_len());
         frame.encode_into(&mut bytes);
         let e1 = WireObs::now_ns();
-        if WIRE_ENABLED {
+        if OBS {
             self.wire.record_encode(e1.saturating_sub(e0));
         }
         let len = bytes.len() as u64;
@@ -793,7 +794,7 @@ impl Shared {
             .resend_buffer_bytes
             .fetch_add(len, Ordering::Relaxed);
         out.buffer.push_back((frame.seq, bytes, e1));
-        if WIRE_ENABLED {
+        if OBS {
             // Unique sequenced frame committed: count it on the link
             // exactly once (replays never re-count), track the per-link
             // resend occupancy and the unacked backlog.
@@ -1229,7 +1230,7 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
     loop {
         match Frame::read_from_timed(&mut stream) {
             Ok((Decoded::Frame(frame), busy_ns)) => {
-                if WIRE_ENABLED {
+                if OBS {
                     shared.wire.record_read_decode(busy_ns);
                 }
                 let Some(slot) = shared.slot(peer) else {
@@ -1291,7 +1292,7 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
                             .counters
                             .bytes_received
                             .fetch_add(frame.encoded_len() as u64, Ordering::Relaxed);
-                        if WIRE_ENABLED && frame.seq != 0 {
+                        if OBS && frame.seq != 0 {
                             // First delivery of a unique sequenced frame
                             // (dups were suppressed above): the rx half
                             // of the symmetric link traffic ledger.
@@ -1299,7 +1300,7 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
                         }
                         let d0 = WireObs::now_ns();
                         shared.sink.deliver(peer, frame);
-                        if WIRE_ENABLED {
+                        if OBS {
                             shared
                                 .wire
                                 .record_dispatch(WireObs::now_ns().saturating_sub(d0));

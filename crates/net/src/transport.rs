@@ -106,7 +106,7 @@ pub trait Transport: Send + Sync {
         None
     }
 
-    /// The endpoint's wire-path recording state (`obs-wire` stage
+    /// The endpoint's wire-path recording state (stage
     /// histograms + per-link telemetry), when it keeps one. Default:
     /// none (in-process transports have no wire path to attribute).
     fn wire_obs(&self) -> Option<Arc<ttg_obs::wire::WireObs>> {

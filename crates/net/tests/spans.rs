@@ -5,7 +5,7 @@
 //! queue/execute/wire breakdown bounded by the measured
 //! submit-to-completion latency.
 
-#![cfg(feature = "obs-spans")]
+#![cfg(feature = "obs")]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -2,8 +2,8 @@
 //! load-imbalance analytics.
 //!
 //! A [`ClusterAggregator`] periodically scrapes every rank's existing
-//! `/metrics.json` + `/timeseries.json` + `/healthz` endpoints over the
-//! same hand-rolled HTTP/1.0 client style the tests use, re-merges the
+//! `/metrics.json` + `/timeseries.json` + `/healthz` endpoints with the
+//! workspace's one HTTP/1.0 client ([`http_request`]), re-merges the
 //! per-rank [`MetricsSnapshot`]s with the in-process merge machinery
 //! (counters sum, histograms merge bucket-wise, labeled per-tenant
 //! series are preserved), and serves the unified view:
@@ -16,7 +16,10 @@
 //! | `/healthz`         | worst-rank mesh health (one curl answers    |
 //! |                    | "is the mesh healthy")                      |
 //!
-//! On top of the merged stream three detectors run per scrape round:
+//! On top of the merged stream three detectors run per scrape round,
+//! each a row over one hysteresis engine (`Detector`: a subject is
+//! deviant for K consecutive rounds → alert; not deviant, or no longer
+//! reporting → the alert clears):
 //!
 //! * **Skew** — the coefficient of variation (stddev / mean) of each
 //!   rank's queued+running task load, window-averaged over the last
@@ -29,12 +32,12 @@
 //!   `straggler_consecutive` rounds in a row, raises a per-rank
 //!   `straggler` alert.
 //! * **Slow link** — a directed peer link (from the `net_link_*`
-//!   labeled series ranks export with the `obs-wire` feature) whose
+//!   labeled series ranks export with the `obs` feature) whose
 //!   ack RTT or unacked backlog exceeds the cluster-median link times
 //!   `slowlink_factor` (with absolute floors, so quiet meshes don't
 //!   flag noise) for `slowlink_consecutive` rounds raises a
 //!   `slow_link` alert keyed by the `src->dst` link label. Ranks
-//!   built without `obs-wire` export no link series and are simply
+//!   built without `obs` export no link series and are simply
 //!   invisible to this detector.
 //!
 //! Link telemetry also feeds a rank×rank traffic/latency matrix in
@@ -56,13 +59,13 @@
 //! loop is just an HTTP front-end to it.
 
 use crate::hist::HistogramSnapshot;
-use crate::http::{DynamicRoute, HealthVerdict, HttpRequest, HttpResponse};
+use crate::http::{http_request, DynamicRoute, HealthVerdict, HttpRequest, HttpResponse};
 use crate::metrics::{MetricsSnapshot, PeriodicSampler};
+use crate::wire::RESEND_BUFFER_BYTES;
+use crate::wire::{ACK_LAG_SEQ, ACK_RTT_US, BYTES_RX, BYTES_TX, FRAMES_TX, LINK_FIELDS};
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -132,73 +135,48 @@ const SLOWLINK_MIN_RTT_US: f64 = 1_000.0;
 const SLOWLINK_MIN_LAG: f64 = 4.0;
 
 /// One directed link's telemetry as scraped from a rank's `net_link_*`
-/// labeled series. All zeros for series the rank did not export.
+/// labeled series: one value per [`LINK_FIELDS`] row, zero for series
+/// the rank did not export.
 #[derive(Clone, Debug, Default)]
 struct LinkStat {
     /// Destination rank label (the `peer` label value).
     peer: String,
-    tx_bytes: u64,
-    tx_frames: u64,
-    rx_bytes: u64,
-    rx_frames: u64,
-    ack_lag_seq: u64,
-    ack_rtt_us: u64,
-    resend_buffer_bytes: u64,
+    values: [u64; LINK_FIELDS.len()],
 }
 
 /// Extracts the per-peer link stats from a scraped snapshot's
 /// `net_link_*` labeled counters and gauges. Empty when the rank was
-/// built without `obs-wire` (the series are simply absent).
+/// built without `obs` (the series are simply absent).
 fn extract_links(m: &MetricsSnapshot) -> Vec<LinkStat> {
     fn label<'a>(ls: &'a [(String, String)], key: &str) -> Option<&'a str> {
         ls.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
-    fn slot<'a>(links: &'a mut Vec<LinkStat>, peer: &str) -> &'a mut LinkStat {
-        if let Some(i) = links.iter().position(|l| l.peer == peer) {
-            return &mut links[i];
-        }
-        links.push(LinkStat {
-            peer: peer.to_string(),
-            ..LinkStat::default()
-        });
-        links.last_mut().expect("just pushed")
-    }
     let mut links: Vec<LinkStat> = Vec::new();
-    for (name, ls, v) in &m.labeled_counters {
+    for (name, ls, v) in m.labeled_counters.iter().chain(&m.labeled_gauges) {
         let Some(peer) = label(ls, "peer") else {
             continue;
         };
-        let tx = label(ls, "dir") == Some("tx");
-        match name.as_str() {
-            "net_link_bytes" => {
-                let l = slot(&mut links, peer);
-                if tx {
-                    l.tx_bytes += v;
-                } else {
-                    l.rx_bytes += v;
-                }
-            }
-            "net_link_frames" => {
-                let l = slot(&mut links, peer);
-                if tx {
-                    l.tx_frames += v;
-                } else {
-                    l.rx_frames += v;
-                }
-            }
-            _ => {}
-        }
-    }
-    for (name, ls, v) in &m.labeled_gauges {
-        let Some(peer) = label(ls, "peer") else {
+        // Anything not tagged `tx` counts as received, as it always has.
+        let dir = if label(ls, "dir") == Some("tx") {
+            "tx"
+        } else {
+            "rx"
+        };
+        let row = |f: &crate::wire::LinkField| f.metric == name && f.dir.is_none_or(|d| d == dir);
+        let Some(field) = LINK_FIELDS.iter().position(row) else {
             continue;
         };
-        match name.as_str() {
-            "net_link_ack_lag_seq" => slot(&mut links, peer).ack_lag_seq = *v,
-            "net_link_ack_rtt_us" => slot(&mut links, peer).ack_rtt_us = *v,
-            "net_link_resend_buffer_bytes" => slot(&mut links, peer).resend_buffer_bytes = *v,
-            _ => {}
-        }
+        let at = links
+            .iter()
+            .position(|l| l.peer == peer)
+            .unwrap_or_else(|| {
+                links.push(LinkStat {
+                    peer: peer.to_string(),
+                    ..LinkStat::default()
+                });
+                links.len() - 1
+            });
+        links[at].values[field] += v;
     }
     // Stable peer order (numeric when the labels are rank ids).
     links.sort_by(
@@ -212,19 +190,10 @@ fn extract_links(m: &MetricsSnapshot) -> Vec<LinkStat> {
 
 /// JSON shape of one link for the per-rank `links` array.
 fn link_value(l: &LinkStat) -> Value {
-    Value::Object(vec![
-        ("peer".to_string(), Value::String(l.peer.clone())),
-        ("tx_bytes".to_string(), Value::UInt(l.tx_bytes)),
-        ("tx_frames".to_string(), Value::UInt(l.tx_frames)),
-        ("rx_bytes".to_string(), Value::UInt(l.rx_bytes)),
-        ("rx_frames".to_string(), Value::UInt(l.rx_frames)),
-        ("ack_lag_seq".to_string(), Value::UInt(l.ack_lag_seq)),
-        ("ack_rtt_us".to_string(), Value::UInt(l.ack_rtt_us)),
-        (
-            "resend_buffer_bytes".to_string(),
-            Value::UInt(l.resend_buffer_bytes),
-        ),
-    ])
+    let mut fields = vec![("peer".to_string(), Value::String(l.peer.clone()))];
+    let values = LINK_FIELDS.iter().zip(l.values);
+    fields.extend(values.map(|(f, v)| (f.cluster_json.to_string(), Value::UInt(v))));
+    Value::Object(fields)
 }
 
 /// One rank's scrape outcome for one round — the testable ingest unit.
@@ -285,12 +254,9 @@ struct RankState {
     utilization: Option<f64>,
     /// queued+running load per round, sliding window.
     loads: VecDeque<f64>,
-    straggler_streak: u32,
     /// Per-peer link telemetry from the latest scrape (`net_link_*`
-    /// series); empty for ranks built without `obs-wire`.
+    /// series); empty for ranks built without `obs`.
     links: Vec<LinkStat>,
-    /// Consecutive deviant rounds per outgoing link, `(peer, streak)`.
-    slowlink_streaks: Vec<(String, u32)>,
 }
 
 impl RankState {
@@ -309,9 +275,7 @@ impl RankState {
             prev_busy: None,
             utilization: None,
             loads: VecDeque::new(),
-            straggler_streak: 0,
             links: Vec::new(),
-            slowlink_streaks: Vec::new(),
         }
     }
 
@@ -343,12 +307,239 @@ impl RankState {
     }
 }
 
+/// One row of the detector table: an alert kind, the threshold its
+/// value is judged against, and how many consecutive deviant rounds a
+/// subject needs before the alert fires.
+struct Detector {
+    kind: &'static str,
+    threshold: f64,
+    consecutive: u32,
+}
+
+impl ClusterConfig {
+    /// The detector table: skew, straggler, slow link.
+    fn detectors(&self) -> [Detector; 3] {
+        let row = |kind, threshold, consecutive| Detector {
+            kind,
+            threshold,
+            consecutive,
+        };
+        [
+            row("skew", self.skew_cov_threshold, 1),
+            row(
+                "straggler",
+                self.straggler_factor,
+                self.straggler_consecutive,
+            ),
+            row("slow_link", self.slowlink_factor, self.slowlink_consecutive),
+        ]
+    }
+}
+
+/// Consecutive deviant rounds of one `(kind, subject)`, and the round
+/// it was last judged in.
+struct Streak {
+    kind: &'static str,
+    subject: Option<String>,
+    run: u32,
+    judged_round: u64,
+}
+
+/// The hysteresis engine every detector row runs on: it owns the streak
+/// table and the alert list.
+#[derive(Default)]
+struct Hysteresis {
+    streaks: Vec<Streak>,
+    alerts: Vec<Alert>,
+    /// The ingest round being judged, and its timestamp.
+    round: u64,
+    now_unix_ms: u64,
+}
+
+impl Hysteresis {
+    /// Records one subject's verdict for this round — `deviant` carries
+    /// `(value, detail)` when the subject is off its baseline — and
+    /// creates, refreshes or deactivates the alert keyed
+    /// `(kind, subject)` once the subject has been deviant for
+    /// `consecutive` rounds in a row.
+    fn judge(&mut self, d: &Detector, subject: Option<String>, deviant: Option<(f64, String)>) {
+        let known = |s: &Streak| s.kind == d.kind && s.subject == subject;
+        let at = self.streaks.iter().position(known).unwrap_or_else(|| {
+            self.streaks.push(Streak {
+                kind: d.kind,
+                subject: subject.clone(),
+                run: 0,
+                judged_round: 0,
+            });
+            self.streaks.len() - 1
+        });
+        let streak = &mut self.streaks[at];
+        streak.run = if deviant.is_some() { streak.run + 1 } else { 0 };
+        streak.judged_round = self.round;
+        let firing = deviant.filter(|_| streak.run >= d.consecutive);
+        let owned = |a: &&mut Alert| a.kind == d.kind && a.rank == subject;
+        match (self.alerts.iter_mut().find(owned), firing) {
+            (Some(a), Some((value, detail))) => {
+                a.active = true;
+                a.last_seen_unix_ms = self.now_unix_ms;
+                a.value = value;
+                a.detail = detail;
+            }
+            (Some(a), None) => a.active = false,
+            (None, Some((value, detail))) => self.alerts.push(Alert {
+                kind: d.kind,
+                rank: subject,
+                first_seen_unix_ms: self.now_unix_ms,
+                last_seen_unix_ms: self.now_unix_ms,
+                active: true,
+                value,
+                threshold: d.threshold,
+                detail,
+            }),
+            (None, None) => {}
+        }
+    }
+
+    /// Subjects of `kind` nobody judged this round — the links of an
+    /// evicted rank, a link that stopped being exported — lose their
+    /// streak and their alert deactivates, same as a cleared condition,
+    /// so a dead rank can't pin a stale record active forever.
+    fn retire_unjudged(&mut self, kind: &str) {
+        let (round, alerts) = (self.round, &mut self.alerts);
+        self.streaks.retain(|s| {
+            let stale = s.kind == kind && s.judged_round != round;
+            if stale {
+                let owned = |a: &&mut Alert| a.kind == kind && a.rank == s.subject;
+                if let Some(a) = alerts.iter_mut().find(owned) {
+                    a.active = false;
+                }
+            }
+            !stale
+        });
+    }
+
+    /// Bounds retained history, never dropping active alerts.
+    fn bound_history(&mut self) {
+        let mut excess = self.alerts.len().saturating_sub(MAX_ALERTS);
+        self.alerts.retain(|a| {
+            let drop = !a.active && excess > 0;
+            excess -= usize::from(drop);
+            !drop
+        });
+    }
+}
+
 struct ClusterInner {
     ranks: Vec<RankState>,
-    alerts: Vec<Alert>,
+    engine: Hysteresis,
     rounds: u64,
     skew_cov: f64,
     last_round_unix_ms: u64,
+}
+
+/// `value` against the cluster `median` × `factor`, above an absolute
+/// `floor` (so quiet meshes don't flag noise): the deviation ratio and
+/// the median when the value is over the bar.
+fn over_median(value: f64, median: Option<f64>, factor: f64, floor: f64) -> Option<(f64, f64)> {
+    let median = median?;
+    let ratio = if median > 0.0 { value / median } else { value };
+    (value > (median * factor).max(floor)).then_some((ratio, median))
+}
+
+impl ClusterInner {
+    /// Runs the detector table over the current state and updates the
+    /// alert list.
+    fn detect(&mut self, config: &ClusterConfig, now_unix_ms: u64) {
+        let [skew, straggler, slow_link] = config.detectors();
+        let engine = &mut self.engine;
+        (engine.round, engine.now_unix_ms) = (self.rounds, now_unix_ms);
+
+        // --- Skew: CoV of window-averaged per-rank load. Two rounds of
+        // data per rank minimum, so a single scrape blip can't fire it.
+        let means: Vec<f64> = self
+            .ranks
+            .iter()
+            .filter(|r| r.reachable && r.loads.len() >= 2)
+            .map(|r| r.loads.iter().sum::<f64>() / r.loads.len() as f64)
+            .collect();
+        let mut skew_cov = 0.0;
+        if means.len() >= 2 {
+            let mean = means.iter().sum::<f64>() / means.len() as f64;
+            if mean > 0.0 {
+                let var =
+                    means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / means.len() as f64;
+                skew_cov = var.sqrt() / mean;
+            }
+        }
+        self.skew_cov = skew_cov;
+        let deviant = (skew_cov >= skew.threshold).then(|| {
+            let (at, n) = (skew.threshold, means.len());
+            let detail =
+                format!("per-rank load CoV {skew_cov:.2} (threshold {at:.2}) across {n} ranks");
+            (skew_cov, detail)
+        });
+        engine.judge(&skew, None, deviant);
+
+        // --- Stragglers: utilization below median/factor, or p99
+        // ready-delay above median×factor, K rounds in a row.
+        let reachable = || self.ranks.iter().filter(|r| r.reachable);
+        let p99 = |r: &RankState| r.histogram("ready_delay").map(|h| h.p99() as f64);
+        let utils: Vec<f64> = reachable().filter_map(|r| r.utilization).collect();
+        let delays: Vec<f64> = reachable().filter_map(p99).collect();
+        let (median_util, median_delay) = (median(&utils), median(&delays));
+        let k = straggler.threshold;
+        for rank in reachable() {
+            // Idle clusters (median utilization ≈ 0) have no meaningful
+            // "slow rank"; require a working median before flagging.
+            let idle = rank.utilization.zip(median_util);
+            let idle = idle.filter(|(u, mu)| *mu >= 0.02 && *u < mu / k);
+            let slow = idle
+                .map(|(u, mu)| {
+                    let ratio = if u > 0.0 { mu / u } else { f64::INFINITY };
+                    let (u, mu) = (u * 100.0, mu * 100.0);
+                    let detail = format!("utilization {u:.0}% vs cluster median {mu:.0}%");
+                    (ratio, detail)
+                })
+                .or_else(|| {
+                    let (d, working) = (p99(rank)?, median_delay.filter(|md| *md > 0.0));
+                    let (ratio, md) = over_median(d, working, k, 0.0)?;
+                    let (d, md) = (d / 1e3, md / 1e3);
+                    let detail = format!("ready-delay p99 {d:.0}us vs cluster median {md:.0}us");
+                    Some((ratio, detail))
+                });
+            let label = &rank.rank_label;
+            let slow = slow.map(|(v, detail)| (v, format!("rank {label}: {detail}")));
+            engine.judge(&straggler, Some(label.clone()), slow);
+        }
+
+        // --- Slow links: ack RTT (or unacked backlog) far above the
+        // cluster-median link, K rounds in a row. Medians need at least
+        // two links with data so a lone link can't be its own baseline,
+        // and the absolute floors keep sub-millisecond loopback jitter
+        // from flagging.
+        let links = || reachable().flat_map(|r| r.links.iter().map(move |l| (r, l)));
+        let rtts = links().map(|(_, l)| l.values[ACK_RTT_US] as f64);
+        let rtts: Vec<f64> = rtts.filter(|rtt| *rtt > 0.0).collect();
+        let lags: Vec<f64> = links().map(|(_, l)| l.values[ACK_LAG_SEQ] as f64).collect();
+        let median_rtt = median(&rtts).filter(|_| rtts.len() >= 2);
+        let median_lag = median(&lags).filter(|_| lags.len() >= 2);
+        let k = slow_link.threshold;
+        for (rank, l) in links() {
+            let (rtt, lag) = (l.values[ACK_RTT_US], l.values[ACK_LAG_SEQ]);
+            let slow = over_median(rtt as f64, median_rtt, k, SLOWLINK_MIN_RTT_US)
+                .map(|(ratio, m)| (ratio, format!("ack RTT {rtt}us vs cluster median {m:.0}us")))
+                .or_else(|| {
+                    let (ratio, m) = over_median(lag as f64, median_lag, k, SLOWLINK_MIN_LAG)?;
+                    let detail = format!("ack lag {lag} frames vs cluster median {m:.0}");
+                    Some((ratio, detail))
+                });
+            let link = format!("{}->{}", rank.rank_label, l.peer);
+            let slow = slow.map(|(v, detail)| (v, format!("link {link}: {detail}")));
+            engine.judge(&slow_link, Some(link), slow);
+        }
+        engine.retire_unjudged(slow_link.kind);
+        engine.bound_history();
+    }
 }
 
 /// Health callback for the embedded self rank (healthy, degraded).
@@ -378,7 +569,7 @@ impl ClusterAggregator {
             config,
             inner: Mutex::new(ClusterInner {
                 ranks,
-                alerts: Vec::new(),
+                engine: Hysteresis::default(),
                 rounds: 0,
                 skew_cov: 0.0,
                 last_round_unix_ms: 0,
@@ -415,13 +606,14 @@ impl ClusterAggregator {
 
     /// Snapshot of all alert records (active and retained-inactive).
     pub fn alerts(&self) -> Vec<Alert> {
-        self.inner.lock().alerts.clone()
+        self.inner.lock().engine.alerts.clone()
     }
 
     /// Currently active alerts.
     pub fn active_alerts(&self) -> Vec<Alert> {
         self.inner
             .lock()
+            .engine
             .alerts
             .iter()
             .filter(|a| a.active)
@@ -447,7 +639,7 @@ impl ClusterAggregator {
         let mut observations = Vec::with_capacity(self.config.targets.len());
         for (i, target) in self.config.targets.iter().enumerate() {
             let mut ob = RankObservation::default();
-            if let Some((status, body)) = http_get(target, "/metrics.json", SCRAPE_IO_TIMEOUT) {
+            if let Some((status, body)) = scrape(target, "/metrics.json") {
                 if status == 200 {
                     ob.metrics = serde_json::from_str::<Value>(&body)
                         .ok()
@@ -455,7 +647,7 @@ impl ClusterAggregator {
                         .and_then(MetricsSnapshot::from_value);
                 }
             }
-            if let Some((status, body)) = http_get(target, "/timeseries.json", SCRAPE_IO_TIMEOUT) {
+            if let Some((status, body)) = scrape(target, "/timeseries.json") {
                 if status == 200 {
                     ob.timeseries = serde_json::from_str::<Value>(&body).ok().map(|v| {
                         (
@@ -479,7 +671,7 @@ impl ClusterAggregator {
                     None => ob.metrics.is_some().then_some((true, false)),
                 }
             } else {
-                http_get(target, "/healthz", SCRAPE_IO_TIMEOUT).map(|(status, body)| {
+                scrape(target, "/healthz").map(|(status, body)| {
                     let degraded = serde_json::from_str::<Value>(&body)
                         .ok()
                         .and_then(|v| v.get("degraded").and_then(Value::as_bool))
@@ -514,7 +706,6 @@ impl ClusterAggregator {
                 rank.utilization = None;
                 rank.prev_busy = None;
                 rank.links.clear();
-                rank.slowlink_streaks.clear();
                 continue;
             }
             rank.rounds_seen += 1;
@@ -554,290 +745,7 @@ impl ClusterAggregator {
         }
         inner.rounds += 1;
         inner.last_round_unix_ms = now_unix_ms;
-        Self::detect(&self.config, inner, now_unix_ms);
-    }
-
-    /// Runs the skew and straggler detectors over the current state and
-    /// updates the alert list.
-    fn detect(config: &ClusterConfig, inner: &mut ClusterInner, now_unix_ms: u64) {
-        // --- Skew: CoV of window-averaged per-rank load. Two rounds of
-        // data per rank minimum, so a single scrape blip can't fire it.
-        let means: Vec<f64> = inner
-            .ranks
-            .iter()
-            .filter(|r| r.reachable && r.loads.len() >= 2)
-            .map(|r| r.loads.iter().sum::<f64>() / r.loads.len() as f64)
-            .collect();
-        let mut skew_cov = 0.0;
-        if means.len() >= 2 {
-            let mean = means.iter().sum::<f64>() / means.len() as f64;
-            if mean > 0.0 {
-                let var =
-                    means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / means.len() as f64;
-                skew_cov = var.sqrt() / mean;
-            }
-        }
-        inner.skew_cov = skew_cov;
-        let skew_firing = skew_cov >= config.skew_cov_threshold;
-        Self::upsert_alert(
-            &mut inner.alerts,
-            "skew",
-            None,
-            skew_firing,
-            skew_cov,
-            config.skew_cov_threshold,
-            format!(
-                "per-rank load CoV {:.2} (threshold {:.2}) across {} ranks",
-                skew_cov,
-                config.skew_cov_threshold,
-                means.len()
-            ),
-            now_unix_ms,
-        );
-
-        // --- Stragglers: utilization below median/factor, or p99
-        // ready-delay above median×factor, K rounds in a row.
-        let utils: Vec<f64> = inner
-            .ranks
-            .iter()
-            .filter(|r| r.reachable)
-            .filter_map(|r| r.utilization)
-            .collect();
-        let median_util = median(&utils);
-        let delays: Vec<f64> = inner
-            .ranks
-            .iter()
-            .filter(|r| r.reachable)
-            .filter_map(|r| r.histogram("ready_delay").map(|h| h.p99() as f64))
-            .collect();
-        let median_delay = median(&delays);
-        for i in 0..inner.ranks.len() {
-            let rank = &inner.ranks[i];
-            if !rank.reachable {
-                continue;
-            }
-            let mut deviant: Option<(f64, String)> = None;
-            // Idle clusters (median utilization ≈ 0) have no meaningful
-            // "slow rank"; require a working median before flagging.
-            if let (Some(u), Some(mu)) = (rank.utilization, median_util) {
-                if mu >= 0.02 && u < mu / config.straggler_factor {
-                    let ratio = if u > 0.0 { mu / u } else { f64::INFINITY };
-                    deviant = Some((
-                        ratio,
-                        format!(
-                            "utilization {:.0}% vs cluster median {:.0}%",
-                            u * 100.0,
-                            mu * 100.0
-                        ),
-                    ));
-                }
-            }
-            if deviant.is_none() {
-                if let (Some(d), Some(md)) = (
-                    rank.histogram("ready_delay").map(|h| h.p99() as f64),
-                    median_delay,
-                ) {
-                    if md > 0.0 && d > md * config.straggler_factor {
-                        deviant = Some((
-                            d / md,
-                            format!(
-                                "ready-delay p99 {:.0}us vs cluster median {:.0}us",
-                                d / 1e3,
-                                md / 1e3
-                            ),
-                        ));
-                    }
-                }
-            }
-            let label = rank.rank_label.clone();
-            let rank = &mut inner.ranks[i];
-            match deviant {
-                Some(_) => rank.straggler_streak += 1,
-                None => rank.straggler_streak = 0,
-            }
-            let firing = rank.straggler_streak >= config.straggler_consecutive;
-            let (value, detail) = deviant.unwrap_or((0.0, String::new()));
-            Self::upsert_alert(
-                &mut inner.alerts,
-                "straggler",
-                Some(label.clone()),
-                firing,
-                value,
-                config.straggler_factor,
-                format!("rank {label}: {detail}"),
-                now_unix_ms,
-            );
-        }
-
-        // --- Slow links: ack RTT (or unacked backlog) far above the
-        // cluster-median link, K rounds in a row. Medians need at least
-        // two links with data so a lone link can't be its own baseline,
-        // and the absolute floors keep sub-millisecond loopback jitter
-        // from flagging.
-        let rtts: Vec<f64> = inner
-            .ranks
-            .iter()
-            .filter(|r| r.reachable)
-            .flat_map(|r| r.links.iter())
-            .filter(|l| l.ack_rtt_us > 0)
-            .map(|l| l.ack_rtt_us as f64)
-            .collect();
-        let median_rtt = median(&rtts).filter(|_| rtts.len() >= 2);
-        let lags: Vec<f64> = inner
-            .ranks
-            .iter()
-            .filter(|r| r.reachable)
-            .flat_map(|r| r.links.iter())
-            .map(|l| l.ack_lag_seq as f64)
-            .collect();
-        let median_lag = median(&lags).filter(|_| lags.len() >= 2);
-        for i in 0..inner.ranks.len() {
-            if !inner.ranks[i].reachable {
-                // Evicted rank: its links were cleared above; retire any
-                // alerts it owned so a dead rank can't pin a stale
-                // slow-link record active forever.
-                let prefix = format!("{}->", inner.ranks[i].rank_label);
-                for a in inner.alerts.iter_mut() {
-                    if a.kind == "slow_link"
-                        && a.rank.as_deref().is_some_and(|l| l.starts_with(&prefix))
-                    {
-                        a.active = false;
-                    }
-                }
-                continue;
-            }
-            let label = inner.ranks[i].rank_label.clone();
-            let links: Vec<(String, u64, u64)> = inner.ranks[i]
-                .links
-                .iter()
-                .map(|l| (l.peer.clone(), l.ack_rtt_us, l.ack_lag_seq))
-                .collect();
-            for (peer, rtt, lag) in &links {
-                let mut deviant: Option<(f64, String)> = None;
-                if let Some(mrtt) = median_rtt {
-                    let bar = (mrtt * config.slowlink_factor).max(SLOWLINK_MIN_RTT_US);
-                    if *rtt > 0 && mrtt > 0.0 && (*rtt as f64) > bar {
-                        deviant = Some((
-                            *rtt as f64 / mrtt,
-                            format!("ack RTT {rtt}us vs cluster median {mrtt:.0}us"),
-                        ));
-                    }
-                }
-                if deviant.is_none() {
-                    if let Some(mlag) = median_lag {
-                        let bar = (mlag * config.slowlink_factor).max(SLOWLINK_MIN_LAG);
-                        if (*lag as f64) > bar {
-                            let ratio = if mlag > 0.0 {
-                                *lag as f64 / mlag
-                            } else {
-                                *lag as f64
-                            };
-                            deviant = Some((
-                                ratio,
-                                format!("ack lag {lag} frames vs cluster median {mlag:.0}"),
-                            ));
-                        }
-                    }
-                }
-                let rank = &mut inner.ranks[i];
-                let streak = match rank.slowlink_streaks.iter_mut().find(|(p, _)| p == peer) {
-                    Some((_, s)) => {
-                        *s = if deviant.is_some() { *s + 1 } else { 0 };
-                        *s
-                    }
-                    None => {
-                        let s = u32::from(deviant.is_some());
-                        rank.slowlink_streaks.push((peer.clone(), s));
-                        s
-                    }
-                };
-                let firing = streak >= config.slowlink_consecutive;
-                let link_label = format!("{label}->{peer}");
-                let (value, detail) = deviant.unwrap_or((0.0, String::new()));
-                Self::upsert_alert(
-                    &mut inner.alerts,
-                    "slow_link",
-                    Some(link_label.clone()),
-                    firing,
-                    value,
-                    config.slowlink_factor,
-                    format!("link {link_label}: {detail}"),
-                    now_unix_ms,
-                );
-            }
-            // Links that stopped being exported (gone idle) lose their
-            // streaks and deactivate, same as a cleared condition.
-            let rank = &mut inner.ranks[i];
-            let stale: Vec<String> = rank
-                .slowlink_streaks
-                .iter()
-                .filter(|(p, _)| !links.iter().any(|(lp, _, _)| lp == p))
-                .map(|(p, _)| p.clone())
-                .collect();
-            rank.slowlink_streaks
-                .retain(|(p, _)| links.iter().any(|(lp, _, _)| lp == p));
-            for peer in stale {
-                Self::upsert_alert(
-                    &mut inner.alerts,
-                    "slow_link",
-                    Some(format!("{label}->{peer}")),
-                    false,
-                    0.0,
-                    config.slowlink_factor,
-                    String::new(),
-                    now_unix_ms,
-                );
-            }
-        }
-
-        // Bound retained history, never dropping active alerts.
-        if inner.alerts.len() > MAX_ALERTS {
-            let excess = inner.alerts.len() - MAX_ALERTS;
-            let mut dropped = 0;
-            inner.alerts.retain(|a| {
-                if !a.active && dropped < excess {
-                    dropped += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-    }
-
-    /// Creates, refreshes or deactivates the alert keyed `(kind, rank)`.
-    #[allow(clippy::too_many_arguments)]
-    fn upsert_alert(
-        alerts: &mut Vec<Alert>,
-        kind: &'static str,
-        rank: Option<String>,
-        firing: bool,
-        value: f64,
-        threshold: f64,
-        detail: String,
-        now_unix_ms: u64,
-    ) {
-        let existing = alerts.iter_mut().find(|a| a.kind == kind && a.rank == rank);
-        match (existing, firing) {
-            (Some(a), true) => {
-                a.active = true;
-                a.last_seen_unix_ms = now_unix_ms;
-                a.value = value;
-                a.detail = detail;
-            }
-            (Some(a), false) => a.active = false,
-            (None, true) => alerts.push(Alert {
-                kind,
-                rank,
-                first_seen_unix_ms: now_unix_ms,
-                last_seen_unix_ms: now_unix_ms,
-                active: true,
-                value,
-                threshold,
-                detail,
-            }),
-            (None, false) => {}
-        }
+        inner.detect(&self.config, now_unix_ms);
     }
 
     /// The merged cluster-level snapshot: every reachable rank's
@@ -859,14 +767,14 @@ impl ClusterAggregator {
         }
         let mut m = total.unwrap_or_default();
         let unreachable = inner.ranks.iter().filter(|r| !r.reachable).count();
-        let active = inner.alerts.iter().filter(|a| a.active).count();
+        let active = inner.engine.alerts.iter().filter(|a| a.active).count();
         m.gauge("cluster_ranks", inner.ranks.len() as u64);
         m.gauge("cluster_ranks_unreachable", unreachable as u64);
         m.gauge("cluster_alerts_active", active as u64);
         m.gauge("cluster_skew_cov", (inner.skew_cov * 100.0).round() as u64);
         for rank in &inner.ranks {
             let labels = vec![("rank".to_string(), rank.rank_label.clone())];
-            let straggling = inner.alerts.iter().any(|a| {
+            let straggling = inner.engine.alerts.iter().any(|a| {
                 a.active && a.kind == "straggler" && a.rank.as_deref() == Some(&rank.rank_label)
             });
             m.labeled_gauge("cluster_straggler", labels.clone(), u64::from(straggling));
@@ -879,8 +787,8 @@ impl ClusterAggregator {
             }
         }
         // Firing slow links only — idle meshes (and builds without
-        // `obs-wire`) add nothing, keeping the no-wire output identical.
-        for a in inner.alerts.iter() {
+        // `obs`) add nothing, keeping the no-wire output identical.
+        for a in inner.engine.alerts.iter() {
             if a.active && a.kind == "slow_link" {
                 if let Some(link) = &a.rank {
                     m.labeled_gauge(
@@ -981,7 +889,7 @@ impl ClusterAggregator {
                     ),
                 ];
                 // Link telemetry only when the rank exports it — ranks
-                // built without `obs-wire` keep the pre-wire shape.
+                // built without `obs` keep the pre-wire shape.
                 if !r.links.is_empty() {
                     fields.push((
                         "links".to_string(),
@@ -993,7 +901,7 @@ impl ClusterAggregator {
                 Value::Object(fields)
             })
             .collect();
-        let active = inner.alerts.iter().filter(|a| a.active).count();
+        let active = inner.engine.alerts.iter().filter(|a| a.active).count();
         let mut fields = vec![
             ("schema".to_string(), Value::UInt(1)),
             ("generated_unix_ms".to_string(), Value::UInt(now_unix_ms)),
@@ -1015,21 +923,24 @@ impl ClusterAggregator {
                         .iter()
                         .find(|p| p.rank_label == l.peer)
                         .and_then(|p| p.links.iter().find(|pl| pl.peer == r.rank_label))
-                        .map(|pl| pl.rx_bytes);
+                        .map(|pl| pl.values[BYTES_RX]);
                     matrix.push(Value::Object(vec![
                         ("from".to_string(), Value::String(r.rank_label.clone())),
                         ("to".to_string(), Value::String(l.peer.clone())),
-                        ("tx_bytes".to_string(), Value::UInt(l.tx_bytes)),
-                        ("tx_frames".to_string(), Value::UInt(l.tx_frames)),
+                        ("tx_bytes".to_string(), Value::UInt(l.values[BYTES_TX])),
+                        ("tx_frames".to_string(), Value::UInt(l.values[FRAMES_TX])),
                         (
                             "peer_rx_bytes".to_string(),
                             peer_rx.map(Value::UInt).unwrap_or(Value::Null),
                         ),
-                        ("ack_rtt_us".to_string(), Value::UInt(l.ack_rtt_us)),
-                        ("ack_lag_seq".to_string(), Value::UInt(l.ack_lag_seq)),
+                        ("ack_rtt_us".to_string(), Value::UInt(l.values[ACK_RTT_US])),
+                        (
+                            "ack_lag_seq".to_string(),
+                            Value::UInt(l.values[ACK_LAG_SEQ]),
+                        ),
                         (
                             "resend_buffer_bytes".to_string(),
-                            Value::UInt(l.resend_buffer_bytes),
+                            Value::UInt(l.values[RESEND_BUFFER_BYTES]),
                         ),
                     ]));
                 }
@@ -1044,8 +955,9 @@ impl ClusterAggregator {
     /// Renders `/alerts.json`.
     pub fn alerts_json(&self) -> String {
         let inner = self.inner.lock();
-        let active = inner.alerts.iter().filter(|a| a.active).count();
+        let active = inner.engine.alerts.iter().filter(|a| a.active).count();
         let alerts: Vec<Value> = inner
+            .engine
             .alerts
             .iter()
             .map(|a| {
@@ -1106,7 +1018,7 @@ impl ClusterAggregator {
         let unreachable = list(&|r| !r.reachable);
         let unhealthy = list(&|r| r.reachable && !r.healthy);
         let degraded_ranks = list(&|r| r.reachable && r.degraded);
-        let active: Vec<&Alert> = inner.alerts.iter().filter(|a| a.active).collect();
+        let active: Vec<&Alert> = inner.engine.alerts.iter().filter(|a| a.active).collect();
         let healthy = unreachable.is_empty() && unhealthy.is_empty();
         let degraded = !degraded_ranks.is_empty() || !active.is_empty();
         let alert_kinds: Vec<Value> = active
@@ -1170,24 +1082,9 @@ pub fn cluster_routes(agg: Arc<ClusterAggregator>, claim_healthz: bool) -> Dynam
     })
 }
 
-/// Minimal HTTP/1.0 GET, the same raw-`TcpStream` style the endpoint
-/// tests use. Returns `(status, body)`, or `None` on any I/O or parse
-/// failure (an unreachable rank).
-pub fn http_get(target: &str, path: &str, timeout: Duration) -> Option<(u16, String)> {
-    let addr = target.to_socket_addrs().ok()?.next()?;
-    let mut s = TcpStream::connect_timeout(&addr, timeout).ok()?;
-    s.set_read_timeout(Some(timeout)).ok()?;
-    s.set_write_timeout(Some(timeout)).ok()?;
-    write!(
-        s,
-        "GET {path} HTTP/1.0\r\nHost: {target}\r\nConnection: close\r\n\r\n"
-    )
-    .ok()?;
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).ok()?;
-    let (head, body) = resp.split_once("\r\n\r\n")?;
-    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-    Some((status, body.to_string()))
+/// One scrape GET; `None` is an unreachable rank.
+fn scrape(target: &str, path: &str) -> Option<(u16, String)> {
+    http_request(target, "GET", path, None, SCRAPE_IO_TIMEOUT)
 }
 
 fn unix_ms() -> u64 {
@@ -1846,17 +1743,17 @@ mod tests {
         };
         let dash = ObsHttpServer::serve(0, routes).unwrap();
         let target = format!("127.0.0.1:{}", dash.port());
-        let (status, body) = http_get(&target, "/cluster.json", Duration::from_secs(2)).unwrap();
+        let (status, body) = scrape(&target, "/cluster.json").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"totals\""));
-        let (status, body) = http_get(&target, "/alerts.json", Duration::from_secs(2)).unwrap();
+        let (status, body) = scrape(&target, "/alerts.json").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"alerts\""));
-        let (status, body) = http_get(&target, "/cluster/metrics", Duration::from_secs(2)).unwrap();
+        let (status, body) = scrape(&target, "/cluster/metrics").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("ttg_cluster_skew_cov"));
         assert!(body.contains("ttg_cluster_ranks 2"));
-        let (status, body) = http_get(&target, "/healthz", Duration::from_secs(2)).unwrap();
+        let (status, body) = scrape(&target, "/healthz").unwrap();
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"aggregator\": true"));
 
@@ -1864,7 +1761,7 @@ mod tests {
         // names it.
         drop(r1);
         agg.scrape_once(3_000);
-        let (status, body) = http_get(&target, "/healthz", Duration::from_secs(2)).unwrap();
+        let (status, body) = scrape(&target, "/healthz").unwrap();
         assert_eq!(status, 503);
         assert!(body.contains("unreachable_ranks"));
     }

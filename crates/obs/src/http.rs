@@ -28,9 +28,13 @@
 //! The route bodies are opaque closures so this module depends on
 //! nothing above it; `ttg-runtime`'s live-telemetry glue wires them to
 //! the real runtime state.
+//!
+//! [`http_request`] is the matching client — the only raw-`TcpStream`
+//! HTTP client in the workspace; the cluster aggregator's scrapes and
+//! every endpoint test go through it.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -218,19 +222,21 @@ fn reason(status: u16) -> &'static str {
 fn read_head(stream: &mut TcpStream) -> (Vec<u8>, Option<usize>) {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
+    let mut scanned = 0usize;
     loop {
-        if let Some(pos) = find_head_end(&buf) {
-            return (buf, Some(pos));
+        // Only the new bytes need scanning, plus the last 3 of the
+        // previous fill: the terminator may straddle two reads.
+        let from = scanned.saturating_sub(3);
+        if let Some(pos) = find_head_end(&buf[from..]) {
+            return (buf, Some(from + pos));
         }
+        scanned = buf.len();
         if buf.len() > MAX_HEAD {
             return (buf, None);
         }
         match stream.read(&mut chunk) {
             Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
-            _ => {
-                let end = find_head_end(&buf);
-                return (buf, end);
-            }
+            _ => return (buf, None),
         }
     }
 }
@@ -288,7 +294,12 @@ fn handle_connection(mut stream: TcpStream, routes: &HttpRoutes) -> std::io::Res
             Err(_) => break,
         }
     }
-    let body = buf[head_end..(head_end + want).min(buf.len())].to_vec();
+    if buf.len() < head_end + want {
+        // The peer closed (or stalled past the deadline) before sending
+        // what it announced: a truncated body must not reach a route.
+        return respond(&mut stream, HttpResponse::text(400, "truncated body\n"));
+    }
+    let body = buf[head_end..head_end + want].to_vec();
 
     let request = HttpRequest {
         method,
@@ -350,19 +361,49 @@ fn respond(stream: &mut TcpStream, resp: HttpResponse) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Minimal HTTP/1.0 client: one request to `target` (`host:port`), with
+/// a `Content-Length` body when `body` is given; `timeout` bounds the
+/// connect, the write and the read. Returns `(status, body)`, or `None`
+/// on any I/O or parse failure (an unreachable peer).
+pub fn http_request(
+    target: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    timeout: Duration,
+) -> Option<(u16, String)> {
+    let addr = target.to_socket_addrs().ok()?.next()?;
+    let mut s = TcpStream::connect_timeout(&addr, timeout).ok()?;
+    s.set_read_timeout(Some(timeout)).ok()?;
+    s.set_write_timeout(Some(timeout)).ok()?;
+    let length = body.map(|b| format!("Content-Length: {}\r\n", b.len()));
+    write!(
+        s,
+        "{method} {path} HTTP/1.0\r\nHost: {target}\r\n{}Connection: close\r\n\r\n{}",
+        length.unwrap_or_default(),
+        body.unwrap_or("")
+    )
+    .ok()?;
+    let mut resp = String::new();
+    s.read_to_string(&mut resp).ok()?;
+    let (head, body) = resp.split_once("\r\n\r\n")?;
+    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
+    Some((status, body.to_string()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
+    fn request(port: u16, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
+        let target = format!("127.0.0.1:{port}");
+        http_request(&target, method, path, body, CLIENT_IO_TIMEOUT).expect("request")
+    }
+
     fn get(port: u16, path: &str) -> (String, String) {
-        let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
-        write!(s, "GET {path} HTTP/1.0\r\nHost: localhost\r\n\r\n").unwrap();
-        let mut resp = String::new();
-        s.read_to_string(&mut resp).unwrap();
-        let (head, body) = resp.split_once("\r\n\r\n").unwrap();
-        let status = head.lines().next().unwrap().to_string();
-        (status, body.to_string())
+        let (status, body) = request(port, "GET", path, None);
+        (status.to_string(), body)
     }
 
     fn test_routes(unhealthy: Arc<AtomicBool>) -> HttpRoutes {
@@ -433,18 +474,10 @@ mod tests {
         assert!(status.contains("200"), "{status}");
         // POST is a supported method now, but the built-in routes are
         // read-only: an unclaimed POST is still 405.
-        let mut s = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-        write!(s, "POST /metrics HTTP/1.0\r\n\r\n").unwrap();
-        let mut resp = String::new();
-        s.read_to_string(&mut resp).unwrap();
-        assert!(resp.contains("405"), "{resp}");
+        assert_eq!(request(srv.port(), "POST", "/metrics", None).0, 405);
         // Methods beyond GET/POST are rejected outright.
         for method in ["PUT", "DELETE", "HEAD"] {
-            let mut s = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-            write!(s, "{method} /metrics HTTP/1.0\r\n\r\n").unwrap();
-            let mut resp = String::new();
-            s.read_to_string(&mut resp).unwrap();
-            assert!(resp.contains("405"), "{method}: {resp}");
+            assert_eq!(request(srv.port(), method, "/metrics", None).0, 405);
         }
     }
 
@@ -468,17 +501,8 @@ mod tests {
         let srv = ObsHttpServer::serve(0, routes).unwrap();
 
         // POST with a body, delivered intact.
-        let mut s = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-        let payload = "hello=world";
-        write!(
-            s,
-            "POST /echo?src=test HTTP/1.0\r\nContent-Length: {}\r\n\r\n{payload}",
-            payload.len()
-        )
-        .unwrap();
-        let mut resp = String::new();
-        s.read_to_string(&mut resp).unwrap();
-        assert!(resp.contains("200"), "{resp}");
+        let (status, resp) = request(srv.port(), "POST", "/echo?src=test", Some("hello=world"));
+        assert_eq!(status, 200, "{resp}");
         assert!(resp.contains("\"method\":\"POST\""), "{resp}");
         assert!(resp.contains("\"body\":\"hello=world\""), "{resp}");
 
@@ -491,12 +515,42 @@ mod tests {
         let (status, _) = get(srv.port(), "/metrics");
         assert!(status.contains("200"), "{status}");
 
-        // Oversize bodies are refused before dispatch.
-        let mut s = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
-        write!(s, "POST /echo HTTP/1.0\r\nContent-Length: 99999999\r\n\r\n").unwrap();
-        let mut resp = String::new();
-        s.read_to_string(&mut resp).unwrap();
-        assert!(resp.contains("413"), "{resp}");
+        // Oversize bodies are refused before dispatch, and so is a body
+        // shorter than its announced length (peer closed early): the
+        // route must never see a truncated payload. Raw streams — the
+        // client cannot lie about its own Content-Length.
+        for (announced, sent, expect) in [("99999999", "", "413"), ("64", "ten bytes!", "400")] {
+            let mut s = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
+            write!(
+                s,
+                "POST /echo HTTP/1.0\r\nContent-Length: {announced}\r\n\r\n{sent}"
+            )
+            .unwrap();
+            s.shutdown(Shutdown::Write).unwrap();
+            let mut resp = String::new();
+            s.read_to_string(&mut resp).unwrap();
+            assert!(resp.contains(expect), "{announced}/{sent}: {resp}");
+            assert!(!resp.contains("\"method\""), "reached the route: {resp}");
+        }
+    }
+
+    #[test]
+    fn head_terminator_split_across_reads_is_found() {
+        // The scan resumes 3 bytes before the previous fill's end, so a
+        // `\r\n\r\n` cut anywhere by the 512-byte read size (or by the
+        // sender's packets) still terminates the head.
+        let unhealthy = Arc::new(AtomicBool::new(false));
+        let srv = ObsHttpServer::serve(0, test_routes(unhealthy)).unwrap();
+        // Request line (23 bytes) + "X-Pad: " put the terminator at
+        // offset 30 + pad: 476..486 walks it across the 512-byte edge.
+        for pad in 476..486 {
+            let mut s = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
+            let filler = "x".repeat(pad);
+            write!(s, "GET /metrics HTTP/1.0\r\nX-Pad: {filler}\r\n\r\n").unwrap();
+            let mut resp = String::new();
+            s.read_to_string(&mut resp).unwrap();
+            assert!(resp.contains("200"), "pad {pad}: {resp}");
+        }
     }
 
     #[test]

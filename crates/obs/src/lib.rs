@@ -46,7 +46,7 @@ pub use flame::collapse_chrome_trace;
 pub use flight::{extract_flight_trace, FlightRecorder};
 pub use hist::{HistogramSnapshot, LatencyHistogram, SharedHistogram, HIST_BUCKETS};
 pub use http::{DynamicRoute, HealthVerdict, HttpRequest, HttpResponse, HttpRoutes, ObsHttpServer};
-pub use metrics::{LabelSet, MetricsSnapshot, PeriodicSampler};
+pub use metrics::{LabelSet, MetricsSnapshot, PeriodicSampler, Sample};
 pub use ring::{Event, EventKind, EventRing};
 pub use spans::{
     assemble_spans, pack_span, span_instance, span_tenant_tag, tenant_tag, InstanceSpan, SpanCell,
@@ -54,7 +54,8 @@ pub use spans::{
 };
 pub use timeseries::TimeSeriesRecorder;
 pub use trace::{chrome_trace, flow_id, merge_chrome_traces};
-pub use wire::{LinkSnapshot, WireObs, WireSnapshot, WIRE_ENABLED};
+pub use ttg_sync::{LOCK_FIELDS, OBS};
+pub use wire::{LinkSnapshot, WireObs, WireSnapshot};
 
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -207,19 +208,19 @@ impl Obs {
 
     // --- worker-thread recording (single-writer fast paths) ---
 
-    /// Whether request-scoped span recording is live: the `obs-spans`
-    /// feature is compiled in *and* timeline events are on. Callers use
-    /// this to decide whether stamping span context (and ready times
-    /// for queue-wait attribution) is worth the stores.
+    /// Whether request-scoped span recording is live: `obs` is
+    /// compiled in *and* timeline events are on. Callers use this to
+    /// decide whether stamping span context (and ready times for
+    /// queue-wait attribution) is worth the stores.
     #[inline]
     pub fn spans_enabled(&self) -> bool {
-        cfg!(feature = "obs-spans") && self.events_on
+        OBS && self.events_on
     }
 
     /// Records a task execution: timeline slice plus duration and
     /// ready-delay histograms. `ready_ns == 0` means the enqueue time
     /// was not stamped (histograms off at schedule time). `span` is the
-    /// request-scoped span context (0 = unattributed); with `obs-spans`
+    /// request-scoped span context (0 = unattributed); with `obs`
     /// compiled in, the Task event additionally carries the queue wait
     /// (ready→start) in `arg0` so span assembly can split queue from
     /// execute time without the histograms.
@@ -235,7 +236,7 @@ impl Obs {
     ) {
         let w = self.worker(worker);
         if self.events_on {
-            let queue_ns = if cfg!(feature = "obs-spans") && ready_ns != 0 {
+            let queue_ns = if OBS && ready_ns != 0 {
                 start_ns.saturating_sub(ready_ns)
             } else {
                 0
@@ -248,7 +249,7 @@ impl Obs {
                 dur_ns: end_ns.saturating_sub(start_ns),
                 arg0: queue_ns,
                 arg1: 0,
-                span: if cfg!(feature = "obs-spans") { span } else { 0 },
+                span: if OBS { span } else { 0 },
             });
         }
         if self.hist_on {
@@ -416,7 +417,7 @@ impl Obs {
                 dur_ns: bytes as u64,
                 arg0: dst as u64,
                 arg1: seq,
-                span: if cfg!(feature = "obs-spans") { span } else { 0 },
+                span: if OBS { span } else { 0 },
             });
         }
         seq
@@ -453,7 +454,7 @@ impl Obs {
                 dur_ns: bytes as u64,
                 arg0: src as u64,
                 arg1: seq,
-                span: if cfg!(feature = "obs-spans") { span } else { 0 },
+                span: if OBS { span } else { 0 },
             });
         }
     }
@@ -499,7 +500,7 @@ impl Obs {
     ///
     /// Quiescence requirement: workers must be fenced (idle, nothing
     /// queued) or events recorded during the drain are lost; see
-    /// `Runtime::take_trace`, which fences before calling this.
+    /// `Runtime::take_events`, which fences before calling this.
     pub fn drain_events(&self) -> Vec<Event> {
         let mut all = Vec::new();
         for w in self.workers.iter() {

@@ -17,6 +17,17 @@ use std::time::Duration;
 /// A set of Prometheus-style labels: `(name, value)` pairs.
 pub type LabelSet = Vec<(String, String)>;
 
+/// One value offered to [`MetricsSnapshot::emit_if_set`].
+#[derive(Debug, Clone, Copy)]
+pub enum Sample<'a> {
+    /// A monotonic counter.
+    Counter(u64),
+    /// An instantaneous gauge.
+    Gauge(u64),
+    /// A latency histogram (values in ns).
+    Histogram(&'a HistogramSnapshot),
+}
+
 /// One observation of a process's counters and histograms.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
@@ -116,6 +127,27 @@ impl MetricsSnapshot {
     ) {
         self.labeled_exemplars
             .push((name.to_string(), labels, exemplar, value_ns));
+    }
+
+    /// The one emit-when-set rule: appends `sample` under `name` (a
+    /// labeled series when `labels` is non-empty) only if it carries
+    /// information — a non-zero counter or gauge, a non-empty
+    /// histogram. Everything optional (recovery counters, wire stages,
+    /// link series) goes through here, which is what keeps a snapshot
+    /// in which none of it happened — and every snapshot of a build
+    /// with `obs` off, whose recorders do not exist — byte-identical
+    /// to the format before the series was introduced.
+    pub fn emit_if_set(&mut self, name: &str, labels: LabelSet, sample: Sample) {
+        match (sample, labels.is_empty()) {
+            (Sample::Counter(0) | Sample::Gauge(0), _) => {}
+            (Sample::Histogram(h), _) if h.count() == 0 => {}
+            (Sample::Counter(v), true) => self.counter(name, v),
+            (Sample::Counter(v), false) => self.labeled_counter(name, labels, v),
+            (Sample::Gauge(v), true) => self.gauge(name, v),
+            (Sample::Gauge(v), false) => self.labeled_gauge(name, labels, v),
+            (Sample::Histogram(h), true) => self.histogram(name, *h),
+            (Sample::Histogram(h), false) => self.labeled_histogram(name, labels, *h),
+        }
     }
 
     /// Folds another snapshot in: counters with the same name add,
@@ -615,9 +647,16 @@ fn sparse_buckets(h: &HistogramSnapshot) -> Value {
 }
 
 /// Descriptions for the `# HELP` lines of every metric the runtime
-/// exports. Names not listed (application-defined counters) get no
-/// HELP line, which Prometheus permits.
+/// exports: the lock-contention and per-link families carry theirs in
+/// their field tables, the rest are listed here. Names not listed
+/// (application-defined counters) get no HELP line, which Prometheus
+/// permits.
 fn help_text(name: &str) -> Option<&'static str> {
+    let lock = ttg_sync::LOCK_FIELDS.iter().map(|f| (f.metric, f.help));
+    let link = crate::wire::LINK_FIELDS.iter().map(|f| (f.metric, f.help));
+    if let Some((_, help)) = lock.chain(link).find(|(metric, _)| *metric == name) {
+        return Some(help);
+    }
     Some(match name {
         "tasks_executed" => "Tasks executed by this rank's workers.",
         "parks" => "Times a worker parked idle.",
@@ -648,15 +687,6 @@ fn help_text(name: &str) -> Option<&'static str> {
         "queue_steal_empty" => "Steal attempts that found the victim's queue empty.",
         "queue_overflow_pops" => "Tasks drained from the global overflow FIFO.",
         "queue_detach_merges" => "Detached-segment merges in the LLP scheduler.",
-        "lock_spin_acquisitions" => "Spinlock acquisitions (contention profiling).",
-        "lock_spin_iters" => "Spin iterations across all spinlock acquisitions.",
-        "lock_rw_shared" => "Reader-writer lock shared acquisitions.",
-        "lock_rw_exclusive" => "Reader-writer lock exclusive acquisitions.",
-        "lock_rw_spin_iters" => "Spin iterations across reader-writer lock acquisitions.",
-        "bravo_fast_reads" => "BRAVO read acquisitions served by the visible-reader fast path.",
-        "bravo_slow_reads" => "BRAVO read acquisitions that fell back to the underlying lock.",
-        "bravo_revocations" => "BRAVO fast-path revocations by writers.",
-        "bravo_revocation_ns" => "Nanoseconds writers spent waiting out BRAVO revocations.",
         "trace_events_dropped" => "Trace events lost to event-ring overwrite.",
         "serve_submitted" => "Graph instances admitted per tenant.",
         "serve_completed" => "Graph instances that ran to completion per tenant.",
@@ -692,11 +722,6 @@ fn help_text(name: &str) -> Option<&'static str> {
         "wire_writes" => "Socket write_all calls issued by frame senders.",
         "wire_write_bytes" => "Encoded bytes carried by frame write_all calls.",
         "wire_write_frames" => "Frames carried by write_all calls (batching occupancy).",
-        "net_link_bytes" => "Unique sequenced frame bytes per peer link and direction.",
-        "net_link_frames" => "Unique sequenced frames per peer link and direction.",
-        "net_link_ack_lag_seq" => "Sequenced frames sent but not yet cumulatively acked, per peer.",
-        "net_link_ack_rtt_us" => "Latest send-to-cumulative-ack round trip per peer link.",
-        "net_link_resend_buffer_bytes" => "Bytes buffered for replay per peer link.",
         "cluster_slow_link" => "1 when this rank currently owns a slow-link alert, else 0.",
         _ => return None,
     })
@@ -1075,10 +1100,17 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
         let s = PeriodicSampler::spawn(Duration::from_millis(5), move || {
             h2.fetch_add(1, Ordering::Relaxed);
         });
-        thread::sleep(Duration::from_millis(60));
+        // Wait on the counter, not the clock: a loaded host may take far
+        // longer than 12 intervals to schedule two fires.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while hits.load(Ordering::Relaxed) < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "sampler never fired twice"
+            );
+            thread::yield_now();
+        }
         drop(s);
-        let n = hits.load(Ordering::Relaxed);
-        assert!(n >= 2, "sampler fired only {n} times");
         let frozen = hits.load(Ordering::Relaxed);
         thread::sleep(Duration::from_millis(30));
         assert_eq!(hits.load(Ordering::Relaxed), frozen);

@@ -6,7 +6,7 @@
 //! discipline as `WorkerStatsCell` in ttg-runtime: an aggregator thread
 //! may read concurrently and can observe a torn or stale slot, which is
 //! explicitly accepted for monitoring reads. A *consistent* drain
-//! requires quiescence (all workers fenced); `Runtime::take_trace`
+//! requires quiescence (all workers fenced); `Runtime::take_events`
 //! provides that fence.
 //!
 //! The ring overwrites its oldest slot when full and counts how many
@@ -71,7 +71,7 @@ pub struct Event {
     pub arg1: u64,
     /// Request-scoped span context (`ttg_obs::spans` packing: tenant
     /// tag in the top 16 bits, instance id below). Zero when the event
-    /// is not attributable to an instance or the `obs-spans` feature is
+    /// is not attributable to an instance or the `obs` feature is
     /// off — the field is always present so the ring-slot layout (and
     /// wire/tooling structs) never depend on the feature.
     pub span: u64,
@@ -182,7 +182,7 @@ impl EventRing {
     /// Quiescence requirement: the owning worker must not be recording
     /// concurrently, or events raced in during the drain are lost and
     /// slots may be torn. Callers fence workers first (see
-    /// `Runtime::take_trace`).
+    /// `Runtime::take_events`).
     pub fn drain(&self) -> Vec<Event> {
         let out = self.copy_live();
         self.head.set(0);

@@ -11,11 +11,10 @@
 //! ```
 //!
 //! Zero is reserved for "unattributed" (runtime-internal work, spans
-//! feature off). The context costs one `u64` per task header and one
-//! per wire frame; the recording overhead is feature-gated behind
-//! `obs-spans` — when it is off, [`SpanCell`] is a ZST whose stores
-//! compile away and every ring record carries span 0, mirroring the
-//! `obs-contention` zero-cost pattern.
+//! `obs` off). The context costs one `u64` per task header and one
+//! per wire frame; the recording overhead sits behind the one `obs`
+//! switch — when it is off, [`SpanCell`] is zero-sized, its stores
+//! compile away and every ring record carries span 0 (DESIGN.md §7.5).
 //!
 //! [`assemble_spans`] rebuilds per-instance spans from drained (or
 //! peeked) ring events of one or many ranks: task count, queue-wait vs
@@ -28,7 +27,9 @@
 use crate::ring::{Event, EventKind};
 use parking_lot::Mutex;
 use serde_json::Value;
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
+use ttg_sync::Gated;
 
 /// Bits of the span word reserved for the instance id.
 pub const INSTANCE_BITS: u32 = 48;
@@ -69,115 +70,41 @@ pub fn span_tenant_tag(span: u64) -> u16 {
 
 // ---- span storage on task headers --------------------------------------
 
-/// Span slot embedded in task headers. With `obs-spans` on this is a
-/// `Cell<u64>`; off it is a ZST whose accessors compile to nothing, so
-/// the header layout and hot path pay only when the feature is bought.
-#[cfg(feature = "obs-spans")]
-#[derive(Debug, Default)]
-pub struct SpanCell(std::cell::Cell<u64>);
-
-#[cfg(feature = "obs-spans")]
-impl SpanCell {
-    /// An unattributed (zero) span slot.
-    #[inline]
-    pub fn new() -> Self {
-        SpanCell(std::cell::Cell::new(0))
-    }
-
-    /// Stamps the slot.
-    #[inline]
-    pub fn set(&self, span: u64) {
-        self.0.set(span);
-    }
-
-    /// Stamps the slot only if still unattributed.
-    #[inline]
-    pub fn set_if_unset(&self, span: u64) {
-        if self.0.get() == 0 {
-            self.0.set(span);
-        }
-    }
-
-    /// Current span (0 = unattributed).
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// Span slot embedded in task headers (`obs-spans` off: ZST no-op).
-#[cfg(not(feature = "obs-spans"))]
-#[derive(Debug, Default)]
-pub struct SpanCell;
-
-#[cfg(not(feature = "obs-spans"))]
-impl SpanCell {
-    /// An unattributed (zero) span slot.
-    #[inline]
-    pub fn new() -> Self {
-        SpanCell
-    }
-
-    /// Stamps the slot (no-op).
-    #[inline]
-    pub fn set(&self, _span: u64) {}
-
-    /// Stamps the slot only if still unattributed (no-op).
-    #[inline]
-    pub fn set_if_unset(&self, _span: u64) {}
-
-    /// Current span (always 0 with the feature off).
-    #[inline]
-    pub fn get(&self) -> u64 {
-        0
-    }
-}
+/// Span slot embedded in task headers: a `Cell<u64>` when `obs` is on,
+/// zero-sized otherwise, so the header layout and hot path pay only
+/// when the feature is bought (`TaskHeader::stamp_span` and friends are
+/// its accessors).
+pub type SpanCell = Gated<Cell<u64>>;
 
 // ---- ambient span (external seeding threads) ---------------------------
 
-#[cfg(feature = "obs-spans")]
 thread_local! {
-    static AMBIENT_SPAN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static AMBIENT_SPAN: SpanCell = const { Gated::new(Cell::new(0)) };
 }
 
 /// Runs `f` with `span` as the calling thread's ambient span context.
 /// Work submitted from outside the worker pool (graph seeding, external
 /// `invoke`/`deliver`) inherits the ambient span, which is how a
 /// request's identity first enters the runtime. Nests; restores the
-/// previous value on exit. No-op pass-through with `obs-spans` off.
+/// previous value on exit. Pass-through with `obs` off.
 #[inline]
 pub fn with_ambient_span<R>(span: u64, f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "obs-spans")]
-    {
-        let prev = AMBIENT_SPAN.with(|c| c.replace(span));
-        struct Restore(u64);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                AMBIENT_SPAN.with(|c| c.set(self.0));
-            }
+    struct Restore(u64);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            AMBIENT_SPAN.with(|slot| slot.with(|c| c.set(self.0)));
         }
-        let _restore = Restore(prev);
-        f()
     }
-    #[cfg(not(feature = "obs-spans"))]
-    {
-        let _ = span;
-        f()
-    }
+    let prev = AMBIENT_SPAN.with(|slot| slot.with(|c| c.replace(span)));
+    let _restore = prev.map(Restore);
+    f()
 }
 
 /// The calling thread's current ambient span (0 when none, or when
-/// `obs-spans` is off).
+/// `obs` is off).
 #[inline]
 pub fn ambient_span() -> u64 {
-    #[cfg(feature = "obs-spans")]
-    {
-        AMBIENT_SPAN.with(|c| c.get())
-    }
-    #[cfg(not(feature = "obs-spans"))]
-    {
-        0
-    }
+    AMBIENT_SPAN.with(|slot| slot.with(Cell::get)).unwrap_or(0)
 }
 
 // ---- per-instance span assembly ----------------------------------------
@@ -698,73 +625,42 @@ mod tests {
         assert_eq!(store.get(97), Some(Value::UInt(1000)));
     }
 
-    #[cfg(not(feature = "obs-spans"))]
-    mod feature_off {
-        use super::super::*;
+    /// Span plumbing follows the one switch: with `obs` off the
+    /// ambient scope is pass-through and ring records carry span 0 (and
+    /// no queue wait) even when callers pass real spans — byte-identical
+    /// records; with it on they carry what was stamped.
+    #[test]
+    fn span_plumbing_follows_the_switch() {
         use crate::{Obs, ObsConfig};
+        use ttg_sync::OBS;
+        let gate = |v: u64| if OBS { v } else { 0 };
 
-        /// The zero-delta guarantee (mirrors the obs-contention test):
-        /// with `obs-spans` compiled out, span plumbing is inert — the
-        /// cell is a ZST, ambient scoping is pass-through, and ring
-        /// records carry span 0 even when callers pass real spans.
-        #[test]
-        fn spans_off_is_zero_delta() {
-            assert_eq!(std::mem::size_of::<SpanCell>(), 0);
-            let cell = SpanCell::new();
-            cell.set(0xDEAD);
-            cell.set_if_unset(0xBEEF);
-            assert_eq!(cell.get(), 0);
+        assert_eq!(ambient_span(), 0);
+        let inner = with_ambient_span(7, || {
+            let outer = ambient_span();
+            let nested = with_ambient_span(9, ambient_span);
+            (outer, nested, ambient_span())
+        });
+        assert_eq!(inner, (gate(7), gate(9), gate(7)));
+        assert_eq!(ambient_span(), 0, "scope restores on exit");
 
-            assert_eq!(with_ambient_span(42, ambient_span), 0);
-            assert_eq!(ambient_span(), 0);
-
-            let o = Obs::new(ObsConfig {
-                rank: 0,
-                workers: 1,
-                events: true,
-                histograms: true,
-                ring_capacity: 64,
-            });
-            o.record_task(0, "t", 5, 10, 20, pack_span("x", 1));
-            o.record_net_send(1, 64, 30, pack_span("x", 1));
-            o.record_net_recv(1, 64, 40, None, pack_span("x", 1));
-            let evs = o.drain_events();
-            assert_eq!(evs.len(), 3);
-            assert!(evs.iter().all(|e| e.span == 0), "all records span 0");
-            // Task arg0 (queue wait) stays 0 too — byte-identical records.
-            assert!(evs
-                .iter()
-                .filter(|e| e.kind == EventKind::Task)
-                .all(|e| e.arg0 == 0));
-            assert!(assemble_spans(&[(0, evs)]).is_empty());
-        }
-    }
-
-    #[cfg(feature = "obs-spans")]
-    mod feature_on {
-        use super::super::*;
-
-        #[test]
-        fn ambient_span_scopes_and_restores() {
-            assert_eq!(ambient_span(), 0);
-            let inner = with_ambient_span(7, || {
-                let outer = ambient_span();
-                let nested = with_ambient_span(9, ambient_span);
-                (outer, nested, ambient_span())
-            });
-            assert_eq!(inner, (7, 9, 7));
-            assert_eq!(ambient_span(), 0);
-        }
-
-        #[test]
-        fn span_cell_stamps_once() {
-            let c = SpanCell::new();
-            assert_eq!(c.get(), 0);
-            c.set_if_unset(5);
-            c.set_if_unset(6);
-            assert_eq!(c.get(), 5);
-            c.set(7);
-            assert_eq!(c.get(), 7);
-        }
+        let o = Obs::new(ObsConfig {
+            rank: 0,
+            workers: 1,
+            events: true,
+            histograms: true,
+            ring_capacity: 64,
+        });
+        assert_eq!(o.spans_enabled(), OBS);
+        let span = pack_span("x", 1);
+        o.record_task(0, "t", 5, 10, 20, span);
+        o.record_net_send(1, 64, 30, span);
+        o.record_net_recv(1, 64, 40, None, span);
+        let evs = o.drain_events();
+        assert_eq!(evs.len(), 3);
+        assert!(evs.iter().all(|e| e.span == gate(span)));
+        let task = evs.iter().find(|e| e.kind == EventKind::Task).unwrap();
+        assert_eq!(task.arg0, gate(5), "queue wait rides only with obs on");
+        assert_eq!(assemble_spans(&[(0, evs)]).len(), usize::from(OBS));
     }
 }

@@ -1,5 +1,5 @@
-//! Wire-path observability (`obs-wire`): per-stage frame attribution
-//! and per-peer link telemetry.
+//! Wire-path observability: per-stage frame attribution and per-peer
+//! link telemetry.
 //!
 //! Between `send_msg` and handler dispatch a frame crosses five
 //! software stages, each with its own failure mode:
@@ -22,13 +22,14 @@
 //! occupancy numbers the zero-copy batched wire path (ROADMAP item 1)
 //! is specified against.
 //!
-//! Feature contract, mirroring `obs-contention`/`obs-spans`: with the
-//! `obs-wire` cargo feature off every recording method is an inlined
-//! no-op, [`WireObs`] is a ZST, [`WireObs::snapshot`] returns an empty
-//! [`WireSnapshot`], and [`WireSnapshot::export_into`] appends nothing
-//! — so JSON and Prometheus output stay byte-identical to the
-//! pre-wire format. [`WIRE_ENABLED`] is the compile-time switch the
-//! transport uses to skip clock reads entirely in the off build.
+//! Feature contract (DESIGN.md §7.5): the recording state sits behind
+//! [`Gated`], so with `obs` off [`WireObs`] is zero-sized, every
+//! recording method compiles to nothing, [`WireObs::snapshot`] returns
+//! an empty [`WireSnapshot`] and — by the emit-when-set rule —
+//! [`WireSnapshot::export_into`] appends nothing, leaving JSON and
+//! Prometheus output byte-identical to the pre-wire format. The
+//! transport branches on [`ttg_sync::OBS`] to skip clock reads entirely
+//! in the off build.
 //!
 //! Exported metric names (identity prefix added at render time):
 //!
@@ -38,11 +39,7 @@
 //! | `wire_writes`                  | counter         | —             |
 //! | `wire_write_bytes`             | counter         | —             |
 //! | `wire_write_frames`            | counter         | —             |
-//! | `net_link_bytes`               | counter         | `peer`, `dir` |
-//! | `net_link_frames`              | counter         | `peer`, `dir` |
-//! | `net_link_ack_lag_seq`         | gauge           | `peer`        |
-//! | `net_link_ack_rtt_us`          | gauge           | `peer`        |
-//! | `net_link_resend_buffer_bytes` | gauge           | `peer`        |
+//! | one per [`LINK_FIELDS`] row    | counter / gauge | `peer`, `dir` |
 //!
 //! Link byte/frame counts cover *sequenced* frames only (the ones a
 //! peer acks and delivers), counted once per unique frame: replays and
@@ -51,45 +48,110 @@
 //! rank 0 sent to rank 1 equal bytes rank 1 received from rank 0 once
 //! the mesh is quiet.
 
-use crate::hist::HistogramSnapshot;
-use crate::metrics::MetricsSnapshot;
+use crate::hist::{HistogramSnapshot, SharedHistogram};
+use crate::metrics::{MetricsSnapshot, Sample};
 use serde::Value;
-
-#[cfg(feature = "obs-wire")]
-use crate::hist::SharedHistogram;
-#[cfg(feature = "obs-wire")]
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use ttg_sync::{Gated, OBS};
 
-/// Compile-time switch for the wire-path instrumentation. The
-/// transport checks this before reading the clock, so the off build
-/// carries no timing overhead at all, not even a branch that the
-/// optimizer could miss.
-pub const WIRE_ENABLED: bool = cfg!(feature = "obs-wire");
-
-/// Per-stage and per-link recording state, owned by a transport.
-///
-/// All methods are callable from any thread; recording is relaxed
-/// atomics. With `obs-wire` off this is a ZST and every method is an
-/// empty inline function.
-#[derive(Debug, Default)]
-pub struct WireObs {
-    #[cfg(feature = "obs-wire")]
-    inner: WireInner,
+/// One per-link value: where it is spelled on each surface.
+#[derive(Debug)]
+pub struct LinkField {
+    /// Key in a `/net.json` link object.
+    pub json: &'static str,
+    /// Key in a `/cluster.json` link object.
+    pub cluster_json: &'static str,
+    /// Exported series name (identity prefix added at render time).
+    pub metric: &'static str,
+    /// Value of the `dir` label, for the series that carry one.
+    pub dir: Option<&'static str>,
+    /// Counter or gauge.
+    pub sample: fn(u64) -> Sample<'static>,
+    /// Prometheus `# HELP` text.
+    pub help: &'static str,
 }
 
-#[cfg(feature = "obs-wire")]
-#[derive(Debug, Default)]
-struct LinkCells {
-    bytes_tx: AtomicU64,
-    frames_tx: AtomicU64,
-    bytes_rx: AtomicU64,
-    frames_rx: AtomicU64,
-    ack_lag_seq: AtomicU64,
-    ack_rtt_us: AtomicU64,
-    resend_buffer_bytes: AtomicU64,
-}
+/// The per-link family, in JSON order; the constants below index it
+/// (and [`LinkSnapshot::values`]).
+pub const LINK_FIELDS: [LinkField; 7] = [
+    // Payload+header bytes / count of unique sequenced frames sent.
+    LinkField {
+        json: "bytes_tx",
+        cluster_json: "tx_bytes",
+        metric: "net_link_bytes",
+        dir: Some("tx"),
+        sample: Sample::Counter,
+        help: "Unique sequenced frame bytes per peer link and direction.",
+    },
+    LinkField {
+        json: "frames_tx",
+        cluster_json: "tx_frames",
+        metric: "net_link_frames",
+        dir: Some("tx"),
+        sample: Sample::Counter,
+        help: "Unique sequenced frames per peer link and direction.",
+    },
+    // Bytes / count of unique sequenced frames received.
+    LinkField {
+        json: "bytes_rx",
+        cluster_json: "rx_bytes",
+        metric: "net_link_bytes",
+        dir: Some("rx"),
+        sample: Sample::Counter,
+        help: "Unique sequenced frame bytes per peer link and direction.",
+    },
+    LinkField {
+        json: "frames_rx",
+        cluster_json: "rx_frames",
+        metric: "net_link_frames",
+        dir: Some("rx"),
+        sample: Sample::Counter,
+        help: "Unique sequenced frames per peer link and direction.",
+    },
+    // Sequences sent but not yet cumulatively acked.
+    LinkField {
+        json: "ack_lag_seq",
+        cluster_json: "ack_lag_seq",
+        metric: "net_link_ack_lag_seq",
+        dir: None,
+        sample: Sample::Gauge,
+        help: "Sequenced frames sent but not yet cumulatively acked, per peer.",
+    },
+    // Latest send→ack round trip in µs (0 until the first ack).
+    LinkField {
+        json: "ack_rtt_us",
+        cluster_json: "ack_rtt_us",
+        metric: "net_link_ack_rtt_us",
+        dir: None,
+        sample: Sample::Gauge,
+        help: "Latest send-to-cumulative-ack round trip per peer link.",
+    },
+    // Bytes currently buffered for replay to this peer.
+    LinkField {
+        json: "resend_buffer_bytes",
+        cluster_json: "resend_buffer_bytes",
+        metric: "net_link_resend_buffer_bytes",
+        dir: None,
+        sample: Sample::Gauge,
+        help: "Bytes buffered for replay per peer link.",
+    },
+];
 
-#[cfg(feature = "obs-wire")]
+pub const BYTES_TX: usize = 0;
+pub const FRAMES_TX: usize = 1;
+pub const BYTES_RX: usize = 2;
+pub const FRAMES_RX: usize = 3;
+pub const ACK_LAG_SEQ: usize = 4;
+pub const ACK_RTT_US: usize = 5;
+pub const RESEND_BUFFER_BYTES: usize = 6;
+
+/// Series order of the export: both directions of one counter name
+/// stay adjacent (bytes tx, bytes rx, frames tx, frames rx, ...), as
+/// Prometheus expects of a metric family.
+const EXPORT_ORDER: [usize; 7] = [0, 2, 1, 3, 4, 5, 6];
+
+type LinkCells = [AtomicU64; LINK_FIELDS.len()];
+
 #[derive(Default)]
 struct WireInner {
     lock_wait: SharedHistogram,
@@ -102,7 +164,6 @@ struct WireInner {
     links: Box<[LinkCells]>,
 }
 
-#[cfg(feature = "obs-wire")]
 impl std::fmt::Debug for WireInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WireInner")
@@ -111,38 +172,30 @@ impl std::fmt::Debug for WireInner {
     }
 }
 
+/// Per-stage and per-link recording state, owned by a transport.
+///
+/// All methods are callable from any thread; recording is relaxed
+/// atomics. With `obs` off this is zero-sized and every method compiles
+/// to nothing.
+#[derive(Debug, Default)]
+pub struct WireObs(Gated<WireInner>);
+
 impl WireObs {
     /// Creates recording state sized for `nranks` peers (peer index =
     /// rank; the self slot stays zero).
     pub fn new(nranks: usize) -> Self {
-        #[cfg(feature = "obs-wire")]
-        {
-            WireObs {
-                inner: WireInner {
-                    links: (0..nranks.max(1)).map(|_| LinkCells::default()).collect(),
-                    ..Default::default()
-                },
-            }
-        }
-        #[cfg(not(feature = "obs-wire"))]
-        {
-            let _ = nranks;
-            WireObs {}
-        }
-    }
-
-    /// Whether recording is compiled in.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        WIRE_ENABLED
+        WireObs(Gated::new_with(|| WireInner {
+            links: (0..nranks.max(1)).map(|_| LinkCells::default()).collect(),
+            ..Default::default()
+        }))
     }
 
     /// Monotonic nanoseconds for stage timing — 0 (no clock read) when
-    /// the feature is off, so `now_ns()` deltas are free to compute
+    /// `obs` is off, so `now_ns()` deltas are free to compute
     /// unconditionally.
     #[inline]
     pub fn now_ns() -> u64 {
-        if WIRE_ENABLED {
+        if OBS {
             ttg_sync::clock::now_ns()
         } else {
             0
@@ -152,90 +205,70 @@ impl WireObs {
     /// Records time spent waiting for a peer's writer lock (ns).
     #[inline]
     pub fn record_lock_wait(&self, ns: u64) {
-        #[cfg(feature = "obs-wire")]
-        self.inner.lock_wait.record(ns);
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = ns;
+        self.0.with(|i| i.lock_wait.record(ns));
     }
 
     /// Records frame encode + CRC time (ns).
     #[inline]
     pub fn record_encode(&self, ns: u64) {
-        #[cfg(feature = "obs-wire")]
-        self.inner.encode.record(ns);
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = ns;
+        self.0.with(|i| i.encode.record(ns));
     }
 
     /// Records one `write_all` to a peer socket: syscall time plus the
     /// bytes and frames it carried (the batching-occupancy stats).
     #[inline]
     pub fn record_write(&self, ns: u64, bytes: u64, frames: u64) {
-        #[cfg(feature = "obs-wire")]
-        {
-            self.inner.write.record(ns);
-            self.inner.bytes_per_write.record(bytes);
-            self.inner.frames_per_write.record(frames);
-        }
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = (ns, bytes, frames);
+        self.0.with(|i| {
+            i.write.record(ns);
+            i.bytes_per_write.record(bytes);
+            i.frames_per_write.record(frames);
+        });
     }
 
     /// Records first-header-byte → decoded-frame time on the receiver
     /// (ns). Excludes idle time blocked waiting for a frame to start.
     #[inline]
     pub fn record_read_decode(&self, ns: u64) {
-        #[cfg(feature = "obs-wire")]
-        self.inner.read_decode.record(ns);
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = ns;
+        self.0.with(|i| i.read_decode.record(ns));
     }
 
     /// Records decoded-frame → handler-scheduled time (ns): dedup,
     /// sink delivery, inbox enqueue.
     #[inline]
     pub fn record_dispatch(&self, ns: u64) {
-        #[cfg(feature = "obs-wire")]
-        self.inner.dispatch.record(ns);
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = ns;
+        self.0.with(|i| i.dispatch.record(ns));
+    }
+
+    /// Runs `f` on `peer`'s cells (nothing for an out-of-range peer).
+    #[inline]
+    fn link(&self, peer: usize, f: impl FnOnce(&LinkCells)) {
+        self.0.with(|i| i.links.get(peer).map(f));
     }
 
     /// Counts one unique sequenced frame sent to `peer`.
     #[inline]
     pub fn link_tx(&self, peer: usize, bytes: u64) {
-        #[cfg(feature = "obs-wire")]
-        if let Some(l) = self.inner.links.get(peer) {
-            l.bytes_tx.fetch_add(bytes, Relaxed);
-            l.frames_tx.fetch_add(1, Relaxed);
-        }
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = (peer, bytes);
+        self.link(peer, |l| {
+            l[BYTES_TX].fetch_add(bytes, Relaxed);
+            l[FRAMES_TX].fetch_add(1, Relaxed);
+        });
     }
 
     /// Counts one unique sequenced frame received from `peer`
     /// (duplicates suppressed by the dedup window are not counted).
     #[inline]
     pub fn link_rx(&self, peer: usize, bytes: u64) {
-        #[cfg(feature = "obs-wire")]
-        if let Some(l) = self.inner.links.get(peer) {
-            l.bytes_rx.fetch_add(bytes, Relaxed);
-            l.frames_rx.fetch_add(1, Relaxed);
-        }
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = (peer, bytes);
+        self.link(peer, |l| {
+            l[BYTES_RX].fetch_add(bytes, Relaxed);
+            l[FRAMES_RX].fetch_add(1, Relaxed);
+        });
     }
 
     /// Sets the unacked-sequence gauge for `peer`: highest sequence
     /// sent minus highest sequence the peer has cumulatively acked.
     #[inline]
     pub fn set_ack_lag(&self, peer: usize, lag: u64) {
-        #[cfg(feature = "obs-wire")]
-        if let Some(l) = self.inner.links.get(peer) {
-            l.ack_lag_seq.store(lag, Relaxed);
-        }
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = (peer, lag);
+        self.link(peer, |l| l[ACK_LAG_SEQ].store(lag, Relaxed));
     }
 
     /// Records the latest ack round-trip for `peer` (µs): time from
@@ -244,12 +277,7 @@ impl WireObs {
     /// it is the replay-buffer residence time, not a network RTT.
     #[inline]
     pub fn record_ack_rtt_us(&self, peer: usize, us: u64) {
-        #[cfg(feature = "obs-wire")]
-        if let Some(l) = self.inner.links.get(peer) {
-            l.ack_rtt_us.store(us, Relaxed);
-        }
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = (peer, us);
+        self.link(peer, |l| l[ACK_RTT_US].store(us, Relaxed));
     }
 
     /// Adjusts the per-peer resend-buffer occupancy gauge (bytes
@@ -257,64 +285,41 @@ impl WireObs {
     /// trim/drop).
     #[inline]
     pub fn resend_delta(&self, peer: usize, delta: i64) {
-        #[cfg(feature = "obs-wire")]
-        if let Some(l) = self.inner.links.get(peer) {
+        self.link(peer, |l| {
+            let cell = &l[RESEND_BUFFER_BYTES];
             if delta >= 0 {
-                l.resend_buffer_bytes.fetch_add(delta as u64, Relaxed);
+                cell.fetch_add(delta as u64, Relaxed);
             } else {
-                let sub = (-delta) as u64;
                 // Saturate rather than wrap if a trim races a reset.
-                let mut cur = l.resend_buffer_bytes.load(Relaxed);
-                loop {
-                    let next = cur.saturating_sub(sub);
-                    match l
-                        .resend_buffer_bytes
-                        .compare_exchange_weak(cur, next, Relaxed, Relaxed)
-                    {
-                        Ok(_) => break,
-                        Err(v) => cur = v,
-                    }
-                }
+                let sub = delta.unsigned_abs();
+                let _ = cell.fetch_update(Relaxed, Relaxed, |cur| Some(cur.saturating_sub(sub)));
             }
-        }
-        #[cfg(not(feature = "obs-wire"))]
-        let _ = (peer, delta);
+        });
     }
 
-    /// Freezes the current state into a mergeable, exportable snapshot.
+    /// Freezes the current state into a mergeable, exportable snapshot
+    /// (empty when `obs` is off).
     pub fn snapshot(&self) -> WireSnapshot {
-        #[cfg(feature = "obs-wire")]
-        {
-            let i = &self.inner;
-            let links = i
+        let snap = self.0.with(|i| WireSnapshot {
+            lock_wait: i.lock_wait.snapshot(),
+            encode: i.encode.snapshot(),
+            write: i.write.snapshot(),
+            read_decode: i.read_decode.snapshot(),
+            dispatch: i.dispatch.snapshot(),
+            bytes_per_write: i.bytes_per_write.snapshot(),
+            frames_per_write: i.frames_per_write.snapshot(),
+            links: i
                 .links
                 .iter()
                 .enumerate()
                 .map(|(peer, l)| LinkSnapshot {
                     peer,
-                    bytes_tx: l.bytes_tx.load(Relaxed),
-                    frames_tx: l.frames_tx.load(Relaxed),
-                    bytes_rx: l.bytes_rx.load(Relaxed),
-                    frames_rx: l.frames_rx.load(Relaxed),
-                    ack_lag_seq: l.ack_lag_seq.load(Relaxed),
-                    ack_rtt_us: l.ack_rtt_us.load(Relaxed),
-                    resend_buffer_bytes: l.resend_buffer_bytes.load(Relaxed),
+                    values: std::array::from_fn(|f| l[f].load(Relaxed)),
                 })
                 .filter(|l| !l.is_idle())
-                .collect();
-            WireSnapshot {
-                lock_wait: i.lock_wait.snapshot(),
-                encode: i.encode.snapshot(),
-                write: i.write.snapshot(),
-                read_decode: i.read_decode.snapshot(),
-                dispatch: i.dispatch.snapshot(),
-                bytes_per_write: i.bytes_per_write.snapshot(),
-                frames_per_write: i.frames_per_write.snapshot(),
-                links,
-            }
-        }
-        #[cfg(not(feature = "obs-wire"))]
-        WireSnapshot::default()
+                .collect(),
+        });
+        snap.unwrap_or_default()
     }
 }
 
@@ -323,40 +328,23 @@ impl WireObs {
 pub struct LinkSnapshot {
     /// Peer rank.
     pub peer: usize,
-    /// Payload+header bytes of unique sequenced frames sent.
-    pub bytes_tx: u64,
-    /// Unique sequenced frames sent.
-    pub frames_tx: u64,
-    /// Bytes of unique sequenced frames received.
-    pub bytes_rx: u64,
-    /// Unique sequenced frames received.
-    pub frames_rx: u64,
-    /// Sequences sent but not yet cumulatively acked (gauge).
-    pub ack_lag_seq: u64,
-    /// Latest send→ack round trip in µs (gauge; 0 until the first ack).
-    pub ack_rtt_us: u64,
-    /// Bytes currently buffered for replay to this peer (gauge).
-    pub resend_buffer_bytes: u64,
+    /// One value per [`LINK_FIELDS`] row (counters since start, gauges
+    /// as of now).
+    pub values: [u64; LINK_FIELDS.len()],
 }
 
 impl LinkSnapshot {
     /// Whether this link has seen no traffic and holds no state —
     /// idle links are filtered out of snapshots and exports.
     pub fn is_idle(&self) -> bool {
-        self.bytes_tx == 0
-            && self.frames_tx == 0
-            && self.bytes_rx == 0
-            && self.frames_rx == 0
-            && self.ack_lag_seq == 0
-            && self.ack_rtt_us == 0
-            && self.resend_buffer_bytes == 0
+        self.values.iter().all(|v| *v == 0)
     }
 }
 
 /// Frozen wire-path state: stage histograms, batching-occupancy
 /// distributions, and per-peer link telemetry. Always a real struct
-/// (empty with `obs-wire` off) so the plumbing above the transport
-/// needs no feature gates.
+/// (empty with `obs` off) so the plumbing above the transport needs no
+/// feature gates.
 #[derive(Debug, Clone, Default)]
 pub struct WireSnapshot {
     /// Writer-lock wait (ns).
@@ -398,54 +386,41 @@ impl WireSnapshot {
             && self.stages().iter().all(|(_, h)| h.count() == 0)
     }
 
+    /// Folds another rank's stage and batching histograms in (links
+    /// are per-rank and stay as they are).
+    pub fn merge_stages(&mut self, other: &WireSnapshot) {
+        self.lock_wait.merge(&other.lock_wait);
+        self.encode.merge(&other.encode);
+        self.write.merge(&other.write);
+        self.read_decode.merge(&other.read_decode);
+        self.dispatch.merge(&other.dispatch);
+        self.bytes_per_write.merge(&other.bytes_per_write);
+        self.frames_per_write.merge(&other.frames_per_write);
+    }
+
     /// Appends the wire metrics to a [`MetricsSnapshot`] — stage
     /// histograms, write/batching counters, and `{peer}`-labeled link
-    /// series. Everything is emitted only-when-nonzero, so a snapshot
+    /// series — all through the emit-when-set rule, so a snapshot
     /// without wire activity (and every off-build snapshot) renders
     /// byte-identically to the pre-wire format.
     pub fn export_into(&self, m: &mut MetricsSnapshot) {
         for (name, h) in self.stages() {
-            if h.count() > 0 {
-                m.histogram(name, *h);
-            }
+            m.emit_if_set(name, Vec::new(), Sample::Histogram(h));
         }
-        if self.bytes_per_write.count() > 0 {
-            m.counter("wire_writes", self.bytes_per_write.count());
-            m.counter("wire_write_bytes", self.bytes_per_write.sum);
-            m.counter("wire_write_frames", self.frames_per_write.sum);
+        let writes = [
+            ("wire_writes", self.bytes_per_write.count()),
+            ("wire_write_bytes", self.bytes_per_write.sum),
+            ("wire_write_frames", self.frames_per_write.sum),
+        ];
+        for (name, v) in writes {
+            m.emit_if_set(name, Vec::new(), Sample::Counter(v));
         }
         for l in &self.links {
-            let labels = |dir: Option<&str>| {
-                let mut ls = vec![("peer".to_string(), l.peer.to_string())];
-                if let Some(d) = dir {
-                    ls.push(("dir".to_string(), d.to_string()));
-                }
-                ls
-            };
-            if l.bytes_tx > 0 {
-                m.labeled_counter("net_link_bytes", labels(Some("tx")), l.bytes_tx);
-            }
-            if l.bytes_rx > 0 {
-                m.labeled_counter("net_link_bytes", labels(Some("rx")), l.bytes_rx);
-            }
-            if l.frames_tx > 0 {
-                m.labeled_counter("net_link_frames", labels(Some("tx")), l.frames_tx);
-            }
-            if l.frames_rx > 0 {
-                m.labeled_counter("net_link_frames", labels(Some("rx")), l.frames_rx);
-            }
-            if l.ack_lag_seq > 0 {
-                m.labeled_gauge("net_link_ack_lag_seq", labels(None), l.ack_lag_seq);
-            }
-            if l.ack_rtt_us > 0 {
-                m.labeled_gauge("net_link_ack_rtt_us", labels(None), l.ack_rtt_us);
-            }
-            if l.resend_buffer_bytes > 0 {
-                m.labeled_gauge(
-                    "net_link_resend_buffer_bytes",
-                    labels(None),
-                    l.resend_buffer_bytes,
-                );
+            for i in EXPORT_ORDER {
+                let f = &LINK_FIELDS[i];
+                let mut labels = vec![("peer".to_string(), l.peer.to_string())];
+                labels.extend(f.dir.map(|d| ("dir".to_string(), d.to_string())));
+                m.emit_if_set(f.metric, labels, (f.sample)(l.values[i]));
             }
         }
     }
@@ -487,26 +462,17 @@ impl WireSnapshot {
             self.links
                 .iter()
                 .map(|l| {
-                    Value::Object(vec![
-                        ("peer".to_string(), Value::UInt(l.peer as u64)),
-                        ("bytes_tx".to_string(), Value::UInt(l.bytes_tx)),
-                        ("frames_tx".to_string(), Value::UInt(l.frames_tx)),
-                        ("bytes_rx".to_string(), Value::UInt(l.bytes_rx)),
-                        ("frames_rx".to_string(), Value::UInt(l.frames_rx)),
-                        ("ack_lag_seq".to_string(), Value::UInt(l.ack_lag_seq)),
-                        ("ack_rtt_us".to_string(), Value::UInt(l.ack_rtt_us)),
-                        (
-                            "resend_buffer_bytes".to_string(),
-                            Value::UInt(l.resend_buffer_bytes),
-                        ),
-                    ])
+                    let mut fields = vec![("peer".to_string(), Value::UInt(l.peer as u64))];
+                    let values = LINK_FIELDS.iter().zip(l.values);
+                    fields.extend(values.map(|(f, v)| (f.json.to_string(), Value::UInt(v))));
+                    Value::Object(fields)
                 })
                 .collect(),
         );
         let v = Value::Object(vec![
             ("schema".to_string(), Value::UInt(1)),
             ("rank".to_string(), Value::UInt(rank as u64)),
-            ("wire_enabled".to_string(), Value::Bool(WIRE_ENABLED)),
+            ("wire_enabled".to_string(), Value::Bool(OBS)),
             ("stages".to_string(), stages),
             ("batching".to_string(), batching),
             ("links".to_string(), links),
@@ -546,11 +512,10 @@ mod tests {
         assert!(v.get("stages").and_then(|s| s.get("encode")).is_some());
     }
 
-    #[cfg(feature = "obs-wire")]
+    #[cfg(feature = "obs")]
     #[test]
     fn recording_surfaces_in_snapshot_and_export() {
         let w = WireObs::new(3);
-        assert!(w.enabled());
         w.record_encode(500);
         w.record_lock_wait(100);
         w.record_write(2_000, 64, 1);
@@ -572,14 +537,10 @@ mod tests {
         // Peer 0 never moved: filtered out. Peer 1 and 2 present.
         assert_eq!(s.links.len(), 2);
         let l1 = s.links.iter().find(|l| l.peer == 1).unwrap();
-        assert_eq!(l1.bytes_tx, 64);
-        assert_eq!(l1.frames_tx, 1);
-        assert_eq!(l1.bytes_rx, 32);
-        assert_eq!(l1.ack_lag_seq, 5);
-        assert_eq!(l1.ack_rtt_us, 250);
-        assert_eq!(l1.resend_buffer_bytes, 0);
+        // bytes/frames tx, bytes/frames rx, ack lag, ack rtt, resend.
+        assert_eq!(l1.values, [64, 1, 32, 1, 5, 250, 0]);
         let l2 = s.links.iter().find(|l| l.peer == 2).unwrap();
-        assert_eq!(l2.resend_buffer_bytes, 128);
+        assert_eq!(l2.values[RESEND_BUFFER_BYTES], 128);
 
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);
         s.export_into(&mut m);
@@ -597,7 +558,7 @@ mod tests {
         assert_eq!(back.labeled_gauges, m.labeled_gauges);
     }
 
-    #[cfg(feature = "obs-wire")]
+    #[cfg(feature = "obs")]
     #[test]
     fn net_json_reports_links_and_stage_quantiles() {
         let w = WireObs::new(2);

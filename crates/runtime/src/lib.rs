@@ -35,7 +35,6 @@ pub mod live;
 pub mod runtime;
 pub mod stats;
 pub mod task;
-pub mod trace;
 pub mod worker;
 
 pub use comm::ProcessGroup;

@@ -299,7 +299,7 @@ impl LiveTelemetry {
                 let mut routes = Self::routes(rank, &slot, &timeseries);
                 // `/net.json` answers first, then the cluster routes
                 // (when this rank embeds the aggregator). An empty slot
-                // — or a build without `obs-wire` — serves the empty
+                // — or a build without `obs` — serves the empty
                 // per-stage document rather than a 404, so dashboards
                 // can always probe the same path.
                 let net_slot = Arc::clone(&slot);
@@ -474,24 +474,11 @@ impl Drop for LiveTelemetry {
 mod tests {
     use super::*;
     use crate::runtime::RuntimeConfig;
-    use std::io::{Read as _, Write as _};
-    use std::net::TcpStream;
 
     fn http_get(port: u16, path: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
-        let mut text = String::new();
-        stream.read_to_string(&mut text).unwrap();
-        let status = text
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        let body = text
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_string())
-            .unwrap_or_default();
-        (status, body)
+        let target = format!("127.0.0.1:{port}");
+        ttg_obs::http::http_request(&target, "GET", path, None, Duration::from_secs(10))
+            .expect("request")
     }
 
     #[test]

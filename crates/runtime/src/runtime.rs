@@ -100,8 +100,8 @@ pub struct RuntimeConfig {
     /// Record timeline events (task executions, steals, parks, slow
     /// pushes, wave contributions, pool refills, network frames) into
     /// per-worker `ttg-obs` rings, retrievable via
-    /// [`Runtime::take_events`] / [`Runtime::take_trace`] and renderable
-    /// with [`Runtime::chrome_trace`]. Off by default.
+    /// [`Runtime::take_events`] and renderable with
+    /// [`Runtime::chrome_trace`]. Off by default.
     pub trace: bool,
     /// Record latency histograms (task duration, ready-to-run delay,
     /// message inbox residence), retrievable via [`Runtime::metrics`].
@@ -184,8 +184,8 @@ pub(crate) struct Inner {
     /// Resilience-counter source installed by the bound transport, so
     /// `stats()` can fold transport counters into [`crate::RuntimeStats`].
     pub(crate) net_stats: OnceLock<Arc<dyn Fn() -> NetStats + Send + Sync>>,
-    /// Wire-path telemetry source installed by the bound transport
-    /// (`obs-wire`); `metrics()` folds its snapshot into the export.
+    /// Wire-path telemetry source installed by the bound transport;
+    /// `metrics()` folds its snapshot into the export.
     /// Always present as a field — the snapshot is empty when the
     /// feature is off, so no cfg-gating is needed above the transport.
     pub(crate) wire_stats: OnceLock<Arc<dyn Fn() -> ttg_obs::wire::WireSnapshot + Send + Sync>>,
@@ -287,7 +287,7 @@ impl Inner {
     pub(crate) fn inject(&self, task: RawTask) {
         // External injections (graph seeding, submit) inherit the
         // thread's ambient span unless the caller stamped one already;
-        // a ZST no-op without `obs-spans`.
+        // nothing without `obs`.
         // SAFETY: the caller exclusively owns the task until the queue
         // publication below.
         unsafe {
@@ -740,15 +740,6 @@ impl Runtime {
         }
     }
 
-    /// Drains the recorded task trace (empty unless `config.trace`).
-    ///
-    /// Note: this drains *all* event rings (the non-task events are
-    /// discarded from the projection); use [`Runtime::take_events`] when
-    /// the full timeline is wanted.
-    pub fn take_trace(&self) -> Vec<crate::trace::TaskEvent> {
-        crate::trace::task_events(&self.take_events())
-    }
-
     /// Renders drained events as a single-rank Chrome trace JSON string
     /// (`None` unless `config.trace`). Timestamps stay on this
     /// process's own clock; for multi-rank merging use
@@ -808,23 +799,15 @@ impl Runtime {
         // Recovery counters appear only once recovery machinery has
         // actually fired, keeping fault-free snapshots byte-identical
         // with pre-recovery versions (golden-file stability).
-        if s.rejoins > 0 {
-            m.counter("rejoins", s.rejoins);
-        }
-        if s.frames_replayed > 0 {
-            m.counter("frames_replayed", s.frames_replayed);
-        }
-        if s.frames_deduped > 0 {
-            m.counter("frames_deduped", s.frames_deduped);
-        }
-        if s.resend_buffer_bytes > 0 {
-            m.counter("resend_buffer_bytes", s.resend_buffer_bytes);
-        }
-        if s.instances_quarantined > 0 {
-            m.counter("instances_quarantined", s.instances_quarantined);
-        }
-        if s.instances_retried > 0 {
-            m.counter("instances_retried", s.instances_retried);
+        for (name, v) in [
+            ("rejoins", s.rejoins),
+            ("frames_replayed", s.frames_replayed),
+            ("frames_deduped", s.frames_deduped),
+            ("resend_buffer_bytes", s.resend_buffer_bytes),
+            ("instances_quarantined", s.instances_quarantined),
+            ("instances_retried", s.instances_retried),
+        ] {
+            m.emit_if_set(name, Vec::new(), ttg_obs::Sample::Counter(v));
         }
         m.counter("queue_local_pops", s.queue.local_pops as u64);
         m.counter("queue_steals", s.queue.steals as u64);
@@ -834,15 +817,9 @@ impl Runtime {
         m.counter("queue_steal_empty", s.queue.steal_empty as u64);
         m.counter("queue_overflow_pops", s.queue.overflow_pops as u64);
         m.counter("queue_detach_merges", s.queue.detach_merges as u64);
-        m.counter("lock_spin_acquisitions", s.contention.spin_acquisitions);
-        m.counter("lock_spin_iters", s.contention.spin_spin_iters);
-        m.counter("lock_rw_shared", s.contention.rw_shared_acquisitions);
-        m.counter("lock_rw_exclusive", s.contention.rw_exclusive_acquisitions);
-        m.counter("lock_rw_spin_iters", s.contention.rw_spin_iters);
-        m.counter("bravo_fast_reads", s.contention.bravo_fast_reads);
-        m.counter("bravo_slow_reads", s.contention.bravo_slow_reads);
-        m.counter("bravo_revocations", s.contention.bravo_revocations);
-        m.counter("bravo_revocation_ns", s.contention.bravo_revocation_ns);
+        for (f, v) in ttg_sync::LOCK_FIELDS.iter().zip(s.contention.0 .0) {
+            m.counter(f.metric, v);
+        }
         m.counter("trace_events_dropped", s.trace_events_dropped);
         if let Some(obs) = self.inner.obs.as_deref() {
             if obs.histograms_enabled() {
@@ -877,9 +854,9 @@ impl Runtime {
             }
         }
         // Wire-path stage histograms and per-link series; everything in
-        // the snapshot is emitted only-when-nonzero, so without wire
-        // activity (and in every `obs-wire`-off build) this appends
-        // nothing and the output stays byte-identical.
+        // the snapshot goes through `emit_if_set`, so without wire
+        // activity (and in every `obs`-off build) this appends nothing
+        // and the output stays byte-identical.
         self.wire_snapshot().export_into(&mut m);
         m
     }
@@ -925,7 +902,7 @@ impl Runtime {
             .as_deref()
             .map(|o| o.events_dropped())
             .unwrap_or(0);
-        s.contention = ttg_sync::lock_contention().into();
+        s.contention = crate::stats::ContentionStats(ttg_sync::lock_contention());
         s
     }
 
@@ -1004,8 +981,8 @@ impl Runtime {
         let _ = self.inner.net_stats.set(source);
     }
 
-    /// Installs the transport's wire-path telemetry source (`obs-wire`
-    /// stage histograms + per-link counters); [`Runtime::metrics`] folds
+    /// Installs the transport's wire-path telemetry source (stage
+    /// histograms + per-link counters); [`Runtime::metrics`] folds
     /// its snapshot into the export and [`Runtime::wire_snapshot`]
     /// serves it to `/net.json`. Later calls are ignored.
     pub fn set_wire_stats_source(
@@ -1016,7 +993,7 @@ impl Runtime {
     }
 
     /// The current wire-path telemetry snapshot — empty when no
-    /// transport installed a source or the `obs-wire` feature is off.
+    /// transport installed a source or the `obs` feature is off.
     pub fn wire_snapshot(&self) -> ttg_obs::wire::WireSnapshot {
         match self.inner.wire_stats.get() {
             Some(source) => source(),

@@ -96,51 +96,29 @@ pub struct RuntimeStats {
     pub instances_retried: u64,
     /// Scheduler behaviour counters.
     pub queue: QueueStats,
-    /// Lock-contention counters from `ttg-sync` (feature
-    /// `obs-contention`; all zero when it is off).
+    /// Lock-contention counters from `ttg-sync` (feature `obs`; all
+    /// zero when it is off).
     pub contention: ContentionStats,
 }
 
-/// Lock-contention attribution, mirroring [`ttg_sync::LockContention`]
-/// with a serializable shape. The counters are process-global (the sync
-/// primitives cannot know which runtime instance owns a lock), so in a
-/// simulated multi-rank `ProcessGroup` every rank reports the same
-/// process-wide totals. All zero unless `obs-contention` is enabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct ContentionStats {
-    /// Blocking `SpinLock` acquisitions (hash-table buckets).
-    pub spin_acquisitions: u64,
-    /// TTAS wait iterations before those acquisitions.
-    pub spin_spin_iters: u64,
-    /// Reader-writer shared acquisitions through the underlying lock.
-    pub rw_shared_acquisitions: u64,
-    /// Reader-writer exclusive acquisitions (resizes, drains).
-    pub rw_exclusive_acquisitions: u64,
-    /// Wait iterations across both reader-writer acquisition paths.
-    pub rw_spin_iters: u64,
-    /// BRAVO reads served by the zero-RMW fast path.
-    pub bravo_fast_reads: u64,
-    /// BRAVO reads that fell back to the underlying lock.
-    pub bravo_slow_reads: u64,
-    /// BRAVO writer-side bias revocations.
-    pub bravo_revocations: u64,
-    /// Nanoseconds writers spent draining the visible-readers table.
-    pub bravo_revocation_ns: u64,
-}
+/// Lock-contention attribution: [`ttg_sync::LockContention`] with a
+/// serializable shape (one key per [`ttg_sync::LOCK_FIELDS`] row;
+/// `ttg-sync` itself carries no serde). The counters are process-global
+/// (the sync primitives cannot know which runtime instance owns a
+/// lock), so in a simulated multi-rank `ProcessGroup` every rank
+/// reports the same process-wide totals. All zero unless `obs` is
+/// enabled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ContentionStats(pub ttg_sync::LockContention);
 
-impl From<ttg_sync::LockContention> for ContentionStats {
-    fn from(c: ttg_sync::LockContention) -> Self {
-        ContentionStats {
-            spin_acquisitions: c.spin_acquisitions,
-            spin_spin_iters: c.spin_spin_iters,
-            rw_shared_acquisitions: c.rw_shared_acquisitions,
-            rw_exclusive_acquisitions: c.rw_exclusive_acquisitions,
-            rw_spin_iters: c.rw_spin_iters,
-            bravo_fast_reads: c.bravo_fast_reads,
-            bravo_slow_reads: c.bravo_slow_reads,
-            bravo_revocations: c.bravo_revocations,
-            bravo_revocation_ns: c.bravo_revocation_ns,
-        }
+impl serde::Serialize for ContentionStats {
+    fn to_value(&self) -> serde::Value {
+        let fields = ttg_sync::LOCK_FIELDS.iter().zip(self.0 .0);
+        serde::Value::Object(
+            fields
+                .map(|(f, v)| (f.field.to_string(), serde::Value::UInt(v)))
+                .collect(),
+        )
     }
 }
 

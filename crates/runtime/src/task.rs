@@ -45,8 +45,8 @@ pub struct TaskHeader {
     /// scheduling thread before the task is published to a queue, read
     /// by the executing worker — the queue hand-off orders the accesses.
     ready_ns: std::cell::Cell<u64>,
-    /// Request-scoped span context (`ttg_obs::spans`); a ZST unless the
-    /// `obs-spans` feature is on. Same single-stamper-before-publication
+    /// Request-scoped span context (`ttg_obs::spans`); zero-sized unless
+    /// the `obs` feature is on. Same single-stamper-before-publication
     /// discipline as `ready_ns`.
     span: ttg_obs::SpanCell,
 }
@@ -58,7 +58,7 @@ impl TaskHeader {
             node: SchedNode::new(priority),
             vtable,
             ready_ns: std::cell::Cell::new(0),
-            span: ttg_obs::SpanCell::new(),
+            span: ttg_obs::SpanCell::new(std::cell::Cell::new(0)),
         }
     }
 
@@ -76,12 +76,12 @@ impl TaskHeader {
         self.ready_ns.get()
     }
 
-    /// Stamps the request-scoped span context (no-op without the
-    /// `obs-spans` feature). Same ownership contract as
+    /// Stamps the request-scoped span context (nothing without the
+    /// `obs` feature). Same ownership contract as
     /// [`TaskHeader::stamp_ready`].
     #[inline]
     pub fn stamp_span(&self, span: u64) {
-        self.span.set(span);
+        self.span.with(|c| c.set(span));
     }
 
     /// Stamps the span only if the task is still unattributed — used by
@@ -89,14 +89,17 @@ impl TaskHeader {
     /// overriding an explicit instance stamp.
     #[inline]
     pub fn stamp_span_if_unset(&self, span: u64) {
-        self.span.set_if_unset(span);
+        self.span.with(|c| {
+            if c.get() == 0 {
+                c.set(span);
+            }
+        });
     }
 
-    /// The stamped span context, or 0 (also always 0 with `obs-spans`
-    /// off).
+    /// The stamped span context, or 0 (also always 0 with `obs` off).
     #[inline]
     pub fn span(&self) -> u64 {
-        self.span.get()
+        self.span.with(std::cell::Cell::get).unwrap_or(0)
     }
 
     /// The task's scheduling priority.
@@ -219,6 +222,53 @@ mod tests {
         assert_eq!(back, ptr);
         assert_eq!(unsafe { back.as_ref() }.priority(), 7);
         assert_eq!(unsafe { back.as_ref() }.vtable.name, "test");
+    }
+
+    #[test]
+    fn span_stamps_once_and_follows_the_switch() {
+        let gate = |v: u64| if ttg_sync::OBS { v } else { 0 };
+        let vt: &'static TaskVTable = &TaskVTable {
+            execute: |_, _| (),
+            dispose: |_| (),
+            name: "test",
+        };
+        let h = TaskHeader::new(0, vt);
+        assert_eq!(h.span(), 0);
+        h.stamp_span_if_unset(5);
+        h.stamp_span_if_unset(6);
+        assert_eq!(h.span(), gate(5), "an explicit stamp is not overridden");
+        h.stamp_span(7);
+        assert_eq!(h.span(), gate(7));
+    }
+
+    /// The off-configuration contract, which is what `benchmark/`
+    /// measures: every recorder is zero-sized, a task header is exactly
+    /// scheduler link + vtable + ready stamp (32 bytes, as before spans
+    /// existed), and noting and recording leave no trace.
+    #[cfg(not(feature = "obs"))]
+    #[test]
+    fn observability_off_is_zero_sized_and_leaves_no_trace() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<ttg_sync::ContentionCounter>(), 0);
+        assert_eq!(size_of::<ttg_obs::SpanCell>(), 0);
+        assert_eq!(size_of::<ttg_obs::WireObs>(), 0);
+        assert_eq!(size_of::<TaskHeader>(), 32);
+
+        let wire = ttg_obs::WireObs::new(4);
+        wire.record_write(2_000, 64, 1);
+        wire.link_tx(1, 64);
+        wire.resend_delta(1, 64);
+        assert!(wire.snapshot().is_empty());
+        assert_eq!(ttg_obs::WireObs::now_ns(), 0, "no clock read");
+
+        let counter = ttg_sync::ContentionCounter::new();
+        counter.add(41);
+        assert_eq!(counter.get(), 0);
+        *ttg_sync::SpinLock::new(0u32).lock() += 1;
+        assert_eq!(
+            ttg_sync::lock_contention(),
+            ttg_sync::LockContention::default()
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct WorkerCtx<'rt> {
     completed_scope: Option<std::sync::Arc<ttg_termdet::InstanceScope>>,
     /// Span context of the task currently executing on this worker
     /// (0 = unattributed). Children scheduled or messages sent from the
-    /// task body inherit it; always 0 with `obs-spans` off.
+    /// task body inherit it; always 0 with `obs` off.
     current_span: u64,
 }
 

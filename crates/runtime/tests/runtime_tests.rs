@@ -246,27 +246,44 @@ fn drop_reclaims_undelivered_work() {
     drop(rt); // no wait
 }
 
-#[test]
-fn tracing_records_every_task() {
-    let mut config = RuntimeConfig::optimized(2);
-    config.trace = true;
-    let rt = Runtime::new(config);
+/// Runs one session of a seed task spawning 50 children.
+fn run_51_tasks(rt: &Runtime) {
     rt.submit(0, |ctx| {
         for i in 0..50 {
             ctx.spawn(i, |_| {});
         }
     });
     rt.wait();
-    let events = rt.take_trace();
-    assert_eq!(events.len(), 51, "one event per task");
-    assert!(events.iter().all(|e| e.name == "closure"));
-    assert!(events.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
-    // Chrome JSON renders and parses.
-    let json = ttg_runtime::trace::to_chrome_trace(&events, 1);
+}
+
+#[test]
+fn tracing_records_every_task() {
+    use ttg_runtime::obs::EventKind;
+    let mut config = RuntimeConfig::optimized(2);
+    config.trace = true;
+    let rt = Runtime::new(config);
+    run_51_tasks(&rt);
+    let events = rt.take_events();
+    let tasks: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Task)
+        .collect();
+    assert_eq!(tasks.len(), 51, "one event per task");
+    assert!(tasks.iter().all(|e| e.name == "closure"));
+    assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+    // Drained: a second take holds no task.
+    assert!(rt.take_events().iter().all(|e| e.kind != EventKind::Task));
+    // Chrome JSON renders and parses: one "X" slice per task.
+    run_51_tasks(&rt);
+    let json = rt.chrome_trace().expect("tracing is on");
     let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-    assert_eq!(v["traceEvents"].as_array().unwrap().len(), 51);
-    // Drained: second take is empty.
-    assert!(rt.take_trace().is_empty());
+    let slices = v["traceEvents"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|e| e["ph"] == "X" && e["name"] == "closure")
+        .count();
+    assert_eq!(slices, 51);
 }
 
 #[test]
@@ -274,7 +291,8 @@ fn tracing_disabled_is_empty() {
     let rt = Runtime::new(RuntimeConfig::optimized(1));
     rt.submit(0, |_| {});
     rt.wait();
-    assert!(rt.take_trace().is_empty());
+    assert!(rt.take_events().is_empty());
+    assert!(rt.chrome_trace().is_none());
 }
 
 #[test]

@@ -166,7 +166,7 @@ pub struct Lfq {
     overflow: AtomicUsize,
     local_pops: AtomicUsize,
     steals: AtomicUsize,
-    /// Contention counters: zero-sized no-ops unless `obs-contention`.
+    /// Contention counters: zero-sized unless `obs`.
     steal_attempts: ContentionCounter,
     steal_empty: ContentionCounter,
     overflow_pops: ContentionCounter,

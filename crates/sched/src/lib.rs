@@ -137,7 +137,7 @@ pub struct QueueStats {
     /// Pushes that took the slow (detach/merge) path (LLP only).
     pub slow_pushes: usize,
     /// Victim queues probed while trying to steal. Zero unless the
-    /// `obs-contention` feature is enabled (as are the three below).
+    /// `obs` feature is enabled (as are the three below).
     pub steal_attempts: usize,
     /// Steal probes that found the victim empty (or lost the race).
     pub steal_empty: usize,

@@ -27,7 +27,7 @@ struct WorkerLifo {
 #[derive(Debug)]
 pub struct Ll {
     queues: Box<[CachePadded<WorkerLifo>]>,
-    /// Contention counters: zero-sized no-ops unless `obs-contention`.
+    /// Contention counters: zero-sized unless `obs`.
     steal_attempts: ContentionCounter,
     steal_empty: ContentionCounter,
 }

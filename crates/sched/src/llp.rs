@@ -118,7 +118,7 @@ impl WorkerQueue {
 #[derive(Debug)]
 pub struct Llp {
     queues: Box<[CachePadded<WorkerQueue>]>,
-    /// Contention counters: zero-sized no-ops unless `obs-contention`.
+    /// Contention counters: zero-sized unless `obs`.
     steal_attempts: ContentionCounter,
     steal_empty: ContentionCounter,
     detach_merges: ContentionCounter,

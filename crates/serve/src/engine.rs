@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ttg_core::{GraphInstance, GraphTemplate};
-use ttg_obs::{LatencyHistogram, MetricsSnapshot, SpanTailStore};
+use ttg_obs::{LatencyHistogram, MetricsSnapshot, Sample, SpanTailStore};
 use ttg_runtime::{RecoveryEvent, Runtime, RuntimeSlot};
 use ttg_termdet::{InstanceScope, ScopeOutcome};
 
@@ -569,12 +569,12 @@ impl ServeEngine {
             snap.labeled_counter("serve_failed", labels.clone(), t.failed);
             // Only present once a peer-loss re-execution happened, so
             // fault-free snapshots stay byte-identical.
-            if t.retried > 0 {
-                snap.labeled_counter("serve_retried", labels.clone(), t.retried);
-            }
-            // SLO attribution only exists with spans on, so the
-            // spans-off snapshot stays byte-identical.
-            if cfg!(feature = "obs-spans") {
+            snap.emit_if_set("serve_retried", labels.clone(), Sample::Counter(t.retried));
+            // SLO attribution only exists with `obs` on, so the
+            // `obs`-off snapshot stays byte-identical. (Not routed
+            // through `emit_if_set`: with `obs` on these are emitted
+            // even when zero.)
+            if ttg_obs::OBS {
                 let slo = self.inner.config.slo_for(name);
                 snap.labeled_counter(
                     "serve_slo_target_us",
@@ -974,7 +974,7 @@ fn finalize_locked(
     // Tail sampling: breached (or failed) instances get their full
     // trace tree assembled and retained while the rest are dropped.
     // `peek_events` reads the worker rings without the engine lock.
-    if breached && cfg!(feature = "obs-spans") {
+    if breached && ttg_obs::OBS {
         let trace = build_trace(inner, id, &tenant, &template, &status, latency_ns);
         inner.tail.insert(id, trace);
     }
@@ -1008,7 +1008,7 @@ fn finalize_locked(
 /// breakdown (queue/execute/wire plus the unattributed remainder
 /// `other_us`, so for serialized graphs the components sum to the
 /// measured latency), and the instance's span tree when the event
-/// rings still hold its records. With `obs-spans` off every event
+/// rings still hold its records. With `obs` off every event
 /// carries span 0, so no tree matches and the breakdown is all
 /// `other_us`.
 fn build_trace(

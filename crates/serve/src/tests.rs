@@ -4,8 +4,6 @@
 
 use crate::{serve_routes, InstanceStatus, ServeConfig, ServeEngine, ServeError};
 use serde_json::Value;
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 use ttg_core::GraphTemplate;
@@ -377,28 +375,9 @@ fn shutdown_deadline_abandons_and_reports_ids() {
 }
 
 fn http_request(port: u16, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    match body {
-        Some(b) => write!(
-            stream,
-            "{method} {path} HTTP/1.0\r\nContent-Length: {}\r\n\r\n{b}",
-            b.len()
-        )
-        .unwrap(),
-        None => write!(stream, "{method} {path} HTTP/1.0\r\n\r\n").unwrap(),
-    }
-    let mut text = String::new();
-    stream.read_to_string(&mut text).unwrap();
-    let status = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let target = format!("127.0.0.1:{port}");
+    ttg_obs::http::http_request(&target, method, path, body, Duration::from_secs(10))
+        .expect("request")
 }
 
 #[test]
@@ -528,36 +507,85 @@ fn round_robin_interleaves_tenants_under_contention() {
     assert_eq!(e.tenant_counters("b").unwrap().completed, 4);
 }
 
-/// With spans off there is no SLO attribution: the metrics snapshot
-/// must look exactly as it did before tracing existed (no
-/// `serve_slo_*` families, no exemplars), and the tail store stays
-/// empty — breaches are not even classified into the output.
-#[cfg(not(feature = "obs-spans"))]
+/// The one surface test for the one switch. Every optional recorder is
+/// driven — wire stages and link cells through the runtime's wire
+/// source, an SLO verdict through a breaching instance — and the
+/// exported snapshot must carry each optional family exactly when `obs`
+/// is compiled in: with it off there is no `wire_*` / `net_link_*` /
+/// `serve_slo_*` family and no exemplar, in JSON or Prometheus text, so
+/// the surface is what it was before any of them existed; the lock
+/// family (always exported) reads zero and the tail store stays empty.
 #[test]
-fn spans_off_keeps_metrics_and_tail_untouched() {
-    let e = engine(
-        2,
-        ServeConfig {
-            slo_target: Duration::from_millis(1), // everything "breaches"
-            ..ServeConfig::default()
-        },
-    );
+fn optional_series_follow_the_one_switch() {
+    use ttg_obs::OBS;
+    let rt = Arc::new(Runtime::new(RuntimeConfig::optimized(2)));
+    let wire = Arc::new(ttg_obs::WireObs::new(3));
+    let source = Arc::clone(&wire);
+    rt.set_wire_stats_source(Arc::new(move || source.snapshot()));
+    wire.record_encode(500);
+    wire.record_lock_wait(100);
+    wire.record_write(2_000, 64, 1);
+    wire.record_read_decode(1_500);
+    wire.record_dispatch(700);
+    wire.link_tx(1, 64);
+    wire.link_rx(1, 32);
+    wire.set_ack_lag(1, 5);
+    wire.record_ack_rtt_us(1, 250);
+    wire.resend_delta(2, 128);
+
+    let config = ServeConfig {
+        slo_target: Duration::from_millis(1), // everything "breaches"
+        ..ServeConfig::default()
+    };
+    let e = ServeEngine::new(Arc::clone(&rt), config);
+    e.register_template(slow_template());
     let id = e
         .submit("acme", "slow", obj(vec![("ms", Value::UInt(10))]))
         .unwrap();
     e.wait_result(id, Duration::from_secs(5)).unwrap();
-    let prom = e.metrics().to_prometheus("ttg");
-    assert!(!prom.contains("serve_slo"), "no SLO families: {prom}");
-    assert!(!prom.contains("instance_id"), "no exemplars: {prom}");
-    let v = e.slow_json();
+
+    let mut snap = rt.metrics();
+    e.metrics_into(&mut snap);
+    let (json, prom) = (snap.to_json(), snap.to_prometheus("ttg"));
+    // (series, also visible in the JSON view)
+    let optional = [
+        ("wire_encode", true),
+        ("wire_dispatch", true),
+        ("wire_writes", true),
+        ("net_link_bytes", true),
+        ("net_link_frames", true),
+        ("net_link_ack_lag_seq", true),
+        ("net_link_ack_rtt_us", true),
+        ("net_link_resend_buffer_bytes", true),
+        ("serve_slo_target_us", true),
+        ("serve_slo_good", true),
+        ("serve_slo_breached", true),
+        ("instance_id", false), // exemplars ride the text exposition only
+    ];
+    for (series, in_json) in optional {
+        assert_eq!(prom.contains(series), OBS, "{series} in text:\n{prom}");
+        assert_eq!(json.contains(series), OBS && in_json, "{series} in JSON");
+    }
+    for f in &ttg_runtime::obs::LOCK_FIELDS {
+        let line = format!("ttg_{}{{rank=\"0\"}} ", f.metric);
+        let at = prom.find(&line).unwrap_or_else(|| panic!("{line} missing"));
+        let value = prom[at + line.len()..].lines().next().unwrap();
+        assert!(OBS || value == "0", "{line}{value} with obs off");
+    }
+    assert_eq!(wire.snapshot().is_empty(), !OBS);
+    assert!(rt
+        .wire_snapshot()
+        .net_json(0)
+        .contains(&format!("\"wire_enabled\": {OBS}")));
+    let slow = e.slow_json();
     assert_eq!(
-        v.get("count").and_then(Value::as_u64),
-        Some(0),
-        "tail store never written with spans off"
+        slow.get("count").and_then(Value::as_u64),
+        Some(u64::from(OBS)),
+        "the tail store is written exactly when obs is on"
     );
 }
 
-#[cfg(feature = "obs-spans")]
+#[cfg(feature = "obs")]
 mod spans_on {
     use super::*;
 

@@ -22,10 +22,14 @@
 //! * [`counted`] — atomic wrappers that (optionally, feature
 //!   `count-atomics`) count every read-modify-write so tests can validate
 //!   the paper's atomic-cost model N_A = 4·N_i + 4 (Equation 1).
-//! * [`contention`] — lock-contention counters (optionally, feature
-//!   `obs-contention`): per-thread acquisition/spin/bias statistics for
-//!   the locks above plus an embeddable [`ContentionCounter`] for
-//!   higher-level structures; all no-ops when the feature is off.
+//! * [`gated`] — the one observability switch (feature `obs`): the
+//!   [`OBS`] constant and [`Gated<T>`], the recorder slot that is a `T`
+//!   when the feature is on and zero-sized when it is off. Every
+//!   recorder in the workspace is built from it.
+//! * [`contention`] — lock-contention counters behind [`Gated`]:
+//!   per-thread acquisition/spin/bias statistics for the locks above
+//!   plus an embeddable [`ContentionCounter`] for higher-level
+//!   structures.
 //! * [`clock`] — an `rdtsc`-based cycle clock plus a calibrated busy-wait,
 //!   used by the scheduler benchmarks ("blocking the execution of the task
 //!   until a given number of cycles has passed", Section V-C).
@@ -39,6 +43,7 @@ pub mod bravo;
 pub mod clock;
 pub mod contention;
 pub mod counted;
+pub mod gated;
 pub mod ordering;
 pub mod pad;
 pub mod rwspin;
@@ -47,8 +52,11 @@ pub mod thread_id;
 
 pub use backoff::Backoff;
 pub use bravo::{BravoReadGuard, BravoRwLock, BravoWriteGuard};
-pub use contention::{lock_contention, reset_lock_contention, ContentionCounter, LockContention};
+pub use contention::{
+    lock_contention, reset_lock_contention, ContentionCounter, LockContention, LOCK_FIELDS,
+};
 pub use counted::{atomic_rmw_ops, reset_atomic_rmw_ops, CAtomicI64, CAtomicU64, CAtomicUsize};
+pub use gated::{Gated, OBS};
 pub use ordering::OrderingPolicy;
 pub use pad::CachePadded;
 pub use rwspin::{RwSpinLock, RwSpinReadGuard, RwSpinWriteGuard};

@@ -18,7 +18,7 @@
 //! `--serve-secs <s>` (exit after s seconds; default: serve forever),
 //! and `--slo-ms <ms>` (per-tenant SLO target; breaching instances
 //! land in `/slow.json` and `/instance/<id>/trace.json` when built
-//! with `--features obs-spans`).
+//! with `--features obs`).
 //!
 //! The deliberately slow `nap` template (input `{"ms": N}` sleeps N ms
 //! in a task body) exists to demonstrate SLO breach tracing. Exits
@@ -124,7 +124,7 @@ fn main() {
         .and_then(|v| v.parse().ok());
 
     // Trace on: span recording feeds the trace routes; without
-    // `obs-spans` the stamps compile to no-ops and this only enables
+    // `obs` the stamps compile to no-ops and this only enables
     // the chrome-trace ring.
     let mut rc = RuntimeConfig::optimized(4);
     rc.trace = true;
