@@ -81,8 +81,8 @@ pub use edge::Edge;
 pub use graph::Graph;
 pub use io::{Inputs, Outputs};
 pub use template::{
-    BuildFn, GraphInstance, GraphTemplate, InstanceCtx, ResultSink, SeedFn, TemplateError,
-    TemplateMeta,
+    BuildFn, GraphInstance, GraphTemplate, InstanceCtx, InstanceStart, ResultSink, SeedFn,
+    TemplateError, TemplateMeta,
 };
 pub use tt::Tt;
 

@@ -15,10 +15,22 @@
 //! - an [`InstanceCtx`] carrying the instance id, tenant, request input,
 //!   and a [`ResultSink`] task bodies emit results into.
 //!
-//! Templates are immutable and cheap to clone (two `Arc`s); the
+//! Templates are immutable and cheap to clone (three `Arc`s); the
 //! per-instance cost is building the instance's TTs — intentional, since
 //! TT construction is micro-seconds while the hash tables and pools they
 //! embed must be private per instance for isolation.
+//!
+//! Starting an instance is split in two so that an owner can *publish*
+//! the instance before it can finish: [`GraphInstance::take_start`]
+//! hands out the seeder and the submission credit as an
+//! [`InstanceStart`], the owner stores the instance where its
+//! completion hook will look for it, and only then
+//! [`InstanceStart::run`] seeds — all of the seeder's initial tasks in
+//! one [`Runtime::inject_batch`] publication — and releases the credit.
+//! A zero-task or failed-build instance completes inside `run`, on the
+//! calling thread; every other one on the worker that finishes its last
+//! task. [`GraphInstance::start`] is the two steps back to back, for
+//! callers that keep the instance on their own stack.
 
 use crate::tt::panic_message;
 use crate::Graph;
@@ -121,7 +133,7 @@ pub struct InstanceCtx {
     /// the termination scope).
     pub id: u64,
     /// The submitting tenant.
-    pub tenant: String,
+    pub tenant: Arc<str>,
     /// The request payload.
     pub input: Value,
     /// Where task bodies deliver the instance's results.
@@ -156,7 +168,7 @@ impl GraphTemplate {
             let graph = Graph::with_runtime_scoped(Arc::clone(&probe_rt), scope);
             let ctx = InstanceCtx {
                 id: u64::MAX,
-                tenant: "template-probe".to_string(),
+                tenant: "template-probe".into(),
                 input: Value::Null,
                 sink: ResultSink::new(),
             };
@@ -211,11 +223,11 @@ impl GraphTemplate {
         &self,
         runtime: &Arc<Runtime>,
         id: u64,
-        tenant: impl Into<String>,
+        tenant: impl Into<Arc<str>>,
         input: Value,
     ) -> GraphInstance {
         let scope = InstanceScope::new(id);
-        let tenant = tenant.into();
+        let tenant: Arc<str> = tenant.into();
         // Link the scope to its span context before any task can be
         // scheduled under it; packs to 0 (unattributed) with the
         // `obs` feature off.
@@ -244,8 +256,9 @@ impl GraphTemplate {
         GraphInstance {
             template: Arc::clone(&self.name),
             id,
-            tenant: ctx.tenant.clone(),
-            sink: ctx.sink.clone(),
+            tenant: ctx.tenant,
+            input: ctx.input,
+            sink: ctx.sink,
             scope,
             graph: Some(graph),
             seed,
@@ -272,12 +285,71 @@ impl std::fmt::Debug for GraphTemplate {
 pub struct GraphInstance {
     template: Arc<str>,
     id: u64,
-    tenant: String,
+    tenant: Arc<str>,
+    /// The request payload, kept so a re-execution needs no copy.
+    input: Value,
     sink: ResultSink,
     scope: Arc<InstanceScope>,
     graph: Option<Graph>,
     seed: Option<SeedFn>,
     guard: Option<ttg_termdet::SubmissionGuard>,
+}
+
+/// The not-yet-run half of an instance: its seeder and the submission
+/// credit taken at instantiation (see the module docs). Dropping it
+/// unrun releases the credit without seeding.
+pub struct InstanceStart {
+    seed: Option<SeedFn>,
+    guard: Option<ttg_termdet::SubmissionGuard>,
+    scope: Arc<InstanceScope>,
+    runtime: Arc<Runtime>,
+    template: Arc<str>,
+}
+
+impl InstanceStart {
+    /// Seeds the instance's initial work and releases the submission
+    /// credit; the instance completes (its scope reaches zero) once all
+    /// work it unfolds has drained — for a zero-task or failed-build
+    /// instance, before this returns. A panicking seeder marks the
+    /// instance failed instead of unwinding.
+    pub fn run(self) {
+        seed_and_release(
+            self.seed,
+            self.guard,
+            &self.scope,
+            &self.runtime,
+            &self.template,
+        );
+    }
+}
+
+/// The body of [`InstanceStart::run`], on borrowed parts so that
+/// [`GraphInstance::start`] can run it in place.
+fn seed_and_release(
+    seed: Option<SeedFn>,
+    guard: Option<ttg_termdet::SubmissionGuard>,
+    scope: &InstanceScope,
+    runtime: &Runtime,
+    template: &str,
+) {
+    if let Some(seed) = seed {
+        // Seeding runs off-worker, so the request's identity enters
+        // the runtime via the ambient span: terminals invoked by the
+        // seeder stamp it onto the tasks they inject.
+        let span = scope.span();
+        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ttg_runtime::obs::spans::with_ambient_span(span, || runtime.inject_batch(seed))
+        })) {
+            scope.fail(format!(
+                "seeding instance {} of template '{template}' panicked: {}",
+                scope.id(),
+                panic_message(payload.as_ref())
+            ));
+        }
+    }
+    // Dropping the guard releases the submission credit; for a
+    // zero-task or failed-build instance this is the zero-crossing.
+    drop(guard);
 }
 
 impl GraphInstance {
@@ -301,31 +373,31 @@ impl GraphInstance {
         &self.scope
     }
 
-    /// Seeds the instance's initial work and releases the submission
-    /// credit taken at instantiation; the instance completes (its scope
-    /// reaches zero) once all work it unfolds has drained. Idempotent —
-    /// later calls are no-ops. A panicking seeder marks the instance
-    /// failed instead of unwinding.
-    pub fn start(&mut self) {
-        if let Some(seed) = self.seed.take() {
-            // Seeding runs off-worker, so the request's identity enters
-            // the runtime via the ambient span: terminals invoked by the
-            // seeder stamp it onto the tasks they inject.
-            let span = self.scope.span();
-            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ttg_runtime::obs::spans::with_ambient_span(span, seed)
-            })) {
-                self.scope.fail(format!(
-                    "seeding instance {} of template '{}' panicked: {}",
-                    self.id,
-                    self.template,
-                    panic_message(payload.as_ref())
-                ));
-            }
+    /// Takes the instance's seeder and submission credit, to be
+    /// [run](InstanceStart::run) once the instance is where its
+    /// completion hook expects it. Later calls return an empty start.
+    pub fn take_start(&mut self) -> InstanceStart {
+        InstanceStart {
+            seed: self.seed.take(),
+            guard: self.guard.take(),
+            scope: Arc::clone(&self.scope),
+            runtime: Arc::clone(self.graph.as_ref().expect("live graph").runtime_arc()),
+            template: Arc::clone(&self.template),
         }
-        // Dropping the guard releases the submission credit; for a
-        // zero-task or failed-build instance this is the zero-crossing.
-        self.guard = None;
+    }
+
+    /// [`GraphInstance::take_start`] and [`InstanceStart::run`] in one
+    /// step. Idempotent — later calls are no-ops.
+    pub fn start(&mut self) {
+        let runtime = self.graph.as_ref().expect("live graph").runtime();
+        let (seed, guard) = (self.seed.take(), self.guard.take());
+        seed_and_release(seed, guard, &self.scope, runtime, &self.template);
+    }
+
+    /// Takes the request payload back (leaving `Null`), so a failed
+    /// instance can be re-executed from the input it was given.
+    pub fn take_input(&mut self) -> Value {
+        std::mem::replace(&mut self.input, Value::Null)
     }
 
     /// Blocks until the instance terminates (its tasks only).

@@ -456,8 +456,8 @@ impl<K: Key> Tt<K> {
     /// `ttg::invoke`. Only valid for TTs whose satisfaction goal for
     /// `key` is zero (no inputs, or aggregators expecting zero items).
     pub fn invoke(&self, key: K) {
-        let rt = Arc::clone(&self.inner.runtime);
-        self.inner.invoke_now(&mut Dispatch::External(&rt), key);
+        self.inner
+            .invoke_now(&mut Dispatch::External(&self.inner.runtime), key);
     }
 
     /// Delivers `value` into input terminal `idx` of task `key` from
@@ -469,8 +469,7 @@ impl<K: Key> Tt<K> {
             "deliver: input {idx} of '{}' has a different payload type",
             self.inner.name
         );
-        let rt = Arc::clone(&self.inner.runtime);
-        let mut d = Dispatch::External(&rt);
+        let mut d = Dispatch::External(&self.inner.runtime);
         let copy = DataCopy::new(value, d.ordering());
         self.inner.deliver_input(&mut d, idx, &key, copy);
     }

@@ -7,6 +7,7 @@ use crate::task::{ClosureTask, RawTask};
 use crate::worker::{self, WorkerCtx};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -157,6 +158,13 @@ impl Default for RuntimeConfig {
     }
 }
 
+thread_local! {
+    /// The runtime whose [`Runtime::inject_batch`] scope is open on this
+    /// thread (null: none), and the tasks injected under it so far.
+    static BATCH_OWNER: Cell<*const Inner> = const { Cell::new(std::ptr::null()) };
+    static BATCH: RefCell<Vec<RawTask>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Shared state of one runtime instance.
 pub(crate) struct Inner {
     pub(crate) config: RuntimeConfig,
@@ -283,7 +291,9 @@ impl Inner {
         }
     }
 
-    /// Pushes an externally produced task into the injection queue.
+    /// Pushes an externally produced task into the injection queue —
+    /// or, inside [`Runtime::inject_batch`] on this thread, onto the
+    /// batch that publishes at the scope's end.
     pub(crate) fn inject(&self, task: RawTask) {
         // External injections (graph seeding, submit) inherit the
         // thread's ambient span unless the caller stamped one already;
@@ -300,6 +310,10 @@ impl Inner {
                 // SAFETY: as above.
                 unsafe { task.0.as_ref().stamp_ready(ttg_sync::clock::now_ns()) };
             }
+        }
+        if std::ptr::eq(BATCH_OWNER.get(), self) {
+            BATCH.with_borrow_mut(|batch| batch.push(task));
+            return;
         }
         self.maybe_new_session();
         self.injection.lock().push_back(task);
@@ -546,6 +560,40 @@ impl Runtime {
     /// honours the layout contract of [`crate::TaskHeader`].
     pub unsafe fn inject_raw(&self, task: RawTask) {
         self.inner.inject(task);
+    }
+
+    /// Runs `seed` with this thread's injections into this runtime
+    /// collected and published together when `seed` returns or unwinds:
+    /// a graph's seeder pays for one queue publication, not one per
+    /// task. Nothing injected becomes runnable before the end, so `seed`
+    /// must not wait for work it injects. A nested call joins the open
+    /// batch.
+    pub fn inject_batch<R>(&self, seed: impl FnOnce() -> R) -> R {
+        /// Closes the batch and publishes it: one session check, one
+        /// queue lock, one length update and one wake-up for all of it.
+        struct Publish<'a>(&'a Inner);
+        impl Drop for Publish<'_> {
+            fn drop(&mut self) {
+                BATCH_OWNER.set(std::ptr::null());
+                BATCH.with_borrow_mut(|batch| {
+                    let n = batch.len();
+                    if n > 0 {
+                        self.0.maybe_new_session();
+                        self.0.injection.lock().extend(batch.drain(..));
+                        self.0.injection_len.fetch_add(n, Ordering::Release);
+                        self.0.wake_sleepers();
+                    }
+                });
+            }
+        }
+        if !BATCH_OWNER.get().is_null() {
+            // Nested in this runtime's batch: join it. Inside another
+            // runtime's: inject unbatched.
+            return seed();
+        }
+        BATCH_OWNER.set(self.inner_ptr());
+        let _publish = Publish(&self.inner);
+        seed()
     }
 
     /// Blocks until all submitted work (and, in a process group, all

@@ -2,19 +2,32 @@
 //! round-robin admission onto the resident runtime, instance-scoped
 //! completion, and a bounded result store.
 //!
-//! Concurrency layout: one `Mutex<EngineState>` guards all bookkeeping
-//! (queues, counters, live instances, results). A dedicated dispatcher
-//! thread moves work between the stages; it is the only thread that
-//! instantiates, starts, finalizes, or drops graph instances, so task
-//! bodies never run while the engine lock is held. Instance completion
-//! hooks (fired by worker threads at the scope's zero-crossing) only
-//! push the instance id onto a completion queue and wake the
-//! dispatcher.
+//! Threading model: the engine owns no thread. The thread calling
+//! [`ServeEngine::submit`] admits the request (a counter, under the one
+//! `Mutex<EngineState>`) and, outside the lock, instantiates and seeds
+//! it. The thread that takes the instance scope's zero-crossing — the
+//! worker that finished the last task, or the submitter itself for a
+//! zero-task or failed-build instance — runs [`finalize`]: moves the
+//! instance into the result store, wakes that request's waiter if it
+//! has one, tears the graph down outside the lock, and admits the next
+//! queued request.
+//!
+//! Admission invariant: *a queued submission exists only while the
+//! in-flight budget is exhausted or some thread is inside [`admit`].*
+//! Every path that frees budget pops the next submission under the same
+//! lock hold, so there is no wake-up to lose. Ownership rule: whoever
+//! removes an id from `running` owns the instance — a completion hook
+//! and `shutdown`'s abandon pass can never both have it; an instance
+//! counted in flight but not in `running` (being built, or having its
+//! trace assembled) belongs to the thread working on it, which discards
+//! it if it finds `shutdown_done` set when it takes the lock again.
+//! Lock rule: `state` is never held across `instantiate`, `start`,
+//! graph teardown, `build_trace` or any user closure.
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use serde_json::Value;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ttg_core::{GraphInstance, GraphTemplate};
@@ -222,15 +235,17 @@ pub struct ShutdownReport {
 /// One admitted-but-not-started submission.
 struct Pending {
     id: u64,
-    tenant: String,
+    tenant: Arc<str>,
     template: GraphTemplate,
     input: Value,
 }
 
 /// Everything the engine remembers about one submission.
 struct InstanceRecord {
-    tenant: String,
-    template: String,
+    /// Index into [`EngineState::tenants`].
+    tenant: usize,
+    /// The registry's name for the template (shared, not copied).
+    template: Arc<str>,
     status: InstanceStatus,
     submitted_at: Instant,
     /// Submit-to-completion latency, fixed at finalization
@@ -240,15 +255,36 @@ struct InstanceRecord {
     /// completion or after eviction (`evicted` disambiguates).
     results: Option<Vec<(String, Value)>>,
     evicted: bool,
-    /// The submitted input, retained so a peer-loss failure can be
-    /// re-executed from scratch.
-    input: Value,
     /// Peer-loss re-executions consumed so far.
     retries: u32,
+    /// [`ServeEngine::wait_result`] callers blocked on this record; a
+    /// completion nobody waits for notifies nobody.
+    waiters: u32,
+}
+
+impl InstanceRecord {
+    /// What a finished record answers a result request with; clones
+    /// the status and the results, nothing else.
+    fn view(&self, id: u64) -> Result<ResultView, ServeError> {
+        if !self.status.is_finished() {
+            return Err(ServeError::ResultNotReady(id));
+        }
+        if self.evicted {
+            return Err(ServeError::ResultEvicted(id));
+        }
+        Ok(ResultView {
+            id,
+            status: self.status.clone(),
+            results: self.results.clone().unwrap_or_default(),
+        })
+    }
 }
 
 #[derive(Default)]
 struct TenantState {
+    name: Arc<str>,
+    /// [`ServeConfig::slo_for`] this tenant, resolved once.
+    slo: Duration,
     queue: VecDeque<Pending>,
     inflight: usize,
     submitted: u64,
@@ -269,35 +305,87 @@ struct TenantState {
 
 #[derive(Default)]
 struct EngineState {
-    tenants: BTreeMap<String, TenantState>,
-    instances: BTreeMap<u64, InstanceRecord>,
-    /// Instances currently executing, owned here between start and
-    /// finalize.
-    running: BTreeMap<u64, GraphInstance>,
+    /// Tenants, interned once, in first-submission order — the
+    /// round-robin order. Records name a tenant by index.
+    tenants: Vec<TenantState>,
+    /// Name → index into `tenants`; the views list them through it.
+    tenant_ids: BTreeMap<Arc<str>, usize>,
+    instances: HashMap<u64, InstanceRecord>,
+    /// Started instances, owned here until a finalizer (or `shutdown`)
+    /// removes them — the single ownership transfer.
+    running: HashMap<u64, GraphInstance>,
     /// Finished ids in completion order — the result LRU.
     finished: VecDeque<u64>,
-    /// Ids whose completion hook fired, awaiting finalization.
-    completions: VecDeque<u64>,
+    /// Ids whose results were evicted, oldest first; past its cap the
+    /// oldest record is forgotten entirely.
+    evicted: VecDeque<u64>,
+    next_id: u64,
+    queued_total: usize,
     inflight_total: usize,
     rr_cursor: usize,
-    accepting: bool,
     draining: bool,
+    /// A peer's rejoin is pending and some running instance may be
+    /// quarantined, so finalizers recompute the gauge.
+    quarantine_active: bool,
     abandoned_ids: Vec<u64>,
     shutdown_done: bool,
+}
+
+impl EngineState {
+    /// The index of `name`'s tenant state, created on first use.
+    fn intern_tenant(&mut self, name: &str, config: &ServeConfig) -> usize {
+        if let Some(&t) = self.tenant_ids.get(name) {
+            return t;
+        }
+        let t = self.tenants.len();
+        let name: Arc<str> = name.into();
+        self.tenants.push(TenantState {
+            name: Arc::clone(&name),
+            slo: config.slo_for(&name),
+            ..TenantState::default()
+        });
+        self.tenant_ids.insert(name, t);
+        t
+    }
+
+    /// Tenants sorted by name, for the views.
+    fn tenants_by_name(&self) -> impl Iterator<Item = &TenantState> {
+        self.tenant_ids.values().map(|&t| &self.tenants[t])
+    }
+
+    /// Admission: while in-flight budget remains, takes the next queued
+    /// submission round-robin across tenants and counts it in flight.
+    /// Every path that queues a submission or frees budget calls this
+    /// under the same lock hold and hands the result to [`admit`].
+    fn pop_next(&mut self, max_inflight: usize) -> Option<Pending> {
+        if self.queued_total == 0 || self.inflight_total >= max_inflight {
+            return None;
+        }
+        let n = self.tenants.len();
+        let t = (0..n)
+            .map(|i| (self.rr_cursor + i) % n)
+            .find(|&t| !self.tenants[t].queue.is_empty())?;
+        let p = self.tenants[t].queue.pop_front()?;
+        self.tenants[t].inflight += 1;
+        // Not wrapped here: a tenant interned later must come after `t`.
+        self.rr_cursor = t + 1;
+        self.queued_total -= 1;
+        self.inflight_total += 1;
+        if let Some(rec) = self.instances.get_mut(&p.id) {
+            rec.status = InstanceStatus::Running;
+        }
+        Some(p)
+    }
 }
 
 struct EngineInner {
     config: ServeConfig,
     runtime: Arc<Runtime>,
     slot: Arc<RuntimeSlot>,
-    templates: RwLock<BTreeMap<String, GraphTemplate>>,
+    templates: RwLock<BTreeMap<Arc<str>, GraphTemplate>>,
     state: Mutex<EngineState>,
-    /// Wakes the dispatcher (new submission, completion, shutdown).
-    cv_dispatch: Condvar,
     /// Wakes result waiters and the drain loop (an instance finished).
     cv_done: Condvar,
-    next_id: AtomicU64,
-    stop: AtomicBool,
     /// Tail-sampling store: full trace trees of SLO-breaching or
     /// failed instances, bounded at `config.tail_capacity`.
     tail: SpanTailStore,
@@ -310,14 +398,13 @@ struct EngineInner {
 /// [`ServeEngine::shutdown`] with the configured drain timeout.
 pub struct ServeEngine {
     inner: Arc<EngineInner>,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl ServeEngine {
     /// Starts an engine serving instances on `runtime`. The runtime
     /// stays resident for the engine's whole life; the engine's
     /// [`RuntimeSlot`] (see [`ServeEngine::slot`]) is pointed at it so
-    /// live telemetry can observe it.
+    /// live telemetry can observe it. Spawns no thread.
     pub fn new(runtime: Arc<Runtime>, config: ServeConfig) -> ServeEngine {
         let slot = RuntimeSlot::new();
         slot.set(Arc::clone(&runtime));
@@ -328,13 +415,10 @@ impl ServeEngine {
             slot,
             templates: RwLock::new(BTreeMap::new()),
             state: Mutex::new(EngineState {
-                accepting: true,
+                next_id: 1,
                 ..EngineState::default()
             }),
-            cv_dispatch: Condvar::new(),
             cv_done: Condvar::new(),
-            next_id: AtomicU64::new(1),
-            stop: AtomicBool::new(false),
             tail,
         });
         // Peer-liveness transitions drive instance quarantine/release/
@@ -347,17 +431,7 @@ impl ServeEngine {
                 on_recovery(&inner, event);
             }
         });
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("ttg-serve-dispatch".into())
-                .spawn(move || dispatcher_loop(inner))
-                .expect("spawn serve dispatcher")
-        };
-        ServeEngine {
-            inner,
-            dispatcher: Mutex::new(Some(dispatcher)),
-        }
+        ServeEngine { inner }
     }
 
     /// Registers (or replaces) a compiled template under its name.
@@ -365,12 +439,13 @@ impl ServeEngine {
         self.inner
             .templates
             .write()
-            .insert(template.name().to_string(), template);
+            .insert(template.name().into(), template);
     }
 
     /// Registered template names, sorted.
     pub fn template_names(&self) -> Vec<String> {
-        self.inner.templates.read().keys().cloned().collect()
+        let templates = self.inner.templates.read();
+        templates.keys().map(|name| name.to_string()).collect()
     }
 
     /// The slot live telemetry reads the resident runtime through.
@@ -384,52 +459,61 @@ impl ServeEngine {
     }
 
     /// Submits one instance of `template` for `tenant`; returns the
-    /// instance id to poll. Admission control applies per tenant.
+    /// instance id to poll. Admission control applies per tenant. With
+    /// in-flight budget to spare and nothing queued ahead, the instance
+    /// is built and seeded on the calling thread before this returns.
     pub fn submit(&self, tenant: &str, template: &str, input: Value) -> Result<u64, ServeError> {
-        let tmpl = self
-            .inner
+        let inner = &self.inner;
+        let (template, tmpl) = inner
             .templates
             .read()
-            .get(template)
-            .cloned()
+            .get_key_value(template)
+            .map(|(name, tmpl)| (Arc::clone(name), tmpl.clone()))
             .ok_or_else(|| ServeError::UnknownTemplate(template.to_string()))?;
-        let mut st = self.inner.state.lock();
-        if !st.accepting {
+        let mut st = inner.state.lock();
+        if st.draining {
             return Err(ServeError::ShuttingDown);
         }
-        let capacity = self.inner.config.queue_capacity;
-        let ts = st.tenants.entry(tenant.to_string()).or_default();
-        if ts.queue.len() >= capacity {
-            ts.rejected += 1;
+        let capacity = inner.config.queue_capacity;
+        let t = st.intern_tenant(tenant, &inner.config);
+        if st.tenants[t].queue.len() >= capacity {
+            st.tenants[t].rejected += 1;
             return Err(ServeError::Overloaded {
                 tenant: tenant.to_string(),
                 capacity,
             });
         }
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = st.next_id;
+        st.next_id += 1;
+        // Queue, then admit: with budget to spare and nothing queued
+        // ahead, `pop_next` hands this very submission straight back —
+        // one path, and it can never overtake the round-robin order.
+        let ts = &mut st.tenants[t];
         ts.submitted += 1;
         ts.queue.push_back(Pending {
             id,
-            tenant: tenant.to_string(),
+            tenant: Arc::clone(&ts.name),
             template: tmpl,
-            input: input.clone(),
+            input,
         });
+        st.queued_total += 1;
         st.instances.insert(
             id,
             InstanceRecord {
-                tenant: tenant.to_string(),
-                template: template.to_string(),
+                tenant: t,
+                template,
                 status: InstanceStatus::Queued,
                 submitted_at: Instant::now(),
                 latency_ns: None,
                 results: None,
                 evicted: false,
-                input,
                 retries: 0,
+                waiters: 0,
             },
         );
+        let next = st.pop_next(inner.config.max_inflight);
         drop(st);
-        self.inner.cv_dispatch.notify_one();
+        admit(inner, next);
         Ok(id)
     }
 
@@ -447,7 +531,12 @@ impl ServeEngine {
         let st = self.inner.state.lock();
         st.instances
             .get(&id)
-            .map(|r| (r.tenant.clone(), r.template.clone()))
+            .map(|r| {
+                (
+                    st.tenants[r.tenant].name.to_string(),
+                    r.template.to_string(),
+                )
+            })
             .ok_or(ServeError::UnknownInstance(id))
     }
 
@@ -455,48 +544,37 @@ impl ServeEngine {
     /// stay fetchable (the store keeps them) until LRU eviction.
     pub fn result(&self, id: u64) -> Result<ResultView, ServeError> {
         let st = self.inner.state.lock();
-        let rec = st
-            .instances
+        st.instances
             .get(&id)
-            .ok_or(ServeError::UnknownInstance(id))?;
-        if !rec.status.is_finished() {
-            return Err(ServeError::ResultNotReady(id));
-        }
-        if rec.evicted {
-            return Err(ServeError::ResultEvicted(id));
-        }
-        Ok(ResultView {
-            id,
-            status: rec.status.clone(),
-            results: rec.results.clone().unwrap_or_default(),
-        })
+            .ok_or(ServeError::UnknownInstance(id))?
+            .view(id)
     }
 
     /// Blocks until the instance finishes (then behaves like
     /// [`ServeEngine::result`]) or `timeout` elapses
     /// ([`ServeError::ResultNotReady`]).
     pub fn wait_result(&self, id: u64, timeout: Duration) -> Result<ResultView, ServeError> {
-        let deadline = Instant::now() + timeout;
         let mut st = self.inner.state.lock();
+        // Set at the first miss; from then on this caller is counted in
+        // the record's `waiters` whenever it is blocked.
+        let mut deadline = None;
         loop {
-            match st.instances.get(&id) {
-                None => return Err(ServeError::UnknownInstance(id)),
-                Some(rec) if rec.status.is_finished() => {
-                    if rec.evicted {
-                        return Err(ServeError::ResultEvicted(id));
-                    }
-                    return Ok(ResultView {
-                        id,
-                        status: rec.status.clone(),
-                        results: rec.results.clone().unwrap_or_default(),
-                    });
-                }
-                Some(_) => {}
+            let rec = st
+                .instances
+                .get_mut(&id)
+                .ok_or(ServeError::UnknownInstance(id))?;
+            if deadline.is_some() {
+                rec.waiters -= 1;
+            }
+            if rec.status.is_finished() {
+                return rec.view(id);
             }
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return Err(ServeError::ResultNotReady(id));
             }
+            rec.waiters += 1;
             self.inner.cv_done.wait_for(&mut st, deadline - now);
         }
     }
@@ -505,7 +583,8 @@ impl ServeEngine {
     /// never submitted).
     pub fn tenant_counters(&self, tenant: &str) -> Option<TenantCounters> {
         let st = self.inner.state.lock();
-        st.tenants.get(tenant).map(|t| TenantCounters {
+        let t = &st.tenants[*st.tenant_ids.get(tenant)?];
+        Some(TenantCounters {
             submitted: t.submitted,
             completed: t.completed,
             rejected: t.rejected,
@@ -521,12 +600,11 @@ impl ServeEngine {
     pub fn tenants_json(&self) -> Value {
         let st = self.inner.state.lock();
         let tenants = Value::Object(
-            st.tenants
-                .iter()
-                .map(|(name, t)| {
+            st.tenants_by_name()
+                .map(|t| {
                     let h = t.latency.snapshot();
                     (
-                        name.clone(),
+                        t.name.to_string(),
                         Value::Object(vec![
                             ("submitted".to_string(), Value::UInt(t.submitted)),
                             ("completed".to_string(), Value::UInt(t.completed)),
@@ -561,8 +639,8 @@ impl ServeEngine {
     /// this rather than `merge` so the `rank` label survives).
     pub fn metrics_into(&self, snap: &mut MetricsSnapshot) {
         let st = self.inner.state.lock();
-        for (name, t) in &st.tenants {
-            let labels = vec![("tenant".to_string(), name.clone())];
+        for t in st.tenants_by_name() {
+            let labels = vec![("tenant".to_string(), t.name.to_string())];
             snap.labeled_counter("serve_submitted", labels.clone(), t.submitted);
             snap.labeled_counter("serve_completed", labels.clone(), t.completed);
             snap.labeled_counter("serve_rejected", labels.clone(), t.rejected);
@@ -575,11 +653,10 @@ impl ServeEngine {
             // through `emit_if_set`: with `obs` on these are emitted
             // even when zero.)
             if ttg_obs::OBS {
-                let slo = self.inner.config.slo_for(name);
                 snap.labeled_counter(
                     "serve_slo_target_us",
                     labels.clone(),
-                    slo.as_micros().min(u128::from(u64::MAX)) as u64,
+                    t.slo.as_micros().min(u128::from(u64::MAX)) as u64,
                 );
                 snap.labeled_counter("serve_slo_good", labels.clone(), t.slo_good);
                 snap.labeled_counter("serve_slo_breached", labels.clone(), t.slo_breached);
@@ -628,8 +705,8 @@ impl ServeEngine {
                     .min(u128::from(u64::MAX)) as u64
             });
             (
-                rec.tenant.clone(),
-                rec.template.clone(),
+                Arc::clone(&st.tenants[rec.tenant].name),
+                Arc::clone(&rec.template),
                 rec.status.clone(),
                 latency_ns,
             )
@@ -669,9 +746,8 @@ impl ServeEngine {
     /// view.
     pub fn tenant_load(&self) -> Vec<(String, usize, usize)> {
         let st = self.inner.state.lock();
-        st.tenants
-            .iter()
-            .map(|(name, t)| (name.clone(), t.queue.len(), t.inflight))
+        st.tenants_by_name()
+            .map(|t| (t.name.to_string(), t.queue.len(), t.inflight))
             .collect()
     }
 
@@ -688,111 +764,78 @@ impl ServeEngine {
 
     /// Stops accepting, drains queued and running instances for at
     /// most `drain`, then abandons whatever remains (recording the
-    /// ids — they surface in `/healthz` and [`ServeEngine::abandoned`])
-    /// and stops the dispatcher. Idempotent; drop calls it with the
-    /// configured [`ServeConfig::drain_timeout`].
+    /// ids — they surface in `/healthz` and [`ServeEngine::abandoned`]).
+    /// Idempotent; drop calls it with the configured
+    /// [`ServeConfig::drain_timeout`].
     pub fn shutdown(&self, drain: Duration) -> ShutdownReport {
-        {
-            let mut st = self.inner.state.lock();
-            if st.shutdown_done {
-                return ShutdownReport {
-                    drained: st.abandoned_ids.is_empty(),
-                    abandoned: st.abandoned_ids.clone(),
-                };
-            }
-            st.accepting = false;
-            st.draining = true;
-        }
-        self.inner.cv_dispatch.notify_all();
-
-        // Drain: queued work keeps being admitted and run until the
-        // deadline; the dispatcher is still live and finalizing.
         let deadline = Instant::now() + drain;
-        {
-            let mut st = self.inner.state.lock();
-            loop {
-                let queued: usize = st.tenants.values().map(|t| t.queue.len()).sum();
-                // `inflight_total`, not `running.is_empty()`: an admitted
-                // instance is counted from the moment the dispatcher pops
-                // it, but enters `running` only after it was built and
-                // started outside the lock — in between it is in neither
-                // the queue nor `running`, and must not look drained.
-                if queued == 0 && st.inflight_total == 0 && st.completions.is_empty() {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let step = (deadline - now).min(Duration::from_millis(20));
-                self.inner.cv_done.wait_for(&mut st, step);
+        let mut guard = self.inner.state.lock();
+        guard.draining = true;
+        // Drain: finalizers keep admitting queued work and, now that
+        // the engine is draining, notify `cv_done` on every completion.
+        // `inflight_total`, not `running.is_empty()`: between `pop_next`
+        // and `running` an instance being built is in neither the queue
+        // nor `running`, and must not look drained.
+        while !guard.shutdown_done && guard.queued_total + guard.inflight_total > 0 {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
             }
+            self.inner.cv_done.wait_for(&mut guard, deadline - now);
         }
-
-        // Stop and join the dispatcher so the final pass below is the
-        // only thread touching instances.
-        self.inner.stop.store(true, Ordering::Release);
-        self.inner.cv_dispatch.notify_all();
-        if let Some(h) = self.dispatcher.lock().take() {
-            let _ = h.join();
-        }
-
-        let mut to_drop: Vec<GraphInstance> = Vec::new();
-        let report = {
-            let mut st = self.inner.state.lock();
-            // Completions the dispatcher didn't get to: finalize
-            // normally (the work *did* finish in time).
-            let ids: Vec<u64> = st.running.keys().copied().collect();
-            for id in ids {
-                if st.running.get(&id).map(|i| i.outcome().is_some()) == Some(true) {
-                    finalize_locked(&self.inner, &mut st, id, &mut to_drop);
-                }
-            }
-            st.completions.clear();
-            // Running instances past the deadline: cut loose. Their
-            // tasks may still execute on the resident runtime; the
-            // leaked graph keeps that memory valid (see
-            // `GraphInstance::abandon`).
-            let ids: Vec<u64> = st.running.keys().copied().collect();
-            for id in ids {
-                let inst = st.running.remove(&id).expect("id just listed");
-                if let Some(rec) = st.instances.get_mut(&id) {
+        let st = &mut *guard;
+        // Both are disposed of below, once the lock is released.
+        let (mut cut_loose, mut never_ran) = (HashMap::new(), Vec::new());
+        if !st.shutdown_done {
+            // Past the deadline everything unfinished is abandoned:
+            // queued submissions that never ran, running instances (cut
+            // loose below — their tasks may still execute on the
+            // resident runtime, and the leaked graph keeps that memory
+            // valid, see `GraphInstance::abandon`), and instances still
+            // being built, whose builder finds `shutdown_done` set and
+            // drops what it built unstarted.
+            for (id, rec) in &mut st.instances {
+                if !rec.status.is_finished() {
                     rec.status = InstanceStatus::Abandoned;
-                }
-                let tenant = st.instances.get(&id).map(|r| r.tenant.clone());
-                if let Some(t) = tenant.and_then(|t| st.tenants.get_mut(&t)) {
-                    t.inflight = t.inflight.saturating_sub(1);
-                }
-                st.inflight_total = st.inflight_total.saturating_sub(1);
-                st.abandoned_ids.push(inst.abandon());
-            }
-            // Queued submissions that never ran.
-            let tenants: Vec<String> = st.tenants.keys().cloned().collect();
-            for name in tenants {
-                while let Some(p) = st.tenants.get_mut(&name).and_then(|t| t.queue.pop_front()) {
-                    if let Some(rec) = st.instances.get_mut(&p.id) {
-                        rec.status = InstanceStatus::Abandoned;
-                    }
-                    st.abandoned_ids.push(p.id);
+                    st.abandoned_ids.push(*id);
                 }
             }
             st.abandoned_ids.sort_unstable();
-            st.shutdown_done = true;
-            ShutdownReport {
-                drained: st.abandoned_ids.is_empty(),
-                abandoned: st.abandoned_ids.clone(),
+            cut_loose = std::mem::take(&mut st.running);
+            for t in &mut st.tenants {
+                never_ran.push(std::mem::take(&mut t.queue));
+                t.inflight = 0;
             }
+            st.queued_total = 0;
+            st.inflight_total = 0;
+            st.shutdown_done = true;
+        }
+        let report = ShutdownReport {
+            drained: st.abandoned_ids.is_empty(),
+            abandoned: st.abandoned_ids.clone(),
         };
+        drop(guard);
         self.inner.cv_done.notify_all();
         self.inner.slot.clear();
-        drop(to_drop);
+        for inst in cut_loose.into_values() {
+            inst.abandon();
+        }
         report
     }
 }
 
 impl Drop for ServeEngine {
     fn drop(&mut self) {
-        self.shutdown(self.inner.config.drain_timeout);
+        let timeout = self.inner.config.drain_timeout;
+        self.shutdown(timeout);
+        // A finalizer still on a worker's stack holds the engine — and
+        // through it the runtime — by a reference of its own. Were that
+        // the last one, the runtime would be dropped by, and try to
+        // join, one of its own workers: wait the finalizers out.
+        let deadline = Instant::now() + timeout;
+        while Arc::strong_count(&self.inner) > 1 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -807,21 +850,75 @@ impl std::fmt::Debug for ServeEngine {
     }
 }
 
+thread_local! {
+    /// Set while this thread is inside [`admit`]. An instance with no
+    /// task or a failed build completes inside its own `start.run()`,
+    /// on this thread; its finalizer leaves the freed budget to the
+    /// loop it is nested in instead of recursing per queued submission.
+    static ADMITTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Builds and starts `next`, then whatever [`EngineState::pop_next`]
+/// yields, until budget or queues are exhausted — on the calling
+/// thread, outside the engine lock. The only place instances are
+/// created; `submit` and both exits of [`finalize`] call it with what
+/// they popped under their own lock hold.
+fn admit(inner: &Arc<EngineInner>, mut next: Option<Pending>) {
+    if next.is_none() {
+        return;
+    }
+    // Nothing below unwinds: build and seeder panics are caught and
+    // recorded as the instance's failure.
+    let nested = ADMITTING.replace(true);
+    while let Some(p) = next {
+        let id = p.id;
+        let mut inst = p
+            .template
+            .instantiate(&inner.runtime, id, p.tenant, p.input);
+        // Weak: a straggler of an abandoned instance must not keep a
+        // shut-down engine alive (see `Drop for ServeEngine`).
+        let hook_inner = Arc::downgrade(inner);
+        inst.scope().set_on_complete(move || {
+            if let Some(inner) = hook_inner.upgrade() {
+                finalize(&inner, id);
+            }
+        });
+        // Publish, then start: the hook can only fire once the
+        // submission credit inside `start` is released, and by then
+        // the instance is in `running` for it to find.
+        let start = inst.take_start();
+        let mut st = inner.state.lock();
+        if st.shutdown_done {
+            // Abandoned while it was being built. The unrun start
+            // releases its credit, the hook finds nothing.
+            drop(st);
+            drop(start);
+            drop(inst);
+        } else {
+            st.running.insert(id, inst);
+            drop(st);
+            start.run();
+        }
+        next = inner.state.lock().pop_next(inner.config.max_inflight);
+    }
+    ADMITTING.set(nested);
+}
+
 /// Peer-liveness transitions → instance lifecycle. Serve instances are
 /// rank-local graphs, but their tasks may have exchanged messages with
 /// the affected peer, so the engine is conservative: every running
 /// instance is quarantined while a peer's rejoin is pending, released
 /// when the same incarnation returns (transport replay made the outage
 /// invisible), and force-failed — which routes it through the bounded
-/// re-execution path in [`finalize_locked`] — when the peer restarted
-/// or died.
+/// re-execution path in [`finalize`] — when the peer restarted or died.
 fn on_recovery(inner: &Arc<EngineInner>, event: RecoveryEvent) {
     match event {
         RecoveryEvent::PeerRecovering { .. } => {
-            let st = inner.state.lock();
+            let mut st = inner.state.lock();
             for inst in st.running.values() {
                 inst.scope().quarantine();
             }
+            st.quarantine_active = !st.running.is_empty();
             inner
                 .runtime
                 .set_quarantined_instances(st.running.len() as u64);
@@ -830,10 +927,11 @@ fn on_recovery(inner: &Arc<EngineInner>, event: RecoveryEvent) {
             same_incarnation: true,
             ..
         } => {
-            let st = inner.state.lock();
+            let mut st = inner.state.lock();
             for inst in st.running.values() {
                 inst.scope().release_quarantine();
             }
+            st.quarantine_active = false;
             inner.runtime.set_quarantined_instances(0);
         }
         RecoveryEvent::PeerRejoined {
@@ -850,11 +948,13 @@ fn on_recovery(inner: &Arc<EngineInner>, event: RecoveryEvent) {
 }
 
 /// Force-fails every running instance with `reason`. The completion
-/// hooks fired by `force_fail` take the engine lock, so the scopes are
-/// collected under the lock and failed outside it.
+/// hooks fired by `force_fail` take the engine lock (and re-execute or
+/// finalize on this thread), so the scopes are collected under the lock
+/// and failed outside it.
 fn force_fail_running(inner: &Arc<EngineInner>, reason: &str) {
     let scopes: Vec<Arc<InstanceScope>> = {
-        let st = inner.state.lock();
+        let mut st = inner.state.lock();
+        st.quarantine_active = false;
         st.running.values().map(|i| Arc::clone(i.scope())).collect()
     };
     inner.runtime.set_quarantined_instances(0);
@@ -863,145 +963,153 @@ fn force_fail_running(inner: &Arc<EngineInner>, reason: &str) {
     }
 }
 
-/// Moves a completed instance out of `running` into the result store;
-/// false if the id is not (yet) in `running` — the caller re-queues.
-/// The instance itself is pushed onto `to_drop` for teardown outside
-/// the lock.
-fn finalize_locked(
-    inner: &EngineInner,
-    st: &mut EngineState,
-    id: u64,
-    to_drop: &mut Vec<GraphInstance>,
-) -> bool {
+/// The completion hook of instance `id`, run by whichever thread took
+/// its scope's zero-crossing (or force-failed it): moves the instance
+/// out of `running` into the result store — or back onto its tenant's
+/// queue, for a peer-loss failure with retries left — under one short
+/// lock hold, wakes the request's waiters if it has any, tears the
+/// graph down outside the lock, and admits the next submission.
+fn finalize(inner: &Arc<EngineInner>, id: u64) {
     let config = &inner.config;
-    let Some(inst) = st.running.remove(&id) else {
-        return false;
+    let mut guard = inner.state.lock();
+    let st = &mut *guard;
+    // The ownership transfer: `shutdown` cut the instance loose first
+    // if it is gone, and then this hook has nothing to do.
+    let Some(mut inst) = st.running.remove(&id) else {
+        return;
     };
-    // The departing instance no longer counts toward the quarantine
-    // gauge; recompute it from the survivors.
-    let quarantined = st
-        .running
-        .values()
-        .filter(|i| i.scope().is_quarantined())
-        .count() as u64;
-    inner.runtime.set_quarantined_instances(quarantined);
+    if st.quarantine_active {
+        // The departing instance no longer counts toward the
+        // quarantine gauge; recompute it from the survivors.
+        let quarantined = st
+            .running
+            .values()
+            .filter(|i| i.scope().is_quarantined())
+            .count();
+        st.quarantine_active = quarantined > 0;
+        inner.runtime.set_quarantined_instances(quarantined as u64);
+    }
     let outcome = inst
         .outcome()
         .expect("completion hook fired, scope is terminal");
-    // Peer-loss failures are infrastructure faults, not application
-    // bugs: re-execute from the retained input, up to `max_retries`,
-    // before letting the failure become client-visible. The force-
-    // failed graph may still have straggler tasks on the resident
-    // runtime, so it is abandoned (leaked), never dropped.
-    if let ScopeOutcome::Failed(msg) = &outcome {
-        if msg.starts_with("peer-loss:") && !st.draining {
-            let (tenant, template, retries) = {
-                let rec = st
-                    .instances
-                    .get(&id)
-                    .expect("running instance has a record");
-                (rec.tenant.clone(), rec.template.clone(), rec.retries)
-            };
-            if retries < config.max_retries {
-                if let Some(tmpl) = inner.templates.read().get(&template).cloned() {
-                    let rec = st
-                        .instances
-                        .get_mut(&id)
-                        .expect("running instance has a record");
-                    rec.retries += 1;
-                    rec.status = InstanceStatus::Queued;
-                    rec.submitted_at = Instant::now();
-                    let input = rec.input.clone();
-                    if let Some(t) = st.tenants.get_mut(&tenant) {
-                        t.inflight = t.inflight.saturating_sub(1);
-                        t.retried += 1;
-                        t.queue.push_back(Pending {
-                            id,
-                            tenant: tenant.clone(),
-                            template: tmpl,
-                            input,
-                        });
-                    }
-                    st.inflight_total = st.inflight_total.saturating_sub(1);
-                    inner.runtime.note_instance_retried();
-                    inst.abandon();
-                    inner.cv_dispatch.notify_one();
-                    return true;
-                }
-            }
-        }
-    }
-    let results = inst.take_results();
     let rec = st
         .instances
         .get_mut(&id)
         .expect("running instance has a record");
-    let tenant = rec.tenant.clone();
-    let elapsed = rec.submitted_at.elapsed();
-    let force_failed =
-        matches!(&outcome, ScopeOutcome::Failed(msg) if msg.starts_with("peer-loss:"));
-    let failed = match outcome {
-        ScopeOutcome::Completed => {
-            rec.status = InstanceStatus::Completed;
-            false
-        }
-        ScopeOutcome::Failed(msg) => {
-            rec.status = InstanceStatus::Failed(msg);
-            true
-        }
-    };
-    rec.results = Some(results);
-    let latency_ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-    rec.latency_ns = Some(latency_ns);
-    let template = rec.template.clone();
-    let status = rec.status.clone();
-    let breached = failed || elapsed > config.slo_for(&tenant);
-    if let Some(t) = st.tenants.get_mut(&tenant) {
-        t.inflight = t.inflight.saturating_sub(1);
-        if failed {
-            t.failed += 1;
-        } else {
-            t.completed += 1;
-        }
-        t.latency.record(latency_ns);
-        if breached {
-            t.slo_breached += 1;
-            t.exemplar = Some((id, latency_ns));
-        } else {
-            t.slo_good += 1;
+    let t = rec.tenant;
+    let peer_loss = matches!(&outcome, ScopeOutcome::Failed(msg) if msg.starts_with("peer-loss:"));
+    // Peer-loss failures are infrastructure faults, not application
+    // bugs: re-execute from the input the instance was given, up to
+    // `max_retries`, before letting the failure become client-visible.
+    if peer_loss && !st.draining && rec.retries < config.max_retries {
+        if let Some(template) = inner.templates.read().get(&rec.template).cloned() {
+            rec.retries += 1;
+            rec.status = InstanceStatus::Queued;
+            rec.submitted_at = Instant::now();
+            let ts = &mut st.tenants[t];
+            ts.inflight -= 1;
+            ts.retried += 1;
+            ts.queue.push_back(Pending {
+                id,
+                tenant: Arc::clone(&ts.name),
+                template,
+                input: inst.take_input(),
+            });
+            st.queued_total += 1;
+            st.inflight_total -= 1;
+            inner.runtime.note_instance_retried();
+            let next = st.pop_next(config.max_inflight);
+            drop(guard);
+            inst.abandon();
+            admit(inner, next);
+            return;
         }
     }
+    let elapsed = rec.submitted_at.elapsed();
+    let latency_ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+    let (status, failed) = match outcome {
+        ScopeOutcome::Completed => (InstanceStatus::Completed, false),
+        ScopeOutcome::Failed(msg) => (InstanceStatus::Failed(msg), true),
+    };
+    let breached = failed || elapsed > st.tenants[t].slo;
     // Tail sampling: breached (or failed) instances get their full
-    // trace tree assembled and retained while the rest are dropped.
-    // `peek_events` reads the worker rings without the engine lock.
+    // trace tree assembled and retained while the rest are dropped —
+    // before the result becomes visible, so whoever sees the instance
+    // finished finds its trace, and with the lock released around the
+    // assembly (it copies the workers' event rings).
     if breached && ttg_obs::OBS {
+        let (tenant, template) = (Arc::clone(&st.tenants[t].name), Arc::clone(&rec.template));
+        drop(guard);
         let trace = build_trace(inner, id, &tenant, &template, &status, latency_ns);
         inner.tail.insert(id, trace);
+        guard = inner.state.lock();
     }
-    st.inflight_total = st.inflight_total.saturating_sub(1);
+    let st = &mut *guard;
+    if st.shutdown_done {
+        // Abandoned while the lock was released above.
+        drop(guard);
+        return;
+    }
+    let rec = st
+        .instances
+        .get_mut(&id)
+        .expect("running instance has a record");
+    rec.status = status;
+    rec.results = Some(inst.take_results());
+    rec.latency_ns = Some(latency_ns);
+    let notify = rec.waiters > 0 || st.draining;
+    let ts = &mut st.tenants[t];
+    ts.inflight -= 1;
+    if failed {
+        ts.failed += 1;
+    } else {
+        ts.completed += 1;
+    }
+    ts.latency.record(latency_ns);
+    if breached {
+        ts.slo_breached += 1;
+        ts.exemplar = Some((id, latency_ns));
+    } else {
+        ts.slo_good += 1;
+    }
+    st.inflight_total -= 1;
     st.finished.push_back(id);
     // Result LRU: evict payloads past capacity, and forget the oldest
-    // evicted records entirely so a long-lived engine stays bounded.
+    // evicted records entirely (at most `result_capacity` retained plus
+    // `max(8 × result_capacity, 64)` evicted ones are remembered) so a
+    // long-lived engine stays bounded.
     while st.finished.len() > config.result_capacity {
         let old = st.finished.pop_front().expect("len checked");
         if let Some(r) = st.instances.get_mut(&old) {
             r.results = None;
             r.evicted = true;
         }
-        st.evicted_overflow_trim(config);
+        st.evicted.push_back(old);
+        if st.evicted.len() > config.result_capacity.saturating_mul(8).max(64) {
+            let forgotten = st.evicted.pop_front().expect("len checked");
+            st.instances.remove(&forgotten);
+        }
     }
-    if force_failed {
-        // Force-failed scopes never saw a real zero-crossing: straggler
-        // tasks may still execute on the resident runtime. Leak the
-        // graph (as `shutdown` does for cut-loose instances) instead of
-        // freeing memory under them.
+    // Nested in an `admit` loop (see `ADMITTING`), leave the freed
+    // budget to it: it pops once the start that completed here returns.
+    let next = (!ADMITTING.get())
+        .then(|| st.pop_next(config.max_inflight))
+        .flatten();
+    drop(guard);
+    if notify {
+        // Result waiters and the shutdown drain loop.
+        inner.cv_done.notify_all();
+    }
+    if peer_loss {
+        // A force-failed scope never saw a real zero-crossing:
+        // straggler tasks may still execute on the resident runtime, so
+        // the graph is leaked (as `shutdown` does for cut-loose
+        // instances), never freed under them.
         inst.abandon();
     } else {
-        to_drop.push(inst);
+        drop(inst);
     }
-    // Wake result waiters and the shutdown drain loop.
-    inner.cv_done.notify_all();
-    true
+    admit(inner, next);
 }
 
 /// Assembles the trace JSON for one instance: SLO verdict, latency
@@ -1062,117 +1170,4 @@ fn build_trace(
             tree.map(|s| s.to_json()).unwrap_or(Value::Null),
         ),
     ])
-}
-
-impl EngineState {
-    /// Caps fully-evicted records at 8× the result capacity (oldest
-    /// ids first — ids are monotonic).
-    fn evicted_overflow_trim(&mut self, config: &ServeConfig) {
-        let cap = config.result_capacity.saturating_mul(8).max(64);
-        let evicted: Vec<u64> = self
-            .instances
-            .iter()
-            .filter(|(_, r)| r.evicted)
-            .map(|(id, _)| *id)
-            .collect();
-        if evicted.len() > cap {
-            for id in &evicted[..evicted.len() - cap] {
-                self.instances.remove(id);
-            }
-        }
-    }
-}
-
-fn dispatcher_loop(inner: Arc<EngineInner>) {
-    loop {
-        if inner.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let mut to_start: Vec<Pending> = Vec::new();
-        let mut to_drop: Vec<GraphInstance> = Vec::new();
-        {
-            let mut st = inner.state.lock();
-            // Finalize whatever completed since last pass. Ids whose
-            // instance is not in `running` yet (hook beat the
-            // insertion) go back on the queue for the next pass.
-            let pending: Vec<u64> = st.completions.drain(..).collect();
-            let mut requeue = Vec::new();
-            for id in pending {
-                if !finalize_locked(&inner, &mut st, id, &mut to_drop) {
-                    requeue.push(id);
-                }
-            }
-            st.completions.extend(requeue);
-
-            // Admit queued work round-robin across tenants up to the
-            // shared in-flight budget.
-            let keys: Vec<String> = st.tenants.keys().cloned().collect();
-            if !keys.is_empty() {
-                loop {
-                    if st.inflight_total >= inner.config.max_inflight {
-                        break;
-                    }
-                    let mut picked = None;
-                    for i in 0..keys.len() {
-                        let idx = (st.rr_cursor + i) % keys.len();
-                        if let Some(p) = st
-                            .tenants
-                            .get_mut(&keys[idx])
-                            .and_then(|t| t.queue.pop_front())
-                        {
-                            st.tenants
-                                .get_mut(&keys[idx])
-                                .expect("tenant just accessed")
-                                .inflight += 1;
-                            st.rr_cursor = (idx + 1) % keys.len();
-                            picked = Some(p);
-                            break;
-                        }
-                    }
-                    match picked {
-                        Some(p) => {
-                            st.inflight_total += 1;
-                            if let Some(rec) = st.instances.get_mut(&p.id) {
-                                rec.status = InstanceStatus::Running;
-                            }
-                            to_start.push(p);
-                        }
-                        None => break,
-                    }
-                }
-            }
-
-            if to_start.is_empty() && to_drop.is_empty() {
-                // Nothing to do — sleep until a submission or
-                // completion wakes us (bounded, as a lost-wakeup
-                // backstop).
-                inner
-                    .cv_dispatch
-                    .wait_for(&mut st, Duration::from_millis(20));
-                continue;
-            }
-        }
-
-        // Instance work happens outside the engine lock: teardown of
-        // finished graphs, then instantiation + seeding of admissions.
-        drop(std::mem::take(&mut to_drop));
-        for p in to_start {
-            let mut inst = p
-                .template
-                .instantiate(&inner.runtime, p.id, p.tenant.as_str(), p.input);
-            let hook_inner = Arc::clone(&inner);
-            let id = p.id;
-            inst.scope().set_on_complete(move || {
-                let mut st = hook_inner.state.lock();
-                st.completions.push_back(id);
-                drop(st);
-                hook_inner.cv_dispatch.notify_one();
-            });
-            inst.start();
-            inner.state.lock().running.insert(id, inst);
-            // If the completion hook already fired (fast or
-            // failed-at-build instance), its id is in `completions`
-            // and resolves next pass.
-        }
-    }
 }

@@ -14,6 +14,9 @@
 //! * tenants get bounded submission queues with typed admission
 //!   control ([`ServeError::Overloaded`]) and round-robin fairness
 //!   across tenants for the shared in-flight budget;
+//! * the engine owns no thread: the submitting thread builds and seeds
+//!   the instance, the thread that completes its last task finalizes
+//!   it, tears it down and admits the next queued request;
 //! * finished results live in a bounded LRU until fetched or evicted;
 //! * the whole thing is reachable over the `ttg-obs` HTTP server:
 //!   `POST /submit`, `GET /poll/<id>`, `GET /result/<id>`,

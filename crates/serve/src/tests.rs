@@ -4,8 +4,8 @@
 
 use crate::{serve_routes, InstanceStatus, ServeConfig, ServeEngine, ServeError};
 use serde_json::Value;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 use ttg_core::GraphTemplate;
 use ttg_runtime::{Runtime, RuntimeConfig};
 
@@ -66,7 +66,8 @@ fn fragile_template() -> GraphTemplate {
 
 /// Each task sleeps `ms` from the input — for saturating the engine.
 /// Building the instance itself takes `build_ms` (default 0), which
-/// holds it between the dispatcher's queue pop and `running`.
+/// holds it — on the thread that admitted it — between the queue pop
+/// and `running`.
 fn slow_template() -> GraphTemplate {
     GraphTemplate::compile("slow", |graph, ctx| {
         let sink = ctx.sink.clone();
@@ -80,6 +81,30 @@ fn slow_template() -> GraphTemplate {
         Box::new(move || tt.invoke(0))
     })
     .expect("valid template")
+}
+
+/// Spins (yielding) until `cond` holds; panics after 30 s.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// returned within 30 s — a lost wake-up hangs, it does not time out.
+fn with_watchdog(body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(30)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("watchdog: hung for 30 s"),
+        // Finished, or disconnected because the body panicked.
+        _ => runner.join().expect("test body panicked"),
+    }
 }
 
 fn engine(threads: usize, config: ServeConfig) -> Arc<ServeEngine> {
@@ -162,7 +187,7 @@ fn admission_control_rejects_when_saturated_without_harming_other_tenants() {
     let slow_input = || obj(vec![("ms", Value::UInt(40))]);
     let mut admitted = vec![e.submit("acme", "slow", slow_input()).unwrap()];
     // Fill the queue past capacity; at least one must be rejected
-    // (the dispatcher may drain at most max_inflight=1 concurrently).
+    // (at most max_inflight=1 leaves the queue at a time).
     let mut rejections = 0;
     for _ in 0..8 {
         match e.submit("acme", "slow", slow_input()) {
@@ -314,9 +339,10 @@ fn shutdown_drains_queued_work() {
     assert!(again.drained);
 }
 
-/// An instance the dispatcher has popped but is still building is in
-/// neither the queue nor `running`; shutdown must not take that gap for
-/// "drained" and abandon the instance the moment it starts.
+/// An instance that was admitted but is still being built — here on the
+/// submitting thread — is in neither the queue nor `running`; shutdown
+/// must not take that gap for "drained" and abandon the instance the
+/// moment it starts.
 #[test]
 fn shutdown_waits_for_an_instance_still_being_built() {
     let e = engine(2, ServeConfig::default());
@@ -324,13 +350,16 @@ fn shutdown_waits_for_an_instance_still_being_built() {
         ("ms", Value::UInt(30)),
         ("build_ms", Value::UInt(150)),
     ]);
-    let id = e.submit("acme", "slow", input).unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while e.poll(id).unwrap() != InstanceStatus::Running {
-        assert!(std::time::Instant::now() < deadline, "never admitted");
-        std::thread::yield_now();
-    }
+    let submitter = {
+        let e = Arc::clone(&e);
+        std::thread::spawn(move || e.submit("acme", "slow", input).unwrap())
+    };
+    // Counted in flight from the moment it is admitted, before the build.
+    wait_until("the admission", || {
+        e.tenant_load() == vec![("acme".to_string(), 0, 1)]
+    });
     let report = e.shutdown(Duration::from_secs(10));
+    let id = submitter.join().unwrap();
     assert!(report.drained, "abandoned: {:?}", report.abandoned);
     assert_eq!(e.poll(id).unwrap(), InstanceStatus::Completed);
 }
@@ -350,7 +379,9 @@ fn shutdown_deadline_abandons_and_reports_ids() {
     let running = e
         .submit("acme", "slow", obj(vec![("ms", Value::UInt(300))]))
         .unwrap();
-    std::thread::sleep(Duration::from_millis(50)); // let it start
+    wait_until("the first instance to start", || {
+        e.poll(running).unwrap() == InstanceStatus::Running
+    });
     let queued: Vec<u64> = (0..3)
         .map(|_| {
             e.submit("acme", "slow", obj(vec![("ms", Value::UInt(300))]))
@@ -397,19 +428,14 @@ fn http_api_end_to_end() {
     let v: Value = serde_json::from_str(&body).unwrap();
     let id = v.get("id").and_then(Value::as_u64).expect("id in response");
 
-    // Poll until completed (bounded).
-    let mut done = false;
-    for _ in 0..200 {
-        let (status, body) = http_request(port, "GET", &format!("/poll/{id}"), None);
-        assert_eq!(status, 200, "poll: {body}");
-        let v: Value = serde_json::from_str(&body).unwrap();
-        if v.get("status").and_then(Value::as_str) == Some("completed") {
-            done = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(done, "instance completed via polling");
+    // Completed as the client sees it, once the tenant is idle again.
+    wait_until("the instance to finish", || {
+        e.tenant_load() == vec![("acme".to_string(), 0, 0)]
+    });
+    let (status, body) = http_request(port, "GET", &format!("/poll/{id}"), None);
+    assert_eq!(status, 200, "poll: {body}");
+    let v: Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("completed"));
 
     // Fetch the result.
     let (status, body) = http_request(port, "GET", &format!("/result/{id}"), None);
@@ -474,6 +500,27 @@ fn http_api_end_to_end() {
     assert_eq!(v.get("abandoned").unwrap().as_array().unwrap().len(), 0);
 }
 
+/// One task that first waits for `gate` to open, then appends its
+/// tenant to `order` — completion order, made observable.
+fn gated_template(
+    gate: Arc<(Mutex<bool>, Condvar)>,
+    order: Arc<Mutex<Vec<String>>>,
+) -> GraphTemplate {
+    GraphTemplate::compile("gated", move |graph, ctx| {
+        let (gate, order) = (Arc::clone(&gate), Arc::clone(&order));
+        let tenant = ctx.tenant.to_string();
+        let tt = graph.tt::<u64>("gated").build(move |_, _, _| {
+            let mut open = gate.0.lock().unwrap();
+            while !*open {
+                open = gate.1.wait(open).unwrap();
+            }
+            order.lock().unwrap().push(tenant.clone());
+        });
+        Box::new(move || tt.invoke(0))
+    })
+    .expect("valid template")
+}
+
 #[test]
 fn round_robin_interleaves_tenants_under_contention() {
     // With a single in-flight slot, admissions must alternate between
@@ -486,18 +533,22 @@ fn round_robin_interleaves_tenants_under_contention() {
             ..ServeConfig::default()
         },
     );
+    // The first instance holds the slot until both queues are full.
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let order = Arc::new(Mutex::new(Vec::new()));
+    e.register_template(gated_template(Arc::clone(&gate), Arc::clone(&order)));
     let a: Vec<u64> = (0..4)
-        .map(|_| {
-            e.submit("a", "slow", obj(vec![("ms", Value::UInt(5))]))
-                .unwrap()
-        })
+        .map(|_| e.submit("a", "gated", Value::Null).unwrap())
         .collect();
     let b: Vec<u64> = (0..4)
-        .map(|_| {
-            e.submit("b", "slow", obj(vec![("ms", Value::UInt(5))]))
-                .unwrap()
-        })
+        .map(|_| e.submit("b", "gated", Value::Null).unwrap())
         .collect();
+    assert_eq!(
+        e.tenant_load(),
+        vec![("a".to_string(), 3, 1), ("b".to_string(), 4, 0)]
+    );
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
     for id in a.iter().chain(b.iter()) {
         e.wait_result(*id, Duration::from_secs(10)).unwrap();
     }
@@ -505,6 +556,187 @@ fn round_robin_interleaves_tenants_under_contention() {
     // from starving (checked structurally: equal completion counts).
     assert_eq!(e.tenant_counters("a").unwrap().completed, 4);
     assert_eq!(e.tenant_counters("b").unwrap().completed, 4);
+    // One slot: completion order is admission order, and it alternates.
+    assert_eq!(
+        *order.lock().unwrap(),
+        ["a", "b", "a", "b", "a", "b", "a", "b"]
+    );
+}
+
+/// An instance that finishes before `start` returns — no task at all,
+/// or a build that panicked — completes on the submitting thread. Its
+/// hook must find it (it was published before it was started), finalize
+/// it exactly once and give it the right status.
+#[test]
+fn instances_that_finish_inside_start_finalize_exactly_once() {
+    with_watchdog(|| {
+        let e = engine(2, ServeConfig::default());
+        e.register_template(
+            GraphTemplate::compile("hostile", |graph, ctx| {
+                assert!(ctx.input.get("boom").is_none(), "hostile input");
+                let tt = graph.tt::<u64>("never").build(|_, _, _| {});
+                Box::new(move || drop(tt))
+            })
+            .expect("valid template"),
+        );
+        for _ in 0..10_000 {
+            let id = e
+                .submit("empty", "doubling", obj(vec![("n", Value::UInt(0))]))
+                .unwrap();
+            // Finished by the time `submit` returned: no wait.
+            let view = e.result(id).unwrap();
+            assert_eq!(view.status, InstanceStatus::Completed);
+            assert!(view.results.is_empty());
+        }
+        for _ in 0..1_000 {
+            let id = e
+                .submit("hostile", "hostile", obj(vec![("boom", Value::Bool(true))]))
+                .unwrap();
+            match e.result(id).unwrap().status {
+                InstanceStatus::Failed(msg) => assert!(msg.contains("hostile input"), "{msg}"),
+                other => panic!("expected a failed build, got {other:?}"),
+            }
+        }
+        let empty = e.tenant_counters("empty").unwrap();
+        assert_eq!(
+            (empty.completed, empty.failed, empty.inflight),
+            (10_000, 0, 0)
+        );
+        let hostile = e.tenant_counters("hostile").unwrap();
+        assert_eq!((hostile.completed, hostile.failed), (0, 1_000));
+    });
+}
+
+/// Four clients saturate a two-slot engine. Admission has no thread and
+/// no time-out behind it any more: if a path that frees budget ever
+/// failed to admit the next submission, this test would hang.
+#[test]
+fn saturated_clients_lose_no_wakeup() {
+    with_watchdog(|| {
+        const TENANTS: [&str; 3] = ["a", "b", "c"];
+        let e = engine(
+            2,
+            ServeConfig {
+                max_inflight: 2,
+                queue_capacity: 8,
+                ..ServeConfig::default()
+            },
+        );
+        let clients: Vec<_> = (0..4usize)
+            .map(|c| {
+                let e = Arc::clone(&e);
+                std::thread::spawn(move || {
+                    let mut accepted = Vec::new();
+                    for i in 0..2_000 {
+                        let tenant = TENANTS[(c + i) % 3];
+                        match e.submit(tenant, "doubling", obj(vec![("n", Value::UInt(2))])) {
+                            Ok(id) => accepted.push(id),
+                            Err(ServeError::Overloaded { capacity, .. }) => assert_eq!(capacity, 8),
+                            Err(other) => panic!("unexpected rejection: {other}"),
+                        }
+                    }
+                    for id in &accepted {
+                        let view = e.wait_result(*id, Duration::from_secs(30)).unwrap();
+                        assert_eq!(view.status, InstanceStatus::Completed, "instance {id}");
+                    }
+                    accepted
+                })
+            })
+            .collect();
+        let mut accepted: Vec<u64> = clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client panicked"))
+            .collect();
+        let total = accepted.len() as u64;
+        accepted.sort_unstable();
+        accepted.dedup();
+        assert_eq!(accepted.len() as u64, total, "ids are unique");
+        // Exactly once: every accepted id was counted completed, no more.
+        let counters: Vec<_> = TENANTS
+            .iter()
+            .map(|t| e.tenant_counters(t).unwrap())
+            .collect();
+        assert_eq!(counters.iter().map(|c| c.completed).sum::<u64>(), total);
+        assert_eq!(counters.iter().map(|c| c.submitted).sum::<u64>(), total);
+        assert_eq!(counters.iter().map(|c| c.failed).sum::<u64>(), 0);
+        assert!(counters.iter().all(|c| c.completed > 0), "{counters:?}");
+        // Idle at the end: nothing queued, nothing in flight.
+        assert!(e.tenant_load().iter().all(|(_, q, r)| (*q, *r) == (0, 0)));
+        let view = e.tenants_json();
+        assert_eq!(view.get("inflight_total").and_then(Value::as_u64), Some(0));
+    });
+}
+
+/// `shutdown` with no grace racing completions: whatever the
+/// interleaving, every accepted instance is either finished or reported
+/// abandoned — never both, never neither — by the time it returns.
+#[test]
+fn shutdown_racing_completions_accounts_for_every_instance() {
+    with_watchdog(|| {
+        let rt = Arc::new(Runtime::new(RuntimeConfig::optimized(2)));
+        for round in 0..200 {
+            let e = ServeEngine::new(Arc::clone(&rt), ServeConfig::default());
+            e.register_template(doubling_template());
+            let accepted: Vec<u64> = (0..12)
+                .map(|i| {
+                    let tenant = if i % 2 == 0 { "even" } else { "odd" };
+                    e.submit(tenant, "doubling", obj(vec![("n", Value::UInt(4))]))
+                        .unwrap()
+                })
+                .collect();
+            let report = e.shutdown(Duration::ZERO);
+            let abandoned: Vec<u64> = accepted
+                .iter()
+                .copied()
+                .filter(|id| match e.poll(*id).unwrap() {
+                    InstanceStatus::Abandoned => true,
+                    InstanceStatus::Completed => false,
+                    other => panic!("round {round}: instance {id} left {other:?}"),
+                })
+                .collect();
+            assert_eq!(report.abandoned, abandoned, "round {round}");
+            assert_eq!(report.drained, abandoned.is_empty(), "round {round}");
+        }
+    });
+}
+
+/// A long-lived engine stays bounded, in O(1) per completion: records
+/// past the result LRU are remembered (410) up to a cap and then
+/// forgotten (404), oldest first.
+#[test]
+fn evicted_records_are_forgotten_past_their_cap() {
+    let e = engine(
+        2,
+        ServeConfig {
+            result_capacity: 4,
+            ..ServeConfig::default()
+        },
+    );
+    // result_capacity retained + max(8 × result_capacity, 64) evicted.
+    const CAP: usize = 4 + 64;
+    let ids: Vec<u64> = (0..1_000)
+        .map(|_| {
+            let id = e
+                .submit("acme", "doubling", obj(vec![("n", Value::UInt(1))]))
+                .unwrap();
+            e.wait_result(id, Duration::from_secs(5)).unwrap();
+            id
+        })
+        .collect();
+    let known = |id: &&u64| e.poll(**id) != Err(ServeError::UnknownInstance(**id));
+    assert_eq!(ids.iter().filter(known).count(), CAP);
+    let (forgotten, remembered) = ids.split_at(ids.len() - CAP);
+    for id in forgotten {
+        assert_eq!(e.result(*id).unwrap_err(), ServeError::UnknownInstance(*id));
+    }
+    let (evicted, retained) = remembered.split_at(64);
+    for id in evicted {
+        assert_eq!(e.result(*id).unwrap_err(), ServeError::ResultEvicted(*id));
+        assert_eq!(e.poll(*id).unwrap(), InstanceStatus::Completed);
+    }
+    for id in retained {
+        assert_eq!(e.result(*id).unwrap().results.len(), 1);
+    }
 }
 
 /// The one surface test for the one switch. Every optional recorder is
@@ -791,11 +1023,9 @@ fn peer_loss_failure_is_retried_and_completes() {
         .submit("acme", "slow", obj(vec![("ms", Value::UInt(300))]))
         .unwrap();
     // Wait for the instance to actually be running before bouncing.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while e.poll(id).unwrap() != InstanceStatus::Running {
-        assert!(std::time::Instant::now() < deadline, "never started");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_until("the instance to start", || {
+        e.poll(id).unwrap() == InstanceStatus::Running
+    });
     // The peer's connection drops: running instances are quarantined
     // and the rank reports degraded (but still healthy).
     rt.notify_peer_recovering(2);
@@ -827,9 +1057,9 @@ fn peer_loss_failure_is_retried_and_completes() {
     let id2 = e
         .submit("acme", "slow", obj(vec![("ms", Value::UInt(100))]))
         .unwrap();
-    while e.poll(id2).unwrap() != InstanceStatus::Running {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_until("the second instance to start", || {
+        e.poll(id2).unwrap() == InstanceStatus::Running
+    });
     rt.notify_peer_recovering(1);
     rt.notify_peer_rejoined(1, true);
     let view = e.wait_result(id2, Duration::from_secs(10)).unwrap();
@@ -856,9 +1086,9 @@ fn peer_loss_retries_are_bounded() {
     let id = e
         .submit("acme", "slow", obj(vec![("ms", Value::UInt(300))]))
         .unwrap();
-    while e.poll(id).unwrap() != InstanceStatus::Running {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_until("the instance to start", || {
+        e.poll(id).unwrap() == InstanceStatus::Running
+    });
     rt.notify_peer_rejoined(2, false);
     let view = e.wait_result(id, Duration::from_secs(5)).unwrap();
     match view.status {
