@@ -984,8 +984,8 @@ fn cmd_wire(argv: &[String]) {
         merged.frames_per_write.p50()
     );
     println!(
-        "stage p50 sum {stage_sum_p50_us:.1} us <= {us_per_msg:.1} us/msg end-to-end \
-         (gap = socket flight + scheduler pickup)"
+        "stage p50 sum {stage_sum_p50_us:.1} us per frame (its corked wait included; the \
+         frames of a batch overlap) vs {us_per_msg:.1} us/msg of wall time"
     );
     for l in &merged.links {
         use ttg_obs::wire;

@@ -357,6 +357,12 @@ impl Transport for FaultyTransport {
         self.inner.send_raw(dst, bytes)
     }
 
+    // `append` keeps its default: a frame the plan may act on is sent,
+    // not corked, so the fault lands at its protocol point.
+    fn flush(&self) {
+        self.inner.flush();
+    }
+
     fn drop_connections(&self) {
         self.inner.drop_connections();
     }

@@ -93,8 +93,12 @@ impl FrameSender for TransportSender {
         span: u64,
     ) -> io::Result<()> {
         self.0
-            .send(dst, Frame::data_with_span(handler, priority, payload, span))
+            .append(dst, Frame::data_with_span(handler, priority, payload, span))
             .map_err(|e| e.into_io())
+    }
+
+    fn flush(&self) {
+        self.0.flush();
     }
 }
 
@@ -228,6 +232,7 @@ impl NetRuntime {
     /// [`NetGroup`]), every rank must fence **before** any is waited on;
     /// see [`NetGroup::wait`] for why.
     pub fn fence(&self) {
+        self.transport.flush();
         self.wave.enter_fence();
     }
 
@@ -249,6 +254,7 @@ impl NetRuntime {
 
     /// Tears down the transport. Call after the final `wait()`.
     pub fn shutdown(&self) {
+        self.transport.flush();
         self.transport.shutdown();
     }
 }

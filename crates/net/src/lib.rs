@@ -31,6 +31,7 @@ pub mod error;
 pub mod fault;
 pub mod frame;
 pub mod group;
+mod ring;
 pub mod tcp;
 pub mod transport;
 pub mod wave;

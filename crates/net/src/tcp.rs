@@ -11,9 +11,31 @@
 //! connect from a reconnect after a drop.
 //!
 //! One reader thread per peer socket decodes frames and hands them to
-//! the bound [`FrameSink`]; writers are per-peer mutex-guarded streams
-//! (frame writes are a single `write_all`, so per-peer ordering — which
-//! the wave protocol relies on — is the TCP stream's own ordering).
+//! the bound [`FrameSink`]. The send half of a link is **one append
+//! path and one write role** (DESIGN.md §6.5):
+//!
+//! * **Who appends.** Any thread: [`Transport::append`] takes the
+//!   peer's `link` lock and encodes the frame, under the next sequence
+//!   number, straight into the tail of the resend ring (`ring.rs`). It
+//!   never touches the socket.
+//! * **Who writes.** Whoever finds the `writing` flag clear in
+//!   `Shared::flush_link` takes the write role: takes everything
+//!   unwritten out of the ring, **drops the lock**, puts it on the
+//!   socket with one vectored `write`, re-locks, and repeats while a
+//!   flush or an ack was asked for meanwhile. A thread that finds the
+//!   role taken leaves its request and goes. So no sender blocks behind
+//!   another's write (or a fault-injected link delay), and seq order on
+//!   the wire is ring order because there is only one writer.
+//! * **Who acks.** The reader (past [`EAGER_ACK_BYTES`] of unacked
+//!   deliveries) and the monitor (every tick) *publish* the receive
+//!   watermark and call the same flush; the cumulative `Ack` leaves at
+//!   the head of the next write. No ack is ever skipped.
+//!
+//! [`Transport::send`] is append + flush; the runtime appends `Data`
+//! only and flushes at quiescence (the cork rule), which turns one
+//! `write` per message into one per [`FLUSH_BYTES`]. An appender a
+//! window ahead of the peer's acks waits for them. Two locks per peer,
+//! `link` then `recv`, neither held across a system call.
 //!
 //! # Failure handling (DESIGN.md §8)
 //!
@@ -28,9 +50,9 @@
 //!   would silently unbalance the termination wave);
 //! * the **acceptor** keeps the listener alive for the whole run so a
 //!   higher-ranked peer can dial back in after a drop;
-//! * the **monitor** sends payload-free heartbeats on send-idle links,
-//!   declares a peer dead after `peer_dead_after` of total silence, and
-//!   bounds how long a link may sit in `Reconnecting`.
+//! * the **monitor** asks for payload-free heartbeats on send-idle
+//!   links, declares a peer dead after `peer_dead_after` of total
+//!   silence, and bounds how long a link may sit in `Reconnecting`.
 //!
 //! Reconnect keeps the original dial direction (lower rank dials) and
 //! is bounded by `peer_dead_after + recover_deadline`. When a peer is
@@ -43,22 +65,23 @@
 //! Every endpoint owns a process-lifetime **incarnation** number, and
 //! every frame except transport-internal traffic (Hello / Heartbeat /
 //! Goodbye / Ack) carries a per-peer **sequence number**. Sequenced
-//! frames are retained in a bounded per-peer resend buffer until the
-//! peer acknowledges them (cumulative `Ack` frames, emitted by the
-//! monitor); a send while the link is down does not park — it buffers
-//! and returns, and the buffered frames are **replayed** when the peer
-//! rejoins. The receiver suppresses duplicates by `(incarnation, seq)`,
-//! so replay after an un-acked delivery stays exactly-once. If the
-//! buffer's byte budget would be exceeded the send fails with a typed
+//! frames stay in the bounded per-peer resend ring until the peer
+//! acknowledges them; a send while the link is down does not park — it
+//! appends and returns, and the ring is **replayed** when the peer
+//! rejoins. Replay is not a mode: the rejoin trims the ring by the
+//! peer's ack and *rewinds the written cursor to the acked one*, and the
+//! ordinary drain puts the ring back on the wire. The receiver
+//! suppresses duplicates by `(incarnation, seq)`, so replay after an
+//! un-acked delivery stays exactly-once. If the ring's byte budget
+//! would be exceeded the send fails with a typed
 //! [`NetError::ResendOverflow`] — never silent loss.
 //!
 //! The `Hello` handshake carries `(rank, incarnation, last_acked_seq)`
 //! in both directions (the acceptor answers with a hello-ack). A rejoin
-//! under the **same** incarnation trims the buffer by the peer's
-//! cumulative ack and replays the rest. A rejoin under a **new**
-//! incarnation (the peer *process* restarted) is not replayable: the
-//! old session's buffered frames are discarded and the sink is told how
-//! many data frames each direction lost
+//! under the **same** incarnation replays as above. A rejoin under a
+//! **new** incarnation (the peer *process* restarted) is not
+//! replayable: the old session's ring is discarded and the sink is told
+//! how many data frames each direction lost
 //! ([`FrameSink::peer_session_reset`]) so the runtime can rebalance its
 //! termination-wave totals.
 //!
@@ -69,10 +92,10 @@
 use crate::config::NetConfig;
 use crate::error::{NetError, NetResult};
 use crate::frame::{Decoded, EncodedControl, Frame, FrameKind};
+use crate::ring::{Chunk, Ring, CHUNK_BYTES};
 use crate::transport::{FrameSink, Transport, TransportCounters};
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::io::{self, BufReader, IoSlice};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,8 +113,23 @@ const CONNECT_RETRY_MAX: Duration = Duration::from_millis(250);
 /// every unacked byte is a byte the *sender* still holds in its resend
 /// ring, so this — not the 100 ms tick — bounds the ring's residence
 /// under a stream faster than the tick. One ack per 16 KiB is one
-/// 41-byte write per ~30 small messages or per bulk message.
+/// 41-byte frame per ~30 small messages or per bulk message, riding on
+/// whatever data is going the other way.
 const EAGER_ACK_BYTES: u64 = 16 << 10;
+
+/// Appended-but-unwritten bytes at which the appender flushes the link
+/// itself (cork rule (a)): one ring chunk, so a full batch is one or
+/// two `iovec`s, and one reader buffer's worth, by the reasoning of
+/// [`READ_BUFFER_BYTES`] — one `write` carries what one buffered `recv`
+/// of the peer can take.
+const FLUSH_BYTES: usize = CHUNK_BYTES;
+
+/// Bytes a link may hold, unacked or unwritten, before an appender
+/// waits for the peer's acks (the window): two rounds of what one ack
+/// covers plus what one write carries. Without it a sender that never
+/// blocks in `write` outruns the peer by a scheduler quantum, and a
+/// whole epoch sits in this ring and in the peer's inbox at once.
+const RING_WINDOW_BYTES: u64 = 2 * (EAGER_ACK_BYTES + FLUSH_BYTES as u64);
 
 /// Capacity of each reader thread's `BufReader`. It is the most one
 /// buffered `recv` can return, so small frames share a syscall, and it
@@ -138,100 +176,76 @@ impl PeerState {
     }
 }
 
-/// How [`Shared::write_frames`] takes a peer's writer: two lock
-/// disciplines (wait, or `try_lock`), and the waiting one with or
-/// without the pacing and accounting a sender's frame gets.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WriteMode {
-    /// A frame on behalf of a sender: waits for the writer, sleeps out
-    /// any fault-injected link delay inside the critical section (so
-    /// the stall backs up concurrent senders, visible as
-    /// `wire_lock_wait`, exactly like a slow socket would), and accounts
-    /// the lock wait and the write to the `obs` stages.
-    Frame,
-    /// Rejoin replay: waits for the writer and keeps it for the whole
-    /// resend ring, so nothing interleaves with the replayed frames;
-    /// neither delayed nor accounted — the session locks are held
-    /// across it.
-    Replay,
-    /// Acks and heartbeats: `try_lock` only, so the thread sending them
-    /// never stalls behind one slow link, and never delayed, so
-    /// liveness stays truthful on a fault-injected slow link.
-    Liveness,
+impl Default for PeerState {
+    fn default() -> Self {
+        PeerState::Reconnecting {
+            since: Instant::now(),
+        }
+    }
 }
 
-/// What became of one [`Shared::write_frames`].
-enum Wrote {
-    /// All on the socket; the link's send-idle timer was stamped.
-    Done,
-    /// Nothing written and nothing wrong: no socket installed (a state
-    /// transition is mid-flight) or, for [`WriteMode::Liveness`], the
-    /// writer was busy.
-    Skipped,
-    /// The socket refused a frame; none after it was written.
-    Failed,
-}
-
-/// Send-side session state for one peer: the sequence counter and the
-/// bounded resend buffer of encoded-but-unacknowledged frames.
-///
-/// Lock order: `out` is taken **before** `state`/`writer` — assigning a
-/// sequence number and putting the frame on the wire (or replaying the
-/// buffer on rejoin) must be one atomic step, or seq order on the wire
-/// would diverge from buffer order and cumulative dedup would break.
-struct OutboundState {
-    /// Next sequence number to assign (starts at 1; 0 = unsequenced).
-    next_seq: u64,
+/// Everything the send half of one peer link owns, under one lock: the
+/// state machine, the socket's write half, the resend ring with its
+/// three cursors, and the write role.
+#[derive(Default)]
+struct Link {
+    state: PeerState,
+    /// Write half of the live socket (`Some` iff `Connected`, except
+    /// for the instant a replacement connection is being installed).
+    stream: Option<Arc<TcpStream>>,
+    ring: Ring,
     /// Data-kind frames sequenced so far (what the runtime counted
     /// toward its termination wave for this peer).
     data_sent: u64,
-    /// Unacked `(seq, encoded bytes, first-send ns)` in seq order. The
-    /// timestamp ([`WireObs::now_ns`]; 0 with `obs` off) dates the
-    /// frame's entry to the wire path, so the cumulative ack that trims
-    /// it yields the ack RTT — the replay-buffer residence time.
-    buffer: VecDeque<(u64, Vec<u8>, u64)>,
-    /// Total encoded bytes held in `buffer`.
-    buffered_bytes: u64,
+    /// The write role: set by the one thread that is putting this
+    /// link's bytes on the socket, with the lock released.
+    writing: bool,
+    /// A thread found the role taken and left its flush to the holder,
+    /// who writes once more before letting go.
+    flush_wanted: bool,
+    /// Threads waiting on `state_changed` for the role to come free (a
+    /// connection install, a teardown) or for the ring to drain into
+    /// its window (an appender); notified only when there are any.
+    waiters: u32,
+    /// Receive watermark published for acknowledgement / the highest
+    /// one a write has carried.
+    ack_wanted: u64,
+    ack_sent: u64,
+    /// The monitor found the link send-idle.
+    heartbeat_wanted: bool,
+    /// The thread reading the installed connection, joined before the
+    /// next connection's reader starts (and at teardown).
+    reader: Option<std::thread::JoinHandle<()>>,
 }
 
-impl OutboundState {
-    fn new() -> Self {
-        OutboundState {
-            next_seq: 1,
-            data_sent: 0,
-            buffer: VecDeque::new(),
-            buffered_bytes: 0,
-        }
+impl Link {
+    /// The ack and heartbeat the next write should carry. The ack is
+    /// booked as sent here: if the write fails the link is lost, and
+    /// the rejoin handshake carries the watermark instead.
+    fn take_control(&mut self) -> (Option<u64>, bool) {
+        let ack = (self.ack_wanted > self.ack_sent).then_some(self.ack_wanted);
+        self.ack_sent = self.ack_sent.max(self.ack_wanted);
+        (ack, std::mem::take(&mut self.heartbeat_wanted))
     }
 }
 
 /// Receive-side session state for one peer: the incarnation we believe
 /// the peer is running under and the cumulative-delivery watermark.
+#[derive(Default)]
 struct RecvState {
     /// Peer's incarnation (0 = not yet learned from a Hello).
     peer_incarnation: u64,
     /// Highest sequenced frame delivered; anything ≤ this is a dup.
     last_seq: u64,
-    /// Highest seq we have acknowledged back to the peer.
-    last_acked_sent: u64,
     /// Data-kind frames delivered from this peer this session.
     data_received: u64,
-    /// Encoded bytes of sequenced frames delivered since the last
-    /// cumulative ack went out; drives [`RecvState::eager_ack_due`].
+    /// Encoded bytes of sequenced frames delivered since the watermark
+    /// was last published for acknowledgement; drives
+    /// [`RecvState::eager_ack_due`].
     bytes_since_ack: u64,
 }
 
 impl RecvState {
-    fn new() -> Self {
-        RecvState {
-            peer_incarnation: 0,
-            last_seq: 0,
-            last_acked_sent: 0,
-            data_received: 0,
-            bytes_since_ack: 0,
-        }
-    }
-
     /// Whether the reader should ack now instead of leaving it to the
     /// monitor tick: more than [`EAGER_ACK_BYTES`] — or a quarter of the
     /// sender's resend budget, if that is smaller — delivered since the
@@ -244,14 +258,15 @@ impl RecvState {
     }
 }
 
+/// One peer of the mesh. Lock order: `link` before `recv`; neither is
+/// held across a system call.
+#[derive(Default)]
 struct PeerSlot {
-    state: Mutex<PeerState>,
+    link: Mutex<Link>,
+    /// Signalled on every state transition, and for counted waiters
+    /// when the write role comes free or the ring shrinks.
     state_changed: Condvar,
-    /// Write half of the live socket (`None` while not connected).
-    writer: Mutex<Option<TcpStream>>,
-    /// Send-side sequence + resend buffer (lock before `state`).
-    out: Mutex<OutboundState>,
-    /// Receive-side dedup + ack watermark (leaf lock).
+    /// Receive-side dedup + ack watermark (the reader's leaf lock).
     recv: Mutex<RecvState>,
     /// Milliseconds since `Shared::start` of the last byte received /
     /// frame sent, for the monitor's idle and silence timers.
@@ -261,35 +276,44 @@ struct PeerSlot {
     /// generation they were spawned for so a stale reader's loss report
     /// cannot tear down its successor connection.
     generation: AtomicU64,
-    /// Artificial per-link write delay in ns (0 = none), installed by
-    /// [`Transport::set_link_delay`] and applied to
-    /// [`WriteMode::Frame`] writes — a fault-injected slow link.
+    /// Artificial per-frame write delay in ns (0 = none), installed by
+    /// [`Transport::set_link_delay`] — a fault-injected slow link.
     delay_ns: AtomicU64,
 }
 
 impl PeerSlot {
-    fn new() -> Self {
-        PeerSlot {
-            state: Mutex::new(PeerState::Reconnecting {
-                since: Instant::now(),
-            }),
-            state_changed: Condvar::new(),
-            writer: Mutex::new(None),
-            out: Mutex::new(OutboundState::new()),
-            recv: Mutex::new(RecvState::new()),
-            last_recv_ms: AtomicU64::new(0),
-            last_send_ms: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            delay_ns: AtomicU64::new(0),
+    /// One wait on `state_changed` as a counted waiter; false once
+    /// `deadline` has passed.
+    fn wait_until(&self, link: &mut MutexGuard<'_, Link>, deadline: Instant) -> bool {
+        let left = deadline.saturating_duration_since(Instant::now());
+        link.waiters += 1;
+        let timed_out = left.is_zero() || self.state_changed.wait_for(link, left).timed_out();
+        link.waiters -= 1;
+        !timed_out
+    }
+
+    /// Wakes counted waiters: the write role came free or the ring
+    /// shrank.
+    fn wake_waiters(&self, link: &Link) {
+        if link.waiters > 0 {
+            self.state_changed.notify_all();
         }
     }
 
-    /// Takes the socket out of the slot and severs it both ways, which
-    /// also unblocks the link's reader.
-    fn close_socket(&self) {
-        if let Some(stream) = self.writer.lock().take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+    /// Waits (bounded by `patience`) until no thread holds the write
+    /// role; false if one still does.
+    fn await_write_role(&self, link: &mut MutexGuard<'_, Link>, patience: Duration) -> bool {
+        let deadline = Instant::now() + patience;
+        while link.writing && self.wait_until(link, deadline) {}
+        !link.writing
+    }
+}
+
+/// Severs a socket both ways, which also unblocks the link's reader and
+/// fails a write in progress on it.
+fn sever(stream: Option<Arc<TcpStream>>) {
+    if let Some(stream) = stream {
+        let _ = stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -324,6 +348,25 @@ fn parse_hello(payload: &[u8]) -> Option<(u8, u64, u64)> {
     let inc = u64::from_le_bytes(payload[1..9].try_into().ok()?);
     let acked = u64::from_le_bytes(payload[9..17].try_into().ok()?);
     Some((payload[0], inc, acked))
+}
+
+/// Writes every slice of `bufs` in order (the `write_all` of vectored
+/// writes); returns the number of `write` calls it took.
+fn write_all_vectored(stream: &TcpStream, mut bufs: &mut [IoSlice<'_>]) -> io::Result<u64> {
+    let mut writes = 0;
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match io::Write::write_vectored(&mut &*stream, bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                writes += 1;
+                IoSlice::advance_slices(&mut bufs, n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(writes)
 }
 
 /// Everything the transport's threads share. `TcpTransport` is a thin
@@ -368,55 +411,129 @@ impl Shared {
         }
     }
 
-    /// The one place bytes reach a peer's socket: take the writer as
-    /// `mode` says, write every frame of `frames` under that one guard
-    /// (each whole, so frames never interleave on the stream) and stamp
-    /// the link's send-idle timer.
-    fn write_frames<'a>(
+    /// The one place bytes reach a peer's socket: an ack and a
+    /// heartbeat if `control` asks for them, then every slice of
+    /// `data`, in one vectored `write` per 16 slices.
+    fn write_parts<'a>(
+        &self,
+        stream: &TcpStream,
+        control: (Option<u64>, bool),
+        data: impl Iterator<Item = &'a [u8]>,
+    ) -> io::Result<()> {
+        let me = self.rank as u32;
+        let ack = control
+            .0
+            .map(|seq| EncodedControl::new(FrameKind::Ack, me, &[seq]));
+        let beat = control
+            .1
+            .then(|| EncodedControl::new(FrameKind::Heartbeat, me, &[]));
+        let mut slices = [IoSlice::new(&[]); 16];
+        let (mut n, mut writes) = (0, 0);
+        for frame in ack.iter().chain(&beat) {
+            slices[n] = IoSlice::new(frame.as_bytes());
+            n += 1;
+        }
+        for part in data {
+            if n == slices.len() {
+                writes += write_all_vectored(stream, &mut slices)?;
+                n = 0;
+            }
+            slices[n] = IoSlice::new(part);
+            n += 1;
+        }
+        writes += write_all_vectored(stream, &mut slices[..n])?;
+        self.counters
+            .socket_writes
+            .fetch_add(writes, Ordering::Relaxed);
+        if control.1 {
+            self.counters
+                .heartbeats_sent
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// Writes what the write-role holder took out of the link, with
+    /// **no lock held**. A fault-injected link delay is slept here, once
+    /// per frame, so the frames trickle out as on a slow socket while
+    /// whoever appends does not wait (its frames do: that is the
+    /// `wire_lock_wait` stage, append → write start).
+    fn write_batch(
         &self,
         slot: &PeerSlot,
-        mode: WriteMode,
-        frames: impl IntoIterator<Item = &'a [u8]>,
-    ) -> Wrote {
-        let paced = mode == WriteMode::Frame;
-        let lw0 = WireObs::now_ns();
-        let mut writer = if mode == WriteMode::Liveness {
-            match slot.writer.try_lock() {
-                Some(writer) => writer,
-                None => return Wrote::Skipped,
+        stream: &TcpStream,
+        mut control: (Option<u64>, bool),
+        batch: &[Chunk],
+    ) -> io::Result<()> {
+        let start = WireObs::now_ns();
+        if OBS {
+            for chunk in batch.iter().filter(|c| c.stamps_ns > 0) {
+                let wait = start.saturating_sub(chunk.stamps_ns / chunk.frames());
+                (0..chunk.frames()).for_each(|_| self.wire.record_lock_wait(wait));
             }
+        }
+        let delay = Duration::from_nanos(slot.delay_ns.load(Ordering::Relaxed));
+        if delay.is_zero() {
+            self.write_parts(stream, control, batch.iter().map(Chunk::live))?;
         } else {
-            slot.writer.lock()
-        };
-        if OBS && paced {
+            for frame in batch.iter().flat_map(Chunk::frame_slices) {
+                std::thread::sleep(delay);
+                self.write_parts(stream, control, std::iter::once(frame))?;
+                // Liveness stays truthful on the slow link: what was
+                // asked for while this frame waited rides on the next.
+                control = slot.link.lock().take_control();
+            }
+            self.write_parts(stream, control, std::iter::empty())?;
+        }
+        if OBS && !batch.is_empty() {
+            let bytes = batch.iter().map(|c| c.live().len() as u64).sum();
+            let frames = batch.iter().map(Chunk::frames).sum();
             self.wire
-                .record_lock_wait(WireObs::now_ns().saturating_sub(lw0));
+                .record_write(WireObs::now_ns().saturating_sub(start), bytes, frames);
         }
-        let Some(stream) = writer.as_mut() else {
-            return Wrote::Skipped;
-        };
-        for bytes in frames {
-            let delay_ns = slot.delay_ns.load(Ordering::Relaxed);
-            if paced && delay_ns > 0 {
-                std::thread::sleep(Duration::from_nanos(delay_ns));
-            }
-            let w0 = WireObs::now_ns();
-            if io::Write::write_all(stream, bytes).is_err() {
-                return Wrote::Failed;
-            }
-            if OBS && paced {
-                self.wire
-                    .record_write(WireObs::now_ns().saturating_sub(w0), bytes.len() as u64, 1);
-            }
-            if mode == WriteMode::Replay {
-                self.counters
-                    .frames_replayed
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        drop(writer);
         slot.last_send_ms.store(self.now_ms(), Ordering::Relaxed);
-        Wrote::Done
+        Ok(())
+    }
+
+    /// Puts everything pending on `peer`'s link on the wire, or leaves
+    /// that to the thread already writing (it loops while anything was
+    /// asked for). Takes the write role without waiting and never holds
+    /// `link` across the write; a failed write puts the batch back as
+    /// unwritten and starts the reconnect dance.
+    fn flush_link(self: &Arc<Self>, peer: usize, slot: &PeerSlot) {
+        let mut link = slot.link.lock();
+        link.flush_wanted = true;
+        if link.writing {
+            return;
+        }
+        while let Some(stream) = link.stream.clone() {
+            let asked = std::mem::take(&mut link.flush_wanted) && link.ring.has_pending();
+            if !asked && link.ack_wanted <= link.ack_sent && !link.heartbeat_wanted {
+                break;
+            }
+            link.writing = true;
+            let control = link.take_control();
+            let mut batch = link.ring.take_pending();
+            let generation = slot.generation.load(Ordering::Relaxed);
+            drop(link);
+            let wrote = self.write_batch(slot, &stream, control, &batch);
+            link = slot.link.lock();
+            if wrote.is_ok() {
+                let trimmed = link.ring.retire(&mut batch);
+                self.note_trimmed(peer, slot, &link, trimmed);
+                continue;
+            }
+            // Unwritten again; the rejoin's drain re-sends it (the
+            // peer's reader discards a partial frame together with the
+            // dead socket).
+            link.ring.put_back(batch);
+            link.writing = false;
+            slot.wake_waiters(&link);
+            drop(link);
+            return self.connection_lost(peer, generation);
+        }
+        link.writing = false;
+        slot.wake_waiters(&link);
     }
 
     fn spawn(self: &Arc<Self>, name: String, f: impl FnOnce() + Send + 'static) -> bool {
@@ -429,71 +546,53 @@ impl Shared {
         }
     }
 
-    /// Drops acked entries from the front of `peer`'s outbound buffer,
-    /// keeping the global and per-link resend gauges in step, and —
-    /// with `obs` on — derives the link's ack RTT from the newest
-    /// trimmed frame's first-send timestamp and refreshes its ack-lag
-    /// gauge (unacked frames remaining in the buffer).
-    fn trim_acked(&self, peer: usize, out: &mut OutboundState, acked: u64) {
-        let mut trimmed: u64 = 0;
-        let mut newest_sent_ns: u64 = 0;
-        while let Some((seq, bytes, sent_ns)) = out.buffer.front() {
-            if *seq > acked {
-                break;
-            }
-            let len = bytes.len() as u64;
-            out.buffered_bytes -= len;
-            self.counters
-                .resend_buffer_bytes
-                .fetch_sub(len, Ordering::Relaxed);
-            trimmed += len;
-            newest_sent_ns = *sent_ns;
-            out.buffer.pop_front();
+    /// Bookkeeping after the ring dropped `trimmed.0` acked bytes: the
+    /// global and per-link resend gauges, appenders waiting for the
+    /// window, and — with `obs` on — the link's ack RTT (from the
+    /// first-append timestamp `trimmed.1` of the newest chunk trimmed)
+    /// and its ack-lag gauge (sequenced frames not yet acked).
+    fn note_trimmed(&self, peer: usize, slot: &PeerSlot, link: &Link, trimmed: (u64, u64)) {
+        let (bytes, born_ns) = trimmed;
+        if bytes == 0 {
+            return;
         }
-        if OBS && trimmed > 0 {
-            self.wire.resend_delta(peer, -(trimmed as i64));
-            self.wire.set_ack_lag(peer, out.buffer.len() as u64);
-            if newest_sent_ns > 0 {
-                let rtt_ns = WireObs::now_ns().saturating_sub(newest_sent_ns);
+        self.counters
+            .resend_buffer_bytes
+            .fetch_sub(bytes, Ordering::Relaxed);
+        slot.wake_waiters(link);
+        if OBS {
+            self.wire.resend_delta(peer, -(bytes as i64));
+            let lag = link.ring.appended.saturating_sub(link.ring.acked);
+            self.wire.set_ack_lag(peer, lag);
+            if born_ns > 0 {
+                let rtt_ns = WireObs::now_ns().saturating_sub(born_ns);
                 self.wire.record_ack_rtt_us(peer, rtt_ns / 1_000);
             }
         }
     }
 
-    /// Sends a cumulative ack for everything delivered from `peer` so
-    /// far, if anything is unacknowledged and the link is writable.
-    /// Shared by the monitor tick and the reader's eager-ack path. An
-    /// ack skipped because the writer was busy simply goes out on the
-    /// next tick (or the next received frame, on the eager path).
-    fn send_cumulative_ack(&self, slot: &PeerSlot) {
-        let ack_due = {
-            let recv = slot.recv.lock();
-            (recv.last_seq > recv.last_acked_sent).then_some(recv.last_seq)
-        };
-        let Some(seq) = ack_due else {
-            return;
-        };
-        if !matches!(*slot.state.lock(), PeerState::Connected) {
-            return;
-        }
-        let ack = EncodedControl::new(FrameKind::Ack, self.rank as u32, &[seq]);
-        if let Wrote::Done = self.write_frames(slot, WriteMode::Liveness, [ack.as_bytes()]) {
+    /// Publishes everything delivered from `peer` so far for
+    /// acknowledgement and flushes: the ack rides at the head of the
+    /// next write to the peer, this thread's or the current holder's.
+    /// Shared by the monitor tick and the reader's eager-ack path.
+    fn publish_ack(self: &Arc<Self>, peer: usize, slot: &PeerSlot) {
+        {
+            let mut link = slot.link.lock();
             let mut recv = slot.recv.lock();
-            // Guard against a session reset racing the ack.
-            if recv.last_seq >= seq {
-                recv.last_acked_sent = recv.last_acked_sent.max(seq);
-                recv.bytes_since_ack = 0;
-            }
+            link.ack_wanted = recv.last_seq;
+            recv.bytes_since_ack = 0;
         }
+        self.flush_link(peer, slot);
     }
 
     /// Installs a freshly handshaken socket for `peer` and spawns its
     /// reader. `peer_incarnation`/`their_last_acked` come from the
     /// peer's Hello (or hello-ack): a same-incarnation rejoin trims the
-    /// resend buffer by the peer's cumulative ack and replays the rest;
-    /// a new incarnation resets both session directions and reports the
-    /// loss to the sink. Returns false (dropping the socket) if the
-    /// peer is already dead/closed or the endpoint is shutting down.
+    /// resend ring by the peer's cumulative ack and rewinds the written
+    /// cursor, so the ordinary drain replays the rest; a new
+    /// incarnation resets both session directions and reports the loss
+    /// to the sink. Returns false (dropping the socket) if the peer is
+    /// already dead/closed or the endpoint is shutting down.
     fn install_connection(
         self: &Arc<Self>,
         peer: usize,
@@ -511,10 +610,30 @@ impl Shared {
         let Ok(reader_stream) = stream.try_clone() else {
             return false;
         };
-        // `out` is held across session processing, writer install, and
-        // replay: no sequenced send may slip a new frame onto the wire
-        // between replayed ones.
-        let mut out = slot.out.lock();
+        // Sever a connection this one replaces, let its reader make its
+        // last delivery before the new one can make its first (it still
+        // drains what it had buffered), and wait out a write still in
+        // progress on it (it fails at once): the ring must be whole —
+        // nothing taken out by a writer — when it is rewound.
+        let mut link = slot.link.lock();
+        let (replaced, old_reader) = (link.stream.take(), link.reader.take());
+        if replaced.is_some() {
+            // What its reader or writer reports from here on is about a
+            // connection already replaced.
+            slot.generation.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(link);
+        sever(replaced);
+        if let Some(reader) = old_reader {
+            let _ = reader.join();
+        }
+        let mut link = slot.link.lock();
+        if !slot.await_write_role(&mut link, self.cfg.peer_dead_after) {
+            return false;
+        }
+        if self.down.load(Ordering::Acquire) || link.state.send_error(peer).is_some() {
+            return false;
+        }
 
         // Session bookkeeping: same incarnation → trim by their ack;
         // new incarnation → the old session is unrecoverable on both
@@ -524,61 +643,42 @@ impl Shared {
             let mut recv = slot.recv.lock();
             if recv.peer_incarnation == 0 || recv.peer_incarnation == peer_incarnation {
                 recv.peer_incarnation = peer_incarnation;
-                self.trim_acked(peer, &mut out, their_last_acked);
+                let trimmed = link.ring.trim(their_last_acked);
+                self.note_trimmed(peer, slot, &link, trimmed);
                 true
             } else {
-                let lost_sent = out.data_sent;
-                let lost_received = recv.data_received;
-                self.counters
-                    .resend_buffer_bytes
-                    .fetch_sub(out.buffered_bytes, Ordering::Relaxed);
-                if OBS {
-                    self.wire.resend_delta(peer, -(out.buffered_bytes as i64));
-                    self.wire.set_ack_lag(peer, 0);
-                }
-                *out = OutboundState::new();
-                *recv = RecvState::new();
-                recv.peer_incarnation = peer_incarnation;
-                session_reset = Some((lost_sent, lost_received));
+                session_reset = Some((link.data_sent, recv.data_received));
+                let lost = (link.ring.buffered_bytes, 0);
+                (link.ring, link.data_sent) = (Ring::default(), 0);
+                (link.ack_wanted, link.ack_sent) = (0, 0);
+                self.note_trimmed(peer, slot, &link, lost);
+                *recv = RecvState {
+                    peer_incarnation,
+                    ..RecvState::default()
+                };
                 false
             }
         };
-
-        let generation = {
-            let mut state = slot.state.lock();
-            if self.down.load(Ordering::Acquire) {
-                return false;
-            }
-            match *state {
-                PeerState::Dead(_) | PeerState::Closed => return false,
-                PeerState::Connected | PeerState::Reconnecting { .. } => {}
-            }
-            let generation = slot.generation.load(Ordering::Relaxed) + 1;
-            slot.generation.store(generation, Ordering::Relaxed);
-            // Writer must be in place before the state flips to
-            // Connected: a sender that observes Connected may lock the
-            // writer immediately.
-            *slot.writer.lock() = Some(stream);
-            let now = self.now_ms();
-            slot.last_recv_ms.store(now, Ordering::Relaxed);
-            slot.last_send_ms.store(now, Ordering::Relaxed);
-            *state = PeerState::Connected;
-            slot.state_changed.notify_all();
-            generation
-        };
-
-        // Replay every still-unacked frame on the fresh socket, in seq
-        // order, before releasing `out` (concurrent sequenced sends are
-        // queued behind this lock and will follow in order).
-        let mut replay_failed = false;
+        // Rewind the written cursor to the acked one. Nothing can
+        // interleave with the replay because the drain is the only
+        // writer. Every frame in the ring counts as replayed, as frames
+        // buffered during the outage always did.
+        let replay = link.ring.rewind();
         if reconnect {
-            let ring = out.buffer.iter().map(|(_, bytes, _)| bytes.as_slice());
-            replay_failed = matches!(
-                self.write_frames(slot, WriteMode::Replay, ring),
-                Wrote::Failed
-            );
+            self.counters
+                .frames_replayed
+                .fetch_add(replay, Ordering::Relaxed);
         }
-        drop(out);
+
+        let generation = slot.generation.load(Ordering::Relaxed) + 1;
+        slot.generation.store(generation, Ordering::Relaxed);
+        link.stream = Some(Arc::new(stream));
+        let now = self.now_ms();
+        slot.last_recv_ms.store(now, Ordering::Relaxed);
+        slot.last_send_ms.store(now, Ordering::Relaxed);
+        link.state = PeerState::Connected;
+        slot.state_changed.notify_all();
+        drop(link);
 
         if reconnect {
             self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -592,10 +692,10 @@ impl Shared {
         }
 
         let shared = Arc::clone(self);
-        let name = format!("ttg-net-{}<-{}", self.rank, peer);
-        if !self.spawn(name, move || {
-            reader_loop(&shared, peer, reader_stream, generation)
-        }) {
+        let reader = std::thread::Builder::new()
+            .name(format!("ttg-net-{}<-{}", self.rank, peer))
+            .spawn(move || reader_loop(&shared, peer, reader_stream, generation));
+        let Ok(reader) = reader else {
             self.declare_dead(
                 peer,
                 NetError::Io {
@@ -604,12 +704,12 @@ impl Shared {
                 },
             );
             return false;
-        }
-        if replay_failed {
-            // The fresh socket died mid-replay; unsent frames are still
-            // buffered, so another rejoin round can finish the job.
-            self.connection_lost(peer, generation);
-        }
+        };
+        slot.link.lock().reader = Some(reader);
+        // The replay, and whatever was appended while the link was
+        // down. If the fresh socket dies mid-way the frames are still in
+        // the ring, so another rejoin round can finish the job.
+        self.flush_link(peer, slot);
         true
     }
 
@@ -623,21 +723,22 @@ impl Shared {
         let Some(slot) = self.slot(peer) else {
             return;
         };
-        {
-            let mut state = slot.state.lock();
+        let stale = {
+            let mut link = slot.link.lock();
             if slot.generation.load(Ordering::Relaxed) != generation {
                 return; // about a connection that was already replaced
             }
-            match *state {
+            match link.state {
                 PeerState::Connected => {}
                 _ => return, // loss already being handled
             }
-            *state = PeerState::Reconnecting {
+            link.state = PeerState::Reconnecting {
                 since: Instant::now(),
             };
             slot.state_changed.notify_all();
-        }
-        slot.close_socket();
+            link.stream.take()
+        };
+        sever(stale);
         // Recovery window open: the sink may quarantine affected work
         // instead of failing it, pending a rejoin.
         self.sink.peer_recovering(peer);
@@ -658,188 +759,180 @@ impl Shared {
         }
     }
 
+    /// Ends `peer`'s link for good as `end` (`Dead` or `Closed`) unless
+    /// it already ended or — with `generation` — the report is about a
+    /// connection that was since replaced. Severs the socket; true if
+    /// this call ended it.
+    fn end_link(&self, peer: usize, generation: Option<u64>, end: PeerState) -> bool {
+        let Some(slot) = self.slot(peer) else {
+            return false;
+        };
+        let stale = {
+            let mut link = slot.link.lock();
+            let current = slot.generation.load(Ordering::Relaxed);
+            if generation.is_some_and(|g| g != current) || link.state.send_error(peer).is_some() {
+                return false;
+            }
+            if generation.is_none() {
+                slot.generation.store(current + 1, Ordering::Relaxed);
+            }
+            link.state = end;
+            slot.state_changed.notify_all();
+            link.stream.take()
+        };
+        sever(stale);
+        true
+    }
+
     /// Irrevocably marks `peer` lost: latches the typed error for
     /// future sends, counts it, and tells the sink exactly once.
     fn declare_dead(self: &Arc<Self>, peer: usize, err: NetError) {
-        let Some(slot) = self.slot(peer) else {
-            return;
-        };
-        {
-            let mut state = slot.state.lock();
-            match *state {
-                PeerState::Dead(_) | PeerState::Closed => return,
-                PeerState::Connected | PeerState::Reconnecting { .. } => {}
-            }
-            let generation = slot.generation.load(Ordering::Relaxed) + 1;
-            slot.generation.store(generation, Ordering::Relaxed);
-            *state = PeerState::Dead(err.clone());
-            slot.state_changed.notify_all();
+        if self.end_link(peer, None, PeerState::Dead(err.clone())) {
+            self.counters.peers_lost.fetch_add(1, Ordering::Relaxed);
+            self.sink.peer_lost(peer, &err);
         }
-        slot.close_socket();
-        self.counters.peers_lost.fetch_add(1, Ordering::Relaxed);
-        self.sink.peer_lost(peer, &err);
     }
 
-    /// The peer said Goodbye: the link is gone on purpose. Not a
-    /// failure, so no `peers_lost`, no `peer_lost` callback.
-    fn peer_said_goodbye(&self, peer: usize, generation: u64) {
-        let Some(slot) = self.slot(peer) else {
-            return;
-        };
-        {
-            let mut state = slot.state.lock();
-            if slot.generation.load(Ordering::Relaxed) != generation {
-                return;
-            }
-            match *state {
-                PeerState::Dead(_) | PeerState::Closed => return,
-                PeerState::Connected | PeerState::Reconnecting { .. } => {}
-            }
-            *state = PeerState::Closed;
-            slot.state_changed.notify_all();
-        }
-        slot.close_socket();
-    }
-
-    /// Sends pre-encoded frame bytes to `dst`, parking through a
-    /// reconnect and resending on the fresh socket if the first write
-    /// hit a broken one. Counts the frame exactly once, on success.
-    fn send_encoded(self: &Arc<Self>, dst: usize, bytes: &[u8]) -> NetResult<()> {
+    /// Queues one already-encoded unsequenced frame for `dst` behind
+    /// whatever is pending and flushes, parking through a reconnect
+    /// first (the frame is not in the ring: it is not replayed). Counts
+    /// the frame exactly once.
+    fn send_unsequenced(self: &Arc<Self>, dst: usize, bytes: Vec<u8>) -> NetResult<()> {
         let slot = self.live_slot(dst)?;
         // The monitor turns a lingering Reconnecting into Dead within
         // peer_dead_after; this is a backstop so send() can never park
         // forever even if the monitor thread itself died.
         let give_up = Instant::now() + self.cfg.peer_dead_after * 3 + Duration::from_secs(1);
-        loop {
-            let generation = {
-                let mut state = slot.state.lock();
-                if let Some(e) = state.send_error(dst) {
-                    return Err(e);
-                }
-                if let PeerState::Reconnecting { .. } = *state {
-                    if self.down.load(Ordering::Acquire) {
-                        return Err(NetError::NotConnected { rank: dst });
-                    }
-                    if Instant::now() >= give_up {
-                        return Err(NetError::PeerClosed {
-                            rank: dst,
-                            during: "send timed out awaiting reconnect",
-                        });
-                    }
-                    slot.state_changed
-                        .wait_for(&mut state, Duration::from_millis(50));
-                    continue;
-                }
-                slot.generation.load(Ordering::Relaxed)
-            };
-            match self.write_frames(slot, WriteMode::Frame, [bytes]) {
-                Wrote::Done => {
-                    self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .bytes_sent
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    return Ok(());
-                }
-                // Transient: a state transition is mid-flight.
-                Wrote::Skipped => std::thread::sleep(Duration::from_millis(1)),
-                // The peer's reader discards the partial frame together
-                // with the dead socket, so resending on the fresh one
-                // is exactly-once.
-                Wrote::Failed => self.connection_lost(dst, generation),
+        let mut link = slot.link.lock();
+        while !matches!(link.state, PeerState::Connected) {
+            if let Some(e) = link.state.send_error(dst) {
+                return Err(e);
+            }
+            if self.down.load(Ordering::Acquire) {
+                return Err(NetError::NotConnected { rank: dst });
+            }
+            if !slot.wait_until(&mut link, give_up) {
+                return Err(NetError::PeerClosed {
+                    rank: dst,
+                    during: "send timed out awaiting reconnect",
+                });
             }
         }
+        self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .bytes_sent
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        link.ring.push_unsequenced(bytes);
+        drop(link);
+        self.flush_link(dst, slot);
+        Ok(())
     }
 
-    /// Sends a sequenced frame to `dst`: assigns the next sequence
-    /// number, buffers the encoded bytes for replay, and writes them if
-    /// the link is up. Unlike [`Shared::send_encoded`] this never parks
-    /// through an outage — a send during `Reconnecting` is buffered and
-    /// returns `Ok`, and the rejoin replay puts it on the wire. The
-    /// only failure modes are a dead/closed peer (typed, latched) and a
-    /// full resend buffer ([`NetError::ResendOverflow`]).
-    fn send_sequenced(self: &Arc<Self>, dst: usize, mut frame: Frame) -> NetResult<()> {
+    /// Appends a sequenced frame to `dst`'s ring, encoded in place
+    /// under the next sequence number. Never touches the socket — a
+    /// frame appended during `Reconnecting` is buffered like any other
+    /// and the rejoin's drain puts it on the wire. The only failure
+    /// modes are a dead/closed peer (typed, latched) and a full ring
+    /// ([`NetError::ResendOverflow`]). True when the caller should flush
+    /// now: a [`FLUSH_BYTES`] batch is ready, or the frame is not `Data`
+    /// (control traffic is never corked).
+    fn append(self: &Arc<Self>, dst: usize, mut frame: Frame) -> NetResult<bool> {
         let slot = self.live_slot(dst)?;
-        let mut out = slot.out.lock();
-        frame.seq = out.next_seq;
-        let e0 = WireObs::now_ns();
-        let mut bytes = Vec::with_capacity(frame.encoded_len());
-        frame.encode_into(&mut bytes);
-        let e1 = WireObs::now_ns();
-        if OBS {
-            self.wire.record_encode(e1.saturating_sub(e0));
+        let len = frame.encoded_len();
+        let mut link = slot.link.lock();
+        // The window: a live link this far ahead of the peer's acks
+        // makes `Data` wait for them (after flushing: acks only come for
+        // what was written). A link that is down buffers instead, up to
+        // the hard limit below. Control frames never wait: the wave
+        // answers them from the reader thread, which reads the acks.
+        let window = RING_WINDOW_BYTES.min(self.cfg.resend_buffer_limit / 2);
+        let deadline = Instant::now() + self.cfg.peer_dead_after;
+        while frame.kind == FrameKind::Data
+            && link.ring.buffered_bytes > window
+            && matches!(link.state, PeerState::Connected)
+            && !self.down.load(Ordering::Acquire)
+        {
+            if link.ring.has_pending() {
+                drop(link);
+                self.flush_link(dst, slot);
+                link = slot.link.lock();
+                if !link.ring.has_pending() {
+                    continue;
+                }
+            }
+            if !slot.wait_until(&mut link, deadline) {
+                break;
+            }
         }
-        let len = bytes.len() as u64;
-        if out.buffered_bytes + len > self.cfg.resend_buffer_limit {
+        if link.ring.buffered_bytes + len as u64 > self.cfg.resend_buffer_limit {
             return Err(NetError::ResendOverflow {
                 rank: dst,
-                buffered_bytes: out.buffered_bytes,
+                buffered_bytes: link.ring.buffered_bytes,
                 limit_bytes: self.cfg.resend_buffer_limit,
             });
         }
-        // Check liveness before committing the seq: a dead peer must
-        // fail typed, not silently accumulate buffered frames.
-        let write_now = {
-            let state = slot.state.lock();
-            if let Some(e) = state.send_error(dst) {
-                return Err(e);
-            }
-            matches!(*state, PeerState::Connected).then(|| slot.generation.load(Ordering::Relaxed))
-        };
-        out.next_seq += 1;
-        if frame.kind == FrameKind::Data {
-            out.data_sent += 1;
+        // A dead peer must fail typed, not silently accumulate frames.
+        if let Some(e) = link.state.send_error(dst) {
+            return Err(e);
         }
-        out.buffered_bytes += len;
+        if frame.kind == FrameKind::Data {
+            link.data_sent += 1;
+        }
+        let e0 = WireObs::now_ns();
+        let chunk = link.ring.append(&mut frame, e0);
         self.counters
             .resend_buffer_bytes
-            .fetch_add(len, Ordering::Relaxed);
-        out.buffer.push_back((frame.seq, bytes, e1));
+            .fetch_add(len as u64, Ordering::Relaxed);
         if OBS {
             // Unique sequenced frame committed: count it on the link
             // exactly once (replays never re-count), track the per-link
             // resend occupancy and the unacked backlog.
-            self.wire.link_tx(dst, len);
+            let e1 = WireObs::now_ns();
+            chunk.stamps_ns += e1;
+            self.wire.record_encode(e1.saturating_sub(e0));
+            self.wire.link_tx(dst, len as u64);
             self.wire.resend_delta(dst, len as i64);
-            self.wire.set_ack_lag(dst, out.buffer.len() as u64);
+            self.wire.set_ack_lag(dst, frame.seq - link.ring.acked);
         }
         // The frame is durable from here: count it once, now, whether
         // it goes out on this socket or a replay.
         self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes_sent.fetch_add(len, Ordering::Relaxed);
-        // Written from the ring's own copy. If the write fails the frame
-        // stays buffered and the rejoin replay re-sends it.
-        let mut lost_generation = None;
-        if let Some(generation) = write_now {
-            let (_, bytes, _) = out.buffer.back().expect("frame just buffered");
-            if let Wrote::Failed = self.write_frames(slot, WriteMode::Frame, [bytes.as_slice()]) {
-                lost_generation = Some(generation);
-            }
-        }
-        drop(out);
-        if let Some(generation) = lost_generation {
-            self.connection_lost(dst, generation);
-        }
-        Ok(())
+        self.counters
+            .bytes_sent
+            .fetch_add(len as u64, Ordering::Relaxed);
+        Ok(link.ring.pending_bytes >= FLUSH_BYTES || frame.kind != FrameKind::Data)
     }
 
     /// Local end of the endpoint's life, however it ends (the caller
-    /// has set `down`): every socket is severed — after `farewell`, if
-    /// the end is orderly enough to say Goodbye — every link that is
-    /// not already dead is marked closed so parked senders wake with a
-    /// typed error, and the transport's threads are joined.
+    /// has set `down`): every link that is not already dead is marked
+    /// closed so parked senders wake with a typed error, every socket
+    /// is severed — after what is still pending and `farewell`, if the
+    /// end is orderly enough to say Goodbye and no write is stuck on
+    /// the link — and the transport's threads are joined.
     fn teardown(&self, farewell: Option<&[u8]>) {
         for slot in self.peers.iter().flatten() {
-            if let Some(mut stream) = slot.writer.lock().take() {
-                if let Some(goodbye) = farewell {
-                    let _ = io::Write::write_all(&mut stream, goodbye);
-                }
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            let mut state = slot.state.lock();
-            if !matches!(*state, PeerState::Dead(_)) {
-                *state = PeerState::Closed;
+            let mut link = slot.link.lock();
+            let orderly =
+                farewell.filter(|_| slot.await_write_role(&mut link, Duration::from_secs(1)));
+            let (stream, reader) = (link.stream.take(), link.reader.take());
+            let pending = link.ring.take_pending();
+            if !matches!(link.state, PeerState::Dead(_)) {
+                link.state = PeerState::Closed;
             }
             slot.state_changed.notify_all();
+            drop(link);
+            if let (Some(goodbye), Some(stream)) = (orderly, &stream) {
+                if self
+                    .write_batch(slot, stream, (None, false), &pending)
+                    .is_ok()
+                {
+                    let _ = io::Write::write_all(&mut &**stream, goodbye);
+                }
+            }
+            sever(stream);
+            if let Some(reader) = reader {
+                let _ = reader.join();
+            }
         }
         // Unblock the acceptor's `accept()` so it can observe `down`.
         let _ = TcpStream::connect(self.local_addr);
@@ -932,7 +1025,7 @@ impl TcpTransport {
             local_addr,
             incarnation,
             peers: (0..nranks)
-                .map(|p| (p != rank).then(PeerSlot::new))
+                .map(|p| (p != rank).then(PeerSlot::default))
                 .collect(),
             counters: TransportCounters::default(),
             wire: Arc::new(WireObs::new(nranks)),
@@ -978,9 +1071,9 @@ impl TcpTransport {
         // Wait until the acceptor has installed every higher rank.
         for peer in rank + 1..nranks {
             let slot = shared.slot(peer).expect("peer slot exists");
-            let mut state = slot.state.lock();
+            let mut link = slot.link.lock();
             let failure = loop {
-                match &*state {
+                match &link.state {
                     PeerState::Connected => break None,
                     PeerState::Dead(e) => break Some(e.clone()),
                     PeerState::Closed => {
@@ -994,7 +1087,7 @@ impl TcpTransport {
                         if remaining.is_zero()
                             || slot
                                 .state_changed
-                                .wait_for(&mut state, remaining)
+                                .wait_for(&mut link, remaining)
                                 .timed_out()
                         {
                             break Some(NetError::ConnectTimeout {
@@ -1007,7 +1100,7 @@ impl TcpTransport {
                     }
                 }
             };
-            drop(state);
+            drop(link);
             if let Some(e) = failure {
                 fail_startup(&shared);
                 return Err(e);
@@ -1040,9 +1133,8 @@ impl TcpTransport {
     /// hook for bounce testing.
     pub fn drop_connections(&self) {
         for slot in self.shared.peers.iter().flatten() {
-            if let Some(stream) = slot.writer.lock().as_ref() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+            let live = slot.link.lock().stream.clone();
+            sever(live);
         }
     }
 
@@ -1236,10 +1328,19 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
                 let Some(slot) = shared.slot(peer) else {
                     return;
                 };
+                // Replaced (this reader reported the loss itself, from a
+                // failed ack write, and kept draining its buffer): stop,
+                // or its deliveries interleave with the new reader's.
+                // What it drops was never acked, so the peer replays it.
+                if slot.generation.load(Ordering::Relaxed) != generation {
+                    return;
+                }
                 touch(slot);
                 match frame.kind {
                     FrameKind::Goodbye => {
-                        shared.peer_said_goodbye(peer, generation);
+                        // The link is gone on purpose: not a failure,
+                        // so no `peers_lost`, no `peer_lost` callback.
+                        shared.end_link(peer, Some(generation), PeerState::Closed);
                         return;
                     }
                     FrameKind::Heartbeat => {
@@ -1250,17 +1351,19 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
                     }
                     FrameKind::Ack => {
                         // Cumulative ack: trim everything the peer has
-                        // durably received out of the resend buffer.
+                        // durably received out of the resend ring.
                         if let Ok(acked) = frame.payload.as_slice().try_into() {
                             let acked = u64::from_le_bytes(acked);
-                            let mut out = slot.out.lock();
-                            shared.trim_acked(peer, &mut out, acked);
+                            let mut link = slot.link.lock();
+                            let trimmed = link.ring.trim(acked);
+                            shared.note_trimmed(peer, slot, &link, trimmed);
                         }
                     }
                     FrameKind::Hello => {} // stray handshake frame
                     _ => {
+                        let mut eager_ack = false;
                         if frame.seq != 0 {
-                            let eager_ack = {
+                            eager_ack = {
                                 let mut recv = slot.recv.lock();
                                 if frame.seq <= recv.last_seq {
                                     // Replayed frame we already delivered
@@ -1276,13 +1379,8 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
                                     recv.data_received += 1;
                                 }
                                 recv.bytes_since_ack += frame.encoded_len() as u64;
-                                // recv is a leaf lock — release before
-                                // touching the writer.
                                 recv.eager_ack_due(shared.cfg.resend_buffer_limit)
                             };
-                            if eager_ack {
-                                shared.send_cumulative_ack(slot);
-                            }
                         }
                         shared
                             .counters
@@ -1304,6 +1402,14 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
                             shared
                                 .wire
                                 .record_dispatch(WireObs::now_ns().saturating_sub(d0));
+                        }
+                        // Only now, with the frame delivered: the ack's
+                        // write may be what discovers a dead socket, and
+                        // the rejoin it starts brings a new reader whose
+                        // deliveries must come after this one. (`recv`,
+                        // the leaf lock, was released above.)
+                        if eager_ack {
+                            shared.publish_ack(peer, slot);
                         }
                     }
                 }
@@ -1334,13 +1440,12 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
 }
 
 /// Liveness: heartbeats on idle links, silence and reconnect-window
-/// deadlines.
+/// deadlines, and the tick's cumulative ack.
 fn monitor_loop(shared: &Arc<Shared>) {
     let hb_ms = shared.cfg.heartbeat_interval.as_millis() as u64;
     let dead_ms = shared.cfg.peer_dead_after.as_millis() as u64;
     let tick = (shared.cfg.heartbeat_interval / 4)
         .clamp(Duration::from_millis(1), Duration::from_millis(100));
-    let heartbeat = EncodedControl::new(FrameKind::Heartbeat, shared.rank as u32, &[]);
     loop {
         if shared.down.load(Ordering::Acquire) {
             return;
@@ -1350,59 +1455,56 @@ fn monitor_loop(shared: &Arc<Shared>) {
                 continue;
             };
             let verdict = {
-                let state = slot.state.lock();
-                match &*state {
+                let mut link = slot.link.lock();
+                match &link.state {
                     PeerState::Connected => {
                         let now = shared.now_ms();
                         let silent = now.saturating_sub(slot.last_recv_ms.load(Ordering::Relaxed));
                         let idle = now.saturating_sub(slot.last_send_ms.load(Ordering::Relaxed));
-                        if silent > dead_ms {
-                            Some(Err(NetError::HeartbeatLost {
-                                rank: peer,
-                                silent_for: Duration::from_millis(silent),
-                            }))
-                        } else if idle >= hb_ms {
-                            Some(Ok(slot.generation.load(Ordering::Relaxed)))
-                        } else {
-                            None
-                        }
+                        // A link in the middle of a write is not idle.
+                        link.heartbeat_wanted |= idle >= hb_ms && !link.writing;
+                        (silent > dead_ms).then_some(NetError::HeartbeatLost {
+                            rank: peer,
+                            silent_for: Duration::from_millis(silent),
+                        })
                     }
                     PeerState::Reconnecting { since }
                         if since.elapsed()
                             > shared.cfg.peer_dead_after + shared.cfg.recover_deadline =>
                     {
-                        Some(Err(NetError::PeerClosed {
+                        Some(NetError::PeerClosed {
                             rank: peer,
                             during: "reconnect window expired",
-                        }))
+                        })
                     }
                     _ => None,
                 }
             };
             match verdict {
-                Some(Err(err)) => shared.declare_dead(peer, err),
-                Some(Ok(generation)) => {
-                    match shared.write_frames(slot, WriteMode::Liveness, [heartbeat.as_bytes()]) {
-                        Wrote::Failed => shared.connection_lost(peer, generation),
-                        Wrote::Done => {
-                            shared
-                                .counters
-                                .heartbeats_sent
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        // A busy writer means the link is actively
-                        // sending, so the heartbeat is redundant; retry
-                        // next tick.
-                        Wrote::Skipped => {}
-                    }
-                }
-                None => {}
+                Some(err) => shared.declare_dead(peer, err),
+                // The heartbeat, if one is due, and the cumulative ack
+                // for what was delivered since the last one (so the
+                // peer can trim its resend ring) leave in one write.
+                None => shared.publish_ack(peer, slot),
             }
-            // Cumulative ack for sequenced frames delivered since the
-            // last one, so the peer can trim its resend buffer.
-            shared.send_cumulative_ack(slot);
         }
         std::thread::sleep(tick);
+    }
+}
+
+impl TcpTransport {
+    /// Appends `frame` to `dst`'s link and flushes it if `flush` says
+    /// so or the append does (a full batch, a control frame).
+    fn put(&self, dst: usize, frame: Frame, flush: bool) -> NetResult<()> {
+        if !is_sequenced(frame.kind) {
+            let mut bytes = Vec::with_capacity(frame.encoded_len());
+            frame.encode_into(&mut bytes);
+            return self.shared.send_unsequenced(dst, bytes);
+        }
+        if self.shared.append(dst, frame)? || flush {
+            self.shared.flush_link(dst, self.shared.live_slot(dst)?);
+        }
+        Ok(())
     }
 }
 
@@ -1416,16 +1518,23 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, dst: usize, frame: Frame) -> NetResult<()> {
-        if is_sequenced(frame.kind) {
-            return self.shared.send_sequenced(dst, frame);
+        self.put(dst, frame, true)
+    }
+
+    fn append(&self, dst: usize, frame: Frame) -> NetResult<()> {
+        self.put(dst, frame, false)
+    }
+
+    fn flush(&self) {
+        for (peer, slot) in self.shared.peers.iter().enumerate() {
+            if let Some(slot) = slot {
+                self.shared.flush_link(peer, slot);
+            }
         }
-        let mut bytes = Vec::with_capacity(frame.encoded_len());
-        frame.encode_into(&mut bytes);
-        self.shared.send_encoded(dst, &bytes)
     }
 
     fn send_raw(&self, dst: usize, bytes: Vec<u8>) -> NetResult<()> {
-        self.shared.send_encoded(dst, &bytes)
+        self.shared.send_unsequenced(dst, bytes)
     }
 
     fn drop_connections(&self) {
@@ -1522,6 +1631,20 @@ mod tests {
         (transports, rxs)
     }
 
+    /// Spins (yielding, never sleeping) until `ready`, under the 30 s
+    /// watchdog every wait in these tests shares.
+    fn await_that(what: &str, ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !ready() {
+            assert!(Instant::now() < deadline, "{what}: not within 30 s");
+            std::thread::yield_now();
+        }
+    }
+
+    fn count(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+
     /// Full mesh over ephemeral ports; returns transports plus a frame
     /// receiver per rank.
     fn tcp_mesh(n: usize) -> (Vec<Arc<TcpTransport>>, Vec<FrameRx>) {
@@ -1598,10 +1721,12 @@ mod tests {
             .tap(|c| c.heartbeat_interval = Duration::from_millis(20))
             .tap(|c| c.peer_dead_after = Duration::from_millis(400));
         let (transports, _rxs) = tcp_mesh_cfg(2, cfg);
-        std::thread::sleep(Duration::from_millis(250));
         // Idle link: heartbeats were exchanged, nobody was declared dead.
         for t in &transports {
             let c = t.counters();
+            await_that("heartbeats both ways", || {
+                count(&c.heartbeats_sent) > 0 && count(&c.heartbeats_received) > 0
+            });
             assert!(
                 c.heartbeats_sent.load(Ordering::Relaxed) > 0,
                 "no heartbeats sent"
@@ -1762,11 +1887,9 @@ mod tests {
                     .unwrap();
                 sent += 1;
             }
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while transports[1].counters().rejoins.load(Ordering::Relaxed) <= round {
-                assert!(Instant::now() < deadline, "rejoin {round} never completed");
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            await_that("rejoin", || {
+                count(&transports[1].counters().rejoins) > round
+            });
             for _ in 0..2 {
                 let (_, frame) = rxs[1]
                     .recv_timeout(Duration::from_secs(10))
@@ -1815,10 +1938,7 @@ mod tests {
             match transports[0].send(1, Frame::data(0, 0, vec![0u8; 64])) {
                 Err(e @ NetError::ResendOverflow { .. }) => break e,
                 Err(e) => panic!("expected ResendOverflow, got {e}"),
-                Ok(()) => {
-                    assert!(Instant::now() < deadline, "overflow never surfaced");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                Ok(()) => assert!(Instant::now() < deadline, "overflow never surfaced"),
             }
         };
         match err {
@@ -1876,8 +1996,10 @@ mod tests {
     #[test]
     fn eager_ack_trigger_is_a_byte_budget_capped_by_a_quarter_of_the_resend_limit() {
         let due = |bytes_since_ack, limit| {
-            let mut recv = RecvState::new();
-            recv.bytes_since_ack = bytes_since_ack;
+            let recv = RecvState {
+                bytes_since_ack,
+                ..RecvState::default()
+            };
             recv.eager_ack_due(limit)
         };
         let roomy = NetConfig::builtin().resend_buffer_limit;
@@ -1935,6 +2057,244 @@ mod tests {
             other => panic!("expected the hello-ack, got {other:?}"),
         }
         transport.shutdown();
+    }
+
+    /// What a sender `who` puts in its `i`-th frame: an identity to
+    /// check order by and a length-dependent fill to check wholeness.
+    fn stamped(who: u8, i: u32, len: usize) -> Vec<u8> {
+        let mut p = vec![who ^ (len as u8); len.max(8)];
+        p[0] = who;
+        p[1..5].copy_from_slice(&i.to_le_bytes());
+        p
+    }
+
+    fn check_stamped(payload: &[u8]) -> (u8, u32) {
+        let who = payload[0];
+        let fill = who ^ (payload.len() as u8);
+        let whole = payload[5..].iter().all(|&b| b == fill);
+        assert!(whole, "frame of {} bytes arrived torn", payload.len());
+        (who, u32::from_le_bytes(payload[1..5].try_into().unwrap()))
+    }
+
+    #[test]
+    fn concurrent_appenders_and_senders_keep_frames_whole_and_ordered() {
+        const SENDERS: u8 = 8;
+        const FRAMES: u32 = 5_000;
+        let (transports, rxs) = tcp_mesh(2);
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|who| {
+                let t = Arc::clone(&transports[0]);
+                std::thread::spawn(move || {
+                    for i in 0..FRAMES {
+                        let len = 8 + (i as usize * 37 + who as usize * 101) % 2_041;
+                        let frame = Frame::data(who as u32, 0, stamped(who, i, len));
+                        // Odd senders cork and flush now and then, even
+                        // ones send; both paths share the one ring.
+                        if who % 2 == 1 {
+                            t.append(1, frame).unwrap();
+                            if i % 17 == 0 {
+                                t.flush();
+                            }
+                        } else {
+                            t.send(1, frame).unwrap();
+                        }
+                    }
+                    t.flush();
+                })
+            })
+            .collect();
+        let mut next = [0u32; SENDERS as usize];
+        let mut last_seq = 0;
+        for _ in 0..u32::from(SENDERS) * FRAMES {
+            let (_, frame) = rxs[1].recv_timeout(Duration::from_secs(30)).unwrap();
+            let (who, i) = check_stamped(&frame.payload);
+            assert_eq!(frame.handler, who as u32);
+            assert_eq!(i, next[who as usize], "sender {who} out of order");
+            next[who as usize] += 1;
+            assert!(frame.seq > last_seq, "seq {} after {last_seq}", frame.seq);
+            last_seq = frame.seq;
+        }
+        for s in senders {
+            s.join().unwrap();
+        }
+        assert!(rxs[1].try_recv().is_err(), "a frame arrived twice");
+        let c = transports[0].counters();
+        assert_eq!(
+            count(&c.frames_sent),
+            u64::from(SENDERS) * u64::from(FRAMES)
+        );
+        assert!(
+            count(&c.socket_writes) < count(&c.frames_sent),
+            "nothing batched"
+        );
+        for t in &transports {
+            t.shutdown();
+        }
+    }
+
+    /// A one-directional stream, the receiver never sending data: the
+    /// sender's ring stays inside its window whatever the two sides'
+    /// relative speed, because every ack the receiver owes goes out
+    /// (none is skipped for a busy writer) and an appender that has run
+    /// a window ahead waits for them. At the parent of this change the
+    /// same stream parked megabytes.
+    #[test]
+    fn a_one_way_stream_keeps_the_resend_ring_inside_its_window() {
+        let (transports, rxs) = tcp_mesh(2);
+        let gauge = &transports[0].counters().resend_buffer_bytes;
+        let frame_bytes = Frame::data(0, 0, vec![0; 100]).encoded_len() as u64;
+        let bound = 2 * (EAGER_ACK_BYTES + FLUSH_BYTES as u64) + frame_bytes;
+        assert_eq!(bound, RING_WINDOW_BYTES + frame_bytes);
+        let mut deepest = 0;
+        for i in 0..100_000u32 {
+            transports[0]
+                .append(1, Frame::data(i, 0, vec![0; 100]))
+                .unwrap();
+            deepest = deepest.max(count(gauge));
+        }
+        transports[0].flush();
+        assert!(deepest <= bound, "ring reached {deepest} B, bound {bound}");
+        assert!(deepest > FLUSH_BYTES as u64, "nothing was ever corked");
+        for i in 0..100_000u32 {
+            let (_, frame) = rxs[1].recv_timeout(Duration::from_secs(30)).unwrap();
+            assert_eq!(frame.handler, i);
+        }
+        // The last ack is owed by the monitor tick at the latest.
+        await_that("ring drained", || count(gauge) == 0);
+        let c = transports[0].counters();
+        assert!(count(&c.frames_sent) / count(&c.socket_writes) >= 16);
+        for t in &transports {
+            t.shutdown();
+        }
+    }
+
+    /// The bounce again, with everything the one-writer link adds: bytes
+    /// appended but unwritten at the moment of the bounce, and a second
+    /// sender appending through the outage, the rejoin and the replay.
+    #[test]
+    fn bounce_with_corked_bytes_and_a_concurrent_appender_is_exactly_once() {
+        let cfg = NetConfig::builtin()
+            .tap(|c| c.heartbeat_interval = Duration::from_millis(400))
+            .tap(|c| c.peer_dead_after = Duration::from_millis(2000))
+            .tap(|c| c.recover_deadline = Duration::from_millis(2000));
+        let (transports, rxs) = tcp_mesh_cfg(2, cfg);
+        const ROUNDS: u64 = 6;
+        const SIDE: u32 = 20_000;
+        let done = Arc::new(AtomicBool::new(false));
+        let side = {
+            let (t, done) = (Arc::clone(&transports[0]), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut i = 0;
+                while i < SIDE && !done.load(Ordering::Relaxed) {
+                    t.append(1, Frame::data(1, 0, stamped(1, i, 8 + i as usize % 100)))
+                        .unwrap();
+                    i += 1;
+                }
+                t.flush();
+                i
+            })
+        };
+        let mut sent = 0u32;
+        let mut next = [0u32; 2];
+        let mut last_seq = 0;
+        let mut take_main = |upto: u32| {
+            while next[0] < upto {
+                let (_, frame) = rxs[1]
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("frame lost across bounce");
+                let (who, i) = check_stamped(&frame.payload);
+                assert_eq!(i, next[who as usize], "sender {who}: loss or duplication");
+                next[who as usize] += 1;
+                assert!(frame.seq > last_seq, "seq {} after {last_seq}", frame.seq);
+                last_seq = frame.seq;
+            }
+        };
+        for round in 0..ROUNDS {
+            for _ in 0..4 {
+                let frame = Frame::data(0, 0, stamped(0, sent, 64));
+                transports[0].send(1, frame).unwrap();
+                sent += 1;
+            }
+            take_main(sent);
+            // Corked, so unwritten when the link goes down...
+            let frame = Frame::data(0, 0, stamped(0, sent, 64));
+            transports[0].append(1, frame).unwrap();
+            sent += 1;
+            transports[1].drop_connections();
+            // ...and sent into the outage (or onto the dying socket).
+            for _ in 0..2 {
+                let frame = Frame::data(0, 0, stamped(0, sent, 64));
+                transports[0].send(1, frame).unwrap();
+                sent += 1;
+            }
+            await_that("rejoin", || {
+                count(&transports[1].counters().rejoins) > round
+            });
+            take_main(sent);
+        }
+        done.store(true, Ordering::Relaxed);
+        let side_sent = side.join().unwrap();
+        // Drain the second sender's tail.
+        while next[1] < side_sent {
+            let (_, frame) = rxs[1].recv_timeout(Duration::from_secs(30)).unwrap();
+            let (who, i) = check_stamped(&frame.payload);
+            assert_eq!((who, i), (1, next[1]), "second sender: loss or duplication");
+            next[1] += 1;
+            assert!(frame.seq > last_seq);
+            last_seq = frame.seq;
+        }
+        assert_eq!(next, [sent, side_sent]);
+        assert!(rxs[1].try_recv().is_err(), "duplicate frame delivered");
+        let (c0, c1) = (transports[0].counters(), transports[1].counters());
+        assert!(count(&c0.rejoins) >= ROUNDS && count(&c1.rejoins) >= ROUNDS);
+        assert!(count(&c0.frames_replayed) >= ROUNDS, "corked frames replay");
+        assert_eq!(count(&c0.peers_lost) + count(&c1.peers_lost), 0);
+        for t in &transports {
+            t.shutdown();
+        }
+    }
+
+    /// A fault-injected slow link slows its frames, not its senders:
+    /// the thread that holds the write role sleeps the delay out once
+    /// per frame, and whoever appends meanwhile leaves at once. (That
+    /// the cluster's slow-link detector still fires on such a link is
+    /// `ttg-bench wire --delay-ms 100`, CI's `wire-smoke`.)
+    #[test]
+    fn a_delayed_link_never_makes_a_second_sender_wait() {
+        const DELAY: Duration = Duration::from_millis(100);
+        let (transports, rxs) = tcp_mesh(2);
+        assert!(transports[0].set_link_delay(1, DELAY));
+        let started = Instant::now();
+        let holder = {
+            let t = Arc::clone(&transports[0]);
+            std::thread::spawn(move || t.send(1, Frame::data(0, 0, vec![0])).unwrap())
+        };
+        await_that("a write in progress", || {
+            transports[0].shared.slot(1).unwrap().link.lock().writing
+        });
+        // The best of five: a pre-empted attempt is not a blocked one.
+        let quickest = (1..=5u32)
+            .map(|i| {
+                let t0 = Instant::now();
+                transports[0].append(1, Frame::data(i, 0, vec![0])).unwrap();
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            quickest < Duration::from_millis(1),
+            "append took {quickest:?}"
+        );
+        transports[0].flush();
+        holder.join().unwrap();
+        for i in 0..=5u32 {
+            let (_, frame) = rxs[1].recv_timeout(Duration::from_secs(30)).unwrap();
+            assert_eq!(frame.handler, i, "delayed frames stay in order");
+        }
+        assert!(started.elapsed() >= DELAY * 6, "each frame pays the delay");
+        for t in &transports {
+            t.shutdown();
+        }
     }
 
     /// Test-local helper: builder-style mutation for NetConfig.

@@ -73,6 +73,20 @@ pub trait Transport: Send + Sync {
     /// must not silently drop frames — failure is a typed error.
     fn send(&self, dst: usize, frame: Frame) -> NetResult<()>;
 
+    /// [`Transport::send`] without the obligation to put the frame on
+    /// the wire before returning: a transport that batches may leave it
+    /// *corked* behind earlier frames until a later `send`, enough
+    /// appended bytes, or [`Transport::flush`] uncorks the link. Order,
+    /// reliability and errors are those of `send`. Default: `send`.
+    fn append(&self, dst: usize, frame: Frame) -> NetResult<()> {
+        self.send(dst, frame)
+    }
+
+    /// Puts everything [`Transport::append`] left corked, on every
+    /// link, on the wire (or hands it to a write already in progress).
+    /// Default: nothing is ever corked.
+    fn flush(&self) {}
+
     /// Sends pre-encoded frame bytes verbatim, *without* re-encoding —
     /// the escape hatch fault injection uses to put deliberately
     /// corrupt bytes on the wire. Transports that never expose raw
@@ -159,6 +173,10 @@ pub struct TransportCounters {
     /// Bytes currently held across all per-peer resend buffers
     /// (a gauge, not a monotonic counter).
     pub resend_buffer_bytes: AtomicU64,
+    /// `write` calls made on peer sockets: one per batch of frames, so
+    /// `frames_sent / socket_writes` is the batching the link achieves
+    /// (a tier-1 gate reads it; not part of any exported schema).
+    pub socket_writes: AtomicU64,
 }
 
 /// In-process transport: every rank lives in the same address space and

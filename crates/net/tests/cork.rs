@@ -1,0 +1,125 @@
+//! The cork rule end to end (DESIGN.md §6.5): the runtime appends
+//! `Data` frames and leaves the write to quiescence — the sending
+//! task's return, a worker's idle transition, a fence. Two things must
+//! hold over real sockets: a corked message never waits for a fence
+//! that may not come, and the termination wave never sees a count whose
+//! messages are still in the sender's buffer.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
+use ttg_net::tcp::ephemeral_listeners;
+use ttg_net::{NetConfig, NetRuntime, TcpTransport, Transport};
+use ttg_runtime::RuntimeConfig;
+
+const WATCHDOG: Duration = Duration::from_secs(30);
+
+/// A 2-rank TCP mesh of 1-worker ranks on ephemeral loopback ports.
+fn mesh() -> Vec<NetRuntime> {
+    let (listeners, addrs) = ephemeral_listeners(2).unwrap();
+    let handles: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(rank, listener)| {
+            let addrs = addrs.clone();
+            std::thread::spawn(move || {
+                let cfg = NetConfig::builtin();
+                NetRuntime::over_transport_with(
+                    RuntimeConfig::optimized(1),
+                    &cfg.clone(),
+                    rank,
+                    2,
+                    |sink| {
+                        TcpTransport::with_listener_cfg(rank, listener, &addrs, sink, cfg)
+                            .map(|t| t as Arc<dyn Transport>)
+                    },
+                )
+                .expect("mesh connects")
+            })
+        })
+        .collect();
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+/// An external thread sends one message to an idle rank and blocks on
+/// the handler's answer — no fence anywhere. The message is corked by
+/// the send, and on the wire one wake-up later: the sender's idle
+/// worker flushes it.
+#[test]
+fn a_lone_external_message_needs_no_fence() {
+    let nets = mesh();
+    let (tx, rx) = mpsc::channel::<u64>();
+    for net in &nets {
+        let tx = tx.clone();
+        net.runtime().register_handler(move |_ctx, payload| {
+            let n = u64::from_le_bytes(payload[..8].try_into().unwrap());
+            tx.send(n).expect("test still listening");
+        });
+    }
+    let mut slowest = Duration::ZERO;
+    for round in 0..1_000u64 {
+        let t0 = Instant::now();
+        nets[0]
+            .runtime()
+            .send_msg(1, 0, 0, round.to_le_bytes().to_vec());
+        assert_eq!(rx.recv_timeout(WATCHDOG).expect("answered"), round);
+        slowest = slowest.max(t0.elapsed());
+    }
+    assert!(
+        slowest < Duration::from_millis(50),
+        "a corked message waited {slowest:?}"
+    );
+    nets.iter().for_each(NetRuntime::fence);
+    nets.iter().for_each(|n| n.run().expect("clean epoch"));
+    nets.iter().for_each(NetRuntime::shutdown);
+}
+
+/// Back-to-back fenced epochs of a few corked messages each: every
+/// `run()` returns with exactly the epoch's messages handled — not
+/// earlier (a wave that balanced on counts whose messages were still
+/// corked) and not never (a corked message nobody flushed).
+#[test]
+fn fenced_epochs_of_corked_messages_terminate_exactly() {
+    let nets = mesh();
+    let handled = Arc::new(AtomicU64::new(0));
+    for net in &nets {
+        let handled = Arc::clone(&handled);
+        net.runtime().register_handler(move |_ctx, payload| {
+            handled.fetch_add(u64::from(payload[0]), Ordering::Relaxed);
+        });
+    }
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let driver = std::thread::spawn(move || {
+        let mut expected = 0u64;
+        for epoch in 0..2_000u64 {
+            for (rank, net) in nets.iter().enumerate() {
+                let burst = 1 + (epoch * 7 + rank as u64 * 13) % 64;
+                for _ in 0..burst {
+                    net.runtime().send_msg(1 - rank, 0, 0, vec![1]);
+                }
+                expected += burst;
+            }
+            nets.iter().for_each(NetRuntime::fence);
+            for net in &nets {
+                net.run().expect("clean epoch");
+            }
+            let got = handled.load(Ordering::Relaxed);
+            assert_eq!(got, expected, "epoch {epoch} ended early");
+            let (sent, received) = nets
+                .iter()
+                .map(|n| n.runtime().stats())
+                .fold((0, 0), |(s, r), st| {
+                    (s + st.messages_sent, r + st.messages_received)
+                });
+            assert_eq!((sent, received), (expected, expected), "epoch {epoch}");
+        }
+        nets.iter().for_each(NetRuntime::shutdown);
+        done_tx.send(()).unwrap();
+    });
+    // 2 000 epochs get four watchdogs; a failed assertion disconnects
+    // the channel and is reported by the join.
+    if done_rx.recv_timeout(WATCHDOG * 4) == Err(mpsc::RecvTimeoutError::Timeout) {
+        panic!("an epoch hung: a corked message was never flushed");
+    }
+    driver.join().unwrap();
+}

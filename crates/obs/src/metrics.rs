@@ -715,7 +715,9 @@ fn help_text(name: &str) -> Option<&'static str> {
         "ready_delay" => "Delay between a task becoming ready and starting to run.",
         "message_latency" => "Remote message inbox residence time (receiver clock).",
         "wire_encode" => "Frame encode + CRC time on the send path.",
-        "wire_lock_wait" => "Time senders waited for a peer's writer lock.",
+        "wire_lock_wait" => {
+            "Time frames waited, appended to a link, for the write that carried them."
+        }
         "wire_write" => "Socket write_all syscall time per frame write.",
         "wire_read_decode" => "Receiver read->decode time per frame (idle wait excluded).",
         "wire_dispatch" => "Receiver decode->handler-scheduled time per frame.",

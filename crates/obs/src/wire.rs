@@ -8,12 +8,25 @@
 //!   sender                                      receiver
 //!   ------                                      --------
 //!   encode/CRC          (wire_encode)
-//!   writer-lock wait    (wire_lock_wait)
-//!   write_all syscall   (wire_write)
+//!   append -> write     (wire_lock_wait)
+//!   write syscall       (wire_write)
 //!        |------------- kernel + network -------------|
 //!                                read -> decode  (wire_read_decode)
 //!                                decode -> sched (wire_dispatch)
 //! ```
+//!
+//! `wire_lock_wait` keeps its name from the time a sender waited for
+//! the peer's writer mutex. A TCP link has no such wait any more: a
+//! sender appends its frame to the link and leaves, and the *frame*
+//! waits — corked until the link is flushed, or behind the write in
+//! progress, or behind a fault-injected link delay — for the thread
+//! holding the link's write role to start the write that carries it.
+//! That wait is what the stage measures, once per frame (the mean over
+//! the frames of one ring chunk); `wire_write` is once per *write*,
+//! which carries a batch (see `frames_per_write`). Stage times are
+//! per-frame latencies and the frames of a batch wait side by side, so
+//! a sum of stage medians is a frame's latency, not a message's share
+//! of the wall clock.
 //!
 //! [`WireObs`] owns one [`SharedHistogram`] per stage plus a per-peer
 //! cell set (bytes/frames in both directions, ack lag, ack RTT, resend
@@ -202,7 +215,8 @@ impl WireObs {
         }
     }
 
-    /// Records time spent waiting for a peer's writer lock (ns).
+    /// Records one frame's wait from its append to the start of the
+    /// write that carries it (ns).
     #[inline]
     pub fn record_lock_wait(&self, ns: u64) {
         self.0.with(|i| i.lock_wait.record(ns));
@@ -214,8 +228,8 @@ impl WireObs {
         self.0.with(|i| i.encode.record(ns));
     }
 
-    /// Records one `write_all` to a peer socket: syscall time plus the
-    /// bytes and frames it carried (the batching-occupancy stats).
+    /// Records one batch written to a peer socket: syscall time plus
+    /// the bytes and frames it carried (the batching-occupancy stats).
     #[inline]
     pub fn record_write(&self, ns: u64, bytes: u64, frames: u64) {
         self.0.with(|i| {
@@ -347,7 +361,7 @@ impl LinkSnapshot {
 /// feature gates.
 #[derive(Debug, Clone, Default)]
 pub struct WireSnapshot {
-    /// Writer-lock wait (ns).
+    /// Append → write-start wait per frame (ns).
     pub lock_wait: HistogramSnapshot,
     /// Encode + CRC (ns).
     pub encode: HistogramSnapshot,

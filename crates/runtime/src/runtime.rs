@@ -59,7 +59,11 @@ pub type RecoveryObserver = Arc<dyn Fn(RecoveryEvent) + Send + Sync>;
 pub trait FrameSender: Send + Sync {
     /// Ships one data message to `dst`. Must be reliable and per-peer
     /// ordered; called after the sender's `message_sent` counter was
-    /// incremented.
+    /// incremented. The sender may leave the message *corked* — queued
+    /// behind earlier ones, not yet on the wire — until
+    /// [`FrameSender::flush`]; the runtime calls that at quiescence
+    /// (DESIGN.md §6.5: when the sending task returns, when a worker
+    /// goes idle, at every fence).
     fn send_data(
         &self,
         dst: usize,
@@ -68,6 +72,9 @@ pub trait FrameSender: Send + Sync {
         payload: Vec<u8>,
         span: u64,
     ) -> std::io::Result<()>;
+
+    /// Puts every corked message on the wire. Default: none ever is.
+    fn flush(&self) {}
 }
 
 /// Configuration of one runtime instance ("process").
@@ -186,6 +193,9 @@ pub(crate) struct Inner {
     pub(crate) peers: OnceLock<Vec<Weak<Inner>>>,
     /// Outbound network transport (set once when driven by `ttg-net`).
     pub(crate) frame_out: OnceLock<Arc<dyn FrameSender>>,
+    /// A thread that is not a worker sent a message since a worker last
+    /// flushed `frame_out`: the next worker to go idle flushes again.
+    pub(crate) corked: AtomicBool,
     /// First fatal transport failure of the current session (peer
     /// declared dead, send failed); surfaced by [`Runtime::run`].
     pub(crate) run_error: Mutex<Option<RunError>>,
@@ -234,6 +244,37 @@ impl Inner {
     pub(crate) fn wake_sleepers(&self) {
         if self.sleeper_count.load(Ordering::Relaxed) > 0 {
             self.sleep_cv.notify_all();
+        }
+    }
+
+    /// Uncorks the bound transport: every message a `send_msg` left
+    /// queued goes on the wire.
+    pub(crate) fn flush_frames(&self) {
+        if let Some(out) = self.frame_out.get() {
+            out.flush();
+        }
+    }
+
+    /// Called by a sender that is not a worker, after its message was
+    /// queued: hands the flush to the workers. Only the first message
+    /// since a worker's last flush pays for the flag and the wake-up —
+    /// what an external `inject` pays — the rest of the batch one load.
+    pub(crate) fn flush_when_idle(&self) {
+        if self.frame_out.get().is_some() && !self.corked.load(Ordering::Relaxed) {
+            self.corked.store(true, Ordering::SeqCst);
+            self.wake_sleepers();
+        }
+    }
+
+    /// A worker's side of [`Inner::flush_when_idle`]: flushes if a
+    /// message was queued from outside since the last time. The flag is
+    /// cleared before the flush, so a message queued during it is
+    /// flushed again rather than missed.
+    #[inline]
+    pub(crate) fn flush_if_corked(&self) {
+        if self.corked.load(Ordering::Relaxed) {
+            self.corked.store(false, Ordering::SeqCst);
+            self.flush_frames();
         }
     }
 
@@ -466,6 +507,7 @@ impl Runtime {
             inbox_tx,
             peers: OnceLock::new(),
             frame_out: OnceLock::new(),
+            corked: AtomicBool::new(false),
             run_error: Mutex::new(None),
             net_stats: OnceLock::new(),
             wire_stats: OnceLock::new(),
@@ -614,10 +656,12 @@ impl Runtime {
     /// though after a lost peer, distributed sessions stay poisoned and
     /// every later `run()` fails fast with the same diagnostic.
     pub fn run(&self) -> Result<(), RunError> {
-        // Announce fence entry first: distributed wave clients tell the
-        // coordinator that this rank has submitted all of its session's
-        // work, which gates the first reduction round (no-op for the
-        // shared-memory board).
+        // Nothing this session sent may still be corked when the rank
+        // says it is done sending. Then announce fence entry:
+        // distributed wave clients tell the coordinator that this rank
+        // has submitted all of its session's work, which gates the first
+        // reduction round (no-op for the shared-memory board).
+        self.inner.flush_frames();
         self.inner.wave.enter_fence();
         let mut done = self.inner.session_done.lock();
         loop {
@@ -1010,6 +1054,7 @@ impl Runtime {
             payload,
             ttg_obs::spans::ambient_span(),
         );
+        self.inner.flush_when_idle();
     }
 
     /// Binds the outbound network transport. Called once by `ttg-net`
@@ -1155,13 +1200,20 @@ impl Drop for Runtime {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.sleep_cv.notify_all();
-        for w in self.workers.drain(..) {
+        // The last handle can be released by a task, i.e. on a worker:
+        // that thread cannot join itself. It is detached instead (it
+        // holds its own `Arc<Inner>`) and leaves at its next idle
+        // transition, after the task that got us here returns.
+        let me = std::thread::current().id();
+        for w in self.workers.drain(..).filter(|w| w.thread().id() != me) {
             let _ = w.join();
         }
         // Dispose of anything left behind (incomplete graphs, undrained
         // injections) so memory pools and boxes are reclaimed.
         while let Some(task) = self.inner.sched.pop(0) {
-            // SAFETY: workers are joined; we own every remaining task.
+            // SAFETY: every other worker is joined, and a worker running
+            // this drop is inside a task, not popping: we own every
+            // remaining task.
             unsafe { RawTask(crate::task::TaskHeader::from_node(task)).dispose() };
         }
         for task in self.inner.injection.lock().drain(..) {

@@ -2,6 +2,7 @@
 
 use crate::runtime::Inner;
 use crate::task::{ClosureTask, RawTask, TaskHeader};
+use std::cell::Cell;
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -30,6 +31,9 @@ pub struct WorkerCtx<'rt> {
     /// (0 = unattributed). Children scheduled or messages sent from the
     /// task body inherit it; always 0 with `obs` off.
     current_span: u64,
+    /// The task that just ran sent a message, which the transport may
+    /// have left corked: the worker loop flushes when the task returns.
+    corked: Cell<bool>,
 }
 
 impl<'rt> WorkerCtx<'rt> {
@@ -41,6 +45,17 @@ impl<'rt> WorkerCtx<'rt> {
             inline_remaining: 0,
             completed_scope: None,
             current_span: 0,
+            corked: Cell::new(false),
+        }
+    }
+
+    /// Flushes the transport if the task that just returned sent
+    /// anything: a handler's reply leaves when its task does.
+    #[inline]
+    fn uncork(&self) {
+        if self.corked.get() {
+            self.corked.set(false);
+            self.inner.flush_frames();
         }
     }
 
@@ -186,6 +201,7 @@ impl<'rt> WorkerCtx<'rt> {
     /// there under the handler registered with that id (works over a
     /// process group or a bound network transport alike).
     pub fn send_msg(&self, dst: usize, priority: Priority, handler: u32, payload: Vec<u8>) {
+        self.corked.set(true);
         crate::comm::send_msg_from(
             self.inner,
             dst,
@@ -379,8 +395,12 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
             // SAFETY: nodes in the queue are task headers by contract.
             let task = RawTask(unsafe { TaskHeader::from_node(node) });
             ctx.run_task(task);
+            ctx.uncork();
         }
         // ---- idle transition --------------------------------------------
+        // Uncork before the counters are published: the wave is never
+        // offered a sent-count whose messages sit in this rank's buffer.
+        inner.flush_if_corked();
         inner.term.flush(id);
         // Counter tracks: sampled at the idle transition (change-only in
         // the ring), where depth changes are most informative and the
@@ -413,8 +433,10 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 // SAFETY: as above.
                 let task = RawTask(unsafe { TaskHeader::from_node(node) });
                 ctx.run_task(task);
+                ctx.uncork();
                 continue 'outer;
             }
+            inner.flush_if_corked();
             if inner.injection_len.load(Ordering::Acquire) > 0 || !inner.inbox_rx.is_empty() {
                 inner.idle_count.fetch_sub(1, Ordering::SeqCst);
                 ctx.drain_injection();
@@ -455,6 +477,7 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 if inner.sched.pending_estimate() == 0
                     && inner.injection_len.load(Ordering::Acquire) == 0
                     && inner.inbox_rx.is_empty()
+                    && !inner.corked.load(Ordering::SeqCst)
                     && !inner.shutdown.load(Ordering::Acquire)
                 {
                     inner.sleep_cv.wait_for(&mut guard, PARK_TIMEOUT);

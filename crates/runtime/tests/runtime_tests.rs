@@ -247,6 +247,35 @@ fn drop_reclaims_undelivered_work() {
 }
 
 /// Runs one session of a seed task spawning 50 children.
+/// Regression: a task may hold — and release — the last handle to the
+/// runtime it runs on (a served instance's finalizer does). `Drop` then
+/// runs on a worker, which used to `join` itself and die of "Resource
+/// deadlock avoided"; now that worker is detached and the rest joined.
+#[test]
+fn a_task_may_drop_the_last_handle_to_its_own_runtime() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const WATCHDOG: Duration = Duration::from_secs(30);
+    for round in 0..200 {
+        let rt = Arc::new(Runtime::new(RuntimeConfig::optimized(1 + round % 3)));
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let last = Arc::clone(&rt);
+        rt.submit(0, move |_ctx| {
+            // Until the submitter has let go, ours is not the last.
+            go_rx.recv_timeout(WATCHDOG).expect("submitter let go");
+            assert_eq!(Arc::strong_count(&last), 1);
+            drop(last);
+            done_tx.send(()).expect("test still waiting");
+        });
+        drop(rt);
+        go_tx.send(()).expect("task still waiting");
+        done_rx
+            .recv_timeout(WATCHDOG)
+            .unwrap_or_else(|e| panic!("round {round}: the dropping task died or hung: {e}"));
+    }
+}
+
 fn run_51_tasks(rt: &Runtime) {
     rt.submit(0, |ctx| {
         for i in 0..50 {

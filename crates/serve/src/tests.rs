@@ -619,6 +619,10 @@ fn saturated_clients_lose_no_wakeup() {
             ServeConfig {
                 max_inflight: 2,
                 queue_capacity: 8,
+                // Clients fetch only after their last submit: room for
+                // every result, or a client that is descheduled finds
+                // its first ones evicted (seen at the default 256).
+                result_capacity: 4 * 2_000,
                 ..ServeConfig::default()
             },
         );

@@ -1,0 +1,143 @@
+//! The message path's tier-1 gate, in a process of its own: a rank's
+//! runtime, sink and transport hold each other alive (the frame sender
+//! and the sink are a reference cycle), so the workers of a mesh built
+//! here outlive the test, park, and now and then offer the wave a
+//! contribution — allocations that would land in any counting test
+//! sharing the process, as the per-task gates of `alloc_gate.rs` do.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use ttg_runtime::RuntimeConfig;
+
+/// Counts allocations (reallocations included) while armed.
+struct Counting;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ARMED.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: forwarded caller contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded caller contract; `ptr` came from `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The message path's two counts, over a 2-rank TCP loopback mesh: an
+/// external thread scatters 4 096 64-byte messages each way and fences,
+/// three epochs. A corked link puts a batch of frames, not one, in each
+/// `write`, and a message costs four allocations: the sender's payload,
+/// the reader's payload, the handler's task and its boxed closure. The
+/// frame itself is encoded in place in the resend ring.
+///
+/// Readings: 1.0 frames per write and 5.01 allocations per message at
+/// the parent of this gate (one `write_all` and one ring `Vec` per
+/// frame); ~28 and 4.04 now. The allocation count is the machine's
+/// business only through the wave's rounds; the batch size is not a
+/// constant — a worker that goes idle flushes what the sender has
+/// corked so far, so it reads 10–15 when this binary's other tests
+/// share the CPUs — hence a floor of 4, which the parent is under and
+/// any build that batches is over. (The benchmark's
+/// `net.allocs_per_msg` reads one lower on both sides, 4.03 and 3.08:
+/// its count starts after the payload is built.)
+#[test]
+fn a_corked_link_batches_its_writes_and_allocates_no_frame() {
+    use ttg_net::tcp::ephemeral_listeners;
+    use ttg_net::{NetConfig, NetRuntime, TcpTransport, Transport};
+    const MSGS: u64 = 4_096;
+    let (listeners, addrs) = ephemeral_listeners(2).expect("loopback listeners");
+    let joins: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(rank, listener)| {
+            let addrs = addrs.clone();
+            std::thread::spawn(move || {
+                let cfg = NetConfig::builtin();
+                NetRuntime::over_transport_with(
+                    RuntimeConfig::optimized(1),
+                    &cfg.clone(),
+                    rank,
+                    2,
+                    |sink| {
+                        TcpTransport::with_listener_cfg(rank, listener, &addrs, sink, cfg)
+                            .map(|t| t as Arc<dyn Transport>)
+                    },
+                )
+                .expect("loopback TCP mesh")
+            })
+        })
+        .collect();
+    let nets: Vec<NetRuntime> = joins.into_iter().map(|j| j.join().unwrap()).collect();
+    let received = Arc::new(AtomicU64::new(0));
+    for net in &nets {
+        let received = Arc::clone(&received);
+        net.runtime().register_handler(move |_ctx, payload| {
+            received.fetch_add(payload.len() as u64, Ordering::Relaxed);
+        });
+    }
+    let epoch = || {
+        for _ in 0..MSGS {
+            for (rank, net) in nets.iter().enumerate() {
+                net.runtime().send_msg(1 - rank, 0, 0, vec![7u8; 64]);
+            }
+        }
+        nets.iter().for_each(NetRuntime::fence);
+        for net in &nets {
+            net.run().expect("clean epoch");
+        }
+    };
+    let wire = |net: &NetRuntime| {
+        let c = net.transport().counters().expect("TCP keeps counters");
+        (
+            c.frames_sent.load(Ordering::Relaxed),
+            c.socket_writes.load(Ordering::Relaxed),
+        )
+    };
+    epoch(); // sizes the rings, the inboxes and the task pools
+    epoch();
+    let before: Vec<_> = nets.iter().map(wire).collect();
+    let runs: Vec<u64> = (0..3)
+        .map(|_| {
+            ALLOCS.store(0, Ordering::Relaxed);
+            ARMED.store(true, Ordering::Relaxed);
+            epoch();
+            ARMED.store(false, Ordering::Relaxed);
+            ALLOCS.load(Ordering::Relaxed)
+        })
+        .collect();
+    assert_eq!(received.load(Ordering::Relaxed), 5 * 2 * MSGS * 64);
+    for (rank, (net, (frames0, writes0))) in nets.iter().zip(before).enumerate() {
+        let (frames, writes) = wire(net);
+        let per_write = (frames - frames0) as f64 / (writes - writes0) as f64;
+        assert!(
+            per_write >= 4.0,
+            "rank {rank}: {per_write} frames per write"
+        );
+    }
+    for allocs in &runs {
+        let per_msg = *allocs as f64 / (2 * MSGS) as f64;
+        assert!(
+            per_msg <= 4.2,
+            "{per_msg} allocations per message: {runs:?}"
+        );
+        // Not an equality: the wave's rounds (a few allocations each)
+        // depend on timing. ± 0.03 % alone, ± 1.4 % seen under a loaded
+        // test run; one allocation per message would be 25 %.
+        let spread = allocs.abs_diff(runs[0]) as f64 / runs[0] as f64;
+        assert!(spread <= 0.03, "epochs differ by more than 3 %: {runs:?}");
+    }
+    nets.iter().for_each(NetRuntime::shutdown);
+}
