@@ -11,8 +11,8 @@
 //! network. Messages are tagged; receives match (source, tag) with
 //! out-of-order buffering, like MPI's envelope matching.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 
 /// A tagged message envelope.
@@ -135,7 +135,7 @@ impl MpiWorld {
         let mut senders = Vec::with_capacity(nranks);
         let mut inboxes = Vec::with_capacity(nranks);
         for _ in 0..nranks {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             inboxes.push(rx);
         }

@@ -459,6 +459,17 @@ impl Frame {
         }))
     }
 
+    /// True when `buf` starts with everything [`Frame::read_from`] will
+    /// ask for, so that a reader holding `buf` decodes the next frame
+    /// (or rejects its length word) without touching its socket.
+    pub fn buffered(buf: &[u8]) -> bool {
+        let Some(len) = buf.first_chunk::<4>() else {
+            return false;
+        };
+        let body_len = u32::from_le_bytes(*len) as usize;
+        body_len <= MAX_FRAME_LEN && buf.len() >= (8 + body_len).max(PREFIX_LEN)
+    }
+
     /// [`Frame::read_from`] on a buffered stream, plus the busy time
     /// (ns) spent reading and decoding the frame *after* its first bytes
     /// arrived — i.e. the receiver-side read→decode stage, excluding

@@ -20,28 +20,36 @@ use crate::wave::NetWave;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use ttg_runtime::{FrameSender, NetStats, RunError, Runtime, RuntimeConfig};
+use ttg_runtime::{Arrival, FrameSender, NetStats, RunError, Runtime, RuntimeConfig};
 use ttg_termdet::TermWave;
 
 /// Adapts the runtime + wave pair into the transport's frame ingestion
-/// point: data frames enter the runtime's inbox, control frames drive
-/// the wave protocol, and a lost peer poisons the wave and records the
-/// typed error `Runtime::run` will return.
+/// point: data frames enter the runtime's injection queue as ready
+/// tasks (everything one read decoded in one insertion), control frames
+/// drive the wave protocol, and a lost peer poisons the wave and
+/// records the typed error `Runtime::run` will return.
 struct RuntimeSink {
     rt: Arc<Runtime>,
     wave: Arc<NetWave>,
 }
 
+/// What the runtime keeps of a `Data` frame.
+fn arrival(frame: Frame) -> Arrival {
+    debug_assert_eq!(frame.kind, FrameKind::Data);
+    Arrival {
+        handler: frame.handler,
+        priority: frame.priority,
+        payload: frame.payload,
+        span: frame.span,
+    }
+}
+
 impl FrameSink for RuntimeSink {
     fn deliver(&self, src: usize, frame: Frame) {
         match frame.kind {
-            FrameKind::Data => self.rt.deliver_frame(
-                src,
-                frame.handler,
-                frame.priority,
-                frame.payload,
-                frame.span,
-            ),
+            FrameKind::Data => self
+                .rt
+                .deliver_frames(src, &mut std::iter::once(arrival(frame))),
             // Handshake/teardown/liveness frames are transport-level
             // concerns; a LocalTransport never produces them and the
             // TCP reader consumes them before the sink. Seeing one here
@@ -49,6 +57,11 @@ impl FrameSink for RuntimeSink {
             FrameKind::Hello | FrameKind::Goodbye | FrameKind::Heartbeat => {}
             _ => self.wave.on_control(src, frame),
         }
+    }
+
+    fn deliver_data(&self, src: usize, frames: &mut Vec<Frame>) {
+        self.rt
+            .deliver_frames(src, &mut frames.drain(..).map(arrival));
     }
 
     fn peer_lost(&self, peer: usize, error: &NetError) {

@@ -37,6 +37,22 @@
 //! window ahead of the peer's acks waits for them. Two locks per peer,
 //! `link` then `recv`, neither held across a system call.
 //!
+//! The receive half mirrors it (DESIGN.md §6.6): the reader keeps
+//! decoding while its buffer holds another *whole* frame and hands the
+//! sink the sequenced `Data` frames of one read in one
+//! [`FrameSink::deliver_data`] — for a runtime, one insertion of ready
+//! tasks; there is no channel and no inbox behind the sink. Three rules:
+//! (i) *a batch is never held across a call that can reach the socket*
+//! — a partial frame in the buffer (so also EOF), a corrupt stream and
+//! a frame of any other kind all hand over first, so decode order is
+//! delivery order and a lone message never waits for bytes that have
+//! not arrived; (ii) *`recv.last_seq`, what the next `Hello` lets the
+//! peer forget, never names a frame that has not been handed over* —
+//! it advances at hand-over; a replaced reader just stops, what it
+//! holds is replayed, and its successor (spawned after it is joined)
+//! dedups against exactly what was handed over, so a rejoin stays
+//! exactly-once; (iii) *the ack is published after the hand-over*.
+//!
 //! # Failure handling (DESIGN.md §8)
 //!
 //! Nothing a remote peer does can panic this process. Each peer link is
@@ -128,7 +144,7 @@ const FLUSH_BYTES: usize = CHUNK_BYTES;
 /// waits for the peer's acks (the window): two rounds of what one ack
 /// covers plus what one write carries. Without it a sender that never
 /// blocks in `write` outruns the peer by a scheduler quantum, and a
-/// whole epoch sits in this ring and in the peer's inbox at once.
+/// whole epoch sits in this ring and in the peer's queue at once.
 const RING_WINDOW_BYTES: u64 = 2 * (EAGER_ACK_BYTES + FLUSH_BYTES as u64);
 
 /// Capacity of each reader thread's `BufReader`. It is the most one
@@ -846,7 +862,7 @@ impl Shared {
         // the hard limit below. Control frames never wait: the wave
         // answers them from the reader thread, which reads the acks.
         let window = RING_WINDOW_BYTES.min(self.cfg.resend_buffer_limit / 2);
-        let deadline = Instant::now() + self.cfg.peer_dead_after;
+        let mut deadline = None;
         while frame.kind == FrameKind::Data
             && link.ring.buffered_bytes > window
             && matches!(link.state, PeerState::Connected)
@@ -860,6 +876,8 @@ impl Shared {
                     continue;
                 }
             }
+            let deadline =
+                *deadline.get_or_insert_with(|| Instant::now() + self.cfg.peer_dead_after);
             if !slot.wait_until(&mut link, deadline) {
                 break;
             }
@@ -1313,106 +1331,86 @@ fn handle_incoming(shared: &Arc<Shared>, mut stream: TcpStream) {
     shared.install_connection(peer, stream, reconnect, peer_inc, their_acked);
 }
 
+/// What a reader has decoded and not yet handed to the sink: the
+/// sequenced `Data` frames of one read, in arrival order (or one frame
+/// of any other kind, which goes alone), their encoded bytes, and the
+/// newest sequence number decoded — at or below it is a replayed frame.
+#[derive(Default)]
+struct Held {
+    frames: Vec<Frame>,
+    bytes: u64,
+    seq: u64,
+}
+
+impl Shared {
+    /// Hands `held` to the sink — `Data` frames all at once — and only
+    /// then advances the receive watermark to them (rule (ii)) and, if
+    /// one is due, publishes the ack (rule (iii): its write may be what
+    /// discovers a dead socket, and the rejoin it starts brings a new
+    /// reader whose deliveries must come after these).
+    fn hand_over(self: &Arc<Self>, peer: usize, slot: &PeerSlot, held: &mut Held) {
+        let Some(first) = held.frames.first() else {
+            return;
+        };
+        let (sequenced, data) = (first.seq != 0, first.kind == FrameKind::Data);
+        let (n, bytes) = (held.frames.len() as u64, std::mem::take(&mut held.bytes));
+        self.counters
+            .frames_received
+            .fetch_add(n, Ordering::Relaxed);
+        self.counters
+            .bytes_received
+            .fetch_add(bytes, Ordering::Relaxed);
+        let d0 = WireObs::now_ns();
+        if data {
+            self.sink.deliver_data(peer, &mut held.frames);
+        } else {
+            self.sink
+                .deliver(peer, held.frames.pop().expect("one frame"));
+        }
+        if OBS {
+            let each = WireObs::now_ns().saturating_sub(d0) / n;
+            (0..n).for_each(|_| self.wire.record_dispatch(each));
+        }
+        let eager_ack = sequenced && {
+            let mut recv = slot.recv.lock();
+            recv.last_seq = held.seq;
+            recv.data_received += if data { n } else { 0 };
+            recv.bytes_since_ack += bytes;
+            recv.eager_ack_due(self.cfg.resend_buffer_limit)
+        };
+        if eager_ack {
+            self.publish_ack(peer, slot);
+        }
+    }
+}
+
 /// Decodes frames from one peer socket until it dies, closes, or the
-/// stream proves corrupt. Never panics: every failure routes into the
-/// link state machine.
+/// stream proves corrupt, collecting the sequenced `Data` frames while
+/// its buffer holds another whole frame and handing them over before
+/// any call that can reach the socket (rule (i)). Never panics: every
+/// failure routes into the link state machine.
 fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation: u64) {
+    let Some(slot) = shared.slot(peer) else {
+        return;
+    };
     let mut stream = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
-    let touch = |slot: &PeerSlot| slot.last_recv_ms.store(shared.now_ms(), Ordering::Relaxed);
+    // This thread is the watermark's only writer while it lives (its
+    // predecessor was joined, a session reset precedes its spawn).
+    let mut held = Held {
+        seq: slot.recv.lock().last_seq,
+        ..Held::default()
+    };
     loop {
-        match Frame::read_from_timed(&mut stream) {
+        let may_block = !Frame::buffered(stream.buffer());
+        if may_block {
+            shared.hand_over(peer, slot, &mut held);
+        }
+        let frame = match Frame::read_from_timed(&mut stream) {
             Ok((Decoded::Frame(frame), busy_ns)) => {
                 if OBS {
                     shared.wire.record_read_decode(busy_ns);
                 }
-                let Some(slot) = shared.slot(peer) else {
-                    return;
-                };
-                // Replaced (this reader reported the loss itself, from a
-                // failed ack write, and kept draining its buffer): stop,
-                // or its deliveries interleave with the new reader's.
-                // What it drops was never acked, so the peer replays it.
-                if slot.generation.load(Ordering::Relaxed) != generation {
-                    return;
-                }
-                touch(slot);
-                match frame.kind {
-                    FrameKind::Goodbye => {
-                        // The link is gone on purpose: not a failure,
-                        // so no `peers_lost`, no `peer_lost` callback.
-                        shared.end_link(peer, Some(generation), PeerState::Closed);
-                        return;
-                    }
-                    FrameKind::Heartbeat => {
-                        shared
-                            .counters
-                            .heartbeats_received
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    FrameKind::Ack => {
-                        // Cumulative ack: trim everything the peer has
-                        // durably received out of the resend ring.
-                        if let Ok(acked) = frame.payload.as_slice().try_into() {
-                            let acked = u64::from_le_bytes(acked);
-                            let mut link = slot.link.lock();
-                            let trimmed = link.ring.trim(acked);
-                            shared.note_trimmed(peer, slot, &link, trimmed);
-                        }
-                    }
-                    FrameKind::Hello => {} // stray handshake frame
-                    _ => {
-                        let mut eager_ack = false;
-                        if frame.seq != 0 {
-                            eager_ack = {
-                                let mut recv = slot.recv.lock();
-                                if frame.seq <= recv.last_seq {
-                                    // Replayed frame we already delivered
-                                    // before the bounce: suppress.
-                                    shared
-                                        .counters
-                                        .frames_deduped
-                                        .fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
-                                recv.last_seq = frame.seq;
-                                if frame.kind == FrameKind::Data {
-                                    recv.data_received += 1;
-                                }
-                                recv.bytes_since_ack += frame.encoded_len() as u64;
-                                recv.eager_ack_due(shared.cfg.resend_buffer_limit)
-                            };
-                        }
-                        shared
-                            .counters
-                            .frames_received
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .counters
-                            .bytes_received
-                            .fetch_add(frame.encoded_len() as u64, Ordering::Relaxed);
-                        if OBS && frame.seq != 0 {
-                            // First delivery of a unique sequenced frame
-                            // (dups were suppressed above): the rx half
-                            // of the symmetric link traffic ledger.
-                            shared.wire.link_rx(peer, frame.encoded_len() as u64);
-                        }
-                        let d0 = WireObs::now_ns();
-                        shared.sink.deliver(peer, frame);
-                        if OBS {
-                            shared
-                                .wire
-                                .record_dispatch(WireObs::now_ns().saturating_sub(d0));
-                        }
-                        // Only now, with the frame delivered: the ack's
-                        // write may be what discovers a dead socket, and
-                        // the rejoin it starts brings a new reader whose
-                        // deliveries must come after this one. (`recv`,
-                        // the leaf lock, was released above.)
-                        if eager_ack {
-                            shared.publish_ack(peer, slot);
-                        }
-                    }
-                }
+                frame
             }
             Ok((Decoded::Eof, _)) => {
                 // Clean EOF but no Goodbye: the peer process vanished or
@@ -1421,6 +1419,7 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
                 return;
             }
             Ok((Decoded::Corrupt { detail }, _)) => {
+                shared.hand_over(peer, slot, &mut held);
                 shared
                     .counters
                     .frames_corrupt
@@ -1434,6 +1433,68 @@ fn reader_loop(shared: &Arc<Shared>, peer: usize, stream: TcpStream, generation:
             Err(_) => {
                 shared.connection_lost(peer, generation);
                 return;
+            }
+        };
+        // Replaced (this reader reported the loss itself, from a failed
+        // ack write, and kept draining its buffer): stop. What it drops
+        // — this frame and whatever it holds — the watermark never
+        // named, so the peer replays it.
+        if slot.generation.load(Ordering::Relaxed) != generation {
+            return;
+        }
+        if may_block {
+            slot.last_recv_ms.store(shared.now_ms(), Ordering::Relaxed);
+        }
+        // Only sequenced `Data` shares a hand-over. Any other frame — a
+        // control frame, one injected raw — is acted on or goes to the
+        // sink alone, after everything decoded before it.
+        let alone = frame.kind != FrameKind::Data || frame.seq == 0;
+        if alone {
+            shared.hand_over(peer, slot, &mut held);
+        }
+        match frame.kind {
+            FrameKind::Goodbye => {
+                // The link is gone on purpose: not a failure, so no
+                // `peers_lost`, no `peer_lost` callback.
+                shared.end_link(peer, Some(generation), PeerState::Closed);
+                return;
+            }
+            FrameKind::Heartbeat => {
+                shared
+                    .counters
+                    .heartbeats_received
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            FrameKind::Ack => {
+                // Cumulative ack: trim everything the peer has durably
+                // received out of the resend ring.
+                if let Ok(acked) = frame.payload.as_slice().try_into() {
+                    let acked = u64::from_le_bytes(acked);
+                    let mut link = slot.link.lock();
+                    let trimmed = link.ring.trim(acked);
+                    shared.note_trimmed(peer, slot, &link, trimmed);
+                }
+            }
+            FrameKind::Hello => {} // stray handshake frame
+            _ if frame.seq != 0 && frame.seq <= held.seq => {
+                // Replayed frame already decoded before the bounce.
+                shared
+                    .counters
+                    .frames_deduped
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {
+                held.seq = held.seq.max(frame.seq);
+                held.bytes += frame.encoded_len() as u64;
+                if OBS && frame.seq != 0 {
+                    // First delivery of a unique sequenced frame: the rx
+                    // half of the symmetric link traffic ledger.
+                    shared.wire.link_rx(peer, frame.encoded_len() as u64);
+                }
+                held.frames.push(frame);
+                if alone {
+                    shared.hand_over(peer, slot, &mut held);
+                }
             }
         }
     }
@@ -1610,6 +1671,47 @@ mod tests {
     type FrameRx = mpsc::Receiver<(usize, Frame)>;
 
     fn tcp_mesh_cfg(n: usize, cfg: NetConfig) -> (Vec<Arc<TcpTransport>>, Vec<FrameRx>) {
+        tcp_mesh_gated(n, cfg, &Arc::default())
+    }
+
+    /// A sink that forwards frames into a channel — and, while `gate` is
+    /// shut, stops in the middle of the first batch of two or more it
+    /// is handed: one frame forwarded, the rest decoded and not handed
+    /// over, `gate.held` raised until the gate opens.
+    struct GatedSink {
+        tx: Mutex<mpsc::Sender<(usize, Frame)>>,
+        gate: Arc<Gate>,
+    }
+
+    #[derive(Default)]
+    struct Gate {
+        shut: AtomicBool,
+        held: AtomicBool,
+    }
+
+    impl FrameSink for GatedSink {
+        fn deliver(&self, src: usize, frame: Frame) {
+            let _ = self.tx.lock().send((src, frame));
+        }
+
+        fn deliver_data(&self, src: usize, frames: &mut Vec<Frame>) {
+            let mut frames = frames.drain(..);
+            if frames.len() >= 2 && self.gate.shut.load(Ordering::Acquire) {
+                self.deliver(src, frames.next().expect("two or more"));
+                self.gate.held.store(true, Ordering::Release);
+                await_that("the gate to open", || {
+                    !self.gate.shut.load(Ordering::Acquire)
+                });
+            }
+            frames.for_each(|frame| self.deliver(src, frame));
+        }
+    }
+
+    fn tcp_mesh_gated(
+        n: usize,
+        cfg: NetConfig,
+        gate: &Arc<Gate>,
+    ) -> (Vec<Arc<TcpTransport>>, Vec<FrameRx>) {
         let (listeners, addrs) = ephemeral_listeners(n).unwrap();
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();
         let handles: Vec<_> = listeners
@@ -1619,10 +1721,9 @@ mod tests {
             .map(|(rank, (listener, tx))| {
                 let addrs = addrs.clone();
                 let cfg = cfg.clone();
+                let (tx, gate) = (Mutex::new(tx), Arc::clone(gate));
                 std::thread::spawn(move || {
-                    let sink = Arc::new(FnSink(move |src, frame| {
-                        let _ = tx.send((src, frame));
-                    }));
+                    let sink = Arc::new(GatedSink { tx, gate });
                     TcpTransport::with_listener_cfg(rank, listener, &addrs, sink, cfg).unwrap()
                 })
             })
@@ -2170,22 +2271,38 @@ mod tests {
 
     /// The bounce again, with everything the one-writer link adds: bytes
     /// appended but unwritten at the moment of the bounce, and a second
-    /// sender appending through the outage, the rejoin and the replay.
+    /// sender appending through the outage, the rejoin and the replay —
+    /// and with what the batching reader adds: the link goes down while
+    /// the receiver's reader is in the middle of a hand-over, frames
+    /// decoded and not yet delivered. The watermark names none of them
+    /// until they are (rule (ii)), whatever the rejoin's `Hello` reads.
     #[test]
     fn bounce_with_corked_bytes_and_a_concurrent_appender_is_exactly_once() {
         let cfg = NetConfig::builtin()
             .tap(|c| c.heartbeat_interval = Duration::from_millis(400))
             .tap(|c| c.peer_dead_after = Duration::from_millis(2000))
             .tap(|c| c.recover_deadline = Duration::from_millis(2000));
-        let (transports, rxs) = tcp_mesh_cfg(2, cfg);
+        let gate = Arc::new(Gate::default());
+        let (transports, rxs) = tcp_mesh_gated(2, cfg, &gate);
         const ROUNDS: u64 = 6;
         const SIDE: u32 = 20_000;
         let done = Arc::new(AtomicBool::new(false));
         let side = {
-            let (t, done) = (Arc::clone(&transports[0]), Arc::clone(&done));
+            let (t, done, gate) = (
+                Arc::clone(&transports[0]),
+                Arc::clone(&done),
+                Arc::clone(&gate),
+            );
             std::thread::spawn(move || {
                 let mut i = 0;
                 while i < SIDE && !done.load(Ordering::Relaxed) {
+                    // Not while a reader is being stopped: once it has,
+                    // nothing is acked, and a ring this sender filled
+                    // would make the frames that stop it wait.
+                    if gate.shut.load(Ordering::Acquire) && !gate.held.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                        continue;
+                    }
                     t.append(1, Frame::data(1, 0, stamped(1, i, 8 + i as usize % 100)))
                         .unwrap();
                     i += 1;
@@ -2220,6 +2337,24 @@ mod tests {
             let frame = Frame::data(0, 0, stamped(0, sent, 64));
             transports[0].append(1, frame).unwrap();
             sent += 1;
+            // ...which it does with the receiver's reader stopped in the
+            // middle of handing over a batch: pairs of frames in one
+            // write until one such batch reaches the sink — put only
+            // into a ring with room, since nothing is acked once the
+            // reader has stopped and a full window would make them wait.
+            gate.shut.store(true, Ordering::Release);
+            while !gate.held.load(Ordering::Acquire) {
+                if count(&transports[0].counters().resend_buffer_bytes) > RING_WINDOW_BYTES / 2 {
+                    std::thread::yield_now();
+                    continue;
+                }
+                for flush in [false, true] {
+                    let frame = Frame::data(0, 0, stamped(0, sent, 64));
+                    transports[0].put(1, frame, flush).unwrap();
+                    sent += 1;
+                }
+                assert!(sent < 100_000, "no batch of two ever reached the sink");
+            }
             transports[1].drop_connections();
             // ...and sent into the outage (or onto the dying socket).
             for _ in 0..2 {
@@ -2227,6 +2362,10 @@ mod tests {
                 transports[0].send(1, frame).unwrap();
                 sent += 1;
             }
+            // The reader finishes its hand-over on a connection that is
+            // gone, while the rejoin waits to join it.
+            gate.held.store(false, Ordering::Release);
+            gate.shut.store(false, Ordering::Release);
             await_that("rejoin", || {
                 count(&transports[1].counters().rejoins) > round
             });

@@ -25,6 +25,16 @@ pub trait FrameSink: Send + Sync {
     /// of the destination runtime.
     fn deliver(&self, src: usize, frame: Frame);
 
+    /// Ingests, in order, every `Data` frame one read of `src`'s socket
+    /// decoded, and leaves `frames` empty. A sink that can take them in
+    /// one operation overrides this; the default hands them over one by
+    /// one.
+    fn deliver_data(&self, src: usize, frames: &mut Vec<Frame>) {
+        for frame in frames.drain(..) {
+            self.deliver(src, frame);
+        }
+    }
+
     /// The transport declared `peer` dead (`error` says why: heartbeat
     /// loss, corrupt stream, reconnect deadline...). Called at most once
     /// per peer, from a transport-internal thread. Default: ignore.
@@ -182,11 +192,10 @@ pub struct TransportCounters {
 /// In-process transport: every rank lives in the same address space and
 /// `send` hands the frame straight to the destination sink.
 ///
-/// This is the refactored form of the channel shuffling that used to be
-/// open-coded in `ttg_runtime::comm`: same synchronous-delivery
-/// semantics (a frame is in the destination's inbox before `send`
-/// returns, so there is never invisible in-flight state), now behind the
-/// [`Transport`] interface the TCP path also implements.
+/// Delivery is synchronous: a frame is in the destination's injection
+/// queue before `send` returns, so there is never invisible in-flight
+/// state — behind the [`Transport`] interface the TCP path also
+/// implements.
 pub struct LocalTransport {
     rank: usize,
     sinks: Arc<Vec<OnceLock<Arc<dyn FrameSink>>>>,

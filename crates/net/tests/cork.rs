@@ -5,41 +5,15 @@
 //! that may not come, and the termination wave never sees a count whose
 //! messages are still in the sender's buffer.
 
+mod common;
+
+use common::mesh;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-use ttg_net::tcp::ephemeral_listeners;
-use ttg_net::{NetConfig, NetRuntime, TcpTransport, Transport};
-use ttg_runtime::RuntimeConfig;
+use ttg_net::NetRuntime;
 
 const WATCHDOG: Duration = Duration::from_secs(30);
-
-/// A 2-rank TCP mesh of 1-worker ranks on ephemeral loopback ports.
-fn mesh() -> Vec<NetRuntime> {
-    let (listeners, addrs) = ephemeral_listeners(2).unwrap();
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(rank, listener)| {
-            let addrs = addrs.clone();
-            std::thread::spawn(move || {
-                let cfg = NetConfig::builtin();
-                NetRuntime::over_transport_with(
-                    RuntimeConfig::optimized(1),
-                    &cfg.clone(),
-                    rank,
-                    2,
-                    |sink| {
-                        TcpTransport::with_listener_cfg(rank, listener, &addrs, sink, cfg)
-                            .map(|t| t as Arc<dyn Transport>)
-                    },
-                )
-                .expect("mesh connects")
-            })
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join().unwrap()).collect()
-}
 
 /// An external thread sends one message to an idle rank and blocks on
 /// the handler's answer — no fence anywhere. The message is corked by

@@ -86,7 +86,8 @@ pub struct WorkerObs {
     pub task_duration: LatencyHistogram,
     /// Schedule-to-execution-start delay.
     pub ready_delay: LatencyHistogram,
-    /// Remote message inbox residence time (receiver clock only).
+    /// A framed message's wait from its insertion as a ready task to
+    /// the start of its handler (receiver clock only).
     pub message_latency: LatencyHistogram,
     /// Last wave round a contribution event was recorded for
     /// (deduplicates the idle loop's once-per-spin contributions).
@@ -347,9 +348,10 @@ impl Obs {
         });
     }
 
-    /// Samples the scheduler queue-depth, inbox-backlog, and overflow-
-    /// FIFO counter tracks; emits only on change so idle loops don't
-    /// flood the ring. `overflow_depth` is the global-FIFO backlog of
+    /// Samples the scheduler queue-depth, inbox-backlog (the injection
+    /// queue's depth: messages and other tasks inserted from outside,
+    /// not yet drained), and overflow-FIFO counter tracks; emits only on change so idle loops
+    /// don't flood the ring. `overflow_depth` is the global-FIFO backlog of
     /// LFQ-style schedulers (always 0 for LL/LLP, whose default
     /// `overflow_depth` is 0 — the track then never emits past the
     /// initial sample).
@@ -385,7 +387,8 @@ impl Obs {
         track(&w.last_overflow_depth, "overflow_depth", overflow_depth);
     }
 
-    /// Records a remote message's inbox residence time (receiver clock).
+    /// Records a framed message's wait from insertion to the start of
+    /// its handler (receiver clock).
     #[inline]
     pub fn record_message_latency(&self, worker: usize, wait_ns: u64) {
         if self.hist_on {

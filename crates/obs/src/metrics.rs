@@ -713,7 +713,9 @@ fn help_text(name: &str) -> Option<&'static str> {
         "cluster_alerts_active" => "Imbalance alerts currently active on the aggregator.",
         "task_duration" => "Task body execution time.",
         "ready_delay" => "Delay between a task becoming ready and starting to run.",
-        "message_latency" => "Remote message inbox residence time (receiver clock).",
+        "message_latency" => {
+            "Remote message wait from insertion as a task to handler start (receiver clock)."
+        }
         "wire_encode" => "Frame encode + CRC time on the send path.",
         "wire_lock_wait" => {
             "Time frames waited, appended to a link, for the write that carried them."

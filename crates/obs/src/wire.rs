@@ -246,8 +246,8 @@ impl WireObs {
         self.0.with(|i| i.read_decode.record(ns));
     }
 
-    /// Records decoded-frame → handler-scheduled time (ns): dedup,
-    /// sink delivery, inbox enqueue.
+    /// Records decoded-frame → handler-scheduled time (ns): sink
+    /// delivery, task insertion (a batch's time spread over its frames).
     #[inline]
     pub fn record_dispatch(&self, ns: u64) {
         self.0.with(|i| i.dispatch.record(ns));

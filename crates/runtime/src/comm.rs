@@ -7,48 +7,24 @@
 //!
 //! [`ProcessGroup`] reproduces that structure in one address space: P
 //! runtimes ("processes"), each with its own scheduler, termination
-//! counters, and worker pool, exchanging **active messages** over
-//! channels. A message is counted at the sender (`message_sent`), sits
-//! in flight in the destination's inbox, and is counted at the receiver
-//! (`message_received`) when an idle worker drains it — so the wave
-//! algorithm runs against genuine in-flight traffic.
+//! counters, and worker pool, exchanging **active messages**. A message
+//! is a task insertion: the sender counts it (`message_sent`), builds
+//! the task it will run as — a [`ClosureTask`] for a closure, a pooled
+//! `MsgTask` for a handler id and payload, exactly what `ttg-net`
+//! builds from a frame — and inserts it into the destination's
+//! injection queue, counted there as discovered and then received
+//! (`Inner::insert_arrivals`). There is no channel, no inbox and no
+//! second queue: from that moment the message is a pending task of the
+//! destination, so the wave cannot balance before its handler has run.
 
-use crate::runtime::{Inner, Runtime, RuntimeConfig};
+use crate::runtime::{Arrival, Inner, Runtime, RuntimeConfig};
+use crate::task::ClosureTask;
 use crate::worker::WorkerCtx;
+use std::iter::once;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use ttg_sched::Priority;
 use ttg_termdet::WaveBoard;
-
-/// An active message: work executed as a task on the destination.
-///
-/// `Closure` is the in-memory fast path — a boxed job shipped by pointer,
-/// only possible between runtimes sharing an address space. `Framed` is
-/// the transport-portable form: a registered handler id plus serialized
-/// payload, exactly what `ttg-net` moves over sockets (and what in-memory
-/// groups also accept, so both execution modes share one inbox path).
-pub(crate) enum RemoteMsg {
-    Closure {
-        priority: Priority,
-        job: Box<dyn FnOnce(&mut WorkerCtx<'_>) + Send>,
-        /// Local-clock ns when the message entered this inbox (for the
-        /// inbox-residence latency histogram). Always the *destination*
-        /// process's clock: in-memory senders share it, and network
-        /// frames are stamped on arrival in `deliver_frame`.
-        enqueued_ns: u64,
-        /// Request-scoped span context of the sending task (0 =
-        /// unattributed); stamped onto the handler task on arrival.
-        span: u64,
-    },
-    Framed {
-        priority: Priority,
-        handler: u32,
-        payload: Vec<u8>,
-        /// See `Closure::enqueued_ns`.
-        enqueued_ns: u64,
-        /// See `Closure::span`; network frames carry it in the header.
-        span: u64,
-    },
-}
 
 /// Routes a closure active message from `src` to rank `dst` (in-memory
 /// process groups only; closures cannot cross process boundaries).
@@ -63,35 +39,27 @@ pub(crate) fn send_remote_from(
         .peers
         .get()
         .expect("send_remote requires ProcessGroup membership");
+    let task = ClosureTask::allocate(priority, job);
+    // SAFETY: freshly allocated, exclusively owned.
+    let header = unsafe { task.0.as_ref() };
+    header.stamp_span(span);
     if dst == src.rank {
         // Local "message": execute as an ordinary injected task; the wave
         // only counts *inter*-process messages.
         src.term.task_discovered(None);
-        let task = crate::task::ClosureTask::allocate(priority, job);
-        // SAFETY: freshly allocated, exclusively owned.
-        unsafe { task.0.as_ref().stamp_span(span) };
         src.inject(task);
         return;
     }
     let peer = peers[dst]
         .upgrade()
         .expect("destination process already shut down");
+    header.stamp_ready(peer.arrival_ns());
     // A latched (terminated) wave means this send opens a new session.
     src.maybe_new_session();
     // Count the send *before* the message becomes receivable.
     src.term.message_sent();
-    src.comm
-        .messages_sent
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    peer.inbox_tx
-        .send(RemoteMsg::Closure {
-            priority,
-            job,
-            enqueued_ns: ttg_sync::clock::now_ns(),
-            span,
-        })
-        .expect("peer inbox closed");
-    peer.wake_sleepers();
+    src.comm.messages_sent.fetch_add(1, Ordering::Relaxed);
+    peer.insert_arrivals(1, 0, once(task));
 }
 
 /// Routes a framed (serialized) active message from `src` to rank `dst`,
@@ -105,17 +73,21 @@ pub(crate) fn send_msg_from(
     payload: Vec<u8>,
     span: u64,
 ) {
-    use std::sync::atomic::Ordering;
+    let len = payload.len();
+    let message = |payload| Arrival {
+        handler,
+        priority,
+        payload,
+        span,
+    };
     if dst == src.rank {
         // Local delivery: execute the handler as an ordinary injected
-        // task; no inter-process message accounting.
-        let h = src.handler(handler);
+        // task; no inter-process message accounting. An unknown id is
+        // the caller's bug here, not a peer's.
+        let task = src
+            .message_task(&src.handlers.read(), message(payload), src.arrival_ns())
+            .unwrap_or_else(|| panic!("no message handler registered with id {handler}"));
         src.term.task_discovered(None);
-        let task = crate::task::ClosureTask::allocate(priority, move |ctx: &mut WorkerCtx<'_>| {
-            h(ctx, payload)
-        });
-        // SAFETY: freshly allocated, exclusively owned.
-        unsafe { task.0.as_ref().stamp_span(span) };
         src.inject(task);
         return;
     }
@@ -124,45 +96,34 @@ pub(crate) fn send_msg_from(
         let peer = peers[dst]
             .upgrade()
             .expect("destination process already shut down");
+        // Count the send *before* the message becomes receivable.
         src.term.message_sent();
         src.comm.messages_sent.fetch_add(1, Ordering::Relaxed);
-        src.comm
-            .bytes_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        peer.comm
-            .bytes_received
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+        src.comm.bytes_sent.fetch_add(len as u64, Ordering::Relaxed);
         // Flow events: the sender assigns the frame sequence and hands it
         // to the receiver directly (shared address space), so send/recv
         // pair up exactly in the merged trace.
-        let now = ttg_sync::clock::now_ns();
+        let now_ns = match (&src.obs, &peer.obs) {
+            (None, None) => 0,
+            _ => ttg_sync::clock::now_ns(),
+        };
         if let Some(obs) = src.obs.as_deref() {
-            let seq = obs.record_net_send(dst, payload.len(), now, span);
+            let seq = obs.record_net_send(dst, len, now_ns, span);
             if let Some(peer_obs) = peer.obs.as_deref() {
-                peer_obs.record_net_recv(src.rank, payload.len(), now, Some(seq), span);
+                peer_obs.record_net_recv(src.rank, len, now_ns, Some(seq), span);
             }
         }
-        peer.inbox_tx
-            .send(RemoteMsg::Framed {
-                priority,
-                handler,
-                payload,
-                enqueued_ns: now,
-                span,
-            })
-            .expect("peer inbox closed");
-        peer.wake_sleepers();
+        let task = peer.message_task(&peer.handlers.read(), message(payload), now_ns);
+        peer.insert_arrivals(1, len as u64, task.into_iter());
     } else if let Some(out) = src.frame_out.get() {
         // Count the send *before* the frame can possibly be received.
         src.term.message_sent();
         src.comm.messages_sent.fetch_add(1, Ordering::Relaxed);
-        src.comm
-            .bytes_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+        src.comm.bytes_sent.fetch_add(len as u64, Ordering::Relaxed);
         if let Some(obs) = src.obs.as_deref() {
             // The receiving rank derives the matching sequence from
             // per-peer arrival order (TCP delivers in order per peer).
-            obs.record_net_send(dst, payload.len(), ttg_sync::clock::now_ns(), span);
+            obs.record_net_send(dst, len, ttg_sync::clock::now_ns(), span);
         }
         if let Err(e) = out.send_data(dst, handler, priority, payload, span) {
             // The frame never left, but `message_sent` was already

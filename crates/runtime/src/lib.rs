@@ -42,7 +42,7 @@ pub use copy::DataCopy;
 pub use error::RunError;
 pub use live::{LiveConfig, LiveTelemetry, RuntimeSlot};
 pub use runtime::{
-    FrameSender, HealthReport, RecoveryEvent, RecoveryObserver, Runtime, RuntimeConfig,
+    Arrival, FrameSender, HealthReport, RecoveryEvent, RecoveryObserver, Runtime, RuntimeConfig,
     DEFAULT_TRACE_CAPACITY,
 };
 pub use stats::{ContentionStats, NetStats, RuntimeStats};

@@ -11,14 +11,16 @@ use ttg_sync::CachePadded;
 
 /// Inter-process communication counters, shared between worker threads,
 /// the sending application thread, and transport receiver threads —
-/// hence atomics, unlike [`WorkerStatsCell`]. Updated once per message,
-/// never on the task hot path.
+/// hence atomics, unlike [`WorkerStatsCell`]. Updated once per message
+/// sent and once per batch received, never on the task hot path.
 #[derive(Debug, Default)]
 pub(crate) struct CommCounters {
     /// Active messages sent to other ranks (closure or framed).
     pub messages_sent: AtomicU64,
-    /// Active messages drained from the inbox.
+    /// Active messages inserted into this rank's injection queue.
     pub messages_received: AtomicU64,
+    /// Publications of the injection queue that carried them.
+    pub insertions: AtomicU64,
     /// Payload bytes shipped to other ranks (framed messages only; the
     /// in-memory closure path serializes nothing).
     pub bytes_sent: AtomicU64,

@@ -7,8 +7,10 @@
 //! item) and is what lets task objects come from the per-thread memory
 //! pools of Section IV-E with zero per-dispatch allocation.
 
+use crate::runtime::HandlerFn;
 use crate::worker::WorkerCtx;
 use std::ptr::NonNull;
+use ttg_mempool::{FreeListPool, PoolBox};
 use ttg_sched::{Priority, SchedNode};
 
 /// The vtable every task type provides.
@@ -200,6 +202,89 @@ impl ClosureTask {
     unsafe fn dispose(task: NonNull<TaskHeader>) {
         // SAFETY: layout contract.
         drop(unsafe { Box::from_raw(task.as_ptr() as *mut ClosureTask) });
+    }
+}
+
+/// A framed active message as a ready task: the shell a message enters
+/// the destination's injection queue in, drawn from that runtime's one
+/// pool (Section IV-E: the node goes back to the slot it came from,
+/// whichever worker retires it, so the inserting and the executing
+/// thread never meet in the allocator). The span rides in the header.
+#[repr(C)]
+pub(crate) struct MsgTask {
+    header: TaskHeader,
+    /// The registered handler, resolved at insertion. The registry is
+    /// append-only and, like `pool`, lives in the destination's `Inner`,
+    /// which outlives every task queued on it.
+    run: NonNull<HandlerFn>,
+    payload: Vec<u8>,
+    pool: NonNull<FreeListPool<MsgTask>>,
+}
+
+// SAFETY: a shell has one owner at a time and moves between threads
+// through the queues; it points at a `Sync` pool and a `Sync` handler.
+unsafe impl Send for MsgTask {}
+
+impl MsgTask {
+    const VTABLE: TaskVTable = TaskVTable {
+        execute: Self::execute,
+        dispose: Self::dispose,
+        name: "message",
+    };
+
+    /// Builds the task for one message, from any thread (the pool's
+    /// shared slot). `now_ns` is the insertion time, 0 when no recorder
+    /// wants it.
+    pub(crate) fn allocate(
+        pool: &FreeListPool<MsgTask>,
+        priority: Priority,
+        run: &HandlerFn,
+        payload: Vec<u8>,
+        span: u64,
+        now_ns: u64,
+    ) -> RawTask {
+        let shell = pool.alloc(MsgTask {
+            header: TaskHeader::new(priority, &Self::VTABLE),
+            run: NonNull::from(run),
+            payload,
+            pool: NonNull::from(pool),
+        });
+        shell.header.stamp_span(span);
+        shell.header.stamp_ready(now_ns);
+        RawTask(shell.into_raw().cast())
+    }
+
+    /// Resumes ownership of a shell that [`MsgTask::allocate`] released.
+    ///
+    /// # Safety
+    ///
+    /// `task` is a live message task the caller owns and never uses again.
+    unsafe fn reclaim<'p>(task: NonNull<TaskHeader>) -> PoolBox<'p, MsgTask> {
+        let shell = task.cast::<MsgTask>();
+        // SAFETY: the header is the shell's first field (`repr(C)`), the
+        // shell came out of `pool` by `into_raw`, and the pool outlives it.
+        unsafe { PoolBox::from_raw(shell.as_ref().pool.as_ref(), shell) }
+    }
+
+    unsafe fn execute(task: NonNull<TaskHeader>, ctx: &mut WorkerCtx<'_>) {
+        // SAFETY: forwarded contract.
+        let mut shell = unsafe { Self::reclaim(task) };
+        let (run, payload) = (shell.run, std::mem::take(&mut shell.payload));
+        let inserted_ns = shell.header.ready_ns();
+        drop(shell); // back to the pool before the handler runs
+        if let Some(obs) = ctx.inner.obs.as_deref().filter(|o| o.histograms_enabled()) {
+            let waited = ttg_sync::clock::now_ns().saturating_sub(inserted_ns);
+            obs.record_message_latency(ctx.id(), waited);
+        }
+        // SAFETY: the registry of the runtime `ctx` works for keeps the
+        // handler alive (see the field).
+        let run = unsafe { run.as_ref() };
+        run(ctx, payload)
+    }
+
+    unsafe fn dispose(task: NonNull<TaskHeader>) {
+        // SAFETY: forwarded contract.
+        drop(unsafe { Self::reclaim(task) });
     }
 }
 

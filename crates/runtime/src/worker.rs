@@ -3,6 +3,7 @@
 use crate::runtime::Inner;
 use crate::task::{ClosureTask, RawTask, TaskHeader};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -34,6 +35,8 @@ pub struct WorkerCtx<'rt> {
     /// The task that just ran sent a message, which the transport may
     /// have left corked: the worker loop flushes when the task returns.
     corked: Cell<bool>,
+    /// The (empty) queue `drain_injection` swaps the full one for.
+    drained: VecDeque<RawTask>,
 }
 
 impl<'rt> WorkerCtx<'rt> {
@@ -46,6 +49,7 @@ impl<'rt> WorkerCtx<'rt> {
             completed_scope: None,
             current_span: 0,
             corked: Cell::new(false),
+            drained: VecDeque::new(),
         }
     }
 
@@ -265,105 +269,30 @@ impl<'rt> WorkerCtx<'rt> {
         cell.executed.set(cell.executed.get() + 1);
     }
 
-    /// Drains the external injection queue into this worker's queue.
-    /// Returns true if any task was obtained.
+    /// Drains the injection queue — external submissions and arrived
+    /// messages alike, all of them ready, counted tasks — into this
+    /// worker's queue. Returns true if any task was obtained.
     fn drain_injection(&mut self) -> bool {
         if self.inner.injection_len.load(Ordering::Acquire) == 0 {
             return false;
         }
-        let drained: Vec<RawTask> = {
-            let mut q = self.inner.injection.lock();
-            let d: Vec<RawTask> = q.drain(..).collect();
-            d
-        };
-        if drained.is_empty() {
+        // Swapped for the (empty) spare under the lock, walked outside it.
+        std::mem::swap(&mut *self.inner.injection.lock(), &mut self.drained);
+        let n = self.drained.len();
+        if n == 0 {
             return false;
         }
-        self.inner
-            .injection_len
-            .fetch_sub(drained.len(), Ordering::Release);
+        self.inner.injection_len.fetch_sub(n, Ordering::Release);
         let cell = &self.inner.worker_stats[self.id];
         cell.injections_drained
-            .set(cell.injections_drained.get() + drained.len() as u64);
-        for t in drained {
+            .set(cell.injections_drained.get() + n as u64);
+        // Back to front: the bundle puts a task in front of its equals,
+        // so the queue's front runs first (`Inner::publish`).
+        for t in self.drained.drain(..).rev() {
             self.bundle.insert(TaskHeader::as_node(t.0));
         }
         self.flush_bundle();
         true
-    }
-
-    /// Drains the inter-process inbox: each message becomes a task and is
-    /// accounted as received + discovered. Returns true if any arrived.
-    fn drain_inbox(&mut self) -> bool {
-        let mut got = false;
-        while let Ok(msg) = self.inner.inbox_rx.try_recv() {
-            self.inner.term.message_received();
-            self.inner
-                .comm
-                .messages_received
-                .fetch_add(1, Ordering::Relaxed);
-            let (task, enqueued_ns, span) = match msg {
-                crate::comm::RemoteMsg::Closure {
-                    priority,
-                    job,
-                    enqueued_ns,
-                    span,
-                } => (ClosureTask::allocate(priority, job), enqueued_ns, span),
-                crate::comm::RemoteMsg::Framed {
-                    priority,
-                    handler,
-                    payload,
-                    enqueued_ns,
-                    span,
-                } => {
-                    // The handler id arrived over the wire: an unknown
-                    // value (a confused or malicious peer) drops the
-                    // message — already counted as received, so the
-                    // wave stays balanced — instead of panicking.
-                    let Some(h) = self.inner.try_handler(handler) else {
-                        warn_unknown_handler(handler);
-                        got = true;
-                        continue;
-                    };
-                    (
-                        ClosureTask::allocate(priority, move |ctx: &mut WorkerCtx<'_>| {
-                            h(ctx, payload)
-                        }),
-                        enqueued_ns,
-                        span,
-                    )
-                }
-            };
-            // SAFETY: freshly allocated, exclusively owned.
-            unsafe { task.0.as_ref().stamp_span(span) };
-            self.inner.term.task_discovered(Some(self.id));
-            if let Some(obs) = self.inner.obs.as_deref() {
-                if obs.histograms_enabled() || obs.spans_enabled() {
-                    let now = ttg_sync::clock::now_ns();
-                    if obs.histograms_enabled() {
-                        obs.record_message_latency(self.id, now.saturating_sub(enqueued_ns));
-                    }
-                    // SAFETY: freshly allocated, exclusively owned.
-                    unsafe { task.0.as_ref().stamp_ready(now) };
-                }
-            }
-            self.bundle.insert(TaskHeader::as_node(task.0));
-            got = true;
-        }
-        if got {
-            self.flush_bundle();
-        }
-        got
-    }
-}
-
-/// Logs the first unknown-handler drop (once per process: a peer that
-/// sends one usually sends a storm, and it is about to be declared dead
-/// anyway).
-fn warn_unknown_handler(handler: u32) {
-    static WARNED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-    if !WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!("ttg-runtime: dropping message for unregistered handler id {handler}");
     }
 }
 
@@ -409,12 +338,12 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
             obs.sample_depths(
                 id,
                 inner.sched.pending_estimate() as u64,
-                inner.inbox_rx.len() as u64,
+                inner.injection_len.load(Ordering::Relaxed) as u64,
                 inner.sched.overflow_depth() as u64,
                 ttg_sync::clock::now_ns(),
             );
         }
-        if ctx.drain_injection() | ctx.drain_inbox() {
+        if ctx.drain_injection() {
             continue 'outer;
         }
         if inner.shutdown.load(Ordering::Acquire) {
@@ -437,10 +366,9 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 continue 'outer;
             }
             inner.flush_if_corked();
-            if inner.injection_len.load(Ordering::Acquire) > 0 || !inner.inbox_rx.is_empty() {
+            if inner.injection_len.load(Ordering::Acquire) > 0 {
                 inner.idle_count.fetch_sub(1, Ordering::SeqCst);
                 ctx.drain_injection();
-                ctx.drain_inbox();
                 continue 'outer;
             }
             // Quiescence: every worker idle (hence flushed) and the
@@ -476,7 +404,6 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 // missed notify between the checks above and the wait.
                 if inner.sched.pending_estimate() == 0
                     && inner.injection_len.load(Ordering::Acquire) == 0
-                    && inner.inbox_rx.is_empty()
                     && !inner.corked.load(Ordering::SeqCst)
                     && !inner.shutdown.load(Ordering::Acquire)
                 {

@@ -235,6 +235,104 @@ fn process_group_is_reusable() {
     }
 }
 
+/// Messages are task insertions into the peer's injection queue: four
+/// 1-worker ranks, every rank's sender thread interleaving closure and
+/// framed messages to every other rank, 1 000 fenced sessions. Both
+/// kinds share one queue, so the handlers of one sender run in its send
+/// order, and `wait()` never returns with a handler still to run.
+#[test]
+fn process_group_messages_keep_sender_order_and_wait_means_handled() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const P: usize = 4;
+    const SESSIONS: u64 = 1_000;
+    const PER_PEER: u64 = 6;
+    let group = Arc::new(ProcessGroup::new(P, |_| RuntimeConfig::optimized(1)));
+    let handled = Arc::new(AtomicU64::new(0));
+    // next[dst][src]: the number `dst` expects `src`'s next message to
+    // carry. Written only by `dst`'s one worker.
+    let next: Arc<Vec<Vec<AtomicU64>>> = Arc::new(
+        (0..P)
+            .map(|_| (0..P).map(|_| AtomicU64::new(0)).collect())
+            .collect(),
+    );
+    let arrive = {
+        let (next, handled) = (Arc::clone(&next), Arc::clone(&handled));
+        move |dst: usize, src: usize, n: u64| {
+            let expected = next[dst][src].fetch_add(1, Ordering::Relaxed);
+            assert_eq!(n, expected, "rank {dst}: sender {src} out of order");
+            handled.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    for rank in 0..P {
+        let arrive = arrive.clone();
+        let id = group.runtime(rank).register_handler(move |ctx, payload| {
+            let word = |i: usize| u64::from_le_bytes(payload[8 * i..8 * i + 8].try_into().unwrap());
+            arrive(ctx.rank(), word(0) as usize, word(1));
+        });
+        assert_eq!(id, 0);
+    }
+    // One sender thread per rank for the whole test (dense thread ids
+    // are a bounded resource), in step with the fencing thread: send,
+    // meet, fence, meet.
+    let step = Arc::new(std::sync::Barrier::new(P + 1));
+    let senders: Vec<_> = (0..P)
+        .map(|src| {
+            let (group, arrive, step) = (Arc::clone(&group), arrive.clone(), Arc::clone(&step));
+            std::thread::spawn(move || {
+                for session in 0..SESSIONS {
+                    for i in 0..PER_PEER {
+                        let n = session * PER_PEER + i;
+                        for dst in (0..P).filter(|&d| d != src) {
+                            if (n + dst as u64).is_multiple_of(2) {
+                                let arrive = arrive.clone();
+                                group
+                                    .runtime(src)
+                                    .send_remote(dst, 0, move |ctx| arrive(ctx.rank(), src, n));
+                            } else {
+                                let payload = [(src as u64).to_le_bytes(), n.to_le_bytes()];
+                                group.runtime(src).send_msg(dst, 0, 0, payload.concat());
+                            }
+                        }
+                    }
+                    step.wait();
+                    step.wait();
+                }
+            })
+        })
+        .collect();
+    let (done_tx, done_rx) = mpsc::channel();
+    let driver = {
+        let (group, handled) = (Arc::clone(&group), Arc::clone(&handled));
+        std::thread::spawn(move || {
+            for session in 0..SESSIONS {
+                step.wait();
+                group.wait();
+                let expected = (session + 1) * PER_PEER * (P * (P - 1)) as u64;
+                assert_eq!(
+                    handled.load(Ordering::Relaxed),
+                    expected,
+                    "session {session}: wait() returned with handlers still to run"
+                );
+                step.wait();
+            }
+            done_tx.send(()).unwrap();
+        })
+    };
+    if done_rx.recv_timeout(Duration::from_secs(30)) == Err(mpsc::RecvTimeoutError::Timeout) {
+        panic!("a session hung");
+    }
+    driver.join().unwrap();
+    senders.into_iter().for_each(|s| s.join().unwrap());
+    let (sent, received) = (0..P)
+        .map(|r| group.runtime(r).stats())
+        .fold((0, 0), |(s, r), st| {
+            (s + st.messages_sent, r + st.messages_received)
+        });
+    assert_eq!(sent, received);
+    assert_eq!(sent, handled.load(Ordering::Relaxed));
+}
+
 #[test]
 fn drop_reclaims_undelivered_work() {
     // Submitting work and dropping the runtime without wait() must not

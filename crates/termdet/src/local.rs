@@ -130,6 +130,18 @@ impl LocalTermination {
         self.received.fetch_add(1, self.policy.rmw());
     }
 
+    /// Records `received` inbound messages that enter the process as
+    /// `tasks` ready tasks (fewer if some were dropped), from any
+    /// thread: the tasks are discovered *before* the messages count as
+    /// received, so whoever reads a received total that includes them
+    /// finds them pending until their handlers have run. (The other
+    /// order lets an idle rank offer the wave Σsent == Σreceived with
+    /// nothing pending while they have not.)
+    pub fn messages_arrived(&self, received: u64, tasks: u64) {
+        self.pending.fetch_add(tasks as i64, self.policy.rmw());
+        self.received.fetch_add(received, self.policy.rmw());
+    }
+
     /// Retracts `sent`/`received` messages from the wave contribution.
     ///
     /// Called when a peer rejoins with a *new* incarnation: the frames

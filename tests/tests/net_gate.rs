@@ -36,25 +36,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The message path's two counts, over a 2-rank TCP loopback mesh: an
+/// The message path's three counts, over a 2-rank TCP loopback mesh: an
 /// external thread scatters 4 096 64-byte messages each way and fences,
 /// three epochs. A corked link puts a batch of frames, not one, in each
-/// `write`, and a message costs four allocations: the sender's payload,
-/// the reader's payload, the handler's task and its boxed closure. The
-/// frame itself is encoded in place in the resend ring.
+/// `write`; the reader hands the runtime what one read decoded in one
+/// insertion; and a message costs two allocations: the sender's payload
+/// and the reader's payload. The frame is encoded in place in the
+/// resend ring, and the task the message runs as is a pooled shell.
 ///
-/// Readings: 1.0 frames per write and 5.01 allocations per message at
-/// the parent of this gate (one `write_all` and one ring `Vec` per
-/// frame); ~28 and 4.04 now. The allocation count is the machine's
-/// business only through the wave's rounds; the batch size is not a
-/// constant — a worker that goes idle flushes what the sender has
-/// corked so far, so it reads 10–15 when this binary's other tests
-/// share the CPUs — hence a floor of 4, which the parent is under and
-/// any build that batches is over. (The benchmark's
-/// `net.allocs_per_msg` reads one lower on both sides, 4.03 and 3.08:
-/// its count starts after the payload is built.)
+/// Readings: 1.0 frames per write and 5.01 allocations per message
+/// before the link corked (one `write_all` and one ring `Vec` per
+/// frame); ~28 and 4.02–4.04 while every message still went through an
+/// inbox channel, to be rebuilt as a boxed task around a boxed closure
+/// by the worker that drained it; 28–87, 2.02–2.06 and 110–125 messages
+/// per insertion now. The allocation count is the machine's business
+/// only through the wave's rounds; the batch sizes are not constants —
+/// a worker that goes idle flushes what the sender has corked so far,
+/// and a reader decodes what one `recv` brought, so they read 10–15
+/// when this binary's other tests share the CPUs — hence floors of 4,
+/// which a build that writes or inserts per message is under and any
+/// build that batches is over. (The benchmark's `net.allocs_per_msg`
+/// reads one lower throughout: its count starts after the payload is
+/// built.)
 #[test]
-fn a_corked_link_batches_its_writes_and_allocates_no_frame() {
+fn a_corked_link_batches_its_writes_and_a_message_allocates_its_payload_only() {
     use ttg_net::tcp::ephemeral_listeners;
     use ttg_net::{NetConfig, NetRuntime, TcpTransport, Transport};
     const MSGS: u64 = 4_096;
@@ -106,9 +111,13 @@ fn a_corked_link_batches_its_writes_and_allocates_no_frame() {
             c.socket_writes.load(Ordering::Relaxed),
         )
     };
-    epoch(); // sizes the rings, the inboxes and the task pools
+    epoch(); // sizes the rings, the queues and the task pools
     epoch();
-    let before: Vec<_> = nets.iter().map(wire).collect();
+    let inserted = |net: &NetRuntime| {
+        let rt = net.runtime();
+        (rt.stats().messages_received, rt.message_insertions())
+    };
+    let before: Vec<_> = nets.iter().map(|n| (wire(n), inserted(n))).collect();
     let runs: Vec<u64> = (0..3)
         .map(|_| {
             ALLOCS.store(0, Ordering::Relaxed);
@@ -119,18 +128,26 @@ fn a_corked_link_batches_its_writes_and_allocates_no_frame() {
         })
         .collect();
     assert_eq!(received.load(Ordering::Relaxed), 5 * 2 * MSGS * 64);
-    for (rank, (net, (frames0, writes0))) in nets.iter().zip(before).enumerate() {
+    for (rank, (net, ((frames0, writes0), (msgs0, insertions0)))) in
+        nets.iter().zip(before).enumerate()
+    {
         let (frames, writes) = wire(net);
         let per_write = (frames - frames0) as f64 / (writes - writes0) as f64;
         assert!(
             per_write >= 4.0,
             "rank {rank}: {per_write} frames per write"
         );
+        let (msgs, insertions) = inserted(net);
+        let per_insertion = (msgs - msgs0) as f64 / (insertions - insertions0) as f64;
+        assert!(
+            per_insertion >= 4.0,
+            "rank {rank}: {per_insertion} messages per insertion"
+        );
     }
     for allocs in &runs {
         let per_msg = *allocs as f64 / (2 * MSGS) as f64;
         assert!(
-            per_msg <= 4.2,
+            per_msg <= 2.3,
             "{per_msg} allocations per message: {runs:?}"
         );
         // Not an equality: the wave's rounds (a few allocations each)
