@@ -9,7 +9,6 @@ use std::any::TypeId;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use ttg_hashtable::{HashTableOptions, ScalableHashTable};
-use ttg_mempool::FreeListPool;
 use ttg_runtime::DataCopy;
 
 /// How many data items an aggregator terminal expects per task.
@@ -234,19 +233,17 @@ impl<'g, K: Key> TtBuilder<'g, K> {
         body: impl Fn(&K, &mut Inputs<'_>, &mut Outputs<'_, '_, '_>) + Send + Sync + 'static,
     ) -> Tt<K> {
         let runtime = Arc::clone(self.graph.runtime_arc());
-        let threads = runtime.threads();
         let bypass = self.inputs.len() == 1 && matches!(self.inputs[0].kind, InputKind::Single);
-        let table = ScalableHashTable::with_options(HashTableOptions {
-            lock: runtime.config().table_lock,
-            bravo_slots: (threads + 8).next_power_of_two().max(64),
-            ..HashTableOptions::default()
+        // A shell waits in the table for its second delivery: a task
+        // that needs at most one never does, and builds no table.
+        let table = (!bypass && !self.inputs.is_empty()).then(|| {
+            ScalableHashTable::with_options(HashTableOptions {
+                lock: runtime.config().table_lock,
+                bravo_slots: (runtime.threads() + 8).next_power_of_two().max(64),
+                ..HashTableOptions::default()
+            })
         });
-        let pool = FreeListPool::new(threads.max(1));
-        // Surface free-list refills (fresh allocations) on the runtime's
-        // trace timeline when tracing is enabled.
-        if let Some(hook) = runtime.pool_refill_hook() {
-            pool.set_refill_observer(hook);
-        }
+        let pool = runtime.resident_pool();
         let vtable = crate::shell::interned_vtable::<K>(&self.name);
         let inner = Arc::new(TtInner {
             name: self.name,

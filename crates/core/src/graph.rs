@@ -25,7 +25,7 @@ impl<K: Key> AnyTt for crate::tt::TtInner<K> {
     }
 
     fn waiting(&self) -> usize {
-        self.table.len()
+        self.table.as_ref().map_or(0, |t| t.len())
     }
 
     fn clear_consumers(&self) {
@@ -157,11 +157,11 @@ impl Drop for Graph {
         // Quiesce before freeing the TTs (live tasks hold raw pointers
         // into them). A scoped graph waits only for its own instance's
         // tasks — the runtime may be busy with sibling instances and
-        // must not be fenced. A dormant scope (nothing ever scheduled,
+        // must not be fenced. A dormant scope (no credit outstanding,
         // e.g. a template validation probe) tears down immediately.
         match &self.scope {
             Some(scope) => {
-                if scope.tasks_scheduled() > scope.tasks_completed() {
+                if scope.pending() > 0 {
                     scope.wait();
                 }
             }

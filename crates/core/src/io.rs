@@ -17,7 +17,7 @@ pub(crate) enum Dispatch<'a, 'rt> {
     External(&'a Runtime),
 }
 
-impl Dispatch<'_, '_> {
+impl<'rt> Dispatch<'_, 'rt> {
     /// The runtime's memory-ordering policy (for data copies).
     pub(crate) fn ordering(&self) -> OrderingPolicy {
         match self {
@@ -49,18 +49,12 @@ impl Dispatch<'_, '_> {
         }
     }
 
-    /// Defers an instance-scope completion decrement until the current
-    /// task's execution frame has unwound (worker path), or fires it
-    /// immediately when no task frame is on the stack (external path —
-    /// unreachable from `execute_shell`, which only runs on workers,
-    /// but kept total for safety).
-    pub(crate) fn defer_scope_completion(
-        &mut self,
-        scope: std::sync::Arc<ttg_termdet::InstanceScope>,
-    ) {
+    /// The worker this dispatch runs on. Only for code that a worker
+    /// alone reaches: task execution.
+    pub(crate) fn worker(&mut self) -> &mut WorkerCtx<'rt> {
         match self {
-            Dispatch::Worker(ctx) => ctx.defer_scope_completion(scope),
-            Dispatch::External(_) => scope.task_completed(),
+            Dispatch::Worker(ctx) => ctx,
+            Dispatch::External(_) => unreachable!("tasks execute on workers"),
         }
     }
 

@@ -124,19 +124,21 @@ pub(crate) fn interned_vtable<K: Key>(name: &str) -> &'static TaskVTable {
     use std::any::TypeId;
     use std::collections::BTreeMap;
     use std::sync::{Mutex, OnceLock};
-    static VTABLES: OnceLock<Mutex<BTreeMap<(TypeId, String), &'static TaskVTable>>> =
+    static VTABLES: OnceLock<Mutex<BTreeMap<(TypeId, &'static str), &'static TaskVTable>>> =
         OnceLock::new();
     let registry = VTABLES.get_or_init(|| Mutex::new(BTreeMap::new()));
     let mut registry = registry.lock().unwrap();
-    if let Some(vt) = registry.get(&(TypeId::of::<K>(), name.to_string())) {
+    // By the borrowed name: only a pair's first use allocates its name.
+    if let Some(vt) = registry.get(&(TypeId::of::<K>(), name)) {
         return vt;
     }
+    let name: &'static str = Box::leak(name.into());
     let vt: &'static TaskVTable = Box::leak(Box::new(TaskVTable {
         execute: Shell::<K>::execute,
         dispose: Shell::<K>::dispose,
-        name: Box::leak(name.to_string().into_boxed_str()),
+        name,
     }));
-    registry.insert((TypeId::of::<K>(), name.to_string()), vt);
+    registry.insert((TypeId::of::<K>(), name), vt);
     vt
 }
 

@@ -16,9 +16,12 @@
 //!   and a [`ResultSink`] task bodies emit results into.
 //!
 //! Templates are immutable and cheap to clone (three `Arc`s); the
-//! per-instance cost is building the instance's TTs — intentional, since
-//! TT construction is micro-seconds while the hash tables and pools they
-//! embed must be private per instance for isolation.
+//! per-instance cost is building the instance's TTs, because the build
+//! closure captures the request in their bodies. What a TT need not own
+//! it does not build: its shells come from the runtime's resident pool
+//! of their type (shared with every other instance — a shell carries
+//! its TT, so instances stay isolated), and it has a hash table only if
+//! a shell of its can wait for a second input.
 //!
 //! Starting an instance is split in two so that an owner can *publish*
 //! the instance before it can finish: [`GraphInstance::take_start`]

@@ -87,10 +87,12 @@ pub(crate) struct TtInner<K: Key> {
     #[allow(clippy::type_complexity)]
     pub(crate) priority: Option<Box<dyn Fn(&K) -> i32 + Send + Sync>>,
     /// Discovered-but-unready task shells, keyed by task ID
-    /// (Section III-C). Values are shell addresses.
-    pub(crate) table: ScalableHashTable<K, usize>,
-    /// Per-thread free-list pool for shells (Section IV-E).
-    pub(crate) pool: FreeListPool<Shell<K>>,
+    /// (Section III-C). Values are shell addresses. `None` for a TT no
+    /// shell of which ever waits: no input, or `bypass`.
+    pub(crate) table: Option<ScalableHashTable<K, usize>>,
+    /// Per-thread free-list pool for shells (Section IV-E): the one
+    /// `runtime` keeps for every TT with this key type.
+    pub(crate) pool: Arc<FreeListPool<Shell<K>>>,
     pub(crate) runtime: Arc<Runtime>,
     /// Single fixed input ⇒ skip the hash table entirely.
     pub(crate) bypass: bool,
@@ -130,11 +132,14 @@ impl<K: Key> TtInner<K> {
     /// Credits the instance scope for a task about to be scheduled.
     /// Must happen-before the shell is published to any queue — the
     /// scope's credit protocol relies on the increment preceding
-    /// visibility (see `ttg_termdet::InstanceScope`).
+    /// visibility (see `ttg_termdet::InstanceScope`); a worker may hold
+    /// it in the running task's frame until that task settles.
     #[inline]
-    fn note_scheduled(&self) {
-        if let Some(scope) = &self.scope {
-            scope.task_scheduled();
+    fn note_scheduled(&self, d: &mut Dispatch<'_, '_>) {
+        match (&self.scope, d) {
+            (Some(scope), Dispatch::Worker(ctx)) => ctx.credit_scope(scope),
+            (Some(scope), Dispatch::External(_)) => scope.task_scheduled(),
+            (None, _) => {}
         }
     }
 
@@ -203,7 +208,7 @@ impl<K: Key> TtInner<K> {
             // eliminated because a newly discovered task can be scheduled
             // immediately."
             let shell = self.new_shell(d, key.clone());
-            self.note_scheduled();
+            self.note_scheduled(d);
             // SAFETY: the shell is exclusively ours until scheduled.
             unsafe {
                 (*shell.as_ptr()).slots[idx] = InputSlot::One(copy);
@@ -214,7 +219,8 @@ impl<K: Key> TtInner<K> {
             }
             return;
         }
-        let mut bucket = self.table.lock_bucket(key.clone());
+        let table = self.table.as_ref().expect("a TT that joins inputs");
+        let mut bucket = table.lock_bucket(key.clone());
         let (shell_ptr, fresh) = match bucket.find() {
             Some(addr) => (
                 NonNull::new(*addr as *mut Shell<K>).expect("null shell in table"),
@@ -249,7 +255,7 @@ impl<K: Key> TtInner<K> {
         if ready {
             bucket.remove().expect("ready shell missing from table");
             drop(bucket);
-            self.note_scheduled();
+            self.note_scheduled(d);
             // SAFETY: fully satisfied, removed from the table: ours.
             unsafe { d.schedule_new(Shell::raw_task(shell_ptr)) };
         }
@@ -341,7 +347,7 @@ impl<K: Key> TtInner<K> {
             "invoke() requires a task with no pending inputs; use deliver()"
         );
         let shell = self.new_shell(d, key);
-        self.note_scheduled();
+        self.note_scheduled(d);
         // SAFETY: fresh shell, exclusively ours.
         unsafe { d.schedule_new(Shell::raw_task(shell)) };
     }
@@ -371,6 +377,7 @@ impl<K: Key> TtInner<K> {
                 // must not unwind through the worker and take the shared
                 // runtime (and every sibling instance) down with it. The
                 // instance is marked failed and still drains normally.
+                let outer = outputs.dispatch.worker().enter_scope(scope);
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     (self.body)(key, &mut inputs, &mut outputs)
                 }));
@@ -381,13 +388,12 @@ impl<K: Key> TtInner<K> {
                         panic_message(payload.as_ref())
                     ));
                 }
-                let scope = Arc::clone(scope);
                 drop(boxed);
-                // The completion decrement may release a waiter that
-                // frees this very TT, so it must not fire while `&self`
-                // frames are live — the worker fires it after this
-                // task's execute has fully unwound.
-                d.defer_scope_completion(scope);
+                // Settled before the worker publishes what the body —
+                // even one that panicked — scheduled. A leaf's decrement
+                // may release a waiter that frees this very TT: the worker
+                // fires it once this task's execute has fully unwound.
+                d.worker().leave_scope(outer, scope);
             }
         }
     }
@@ -401,7 +407,8 @@ impl<K: Key> TtInner<K> {
     /// Disposes all shells still waiting for inputs (incomplete graphs).
     /// Returns how many were dropped.
     pub(crate) fn drain_stale_shells(&self) -> usize {
-        let stale = self.table.drain();
+        let Some(table) = &self.table else { return 0 };
+        let stale = table.drain();
         let n = stale.len();
         for (_k, addr) in stale {
             self.dispose_shell(NonNull::new(addr as *mut Shell<K>).expect("null shell"));
@@ -474,14 +481,16 @@ impl<K: Key> Tt<K> {
         self.inner.deliver_input(&mut d, idx, &key, copy);
     }
 
-    /// Statistics of the TT's discovered-task hash table.
+    /// Statistics of the TT's discovered-task hash table (all zero for a
+    /// TT that needs none: no input, or a single fixed one).
     pub fn table_stats(&self) -> HashTableStats {
-        self.inner.table.stats()
+        let table = self.inner.table.as_ref();
+        table.map(|t| t.stats()).unwrap_or_default()
     }
 
     /// Number of task shells currently waiting for inputs.
     pub fn waiting_tasks(&self) -> usize {
-        self.inner.table.len()
+        crate::graph::AnyTt::waiting(&*self.inner)
     }
 }
 

@@ -149,3 +149,107 @@ fn three_item_aggregator_pays_three_per_item() {
     });
     assert_close("3-item aggregator", per_task, 3 * ITEMS + 4);
 }
+
+/// What instance-scoped termination adds to a task (`ttg_termdet::scope`,
+/// net-credit settlement): nothing while the task hands its credit to
+/// exactly one successor, one RMW for a leaf (its `−1`), one for a
+/// fan-out of any width (its `+ (k − 1)`). Scoped and unscoped runs of
+/// one shape differ in nothing else, and each side's difference between
+/// two sizes cancels what a session costs whatever its size (seeding,
+/// the submission credit, the fence), so these are equalities.
+mod scoped {
+    use super::*;
+    use std::sync::Arc;
+    use ttg_runtime::Runtime;
+    use ttg_termdet::InstanceScope;
+
+    #[derive(Clone, Copy)]
+    enum Shape {
+        /// `n` links, each sending to the next: one successor each.
+        Chain,
+        /// One task sending to `n` leaves.
+        Leaves,
+        /// `n` links, each sending to the next and to two leaves.
+        FanOut,
+    }
+
+    /// Counted RMWs of one `shape` of size `n` on `rt`, from its seeding
+    /// to the fence behind it.
+    fn rmws(rt: &Arc<Runtime>, shape: Shape, n: u64, scoped: bool) -> u64 {
+        let scope = InstanceScope::new(n);
+        let graph = match scoped {
+            true => Graph::with_runtime_scoped(Arc::clone(rt), Arc::clone(&scope)),
+            false => Graph::with_runtime(Arc::clone(rt)),
+        };
+        let (links, leaves): (Edge<u64, u64>, Edge<u64, u64>) =
+            (Edge::new("links"), Edge::new("leaves"));
+        let link = graph
+            .tt::<u64>("link")
+            .input::<u64>(&links)
+            .output(&links)
+            .output(&leaves)
+            .build(move |k, _, out| match shape {
+                Shape::Chain if *k + 1 < n => out.send(0, *k + 1, *k),
+                Shape::Chain => {}
+                Shape::Leaves => (0..n).for_each(|leaf| out.send(1, leaf, leaf)),
+                Shape::FanOut => {
+                    if *k + 1 < n {
+                        out.send(0, *k + 1, *k);
+                    }
+                    out.send(1, 2 * *k, *k);
+                    out.send(1, 2 * *k + 1, *k);
+                }
+            });
+        let _leaf = graph
+            .tt::<u64>("leaf")
+            .input::<u64>(&leaves)
+            .build(|_, _, _| {});
+        reset_atomic_rmw_ops();
+        let credit = scope.submission_guard();
+        link.deliver(0, 0u64, 0u64);
+        drop(credit);
+        scope.wait();
+        rt.wait();
+        atomic_rmw_ops()
+    }
+
+    /// RMWs per unit of `shape` — what `large − small` more units cost,
+    /// on warm pools — unscoped and scoped.
+    fn per_unit(shape: Shape) -> (u64, u64) {
+        const SMALL: u64 = 1_000;
+        const LARGE: u64 = 3_000;
+        let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        let rt = Arc::new(Runtime::new(RuntimeConfig::optimized(1)));
+        rmws(&rt, shape, LARGE, true); // fills the resident pools
+        let [unscoped, scoped] = [false, true].map(|scoped| {
+            let (small, large) = (
+                rmws(&rt, shape, SMALL, scoped),
+                rmws(&rt, shape, LARGE, scoped),
+            );
+            assert_eq!((large - small) % (LARGE - SMALL), 0, "{small} {large}");
+            (large - small) / (LARGE - SMALL)
+        });
+        (unscoped, scoped)
+    }
+
+    #[test]
+    fn a_task_with_one_successor_pays_nothing_for_its_scope() {
+        let (unscoped, scoped) = per_unit(Shape::Chain);
+        // Pool + scheduler + the datum's release, as in the bypass test.
+        assert_eq!(unscoped, 5);
+        assert_eq!(scoped, unscoped);
+    }
+
+    #[test]
+    fn a_leaf_pays_one_rmw_for_its_scope() {
+        let (unscoped, scoped) = per_unit(Shape::Leaves);
+        assert_eq!(scoped, unscoped + 1);
+    }
+
+    #[test]
+    fn a_fan_out_of_three_pays_one_rmw_for_its_scope() {
+        // A unit is the fan-out task and two leaves: one RMW each.
+        let (unscoped, scoped) = per_unit(Shape::FanOut);
+        assert_eq!(scoped, unscoped + 1 + 2);
+    }
+}

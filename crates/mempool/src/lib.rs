@@ -32,6 +32,17 @@
 //! [`PoolBox`] is the owning handle. It stores raw pointers to the node
 //! and the pool; the pool must outlive every box it issued, which
 //! [`FreeListPool`]'s drop asserts by counting the nodes that came back.
+//!
+//! # Who owns a pool
+//!
+//! The runtime a template task is built on, not the template task: it
+//! keeps one pool per shell type (`Runtime::resident_pool`), every TT
+//! holds an `Arc` to it, and the nodes a short-lived graph retires are
+//! the ones the next graph pops; a pool holds the high-water mark of
+//! its type's live shells. `live() == 0` is therefore checked when the
+//! runtime goes — its drop has disposed of every task still queued —
+//! not when a TT does. A TT leaked on purpose (an abandoned instance,
+//! stragglers still queued) keeps runtime and pool alive under them.
 
 #![warn(missing_docs)]
 

@@ -51,7 +51,7 @@ pub use stats::{ContentionStats, NetStats, RuntimeStats};
 // merging) re-exported so consumers need no direct ttg-obs dependency.
 pub use task::{RawTask, TaskHeader, TaskVTable};
 pub use ttg_obs as obs;
-pub use worker::WorkerCtx;
+pub use worker::{ScopeFrame, WorkerCtx};
 
 // Re-export the configuration vocabulary so downstream crates configure
 // the runtime with a single import.

@@ -5,8 +5,9 @@ use crate::stats::{self, CommCounters, NetStats, WorkerStatsCell};
 use crate::task::{ClosureTask, MsgTask, RawTask};
 use crate::worker::{self, WorkerCtx};
 use parking_lot::{Condvar, Mutex, RwLock};
+use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use ttg_hashtable::LockKind;
@@ -188,6 +189,8 @@ pub(crate) struct Inner {
     pub(crate) injection_len: AtomicUsize,
     /// Shells of the framed messages in flight on this runtime.
     pub(crate) msgs: ttg_mempool::FreeListPool<MsgTask>,
+    /// Task-object pools by object type ([`Runtime::resident_pool`]).
+    pub(crate) pools: Mutex<BTreeMap<TypeId, Arc<dyn Any + Send + Sync>>>,
     /// Peer processes (set once by ProcessGroup).
     pub(crate) peers: OnceLock<Vec<Weak<Inner>>>,
     /// Outbound network transport (set once when driven by `ttg-net`).
@@ -559,6 +562,7 @@ impl Runtime {
             injection: Mutex::new(VecDeque::new()),
             injection_len: AtomicUsize::new(0),
             msgs: ttg_mempool::FreeListPool::new(0),
+            pools: Mutex::new(BTreeMap::new()),
             peers: OnceLock::new(),
             frame_out: OnceLock::new(),
             corked: AtomicBool::new(false),
@@ -1004,11 +1008,30 @@ impl Runtime {
         m
     }
 
+    /// This runtime's pool of `T` task objects — one slot per worker and
+    /// the shared one — created on first use and resident from then on:
+    /// every template task whose shells are `T`s allocates from it and
+    /// retires into it, so what one graph leaves on the free lists the
+    /// next one built here pops. Only a worker of this runtime may name
+    /// a slot (`alloc_in` with its [`WorkerCtx::id`]).
+    pub fn resident_pool<T: Send + Sync + 'static>(&self) -> Arc<ttg_mempool::FreeListPool<T>> {
+        let mut pools = self.inner.pools.lock();
+        let pool = pools.entry(TypeId::of::<T>()).or_insert_with(|| {
+            let pool = ttg_mempool::FreeListPool::<T>::new(self.threads());
+            if let Some(hook) = self.pool_refill_hook() {
+                pool.set_refill_observer(hook);
+            }
+            Arc::new(pool)
+        });
+        Arc::clone(pool)
+            .downcast()
+            .expect("resident pools are keyed by their element type")
+    }
+
     /// A mempool refill observer feeding this runtime's trace, or `None`
-    /// when tracing is off. The TTG frontend installs it on the task
-    /// pools it builds over this runtime, so free-list refills (fresh
-    /// allocations) show on the timeline.
-    pub fn pool_refill_hook(&self) -> Option<ttg_mempool::RefillObserver> {
+    /// when tracing is off, so free-list refills (fresh allocations)
+    /// show on the timeline.
+    fn pool_refill_hook(&self) -> Option<ttg_mempool::RefillObserver> {
         let obs = Arc::clone(self.inner.obs.as_ref()?);
         if !obs.events_enabled() {
             return None;

@@ -9,6 +9,14 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 use ttg_sched::{Priority, SortedChain};
 use ttg_sync::OrderingPolicy;
+use ttg_termdet::InstanceScope;
+
+/// A scoped task's termination accounting while it runs on a worker
+/// ([`WorkerCtx::enter_scope`]): its scope — compared, never read; null
+/// outside scoped tasks — and how many successors it has scheduled into
+/// that scope and not yet seen finish.
+#[derive(Clone, Copy)]
+pub struct ScopeFrame(*const InstanceScope, usize);
 
 /// Context handed to every executing task.
 ///
@@ -26,8 +34,10 @@ pub struct WorkerCtx<'rt> {
     /// task (see `RuntimeConfig::inline_tasks`).
     inline_remaining: usize,
     /// Instance scope whose completion the just-executed task deferred
-    /// (see [`WorkerCtx::defer_scope_completion`]).
-    completed_scope: Option<std::sync::Arc<ttg_termdet::InstanceScope>>,
+    /// (see [`WorkerCtx::leave_scope`]).
+    completed_scope: Option<std::sync::Arc<InstanceScope>>,
+    /// The running task's frame.
+    scope_frame: ScopeFrame,
     /// Span context of the task currently executing on this worker
     /// (0 = unattributed). Children scheduled or messages sent from the
     /// task body inherit it; always 0 with `obs` off.
@@ -47,6 +57,7 @@ impl<'rt> WorkerCtx<'rt> {
             bundle: SortedChain::new(),
             inline_remaining: 0,
             completed_scope: None,
+            scope_frame: ScopeFrame(std::ptr::null(), 0),
             current_span: 0,
             corked: Cell::new(false),
             drained: VecDeque::new(),
@@ -106,33 +117,59 @@ impl<'rt> WorkerCtx<'rt> {
         self.inner.term.task_discovered(Some(self.id));
     }
 
-    /// Defers `scope.task_completed()` for the task that is currently
-    /// finishing on this worker until its execution frame has fully
-    /// unwound.
-    ///
-    /// A scope's zero-crossing can release a waiter that tears the
-    /// task's template down; firing the decrement from *inside* the
-    /// task's own `execute` (where `&self` references into the template
-    /// are still live) would let that teardown free memory under those
-    /// references. The worker instead fires the decrement after
-    /// `execute` has returned — in [`WorkerCtx::run_task`] for
-    /// queue-popped tasks and in the inline branch of
-    /// [`WorkerCtx::schedule`] for inlined ones.
+    /// Opens the frame of a task of `scope` about to run its body here
+    /// and returns the enclosing one (of the task inlining it, if any)
+    /// for [`WorkerCtx::leave_scope`]. What the body schedules into
+    /// `scope` stays in this worker's bundle, or runs inline inside the
+    /// frame, so it is counted in the frame and settled once at its end.
     #[inline]
-    pub fn defer_scope_completion(&mut self, scope: std::sync::Arc<ttg_termdet::InstanceScope>) {
-        debug_assert!(
-            self.completed_scope.is_none(),
-            "a task deferred two scope completions"
-        );
-        self.completed_scope = Some(scope);
+    pub fn enter_scope(&mut self, scope: &InstanceScope) -> ScopeFrame {
+        std::mem::replace(&mut self.scope_frame, ScopeFrame(scope, 0))
+    }
+
+    /// Credits `scope` for a task about to be scheduled: in the running
+    /// task's frame if that is its scope, else in the scope itself.
+    #[inline]
+    pub fn credit_scope(&mut self, scope: &InstanceScope) {
+        if std::ptr::eq(self.scope_frame.0, scope) {
+            self.scope_frame.1 += 1;
+        } else {
+            scope.task_scheduled();
+        }
+    }
+
+    /// Closes the frame of the task of `scope` whose body just finished
+    /// and settles it — before the bundle publishes what the body
+    /// scheduled: `k` live successors take over the task's credit and
+    /// add `k − 1` (`InstanceScope::settle_task`). With none, the task's
+    /// `task_completed()` is deferred until `execute` has returned (to
+    /// [`WorkerCtx::run_task`], or the inline branch of
+    /// [`WorkerCtx::schedule`]): the zero-crossing can release a waiter
+    /// that tears the task's template down, and inside `execute` `&self`
+    /// references into that template are still live.
+    #[inline]
+    pub fn leave_scope(&mut self, outer: ScopeFrame, scope: &std::sync::Arc<InstanceScope>) {
+        match std::mem::replace(&mut self.scope_frame, outer).1 {
+            0 => {
+                debug_assert!(self.completed_scope.is_none(), "two deferred completions");
+                self.completed_scope = Some(std::sync::Arc::clone(scope));
+            }
+            k => scope.settle_task(k),
+        }
     }
 
     /// Fires a deferred scope completion, if the just-finished task left
-    /// one. Must only run once that task's frames are fully unwound.
+    /// one. Must only run once that task's frames are fully unwound. An
+    /// inlined task of the enclosing task's scope was credited to the
+    /// enclosing frame, not to the scope: there it is taken back.
     #[inline]
     fn fire_scope_completion(&mut self) {
         if let Some(scope) = self.completed_scope.take() {
-            scope.task_completed();
+            if std::ptr::eq(self.scope_frame.0, &*scope) {
+                self.scope_frame.1 -= 1;
+            } else {
+                scope.task_completed();
+            }
         }
     }
 

@@ -24,15 +24,27 @@
 //! classic Dijkstra–Scholten credit scheme, degenerate-wave framing:
 //! within one process, sent == received holds at every instant.
 //!
+//! A worker need not pay one increment per successor and one decrement
+//! per task. What a task schedules into its own scope stays unpublished
+//! until the task returns, so the worker counts it and settles once,
+//! **before** publishing: `k` live successors, `pending += k − 1`
+//! ([`InstanceScope::settle_task`] — the task's credit passes to one of
+//! them, a chain link touches the counter not at all); none, the task's
+//! `−1` as before. "Task alive" becomes "its successors alive" in one
+//! step, so the counter still cannot touch zero while work can appear;
+//! settled *after* the publication, a stolen successor's `−1` could
+//! meet a counter holding only its parent's credit.
+//!
 //! Failure is a first-class outcome: a panicking task body marks the
 //! scope failed but does **not** end it early — remaining tasks drain
 //! normally so the instance still terminates, the runtime stays
 //! healthy, and sibling instances never notice.
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use ttg_sync::CAtomicI64;
 
 /// How an instance's execution ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,10 +86,10 @@ struct ScopeState {
 /// integration (ttg-core's scoped graphs) honours it at every site.
 pub struct InstanceScope {
     id: u64,
-    /// Outstanding credits: live tasks + open submission guards.
-    pending: AtomicI64,
-    scheduled: AtomicU64,
-    completed: AtomicU64,
+    /// Outstanding credits: live tasks + open submission guards. The
+    /// only counter, and counted under `count-atomics`: a scoped task
+    /// pays for what it does to this word and nothing else.
+    pending: CAtomicI64,
     /// Request-scoped span context for this instance (`ttg_obs::spans`
     /// packing: tenant tag ‖ instance id); 0 = unattributed. Written
     /// once at instantiation, read by every task-shell stamp.
@@ -99,9 +111,7 @@ impl InstanceScope {
     pub fn new(id: u64) -> Arc<Self> {
         Arc::new(InstanceScope {
             id,
-            pending: AtomicI64::new(0),
-            scheduled: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
+            pending: CAtomicI64::new(0),
             span: AtomicU64::new(0),
             quarantined: AtomicBool::new(false),
             state: Mutex::new(ScopeState {
@@ -146,8 +156,23 @@ impl InstanceScope {
     /// happen-before the task is published to any queue.
     #[inline]
     pub fn task_scheduled(&self) {
-        self.scheduled.fetch_add(1, Ordering::Relaxed);
         self.pending.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Settles a finished task that leaves `successors >= 1` scheduled,
+    /// still unpublished tasks of this scope behind: its own credit
+    /// passes to one of them and the others are credited here in one
+    /// step — nothing at all for a single successor. Stands for the
+    /// `task_scheduled` of each successor **and** the task's own
+    /// `task_completed`; like the former it must happen-before any of
+    /// them is published (module docs).
+    #[inline]
+    pub fn settle_task(&self, successors: usize) {
+        debug_assert!(successors >= 1, "a leaf settles by task_completed");
+        if successors > 1 {
+            self.pending
+                .fetch_add(successors as i64 - 1, Ordering::AcqRel);
+        }
     }
 
     /// Records that one scheduled task finished (executed or was
@@ -155,7 +180,6 @@ impl InstanceScope {
     /// completion.
     #[inline]
     pub fn task_completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
         self.release_credit();
     }
 
@@ -294,18 +318,9 @@ impl InstanceScope {
         })
     }
 
-    /// Total tasks ever scheduled under this scope.
-    pub fn tasks_scheduled(&self) -> u64 {
-        self.scheduled.load(Ordering::Relaxed)
-    }
-
-    /// Total tasks that finished (executed or disposed).
-    pub fn tasks_completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
     /// Outstanding credits (tasks in flight plus open submission
-    /// guards). Diagnostic only — racy by nature.
+    /// guards). Racy: only a zero read once nobody can schedule into the
+    /// scope any more means something — dormant or drained (`Graph::drop`).
     pub fn pending(&self) -> i64 {
         self.pending.load(Ordering::Relaxed)
     }
@@ -316,7 +331,6 @@ impl std::fmt::Debug for InstanceScope {
         f.debug_struct("InstanceScope")
             .field("id", &self.id)
             .field("pending", &self.pending())
-            .field("scheduled", &self.tasks_scheduled())
             .field("complete", &self.is_complete())
             .finish()
     }
@@ -361,8 +375,24 @@ mod tests {
         assert!(!s.is_complete(), "a live task still blocks completion");
         s.task_completed();
         assert_eq!(s.wait(), ScopeOutcome::Completed);
-        assert_eq!(s.tasks_scheduled(), 2);
-        assert_eq!(s.tasks_completed(), 2);
+        assert_eq!(s.pending(), 0);
+    }
+
+    #[test]
+    fn a_settled_task_hands_its_credit_to_its_successors() {
+        let s = InstanceScope::new(9);
+        let g = s.submission_guard();
+        s.task_scheduled(); // the parent
+        drop(g);
+        s.settle_task(3); // parent done, three children live
+        assert_eq!(s.pending(), 3);
+        s.settle_task(1); // a child hands on to one grandchild
+        assert_eq!(s.pending(), 3);
+        s.task_completed();
+        s.task_completed();
+        assert!(!s.is_complete());
+        s.task_completed();
+        assert_eq!(s.wait(), ScopeOutcome::Completed);
     }
 
     #[test]
@@ -488,6 +518,6 @@ mod tests {
         assert!(!s.is_complete(), "guard still held");
         drop(g);
         assert_eq!(s.wait(), ScopeOutcome::Completed);
-        assert_eq!(s.tasks_scheduled(), (THREADS * TASKS) as u64);
+        assert_eq!(s.pending(), 0);
     }
 }

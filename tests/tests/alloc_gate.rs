@@ -3,7 +3,8 @@
 //! datum costs at most one allocation — the copy object that tracks it.
 //! Counts are machine-independent, so these are equalities up to the
 //! few allocations of seeding a session and waiting for it. The request
-//! path has the same kind of gate: what one served graph allocates.
+//! path has the same kind of gate: what one served graph allocates, and
+//! what each of its tasks adds to that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -155,29 +156,10 @@ fn a_broadcast_costs_one_allocation_however_many_receive_it() {
     );
 }
 
-/// What one served graph allocates: a sequential submit → `wait_result`
-/// loop of an 8-task pipeline (4 × stage → collect, one result) on a
-/// 1-worker runtime, the result store and the record maps at their
-/// steady-state sizes. The count repeats exactly — every seeding is one
-/// publication, so the worker meets each graph's tasks in one order.
-///
-/// Readings: 72.3 to 73.0 allocations per graph, differing from run to
-/// run, with the dispatcher-thread engine this one replaced; 49 exactly
-/// now. The difference is the engine's side of the request — the tenant
-/// and template strings of each record and each queue entry, the deep
-/// copy of the input kept for a retry, the dispatcher's per-pass
-/// vectors, the tree nodes of the record map. What is left is the
-/// instance itself: its TTs, edges and pools are built per request, and
-/// every pool starts empty (ROADMAP item 3a).
-///
-/// That a completion nobody waits for notifies nobody is not asserted
-/// here: a notification without a waiter leaves nothing to observe
-/// short of new surface on the engine.
-#[test]
-fn a_served_graph_allocates_the_same_every_time() {
-    const GRAPHS: u64 = 600;
-    const PER_GRAPH: u64 = 49;
-    let template = GraphTemplate::compile("pipeline", |graph, ctx| {
+/// The `pipeline` template of `n` pairs: `stage` k sends `2k` to
+/// `collect` k, the last of which emits what it received.
+fn pipeline_template() -> GraphTemplate {
+    GraphTemplate::compile("pipeline", |graph, ctx| {
         let n = ctx.input.as_u64().unwrap_or(0);
         let edge: Edge<u64, u64> = Edge::new("values");
         let stage = graph
@@ -200,7 +182,35 @@ fn a_served_graph_allocates_the_same_every_time() {
             }
         })
     })
-    .expect("valid template");
+    .expect("valid template")
+}
+
+/// What one served graph allocates: a sequential submit → `wait_result`
+/// loop of a pipeline (`n` × stage → collect, one result) on a 1-worker
+/// runtime, the result store and the record maps at their steady-state
+/// sizes. The count repeats exactly — every seeding is one publication,
+/// so the worker meets each graph's tasks in one order.
+///
+/// Readings for 4 pairs: 72.3 to 73.0 allocations per graph, differing
+/// from run to run, with the dispatcher-thread engine PR 16 replaced;
+/// 49 exactly after it; 29 now. The 20 that went were the instance's
+/// own: 6 shells, the 4 seeded ones among them (the pool they retire
+/// into is the runtime's, so the next graph pops them), two hash tables
+/// neither TT could use (5 each), two pools (1 each) and the two
+/// strings the vtable lookup built. What is left is per graph — scope,
+/// graph, TTs, edge, closures, the engine's record and result — plus
+/// one per pair, the datum `stage` sends: the slope below.
+///
+/// That a completion nobody waits for notifies nobody is not asserted
+/// here: a notification without a waiter leaves nothing to observe
+/// short of new surface on the engine.
+#[test]
+fn a_served_graph_allocates_the_same_every_time() {
+    const GRAPHS: u64 = 600;
+    /// Allocations of a graph without a task …
+    const PER_GRAPH: u64 = 25;
+    /// … and of each stage → collect pair: one datum, nothing else.
+    const PER_PAIR: u64 = 1;
     let runtime = Arc::new(Runtime::new(RuntimeConfig::optimized(1)));
     let engine = ServeEngine::new(
         runtime,
@@ -209,11 +219,11 @@ fn a_served_graph_allocates_the_same_every_time() {
             ..ServeConfig::default()
         },
     );
-    engine.register_template(template);
-    let serve = || {
+    engine.register_template(pipeline_template());
+    let serve = |pairs: u64| {
         for _ in 0..GRAPHS {
             let id = engine
-                .submit("tenant", "pipeline", serde_json::Value::UInt(4))
+                .submit("tenant", "pipeline", serde_json::Value::UInt(pairs))
                 .expect("admitted");
             let view = engine
                 .wait_result(id, Duration::from_secs(30))
@@ -223,20 +233,24 @@ fn a_served_graph_allocates_the_same_every_time() {
         }
     };
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    serve(); // fills the result store and the evicted-record deque
-    let runs: Vec<u64> = (0..3)
-        .map(|_| {
-            ALLOCS.store(0, Ordering::Relaxed);
-            ARMED.store(true, Ordering::Relaxed);
-            serve();
-            ARMED.store(false, Ordering::Relaxed);
-            ALLOCS.load(Ordering::Relaxed)
-        })
-        .collect();
-    assert!(runs.iter().all(|r| *r == runs[0]), "{runs:?}");
-    assert!(
-        runs[0] <= PER_GRAPH * GRAPHS,
-        "{} allocations per graph",
-        runs[0] as f64 / GRAPHS as f64
-    );
+    // Fills the result store, the evicted-record deque and the
+    // runtime's shell pool (64 seeded shells, the most a graph here has).
+    serve(64);
+    for pairs in [4, 16, 64] {
+        let runs: Vec<u64> = (0..3)
+            .map(|_| {
+                ALLOCS.store(0, Ordering::Relaxed);
+                ARMED.store(true, Ordering::Relaxed);
+                serve(pairs);
+                ARMED.store(false, Ordering::Relaxed);
+                ALLOCS.load(Ordering::Relaxed)
+            })
+            .collect();
+        assert_eq!(
+            runs,
+            [(PER_GRAPH + PER_PAIR * pairs) * GRAPHS; 3],
+            "{pairs} pairs: {} allocations per graph",
+            runs[0] as f64 / GRAPHS as f64
+        );
+    }
 }
