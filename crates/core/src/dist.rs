@@ -3,55 +3,51 @@
 //! "While TTG seamlessly scales from shared memory to hundreds of nodes,
 //! we will focus on management of tasks in shared memory in this work"
 //! (paper Section I) — this module supplies the other half. TTG programs
-//! run SPMD-style: every process builds the *same* template graph; a
-//! **keymap** assigns each task ID to an owning process; a send whose
+//! run SPMD-style: every rank builds the *same* template graph; a
+//! **keymap** assigns each task ID to an owning rank; a send whose
 //! destination key lives elsewhere becomes an active message carrying
 //! the serialized `(key, datum)` to the owner, where the peer TT's input
-//! terminal delivers it locally. Global termination is the 4-counter
-//! wave of the underlying [`ttg_runtime::ProcessGroup`].
+//! terminal delivers it locally. The message is framed, for the handler
+//! the TT registered with its runtime ([`link_spmd`]), and travels over
+//! the transport `ttg-net` bound that runtime to: sockets, or
+//! `NetGroup::local` for all ranks in one address space
+//! ([`link_distributed`] links those in one call). Global termination
+//! is the 4-counter wave of the job.
 //!
 //! # Usage
 //!
-//! Build the identical TT on a graph per rank (one graph per
-//! [`ttg_runtime::ProcessGroup`] member), declaring *remote-capable*
-//! inputs with [`crate::TtBuilder::input_remote`] (payloads must be
-//! `Serialize + DeserializeOwned`); then wire the per-rank instances
-//! together:
+//! Build the identical TT on a graph per rank, declaring
+//! *remote-capable* inputs with [`crate::TtBuilder::input_remote`]
+//! (payloads must be `Serialize + DeserializeOwned`), then link. Here on
+//! the one rank a bare runtime is (this crate sits below `ttg-net`);
+//! over several, `crates/net/tests/dist_tests.rs`.
 //!
 //! ```
 //! use std::sync::Arc;
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //! use ttg_core::{dist, Edge, Graph};
-//! use ttg_runtime::{ProcessGroup, RuntimeConfig};
+//! use ttg_runtime::RuntimeConfig;
 //!
-//! let group = Arc::new(ProcessGroup::new(2, |_| RuntimeConfig::optimized(1)));
+//! let graph = Graph::new(RuntimeConfig::optimized(1));
 //! let sum = Arc::new(AtomicU64::new(0));
-//! let mut graphs = Vec::new(); // keep the per-rank graphs alive
-//! let tts: Vec<_> = (0..2)
-//!     .map(|rank| {
-//!         let graph = Graph::with_runtime(group.runtime_arc(rank));
-//!         let edge: Edge<u64, u64> = Edge::new("chain");
-//!         let sum = Arc::clone(&sum);
-//!         let tt = graph
-//!             .tt::<u64>("hop")
-//!             .input_remote::<u64>(&edge)
-//!             .output(&edge)
-//!             .build(move |k, i, o| {
-//!                 let v = i.take::<u64>(0);
-//!                 if *k < 10 {
-//!                     o.send(0, *k + 1, v + 1); // may cross ranks
-//!                 } else {
-//!                     sum.store(v, Ordering::Relaxed);
-//!                 }
-//!             });
-//!         graphs.push(graph);
-//!         tt
-//!     })
-//!     .collect();
-//! // Task k lives on rank k % 2: every hop crosses the "network".
-//! dist::link_distributed(&tts, |k: &u64| (*k % 2) as usize);
-//! tts[0].deliver(0, 0u64, 0u64);
-//! group.wait();
+//! let edge: Edge<u64, u64> = Edge::new("chain");
+//! let s = Arc::clone(&sum);
+//! let tt = graph
+//!     .tt::<u64>("hop")
+//!     .input_remote::<u64>(&edge)
+//!     .output(&edge)
+//!     .build(move |k, i, o| {
+//!         let v = i.take::<u64>(0);
+//!         if *k < 10 {
+//!             o.send(0, *k + 1, v + 1); // to the rank that owns k + 1
+//!         } else {
+//!             s.store(v, Ordering::Relaxed);
+//!         }
+//!     });
+//! // One TT per rank, in rank order; the keymap names each key's owner.
+//! dist::link_distributed(&[tt.clone()], |_k: &u64| 0);
+//! tt.deliver(0, 0u64, 0u64);
+//! graph.wait();
 //! assert_eq!(sum.load(Ordering::Relaxed), 10);
 //! ```
 
@@ -86,31 +82,16 @@ pub(crate) fn make_hooks<V: Serialize + DeserializeOwned + Send + Sync + 'static
     }
 }
 
-/// How cross-rank deliveries reach the owner's TT instance.
-pub(crate) enum RouteTarget<K: Key> {
-    /// All ranks share one address space ([`link_distributed`]): ship a
-    /// closure capturing the peer instance directly.
-    Peers(Vec<Weak<TtInner<K>>>),
-    /// Each rank is its own process ([`link_spmd`]): ship a serialized
-    /// frame for the handler this TT registered with its runtime. SPMD
-    /// registration order makes the id identical on every rank.
-    Handler(u32),
-}
-
-/// Per-TT distribution state, installed by [`link_distributed`] or
-/// [`link_spmd`].
+/// Per-TT distribution state, installed by [`link_spmd`].
 pub(crate) struct Route<K: Key> {
-    /// Which rank owns each key.
-    pub(crate) keymap: Arc<dyn Fn(&K) -> usize + Send + Sync>,
-    /// This instance's rank.
-    pub(crate) my_rank: usize,
-    /// Delivery mechanism for non-local keys.
-    pub(crate) target: RouteTarget<K>,
-    /// Key serialization.
-    #[allow(clippy::type_complexity)]
-    pub(crate) key_to_bytes: Arc<dyn Fn(&K) -> Vec<u8> + Send + Sync>,
-    #[allow(clippy::type_complexity)]
-    pub(crate) key_from_bytes: Arc<dyn Fn(&[u8]) -> K + Send + Sync>,
+    pub(crate) keymap: Keymap<K>,
+    /// Id of the handler this TT registered with its runtime: non-local
+    /// keys travel as serialized messages for it. SPMD registration
+    /// order makes the id identical on every rank.
+    pub(crate) target: u32,
+    /// Key serialization (the handler deserializes: it knows `K`'s
+    /// bounds, the sending TT does not).
+    pub(crate) key_to_bytes: fn(&K) -> Vec<u8>,
 }
 
 /// SPMD wire format: `[u32 idx][u32 key_len][key bytes][value bytes]`,
@@ -139,27 +120,29 @@ fn decode_spmd(payload: &[u8]) -> Option<(u32, &[u8], &[u8])> {
     Some((idx, key, val))
 }
 
-/// Wires the per-rank instances of one template task into a distributed
-/// TT: task `key` executes on rank `keymap(key)`; sends addressed to
-/// non-local keys travel as serialized active messages.
+/// Wires the per-rank instances of one template task, all in this
+/// address space, into a distributed TT: [`link_spmd`] on each, in rank
+/// order, with one keymap.
 ///
 /// Requirements:
-/// * `tts[r]` must be built on the runtime of rank `r` of one
-///   [`ttg_runtime::ProcessGroup`] (same structure on every rank);
+/// * `tts[r]` must be built on the runtime of rank `r` of one in-process
+///   job (`ttg_net::NetGroup::local`), and every TT of the program must
+///   be linked on **every** rank of it, in the same order — that is what
+///   makes a TT's handler id the same everywhere;
 /// * every input terminal that can receive cross-rank data must have
 ///   been declared with [`crate::TtBuilder::input_remote`] /
 ///   [`crate::TtBuilder::input_aggregator_remote`].
 ///
 /// # Panics
 ///
-/// Panics if the instances' ranks don't form 0..n, or if a TT was
-/// already linked.
+/// Panics if the instances' ranks don't form 0..n, if they registered
+/// under different handler ids, or if a TT was already linked.
 pub fn link_distributed<K>(tts: &[Tt<K>], keymap: impl Fn(&K) -> usize + Send + Sync + 'static)
 where
     K: Key + Serialize + DeserializeOwned,
 {
-    let keymap: Arc<dyn Fn(&K) -> usize + Send + Sync> = Arc::new(keymap);
-    let peers: Vec<Weak<TtInner<K>>> = tts.iter().map(|t| Arc::downgrade(&t.inner)).collect();
+    let keymap: Keymap<K> = Arc::new(keymap);
+    let mut rank0_handler = None;
     for (rank, tt) in tts.iter().enumerate() {
         assert_eq!(
             tt.inner.runtime.rank(),
@@ -167,20 +150,14 @@ where
             "link_distributed: instance {rank} is bound to runtime rank {}",
             tt.inner.runtime.rank()
         );
-        let route = Route {
-            keymap: Arc::clone(&keymap),
-            my_rank: rank,
-            target: RouteTarget::Peers(peers.clone()),
-            key_to_bytes: Arc::new(|k: &K| serde_json::to_vec(k).expect("serialize key")),
-            key_from_bytes: Arc::new(|b: &[u8]| {
-                serde_json::from_slice(b).expect("deserialize key")
-            }),
-        };
-        tt.inner
-            .route
-            .set(route)
-            .ok()
-            .expect("template task linked twice");
+        let handler = link(tt, Arc::clone(&keymap));
+        assert_eq!(
+            handler,
+            *rank0_handler.get_or_insert(handler),
+            "link_distributed: rank {rank} registered '{}' under another handler id than \
+             rank 0 — link every TT on every rank, in the same order",
+            tt.inner.name
+        );
     }
 }
 
@@ -188,7 +165,7 @@ where
 /// TT: this process is rank `runtime.rank()` of `nranks`; task `key`
 /// executes on rank `keymap(key)`; non-local sends travel as serialized
 /// active messages through the runtime's handler registry (and from
-/// there over whatever medium the runtime is connected to — an
+/// there over whatever transport the runtime is bound to — an
 /// in-process `ttg-net` group or real TCP sockets between OS processes).
 ///
 /// Every rank must build the identical graph and call `link_spmd` on the
@@ -205,6 +182,18 @@ pub fn link_spmd<K>(tt: &Tt<K>, keymap: impl Fn(&K) -> usize + Send + Sync + 'st
 where
     K: Key + Serialize + DeserializeOwned,
 {
+    link(tt, Arc::new(keymap));
+}
+
+/// Which rank owns each key.
+type Keymap<K> = Arc<dyn Fn(&K) -> usize + Send + Sync>;
+
+/// Registers `tt`'s message handler with its runtime, installs the
+/// route and returns the handler's id.
+fn link<K>(tt: &Tt<K>, keymap: Keymap<K>) -> u32
+where
+    K: Key + Serialize + DeserializeOwned,
+{
     // Weak: the handler must not keep the TT (and through it the
     // runtime) alive past graph teardown.
     let weak: Weak<TtInner<K>> = Arc::downgrade(&tt.inner);
@@ -218,10 +207,10 @@ where
                 eprintln!("ttg-core: dropping SPMD message for a torn-down TT");
                 return;
             };
-            let Some(route) = inner.route.get() else {
+            if inner.route.get().is_none() {
                 eprintln!("ttg-core: dropping SPMD message that arrived before link_spmd");
                 return;
-            };
+            }
             let Some((idx, key_bytes, val_bytes)) = decode_spmd(&payload) else {
                 eprintln!(
                     "ttg-core: dropping truncated SPMD message for '{}' ({} bytes)",
@@ -230,7 +219,7 @@ where
                 );
                 return;
             };
-            let key: K = (route.key_from_bytes)(key_bytes);
+            let key: K = serde_json::from_slice(key_bytes).expect("deserialize key");
             let mut d = crate::io::Dispatch::Worker(ctx);
             if idx == INVOKE_IDX {
                 inner.invoke_now(&mut d, key);
@@ -258,15 +247,14 @@ where
             }
         });
     let route = Route {
-        keymap: Arc::new(keymap),
-        my_rank: tt.inner.runtime.rank(),
-        target: RouteTarget::Handler(handler),
-        key_to_bytes: Arc::new(|k: &K| serde_json::to_vec(k).expect("serialize key")),
-        key_from_bytes: Arc::new(|b: &[u8]| serde_json::from_slice(b).expect("deserialize key")),
+        keymap,
+        target: handler,
+        key_to_bytes: |k: &K| serde_json::to_vec(k).expect("serialize key"),
     };
     tt.inner
         .route
         .set(route)
         .ok()
         .expect("template task linked twice");
+    handler
 }

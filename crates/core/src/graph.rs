@@ -41,7 +41,9 @@ impl<K: Key> AnyTt for crate::tt::TtInner<K> {
 ///
 /// Dropping the graph waits for outstanding work, disposes any task
 /// shells whose inputs never arrived (incomplete graphs), and unwires the
-/// TTs from their edges.
+/// TTs from their edges. On a rank of a multi-rank job the fence is
+/// collective, so `drop` waits only for the rank's own tasks
+/// ([`Runtime::quiesce`]): fence the job before its graphs go.
 pub struct Graph {
     runtime: Arc<Runtime>,
     /// Instance scope for graphs serving one request among many on a
@@ -165,7 +167,7 @@ impl Drop for Graph {
                     scope.wait();
                 }
             }
-            None => self.runtime.wait(),
+            None => self.runtime.quiesce(),
         }
         let tts = self.tts.lock();
         for tt in tts.iter() {

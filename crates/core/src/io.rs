@@ -26,22 +26,8 @@ impl<'rt> Dispatch<'_, 'rt> {
         }
     }
 
-    /// Sends an active message to a peer process (ProcessGroup only).
-    pub(crate) fn send_remote(
-        &mut self,
-        dst: usize,
-        priority: i32,
-        job: impl FnOnce(&mut WorkerCtx<'_>) + Send + 'static,
-    ) {
-        match self {
-            Dispatch::Worker(ctx) => ctx.send_remote(dst, priority, job),
-            Dispatch::External(rt) => rt.send_remote(dst, priority, job),
-        }
-    }
-
     /// Sends a serialized active message to rank `dst` (runs under the
-    /// handler registered with that id; works over a process group or a
-    /// network transport alike).
+    /// handler registered with that id).
     pub(crate) fn send_msg(&mut self, dst: usize, priority: i32, handler: u32, payload: Vec<u8>) {
         match self {
             Dispatch::Worker(ctx) => ctx.send_msg(dst, priority, handler, payload),

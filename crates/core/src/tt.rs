@@ -102,8 +102,8 @@ pub(crate) struct TtInner<K: Key> {
     /// isolate body panics so one failing instance cannot poison its
     /// siblings.
     pub(crate) scope: Option<Arc<ttg_termdet::InstanceScope>>,
-    /// Distribution state (keymap + peer instances); set once by
-    /// [`crate::dist::link_distributed`].
+    /// Distribution state (keymap + message handler); set once by
+    /// [`crate::dist::link_spmd`].
     pub(crate) route: std::sync::OnceLock<crate::dist::Route<K>>,
 }
 
@@ -198,7 +198,7 @@ impl<K: Key> TtInner<K> {
         debug_assert!(idx < self.inputs.len(), "input index out of range");
         if let Some(route) = self.route.get() {
             let owner = (route.keymap)(key);
-            if owner != route.my_rank {
+            if owner != self.runtime.rank() {
                 self.forward_remote(d, route, owner, idx, key, copy);
                 return;
             }
@@ -282,29 +282,8 @@ impl<K: Key> TtInner<K> {
         let key_bytes = (route.key_to_bytes)(key);
         let val_bytes = (hooks.to_bytes)(&copy);
         drop(copy); // the serialized payload now carries the datum
-        let priority = self.priority_for(key);
-        match &route.target {
-            crate::dist::RouteTarget::Peers(peers) => {
-                let peer = peers[owner]
-                    .upgrade()
-                    .expect("peer template task already torn down");
-                d.send_remote(
-                    owner,
-                    priority,
-                    move |ctx: &mut ttg_runtime::WorkerCtx<'_>| {
-                        let key: K =
-                            (peer.route.get().expect("unlinked peer").key_from_bytes)(&key_bytes);
-                        let hooks = peer.inputs[idx].serde.as_ref().expect("peer hooks");
-                        let copy = (hooks.from_bytes)(&val_bytes, ctx.ordering());
-                        peer.deliver_input(&mut Dispatch::Worker(ctx), idx, &key, copy);
-                    },
-                );
-            }
-            crate::dist::RouteTarget::Handler(h) => {
-                let payload = crate::dist::encode_spmd(idx as u32, &key_bytes, &val_bytes);
-                d.send_msg(owner, priority, *h, payload);
-            }
-        }
+        let payload = crate::dist::encode_spmd(idx as u32, &key_bytes, &val_bytes);
+        d.send_msg(owner, self.priority_for(key), route.target, payload);
     }
 
     /// Creates and schedules a task whose inputs are already (vacuously)
@@ -312,32 +291,10 @@ impl<K: Key> TtInner<K> {
     pub(crate) fn invoke_now(&self, d: &mut Dispatch<'_, '_>, key: K) {
         if let Some(route) = self.route.get() {
             let owner = (route.keymap)(&key);
-            if owner != route.my_rank {
+            if owner != self.runtime.rank() {
                 let key_bytes = (route.key_to_bytes)(&key);
-                let priority = self.priority_for(&key);
-                match &route.target {
-                    crate::dist::RouteTarget::Peers(peers) => {
-                        let peer = peers[owner]
-                            .upgrade()
-                            .expect("peer template task already torn down");
-                        d.send_remote(
-                            owner,
-                            priority,
-                            move |ctx: &mut ttg_runtime::WorkerCtx<'_>| {
-                                let key: K =
-                                    (peer.route.get().expect("unlinked peer").key_from_bytes)(
-                                        &key_bytes,
-                                    );
-                                peer.invoke_now(&mut Dispatch::Worker(ctx), key);
-                            },
-                        );
-                    }
-                    crate::dist::RouteTarget::Handler(h) => {
-                        let payload =
-                            crate::dist::encode_spmd(crate::dist::INVOKE_IDX, &key_bytes, &[]);
-                        d.send_msg(owner, priority, *h, payload);
-                    }
-                }
+                let payload = crate::dist::encode_spmd(crate::dist::INVOKE_IDX, &key_bytes, &[]);
+                d.send_msg(owner, self.priority_for(&key), route.target, payload);
                 return;
             }
         }

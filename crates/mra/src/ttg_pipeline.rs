@@ -26,7 +26,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use ttg_core::{AggCount, Edge, Graph, Tt};
-use ttg_runtime::{ProcessGroup, Runtime};
+use ttg_net::NetGroup;
+use ttg_runtime::Runtime;
 
 /// Task key: (function index, box).
 type MKey = (u32, BoxKey);
@@ -117,10 +118,10 @@ impl MraTtg {
     /// of the (function, box) key), and runs to global termination —
     /// projection, 8-way compression gathers, and reconstruction all
     /// crossing process boundaries as serialized active messages.
-    pub fn run_distributed(&self, group: &ProcessGroup, funcs: &[Gaussian3]) -> MraOutput {
+    pub fn run_distributed(&self, group: &NetGroup, funcs: &[Gaussian3]) -> MraOutput {
         let stores = Stores::fresh();
         let funcs: Arc<Vec<Gaussian3>> = Arc::new(funcs.to_vec());
-        let nprocs = group.nprocs();
+        let nprocs = group.nranks();
         let mut graphs = Vec::new();
         let (mut projects, mut compresses, mut reconstructs) = (Vec::new(), Vec::new(), Vec::new());
         for rank in 0..nprocs {
@@ -153,7 +154,7 @@ impl MraTtg {
 
     /// Builds the Project/Compress/Reconstruct TTs on `graph`. With
     /// `remote` set, input terminals are declared remote-capable so the
-    /// TTs can be linked across a process group.
+    /// TTs can be linked across the ranks of a job.
     fn build_tts(
         &self,
         graph: &Graph,

@@ -132,7 +132,7 @@ proptest! {
 
 #[test]
 fn distributed_mra_matches_serial() {
-    // The full mini-app across 3 simulated processes: projection tokens,
+    // The full mini-app across 3 in-process ranks: projection tokens,
     // 8-way compression gathers, and reconstruction tensors all cross
     // rank boundaries as serialized active messages. Residuals are only
     // ever written and read on the box's owning rank (compress and
@@ -140,7 +140,8 @@ fn distributed_mra_matches_serial() {
     // in effect.
     use std::sync::Arc;
     use ttg_mra::MraTtg;
-    use ttg_runtime::{ProcessGroup, RuntimeConfig};
+    use ttg_net::NetGroup;
+    use ttg_runtime::RuntimeConfig;
 
     let ctx = Arc::new(MraContext::new(MraParams {
         k: 5,
@@ -153,7 +154,7 @@ fn distributed_mra_matches_serial() {
         Gaussian3::new([0.2, 0.0, -0.3], 30.0),
         Gaussian3::new([-0.4, 0.3, 0.1], 45.0),
     ];
-    let group = ProcessGroup::new(3, |_| RuntimeConfig::optimized(1));
+    let group = NetGroup::local(3, |_| RuntimeConfig::optimized(1));
     let out = MraTtg::new(Arc::clone(&ctx)).run_distributed(&group, &funcs);
     assert_eq!(out.stats.leaves, out.stats.reconstructed);
     for (f, func) in funcs.iter().enumerate() {

@@ -2,8 +2,16 @@
 //! [`NetWave`]: one fully distributed rank, plus the in-process
 //! [`NetGroup`] that runs all ranks of a job in one address space over
 //! [`LocalTransport`] (the same protocol stack the TCP mode uses, minus
-//! the sockets — invaluable for tests and for apples-to-apples
-//! comparisons against real-socket runs).
+//! the sockets — it is what every in-process multi-rank test, bench
+//! and example runs on, so a real-socket run differs from it in the
+//! transport and in nothing else).
+//!
+//! Ownership is a tree: a [`NetRuntime`] owns runtime, wave and
+//! transport; the runtime holds wave and transport, the wave the
+//! transport, the transport the sink — and the sink, which closes the
+//! loop, holds runtime and wave weakly. So dropping a rank (or a group)
+//! shuts its transport down and, with the last handle to the runtime,
+//! joins its workers.
 //!
 //! Failures surface as typed values, not panics or hangs: a transport
 //! that declares a peer dead poisons the wave and records a
@@ -19,7 +27,7 @@ use crate::transport::{FrameSink, LocalTransport, Transport};
 use crate::wave::NetWave;
 use std::io;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use ttg_runtime::{Arrival, FrameSender, NetStats, RunError, Runtime, RuntimeConfig};
 use ttg_termdet::TermWave;
 
@@ -27,10 +35,22 @@ use ttg_termdet::TermWave;
 /// point: data frames enter the runtime's injection queue as ready
 /// tasks (everything one read decoded in one insertion), control frames
 /// drive the wave protocol, and a lost peer poisons the wave and
-/// records the typed error `Runtime::run` will return.
+/// records the typed error `Runtime::run` will return. Both handles are
+/// weak — the transport that holds this sink is itself held by them —
+/// and what arrives for a rank that is gone is dropped with it, as
+/// `link_spmd` drops an arrival for a torn-down TT.
 struct RuntimeSink {
-    rt: Arc<Runtime>,
-    wave: Arc<NetWave>,
+    rt: Weak<Runtime>,
+    wave: Weak<NetWave>,
+}
+
+impl RuntimeSink {
+    /// Runs `f` on the rank this sink feeds, if it is still there.
+    fn with(&self, f: impl FnOnce(&Runtime, &NetWave)) {
+        if let (Some(rt), Some(wave)) = (self.rt.upgrade(), self.wave.upgrade()) {
+            f(&rt, &wave);
+        }
+    }
 }
 
 /// What the runtime keeps of a `Data` frame.
@@ -46,42 +66,44 @@ fn arrival(frame: Frame) -> Arrival {
 
 impl FrameSink for RuntimeSink {
     fn deliver(&self, src: usize, frame: Frame) {
-        match frame.kind {
-            FrameKind::Data => self
-                .rt
-                .deliver_frames(src, &mut std::iter::once(arrival(frame))),
+        self.with(|rt, wave| match frame.kind {
+            FrameKind::Data => rt.deliver_frames(src, &mut std::iter::once(arrival(frame))),
             // Handshake/teardown/liveness frames are transport-level
             // concerns; a LocalTransport never produces them and the
             // TCP reader consumes them before the sink. Seeing one here
             // (e.g. a fault injector duplicating traffic) is harmless.
             FrameKind::Hello | FrameKind::Goodbye | FrameKind::Heartbeat => {}
-            _ => self.wave.on_control(src, frame),
-        }
+            _ => wave.on_control(src, frame),
+        })
     }
 
     fn deliver_data(&self, src: usize, frames: &mut Vec<Frame>) {
-        self.rt
-            .deliver_frames(src, &mut frames.drain(..).map(arrival));
+        let mut arrivals = frames.drain(..).map(arrival);
+        self.with(|rt, _| rt.deliver_frames(src, &mut arrivals));
     }
 
     fn peer_lost(&self, peer: usize, error: &NetError) {
-        self.rt.record_run_error(RunError::PeerLost {
-            rank: peer,
-            during: error.to_string(),
-        });
-        self.rt.notify_peer_dead(peer);
-        // Poison (not a one-epoch abort): the peer is not coming back,
-        // so every future fence must fail fast too.
-        self.wave.poison(&format!("peer rank {peer} lost: {error}"));
+        self.with(|rt, wave| {
+            rt.record_run_error(RunError::PeerLost {
+                rank: peer,
+                during: error.to_string(),
+            });
+            rt.notify_peer_dead(peer);
+            // Poison (not a one-epoch abort): the peer is not coming
+            // back, so every future fence must fail fast too.
+            wave.poison(&format!("peer rank {peer} lost: {error}"));
+        })
     }
 
     fn peer_recovering(&self, peer: usize) {
-        self.rt.notify_peer_recovering(peer);
+        self.with(|rt, _| rt.notify_peer_recovering(peer));
     }
 
     fn peer_rejoined(&self, peer: usize, same_incarnation: bool) {
-        self.wave.peer_rejoined(peer, same_incarnation);
-        self.rt.notify_peer_rejoined(peer, same_incarnation);
+        self.with(|rt, wave| {
+            wave.peer_rejoined(peer, same_incarnation);
+            rt.notify_peer_rejoined(peer, same_incarnation);
+        })
     }
 
     fn peer_session_reset(&self, peer: usize, lost_sent: u64, lost_received: u64) {
@@ -89,7 +111,7 @@ impl FrameSink for RuntimeSink {
         // never be matched; strike them from this rank's wave totals so
         // the reduction can re-balance with the new incarnation.
         let _ = peer;
-        self.rt.retract_peer_messages(lost_sent, lost_received);
+        self.with(|rt, _| rt.retract_peer_messages(lost_sent, lost_received));
     }
 }
 
@@ -156,8 +178,8 @@ impl NetRuntime {
             rank,
         ));
         let sink: Arc<dyn FrameSink> = Arc::new(RuntimeSink {
-            rt: Arc::clone(&rt),
-            wave: Arc::clone(&wave),
+            rt: Arc::downgrade(&rt),
+            wave: Arc::downgrade(&wave),
         });
         let transport: Arc<dyn Transport> = make_transport(sink)?;
         wave.bind_transport(Arc::clone(&transport));
@@ -265,10 +287,18 @@ impl NetRuntime {
         self.rt.run()
     }
 
-    /// Tears down the transport. Call after the final `wait()`.
+    /// Tears down the transport and joins its threads. Call after the
+    /// final `wait()`; dropping the rank does the same, a second call nothing.
     pub fn shutdown(&self) {
         self.transport.flush();
         self.transport.shutdown();
+    }
+}
+
+impl Drop for NetRuntime {
+    /// [`NetRuntime::shutdown`]; the runtime's last handle then joins its workers.
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -284,6 +314,9 @@ impl std::fmt::Debug for NetRuntime {
 /// All ranks of a distributed job in one address space, wired through
 /// [`LocalTransport`]: the full wave/fence protocol runs exactly as it
 /// does over TCP, but frames are handed over synchronously in-process.
+///
+/// Template task graphs across its ranks: `ttg_core::dist`, and
+/// `tests/dist_tests.rs` of this crate.
 pub struct NetGroup {
     members: Vec<NetRuntime>,
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper's runtime "seamlessly scales from a single node to
 //! distributed execution" via PaRSEC's communication layer; this crate
-//! supplies that layer for the reproduction. It turns the simulated
-//! multi-process mode of `ttg_runtime::ProcessGroup` into genuine
-//! distributed execution:
+//! supplies that layer for the reproduction — the only one: whatever
+//! runs on more than one rank, between OS processes or inside one, runs
+//! on it.
 //!
 //! * [`frame`] — a length-prefixed wire format for active messages and
 //!   termination control traffic;
@@ -17,12 +17,13 @@
 //!   fenced epochs, a rank-0 coordinator running reduction rounds, and
 //!   [`NetWave`] implementing `ttg_termdet::TermWave`;
 //! * [`group`] — [`NetRuntime`] (one distributed rank) and
-//!   [`NetGroup`] (all ranks in-process over the same protocol stack).
+//!   [`NetGroup`] (all ranks in-process over the same protocol stack —
+//!   what "simulated" multi-rank runs, tests and benches stand on).
 //!
 //! Messages are *serialized active messages*: a registered handler id
 //! plus an opaque payload (see `ttg_runtime::Runtime::register_handler`
-//! and `ttg_core::dist::link_spmd`), because closures cannot cross
-//! process boundaries.
+//! and `ttg_core::dist::link_spmd`). Closures cannot cross process
+//! boundaries, and one kind of message is enough inside one.
 
 #![warn(missing_docs)]
 

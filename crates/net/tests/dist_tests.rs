@@ -1,20 +1,22 @@
-//! Distributed-TTG tests: keymapped template tasks across a simulated
-//! process group, with serialized cross-rank data flow and wave-based
-//! global termination.
+//! Distributed-TTG tests: keymapped template tasks across the ranks of
+//! an in-process job, with serialized cross-rank data flow and
+//! wave-based global termination. (Here, not in `ttg-core`: the job's
+//! transport and wave are this crate's.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ttg_core::{dist, AggCount, Edge, Graph, Tt};
-use ttg_runtime::{ProcessGroup, RuntimeConfig};
+use ttg_net::NetGroup;
+use ttg_runtime::RuntimeConfig;
 
 /// Builds the same TT on every rank, returning (graphs, tts).
 fn build_on_all<K: ttg_core::Key>(
-    group: &ProcessGroup,
+    group: &NetGroup,
     mut f: impl FnMut(&Graph, usize) -> Tt<K>,
 ) -> (Vec<Graph>, Vec<Tt<K>>) {
     let mut graphs = Vec::new();
     let mut tts = Vec::new();
-    for rank in 0..group.nprocs() {
+    for rank in 0..group.nranks() {
         let graph = Graph::with_runtime(group.runtime_arc(rank));
         let tt = f(&graph, rank);
         graphs.push(graph);
@@ -27,7 +29,7 @@ fn build_on_all<K: ttg_core::Key>(
 fn chain_hops_across_every_rank() {
     const RANKS: usize = 3;
     const LEN: u64 = 60;
-    let group = ProcessGroup::new(RANKS, |_| RuntimeConfig::optimized(1));
+    let group = NetGroup::local(RANKS, |_| RuntimeConfig::optimized(1));
     let sum = Arc::new(AtomicU64::new(0));
     let executed_on: Arc<Vec<AtomicU64>> =
         Arc::new((0..RANKS).map(|_| AtomicU64::new(0)).collect());
@@ -65,7 +67,7 @@ fn chain_hops_across_every_rank() {
 #[test]
 fn external_deliver_routes_to_owner() {
     const RANKS: usize = 2;
-    let group = ProcessGroup::new(RANKS, |_| RuntimeConfig::optimized(1));
+    let group = NetGroup::local(RANKS, |_| RuntimeConfig::optimized(1));
     let on_rank = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let (_graphs, tts) = build_on_all(&group, |graph, rank| {
         let edge: Edge<u32, String> = Edge::new("in");
@@ -103,7 +105,7 @@ fn distributed_stencil_matches_serial() {
     const RANKS: usize = 3;
     const W: usize = 9;
     const STEPS: u32 = 12;
-    let group = ProcessGroup::new(RANKS, |_| RuntimeConfig::optimized(1));
+    let group = NetGroup::local(RANKS, |_| RuntimeConfig::optimized(1));
     // Serial reference.
     let serial = {
         let mut prev: Vec<u64> = (0..W as u64).collect();
@@ -198,7 +200,7 @@ fn distributed_stencil_matches_serial() {
 
 #[test]
 fn single_rank_group_degenerates_to_local() {
-    let group = ProcessGroup::new(1, |_| RuntimeConfig::optimized(2));
+    let group = NetGroup::local(1, |_| RuntimeConfig::optimized(2));
     let count = Arc::new(AtomicU64::new(0));
     let (_graphs, tts) = build_on_all(&group, |graph, _| {
         let edge: Edge<u64, u64> = Edge::new("e");

@@ -399,11 +399,9 @@ impl Obs {
     // --- shared-thread recording (aux ring, mutex-guarded) ---
 
     /// Records a data-frame send to `dst`, assigning the next
-    /// per-(self, dst) sequence number. Returns the sequence so
-    /// in-process transports can stamp the matching receive with the
-    /// identical number (guaranteeing the flow pairs up). `span` is the
-    /// sending request's span context (0 = unattributed).
-    pub fn record_net_send(&self, dst: usize, bytes: usize, ts_ns: u64, span: u64) -> u64 {
+    /// per-(self, dst) sequence number. `span` is the sending request's
+    /// span context (0 = unattributed).
+    pub fn record_net_send(&self, dst: usize, bytes: usize, ts_ns: u64, span: u64) {
         let mut aux = self.aux.lock();
         if aux.send_seq.len() <= dst {
             aux.send_seq.resize(dst + 1, 0);
@@ -423,29 +421,20 @@ impl Obs {
                 span: if OBS { span } else { 0 },
             });
         }
-        seq
     }
 
-    /// Records a data-frame receive from `src`. `seq` is the sender's
-    /// sequence number when the transport carries it (in-process fast
-    /// path); `None` derives it from arrival order instead — valid
+    /// Records a data-frame receive from `src`. Its sequence number is
+    /// derived from arrival order, which matches the sender's — valid
     /// because both transports deliver per-peer in order (TCP: one
     /// reader thread per peer; local: synchronous). Concurrent senders
     /// *on one rank* can still reorder between sequence assignment and
     /// the wire, so flows are best-effort diagnostics, not accounting.
-    pub fn record_net_recv(
-        &self,
-        src: usize,
-        bytes: usize,
-        ts_ns: u64,
-        seq: Option<u64>,
-        span: u64,
-    ) {
+    pub fn record_net_recv(&self, src: usize, bytes: usize, ts_ns: u64, span: u64) {
         let mut aux = self.aux.lock();
         if aux.recv_seq.len() <= src {
             aux.recv_seq.resize(src + 1, 0);
         }
-        let seq = seq.unwrap_or(aux.recv_seq[src]);
+        let seq = aux.recv_seq[src];
         aux.recv_seq[src] = seq + 1;
         if self.events_on {
             let tid = self.aux_tid();
@@ -627,8 +616,8 @@ mod tests {
         let sender = obs(true, false);
         let receiver = obs(true, false);
         for _ in 0..3 {
-            let seq = sender.record_net_send(1, 64, 100, 0);
-            receiver.record_net_recv(0, 64, 200, Some(seq), 0);
+            sender.record_net_send(1, 64, 100, 0);
+            receiver.record_net_recv(0, 64, 200, 0);
         }
         let s_evs = sender.drain_events();
         let r_evs = receiver.drain_events();
@@ -649,8 +638,8 @@ mod tests {
     #[test]
     fn derived_recv_seq_counts_arrivals() {
         let o = obs(true, false);
-        o.record_net_recv(2, 8, 10, None, 0);
-        o.record_net_recv(2, 8, 20, None, 0);
+        o.record_net_recv(2, 8, 10, 0);
+        o.record_net_recv(2, 8, 20, 0);
         let evs = o.drain_events();
         let seqs: Vec<u64> = evs
             .iter()

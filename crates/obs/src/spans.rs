@@ -655,7 +655,7 @@ mod tests {
         let span = pack_span("x", 1);
         o.record_task(0, "t", 5, 10, 20, span);
         o.record_net_send(1, 64, 30, span);
-        o.record_net_recv(1, 64, 40, None, span);
+        o.record_net_recv(1, 64, 40, span);
         let evs = o.drain_events();
         assert_eq!(evs.len(), 3);
         assert!(evs.iter().all(|e| e.span == gate(span)));

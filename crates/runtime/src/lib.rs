@@ -19,11 +19,14 @@
 //!   ([`RuntimeConfig::original`] vs [`RuntimeConfig::optimized`] are the
 //!   two ends of the paper's ablation), task submission, and `wait()`
 //!   (TTG's fence).
-//! * [`comm`] — a simulated multi-process communicator: a
-//!   [`comm::ProcessGroup`] runs one runtime per "process" in-process,
-//!   routes active messages between them, and drives the 4-counter wave
-//!   for *global* termination — the mechanism that lets TTG scale
-//!   "seamlessly from shared memory to distributed memory".
+//! * [`comm`] — the send half of an active message: a handler id and a
+//!   payload go to this rank as an injected task, or to another rank
+//!   over the one transport the runtime is bound to. `ttg-net` supplies
+//!   that transport, the receive half and the 4-counter wave for
+//!   *global* termination — sockets between OS processes, or
+//!   `NetGroup::local` for every rank in one address space — the
+//!   mechanism that lets TTG scale "seamlessly from shared memory to
+//!   distributed memory".
 //! * [`stats`] — per-worker counters for the benchmark harness.
 
 #![warn(missing_docs)]
@@ -37,7 +40,6 @@ pub mod stats;
 pub mod task;
 pub mod worker;
 
-pub use comm::ProcessGroup;
 pub use copy::DataCopy;
 pub use error::RunError;
 pub use live::{LiveConfig, LiveTelemetry, RuntimeSlot};

@@ -9,7 +9,7 @@ use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 use ttg_hashtable::LockKind;
 use ttg_sched::{Priority, SchedKind, TaskQueue};
 use ttg_sync::{CachePadded, OrderingPolicy};
@@ -177,11 +177,8 @@ pub(crate) struct Inner {
     pub(crate) sched: Box<dyn TaskQueue>,
     pub(crate) term: LocalTermination,
     pub(crate) wave: Arc<dyn TermWave>,
-    /// This process's rank within its wave board / process group.
+    /// This process's rank within its wave.
     pub(crate) rank: usize,
-    /// Whether `wait()` may reset the wave board (false inside a
-    /// ProcessGroup, which resets centrally).
-    pub(crate) owns_wave: bool,
     /// The one external entry point: tasks submitted from outside the
     /// worker pool and active messages from peer processes, as ready
     /// tasks, drained by idle workers.
@@ -191,8 +188,6 @@ pub(crate) struct Inner {
     pub(crate) msgs: ttg_mempool::FreeListPool<MsgTask>,
     /// Task-object pools by object type ([`Runtime::resident_pool`]).
     pub(crate) pools: Mutex<BTreeMap<TypeId, Arc<dyn Any + Send + Sync>>>,
-    /// Peer processes (set once by ProcessGroup).
-    pub(crate) peers: OnceLock<Vec<Weak<Inner>>>,
     /// Outbound network transport (set once when driven by `ttg-net`).
     pub(crate) frame_out: OnceLock<Arc<dyn FrameSender>>,
     /// A thread that is not a worker sent a message since a worker last
@@ -502,7 +497,7 @@ impl HealthReport {
     }
 }
 
-/// A running instance of the task runtime (one simulated "process").
+/// A running instance of the task runtime (one rank of a job).
 ///
 /// # Examples
 ///
@@ -530,40 +525,25 @@ pub struct Runtime {
 impl Runtime {
     /// Spawns a standalone runtime (its own single-process wave board).
     pub fn new(config: RuntimeConfig) -> Self {
-        let wave: Arc<dyn TermWave> = Arc::new(WaveBoard::new(1));
-        Self::with_wave(config, wave, 0, true)
+        Self::with_termination(config, Arc::new(WaveBoard::new(1)), 0)
     }
 
     /// Spawns a runtime participating in an external global-termination
     /// protocol: `wave` decides when the whole job is quiescent and
-    /// `rank` is this process's identity within it. Used by `ttg-net` to
-    /// run one rank of a distributed job per OS process; the wave client
-    /// then reduces (sent, received) totals over the transport instead
-    /// of a shared board.
+    /// `rank` is this runtime's identity within it. Used by `ttg-net` for
+    /// each rank of a multi-rank job; the wave client then reduces (sent,
+    /// received) totals over the transport instead of a shared board.
     pub fn with_termination(config: RuntimeConfig, wave: Arc<dyn TermWave>, rank: usize) -> Self {
-        Self::with_wave(config, wave, rank, true)
-    }
-
-    /// Spawns a runtime participating in a shared wave (used by
-    /// [`crate::ProcessGroup`] and [`Runtime::with_termination`]).
-    pub(crate) fn with_wave(
-        config: RuntimeConfig,
-        wave: Arc<dyn TermWave>,
-        rank: usize,
-        owns_wave: bool,
-    ) -> Self {
         let threads = config.threads.max(1);
         let inner = Arc::new(Inner {
             sched: config.scheduler.build(threads),
             term: LocalTermination::new(config.termdet, config.ordering, threads),
             wave,
             rank,
-            owns_wave,
             injection: Mutex::new(VecDeque::new()),
             injection_len: AtomicUsize::new(0),
             msgs: ttg_mempool::FreeListPool::new(0),
             pools: Mutex::new(BTreeMap::new()),
-            peers: OnceLock::new(),
             frame_out: OnceLock::new(),
             corked: AtomicBool::new(false),
             run_error: Mutex::new(None),
@@ -693,9 +673,9 @@ impl Runtime {
         seed()
     }
 
-    /// Blocks until all submitted work (and, in a process group, all
-    /// work everywhere plus in-flight messages) has completed. This is
-    /// TTG's fence; the runtime is reusable afterwards.
+    /// Blocks until all submitted work (and, on a rank of a distributed
+    /// job, all work everywhere plus in-flight messages) has completed.
+    /// This is TTG's fence; the runtime is reusable afterwards.
     ///
     /// Failures are swallowed: a distributed session that lost a peer or
     /// aborted its wave still returns (the abort latches termination so
@@ -733,9 +713,7 @@ impl Runtime {
                         // Capture the abort diagnostic before reset
                         // clears it for the next epoch.
                         let aborted = self.inner.wave.aborted();
-                        if self.inner.owns_wave {
-                            self.inner.wave.reset();
-                        }
+                        self.inner.wave.reset();
                         drop(done);
                         let structured = self.inner.run_error.lock().take();
                         return match (structured, aborted) {
@@ -748,16 +726,12 @@ impl Runtime {
                     // await a genuine announcement.
                     continue;
                 }
-                if self.inner.truly_quiet() {
-                    if self.inner.owns_wave {
-                        self.inner.wave.reset();
-                    }
+                // Not quiet: a stale announcement from an earlier empty
+                // session, new work arrived since. Reset and keep waiting.
+                let quiet = self.inner.truly_quiet();
+                self.inner.wave.reset();
+                if quiet {
                     return Ok(());
-                }
-                // Stale announcement from an earlier empty session: new
-                // work arrived since. Reset and keep waiting.
-                if self.inner.owns_wave {
-                    self.inner.wave.reset();
                 }
                 continue;
             }
@@ -772,6 +746,28 @@ impl Runtime {
         self.inner.record_run_error(error);
     }
 
+    /// True while this rank runs nothing: every worker idle, nothing
+    /// queued or pending.
+    fn is_idle(&self) -> bool {
+        let threads = self.inner.config.threads.max(1);
+        self.inner.idle_count.load(Ordering::SeqCst) == threads && self.inner.truly_quiet()
+    }
+
+    /// Blocks until no task of this runtime is running or queued — what
+    /// tearing down a graph built on it waits for. A runtime on its own
+    /// gets there by [`Runtime::wait`]. A rank of a distributed job
+    /// cannot fence alone (a thread that drives several ranks,
+    /// `NetGroup::local`, would wait for itself): there the job fences
+    /// first, and this only waits out the rank's own tasks.
+    pub fn quiesce(&self) {
+        if !self.inner.wave.fenced_protocol() {
+            return self.wait();
+        }
+        while !self.is_idle() {
+            std::thread::yield_now();
+        }
+    }
+
     /// Waits (bounded) for every worker to go idle with nothing queued,
     /// so ring drains observe a consistent snapshot. Rings are
     /// single-writer: draining while a worker still records would lose
@@ -780,12 +776,8 @@ impl Runtime {
     /// immediately; the deadline only guards against draining a runtime
     /// that is still executing (the drain then proceeds best-effort).
     fn quiesce_for_drain(&self) {
-        let threads = self.inner.config.threads.max(1);
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
-        while std::time::Instant::now() < deadline {
-            if self.inner.idle_count.load(Ordering::SeqCst) == threads && self.inner.truly_quiet() {
-                return;
-            }
+        while !self.is_idle() && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
     }
@@ -1077,29 +1069,6 @@ impl Runtime {
         self.inner.term.pending()
     }
 
-    pub(crate) fn inner(&self) -> &Arc<Inner> {
-        &self.inner
-    }
-
-    /// Sends an active message to peer process `dst` (requires membership
-    /// in a [`crate::ProcessGroup`]). The message executes as a task on
-    /// the destination; message and task accounting follow the 4-counter
-    /// wave protocol.
-    pub fn send_remote(
-        &self,
-        dst: usize,
-        priority: Priority,
-        job: impl FnOnce(&mut WorkerCtx<'_>) + Send + 'static,
-    ) {
-        crate::comm::send_remote_from(
-            &self.inner,
-            dst,
-            priority,
-            Box::new(job),
-            ttg_obs::spans::ambient_span(),
-        );
-    }
-
     /// Registers a typed-message handler and returns its id. SPMD
     /// programs must register the same handlers in the same order on
     /// every rank (ids are assigned by registration order), before any
@@ -1115,9 +1084,9 @@ impl Runtime {
 
     /// Sends a serialized active message to rank `dst`: the payload is
     /// executed there by the handler registered under `handler`, as a
-    /// task of the given priority. Works over a [`crate::ProcessGroup`]
-    /// and over a bound network transport alike; `dst == rank` executes
-    /// locally without counting as an inter-process message.
+    /// task of the given priority. Another rank is reached over the
+    /// bound network transport; `dst == rank` executes locally without
+    /// counting as an inter-process message.
     pub fn send_msg(&self, dst: usize, priority: Priority, handler: u32, payload: Vec<u8>) {
         crate::comm::send_msg_from(
             &self.inner,
@@ -1256,7 +1225,7 @@ impl Runtime {
                     // Sequence derived from per-peer arrival order,
                     // matching the sender's assignment (the transport is
                     // per-peer ordered).
-                    obs.record_net_recv(src, m.payload.len(), now_ns, None, m.span);
+                    obs.record_net_recv(src, m.payload.len(), now_ns, m.span);
                 }
                 batch.extend(inner.message_task(&handlers, m, now_ns));
             }

@@ -107,9 +107,9 @@ pub struct RuntimeStats {
 /// serializable shape (one key per [`ttg_sync::LOCK_FIELDS`] row;
 /// `ttg-sync` itself carries no serde). The counters are process-global
 /// (the sync primitives cannot know which runtime instance owns a
-/// lock), so in a simulated multi-rank `ProcessGroup` every rank
-/// reports the same process-wide totals. All zero unless `obs` is
-/// enabled.
+/// lock), so when several ranks share a process (`NetGroup::local`)
+/// every rank reports the same process-wide totals. All zero unless
+/// `obs` is enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContentionStats(pub ttg_sync::LockContention);
 

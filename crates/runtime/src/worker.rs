@@ -228,19 +228,9 @@ impl<'rt> WorkerCtx<'rt> {
         unsafe { self.schedule(task) };
     }
 
-    /// Sends an active message to peer process `dst` (ProcessGroup only).
-    pub fn send_remote(
-        &self,
-        dst: usize,
-        priority: Priority,
-        job: impl FnOnce(&mut WorkerCtx<'_>) + Send + 'static,
-    ) {
-        crate::comm::send_remote_from(self.inner, dst, priority, Box::new(job), self.current_span);
-    }
-
     /// Sends a serialized active message to rank `dst`: the payload runs
-    /// there under the handler registered with that id (works over a
-    /// process group or a bound network transport alike).
+    /// there under the handler registered with that id (another rank is
+    /// reached over the bound network transport).
     pub fn send_msg(&self, dst: usize, priority: Priority, handler: u32, payload: Vec<u8>) {
         self.corked.set(true);
         crate::comm::send_msg_from(

@@ -1,11 +1,11 @@
 //! Behavioural tests for the runtime engine: submission, recursive
 //! spawning, termination detection (both accounting modes, all
-//! schedulers), session reuse, statistics, and the simulated multi-
-//! process communicator.
+//! schedulers), session reuse and statistics. Messages between ranks
+//! need a transport: their tests are `crates/net/tests/group.rs`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use ttg_runtime::{ProcessGroup, Runtime, RuntimeConfig, SchedKind, TermDetKind};
+use ttg_runtime::{Runtime, RuntimeConfig, SchedKind, TermDetKind};
 
 fn all_configs(threads: usize) -> Vec<RuntimeConfig> {
     let mut v = vec![
@@ -172,165 +172,6 @@ fn heavy_fanout_stress() {
     assert_eq!(count.load(Ordering::Relaxed), 20_000);
     let stats = rt.stats();
     assert_eq!(stats.tasks_executed, 20_001);
-}
-
-#[test]
-fn process_group_remote_messages_and_global_termination() {
-    let group = ProcessGroup::new(4, |_| RuntimeConfig::optimized(1));
-    let hits: Arc<Vec<AtomicUsize>> = Arc::new((0..4).map(|_| AtomicUsize::new(0)).collect());
-    // Each rank forwards a token around the ring a few times.
-    fn hop(ctx: &mut ttg_runtime::WorkerCtx<'_>, remaining: usize, hits: Arc<Vec<AtomicUsize>>) {
-        hits[ctx.rank()].fetch_add(1, Ordering::Relaxed);
-        if remaining > 0 {
-            let next = (ctx.rank() + 1) % hits.len();
-            let h = Arc::clone(&hits);
-            ctx.send_remote(next, 0, move |ctx| hop(ctx, remaining - 1, h));
-        }
-    }
-    let h = Arc::clone(&hits);
-    group.runtime(0).submit(0, move |ctx| hop(ctx, 16, h));
-    group.wait();
-    let total: usize = hits.iter().map(|h| h.load(Ordering::Relaxed)).sum();
-    assert_eq!(total, 17, "16 hops + the seed");
-    // Ring of 4: every rank was visited.
-    for (r, h) in hits.iter().enumerate() {
-        assert!(h.load(Ordering::Relaxed) >= 4, "rank {r} starved");
-    }
-}
-
-#[test]
-fn process_group_all_to_all_burst() {
-    const P: usize = 3;
-    const MSGS: usize = 50;
-    let group = ProcessGroup::new(P, |_| RuntimeConfig::optimized(2));
-    let received = Arc::new(AtomicUsize::new(0));
-    for src in 0..P {
-        for dst in 0..P {
-            if src == dst {
-                continue;
-            }
-            for _ in 0..MSGS {
-                let r = Arc::clone(&received);
-                group.runtime(src).send_remote(dst, 0, move |_| {
-                    r.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        }
-    }
-    group.wait();
-    assert_eq!(received.load(Ordering::Relaxed), P * (P - 1) * MSGS);
-}
-
-#[test]
-fn process_group_is_reusable() {
-    let group = ProcessGroup::new(2, |_| RuntimeConfig::optimized(1));
-    for _ in 0..3 {
-        let r = Arc::new(AtomicUsize::new(0));
-        let r2 = Arc::clone(&r);
-        group.runtime(0).send_remote(1, 0, move |_| {
-            r2.fetch_add(1, Ordering::Relaxed);
-        });
-        group.wait();
-        assert_eq!(r.load(Ordering::Relaxed), 1);
-    }
-}
-
-/// Messages are task insertions into the peer's injection queue: four
-/// 1-worker ranks, every rank's sender thread interleaving closure and
-/// framed messages to every other rank, 1 000 fenced sessions. Both
-/// kinds share one queue, so the handlers of one sender run in its send
-/// order, and `wait()` never returns with a handler still to run.
-#[test]
-fn process_group_messages_keep_sender_order_and_wait_means_handled() {
-    use std::sync::mpsc;
-    use std::time::Duration;
-    const P: usize = 4;
-    const SESSIONS: u64 = 1_000;
-    const PER_PEER: u64 = 6;
-    let group = Arc::new(ProcessGroup::new(P, |_| RuntimeConfig::optimized(1)));
-    let handled = Arc::new(AtomicU64::new(0));
-    // next[dst][src]: the number `dst` expects `src`'s next message to
-    // carry. Written only by `dst`'s one worker.
-    let next: Arc<Vec<Vec<AtomicU64>>> = Arc::new(
-        (0..P)
-            .map(|_| (0..P).map(|_| AtomicU64::new(0)).collect())
-            .collect(),
-    );
-    let arrive = {
-        let (next, handled) = (Arc::clone(&next), Arc::clone(&handled));
-        move |dst: usize, src: usize, n: u64| {
-            let expected = next[dst][src].fetch_add(1, Ordering::Relaxed);
-            assert_eq!(n, expected, "rank {dst}: sender {src} out of order");
-            handled.fetch_add(1, Ordering::Relaxed);
-        }
-    };
-    for rank in 0..P {
-        let arrive = arrive.clone();
-        let id = group.runtime(rank).register_handler(move |ctx, payload| {
-            let word = |i: usize| u64::from_le_bytes(payload[8 * i..8 * i + 8].try_into().unwrap());
-            arrive(ctx.rank(), word(0) as usize, word(1));
-        });
-        assert_eq!(id, 0);
-    }
-    // One sender thread per rank for the whole test (dense thread ids
-    // are a bounded resource), in step with the fencing thread: send,
-    // meet, fence, meet.
-    let step = Arc::new(std::sync::Barrier::new(P + 1));
-    let senders: Vec<_> = (0..P)
-        .map(|src| {
-            let (group, arrive, step) = (Arc::clone(&group), arrive.clone(), Arc::clone(&step));
-            std::thread::spawn(move || {
-                for session in 0..SESSIONS {
-                    for i in 0..PER_PEER {
-                        let n = session * PER_PEER + i;
-                        for dst in (0..P).filter(|&d| d != src) {
-                            if (n + dst as u64).is_multiple_of(2) {
-                                let arrive = arrive.clone();
-                                group
-                                    .runtime(src)
-                                    .send_remote(dst, 0, move |ctx| arrive(ctx.rank(), src, n));
-                            } else {
-                                let payload = [(src as u64).to_le_bytes(), n.to_le_bytes()];
-                                group.runtime(src).send_msg(dst, 0, 0, payload.concat());
-                            }
-                        }
-                    }
-                    step.wait();
-                    step.wait();
-                }
-            })
-        })
-        .collect();
-    let (done_tx, done_rx) = mpsc::channel();
-    let driver = {
-        let (group, handled) = (Arc::clone(&group), Arc::clone(&handled));
-        std::thread::spawn(move || {
-            for session in 0..SESSIONS {
-                step.wait();
-                group.wait();
-                let expected = (session + 1) * PER_PEER * (P * (P - 1)) as u64;
-                assert_eq!(
-                    handled.load(Ordering::Relaxed),
-                    expected,
-                    "session {session}: wait() returned with handlers still to run"
-                );
-                step.wait();
-            }
-            done_tx.send(()).unwrap();
-        })
-    };
-    if done_rx.recv_timeout(Duration::from_secs(30)) == Err(mpsc::RecvTimeoutError::Timeout) {
-        panic!("a session hung");
-    }
-    driver.join().unwrap();
-    senders.into_iter().for_each(|s| s.join().unwrap());
-    let (sent, received) = (0..P)
-        .map(|r| group.runtime(r).stats())
-        .fold((0, 0), |(s, r), st| {
-            (s + st.messages_sent, r + st.messages_received)
-        });
-    assert_eq!(sent, received);
-    assert_eq!(sent, handled.load(Ordering::Relaxed));
 }
 
 #[test]

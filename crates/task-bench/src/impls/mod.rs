@@ -68,7 +68,7 @@ pub enum Implementation {
         /// Optimized vs original runtime config.
         optimized: bool,
     },
-    /// TTG across a simulated process group (one rank per "core",
+    /// TTG across the ranks of an in-process job (one rank per "core",
     /// block-distributed points; sends cross ranks as serialized active
     /// messages).
     TtgDist,

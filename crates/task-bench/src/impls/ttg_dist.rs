@@ -1,10 +1,10 @@
 //! Task-Bench in distributed TTG: the same Listing-1 structure as
-//! [`crate::impls::ttg`], but built SPMD-style on every rank of a
-//! simulated process group and keymapped by point (block distribution,
-//! like the MPI implementation) — demonstrating the paper's claim that
-//! TTG programs "seamlessly scale from shared memory to distributed
-//! execution": the task bodies are unchanged; only the keymap and the
-//! remote-capable terminal declarations differ.
+//! [`crate::impls::ttg`], but built SPMD-style on every rank of an
+//! in-process job ([`NetGroup::local`]) and keymapped by point (block
+//! distribution, like the MPI implementation) — demonstrating the
+//! paper's claim that TTG programs "seamlessly scale from shared memory
+//! to distributed execution": the task bodies are unchanged; only the
+//! keymap and the remote-capable terminal declarations differ.
 
 use crate::impls::{BenchRunner, RunResult};
 use crate::kernel::KernelScratch;
@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use ttg_core::{dist, Edge, Graph, Tt};
-use ttg_runtime::{ProcessGroup, RuntimeConfig};
+use ttg_net::NetGroup;
+use ttg_runtime::RuntimeConfig;
 
 /// The datum flowing between Point tasks (serialized across ranks).
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
@@ -27,27 +28,26 @@ thread_local! {
     static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::default());
 }
 
-/// Distributed-TTG runner: `ranks` simulated processes with one worker
+/// Distributed-TTG runner: `ranks` in-process ranks with one worker
 /// each; points are block-distributed across ranks.
 pub struct TtgDistRunner {
-    group: ProcessGroup,
-    ranks: usize,
+    group: NetGroup,
 }
 
 impl TtgDistRunner {
-    /// Creates a runner with `ranks` single-worker processes.
+    /// Creates a runner with `ranks` single-worker ranks.
     pub fn new(ranks: usize) -> Self {
-        let ranks = ranks.max(1);
         TtgDistRunner {
-            group: ProcessGroup::new(ranks, |_| RuntimeConfig::optimized(1)),
-            ranks,
+            group: NetGroup::local(ranks, |_| RuntimeConfig::optimized(1)),
         }
     }
 }
 
 impl BenchRunner for TtgDistRunner {
     fn run(&mut self, g: &TaskGraph) -> RunResult {
-        let ranks = self.ranks.min(g.width.max(1));
+        // Points go to the first `ranks` ranks; the graph is built and
+        // linked on every rank, as SPMD linking requires.
+        let ranks = self.group.nranks().min(g.width.max(1));
         let spec = *g;
         let results: Arc<Vec<AtomicU64>> =
             Arc::new((0..g.width).map(|_| AtomicU64::new(0)).collect());
@@ -56,7 +56,7 @@ impl BenchRunner for TtgDistRunner {
         let mut graphs = Vec::new();
         let mut points: Vec<Tt<(u32, u32)>> = Vec::new();
         let mut writebacks: Vec<Tt<u32>> = Vec::new();
-        for rank in 0..ranks {
+        for rank in 0..self.group.nranks() {
             let graph = Graph::with_runtime(self.group.runtime_arc(rank));
             let point_edge: Edge<(u32, u32), Msg> = Edge::new("p2p");
             let wb_edge: Edge<u32, u64> = Edge::new("p2w");
@@ -138,6 +138,6 @@ impl BenchRunner for TtgDistRunner {
     }
 
     fn threads(&self) -> usize {
-        self.ranks
+        self.group.nranks()
     }
 }

@@ -118,7 +118,7 @@ fn core_time_metric_is_sane() {
 
 #[test]
 fn ttg_distributed_validates() {
-    // Distributed TTG across 3 simulated ranks must match the serial
+    // Distributed TTG across 3 in-process ranks must match the serial
     // oracle on every pattern — cross-rank aggregators included.
     check(Implementation::TtgDist, 3, 15, 9);
 }

@@ -1,12 +1,13 @@
-//! Distributed execution, in two flavours sharing one workload:
+//! Distributed execution: one workload function, one protocol stack,
+//! two transports under it:
 //!
-//! * **Simulated** (default): a [`ProcessGroup`] of four in-process
-//!   "processes" exchanging closure active messages, global termination
-//!   decided by the shared-board 4-counter wave.
-//! * **Real** (`--tcp`): each rank is a genuine OS process; serialized
-//!   active messages travel over a TCP mesh (`ttg-net`) and the same
-//!   4-counter wave runs as control frames over the sockets, gated by
-//!   the fence protocol. Results are identical to the simulated mode.
+//! * **Simulated** (default): a [`NetGroup::local`] of four ranks in
+//!   this process; serialized active messages and the 4-counter wave's
+//!   control frames are handed over in memory.
+//! * **Real** (`--tcp`): each rank is a genuine OS process and the same
+//!   frames travel over a TCP mesh (`ttg-net`), gated by the same fence
+//!   protocol. Every rank runs the function the simulated mode runs on
+//!   all of them, so the results are identical by construction.
 //!
 //! The workload is a token ring (two laps) plus a scatter/compute/
 //! gather of sums of squares.
@@ -87,8 +88,10 @@ use serde_json::Value;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use ttg_net::{FaultPlan, FaultyTransport, NetConfig, NetRuntime, TcpTransport, Transport};
-use ttg_runtime::{LiveConfig, LiveTelemetry, ProcessGroup, RuntimeConfig, WorkerCtx};
+use ttg_net::{
+    FaultPlan, FaultyTransport, NetConfig, NetGroup, NetRuntime, TcpTransport, Transport,
+};
+use ttg_runtime::{LiveConfig, LiveTelemetry, Runtime, RuntimeConfig};
 use ttg_serve::{InstanceStatus, ServeConfig, ServeEngine};
 
 const DEFAULT_RANKS: usize = 4;
@@ -382,63 +385,112 @@ fn gather_expected() -> u64 {
     (0..ITEMS as u64).map(|i| i * i).sum()
 }
 
-// ---- simulated mode (in-process ProcessGroup, closure messages) --------
-
-fn run_simulated(ranks: usize, obs: &ObsArgs) {
-    let group = ProcessGroup::new(ranks, |_rank| obs.configure(RuntimeConfig::optimized(2)));
-    println!("process group: {ranks} ranks x 2 workers each (simulated)");
-
-    // ---- Phase 1: token ring -----------------------------------------
-    let hops = Arc::new(AtomicUsize::new(0));
-    fn hop(ctx: &mut WorkerCtx<'_>, ranks: usize, remaining: usize, hops: Arc<AtomicUsize>) {
-        hops.fetch_add(1, Ordering::Relaxed);
-        if remaining > 0 {
-            let next = (ctx.rank() + 1) % ranks;
-            let h = Arc::clone(&hops);
-            ctx.send_remote(next, 0, move |ctx| hop(ctx, ranks, remaining - 1, h));
-        }
-    }
-    let h = Arc::clone(&hops);
-    group
-        .runtime(0)
-        .submit(0, move |ctx| hop(ctx, ranks, 2 * ranks, h));
-    group.wait();
-    println!(
-        "ring: token visited {} ranks (2 laps + seed)",
-        hops.load(Ordering::Relaxed)
-    );
-    assert_eq!(hops.load(Ordering::Relaxed), ring_expected(ranks));
-
-    // ---- Phase 2: scatter / compute / gather --------------------------
+/// The token ring and the scatter/compute/gather, on the ranks this
+/// process hosts — all `nranks` of a local group, or the one rank of a
+/// `--tcp` child. `fence(phase)` closes a phase: one fenced epoch of the
+/// whole job. Rank 0 seeds each phase and prints its result.
+fn run_workload(hosted: &[&Runtime], nranks: usize, fence: &dyn Fn(&str)) {
+    const RING: u32 = 0;
+    const SCATTER: u32 = 1;
+    const GATHER: u32 = 2;
+    let ring_done = Arc::new(AtomicUsize::new(0));
     let gathered = Arc::new(AtomicU64::new(0));
     let received = Arc::new(AtomicUsize::new(0));
-    for item in 0..ITEMS as u64 {
-        let dst = (item as usize) % ranks;
-        let g = Arc::clone(&gathered);
-        let r = Arc::clone(&received);
-        group.runtime(0).send_remote(dst, 0, move |ctx| {
-            // Process locally: spawn a small local task chain.
-            let g = Arc::clone(&g);
-            let r = Arc::clone(&r);
+    // SPMD handler registration: identical order on every rank.
+    for rt in hosted {
+        // Ring hop: payload = [remaining u64][visited u64].
+        let rd = Arc::clone(&ring_done);
+        let h_ring = rt.register_handler(move |ctx, payload| {
+            let remaining = u64::from_le_bytes(payload[..8].try_into().unwrap());
+            let visited = u64::from_le_bytes(payload[8..16].try_into().unwrap()) + 1;
+            if remaining > 0 {
+                let next = (ctx.rank() + 1) % nranks;
+                let mut p = (remaining - 1).to_le_bytes().to_vec();
+                p.extend_from_slice(&visited.to_le_bytes());
+                ctx.send_msg(next, 0, RING, p);
+            } else {
+                // The ring length is a multiple of nranks: the token ends
+                // where it started, on rank 0.
+                rd.store(visited as usize, Ordering::Relaxed);
+            }
+        });
+        // Scatter: payload = [item u64]; square it in a local task and
+        // send the result home.
+        let h_scatter = rt.register_handler(move |ctx, payload| {
+            let item = u64::from_le_bytes(payload[..8].try_into().unwrap());
             ctx.spawn(1, move |ctx| {
                 let result = item * item;
-                // Send the result home to rank 0.
-                ctx.send_remote(0, 0, move |_ctx| {
-                    g.fetch_add(result, Ordering::Relaxed);
-                    r.fetch_add(1, Ordering::Relaxed);
-                });
+                ctx.send_msg(0, 0, GATHER, result.to_le_bytes().to_vec());
             });
         });
+        // Gather (runs on rank 0): accumulate results.
+        let (g, r) = (Arc::clone(&gathered), Arc::clone(&received));
+        let h_gather = rt.register_handler(move |_ctx, payload| {
+            g.fetch_add(
+                u64::from_le_bytes(payload[..8].try_into().unwrap()),
+                Ordering::Relaxed,
+            );
+            r.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!((h_ring, h_scatter, h_gather), (RING, SCATTER, GATHER));
     }
-    group.wait();
-    println!(
-        "scatter/gather: {} results, sum of squares = {} (expected {})",
-        received.load(Ordering::Relaxed),
-        gathered.load(Ordering::Relaxed),
-        gather_expected()
-    );
-    assert_eq!(received.load(Ordering::Relaxed), ITEMS);
-    assert_eq!(gathered.load(Ordering::Relaxed), gather_expected());
+    let rank0 = hosted.iter().find(|rt| rt.rank() == 0);
+
+    // ---- Phase 0: registration barrier ---------------------------------
+    // An empty fenced epoch: it terminates only once every rank has
+    // fenced, i.e. passed the handler registrations above. Without it a
+    // fast rank 0 can land the ring token on a peer process that has not
+    // registered handler 0 yet — the message is dropped-but-counted (by
+    // design, so the wave stays balanced), the phase terminates
+    // "cleanly" with zero ring progress, and the workload assert below
+    // panics instead of the run failing typed.
+    fence("registration barrier");
+
+    // ---- Phase 1: token ring (seeded by rank 0) ------------------------
+    if let Some(rt) = rank0 {
+        let mut p = (2 * nranks as u64).to_le_bytes().to_vec();
+        p.extend_from_slice(&0u64.to_le_bytes());
+        rt.send_msg(0, 0, RING, p); // local delivery seeds the ring
+    }
+    fence("token ring");
+    if rank0.is_some() {
+        let hops = ring_done.load(Ordering::Relaxed);
+        println!("ring: token visited {hops} ranks (2 laps + seed)");
+        assert_eq!(hops, ring_expected(nranks));
+    }
+
+    // ---- Phase 2: scatter / compute / gather ---------------------------
+    if let Some(rt) = rank0 {
+        for item in 0..ITEMS as u64 {
+            let dst = (item as usize) % nranks;
+            rt.send_msg(dst, 0, SCATTER, item.to_le_bytes().to_vec());
+        }
+    }
+    fence("scatter/gather");
+    if rank0.is_some() {
+        println!(
+            "scatter/gather: {} results, sum of squares = {} (expected {})",
+            received.load(Ordering::Relaxed),
+            gathered.load(Ordering::Relaxed),
+            gather_expected()
+        );
+        assert_eq!(received.load(Ordering::Relaxed), ITEMS);
+        assert_eq!(gathered.load(Ordering::Relaxed), gather_expected());
+    }
+}
+
+// ---- simulated mode (every rank in this process) ------------------------
+
+fn run_simulated(ranks: usize, obs: &ObsArgs) {
+    let group = NetGroup::local(ranks, |_rank| obs.configure(RuntimeConfig::optimized(2)));
+    println!("process group: {ranks} ranks x 2 workers each (simulated)");
+    let hosted: Vec<&Runtime> = (0..ranks).map(|r| group.runtime(r)).collect();
+    run_workload(&hosted, ranks, &|phase| {
+        if let Err(e) = group.try_wait() {
+            eprintln!("{phase} failed: {e}");
+            std::process::exit(3);
+        }
+    });
 
     for rank in 0..ranks {
         let s = group.runtime(rank).stats();
@@ -456,16 +508,8 @@ fn run_simulated(ranks: usize, obs: &ObsArgs) {
         write_file(path, &json, "stats JSON");
     }
     if obs.trace.is_some() {
-        // All ranks share this process's clock: rank 0's wall anchor
-        // serves as the common timeline origin.
-        let base = group
-            .runtime(0)
-            .trace_wall_anchor_ns()
-            .expect("tracing enabled");
-        let parts: Vec<String> = (0..ranks)
-            .filter_map(|r| group.runtime(r).chrome_trace_with_base(base))
-            .collect();
-        let merged = ttg_runtime::obs::merge_chrome_traces(&parts);
+        // All ranks share this process's clock and one timeline origin.
+        let merged = group.chrome_trace().expect("tracing enabled");
         if let Some(path) = obs.user_trace_path() {
             write_file(path, &merged, "Chrome trace");
         }
@@ -755,87 +799,7 @@ fn run_tcp_rank(rank: usize, nranks: usize, port: u16, obs: &ObsArgs) {
         return;
     }
 
-    // SPMD handler registration: identical order on every rank.
-    // Handler 0 — ring hop: payload = [remaining u64][visited u64].
-    let ring_done = Arc::new(AtomicUsize::new(0));
-    let rd = Arc::clone(&ring_done);
-    let h_ring = rt.register_handler(move |ctx, payload| {
-        let remaining = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        let visited = u64::from_le_bytes(payload[8..16].try_into().unwrap()) + 1;
-        if remaining > 0 {
-            let next = (ctx.rank() + 1) % nranks;
-            let mut p = (remaining - 1).to_le_bytes().to_vec();
-            p.extend_from_slice(&visited.to_le_bytes());
-            ctx.send_msg(next, 0, 0, p);
-        } else {
-            // The ring length is a multiple of nranks: the token ends
-            // where it started, on rank 0.
-            rd.store(visited as usize, Ordering::Relaxed);
-        }
-    });
-    // Handler 1 — scatter: payload = [item u64]; square it locally and
-    // send the result home.
-    let h_scatter = rt.register_handler(move |ctx, payload| {
-        let item = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        ctx.spawn(1, move |ctx| {
-            let result = item * item;
-            ctx.send_msg(0, 0, 2, result.to_le_bytes().to_vec());
-        });
-    });
-    // Handler 2 — gather (rank 0): accumulate results.
-    let gathered = Arc::new(AtomicU64::new(0));
-    let received = Arc::new(AtomicUsize::new(0));
-    let (g, r) = (Arc::clone(&gathered), Arc::clone(&received));
-    let h_gather = rt.register_handler(move |_ctx, payload| {
-        g.fetch_add(
-            u64::from_le_bytes(payload[..8].try_into().unwrap()),
-            Ordering::Relaxed,
-        );
-        r.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!((h_ring, h_scatter, h_gather), (0, 1, 2));
-
-    // ---- Phase 0: registration barrier ---------------------------------
-    // An empty fenced epoch: it terminates only once every rank has
-    // fenced, i.e. passed the handler registrations above. Without it a
-    // fast rank 0 can land the ring token on a peer that has not
-    // registered handler 0 yet — the message is dropped-but-counted (by
-    // design, so the wave stays balanced), the phase terminates
-    // "cleanly" with zero ring progress, and the workload assert below
-    // panics instead of the run failing typed.
-    run_phase("registration barrier");
-
-    // ---- Phase 1: token ring (seeded by rank 0) ------------------------
-    if rank == 0 {
-        let mut p = (2 * nranks as u64).to_le_bytes().to_vec();
-        p.extend_from_slice(&0u64.to_le_bytes());
-        rt.send_msg(0, 0, h_ring, p); // local delivery seeds the ring
-    }
-    run_phase("token ring");
-    if rank == 0 {
-        let hops = ring_done.load(Ordering::Relaxed);
-        println!("ring: token visited {hops} ranks (2 laps + seed)");
-        assert_eq!(hops, ring_expected(nranks));
-    }
-
-    // ---- Phase 2: scatter / compute / gather ---------------------------
-    if rank == 0 {
-        for item in 0..ITEMS as u64 {
-            let dst = (item as usize) % nranks;
-            rt.send_msg(dst, 0, h_scatter, item.to_le_bytes().to_vec());
-        }
-    }
-    run_phase("scatter/gather");
-    if rank == 0 {
-        println!(
-            "scatter/gather: {} results, sum of squares = {} (expected {})",
-            received.load(Ordering::Relaxed),
-            gathered.load(Ordering::Relaxed),
-            gather_expected()
-        );
-        assert_eq!(received.load(Ordering::Relaxed), ITEMS);
-        assert_eq!(gathered.load(Ordering::Relaxed), gather_expected());
-    }
+    run_workload(&[rt], nranks, &run_phase);
 
     finish_tcp_rank(rank, &net, None, obs, live);
     if rank == 0 {

@@ -5,7 +5,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ttg_core::{AggCount, Edge, Graph};
-use ttg_runtime::{ProcessGroup, Runtime, RuntimeConfig, SchedKind, TermDetKind};
+use ttg_net::NetGroup;
+use ttg_runtime::{Runtime, RuntimeConfig, SchedKind, TermDetKind};
 use ttg_task_bench::{Implementation, Kernel, Pattern, TaskGraph};
 
 /// Every runtime-config axis combination drives the same TTG graph to
@@ -135,27 +136,27 @@ fn map_reduce_with_all_terminal_kinds() {
     assert_eq!(out.load(Ordering::Relaxed), (0..1000u64).sum::<u64>());
 }
 
-/// Distributed TTG-style workload over a process group: each rank runs
-/// its own graph; partial results hop home via active messages; the
-/// 4-counter wave fences everything.
+/// Distributed TTG-style workload over an in-process job: each rank
+/// runs its own local fan-out; partial results hop home as active
+/// messages; the 4-counter wave fences everything.
 #[test]
-fn process_group_with_local_graphs() {
+fn net_group_with_local_graphs() {
     const RANKS: usize = 3;
-    let group = ProcessGroup::new(RANKS, |_| RuntimeConfig::optimized(1));
+    let group = NetGroup::local(RANKS, |_| RuntimeConfig::optimized(1));
     let total = Arc::new(AtomicU64::new(0));
     for rank in 0..RANKS {
         let t = Arc::clone(&total);
+        let report = group.runtime(rank).register_handler(move |_ctx, payload| {
+            let part = u64::from_le_bytes(payload[..8].try_into().unwrap());
+            t.fetch_add(part, Ordering::Relaxed);
+        });
         group.runtime(rank).submit(0, move |ctx| {
             // Local fan-out on this rank …
             for i in 0..50u64 {
-                let t = Arc::clone(&t);
                 let base = (ctx.rank() as u64 + 1) * 1000;
+                // … each local task reports to rank 0.
                 ctx.spawn(0, move |ctx| {
-                    // … each local task reports to rank 0.
-                    let t = Arc::clone(&t);
-                    ctx.send_remote(0, 0, move |_| {
-                        t.fetch_add(base + i, Ordering::Relaxed);
-                    });
+                    ctx.send_msg(0, 0, report, (base + i).to_le_bytes().to_vec())
                 });
             }
         });

@@ -1,9 +1,9 @@
-//! The message path's tier-1 gate, in a process of its own: a rank's
-//! runtime, sink and transport hold each other alive (the frame sender
-//! and the sink are a reference cycle), so the workers of a mesh built
-//! here outlive the test, park, and now and then offer the wave a
-//! contribution — allocations that would land in any counting test
-//! sharing the process, as the per-task gates of `alloc_gate.rs` do.
+//! The message path's tier-1 gate, in a process of its own. It got one
+//! when a mesh's workers outlived the test that built it (runtime, sink
+//! and transport were a reference cycle) and their wave contributions
+//! landed in the per-task counts of `alloc_gate.rs`. A dropped mesh now
+//! joins its threads; the gate stays apart until `alloc_gate.rs`'s own
+//! flake (ROADMAP item 1a) is settled, so the two are not confused.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +38,7 @@ static GLOBAL: Counting = Counting;
 
 /// The message path's three counts, over a 2-rank TCP loopback mesh: an
 /// external thread scatters 4 096 64-byte messages each way and fences,
-/// three epochs. A corked link puts a batch of frames, not one, in each
+/// five epochs. A corked link puts a batch of frames, not one, in each
 /// `write`; the reader hands the runtime what one read decoded in one
 /// insertion; and a message costs two allocations: the sender's payload
 /// and the reader's payload. The frame is encoded in place in the
@@ -118,7 +118,7 @@ fn a_corked_link_batches_its_writes_and_a_message_allocates_its_payload_only() {
         (rt.stats().messages_received, rt.message_insertions())
     };
     let before: Vec<_> = nets.iter().map(|n| (wire(n), inserted(n))).collect();
-    let runs: Vec<u64> = (0..3)
+    let runs: Vec<u64> = (0..5)
         .map(|_| {
             ALLOCS.store(0, Ordering::Relaxed);
             ARMED.store(true, Ordering::Relaxed);
@@ -127,7 +127,7 @@ fn a_corked_link_batches_its_writes_and_a_message_allocates_its_payload_only() {
             ALLOCS.load(Ordering::Relaxed)
         })
         .collect();
-    assert_eq!(received.load(Ordering::Relaxed), 5 * 2 * MSGS * 64);
+    assert_eq!(received.load(Ordering::Relaxed), 7 * 2 * MSGS * 64);
     for (rank, (net, ((frames0, writes0), (msgs0, insertions0)))) in
         nets.iter().zip(before).enumerate()
     {
@@ -144,6 +144,11 @@ fn a_corked_link_batches_its_writes_and_a_message_allocates_its_payload_only() {
             "rank {rank}: {per_insertion} messages per insertion"
         );
     }
+    let median = {
+        let mut sorted = runs.clone();
+        sorted.sort_unstable();
+        sorted[sorted.len() / 2]
+    };
     for allocs in &runs {
         let per_msg = *allocs as f64 / (2 * MSGS) as f64;
         assert!(
@@ -151,10 +156,13 @@ fn a_corked_link_batches_its_writes_and_a_message_allocates_its_payload_only() {
             "{per_msg} allocations per message: {runs:?}"
         );
         // Not an equality: the wave's rounds (a few allocations each)
-        // depend on timing. ± 0.03 % alone, ± 1.4 % seen under a loaded
-        // test run; one allocation per message would be 25 %.
-        let spread = allocs.abs_diff(runs[0]) as f64 / runs[0] as f64;
-        assert!(spread <= 0.03, "epochs differ by more than 3 %: {runs:?}");
+        // are inside the window and their number depends on timing —
+        // ± 0.03 % alone, several percent when every core has a hog, and
+        // then the first epoch is as likely the odd one out as any. So
+        // each is held against the median; one allocation per message
+        // would be 25 %.
+        let spread = allocs.abs_diff(median) as f64 / median as f64;
+        assert!(spread <= 0.10, "epochs differ by more than 10 %: {runs:?}");
     }
     nets.iter().for_each(NetRuntime::shutdown);
 }
