@@ -18,7 +18,7 @@ use ttg_runtime::{Runtime, RuntimeConfig};
 
 const USAGE: &str = "fig12_mra [--threads 1,2,4] [--funcs 8,16] [--k 6] [--eps 1e-5] \
                      [--exponent 100] [--max-level 8] [--initial-level 2] [--seed 42] \
-                     [--inline 0] [--json]";
+                     [--json]";
 
 fn run_once(config: RuntimeConfig, ctx: &Arc<MraContext>, funcs: &[Gaussian3]) -> (f64, usize) {
     let runtime = Arc::new(Runtime::new(config));
@@ -43,9 +43,6 @@ fn main() {
     let max_level: u8 = args.get("max-level", 8u8);
     let seed: u64 = args.get("seed", 42u64);
     let json = args.has("json");
-    // The paper's future-work suggestion for MRA: "inlined tasks to
-    // reduce the number of very short tasks". 0 disables.
-    let inline_depth: usize = args.get("inline", 0usize);
 
     let initial_level: u8 = args.get("initial-level", 2u8);
     let ctx = Arc::new(MraContext::new(MraParams {
@@ -73,11 +70,7 @@ fn main() {
             let mut series = Series::new(format!("{label} ({nf} funcs)"));
             let mut base = 0.0f64;
             for &t in &threads {
-                let mut config = mk(t);
-                if inline_depth > 0 {
-                    config.inline_tasks = Some(inline_depth);
-                }
-                let (secs, boxes) = run_once(config, &ctx, &funcs);
+                let (secs, boxes) = run_once(mk(t), &ctx, &funcs);
                 if t == threads[0] {
                     base = secs;
                     println!("  {label}, {nf} funcs: {boxes} boxes projected");

@@ -28,22 +28,13 @@ const USAGE: &str = "fig5_task_latency [--length 100000] [--max-flows 6] [--json
 /// TTG chain: task k sends on `flows` edges to task k+1. `copy` selects
 /// copy-between-tasks (fresh allocation per hop) vs move (zero-copy
 /// forward). With 0 flows a single unit-type control edge is used.
-/// `inline` enables the paper's future-work task-inlining extension.
 /// When `live` is given, each data point's short-lived runtime is
 /// registered with the live-telemetry slot for the duration of the
 /// measurement (counters-only sampling — the hot path is untouched),
 /// and one explicit sample is taken at the end so even measurements
 /// shorter than the sampling period leave a time-series point.
-fn ttg_chain(
-    length: u64,
-    flows: usize,
-    copy: bool,
-    inline_depth: Option<usize>,
-    live: Option<&LiveTelemetry>,
-) -> f64 {
-    let mut config = RuntimeConfig::optimized(1);
-    config.inline_tasks = inline_depth;
-    let graph = Graph::new(config);
+fn ttg_chain(length: u64, flows: usize, copy: bool, live: Option<&LiveTelemetry>) -> f64 {
+    let graph = Graph::new(RuntimeConfig::optimized(1));
     if let Some(live) = live {
         live.observe(graph.runtime_shared());
     }
@@ -161,24 +152,17 @@ fn main() {
     );
     let mut ttg_move = Series::new("TTG (move)");
     let mut ttg_copy = Series::new("TTG (copy)");
-    let mut ttg_inline = Series::new("TTG (move, inlined)");
     let mut omp = Series::new("OpenMP-like tasks");
     let mut tf = Series::new("TaskFlow-like");
     tf.push(0.0, taskflow_chain(length));
     for flows in 0..=max_flows {
         let live = live.as_ref();
-        ttg_move.push(flows as f64, ttg_chain(length, flows, false, None, live));
-        ttg_copy.push(flows as f64, ttg_chain(length, flows, true, None, live));
-        // The future-work extension the paper projects gains from.
-        ttg_inline.push(
-            flows as f64,
-            ttg_chain(length, flows, false, Some(32), live),
-        );
+        ttg_move.push(flows as f64, ttg_chain(length, flows, false, live));
+        ttg_copy.push(flows as f64, ttg_chain(length, flows, true, live));
         omp.push(flows as f64, omp_chain(length, flows));
     }
     report.add(ttg_move);
     report.add(ttg_copy);
-    report.add(ttg_inline);
     report.add(omp);
     report.add(tf);
     report.emit(args.has("json"));

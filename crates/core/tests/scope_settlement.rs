@@ -132,11 +132,8 @@ fn instances() -> impl Iterator<Item = u64> {
     (0..INSTANCES).take_while(move |_| start.elapsed() < BUDGET)
 }
 
-fn runtime(inline_tasks: Option<usize>) -> Arc<Runtime> {
-    Arc::new(Runtime::new(RuntimeConfig {
-        inline_tasks,
-        ..RuntimeConfig::optimized(WORKERS)
-    }))
+fn runtime() -> Arc<Runtime> {
+    Arc::new(Runtime::new(RuntimeConfig::optimized(WORKERS)))
 }
 
 /// An instance of `root` → `FAN` leaves, its root's body ending in
@@ -165,7 +162,7 @@ fn fan_out(rt: &Arc<Runtime>, id: u64, after_sending: fn()) -> ScopeOutcome {
 #[test]
 fn a_fan_out_never_completes_before_its_stolen_children() {
     with_watchdog(|| {
-        let rt = runtime(None);
+        let rt = runtime();
         for id in instances() {
             assert_eq!(fan_out(&rt, id, || {}), ScopeOutcome::Completed);
         }
@@ -185,7 +182,7 @@ fn a_body_that_panics_after_sending_still_drains_and_fails() {
         }
     }));
     with_watchdog(|| {
-        let rt = runtime(None);
+        let rt = runtime();
         for id in instances() {
             match fan_out(&rt, id, || panic!("after sending")) {
                 ScopeOutcome::Failed(why) => assert!(why.contains("after sending"), "{why}"),
@@ -202,13 +199,13 @@ fn a_body_that_panics_after_sending_still_drains_and_fails() {
 /// not before them, and neither is left holding a credit nobody
 /// returns.
 ///
-/// With `inline_tasks` on, `root` runs its leaf and its senders nested
-/// in its own frame, each opening and closing theirs: the senders
-/// settle for the leaves they bundle, the leaf that already ran is
-/// taken back off `root`'s count, and `root` settles for the rest.
-fn sends_across_scopes(inline_tasks: Option<usize>, senders: u64) {
+/// Each task keeps one of the successors it readied for itself (the
+/// worker's hand-off) and publishes the others: a sender settles for
+/// the leaves of A it bundled whether it was kept or stolen, and a kept
+/// leaf of B is B's credit although a task of A ran it.
+fn sends_across_scopes(senders: u64) {
     with_watchdog(move || {
-        let rt = runtime(inline_tasks);
+        let rt = runtime();
         for id in instances() {
             let (a, b) = (Probe::new(2 * id), Probe::new(2 * id + 1));
             let graph_a = Graph::with_runtime_scoped(Arc::clone(&rt), Arc::clone(&a.scope));
@@ -253,10 +250,10 @@ fn sends_across_scopes(inline_tasks: Option<usize>, senders: u64) {
 
 #[test]
 fn a_send_into_another_scope_is_counted_against_that_scope() {
-    sends_across_scopes(None, 1);
+    sends_across_scopes(1);
 }
 
 #[test]
-fn nested_execution_saves_and_restores_the_count() {
-    sends_across_scopes(Some(1), FAN);
+fn kept_and_stolen_senders_settle_alike() {
+    sends_across_scopes(FAN);
 }

@@ -624,72 +624,6 @@ fn deep_recursion_stress_with_one_worker() {
 }
 
 #[test]
-fn task_inlining_preserves_results_and_skips_scheduler() {
-    // The paper's future-work extension: inline short tasks instead of
-    // scheduling them. Same answers, fewer queue round-trips.
-    let mut config = RuntimeConfig::optimized(2);
-    config.inline_tasks = Some(16);
-    let graph = Graph::new(config);
-    let e: Edge<u64, u64> = Edge::new("chain");
-    let end = Arc::new(AtomicU64::new(0));
-    let d = Arc::clone(&end);
-    let tt = graph
-        .tt::<u64>("chain")
-        .input::<u64>(&e)
-        .output(&e)
-        .build(move |k, i, o| {
-            let v = i.take::<u64>(0);
-            if *k < 50_000 {
-                o.send(0, *k + 1, v + 1);
-            } else {
-                d.store(v, Ordering::Relaxed);
-            }
-        });
-    tt.deliver(0, 0u64, 0u64);
-    graph.wait();
-    assert_eq!(end.load(Ordering::Relaxed), 50_000);
-    let stats = graph.runtime().stats();
-    assert_eq!(stats.tasks_executed, 50_001);
-    assert!(
-        stats.inlined > 40_000,
-        "most chain hops should inline: only {} did",
-        stats.inlined
-    );
-    // Scheduler only saw the non-inlined fraction.
-    assert!(
-        stats.queue.local_pops < 10_000,
-        "queue saw too many tasks: {}",
-        stats.queue.local_pops
-    );
-}
-
-#[test]
-fn task_inlining_bounded_depth_on_wide_fanout() {
-    // Fan-out of 10k from one task: inlining must not blow the stack
-    // (depth-limited) and everything still runs exactly once.
-    let mut config = RuntimeConfig::optimized(2);
-    config.inline_tasks = Some(8);
-    let graph = Graph::new(config);
-    let e: Edge<u64, u64> = Edge::new("fan");
-    let count = Arc::new(AtomicU64::new(0));
-    let c = Arc::clone(&count);
-    let _sink = graph
-        .tt::<u64>("sink")
-        .input::<u64>(&e)
-        .build(move |_k, _i, _o| {
-            c.fetch_add(1, Ordering::Relaxed);
-        });
-    let fan = graph.tt::<u64>("fan").output(&e).build(|_k, _i, o| {
-        for j in 0..10_000u64 {
-            o.send(0, j, j);
-        }
-    });
-    fan.invoke(0);
-    graph.wait();
-    assert_eq!(count.load(Ordering::Relaxed), 10_000);
-}
-
-#[test]
 #[should_panic(expected = "exceeds MAX_INPUTS")]
 fn too_many_inputs_is_rejected_at_build_time() {
     let graph = Graph::new(RuntimeConfig::optimized(1));

@@ -48,6 +48,54 @@ fn a_lone_external_message_needs_no_fence() {
     nets.iter().for_each(NetRuntime::shutdown);
 }
 
+/// A handler's reply leaves when its task does — also when the worker
+/// goes straight on to a task that one readied (the hand-off of
+/// `WorkerCtx::run_task`) instead of back to its queue. The handler
+/// answers and readies a successor that waits for the answer to have
+/// arrived; on a 1-worker rank nothing else would flush it but a
+/// heartbeat, half a second later.
+#[test]
+fn a_reply_leaves_before_the_task_handed_off_behind_it_runs() {
+    let nets = mesh();
+    let arrived = Arc::new(AtomicU64::new(0));
+    let (tx, rx) = mpsc::channel::<Duration>();
+    for net in &nets {
+        let (seen, tx) = (Arc::clone(&arrived), tx.clone());
+        let request = net.runtime().register_handler(move |ctx, payload| {
+            let round = u64::from_le_bytes(payload[..8].try_into().unwrap());
+            ctx.send_msg(1 - ctx.rank(), 0, 1, Vec::new());
+            let (seen, tx) = (Arc::clone(&seen), tx.clone());
+            ctx.spawn(0, move |_| {
+                let t0 = Instant::now();
+                while seen.load(Ordering::Acquire) <= round && t0.elapsed() < WATCHDOG {
+                    std::thread::yield_now();
+                }
+                tx.send(t0.elapsed()).expect("test still listening");
+            });
+        });
+        let arrived = Arc::clone(&arrived);
+        let reply = net.runtime().register_handler(move |_ctx, _payload| {
+            arrived.fetch_add(1, Ordering::Release);
+        });
+        assert_eq!((request, reply), (0, 1));
+    }
+    let mut slowest = Duration::ZERO;
+    for round in 0..200u64 {
+        nets[1]
+            .runtime()
+            .send_msg(0, 0, 0, round.to_le_bytes().to_vec());
+        slowest = slowest.max(rx.recv_timeout(WATCHDOG * 2).expect("successor ran"));
+    }
+    assert!(
+        slowest < Duration::from_millis(50),
+        "a successor waited {slowest:?} for its predecessor's reply to leave"
+    );
+    assert_eq!(nets[0].runtime().stats().inlined, 200, "not handed off");
+    nets.iter().for_each(NetRuntime::fence);
+    nets.iter().for_each(|n| n.run().expect("clean epoch"));
+    nets.iter().for_each(NetRuntime::shutdown);
+}
+
 /// Back-to-back fenced epochs of a few corked messages each: every
 /// `run()` returns with exactly the epoch's messages handled — not
 /// earlier (a wave that balanced on counts whose messages were still

@@ -662,7 +662,7 @@ fn help_text(name: &str) -> Option<&'static str> {
         "parks" => "Times a worker parked idle.",
         "wave_contributions" => "Termination-wave contributions made by workers.",
         "injections_drained" => "Externally submitted tasks drained from the injection queue.",
-        "inlined" => "Tasks executed inline on the discovering worker (bypassing the scheduler).",
+        "inlined" => "Tasks handed by the task that readied them to its own worker (no scheduler round-trip).",
         "messages_sent" => "Inter-process active messages sent.",
         "messages_received" => "Inter-process active messages received.",
         "bytes_sent" => "Payload bytes sent to peer ranks.",

@@ -96,14 +96,6 @@ pub struct RuntimeConfig {
     pub table_lock: LockKind,
     /// Memory-ordering policy for runtime counters.
     pub ordering: OrderingPolicy,
-    /// Task inlining (the paper's future-work extension, §V-E): when
-    /// `Some(depth)`, a task readied by a running task is executed
-    /// immediately on the same worker — up to `depth` nested levels —
-    /// instead of passing through the scheduler. Eliminates the
-    /// pool/queue round-trip for very short tasks at the cost of
-    /// priority fidelity and stealing opportunities. `None` (the
-    /// paper's evaluated system) by default.
-    pub inline_tasks: Option<usize>,
     /// Record timeline events (task executions, steals, parks, slow
     /// pushes, wave contributions, pool refills, network frames) into
     /// per-worker `ttg-obs` rings, retrievable via
@@ -132,7 +124,6 @@ impl RuntimeConfig {
             termdet: TermDetKind::ThreadLocal,
             table_lock: LockKind::Bravo,
             ordering: OrderingPolicy::Relaxed,
-            inline_tasks: None,
             trace: false,
             histograms: false,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
@@ -147,7 +138,6 @@ impl RuntimeConfig {
             termdet: TermDetKind::ProcessWide,
             table_lock: LockKind::Plain,
             ordering: OrderingPolicy::SeqCst,
-            inline_tasks: None,
             trace: false,
             histograms: false,
             trace_capacity: DEFAULT_TRACE_CAPACITY,

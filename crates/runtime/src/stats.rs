@@ -53,8 +53,9 @@ pub struct RuntimeStats {
     pub wave_contributions: u64,
     /// Tasks taken from external injection queues.
     pub injections_drained: u64,
-    /// Tasks executed inline (without a scheduler round-trip; only
-    /// non-zero when `RuntimeConfig::inline_tasks` is enabled).
+    /// Tasks that ran without a scheduler round-trip: handed by the
+    /// task that readied them to its own worker, which would have
+    /// popped them next anyway (`WorkerCtx::run_task`).
     pub inlined: u64,
     /// Active messages sent to peer ranks.
     pub messages_sent: u64,

@@ -30,9 +30,6 @@ pub struct WorkerCtx<'rt> {
     /// it rely on no two live contexts of one runtime sharing an index.
     id: usize,
     bundle: SortedChain,
-    /// Remaining inline-execution budget below the current top-level
-    /// task (see `RuntimeConfig::inline_tasks`).
-    inline_remaining: usize,
     /// Instance scope whose completion the just-executed task deferred
     /// (see [`WorkerCtx::leave_scope`]).
     completed_scope: Option<std::sync::Arc<InstanceScope>>,
@@ -43,7 +40,7 @@ pub struct WorkerCtx<'rt> {
     /// task body inherit it; always 0 with `obs` off.
     current_span: u64,
     /// The task that just ran sent a message, which the transport may
-    /// have left corked: the worker loop flushes when the task returns.
+    /// have left corked: [`WorkerCtx::run_task`] flushes when it returns.
     corked: Cell<bool>,
     /// The (empty) queue `drain_injection` swaps the full one for.
     drained: VecDeque<RawTask>,
@@ -55,7 +52,6 @@ impl<'rt> WorkerCtx<'rt> {
             inner,
             id,
             bundle: SortedChain::new(),
-            inline_remaining: 0,
             completed_scope: None,
             scope_frame: ScopeFrame(std::ptr::null(), 0),
             current_span: 0,
@@ -118,10 +114,9 @@ impl<'rt> WorkerCtx<'rt> {
     }
 
     /// Opens the frame of a task of `scope` about to run its body here
-    /// and returns the enclosing one (of the task inlining it, if any)
-    /// for [`WorkerCtx::leave_scope`]. What the body schedules into
-    /// `scope` stays in this worker's bundle, or runs inline inside the
-    /// frame, so it is counted in the frame and settled once at its end.
+    /// and returns the enclosing one for [`WorkerCtx::leave_scope`].
+    /// What the body schedules into `scope` stays in this worker's
+    /// bundle, so it is counted in the frame and settled once at its end.
     #[inline]
     pub fn enter_scope(&mut self, scope: &InstanceScope) -> ScopeFrame {
         std::mem::replace(&mut self.scope_frame, ScopeFrame(scope, 0))
@@ -142,9 +137,8 @@ impl<'rt> WorkerCtx<'rt> {
     /// and settles it — before the bundle publishes what the body
     /// scheduled: `k` live successors take over the task's credit and
     /// add `k − 1` (`InstanceScope::settle_task`). With none, the task's
-    /// `task_completed()` is deferred until `execute` has returned (to
-    /// [`WorkerCtx::run_task`], or the inline branch of
-    /// [`WorkerCtx::schedule`]): the zero-crossing can release a waiter
+    /// `task_completed()` is deferred until `execute` has returned to
+    /// [`WorkerCtx::run_task`]: the zero-crossing can release a waiter
     /// that tears the task's template down, and inside `execute` `&self`
     /// references into that template are still live.
     #[inline]
@@ -159,25 +153,17 @@ impl<'rt> WorkerCtx<'rt> {
     }
 
     /// Fires a deferred scope completion, if the just-finished task left
-    /// one. Must only run once that task's frames are fully unwound. An
-    /// inlined task of the enclosing task's scope was credited to the
-    /// enclosing frame, not to the scope: there it is taken back.
+    /// one. Must only run once that task's frames are fully unwound.
     #[inline]
     fn fire_scope_completion(&mut self) {
         if let Some(scope) = self.completed_scope.take() {
-            if std::ptr::eq(self.scope_frame.0, &*scope) {
-                self.scope_frame.1 -= 1;
-            } else {
-                scope.task_completed();
-            }
+            scope.task_completed();
         }
     }
 
-    /// Schedules an already-counted task: it joins the current bundle and
-    /// is published when the running task finishes — unless task
-    /// inlining is enabled and budget remains, in which case the task
-    /// executes immediately on this worker (the paper's future-work
-    /// "inlined tasks" extension).
+    /// Schedules an already-counted task: it joins the current bundle,
+    /// which [`WorkerCtx::run_task`] deals with when the running task
+    /// finishes.
     ///
     /// # Safety
     ///
@@ -187,25 +173,6 @@ impl<'rt> WorkerCtx<'rt> {
     pub unsafe fn schedule(&mut self, task: RawTask) {
         // SAFETY: we own the task until it executes or is published.
         unsafe { task.0.as_ref().stamp_span_if_unset(self.current_span) };
-        if self.inline_remaining > 0 {
-            self.inline_remaining -= 1;
-            let prev_span = self.current_span;
-            // SAFETY: the task is live until execute consumes it.
-            let span = unsafe { task.0.as_ref().span() };
-            if span != 0 {
-                self.current_span = span;
-            }
-            // SAFETY: forwarded caller contract; we own the task.
-            unsafe { task.execute(self) };
-            self.current_span = prev_span;
-            self.fire_scope_completion();
-            self.inner.term.task_executed(Some(self.id));
-            let cell = &self.inner.worker_stats[self.id];
-            cell.executed.set(cell.executed.get() + 1);
-            cell.inlined.set(cell.inlined.get() + 1);
-            self.inline_remaining += 1;
-            return;
-        }
         if let Some(obs) = self.inner.obs.as_deref() {
             if obs.histograms_enabled() || obs.spans_enabled() {
                 // SAFETY: we own the task until the bundle publishes it.
@@ -257,43 +224,69 @@ impl<'rt> WorkerCtx<'rt> {
         }
     }
 
-    /// Executes one task: body, release bundle, executed accounting.
-    fn run_task(&mut self, task: RawTask) {
-        self.inline_remaining = self.inner.config.inline_tasks.unwrap_or(0);
-        // A queue-popped task defines the attribution context for
-        // everything it schedules or sends (0 clears a stale context).
-        // SAFETY: the task is live until execute consumes it.
-        self.current_span = unsafe { task.0.as_ref().span() };
-        let observed = self.inner.obs.as_deref().map(|obs| {
-            // SAFETY: as above.
-            let header = unsafe { task.0.as_ref() };
-            (
-                obs,
-                header.vtable.name,
-                header.ready_ns(),
-                ttg_sync::clock::now_ns(),
-            )
-        });
-        // SAFETY: ownership of `task` came from the queue pop.
-        unsafe { task.execute(self) };
-        if let Some((obs, name, ready, start)) = observed {
-            obs.record_task(
-                self.id,
-                name,
-                ready,
-                start,
-                ttg_sync::clock::now_ns(),
-                self.current_span,
-            );
+    /// Takes the task this worker runs next out of the bundle, if the
+    /// bundle holds it: its head, when a push would put that head where
+    /// the next pop takes it from ([`ttg_sched::TaskQueue::pops_next`]).
+    #[inline]
+    fn take_next(&mut self) -> Option<RawTask> {
+        let priority = self.bundle.head_priority()?;
+        if !self.inner.sched.pops_next(self.id, priority) {
+            return None;
         }
-        self.flush_bundle();
-        // Fire any deferred instance-scope completion only now: the
-        // task's frames are gone and its children are published, so a
-        // waiter released by the zero-crossing can safely tear down.
-        self.fire_scope_completion();
-        self.inner.term.task_executed(Some(self.id));
-        let cell = &self.inner.worker_stats[self.id];
-        cell.executed.set(cell.executed.get() + 1);
+        let node = self.bundle.pop_front()?;
+        // SAFETY: the bundle holds task headers (`schedule`).
+        Some(RawTask(unsafe { TaskHeader::from_node(node) }))
+    }
+
+    /// Executes a popped task, then every task handed off behind it:
+    /// body, release bundle, executed accounting, uncork — each time.
+    /// The successor this worker would pop next anyway is kept out of
+    /// the queue and run here, after the rest of the bundle is
+    /// published: same order on this worker, no push, no pop.
+    fn run_task(&mut self, mut task: RawTask) {
+        loop {
+            // The running task defines the attribution context for
+            // everything it schedules or sends (0 clears a stale context).
+            // SAFETY: the task is live until execute consumes it.
+            self.current_span = unsafe { task.0.as_ref().span() };
+            let observed = self.inner.obs.as_deref().map(|obs| {
+                // SAFETY: as above.
+                let header = unsafe { task.0.as_ref() };
+                (
+                    obs,
+                    header.vtable.name,
+                    header.ready_ns(),
+                    ttg_sync::clock::now_ns(),
+                )
+            });
+            // SAFETY: ownership of `task` came from the queue pop, or
+            // from the bundle.
+            unsafe { task.execute(self) };
+            if let Some((obs, name, ready, start)) = observed {
+                obs.record_task(
+                    self.id,
+                    name,
+                    ready,
+                    start,
+                    ttg_sync::clock::now_ns(),
+                    self.current_span,
+                );
+            }
+            let next = self.take_next();
+            self.flush_bundle();
+            // Fire any deferred instance-scope completion only now: the
+            // task's frames are gone and its children are published or
+            // kept, so a waiter released by the zero-crossing can safely
+            // tear down.
+            self.fire_scope_completion();
+            self.inner.term.task_executed(Some(self.id));
+            let cell = &self.inner.worker_stats[self.id];
+            cell.executed.set(cell.executed.get() + 1);
+            self.uncork();
+            let Some(kept) = next else { return };
+            cell.inlined.set(cell.inlined.get() + 1);
+            task = kept;
+        }
     }
 
     /// Drains the injection queue — external submissions and arrived
@@ -351,7 +344,6 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
             // SAFETY: nodes in the queue are task headers by contract.
             let task = RawTask(unsafe { TaskHeader::from_node(node) });
             ctx.run_task(task);
-            ctx.uncork();
         }
         // ---- idle transition --------------------------------------------
         // Uncork before the counters are published: the wave is never
@@ -389,7 +381,6 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 // SAFETY: as above.
                 let task = RawTask(unsafe { TaskHeader::from_node(node) });
                 ctx.run_task(task);
-                ctx.uncork();
                 continue 'outer;
             }
             inner.flush_if_corked();

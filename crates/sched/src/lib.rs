@@ -177,6 +177,14 @@ pub unsafe trait TaskQueue: Send + Sync {
         self.pop_from(worker).map(|(node, _)| node)
     }
 
+    /// True when a task of `priority` that `worker` pushed now is the
+    /// one its next [`Self::pop_from`] would return (a thief aside), so
+    /// the owner may run it without the push and the pop — same order,
+    /// no queue operation. Owner-only, like `push`. Default: never.
+    fn pops_next(&self, _worker: usize, _priority: Priority) -> bool {
+        false
+    }
+
     /// Number of worker queues.
     fn workers(&self) -> usize;
 

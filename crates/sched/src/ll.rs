@@ -156,6 +156,11 @@ unsafe impl TaskQueue for Ll {
         None
     }
 
+    fn pops_next(&self, _worker: usize, _priority: crate::Priority) -> bool {
+        // Pure LIFO: the last push is the next pop.
+        true
+    }
+
     fn workers(&self) -> usize {
         self.queues.len()
     }

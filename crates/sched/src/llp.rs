@@ -56,6 +56,16 @@ impl WorkerQueue {
         }
     }
 
+    /// True when a node of `prio` pushed onto head `h` keeps the chain
+    /// sorted — it outranks or equals the head, or there is none — so
+    /// one CAS prepends it and it is the next node popped. Owner-only:
+    /// for the owner the hint is exact, since only the owner publishes
+    /// a head and stores its priority with it.
+    #[inline]
+    fn takes_in_front(&self, h: *mut SchedNode, prio: Priority) -> bool {
+        h.is_null() || prio >= self.head_prio.load(Ordering::Relaxed)
+    }
+
     /// Attempts to detach the entire chain. On success the caller owns
     /// every node reachable from the returned head.
     #[inline]
@@ -193,7 +203,7 @@ unsafe impl TaskQueue for Llp {
         let prio = unsafe { node.as_ref().priority };
         loop {
             let h = q.head.load(Ordering::Acquire);
-            if h.is_null() || prio >= q.head_prio.load(Ordering::Relaxed) {
+            if q.takes_in_front(h, prio) {
                 // Fast path: prepend with one CAS. Sortedness holds
                 // because prio >= head's priority (new-before-equal).
                 unsafe { node.as_ref().set_next(h) };
@@ -224,7 +234,7 @@ unsafe impl TaskQueue for Llp {
         let h = q.head.load(Ordering::Acquire);
         // Fast path: the whole bundle outranks the current head — link
         // its tail to the head and publish with one CAS.
-        if h.is_null() || chain.tail_priority().unwrap() >= q.head_prio.load(Ordering::Relaxed) {
+        if q.takes_in_front(h, chain.tail_priority().unwrap()) {
             let new_prio = chain.head_priority().unwrap();
             let (c_head, c_tail, _len) = chain.into_raw();
             // SAFETY: we own the chain until the CAS succeeds.
@@ -284,6 +294,13 @@ unsafe impl TaskQueue for Llp {
             self.steal_empty.incr();
         }
         None
+    }
+
+    fn pops_next(&self, worker: usize, priority: Priority) -> bool {
+        // `push`'s fast-path test: such a node becomes the head, and
+        // the head is what the owner pops.
+        let q = &self.queues[worker];
+        q.takes_in_front(q.head.load(Ordering::Relaxed), priority)
     }
 
     fn workers(&self) -> usize {

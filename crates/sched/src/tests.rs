@@ -252,6 +252,34 @@ fn sched_kind_builds_all_variants() {
     }
 }
 
+/// The contract of `pops_next`: a yes means a push of that priority is
+/// what the owner's next pop returns — so the owner may skip both.
+#[test]
+fn pops_next_predicts_the_owners_next_pop() {
+    let prios = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 7, 0, -2, 11, 11, 4];
+    let queues: [(Box<dyn TaskQueue>, usize); 3] = [
+        (Box::new(Llp::new(2)), 6),    // 3, 4, 5, 9, 11 and the equal 11
+        (Box::new(Ll::new(2)), 18),    // always
+        (Box::new(Lfq::new(2, 4)), 0), // never
+    ];
+    for (q, yeses) in queues {
+        let arena = Arena::new(prios);
+        let mut said_yes = 0;
+        for (id, &prio) in prios.iter().enumerate() {
+            let node = arena.node(id).as_sched();
+            if q.pops_next(0, prio) {
+                said_yes += 1;
+                q.push(0, node);
+                assert_eq!(q.pop(0), Some(node), "node {id}, priority {prio}");
+            }
+            // Either way it ends up queued, for the later ones to meet.
+            q.push(0, node);
+        }
+        assert_eq!(said_yes, yeses);
+        assert_eq!(drain_all(q.as_ref(), 0).len(), prios.len());
+    }
+}
+
 #[test]
 fn pop_on_empty_returns_none() {
     let q = Llp::new(2);

@@ -7,6 +7,10 @@
 //! N_A = (N_ID + N_RC + N_HB) × N_i + N_OB + N_S  =  4·N_i + 4        (1)
 //! ```
 //!
+//! (N_S = 2, the scheduler's push and pop, is paid by a task that goes
+//! through a queue; one handed to its own worker pays 0 — the tests
+//! gate both counts.)
+//!
 //! To *validate* that model rather than merely assert it, the runtime
 //! issues every accounting-relevant atomic read-modify-write through the
 //! wrappers in this module. With the `count-atomics` feature enabled, each

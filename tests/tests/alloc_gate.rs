@@ -8,7 +8,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use ttg_core::{Edge, Graph, GraphTemplate};
 use ttg_runtime::{Runtime, RuntimeConfig};
@@ -40,17 +40,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The counter is process-wide: measured sessions take turns.
+/// The counter is process-wide, and so is whatever a test allocates
+/// while it builds its graph, formats a failure or tears down: tests
+/// take turns whole, first statement to last, so that none of it lands
+/// in another test's armed window.
 static TURN: Mutex<()> = Mutex::new(());
+
+fn turn() -> MutexGuard<'static, ()> {
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// What one session's seeding and `wait()` may allocate, whatever the
 /// number of tasks.
 const PER_SESSION: u64 = 32;
 
-/// Allocations made, on any thread, by the second of two identical
-/// sessions (the first fills the pools, the tables and the queues).
-fn allocations_of_a_warm_session(graph: &Graph, seed: impl Fn()) -> u64 {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+/// Asserts that the second of two identical sessions (the first fills
+/// the pools, the tables and the queues) makes at most `bound`
+/// allocations, on any thread, for its `units`. The caller holds the
+/// turn.
+fn assert_warm_session_allocates(
+    graph: &Graph,
+    seed: impl Fn(),
+    bound: u64,
+    units: std::fmt::Arguments<'_>,
+) {
     seed();
     graph.wait();
     ALLOCS.store(0, Ordering::Relaxed);
@@ -58,14 +71,16 @@ fn allocations_of_a_warm_session(graph: &Graph, seed: impl Fn()) -> u64 {
     seed();
     graph.wait();
     ARMED.store(false, Ordering::Relaxed);
-    ALLOCS.load(Ordering::Relaxed)
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert!(allocs <= bound, "{allocs} allocations for {units}");
 }
 
 const CHAIN: u64 = 10_000;
 
 /// A 1-flow chain whose tasks hand on either the datum they received
-/// (`fresh = false`) or a newly sent one.
-fn chain_allocations(fresh: bool) -> u64 {
+/// (`fresh = false`) or a newly sent one, and may allocate `bound` times.
+fn assert_chain_allocates(fresh: bool, bound: u64) {
+    let _turn = turn();
     let graph = Graph::new(RuntimeConfig::optimized(1));
     let edge: Edge<u64, u64> = Edge::new("flow");
     let tt = graph
@@ -83,25 +98,18 @@ fn chain_allocations(fresh: bool) -> u64 {
                 out.forward(0, *k + 1, copy);
             }
         });
-    allocations_of_a_warm_session(&graph, || tt.deliver(0, 0u64, 7u64))
+    let seed = || tt.deliver(0, 0u64, 7u64);
+    assert_warm_session_allocates(&graph, seed, bound, format_args!("{CHAIN} tasks"));
 }
 
 #[test]
 fn a_moved_datum_costs_no_allocation_per_task() {
-    let allocs = chain_allocations(false);
-    assert!(
-        allocs <= PER_SESSION,
-        "{allocs} allocations for {CHAIN} tasks"
-    );
+    assert_chain_allocates(false, PER_SESSION);
 }
 
 #[test]
 fn a_sent_datum_costs_one_allocation() {
-    let allocs = chain_allocations(true);
-    assert!(
-        allocs <= CHAIN + PER_SESSION,
-        "{allocs} allocations for {CHAIN} tasks"
-    );
+    assert_chain_allocates(true, CHAIN + PER_SESSION);
 }
 
 #[test]
@@ -113,6 +121,7 @@ fn a_broadcast_costs_one_allocation_however_many_receive_it() {
     // collected.
     const WIDTH: u32 = 16;
     const STEPS: u32 = 500;
+    let _turn = turn();
     let neighbours = |i: u32| i.saturating_sub(1)..=(i + 1).min(WIDTH - 1);
     let graph = Graph::new(RuntimeConfig::optimized(1));
     let edge: Edge<(u32, u32), u64> = Edge::new("stencil");
@@ -142,18 +151,15 @@ fn a_broadcast_costs_one_allocation_however_many_receive_it() {
                 out.broadcast(0, neighbours(i).map(|j| (t + 1, j)), value);
             }
         });
-    let allocs = allocations_of_a_warm_session(&graph, || {
-        for i in 0..WIDTH {
-            point.invoke((0, i));
-        }
-    });
+    let broadcasts = u64::from(WIDTH * (STEPS - 1));
+    assert_warm_session_allocates(
+        &graph,
+        || (0..WIDTH).for_each(|i| point.invoke((0, i))),
+        broadcasts + PER_SESSION,
+        format_args!("{broadcasts} broadcasts"),
+    );
     let finished = last_row.load(Ordering::Relaxed);
     assert_eq!(finished, 2 * u64::from(WIDTH), "two sessions, every column");
-    let broadcasts = u64::from(WIDTH * (STEPS - 1));
-    assert!(
-        allocs <= broadcasts + PER_SESSION,
-        "{allocs} allocations for {broadcasts} broadcasts"
-    );
 }
 
 /// The `pipeline` template of `n` pairs: `stage` k sends `2k` to
@@ -211,6 +217,7 @@ fn a_served_graph_allocates_the_same_every_time() {
     const PER_GRAPH: u64 = 25;
     /// … and of each stage → collect pair: one datum, nothing else.
     const PER_PAIR: u64 = 1;
+    let _turn = turn();
     let runtime = Arc::new(Runtime::new(RuntimeConfig::optimized(1)));
     let engine = ServeEngine::new(
         runtime,
@@ -232,7 +239,6 @@ fn a_served_graph_allocates_the_same_every_time() {
             assert_eq!(view.results.len(), 1);
         }
     };
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // Fills the result store, the evicted-record deque and the
     // runtime's shell pool (64 seeded shells, the most a graph here has).
     serve(64);
