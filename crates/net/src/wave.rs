@@ -1,26 +1,17 @@
 //! The 4-counter wave over a transport: fenced epochs, coordinator
 //! reductions, and per-rank clients.
 //!
-//! Same algorithm as the in-memory `ttg_termdet::WaveBoard` — global
-//! termination is announced when Σsent == Σreceived holds, unchanged,
-//! for two consecutive reduction rounds — but the "reduction" is now
-//! control traffic over the [`Transport`]: rank 0 hosts a coordinator
-//! that opens rounds, collects contributions, and broadcasts the
-//! verdict.
-//!
-//! # The fence
-//!
-//! A distributed session must not be allowed to terminate before every
-//! rank has finished *submitting* its work: a rank whose workers idle at
-//! (0, 0) before the application seeded anything would otherwise latch a
-//! spurious empty-session termination while peers still have messages in
-//! flight. Epochs are therefore **fenced**: each `Runtime::wait` call
-//! announces fence entry ([`TermWave::enter_fence`]) with its epoch
-//! number, and the coordinator only opens reduction rounds for epoch *e*
-//! once all ranks have entered fence *e*. Counters are cumulative across
-//! epochs, so messages of epoch *e+1* that arrive while a slow rank is
-//! still tearing down epoch *e* are simply early work for the next
-//! session — they can never corrupt the already-announced reduction.
+//! The rule is `ttg_termdet::WaveRule`, the one a runtime on its own
+//! runs in its `WaveBoard`; here its inputs and verdicts are control
+//! traffic over the [`Transport`]. Each `Runtime::wait` announces fence
+//! entry ([`TermWave::enter_fence`]) to rank 0, which hosts the
+//! coordinator: it feeds the rule the ranks' fence entries and
+//! contributions and broadcasts the rounds it opens and the epochs it
+//! ends. No round of epoch *e* opens before every rank fenced into *e*
+//! (a rank idle at (0, 0) before it seeded anything must not end a
+//! session its peers still send in), and counters are cumulative across
+//! epochs, so messages of epoch *e+1* that reach a rank still in *e*
+//! are early work for the next session, not a corrupted reduction.
 //!
 //! # Aborts (DESIGN.md §8)
 //!
@@ -42,7 +33,9 @@
 //! fence completes — and records a diagnostic that
 //! `Runtime::run` surfaces as `RunError::Aborted`. Rank aborts are
 //! broadcast as [`FrameKind::Abort`] control frames; receivers latch
-//! without re-broadcasting, so there is no abort storm.
+//! without re-broadcasting, so there is no abort storm. The coordinator
+//! abandons the aborted epoch in its rule, which turns it over once
+//! every rank has fenced into it, so the next epoch runs normally.
 //!
 //! Lock discipline: the client and coordinator states are separate
 //! mutexes and **no send (or cross-state call) happens while either is
@@ -57,7 +50,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use ttg_termdet::TermWave;
+use ttg_termdet::{TermWave, WaveRule, WaveStep};
 
 /// Per-rank state of the wave client.
 #[derive(Debug)]
@@ -74,38 +67,53 @@ struct ClientState {
     /// Last time the wave showed signs of life (fence entry, round
     /// begin, contribution, termination) — the client-side stall timer.
     last_activity: Instant,
+    /// Diagnostic of the abort that ended the current epoch, if any.
+    aborted: Option<String>,
+    /// An abort of the epoch after this client's, from a peer that
+    /// already turned over: latched when `reset` gets there (the peer's
+    /// `Abort` frame does not come again).
+    next_abort: Option<(u64, String)>,
 }
 
-/// Coordinator state (lives on rank 0 only).
+/// Coordinator state (lives on rank 0 only): the rule, and the stall
+/// timer that reads the sums of the rounds it closes.
 #[derive(Debug)]
 struct CoordState {
-    /// Epoch whose reduction we are (or will be) running.
-    epoch: u64,
-    /// Number of fences each rank has entered so far; rank `r` has
-    /// entered the fence of epoch `e` iff `fenced[r] > e`.
-    fenced: Vec<u64>,
-    /// Current round number within the epoch (0 = none opened yet).
-    round: u64,
-    /// Per-rank contributions to the current round.
-    contributions: Vec<Option<(u64, u64)>>,
-    /// Totals of the previous completed round.
-    prev_totals: Option<(u64, u64)>,
-    /// Unbalanced totals repeating verbatim since this instant — the
-    /// coordinator-side stall timer (a permanently lost data frame
-    /// cycles rounds forever with identical unbalanced sums).
-    stagnant: Option<(u64, u64, Instant)>,
+    rule: WaveRule,
+    /// Unbalanced sums repeating verbatim since this instant — a
+    /// permanently lost data frame cycles rounds forever with identical
+    /// unbalanced sums.
+    stagnant: Option<((u64, u64), Instant)>,
 }
 
-/// What the coordinator decided to broadcast (computed under its lock,
-/// transmitted after it drops).
-enum Verdict {
-    None,
-    /// Open reduction round `.0` of epoch `.1`.
-    Round(u64, u64),
-    /// Epoch `.0` is globally terminated.
-    Done(u64),
-    /// Epoch `.0` is hopeless; give up with a diagnostic.
-    Abort(u64, String),
+impl CoordState {
+    /// Feeds the stall timer the sums of the round `step` closed; returns
+    /// the diagnostic once the same unbalanced sums have repeated for
+    /// longer than `stall`.
+    fn stalled(&mut self, step: WaveStep, stall: Option<Duration>) -> Option<String> {
+        match step {
+            WaveStep::Wait => None,
+            WaveStep::Round {
+                closed: Some(sums), ..
+            } if sums.0 != sums.1 => {
+                if self.stagnant.is_none_or(|(s, _)| s != sums) {
+                    self.stagnant = Some((sums, Instant::now()));
+                }
+                let since = self.stagnant?.1.elapsed();
+                (since > stall?).then(|| {
+                    format!(
+                        "wave stalled: totals sent={} received={} unchanged for {since:?} \
+                         (a data frame was lost)",
+                        sums.0, sums.1
+                    )
+                })
+            }
+            _ => {
+                self.stagnant = None;
+                None
+            }
+        }
+    }
 }
 
 /// A [`TermWave`] implementation that reduces counters over a
@@ -118,9 +126,6 @@ pub struct NetWave {
     state: Mutex<ClientState>,
     coord: Option<Mutex<CoordState>>,
     terminated: AtomicBool,
-    /// Diagnostic of the abort that ended the current epoch, if any.
-    /// Locked after `state` when both are held.
-    abort_reason: Mutex<Option<String>>,
     /// A dead peer poisons every epoch, current and future.
     poison_reason: Mutex<Option<String>>,
     /// Opt-in wave-progress deadline (`TTG_NET_STALL_MS`).
@@ -128,15 +133,11 @@ pub struct NetWave {
 }
 
 impl NetWave {
-    /// Creates the wave endpoint for `rank` of `nranks`. The transport
-    /// must be bound with [`NetWave::bind_transport`] before the first
-    /// `wait` (control frames spin briefly waiting for it otherwise).
-    pub fn new(rank: usize, nranks: usize) -> Arc<NetWave> {
-        Self::with_stall(rank, nranks, None)
-    }
-
-    /// [`NetWave::new`] with a wave-progress deadline: a fenced epoch
-    /// making no progress for `stall` aborts instead of hanging.
+    /// Creates the wave endpoint for `rank` of `nranks`; with a `stall`
+    /// deadline, a fenced epoch making no progress for that long aborts
+    /// instead of hanging. The transport must be bound with
+    /// [`NetWave::bind_transport`] before the first `wait` (control
+    /// frames spin briefly waiting for it otherwise).
     pub fn with_stall(rank: usize, nranks: usize, stall: Option<Duration>) -> Arc<NetWave> {
         assert!(rank < nranks, "rank {rank} out of range for {nranks} ranks");
         Arc::new(NetWave {
@@ -149,19 +150,16 @@ impl NetWave {
                 pending_round: None,
                 last_round: 0,
                 last_activity: Instant::now(),
+                aborted: None,
+                next_abort: None,
             }),
             coord: (rank == 0).then(|| {
                 Mutex::new(CoordState {
-                    epoch: 0,
-                    fenced: vec![0; nranks],
-                    round: 0,
-                    contributions: vec![None; nranks],
-                    prev_totals: None,
+                    rule: WaveRule::new(nranks),
                     stagnant: None,
                 })
             }),
             terminated: AtomicBool::new(false),
-            abort_reason: Mutex::new(None),
             poison_reason: Mutex::new(None),
             stall,
         })
@@ -259,28 +257,32 @@ impl NetWave {
     /// best-effort, failures ignored (we are already aborting; the
     /// latch is set first, so there is no recursion).
     pub fn abort_epoch(&self, epoch: u64, reason: &str, broadcast: bool) {
+        if let Some(coord) = &self.coord {
+            // Every abort the coordinator learns of passes here: its own,
+            // a peer's `Abort`, a stall verdict, a failed round broadcast.
+            let step = coord.lock().rule.abandon(epoch);
+            self.broadcast(step);
+        }
         {
-            let st = self.state.lock();
-            if st.epoch != epoch {
-                return; // stale abort for an epoch already turned over
+            let mut st = self.state.lock();
+            if epoch > st.epoch {
+                st.next_abort
+                    .get_or_insert_with(|| (epoch, reason.to_string()));
+            } else if st.epoch == epoch && st.aborted.is_none() {
+                st.aborted = Some(reason.to_string());
+                self.terminated.store(true, Ordering::Release);
+            } else {
+                // Stale (the epoch already turned over), or already
+                // aborted: the first diagnostic wins.
+                return;
             }
-            let mut ab = self.abort_reason.lock();
-            if ab.is_some() {
-                return; // already aborted; first diagnostic wins
-            }
-            *ab = Some(reason.to_string());
-            self.terminated.store(true, Ordering::Release);
         }
         if broadcast {
             let mut payload = epoch.to_le_bytes().to_vec();
             payload.extend_from_slice(reason.as_bytes());
             let frame = Frame {
-                kind: FrameKind::Abort,
-                priority: 0,
-                handler: self.rank as u32,
-                span: 0,
-                seq: 0,
                 payload,
+                ..Frame::control(FrameKind::Abort, self.rank as u32)
             };
             let out = self.transport();
             for dst in 0..self.nranks {
@@ -295,12 +297,9 @@ impl NetWave {
     /// future one (each `enter_fence` re-aborts), so the mesh fails
     /// fast with the original diagnostic instead of hanging later.
     pub fn poison(&self, reason: &str) {
-        {
-            let mut poisoned = self.poison_reason.lock();
-            if poisoned.is_none() {
-                *poisoned = Some(reason.to_string());
-            }
-        }
+        self.poison_reason
+            .lock()
+            .get_or_insert_with(|| reason.to_string());
         let epoch = self.state.lock().epoch;
         self.abort_epoch(epoch, reason, true);
     }
@@ -359,10 +358,7 @@ impl NetWave {
             return;
         }
         let Some(coord) = &self.coord else { return };
-        let reoffer = {
-            let st = coord.lock();
-            (st.round > 0).then(|| (st.epoch, st.round))
-        };
+        let reoffer = coord.lock().rule.open_round();
         if let Some((epoch, round)) = reoffer {
             let frame = Frame::control_with_words(FrameKind::RoundBegin, round as u32, &[epoch]);
             let _ = self.transport().send(peer, frame);
@@ -375,104 +371,29 @@ impl NetWave {
         // A coordinator frame reaching a non-zero rank means the peer is
         // confused; dropping it is safe, killing the process is not.
         let Some(coord) = &self.coord else { return };
-        let verdict = {
-            let mut st = coord.lock();
-            // A restarted rank fences with a reset epoch counter; its
-            // entry means "ready for the mesh's *current* epoch". In
-            // steady state an `EnterFence` can never lag the
-            // coordinator's epoch (the epoch only advances after every
-            // rank's in-order contributions, which follow that rank's
-            // fence entry), so clamping to the current epoch only moves
-            // restarted ranks forward.
-            st.fenced[rank] = st.fenced[rank].max(epoch + 1).max(st.epoch + 1);
-            Self::maybe_open_first_round(&mut st)
-        };
-        self.broadcast(verdict);
+        let step = coord.lock().rule.fence(rank, epoch);
+        self.broadcast(step);
     }
 
     fn coord_contribute(&self, rank: usize, epoch: u64, round: u64, totals: (u64, u64)) {
         let Some(coord) = &self.coord else { return };
-        let verdict = {
+        let (step, stalled) = {
             let mut st = coord.lock();
-            if epoch != st.epoch || round != st.round {
-                return; // stale (an earlier round's late contribution)
-            }
-            st.contributions[rank] = Some(totals);
-            if !st.contributions.iter().all(Option::is_some) {
-                return;
-            }
-            let sums = st
-                .contributions
-                .iter()
-                .map(|c| c.expect("all contributions present"))
-                .fold((0u64, 0u64), |a, c| (a.0 + c.0, a.1 + c.1));
-            st.contributions.iter_mut().for_each(|c| *c = None);
-            if sums.0 == sums.1 && st.prev_totals == Some(sums) {
-                // Two consecutive stable, balanced rounds: epoch over.
-                let done = st.epoch;
-                st.epoch += 1;
-                st.round = 0;
-                st.prev_totals = None;
-                st.stagnant = None;
-                Verdict::Done(done)
-            } else {
-                // Stall detection: identical *unbalanced* totals round
-                // after round mean a message is never going to arrive.
-                let mut verdict = None;
-                if sums.0 != sums.1 {
-                    match st.stagnant {
-                        Some((s, r, since)) if (s, r) == sums => {
-                            if let Some(stall) = self.stall {
-                                if since.elapsed() > stall {
-                                    verdict = Some(Verdict::Abort(
-                                        st.epoch,
-                                        format!(
-                                            "wave stalled: totals sent={} received={} \
-                                             unchanged for {:?} (a data frame was lost)",
-                                            sums.0,
-                                            sums.1,
-                                            since.elapsed()
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                        _ => st.stagnant = Some((sums.0, sums.1, Instant::now())),
-                    }
-                } else {
-                    st.stagnant = None;
-                }
-                verdict.unwrap_or_else(|| {
-                    st.prev_totals = Some(sums);
-                    st.round += 1;
-                    Verdict::Round(st.epoch, st.round)
-                })
-            }
+            let step = st.rule.contribute(rank, epoch, round, totals.0, totals.1);
+            (step, st.stalled(step, self.stall))
         };
-        self.broadcast(verdict);
-    }
-
-    /// Opens round 1 of the current epoch once every rank has fenced
-    /// into it (and no round is already running).
-    fn maybe_open_first_round(st: &mut CoordState) -> Verdict {
-        let epoch = st.epoch;
-        if st.round == 0 && st.fenced.iter().all(|&f| f > epoch) {
-            st.round = 1;
-            st.contributions.iter_mut().for_each(|c| *c = None);
-            st.prev_totals = None;
-            st.stagnant = None;
-            Verdict::Round(epoch, 1)
-        } else {
-            Verdict::None
+        match stalled {
+            Some(reason) => self.abort_epoch(epoch, &reason, true),
+            None => self.broadcast(step),
         }
     }
 
-    /// Transmits a coordinator verdict to every rank. Rank 0's own copy
-    /// is a direct call (no self-connection exists over TCP).
-    fn broadcast(&self, verdict: Verdict) {
-        match verdict {
-            Verdict::None => {}
-            Verdict::Round(epoch, round) => {
+    /// Transmits a rule step to every rank. Rank 0's own copy is a
+    /// direct call (no self-connection exists over TCP).
+    fn broadcast(&self, step: WaveStep) {
+        match step {
+            WaveStep::Wait => {}
+            WaveStep::Round { epoch, round, .. } => {
                 let frame =
                     Frame::control_with_words(FrameKind::RoundBegin, round as u32, &[epoch]);
                 if let Some(err) = self.fan_out(frame) {
@@ -483,7 +404,7 @@ impl NetWave {
                 }
                 self.client_round_begin(epoch, round);
             }
-            Verdict::Done(epoch) => {
+            WaveStep::Done(epoch) => {
                 let frame = Frame::control_with_words(FrameKind::Terminated, 0, &[epoch]);
                 // Best-effort: the reduction already proved global
                 // quiescence, so local termination stands even if a
@@ -491,7 +412,6 @@ impl NetWave {
                 let _ = self.fan_out(frame);
                 self.client_terminated(epoch);
             }
-            Verdict::Abort(epoch, reason) => self.abort_epoch(epoch, &reason, true),
         }
     }
 
@@ -575,17 +495,18 @@ impl TermWave for NetWave {
         st.last_round = 0;
         st.last_activity = Instant::now();
         // The abort belonged to the epoch that just turned over; poison
-        // (a dead peer) survives into the new one.
-        *self.abort_reason.lock() = None;
-        // Clear the latch under the state lock so no contribution can
-        // observe the old epoch with a cleared latch.
-        self.terminated.store(false, Ordering::Release);
+        // (a dead peer) survives into the new one, and so does an abort
+        // a peer already sent for it.
+        let now = st.epoch;
+        st.aborted = st
+            .next_abort
+            .take_if(|(epoch, _)| *epoch == now)
+            .map(|(_, r)| r);
+        // Set the latch under the state lock so no contribution can
+        // observe the new epoch with the old latch.
+        self.terminated
+            .store(st.aborted.is_some(), Ordering::Release);
     }
-
-    /// Distributed sessions only turn over at the fence: a send or
-    /// submit during the latched window belongs to the *next* epoch and
-    /// must not un-latch the current one.
-    fn on_new_work(&self) {}
 
     fn enter_fence(&self) {
         let epoch = {
@@ -610,10 +531,6 @@ impl TermWave for NetWave {
         );
     }
 
-    fn fenced_protocol(&self) -> bool {
-        true
-    }
-
     fn round(&self) -> u64 {
         self.state.lock().last_round
     }
@@ -624,7 +541,7 @@ impl TermWave for NetWave {
     }
 
     fn aborted(&self) -> Option<String> {
-        self.abort_reason.lock().clone()
+        self.state.lock().aborted.clone()
     }
 
     fn poisoned(&self) -> Option<String> {
@@ -639,7 +556,7 @@ impl std::fmt::Debug for NetWave {
             .field("nranks", &self.nranks)
             .field("coordinator", &self.coord.is_some())
             .field("terminated", &self.terminated.load(Ordering::Relaxed))
-            .field("aborted", &self.abort_reason.lock().is_some())
+            .field("aborted", &self.state.lock().aborted.is_some())
             .finish()
     }
 }
@@ -739,19 +656,6 @@ mod tests {
             ranks[1].0.reset();
             assert!(!ranks[0].0.is_terminated());
         }
-    }
-
-    #[test]
-    fn new_work_keeps_the_latch() {
-        let ranks = wave_mesh(1);
-        ranks[0].0.enter_fence();
-        while !ranks[0].0.try_contribute(0, 0, 0) {}
-        assert!(ranks[0].0.is_terminated());
-        ranks[0].0.on_new_work();
-        assert!(
-            ranks[0].0.is_terminated(),
-            "net wave must keep the latch until the fence resets it"
-        );
     }
 
     #[test]
@@ -884,5 +788,98 @@ mod tests {
         }
         let reason = ranks[1].0.aborted().expect("stall abort recorded");
         assert!(reason.contains("silent"), "got: {reason}");
+    }
+
+    #[test]
+    fn concurrent_processes_with_message_exchange_terminate_exactly_once_done() {
+        // Three ranks ping-pong a token a fixed number of times, each on
+        // its own thread and fenced from the start; each polls its wave
+        // once its part of the game is over. Termination must only occur
+        // after every sent message has been received.
+        use std::sync::atomic::AtomicU64;
+        const PROCS: usize = 3;
+        const HOPS: u64 = 50;
+        let ranks = wave_mesh(PROCS);
+        let sent: Arc<Vec<AtomicU64>> = Arc::new((0..PROCS).map(|_| AtomicU64::new(0)).collect());
+        let recv: Arc<Vec<AtomicU64>> = Arc::new((0..PROCS).map(|_| AtomicU64::new(0)).collect());
+        // The token value encodes both hop count and owner: owner is
+        // token % PROCS; the game ends once token reaches HOPS*PROCS.
+        let token = Arc::new(AtomicU64::new(0));
+        let last = HOPS * PROCS as u64;
+        let handles: Vec<_> = ranks
+            .iter()
+            .map(|(wave, _)| {
+                let wave = Arc::clone(wave);
+                let sent = Arc::clone(&sent);
+                let recv = Arc::clone(&recv);
+                let token = Arc::clone(&token);
+                std::thread::spawn(move || {
+                    let rank = wave.rank();
+                    wave.enter_fence();
+                    loop {
+                        let t = token.load(Ordering::Acquire);
+                        let owner = (t % PROCS as u64) as usize;
+                        if owner == rank {
+                            if t != 0 {
+                                // Receive the incoming token.
+                                recv[rank].fetch_add(1, Ordering::Relaxed);
+                            }
+                            if t < last {
+                                // Pass it on.
+                                sent[rank].fetch_add(1, Ordering::Relaxed);
+                                token.store(t + 1, Ordering::Release);
+                            } else {
+                                break; // game over; final receive recorded
+                            }
+                        } else if t >= last {
+                            break; // not ours, game over
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                    // Idle: poll the wave until global termination.
+                    while !wave.try_contribute(
+                        rank,
+                        sent[rank].load(Ordering::Relaxed),
+                        recv[rank].load(Ordering::Relaxed),
+                    ) {
+                        std::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        // All threads exited ⇒ the wave terminated, and it can only have
+        // terminated with Σsent == Σrecv.
+        assert!(ranks.iter().all(|(w, _)| w.is_terminated()));
+        let s: u64 = sent.iter().map(|a| a.load(Ordering::Relaxed)).sum();
+        let r: u64 = recv.iter().map(|a| a.load(Ordering::Relaxed)).sum();
+        assert_eq!(s, r, "wave terminated with messages in flight");
+    }
+
+    #[test]
+    fn an_abort_of_the_next_epoch_reaches_a_client_still_behind() {
+        let ranks = wave_mesh(2);
+        ranks[0].0.enter_fence();
+        ranks[1].0.enter_fence();
+        while !(ranks[0].0.try_contribute(0, 0, 0) & ranks[1].0.try_contribute(1, 0, 0)) {}
+        // Rank 0 consumes epoch 0 and aborts epoch 1 while rank 1 still
+        // holds epoch 0's latch.
+        ranks[0].0.reset();
+        ranks[0].0.abort("gave up on epoch 1");
+        assert!(ranks[1].0.aborted().is_none(), "epoch 0 ended cleanly");
+        ranks[1].0.reset();
+        assert!(ranks[1].0.is_terminated());
+        assert!(ranks[1].0.aborted().unwrap().contains("epoch 1"));
+        // Both fence into the aborted epoch, turn over, and epoch 2 runs.
+        for (w, _) in &ranks {
+            w.enter_fence();
+            w.reset();
+            w.enter_fence();
+        }
+        while !(ranks[0].0.try_contribute(0, 0, 0) & ranks[1].0.try_contribute(1, 0, 0)) {}
+        assert!(ranks.iter().all(|(w, _)| w.aborted().is_none()));
     }
 }

@@ -139,3 +139,44 @@ fn messages_keep_sender_order_and_wait_means_handled() {
     assert_eq!(sent, received);
     assert_eq!(sent, handled.load(Ordering::Relaxed));
 }
+
+#[test]
+fn an_aborted_epoch_does_not_wedge_the_next_one() {
+    use ttg_runtime::RunError;
+    use ttg_termdet::TermWave;
+    let group = Arc::new(NetGroup::local(2, |_| RuntimeConfig::optimized(1)));
+    let handled = Arc::new(AtomicU64::new(0));
+    for rank in 0..2 {
+        let handled = Arc::clone(&handled);
+        group.runtime(rank).register_handler(move |_ctx, _payload| {
+            handled.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    // Each wait runs on a helper thread, so a hung one fails the test.
+    let wait = |group: &Arc<NetGroup>| {
+        let (tx, rx) = mpsc::channel();
+        let group = Arc::clone(group);
+        let waiter = std::thread::spawn(move || tx.send(group.try_wait()));
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the wait hung");
+        waiter
+            .join()
+            .expect("waiter panicked")
+            .expect("outcome sent");
+        outcome
+    };
+    for i in 0..3u64 {
+        let aborter = i as usize % 2;
+        group.member(aborter).wave().abort(&format!("drill {i}"));
+        match wait(&group) {
+            Err(RunError::Aborted { reason }) => assert!(reason.contains(&format!("drill {i}"))),
+            other => panic!("session {i}: expected the abort, got {other:?}"),
+        }
+        group
+            .runtime(aborter)
+            .send_msg(1 - aborter, 0, 0, Vec::new());
+        wait(&group).expect("the session after an abort runs clean");
+        assert_eq!(handled.load(Ordering::Relaxed), i + 1);
+    }
+}

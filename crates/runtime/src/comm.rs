@@ -66,7 +66,6 @@ pub(crate) fn send_msg_from(
         .get()
         .expect("send_msg to another rank requires a bound transport");
     let len = payload.len();
-    src.maybe_new_session();
     // Count the send *before* the frame can possibly be received.
     src.term.message_sent();
     src.comm.messages_sent.fetch_add(1, Ordering::Relaxed);

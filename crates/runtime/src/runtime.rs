@@ -267,16 +267,6 @@ impl Inner {
         }
     }
 
-    /// Opens a new session if the previous one already terminated: a
-    /// latched shared wave board must be reset *before* new work becomes
-    /// visible, otherwise a later `wait()` could accept the stale
-    /// termination while cross-process messages are still in flight.
-    /// (Network wave clients keep the latch — their sessions only turn
-    /// over at the fence — so this delegates to the implementation.)
-    pub(crate) fn maybe_new_session(&self) {
-        self.wave.on_new_work();
-    }
-
     /// Records the first fatal run error of the session (later ones are
     /// dropped: the first failure is the cause, the rest are fallout).
     pub(crate) fn record_run_error(&self, error: RunError) {
@@ -296,7 +286,7 @@ impl Inner {
         });
         self.wave
             .abort(&format!("send to rank {dst} failed: {error}"));
-        self.announce_termination();
+        self.announce(&mut self.session_done.lock());
     }
 
     /// Fans a peer-liveness transition out to registered observers.
@@ -331,7 +321,6 @@ impl Inner {
             BATCH.with_borrow_mut(|batch| batch.push(task));
             return;
         }
-        self.maybe_new_session();
         self.publish(std::iter::once(task), true);
     }
 
@@ -408,19 +397,37 @@ impl Inner {
         self.obs.as_ref().map_or(0, |_| ttg_sync::clock::now_ns())
     }
 
-    /// Marks the current session complete and wakes waiters.
-    pub(crate) fn announce_termination(&self) {
-        let mut done = self.session_done.lock();
-        if !*done {
-            *done = true;
-            self.session_cv.notify_all();
-        }
+    /// Marks the current session complete and wakes waiters; false if
+    /// it already was.
+    fn announce(&self, done: &mut bool) -> bool {
+        self.session_cv.notify_all();
+        !std::mem::replace(done, true)
     }
 
-    /// True when no submitted or in-flight work remains (used by `wait`
-    /// to reject stale announcements).
-    pub(crate) fn truly_quiet(&self) -> bool {
-        self.term.pending() == 0 && self.injection_len.load(Ordering::Acquire) == 0
+    /// Worker `id`'s idle-loop offer: if every worker is idle (hence
+    /// flushed) and nothing is pending, contribute the message totals,
+    /// and announce the epoch's end once the wave says so (then true).
+    /// Both happen under the session lock [`Runtime::run`] fences under,
+    /// so no contribution rests on an observation older than the fence.
+    pub(crate) fn offer_quiescence(&self, id: usize) -> bool {
+        let threads = self.config.threads.max(1);
+        let all_idle = || self.idle_count.load(Ordering::SeqCst) == threads;
+        if !all_idle() {
+            return false;
+        }
+        let quiescent = |_: &_| all_idle() && self.term.is_quiescent();
+        let Some(mut done) = self.session_done.try_lock().filter(quiescent) else {
+            return false;
+        };
+        let (sent, received) = self.term.message_totals();
+        let cell = &self.worker_stats[id];
+        cell.contributions.set(cell.contributions.get() + 1);
+        if let Some(obs) = self.obs.as_deref() {
+            // One ring event per wave round (deduplicated inside), not
+            // one per idle-loop spin.
+            obs.record_contribution(id, self.wave.round(), ttg_sync::clock::now_ns());
+        }
+        self.wave.try_contribute(self.rank, sent, received) && self.announce(&mut done)
     }
 }
 
@@ -515,14 +522,14 @@ pub struct Runtime {
 impl Runtime {
     /// Spawns a standalone runtime (its own single-process wave board).
     pub fn new(config: RuntimeConfig) -> Self {
-        Self::with_termination(config, Arc::new(WaveBoard::new(1)), 0)
+        Self::with_termination(config, Arc::new(WaveBoard::new()), 0)
     }
 
     /// Spawns a runtime participating in an external global-termination
     /// protocol: `wave` decides when the whole job is quiescent and
     /// `rank` is this runtime's identity within it. Used by `ttg-net` for
-    /// each rank of a multi-rank job; the wave client then reduces (sent,
-    /// received) totals over the transport instead of a shared board.
+    /// each rank of a multi-rank job, whose wave runs the rule of
+    /// `Runtime::new`'s board over the transport.
     pub fn with_termination(config: RuntimeConfig, wave: Arc<dyn TermWave>, rank: usize) -> Self {
         let threads = config.threads.max(1);
         let inner = Arc::new(Inner {
@@ -639,17 +646,14 @@ impl Runtime {
     /// must not wait for work it injects. A nested call joins the open
     /// batch.
     pub fn inject_batch<R>(&self, seed: impl FnOnce() -> R) -> R {
-        /// Closes the batch and publishes it: one session check, one
-        /// queue lock, one length update and one wake-up for all of it.
+        /// Closes the batch and publishes it: one queue lock, one length
+        /// update and one wake-up for all of it.
         struct Publish<'a>(&'a Inner);
         impl Drop for Publish<'_> {
             fn drop(&mut self) {
                 BATCH_OWNER.set(std::ptr::null());
                 BATCH.with_borrow_mut(|batch| {
-                    if !batch.is_empty() {
-                        self.0.maybe_new_session();
-                        self.0.publish(batch.drain(..), true);
-                    }
+                    self.0.publish(batch.drain(..), true);
                 });
             }
         }
@@ -663,9 +667,10 @@ impl Runtime {
         seed()
     }
 
-    /// Blocks until all submitted work (and, on a rank of a distributed
-    /// job, all work everywhere plus in-flight messages) has completed.
-    /// This is TTG's fence; the runtime is reusable afterwards.
+    /// Blocks until all work submitted before the call (and, on a rank of
+    /// a distributed job, all work everywhere plus in-flight messages)
+    /// has completed. This is TTG's fence; the runtime is reusable
+    /// afterwards, and several threads may wait on it at once.
     ///
     /// Failures are swallowed: a distributed session that lost a peer or
     /// aborted its wave still returns (the abort latches termination so
@@ -680,52 +685,44 @@ impl Runtime {
     /// ([`RunError::Aborted`]). The runtime stays reusable either way —
     /// though after a lost peer, distributed sessions stay poisoned and
     /// every later `run()` fails fast with the same diagnostic.
+    ///
+    /// One protocol, one rank or many: `run()` enters the wave's fence,
+    /// wakes parked workers so the rounds run at once, and returns when
+    /// the epoch it fenced into ends — authoritatively: messages of the
+    /// next epoch already queued here (their sender's wait returned
+    /// first) do not hold it up.
     pub fn run(&self) -> Result<(), RunError> {
         // Nothing this session sent may still be corked when the rank
-        // says it is done sending. Then announce fence entry:
-        // distributed wave clients tell the coordinator that this rank
-        // has submitted all of its session's work, which gates the first
-        // reduction round (no-op for the shared-memory board).
+        // says it is done sending.
         self.inner.flush_frames();
-        self.inner.wave.enter_fence();
         let mut done = self.inner.session_done.lock();
         loop {
-            if *done {
-                *done = false;
-                if self.inner.wave.fenced_protocol() {
-                    // The latch is per-epoch authoritative: set only by a
-                    // coordinator announcement for the epoch this wait
-                    // fenced into, cleared only by our own reset below.
-                    // Messages of the *next* epoch may already sit in the
-                    // queue (their sender's wait returned first); they
-                    // belong to the next session and must not block us.
-                    if self.inner.wave.is_terminated() {
-                        // Capture the abort diagnostic before reset
-                        // clears it for the next epoch.
-                        let aborted = self.inner.wave.aborted();
-                        self.inner.wave.reset();
-                        drop(done);
-                        let structured = self.inner.run_error.lock().take();
-                        return match (structured, aborted) {
-                            (Some(e), _) => Err(e),
-                            (None, Some(reason)) => Err(RunError::Aborted { reason }),
-                            (None, None) => Ok(()),
-                        };
-                    }
-                    // Spurious wakeup from a worker that raced the reset;
-                    // await a genuine announcement.
-                    continue;
-                }
-                // Not quiet: a stale announcement from an earlier empty
-                // session, new work arrived since. Reset and keep waiting.
-                let quiet = self.inner.truly_quiet();
-                self.inner.wave.reset();
-                if quiet {
-                    return Ok(());
-                }
+            // Under the session lock: a worker observes quiescence and
+            // contributes under it too, so no observation made before
+            // this thread's submissions counts for the epoch it fences.
+            self.inner.wave.enter_fence();
+            self.inner.wake_sleepers();
+            if !*done {
+                self.inner.session_cv.wait(&mut done);
+            }
+            // Woken without an announcement (another waiter consumed the
+            // epoch this one fenced into) or by one that predates the
+            // latch: fence again and keep waiting.
+            if !std::mem::take(&mut *done) || !self.inner.wave.is_terminated() {
                 continue;
             }
-            self.inner.session_cv.wait(&mut done);
+            // Capture the abort diagnostic before reset clears it for
+            // the next epoch; other waiters fence into that one.
+            let aborted = self.inner.wave.aborted();
+            self.inner.wave.reset();
+            self.inner.session_cv.notify_all();
+            drop(done);
+            let structured = self.inner.run_error.lock().take();
+            return match (structured, aborted) {
+                (Some(e), _) => Err(e),
+                (None, Some(reason)) => Err(RunError::Aborted { reason }),
+                (None, None) => Ok(()),
+            };
         }
     }
 
@@ -740,17 +737,19 @@ impl Runtime {
     /// queued or pending.
     fn is_idle(&self) -> bool {
         let threads = self.inner.config.threads.max(1);
-        self.inner.idle_count.load(Ordering::SeqCst) == threads && self.inner.truly_quiet()
+        self.inner.idle_count.load(Ordering::SeqCst) == threads
+            && self.inner.term.pending() == 0
+            && self.inner.injection_len.load(Ordering::Acquire) == 0
     }
 
     /// Blocks until no task of this runtime is running or queued — what
     /// tearing down a graph built on it waits for. A runtime on its own
-    /// gets there by [`Runtime::wait`]. A rank of a distributed job
-    /// cannot fence alone (a thread that drives several ranks,
-    /// `NetGroup::local`, would wait for itself): there the job fences
-    /// first, and this only waits out the rank's own tasks.
+    /// gets there by [`Runtime::wait`]. One rank of several (a transport
+    /// is bound) cannot fence alone — a thread that drives several
+    /// ranks, `NetGroup::local`, would wait for itself — so there the
+    /// job fences first, and this only waits out the rank's own tasks.
     pub fn quiesce(&self) {
-        if !self.inner.wave.fenced_protocol() {
+        if self.inner.frame_out.get().is_none() {
             return self.wait();
         }
         while !self.is_idle() {

@@ -335,7 +335,6 @@ fn note_pop_source(inner: &Inner, id: usize, src: ttg_sched::PopSource) {
 
 /// The worker thread body.
 pub(crate) fn worker_main(inner: &Inner, id: usize) {
-    let nthreads = inner.config.threads.max(1);
     let mut ctx = WorkerCtx::new(inner, id);
     'outer: loop {
         // ---- busy phase -------------------------------------------------
@@ -389,20 +388,11 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 ctx.drain_injection();
                 continue 'outer;
             }
-            // Quiescence: every worker idle (hence flushed) and the
-            // process-pending counter exactly zero.
-            if inner.idle_count.load(Ordering::SeqCst) == nthreads && inner.term.is_quiescent() {
-                let (sent, received) = inner.term.message_totals();
-                let cell = &inner.worker_stats[id];
-                cell.contributions.set(cell.contributions.get() + 1);
-                if let Some(obs) = inner.obs.as_deref() {
-                    // One ring event per wave round (deduplicated inside),
-                    // not one per idle-loop spin.
-                    obs.record_contribution(id, inner.wave.round(), ttg_sync::clock::now_ns());
-                }
-                if inner.wave.try_contribute(inner.rank, sent, received) {
-                    inner.announce_termination();
-                }
+            // A waiter just woken often fences again at once (a wait
+            // loop), and its wake-up would find this worker on its way
+            // to parking: spin before parking.
+            if inner.offer_quiescence(id) {
+                spins = 0;
             }
             // Starvation backoff: brief yields, then timed parking.
             spins += 1;
@@ -420,15 +410,23 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 let mut guard = inner.sleep_lock.lock();
                 // Re-check wakeup conditions under the lock to avoid a
                 // missed notify between the checks above and the wait.
+                let mut woken = false;
                 if inner.sched.pending_estimate() == 0
                     && inner.injection_len.load(Ordering::Acquire) == 0
                     && !inner.corked.load(Ordering::SeqCst)
                     && !inner.shutdown.load(Ordering::Acquire)
                 {
-                    inner.sleep_cv.wait_for(&mut guard, PARK_TIMEOUT);
+                    let wait = inner.sleep_cv.wait_for(&mut guard, PARK_TIMEOUT);
+                    woken = !wait.timed_out();
                 }
                 drop(guard);
                 inner.sleeper_count.fetch_sub(1, Ordering::SeqCst);
+                // Woken, not timed out, while the wave runs rounds (the
+                // fence's wake-up): spin before parking, so the rounds
+                // close in microseconds and not one park timeout each.
+                if woken && inner.wave.round() > 0 {
+                    spins = 0;
+                }
                 if let (Some(obs), Some(start)) = (inner.obs.as_deref(), park_start) {
                     // Consecutive park timeouts coalesce into one event.
                     let now = ttg_sync::clock::now_ns();

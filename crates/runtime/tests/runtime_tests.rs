@@ -368,3 +368,90 @@ fn multi_worker_trace_records_steals_and_parks_with_worker_ids() {
         assert!(e.tid < WORKERS);
     }
 }
+
+#[test]
+fn the_one_rank_board_terminates_only_inside_a_fence() {
+    use ttg_termdet::{TermWave, WaveBoard};
+    let board = WaveBoard::new();
+    for _ in 0..1000 {
+        assert!(!board.try_contribute(0, 0, 0), "terminated without a fence");
+    }
+    board.enter_fence();
+    assert!(!board.try_contribute(0, 0, 0), "one round is not enough");
+    assert!(
+        board.try_contribute(0, 0, 0),
+        "the second balanced round ends it"
+    );
+    board.reset();
+    assert!(
+        !board.try_contribute(0, 0, 0),
+        "the next epoch waits for its fence"
+    );
+}
+
+#[test]
+fn two_threads_submit_and_wait_on_one_runtime() {
+    // A waiter whose epoch another waiter consumed fences again; one that
+    // arrives at a latched epoch does not take it for its own.
+    let rt = Arc::new(Runtime::new(RuntimeConfig::optimized(2)));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiters: Vec<_> = (0..2)
+        .map(|_| {
+            let (rt, tx) = (Arc::clone(&rt), tx.clone());
+            std::thread::spawn(move || {
+                for round in 0..50 {
+                    let ran = Arc::new(AtomicUsize::new(0));
+                    let r = Arc::clone(&ran);
+                    rt.submit(0, move |_| {
+                        r.fetch_add(1, Ordering::Relaxed);
+                    });
+                    rt.wait();
+                    assert_eq!(ran.load(Ordering::Relaxed), 1, "round {round}: early wait");
+                }
+                tx.send(()).unwrap();
+            })
+        })
+        .collect();
+    for _ in 0..2 {
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a waiter hung");
+    }
+    waiters.into_iter().for_each(|w| w.join().unwrap());
+}
+
+#[test]
+fn wait_latencies() {
+    // Reported, not asserted: median of 20 of each.
+    use std::time::{Duration, Instant};
+    let rt = Runtime::new(RuntimeConfig::optimized(2));
+    let median = |f: &mut dyn FnMut() -> Duration| {
+        let mut v: Vec<Duration> = (0..20).map(|_| f()).collect();
+        v.sort();
+        v[v.len() / 2]
+    };
+    let idle = median(&mut || {
+        let t = Instant::now();
+        rt.wait();
+        t.elapsed()
+    });
+    let after = median(&mut || {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&ran);
+        rt.submit(0, move |_| {
+            r.fetch_add(1, Ordering::Relaxed);
+        });
+        while ran.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let t = Instant::now();
+        rt.wait();
+        t.elapsed()
+    });
+    let submit = median(&mut || {
+        let t = Instant::now();
+        rt.submit(0, |_| {});
+        rt.wait();
+        t.elapsed()
+    });
+    println!("wait() on an idle runtime: {idle:?}; after finished work: {after:?}; submit + wait(): {submit:?}");
+}

@@ -19,9 +19,11 @@
 //!    that behaviour for the ablation benchmarks.
 //! 3. **Global level**: the *4-counter wave* algorithm (Bosilca et al.):
 //!    when a process is locally quiescent it contributes its totals of
-//!    messages sent and received to a reduction; global termination is
-//!    announced when the two sums are equal and unchanged for two
-//!    consecutive reductions.
+//!    messages sent and received to a reduction; an epoch of work ends
+//!    when the two sums are equal and unchanged for two consecutive
+//!    reductions. [`WaveRule`] is that rule, once, over fenced epochs:
+//!    [`WaveBoard`] runs it for a runtime on its own and a network
+//!    coordinator for the ranks of a job, as one protocol.
 //!
 //! The process-wide pending counter may be transiently negative (a task
 //! discovered by thread A but executed by thread B can be flushed by B
@@ -43,4 +45,4 @@ mod wave;
 
 pub use local::{LocalTermination, TermDetKind};
 pub use scope::{InstanceScope, ScopeOutcome, SubmissionGuard};
-pub use wave::{TermWave, WaveBoard};
+pub use wave::{TermWave, WaveBoard, WaveRule, WaveStep};
