@@ -52,9 +52,10 @@ fn main() {
         initial_level,
         domain: (-6.0, 6.0),
     }));
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "MRA: order k={k}, eps={eps:e}, exponent={exponent}, domain [-6,6]^3 \
-         (paper: k=10, eps=1e-8, exponent=30000)"
+         (paper: k=10, eps=1e-8, exponent=30000); host: nproc={cpus}"
     );
 
     let mut report = Report::new("Figure 12: MRA time to solution", "threads", "seconds");
@@ -88,7 +89,6 @@ fn main() {
     println!(
         "\nshape check (paper): original TTG plateaus near 5x speedup; \
          optimized TTG reaches ~20x at 48 threads for 256 functions. \
-         On a single-core host all thread counts share the core and the \
-         speedup column reads ~1."
+         Thread counts above nproc share cores, and their speedup reads ~1 or less."
     );
 }

@@ -16,10 +16,12 @@
 //! * [`twoscale`] — the two-scale filter matrices H⁰, H¹ with
 //!   φ_j(x) = √2 Σ_i H^c_{ji} φ_i(2x−c); computed exactly by quadrature
 //!   and orthonormal by construction (verified in tests).
-//! * [`tensor`] — k³ coefficient tensors and the mode-wise matrix
-//!   transform (three GEMMs of shape k×k · k×k² — with k = 10 and the
-//!   2k = 20 gathered child tensors this is the paper's "GEMM on 20^…
-//!   matrices" kernel).
+//! * [`tensor`] — k³ coefficient tensors and the mode product, the one
+//!   kernel: three GEMMs of shape k×k · k×k², 3·k⁴ multiply-adds.
+//!   Projection runs one per box, a filter eight (one k-wide product
+//!   per child, summed) and an unfilter one per child. MADNESS gathers
+//!   the children into one (2k)³ tensor instead — the paper's "GEMM on
+//!   20^3" at k = 10; that form is not implemented here.
 //! * [`tree`] — the adaptive octree: projection with refinement control,
 //!   compression (filter children → parent + per-child residuals), and
 //!   reconstruction (unfilter + residual).

@@ -2,9 +2,10 @@
 //!
 //! The MRA kernels are mode-wise tensor transforms: applying a k×k
 //! matrix along each of the three dimensions of a k³ tensor — three
-//! GEMMs of shape (k×k)·(k×k²). With k = 10 and the 20-wide gathered
-//! child data this is the paper's "GEMM on 20^… double precision
-//! matrices" workload.
+//! GEMMs of shape (k×k)·(k×k²), 3·k⁴ multiply-adds. Projection runs one
+//! such product per box, a filter eight (one per child, summed into the
+//! parent) and an unfilter one per child. One kernel serves all three,
+//! compiled for each k up to [`MAX_K`].
 
 /// A row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,82 +169,26 @@ impl Tensor3 {
         }
     }
 
-    /// Applies `m` (r×k) along every mode: `out[a,b,c] = Σ m[a,i]
-    /// m[b,j] m[c,l] · self[i,j,l]`. Implemented as three GEMMs
-    /// with mode rotation, so each pass is a dense (r×k)·(k×k²) product —
-    /// the MRA hot kernel.
-    pub fn transform(&self, m: &Matrix) -> Tensor3 {
-        assert_eq!(m.cols(), self.k);
-        assert_eq!(m.rows(), self.k, "mode transform must preserve dimension");
-        let k = self.k;
-        let mut src = self.data.clone();
-        let mut dst = vec![0.0; k * k * k];
-        // Three passes; each contracts the *first* mode and rotates it to
-        // the back: out[j, m, a] = Σ_i M[a, i] src[i, j, m].
-        for _pass in 0..3 {
-            dst.iter_mut().for_each(|v| *v = 0.0);
-            for i in 0..k {
-                for a in 0..k {
-                    let w = m.get(a, i);
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let src_plane = &src[i * k * k..(i + 1) * k * k];
-                    // dst index: ((j*k + m)*k + a) = (jm)*k + a
-                    for jm in 0..k * k {
-                        dst[jm * k + a] += w * src_plane[jm];
-                    }
-                }
-            }
-            std::mem::swap(&mut src, &mut dst);
-        }
-        Tensor3 { k, data: src }
+    /// The mode product: `out[a,b,c] = Σ t0[i,a]·t1[j,b]·t2[l,c]·
+    /// self[i,j,l]`, i.e. `M₀ ⊗ M₁ ⊗ M₂` applied with each matrix passed
+    /// *transposed* (`t_d = M_dᵀ`), the form the kernel streams row by
+    /// row. 3·k⁴ multiply-adds; allocates only the result.
+    pub fn transform3(&self, t0: &Matrix, t1: &Matrix, t2: &Matrix) -> Tensor3 {
+        let mut out = Tensor3::zeros(self.k);
+        out.add_transform3(self, t0, t1, t2);
+        out
     }
 
-    /// Like [`Tensor3::transform`] but with a distinct matrix per mode:
-    /// `out[a,b,c] = Σ m0[a,i]·m1[b,j]·m2[c,l]·self[i,j,l]`. This is the
-    /// filter/unfilter kernel: the child-octant index selects H⁰ or H¹
-    /// per dimension.
-    pub fn transform3(&self, m0: &Matrix, m1: &Matrix, m2: &Matrix) -> Tensor3 {
-        let k = self.k;
-        for m in [m0, m1, m2] {
-            assert_eq!((m.rows(), m.cols()), (k, k));
-        }
-        let mut src = self.data.clone();
-        let mut dst = vec![0.0; k * k * k];
-        for m in [m0, m1, m2] {
-            dst.iter_mut().for_each(|v| *v = 0.0);
-            for i in 0..k {
-                for a in 0..k {
-                    let w = m.get(a, i);
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let src_plane = &src[i * k * k..(i + 1) * k * k];
-                    for jm in 0..k * k {
-                        dst[jm * k + a] += w * src_plane[jm];
-                    }
-                }
-            }
-            std::mem::swap(&mut src, &mut dst);
-        }
-        Tensor3 { k, data: src }
+    /// `self += transform3(src, t0, t1, t2)`, without a temporary on the
+    /// heap: how a filter sums its eight children into one tensor.
+    pub fn add_transform3(&mut self, src: &Tensor3, t0: &Matrix, t1: &Matrix, t2: &Matrix) {
+        assert_eq!(self.k, src.k);
+        product(self.k, &mut self.data, Some(&src.data), [t0, t1, t2]);
     }
 
-    /// Rank-3 separable expansion: `out[i,j,m] = a[i]·b[j]·c[m]`, used
-    /// to build test tensors.
-    pub fn outer(a: &[f64], b: &[f64], c: &[f64]) -> Tensor3 {
-        let k = a.len();
-        assert!(b.len() == k && c.len() == k);
-        let mut t = Tensor3::zeros(k);
-        for i in 0..k {
-            for j in 0..k {
-                for m in 0..k {
-                    t.set(i, j, m, a[i] * b[j] * c[m]);
-                }
-            }
-        }
-        t
+    /// `self = transform3(self, t0, t1, t2)`, without allocating.
+    pub fn transform3_in_place(&mut self, t0: &Matrix, t1: &Matrix, t2: &Matrix) {
+        product(self.k, &mut self.data, None, [t0, t1, t2]);
     }
 
     /// Maximum absolute difference to another tensor.
@@ -254,6 +199,75 @@ impl Tensor3 {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
+}
+
+/// The largest k the mode-product kernel is compiled for.
+pub const MAX_K: usize = 16;
+
+/// A k³ tensor as the kernel sees it: `[i][j][m]`, i slowest.
+type Cube<const K: usize> = [[[f64; K]; K]; K];
+
+/// `dst += P·src`, or `dst = P·dst` when `src` is `None`, where
+/// `P = t[0]ᵀ ⊗ t[1]ᵀ ⊗ t[2]ᵀ`. The one `match` on k: each k in
+/// 1..=[`MAX_K`] has its own monomorphised kernel.
+fn product(k: usize, dst: &mut [f64], src: Option<&[f64]>, t: [&Matrix; 3]) {
+    for m in t {
+        assert_eq!((m.rows, m.cols), (k, k), "mode matrices must be k×k");
+    }
+    macro_rules! by_k {
+        ($($K:literal)*) => {
+            match k {
+                $($K => product_k::<$K>(dst, src, t),)*
+                _ => panic!("k = {k}: the mode-product kernel supports 1..={MAX_K}"),
+            }
+        };
+    }
+    by_k!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+}
+
+/// Three [`pass`]es through two stack temporaries.
+fn product_k<const K: usize>(dst: &mut [f64], src: Option<&[f64]>, t: [&Matrix; 3]) {
+    let mut a: Cube<K> = [[[0.0; K]; K]; K];
+    let mut b: Cube<K> = [[[0.0; K]; K]; K];
+    pass(cube(src.unwrap_or(dst)), rows(&t[0].data), &mut a, false);
+    pass(&a, rows(&t[1].data), &mut b, false);
+    pass(&b, rows(&t[2].data), cube_mut(dst), src.is_some());
+}
+
+/// One mode product, contracting the first mode and rotating it to the
+/// back: `dst[j][m][a] (+)= Σ_i src[i][j][m] · t[i][a]`. Each of the k²
+/// output rows is K accumulators held in registers, summed over i in
+/// ascending order.
+#[inline(always)]
+fn pass<const K: usize>(src: &Cube<K>, t: &[[f64; K]; K], dst: &mut Cube<K>, add: bool) {
+    for j in 0..K {
+        for m in 0..K {
+            let mut acc = [0.0; K];
+            for i in 0..K {
+                let s = src[i][j][m];
+                for a in 0..K {
+                    acc[a] += s * t[i][a];
+                }
+            }
+            for (d, v) in dst[j][m].iter_mut().zip(acc) {
+                *d = if add { *d + v } else { v };
+            }
+        }
+    }
+}
+
+/// `d` as K rows of K (a matrix), or as K planes of those (a tensor).
+fn rows<const K: usize, T>(d: &[T]) -> &[[T; K]; K] {
+    d.as_chunks().0.try_into().expect("K×K entries")
+}
+
+fn cube<const K: usize>(d: &[f64]) -> &Cube<K> {
+    rows(d.as_chunks().0)
+}
+
+fn cube_mut<const K: usize>(d: &mut [f64]) -> &mut Cube<K> {
+    let planes: &mut [[[f64; K]; K]] = d.as_chunks_mut().0.as_chunks_mut().0;
+    planes.try_into().expect("K×K×K entries")
 }
 
 #[cfg(test)]
@@ -307,7 +321,8 @@ mod tests {
         for (idx, v) in t.data_mut().iter_mut().enumerate() {
             *v = (idx as f64 * 0.37).sin();
         }
-        let fast = t.transform(&m);
+        let mt = m.transpose();
+        let fast = t.transform3(&mt, &mt, &mt);
         let slow = naive_transform(&t, &m);
         assert!(
             fast.max_abs_diff(&slow) < 1e-12,
@@ -324,7 +339,7 @@ mod tests {
         for (idx, v) in t.data_mut().iter_mut().enumerate() {
             *v = idx as f64;
         }
-        assert!(t.transform(&id).max_abs_diff(&t) < 1e-14);
+        assert!(t.transform3(&id, &id, &id).max_abs_diff(&t) < 1e-14);
     }
 
     #[test]
@@ -344,14 +359,41 @@ mod tests {
         for (idx, v) in t.data_mut().iter_mut().enumerate() {
             *v = ((idx * 13 % 97) as f64) / 97.0;
         }
-        let out = t.transform(&m);
+        let out = t.transform3(&m, &m, &m);
         assert!((out.norm() - t.norm()).abs() < 1e-10);
     }
 
+    /// Rank-3 separable expansion: `out[i,j,m] = a[i]·b[j]·c[m]`.
+    fn outer(a: &[f64], b: &[f64], c: &[f64]) -> Tensor3 {
+        let k = a.len();
+        let mut t = Tensor3::zeros(k);
+        for i in 0..k {
+            for j in 0..k {
+                for m in 0..k {
+                    t.set(i, j, m, a[i] * b[j] * c[m]);
+                }
+            }
+        }
+        t
+    }
+
+    /// A separable tensor stays separable, each factor multiplied by its
+    /// own mode's matrix: `transform3(a⊗b⊗c, t0, t1, t2) = t0ᵀa ⊗ t1ᵀb
+    /// ⊗ t2ᵀc`. Three distinct non-symmetric matrices, so swapping modes
+    /// or transposition shows.
     #[test]
     fn outer_builds_separable_tensor() {
-        let t = Tensor3::outer(&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]);
+        let t = outer(&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]);
         assert_eq!(t.get(1, 0, 1), 2.0 * 3.0 * 6.0);
         assert_eq!(t.get(0, 1, 0), 1.0 * 4.0 * 5.0);
+        let m: [Matrix; 3] =
+            std::array::from_fn(|d| Matrix::from_fn(2, 2, |r, c| (1 + d + 2 * r + 5 * c) as f64));
+        let mul = |m: &Matrix, v: [f64; 2]| [0, 1].map(|c| m.get(0, c) * v[0] + m.get(1, c) * v[1]);
+        let want = outer(
+            &mul(&m[0], [1.0, 2.0]),
+            &mul(&m[1], [3.0, 4.0]),
+            &mul(&m[2], [5.0, 6.0]),
+        );
+        assert_eq!(t.transform3(&m[0], &m[1], &m[2]), want);
     }
 }

@@ -6,15 +6,15 @@
 //!
 //! * [`MraContext::project_box`] — scaling coefficients of `f` on one box
 //!   by Gauss–Legendre quadrature (k³ function evaluations + a mode
-//!   transform: the "most costly part" per the paper);
+//!   product: the "most costly part" per the paper);
 //! * [`MraContext::filter`] — eight children → parent coefficients
-//!   (two-scale GEMMs over the gathered 2k-per-dimension child data);
+//!   (one k-wide two-scale mode product per child, summed);
 //! * [`MraContext::unfilter_child`] — parent → one child's coefficients
 //!   (the reconstruction kernel).
 
 use crate::function::Gaussian3;
 use crate::quadrature::GaussLegendre;
-use crate::tensor::{Matrix, Tensor3};
+use crate::tensor::{Matrix, Tensor3, MAX_K};
 use crate::twoscale::TwoScale;
 
 /// A dyadic box of the octree: level `n` and translation `l ∈ [0, 2ⁿ)³`.
@@ -111,28 +111,39 @@ pub struct MraContext {
     /// Parameters.
     pub params: MraParams,
     quad: GaussLegendre,
-    /// Φ[i][a] = w_a φ_i(x_a): quadrature-to-coefficients matrix.
-    quad_phi_w: Matrix,
+    /// Φᵀ[a][i] = w_a φ_i(x_a): the quadrature-to-coefficients matrix
+    /// Φ, stored transposed as [`Tensor3::transform3`] takes it.
+    quad_phi_w_t: Matrix,
     twoscale: TwoScale,
+    /// H⁰ᵀ and H¹ᵀ: what filtering applies H⁰ and H¹ with.
+    h_t: [Matrix; 2],
 }
 
 impl MraContext {
-    /// Builds the machinery for `params`.
+    /// Builds the machinery for `params`; panics unless `params.k` is in
+    /// 1..=[`MAX_K`], the orders the kernel is compiled for.
     pub fn new(params: MraParams) -> Self {
         let k = params.k;
+        assert!(
+            (1..=MAX_K).contains(&k),
+            "k = {k}: the mode-product kernel supports 1..={MAX_K}"
+        );
         let quad = GaussLegendre::new(k);
-        let mut quad_phi_w = Matrix::zeros(k, k);
+        let mut quad_phi_w_t = Matrix::zeros(k, k);
         for (a, (&x, &w)) in quad.points.iter().zip(&quad.weights).enumerate() {
             let phi = crate::basis::scaling_at(k, x);
             for (i, &p) in phi.iter().enumerate() {
-                quad_phi_w.set(i, a, w * p);
+                quad_phi_w_t.set(a, i, w * p);
             }
         }
+        let twoscale = TwoScale::new(k);
+        let h_t = [twoscale.h(0).transpose(), twoscale.h(1).transpose()];
         MraContext {
             params,
             quad,
-            quad_phi_w,
-            twoscale: TwoScale::new(k),
+            quad_phi_w_t,
+            twoscale,
+            h_t,
         }
     }
 
@@ -150,48 +161,47 @@ impl MraContext {
 
     /// Projects `f` onto the scaling basis of `key`: `s[i,j,m] =
     /// 2^(−3n/2) Σ w³ f(x) φ_i φ_j φ_m`. Exactly k³ function
-    /// evaluations plus one mode transform (three k×k · k×k² GEMMs).
+    /// evaluations plus one mode product, in place in the result.
     pub fn project_box(&self, f: &Gaussian3, key: &BoxKey) -> Tensor3 {
         let k = self.params.k;
         let (lo, w) = key.bounds();
-        let mut values = Tensor3::zeros(k);
-        // World coordinates of the quadrature grid on this box.
-        let coords: Vec<f64> = self.quad.points.iter().map(|&p| p * w).collect();
-        for a in 0..k {
-            let x = self.to_world(lo[0] + coords[a]);
-            for b in 0..k {
-                let y = self.to_world(lo[1] + coords[b]);
-                for c in 0..k {
-                    let z = self.to_world(lo[2] + coords[c]);
-                    values.set(a, b, c, f.eval(x, y, z));
+        let mut s = Tensor3::zeros(k);
+        // The quadrature grid on this box, in world coordinates.
+        let at = |d: usize, p: f64| self.to_world(lo[d] + p * w);
+        let points = &self.quad.points;
+        for (a, &px) in points.iter().enumerate() {
+            let x = at(0, px);
+            for (b, &py) in points.iter().enumerate() {
+                let y = at(1, py);
+                for (c, &pz) in points.iter().enumerate() {
+                    s.set(a, b, c, f.eval(x, y, at(2, pz)));
                 }
             }
         }
-        let mut s = values.transform(&self.quad_phi_w);
+        let phi_t = &self.quad_phi_w_t;
+        s.transform3_in_place(phi_t, phi_t, phi_t);
         s.scale(2f64.powi(-3 * key.n as i32).sqrt());
         s
     }
 
     /// Gathers 8 children into the parent's scaling coefficients:
-    /// `s_parent = Σ_c (H^cx ⊗ H^cy ⊗ H^cz) s_child[c]`.
+    /// `s_parent = Σ_c (H^cx ⊗ H^cy ⊗ H^cz) s_child[c]` — eight mode
+    /// products summed into one tensor, the children in octant order.
     pub fn filter(&self, children: &[Tensor3; 8]) -> Tensor3 {
         let mut s = Tensor3::zeros(self.params.k);
         for (c, child) in children.iter().enumerate() {
-            let hx = self.twoscale.h(c & 1);
-            let hy = self.twoscale.h((c >> 1) & 1);
-            let hz = self.twoscale.h((c >> 2) & 1);
-            s.add_assign(&child.transform3(hx, hy, hz));
+            let [hx, hy, hz] = [c & 1, (c >> 1) & 1, (c >> 2) & 1].map(|b| &self.h_t[b]);
+            s.add_transform3(child, hx, hy, hz);
         }
         s
     }
 
     /// Child `c`'s share of a parent's coefficients:
-    /// s_child = (H^{cx} ⊗ H^{cy} ⊗ H^{cz})ᵀ s_parent.
+    /// s_child = (H^{cx} ⊗ H^{cy} ⊗ H^{cz})ᵀ s_parent — one mode product
+    /// with the untransposed filters.
     pub fn unfilter_child(&self, parent: &Tensor3, c: usize) -> Tensor3 {
-        let hx = self.twoscale.h(c & 1).transpose();
-        let hy = self.twoscale.h((c >> 1) & 1).transpose();
-        let hz = self.twoscale.h((c >> 2) & 1).transpose();
-        parent.transform3(&hx, &hy, &hz)
+        let [hx, hy, hz] = [c & 1, (c >> 1) & 1, (c >> 2) & 1].map(|b| self.twoscale.h(b));
+        parent.transform3(hx, hy, hz)
     }
 
     /// Inter-level detail norm: ‖d‖ = √(Σ‖s_child‖² − ‖s_parent‖²) —

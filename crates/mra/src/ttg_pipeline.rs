@@ -3,7 +3,7 @@
 //! Three TTs over keys `(function, box)`:
 //!
 //! * **Project** — control-flow driven refinement: projects the box's 8
-//!   children (k³-point quadratures + mode-transform GEMMs), filters
+//!   children (k³-point quadratures + one mode product each), filters
 //!   them, and either records a leaf (sending its coefficients up to the
 //!   parent's Compress task) or sends refinement tokens to its children
 //!   — the template graph's self-loop unfolds into the adaptive octree.
@@ -39,14 +39,16 @@ struct UpMsg {
     s: Tensor3,
 }
 
-/// Shared result stores (sharded mutexes keep contention negligible
-/// relative to the tensor math).
+/// Shared result stores: one mutex per map, held only for an insert or
+/// a remove, which is little beside the tensor math. A box's residuals
+/// live from its Compress task until its Reconstruct task removes them.
 struct Stores {
     leaves: Mutex<HashMap<MKey, Tensor3>>,
     residuals: Mutex<HashMap<MKey, Box<[Tensor3; 8]>>>,
     reconstructed: Mutex<HashMap<MKey, Tensor3>>,
     roots: Mutex<HashMap<u32, Tensor3>>,
     boxes_projected: AtomicUsize,
+    internal_boxes: AtomicUsize,
 }
 
 impl Stores {
@@ -57,6 +59,7 @@ impl Stores {
             reconstructed: Mutex::new(HashMap::new()),
             roots: Mutex::new(HashMap::new()),
             boxes_projected: AtomicUsize::new(0),
+            internal_boxes: AtomicUsize::new(0),
         })
     }
 }
@@ -230,18 +233,23 @@ impl MraTtg {
             .priority(|k: &MKey| k.1.n as i32)
             .build(move |&(f, key), inputs, out| {
                 let mut slots: [Option<Tensor3>; 8] = Default::default();
-                for m in inputs.aggregate::<UpMsg>(0).iter() {
-                    slots[m.child as usize] = Some(m.s.clone());
+                for copy in inputs.take_aggregate(0) {
+                    let m = copy
+                        .try_take::<UpMsg>()
+                        .unwrap_or_else(|shared| shared.get::<UpMsg>().clone());
+                    slots[m.child as usize] = Some(m.s);
                 }
-                let children: [Tensor3; 8] =
-                    std::array::from_fn(|c| slots[c].take().expect("missing child"));
+                let mut children = slots.map(|s| s.expect("missing child"));
                 let parent = cctx.filter(&children);
-                let resid: [Tensor3; 8] = std::array::from_fn(|c| {
-                    let mut r = children[c].clone();
+                // Each child becomes its own residual.
+                for (c, r) in children.iter_mut().enumerate() {
                     r.sub_assign(&cctx.unfilter_child(&parent, c));
-                    r
-                });
-                cstores.residuals.lock().insert((f, key), Box::new(resid));
+                }
+                cstores.internal_boxes.fetch_add(1, Ordering::Relaxed);
+                cstores
+                    .residuals
+                    .lock()
+                    .insert((f, key), Box::new(children));
                 match key.parent() {
                     Some(pk) => out.send(
                         0,
@@ -271,7 +279,7 @@ impl MraTtg {
             .priority(|k: &MKey| k.1.n as i32)
             .build(move |&(f, key), inputs, out| {
                 let s = inputs.take::<Tensor3>(0);
-                let resid = rstores.residuals.lock().get(&(f, key)).cloned();
+                let resid = rstores.residuals.lock().remove(&(f, key));
                 match resid {
                     Some(resid) => {
                         for (c, child_key) in key.children().into_iter().enumerate() {
@@ -294,12 +302,11 @@ impl MraTtg {
         let leaves = std::mem::take(&mut *stores.leaves.lock());
         let reconstructed = std::mem::take(&mut *stores.reconstructed.lock());
         let roots = std::mem::take(&mut *stores.roots.lock());
-        let internal = stores.residuals.lock().len();
         MraOutput {
             stats: MraRunStats {
                 boxes_projected: stores.boxes_projected.load(Ordering::Relaxed),
                 leaves: leaves.len(),
-                internal_boxes: internal,
+                internal_boxes: stores.internal_boxes.load(Ordering::Relaxed),
                 reconstructed: reconstructed.len(),
             },
             leaves,

@@ -3,8 +3,11 @@
 //! Gaussians.
 
 use proptest::prelude::*;
+use ttg_mra::basis::scaling_at;
+use ttg_mra::quadrature::GaussLegendre;
+use ttg_mra::tensor::MAX_K;
 use ttg_mra::tree::{BoxKey, MraContext, MraParams};
-use ttg_mra::{Gaussian3, Tensor3};
+use ttg_mra::{Gaussian3, Matrix, Tensor3};
 
 fn ctx(k: usize) -> MraContext {
     MraContext::new(MraParams {
@@ -26,6 +29,108 @@ fn random_tensor(k: usize, seed: u64) -> Tensor3 {
         *v = ((z >> 33) as f64) / (1u64 << 31) as f64 - 1.0;
     }
     t
+}
+
+/// A k×k matrix of entries in [−1, 1) drawn from `seed`: almost surely
+/// not symmetric, and distinct for distinct seeds.
+fn random_matrix(k: usize, seed: u64) -> Matrix {
+    let entries = random_tensor(k, seed);
+    Matrix::from_fn(k, k, |r, c| entries.get(r, c, 0))
+}
+
+/// `out[a,b,c] = Σ m0[a,i]·m1[b,j]·m2[l,c]·t[i,j,l]`, term by term:
+/// O(k⁶), no mode order and no transposition to get wrong.
+fn naive_contraction(t: &Tensor3, m0: &Matrix, m1: &Matrix, m2: &Matrix) -> Tensor3 {
+    let k = t.k();
+    let mut out = Tensor3::zeros(k);
+    for a in 0..k {
+        for b in 0..k {
+            for c in 0..k {
+                let mut acc = 0.0;
+                for i in 0..k {
+                    for j in 0..k {
+                        let w = m0.get(a, i) * m1.get(b, j);
+                        for l in 0..k {
+                            acc += w * m2.get(c, l) * t.get(i, j, l);
+                        }
+                    }
+                }
+                out.set(a, b, c, acc);
+            }
+        }
+    }
+    out
+}
+
+/// The triple-pass loop the register-blocked kernel replaced, kept as
+/// the oracle of its summation order: `out[a,b,c] = Σ m0[a,i]·m1[b,j]·
+/// m2[c,l]·t[i,j,l]`, each pass contracting the first mode with
+/// stride-k writes and rotating it to the back.
+fn triple_pass_oracle(t: &Tensor3, m0: &Matrix, m1: &Matrix, m2: &Matrix) -> Tensor3 {
+    let k = t.k();
+    let mut src = t.data().to_vec();
+    let mut dst = vec![0.0; k * k * k];
+    for m in [m0, m1, m2] {
+        dst.iter_mut().for_each(|v| *v = 0.0);
+        for i in 0..k {
+            for a in 0..k {
+                let w = m.get(a, i);
+                if w == 0.0 {
+                    continue;
+                }
+                let src_plane = &src[i * k * k..(i + 1) * k * k];
+                for jm in 0..k * k {
+                    dst[jm * k + a] += w * src_plane[jm];
+                }
+            }
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    let mut out = Tensor3::zeros(k);
+    out.data_mut().copy_from_slice(&src);
+    out
+}
+
+/// What `MraContext::project_box` computed before the kernel: Φ applied
+/// by the oracle to the k³ samples, then the level's scale.
+fn project_box_oracle(ctx: &MraContext, f: &Gaussian3, key: &BoxKey) -> Tensor3 {
+    let k = ctx.params.k;
+    let quad = GaussLegendre::new(k);
+    let mut phi = Matrix::zeros(k, k);
+    for (a, (&x, &w)) in quad.points.iter().zip(&quad.weights).enumerate() {
+        for (i, p) in scaling_at(k, x).into_iter().enumerate() {
+            phi.set(i, a, w * p);
+        }
+    }
+    let (lo, w) = key.bounds();
+    let mut values = Tensor3::zeros(k);
+    for a in 0..k {
+        for b in 0..k {
+            for c in 0..k {
+                let [x, y, z] =
+                    [(0, a), (1, b), (2, c)].map(|(d, q)| ctx.to_world(lo[d] + quad.points[q] * w));
+                values.set(a, b, c, f.eval(x, y, z));
+            }
+        }
+    }
+    let mut s = triple_pass_oracle(&values, &phi, &phi, &phi);
+    s.scale(2f64.powi(-3 * key.n as i32).sqrt());
+    s
+}
+
+/// The filters of octant `c`: H^cx, H^cy, H^cz.
+fn octant_filters(ctx: &MraContext, c: usize) -> [&Matrix; 3] {
+    [c & 1, (c >> 1) & 1, (c >> 2) & 1].map(|b| ctx.twoscale().h(b))
+}
+
+/// |got − want| within `tol` of the largest |want| (or of 1, if smaller).
+fn assert_close(got: &Tensor3, want: &Tensor3, tol: f64, what: std::fmt::Arguments<'_>) {
+    let scale = want.data().iter().fold(1f64, |m, v| m.max(v.abs()));
+    let diff = got.max_abs_diff(want);
+    assert!(
+        diff <= tol * scale,
+        "{what}: off by {diff:e} (scale {scale:e})"
+    );
 }
 
 proptest! {
@@ -112,7 +217,6 @@ proptest! {
     /// the input.
     #[test]
     fn transform3_identity(seed in any::<u64>(), k in 2usize..7) {
-        use ttg_mra::Matrix;
         let t = random_tensor(k, seed);
         let id = Matrix::from_fn(k, k, |r, c| if r == c { 1.0 } else { 0.0 });
         prop_assert!(t.transform3(&id, &id, &id).max_abs_diff(&t) < 1e-13);
@@ -128,6 +232,71 @@ proptest! {
             .transform3(&rot.transpose(), &rot.transpose(), &rot.transpose());
         prop_assert!(back.max_abs_diff(&t) < 1e-11);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every k the kernel is compiled for, three distinct non-symmetric
+    /// mode matrices: `transform3` (which takes each matrix transposed)
+    /// is the term-by-term contraction. Identity, rotation or
+    /// orthonormal filters cannot tell a correct kernel from one that
+    /// applies the modes' matrices in the wrong order, or one that
+    /// transposes them consistently in both directions.
+    fn transform3_matches_naive_contraction_for_every_k(seed in any::<u64>()) {
+        for k in 1..=MAX_K {
+            let t = random_tensor(k, seed);
+            let [m0, m1, m2] = [1u64, 2, 3].map(|d| random_matrix(k, seed ^ (d << 56)));
+            if k > 1 {
+                assert!(m0 != m0.transpose() && m0 != m1 && m1 != m2);
+            }
+            let got = t.transform3(&m0.transpose(), &m1.transpose(), &m2.transpose());
+            let want = naive_contraction(&t, &m0, &m1, &m2);
+            assert_close(&got, &want, 1e-12, format_args!("k = {k}"));
+        }
+    }
+
+    /// `project_box`, `filter` and `unfilter_child` agree with the
+    /// triple-pass loop they replaced, at every k.
+    fn kernels_match_the_triple_pass_oracle(
+        seed in any::<u64>(),
+        cx in -1.0f64..1.0, cy in -1.0f64..1.0, cz in -1.0f64..1.0,
+        expnt in 1.0f64..200.0,
+        n in 0u8..4,
+    ) {
+        let f = Gaussian3::new([cx, cy, cz], expnt);
+        let side = 1u32 << n;
+        let key = BoxKey { n, l: [0, 8, 16].map(|shift| (seed >> shift) as u32 % side) };
+        for k in 1..=MAX_K {
+            let ctx = ctx(k);
+            let projected = ctx.project_box(&f, &key);
+            assert_close(&projected, &project_box_oracle(&ctx, &f, &key), 1e-13,
+                format_args!("project_box, k = {k}"));
+
+            let children: [Tensor3; 8] =
+                std::array::from_fn(|c| random_tensor(k, seed.wrapping_add(c as u64 * 977)));
+            let mut want = Tensor3::zeros(k);
+            for (c, child) in children.iter().enumerate() {
+                let [hx, hy, hz] = octant_filters(&ctx, c);
+                want.add_assign(&triple_pass_oracle(child, hx, hy, hz));
+            }
+            let parent = ctx.filter(&children);
+            assert_close(&parent, &want, 1e-13, format_args!("filter, k = {k}"));
+
+            for c in 0..8 {
+                let [hx, hy, hz] = octant_filters(&ctx, c).map(Matrix::transpose);
+                assert_close(&ctx.unfilter_child(&parent, c),
+                    &triple_pass_oracle(&parent, &hx, &hy, &hz), 1e-13,
+                    format_args!("unfilter_child {c}, k = {k}"));
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "supports 1..=16")]
+fn context_rejects_k_beyond_the_kernel() {
+    ctx(MAX_K + 1);
 }
 
 #[test]
