@@ -22,11 +22,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use ttg_bench::{Args, Report, Series};
-use ttg_net::{NetGroup, NetRuntime};
+use ttg_net::tcp::ephemeral_listeners;
+use ttg_net::{NetGroup, NetRuntime, TcpTransport, Transport};
 use ttg_runtime::{Runtime, RuntimeConfig};
 
 const USAGE: &str = "fig13_distributed [--pingpongs 2000] [--tasks 20000] [--max-ranks 4] \
-                     [--port-base 47300] [--json] [--bench-json PATH] [--attribute]";
+                     [--json] [--bench-json PATH] [--attribute]";
 
 /// A set of ranks living in this process, whatever the transport.
 trait Job {
@@ -70,12 +71,21 @@ struct TcpJob {
 }
 
 impl TcpJob {
-    fn connect(nranks: usize, base_port: u16) -> TcpJob {
-        let handles: Vec<_> = (0..nranks)
-            .map(|rank| {
+    /// Connects `nranks` ranks on listeners the OS picked, so that runs
+    /// never collide on a port.
+    fn connect(nranks: usize) -> TcpJob {
+        let (listeners, addrs) = ephemeral_listeners(nranks).expect("loopback listeners");
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(rank, listener)| {
+                let addrs = addrs.clone();
                 std::thread::spawn(move || {
-                    NetRuntime::connect_tcp(RuntimeConfig::optimized(1), rank, nranks, base_port)
-                        .expect("loopback TCP mesh")
+                    NetRuntime::over_transport(RuntimeConfig::optimized(1), rank, nranks, |sink| {
+                        TcpTransport::with_listener(rank, listener, &addrs, sink)
+                            .map(|t| t as Arc<dyn Transport>)
+                    })
+                    .expect("loopback TCP mesh")
                 })
             })
             .collect();
@@ -215,15 +225,8 @@ fn main() {
     let pingpongs: u64 = args.get("pingpongs", 2_000u64);
     let tasks: u64 = args.get("tasks", 20_000u64);
     let max_ranks: usize = args.get("max-ranks", 4usize);
-    let port_base: u16 = args.get("port-base", 47_300u16);
     let json = args.has("json");
     let attribute = args.has("attribute");
-    let mut next_port = port_base;
-    let mut take_ports = |n: usize| {
-        let p = next_port;
-        next_port += n as u16;
-        p
-    };
 
     // ---- Fig 13a: per-message latency vs payload size -----------------
     let mut latency = Report::new(
@@ -238,7 +241,7 @@ fn main() {
         let group = NetGroup::local(2, |_| RuntimeConfig::optimized(1));
         local.push(payload_len as f64, pingpong(&group, pingpongs, payload_len));
         group.shutdown();
-        let job = TcpJob::connect(2, take_ports(2));
+        let job = TcpJob::connect(2);
         let us_per_msg = pingpong(&job, pingpongs, payload_len);
         tcp.push(payload_len as f64, us_per_msg);
         if attribute {
@@ -275,7 +278,7 @@ fn main() {
         comm_lines.push(format!(
             "  in-process, {ranks} ranks: {msgs} messages, {bytes} payload bytes on wire"
         ));
-        let job = TcpJob::connect(ranks, take_ports(ranks));
+        let job = TcpJob::connect(ranks);
         let (rate, msgs, bytes) = throughput(&job, tasks);
         attach_stats(&mut scaling, &job, format!("TCP loopback, {ranks} ranks"));
         job.shutdown();

@@ -137,7 +137,7 @@ const HEADER_LEN: usize = 1 + 4 + 4 + 8 + 8;
 /// Bytes every frame starts with: length word, CRC word, fixed header.
 /// No frame on the wire is shorter, so a reader may ask for this many
 /// bytes before it has validated anything.
-const PREFIX_LEN: usize = 4 + 4 + HEADER_LEN;
+pub(crate) const PREFIX_LEN: usize = 4 + 4 + HEADER_LEN;
 
 /// Refuse frames larger than this (corrupt length words otherwise turn
 /// into multi-gigabyte allocations).
@@ -382,15 +382,22 @@ impl Frame {
 
     /// Appends the encoded frame to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&encode_prefix(
+        buf.extend_from_slice(&self.encoded_prefix());
+        buf.extend_from_slice(&self.payload);
+    }
+
+    /// The encoded frame's first [`PREFIX_LEN`] bytes, what precedes the
+    /// payload on the wire (its CRC word covers the payload too): the
+    /// prefix followed by the payload is [`Frame::encode_into`]'s output.
+    pub(crate) fn encoded_prefix(&self) -> [u8; PREFIX_LEN] {
+        encode_prefix(
             self.kind,
             self.priority,
             self.handler,
             self.span,
             self.seq,
             &self.payload,
-        ));
-        buf.extend_from_slice(&self.payload);
+        )
     }
 
     /// Writes the encoded frame to a stream in one `write_all`.

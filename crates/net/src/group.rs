@@ -82,6 +82,13 @@ impl FrameSink for RuntimeSink {
         self.with(|rt, _| rt.deliver_frames(src, &mut arrivals));
     }
 
+    /// The rank's workers flush when the handler a delivery woke
+    /// returns, or when they go idle (cork rule (d)), whichever is
+    /// first.
+    fn flush_soon(&self) -> bool {
+        self.rt.upgrade().is_some_and(|rt| rt.flush_when_idle())
+    }
+
     fn peer_lost(&self, peer: usize, error: &NetError) {
         self.with(|rt, wave| {
             rt.record_run_error(RunError::PeerLost {

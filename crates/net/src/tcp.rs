@@ -16,20 +16,28 @@
 //!
 //! * **Who appends.** Any thread: [`Transport::append`] takes the
 //!   peer's `link` lock and encodes the frame, under the next sequence
-//!   number, straight into the tail of the resend ring (`ring.rs`). It
-//!   never touches the socket.
+//!   number, straight into the tail of the resend ring (`ring.rs`) — or,
+//!   for a frame of at least a ring chunk, moves its payload `Vec` in
+//!   behind its encoded prefix, to be written from there. It never
+//!   touches the socket.
 //! * **Who writes.** Whoever finds the `writing` flag clear in
 //!   `Shared::flush_link` takes the write role: takes everything
 //!   unwritten out of the ring, **drops the lock**, puts it on the
 //!   socket with one vectored `write`, re-locks, and repeats while a
-//!   flush or an ack was asked for meanwhile. A thread that finds the
+//!   flush was asked for meanwhile. A thread that finds the
 //!   role taken leaves its request and goes. So no sender blocks behind
 //!   another's write (or a fault-injected link delay), and seq order on
 //!   the wire is ring order because there is only one writer.
 //! * **Who acks.** The reader (past [`EAGER_ACK_BYTES`] of unacked
 //!   deliveries) and the monitor (every tick) *publish* the receive
-//!   watermark and call the same flush; the cumulative `Ack` leaves at
-//!   the head of the next write. No ack is ever skipped.
+//!   watermark; the cumulative `Ack` leaves at the head of the next
+//!   write. The monitor flushes at once. The reader asks the sink to
+//!   flush soon instead ([`FrameSink::flush_soon`]): a runtime's
+//!   workers do, after the handler the delivery woke has appended its
+//!   reply, so the ack rides that reply's write. The reader writes it
+//!   itself if the sink declines, if a thread of this endpoint waits in
+//!   a link's window, or if the ack it published one budget earlier is
+//!   still unwritten. No ack is ever skipped.
 //!
 //! [`Transport::send`] is append + flush; the runtime appends `Data`
 //! only and flushes at quiescence (the cork rule), which turns one
@@ -51,7 +59,11 @@
 //! it advances at hand-over; a replaced reader just stops, what it
 //! holds is replayed, and its successor (spawned after it is joined)
 //! dedups against exactly what was handed over, so a rejoin stays
-//! exactly-once; (iii) *the ack is published after the hand-over*.
+//! exactly-once; (iii) *the reader writes an ack only after the
+//! hand-over*. It publishes one that falls due just before it, so that
+//! the reply the delivery wakes can carry it: a hand-over completes
+//! whatever the socket does meanwhile, so the peer may already forget
+//! those frames.
 //!
 //! # Failure handling (DESIGN.md §8)
 //!
@@ -113,7 +125,7 @@ use crate::transport::{FrameSink, Transport, TransportCounters};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::io::{self, BufReader, IoSlice};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ttg_obs::wire::WireObs;
@@ -123,21 +135,26 @@ use ttg_sync::OBS;
 const CONNECT_RETRY_START: Duration = Duration::from_millis(5);
 const CONNECT_RETRY_MAX: Duration = Duration::from_millis(250);
 
-/// Delivered-but-unacked bytes after which the reader acks at once
-/// rather than on the monitor tick (capped by a quarter of the sender's
-/// resend budget, see [`RecvState::eager_ack_due`]). Small on purpose:
-/// every unacked byte is a byte the *sender* still holds in its resend
-/// ring, so this — not the 100 ms tick — bounds the ring's residence
-/// under a stream faster than the tick. One ack per 16 KiB is one
-/// 41-byte frame per ~30 small messages or per bulk message, riding on
-/// whatever data is going the other way.
+/// Delivered-but-unacked bytes after which the reader publishes an ack
+/// rather than leave it to the monitor tick (capped by a quarter of the
+/// sender's resend budget, see [`RecvState::eager_ack_due`]). Small on
+/// purpose: every unacked byte is a byte the *sender* still holds in
+/// its resend ring, so this — not the 100 ms tick — bounds the ring's
+/// residence under a stream faster than the tick. One ack per 16 KiB is
+/// one 41-byte frame per ~30 small messages or per bulk message. It
+/// rides the reply of the handler the delivery woke, or the flush of
+/// the receiving rank's idle worker; the reader writes it alone only
+/// when a second budget arrives before the first ack left.
 const EAGER_ACK_BYTES: u64 = 16 << 10;
 
-/// Appended-but-unwritten bytes at which the appender flushes the link
-/// itself (cork rule (a)): one ring chunk, so a full batch is one or
-/// two `iovec`s, and one reader buffer's worth, by the reasoning of
+/// Appended-but-unwritten bytes behind which an appender flushes the
+/// link itself (cork rule (a)): one ring chunk, so a full batch is one
+/// or two `iovec`s, and one reader buffer's worth, by the reasoning of
 /// [`READ_BUFFER_BYTES`] — one `write` carries what one buffered `recv`
-/// of the peer can take.
+/// of the peer can take. The frame that finds this much pending joins
+/// the batch; a lone large frame waits for the flush of its task's end
+/// like a small one, so that the write it would make from inside a
+/// handler does not race the ack its reply could carry.
 const FLUSH_BYTES: usize = CHUNK_BYTES;
 
 /// Bytes a link may hold, unacked or unwritten, before an appender
@@ -405,6 +422,11 @@ struct Shared {
     /// recording call is an inlined no-op when the feature is off).
     wire: Arc<WireObs>,
     sink: Arc<dyn FrameSink>,
+    /// Threads waiting in a link's window for a peer's acks. While there
+    /// are any, a reader writes the acks it publishes itself: the worker
+    /// that would carry them may be one of the waiters, and the peer may
+    /// be waiting for those acks in turn.
+    window_waiters: AtomicUsize,
     down: AtomicBool,
     start: Instant,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -428,8 +450,8 @@ impl Shared {
     }
 
     /// The one place bytes reach a peer's socket: an ack and a
-    /// heartbeat if `control` asks for them, then every slice of
-    /// `data`, in one vectored `write` per 16 slices.
+    /// heartbeat if `control` asks for them, then every nonempty slice
+    /// of `data`, in one vectored `write` per 16 slices.
     fn write_parts<'a>(
         &self,
         stream: &TcpStream,
@@ -449,7 +471,7 @@ impl Shared {
             slices[n] = IoSlice::new(frame.as_bytes());
             n += 1;
         }
-        for part in data {
+        for part in data.filter(|part| !part.is_empty()) {
             if n == slices.len() {
                 writes += write_all_vectored(stream, &mut slices)?;
                 n = 0;
@@ -490,11 +512,11 @@ impl Shared {
         }
         let delay = Duration::from_nanos(slot.delay_ns.load(Ordering::Relaxed));
         if delay.is_zero() {
-            self.write_parts(stream, control, batch.iter().map(Chunk::live))?;
+            self.write_parts(stream, control, batch.iter().flat_map(Chunk::parts))?;
         } else {
-            for frame in batch.iter().flat_map(Chunk::frame_slices) {
+            for frame in batch.iter().flat_map(Chunk::frame_parts) {
                 std::thread::sleep(delay);
-                self.write_parts(stream, control, std::iter::once(frame))?;
+                self.write_parts(stream, control, frame.into_iter())?;
                 // Liveness stays truthful on the slow link: what was
                 // asked for while this frame waited rides on the next.
                 control = slot.link.lock().take_control();
@@ -502,7 +524,7 @@ impl Shared {
             self.write_parts(stream, control, std::iter::empty())?;
         }
         if OBS && !batch.is_empty() {
-            let bytes = batch.iter().map(|c| c.live().len() as u64).sum();
+            let bytes = batch.iter().map(|c| c.len() as u64).sum();
             let frames = batch.iter().map(Chunk::frames).sum();
             self.wire
                 .record_write(WireObs::now_ns().saturating_sub(start), bytes, frames);
@@ -512,10 +534,10 @@ impl Shared {
     }
 
     /// Puts everything pending on `peer`'s link on the wire, or leaves
-    /// that to the thread already writing (it loops while anything was
-    /// asked for). Takes the write role without waiting and never holds
-    /// `link` across the write; a failed write puts the batch back as
-    /// unwritten and starts the reconnect dance.
+    /// that to the thread already writing (it writes again while a
+    /// flush was asked for meanwhile). Takes the write role without
+    /// waiting and never holds `link` across the write; a failed write
+    /// puts the batch back as unwritten and starts the reconnect dance.
     fn flush_link(self: &Arc<Self>, peer: usize, slot: &PeerSlot) {
         let mut link = slot.link.lock();
         link.flush_wanted = true;
@@ -523,8 +545,12 @@ impl Shared {
             return;
         }
         while let Some(stream) = link.stream.clone() {
-            let asked = std::mem::take(&mut link.flush_wanted) && link.ring.has_pending();
-            if !asked && link.ack_wanted <= link.ack_sent && !link.heartbeat_wanted {
+            // Only a flush asked for (again) writes: an ack a reader
+            // published and left to the workers waits for their write.
+            let asked = std::mem::take(&mut link.flush_wanted);
+            let due =
+                link.ring.has_pending() || link.ack_wanted > link.ack_sent || link.heartbeat_wanted;
+            if !(asked && due) {
                 break;
             }
             link.writing = true;
@@ -550,6 +576,15 @@ impl Shared {
         }
         link.writing = false;
         slot.wake_waiters(&link);
+    }
+
+    /// [`Shared::flush_link`] on every link.
+    fn flush_all(self: &Arc<Self>) {
+        for (peer, slot) in self.peers.iter().enumerate() {
+            if let Some(slot) = slot {
+                self.flush_link(peer, slot);
+            }
+        }
     }
 
     fn spawn(self: &Arc<Self>, name: String, f: impl FnOnce() + Send + 'static) -> bool {
@@ -590,12 +625,12 @@ impl Shared {
     /// Publishes everything delivered from `peer` so far for
     /// acknowledgement and flushes: the ack rides at the head of the
     /// next write to the peer, this thread's or the current holder's.
-    /// Shared by the monitor tick and the reader's eager-ack path.
+    /// The monitor tick's ack.
     fn publish_ack(self: &Arc<Self>, peer: usize, slot: &PeerSlot) {
         {
             let mut link = slot.link.lock();
             let mut recv = slot.recv.lock();
-            link.ack_wanted = recv.last_seq;
+            link.ack_wanted = link.ack_wanted.max(recv.last_seq);
             recv.bytes_since_ack = 0;
         }
         self.flush_link(peer, slot);
@@ -850,7 +885,7 @@ impl Shared {
     /// and the rejoin's drain puts it on the wire. The only failure
     /// modes are a dead/closed peer (typed, latched) and a full ring
     /// ([`NetError::ResendOverflow`]). True when the caller should flush
-    /// now: a [`FLUSH_BYTES`] batch is ready, or the frame is not `Data`
+    /// now: the frame joined a [`FLUSH_BYTES`] batch, or it is not `Data`
     /// (control traffic is never corked).
     fn append(self: &Arc<Self>, dst: usize, mut frame: Frame) -> NetResult<bool> {
         let slot = self.live_slot(dst)?;
@@ -862,12 +897,24 @@ impl Shared {
         // the hard limit below. Control frames never wait: the wave
         // answers them from the reader thread, which reads the acks.
         let window = RING_WINDOW_BYTES.min(self.cfg.resend_buffer_limit / 2);
-        let mut deadline = None;
+        let (mut deadline, mut waiting) = (None, false);
         while frame.kind == FrameKind::Data
             && link.ring.buffered_bytes > window
             && matches!(link.state, PeerState::Connected)
             && !self.down.load(Ordering::Acquire)
         {
+            if !waiting {
+                // Acks this endpoint's readers left to its workers go out
+                // now, on every link (the peer may wait for them as this
+                // thread waits for its acks); readers write the ones they
+                // publish from here on themselves.
+                waiting = true;
+                self.window_waiters.fetch_add(1, Ordering::SeqCst);
+                drop(link);
+                self.flush_all();
+                link = slot.link.lock();
+                continue;
+            }
             if link.ring.has_pending() {
                 drop(link);
                 self.flush_link(dst, slot);
@@ -881,6 +928,9 @@ impl Shared {
             if !slot.wait_until(&mut link, deadline) {
                 break;
             }
+        }
+        if waiting {
+            self.window_waiters.fetch_sub(1, Ordering::SeqCst);
         }
         if link.ring.buffered_bytes + len as u64 > self.cfg.resend_buffer_limit {
             return Err(NetError::ResendOverflow {
@@ -896,6 +946,7 @@ impl Shared {
         if frame.kind == FrameKind::Data {
             link.data_sent += 1;
         }
+        let batch_full = link.ring.pending_bytes >= FLUSH_BYTES;
         let e0 = WireObs::now_ns();
         let chunk = link.ring.append(&mut frame, e0);
         self.counters
@@ -918,7 +969,7 @@ impl Shared {
         self.counters
             .bytes_sent
             .fetch_add(len as u64, Ordering::Relaxed);
-        Ok(link.ring.pending_bytes >= FLUSH_BYTES || frame.kind != FrameKind::Data)
+        Ok(batch_full || frame.kind != FrameKind::Data)
     }
 
     /// Local end of the endpoint's life, however it ends (the caller
@@ -1048,6 +1099,7 @@ impl TcpTransport {
             counters: TransportCounters::default(),
             wire: Arc::new(WireObs::new(nranks)),
             sink,
+            window_waiters: AtomicUsize::new(0),
             down: AtomicBool::new(false),
             start: Instant::now(),
             threads: Mutex::new(Vec::new()),
@@ -1344,10 +1396,11 @@ struct Held {
 
 impl Shared {
     /// Hands `held` to the sink — `Data` frames all at once — and only
-    /// then advances the receive watermark to them (rule (ii)) and, if
-    /// one is due, publishes the ack (rule (iii): its write may be what
-    /// discovers a dead socket, and the rejoin it starts brings a new
-    /// reader whose deliveries must come after these).
+    /// then advances the receive watermark to them (rule (ii)). An ack
+    /// that falls due is published first and written, by this thread
+    /// or the sink's next flush, only after (rule (iii): its write may
+    /// be what discovers a dead socket, and the rejoin it starts brings
+    /// a new reader whose deliveries must come after these).
     fn hand_over(self: &Arc<Self>, peer: usize, slot: &PeerSlot, held: &mut Held) {
         let Some(first) = held.frames.first() else {
             return;
@@ -1360,6 +1413,22 @@ impl Shared {
         self.counters
             .bytes_received
             .fetch_add(bytes, Ordering::Relaxed);
+        let due = sequenced && {
+            let mut recv = slot.recv.lock();
+            recv.bytes_since_ack += bytes;
+            recv.eager_ack_due(self.cfg.resend_buffer_limit)
+        };
+        // An ack that falls due is published before the delivery, so
+        // that the reply of the handler the delivery wakes carries it;
+        // this reader goes on to deliver whatever happens to the socket
+        // meanwhile, so the peer may forget the frames already.
+        let earlier_unwritten = due && {
+            let mut link = slot.link.lock();
+            let earlier_unwritten = link.ack_wanted > link.ack_sent;
+            link.ack_wanted = link.ack_wanted.max(held.seq);
+            slot.recv.lock().bytes_since_ack = 0;
+            earlier_unwritten
+        };
         let d0 = WireObs::now_ns();
         if data {
             self.sink.deliver_data(peer, &mut held.frames);
@@ -1371,15 +1440,24 @@ impl Shared {
             let each = WireObs::now_ns().saturating_sub(d0) / n;
             (0..n).for_each(|_| self.wire.record_dispatch(each));
         }
-        let eager_ack = sequenced && {
+        if sequenced {
             let mut recv = slot.recv.lock();
             recv.last_seq = held.seq;
             recv.data_received += if data { n } else { 0 };
-            recv.bytes_since_ack += bytes;
-            recv.eager_ack_due(self.cfg.resend_buffer_limit)
-        };
-        if eager_ack {
-            self.publish_ack(peer, slot);
+        }
+        // The ack rides the next data write: the reply of the handler
+        // just woken, or the flush of the worker that goes idle. Unless
+        // that reply has left already (a request now would be stale, and
+        // flush the next ack ahead of its reply), the reader writes the
+        // ack itself if the sink cannot promise that flush, if a thread
+        // of this endpoint waits in a window (it may be the worker the
+        // flush is left to), or if the ack it published one budget ago
+        // is still unwritten — so no more than two budgets ever wait for
+        // their ack in the peer's ring.
+        let unwritten = || slot.link.lock().ack_sent < held.seq;
+        let deferred = || self.window_waiters.load(Ordering::SeqCst) == 0 && self.sink.flush_soon();
+        if due && unwritten() && (earlier_unwritten || !deferred()) {
+            self.flush_link(peer, slot);
         }
     }
 }
@@ -1587,11 +1665,7 @@ impl Transport for TcpTransport {
     }
 
     fn flush(&self) {
-        for (peer, slot) in self.shared.peers.iter().enumerate() {
-            if let Some(slot) = slot {
-                self.shared.flush_link(peer, slot);
-            }
-        }
+        self.shared.flush_all();
     }
 
     fn send_raw(&self, dst: usize, bytes: Vec<u8>) -> NetResult<()> {
@@ -2431,6 +2505,36 @@ mod tests {
             assert_eq!(frame.handler, i, "delayed frames stay in order");
         }
         assert!(started.elapsed() >= DELAY * 6, "each frame pays the delay");
+        for t in &transports {
+            t.shutdown();
+        }
+    }
+
+    /// The delayed path writes frame by frame, and a large frame — a
+    /// prefix and the sender's payload buffer in the ring — is one
+    /// frame: written whole after one delay, between its neighbours.
+    #[test]
+    fn a_delayed_link_writes_a_large_frame_whole() {
+        const DELAY: Duration = Duration::from_millis(20);
+        let (transports, rxs) = tcp_mesh(2);
+        assert!(transports[0].set_link_delay(1, DELAY));
+        let big: Vec<u8> = (0..CHUNK_BYTES * 4).map(|i| (i % 251) as u8).collect();
+        let started = Instant::now();
+        transports[0]
+            .append(1, Frame::data(0, 0, vec![1; 10]))
+            .unwrap();
+        transports[0]
+            .append(1, Frame::data(1, 0, big.clone()))
+            .unwrap();
+        transports[0]
+            .send(1, Frame::data(2, 0, vec![2; 10]))
+            .unwrap();
+        for (i, want) in [vec![1; 10], big, vec![2; 10]].into_iter().enumerate() {
+            let (_, frame) = rxs[1].recv_timeout(Duration::from_secs(30)).unwrap();
+            assert_eq!(frame.handler, i as u32, "in order");
+            assert!(frame.payload == want, "frame {i} arrived damaged");
+        }
+        assert!(started.elapsed() >= DELAY * 3, "each frame pays the delay");
         for t in &transports {
             t.shutdown();
         }

@@ -35,6 +35,15 @@ pub trait FrameSink: Send + Sync {
         }
     }
 
+    /// Asks the sink's side to flush the transport soon, from a thread
+    /// of its own that is about to write anyway — so that the
+    /// acknowledgement the caller just published rides on the next data
+    /// write instead of one of its own. True if the sink took the
+    /// request; false (the default) leaves the write to the caller.
+    fn flush_soon(&self) -> bool {
+        false
+    }
+
     /// The transport declared `peer` dead (`error` says why: heartbeat
     /// loss, corrupt stream, reconnect deadline...). Called at most once
     /// per peer, from a transport-internal thread. Default: ignore.

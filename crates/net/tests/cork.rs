@@ -145,3 +145,46 @@ fn fenced_epochs_of_corked_messages_terminate_exactly() {
     }
     driver.join().unwrap();
 }
+
+/// Both ranks' workers stream 64 KiB messages at each other, each a
+/// window ahead of the other's acks, so each worker waits in its
+/// window while the other's reader holds the ack it needs. An ack the
+/// reader leaves to its rank's workers (to ride a reply) must not wait
+/// for a worker that is itself waiting for acks: the exchange takes
+/// milliseconds, not one monitor tick (100 ms) per message.
+#[test]
+fn two_workers_streaming_large_messages_at_each_other_never_wait_for_a_tick() {
+    const MSGS: u64 = 32;
+    let nets = mesh();
+    let received = Arc::new(AtomicU64::new(0));
+    for net in &nets {
+        let stream = net.runtime().register_handler(move |ctx, _payload| {
+            for _ in 0..MSGS {
+                ctx.send_msg(1 - ctx.rank(), 0, 1, vec![7; 64 << 10]);
+            }
+        });
+        let received = Arc::clone(&received);
+        let count = net.runtime().register_handler(move |_ctx, payload| {
+            assert_eq!(payload.len(), 64 << 10);
+            received.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!((stream, count), (0, 1));
+    }
+    let mut slowest = Duration::ZERO;
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        for (rank, net) in nets.iter().enumerate() {
+            net.runtime().send_msg(1 - rank, 0, 0, Vec::new());
+        }
+        nets.iter().for_each(NetRuntime::fence);
+        nets.iter().for_each(|n| n.run().expect("clean epoch"));
+        slowest = slowest.max(t0.elapsed());
+    }
+    assert_eq!(received.load(Ordering::Relaxed), 5 * 2 * MSGS);
+    assert!(
+        slowest < Duration::from_secs(1),
+        "an epoch of {} messages took {slowest:?}",
+        2 * MSGS
+    );
+    nets.iter().for_each(NetRuntime::shutdown);
+}

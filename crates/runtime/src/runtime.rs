@@ -244,15 +244,21 @@ impl Inner {
         }
     }
 
-    /// Called by a sender that is not a worker, after its message was
-    /// queued: hands the flush to the workers. Only the first message
-    /// since a worker's last flush pays for the flag and the wake-up —
-    /// what an external `inject` pays — the rest of the batch one load.
-    pub(crate) fn flush_when_idle(&self) {
-        if self.frame_out.get().is_some() && !self.corked.load(Ordering::Relaxed) {
+    /// Called by a thread that is not a worker, after it queued a
+    /// message or published an ack: hands the flush to the workers.
+    /// Only the first request since a worker's last flush pays for the
+    /// flag and the wake-up — what an external `inject` pays — the rest
+    /// of the batch one load. False when no worker will flush: no
+    /// transport is bound, or the workers are stopping.
+    pub(crate) fn flush_when_idle(&self) -> bool {
+        if self.frame_out.get().is_none() || self.shutdown.load(Ordering::Acquire) {
+            return false;
+        }
+        if !self.corked.load(Ordering::Relaxed) {
             self.corked.store(true, Ordering::SeqCst);
             self.wake_sleepers();
         }
+        true
     }
 
     /// A worker's side of [`Inner::flush_when_idle`]: flushes if a
@@ -1086,6 +1092,16 @@ impl Runtime {
             ttg_obs::spans::ambient_span(),
         );
         self.inner.flush_when_idle();
+    }
+
+    /// Has a worker flush the bound transport once it has run what was
+    /// injected before it (cork rule (d), DESIGN.md §6.5): the transport's
+    /// receiver thread asks this after publishing an ack, so the ack
+    /// leaves with the reply of the handler its delivery woke, or alone
+    /// when the worker goes idle. False when no worker will flush (no
+    /// transport bound, or the runtime is shutting down).
+    pub fn flush_when_idle(&self) -> bool {
+        self.inner.flush_when_idle()
     }
 
     /// Binds the outbound network transport. Called once by `ttg-net`

@@ -6,7 +6,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use ttg_sched::{Priority, SortedChain};
 use ttg_sync::OrderingPolicy;
 use ttg_termdet::InstanceScope;
@@ -318,6 +318,13 @@ impl<'rt> WorkerCtx<'rt> {
 
 /// How many idle iterations to spin/yield before parking.
 const SPINS_BEFORE_PARK: u32 = 20;
+/// Idle iterations before a worker offers the rank's counters to the
+/// wave (DESIGN.md §6.4) ...
+const OFFER_AFTER_SPINS: u32 = SPINS_BEFORE_PARK / 2;
+/// ... or idle time, whichever comes first: on a CPU shared with other
+/// busy threads one yield can last a time slice, and ten of them held
+/// every offer back by ten slices.
+const OFFER_AFTER_IDLE: Duration = Duration::from_millis(5);
 /// Park timeout so termination polling and shutdown checks keep running.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
@@ -345,10 +352,6 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
             ctx.run_task(task);
         }
         // ---- idle transition --------------------------------------------
-        // Uncork before the counters are published: the wave is never
-        // offered a sent-count whose messages sit in this rank's buffer.
-        inner.flush_if_corked();
-        inner.term.flush(id);
         // Counter tracks: sampled at the idle transition (change-only in
         // the ring), where depth changes are most informative and the
         // estimate's cost is off the task hot path.
@@ -361,14 +364,20 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 ttg_sync::clock::now_ns(),
             );
         }
+        // Injected work first: a reply it sends carries whatever a
+        // corked flush would have put on the wire alone (an ack).
         if ctx.drain_injection() {
             continue 'outer;
         }
+        // Uncork before the counters are published: the wave is never
+        // offered a sent-count whose messages sit in this rank's buffer.
+        inner.flush_if_corked();
+        inner.term.flush(id);
         if inner.shutdown.load(Ordering::Acquire) {
             return;
         }
         inner.idle_count.fetch_add(1, Ordering::SeqCst);
-        let mut spins = 0u32;
+        let (mut spins, idle_since) = (0u32, Instant::now());
         loop {
             if inner.shutdown.load(Ordering::Acquire) {
                 inner.idle_count.fetch_sub(1, Ordering::SeqCst);
@@ -382,16 +391,20 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 ctx.run_task(task);
                 continue 'outer;
             }
-            inner.flush_if_corked();
             if inner.injection_len.load(Ordering::Acquire) > 0 {
                 inner.idle_count.fetch_sub(1, Ordering::SeqCst);
                 ctx.drain_injection();
                 continue 'outer;
             }
-            // A waiter just woken often fences again at once (a wait
-            // loop), and its wake-up would find this worker on its way
-            // to parking: spin before parking.
-            if inner.offer_quiescence(id) {
+            inner.flush_if_corked();
+            // Offer only from the second half of the spin budget: a rank
+            // idle between two hops of an exchange would only open a
+            // round the next hop contradicts. A waiter just woken often
+            // fences again at once (a wait loop), and its wake-up would
+            // find this worker on its way to parking: spin before
+            // parking.
+            let offer = spins >= OFFER_AFTER_SPINS || idle_since.elapsed() >= OFFER_AFTER_IDLE;
+            if offer && inner.offer_quiescence(id) {
                 spins = 0;
             }
             // Starvation backoff: brief yields, then timed parking.
@@ -422,10 +435,11 @@ pub(crate) fn worker_main(inner: &Inner, id: usize) {
                 drop(guard);
                 inner.sleeper_count.fetch_sub(1, Ordering::SeqCst);
                 // Woken, not timed out, while the wave runs rounds (the
-                // fence's wake-up): spin before parking, so the rounds
-                // close in microseconds and not one park timeout each.
+                // fence's wake-up): offer at once and spin before
+                // parking, so the rounds close in microseconds and not
+                // one park timeout each.
                 if woken && inner.wave.round() > 0 {
-                    spins = 0;
+                    spins = OFFER_AFTER_SPINS;
                 }
                 if let (Some(obs), Some(start)) = (inner.obs.as_deref(), park_start) {
                     // Consecutive park timeouts coalesce into one event.

@@ -107,6 +107,9 @@ pub struct WaveRule {
     last_sums: Option<(u64, u64)>,
     /// The epoch was abandoned: it ends without a verdict.
     abandoned: bool,
+    /// Later epochs abandoned by a rank already in them, in ascending
+    /// order: each is abandoned when the rule reaches it.
+    abandoned_ahead: Vec<u64>,
 }
 
 impl WaveRule {
@@ -120,6 +123,7 @@ impl WaveRule {
             contributions: vec![None; nranks],
             last_sums: None,
             abandoned: false,
+            abandoned_ahead: Vec::new(),
         }
     }
 
@@ -166,7 +170,7 @@ impl WaveRule {
             .fold((0u64, 0u64), |a, c| (a.0 + c.0, a.1 + c.1));
         if sums.0 == sums.1 && self.last_sums == Some(sums) {
             self.close_epoch();
-            self.epoch += 1;
+            self.turn_over();
             return WaveStep::Done(epoch);
         }
         self.last_sums = Some(sums);
@@ -179,15 +183,32 @@ impl WaveRule {
     }
 
     /// Gives up on `epoch`: it opens no more rounds and turns over once
-    /// every rank has fenced into it. Any other epoch is left alone: an
-    /// earlier one already ended, and a later one has not begun here.
+    /// every rank has fenced into it. An earlier epoch already ended and
+    /// is left alone; a later one — a rank ahead of the rule aborted its
+    /// own epoch — is remembered and abandoned when the rule reaches it.
     pub fn abandon(&mut self, epoch: u64) -> WaveStep {
-        if epoch != self.epoch {
+        if epoch > self.epoch {
+            if let Err(at) = self.abandoned_ahead.binary_search(&epoch) {
+                self.abandoned_ahead.insert(at, epoch);
+            }
+            return WaveStep::Wait;
+        }
+        if epoch < self.epoch {
             return WaveStep::Wait;
         }
         self.abandoned = true;
         self.close_epoch();
         self.advance()
+    }
+
+    /// Moves to the next epoch, abandoned already if a rank aborted it
+    /// while the rule was behind.
+    fn turn_over(&mut self) {
+        self.epoch += 1;
+        if self.abandoned_ahead.first() == Some(&self.epoch) {
+            self.abandoned_ahead.remove(0);
+            self.abandoned = true;
+        }
     }
 
     /// Once every rank has fenced into the current epoch, turns it over
@@ -197,7 +218,7 @@ impl WaveRule {
             return WaveStep::Wait;
         }
         if std::mem::take(&mut self.abandoned) {
-            self.epoch += 1;
+            self.turn_over();
             return self.advance();
         }
         if self.round != 0 {
@@ -464,5 +485,33 @@ mod tests {
         assert_eq!(rule.fence(0, 0), WaveStep::Wait);
         assert_eq!(rule.epoch(), 1);
         assert!(matches!(rule.fence(0, 1), WaveStep::Round { epoch: 1, .. }));
+    }
+
+    #[test]
+    fn an_abort_of_a_later_epoch_is_abandoned_when_the_rule_gets_there() {
+        // Rank 1 aborted epoch 0 and consumed it, fenced into epoch 1
+        // and aborted that too, all before rank 0 fenced into epoch 0.
+        let mut rule = WaveRule::new(2);
+        rule.abandon(0);
+        rule.fence(1, 0);
+        rule.fence(1, 1);
+        assert_eq!(rule.abandon(1), WaveStep::Wait, "not reached yet");
+        assert_eq!(rule.epoch(), 0);
+        // Rank 0 fences into 0, latches 1's abort, fences into 1: both
+        // turn over, and epoch 2 runs once both ranks fence into it.
+        assert_eq!(rule.fence(0, 0), WaveStep::Wait);
+        assert_eq!(rule.epoch(), 1);
+        assert_eq!(rule.open_round(), None, "epoch 1 opens no round");
+        assert_eq!(rule.fence(0, 1), WaveStep::Wait);
+        assert_eq!(rule.epoch(), 2);
+        rule.fence(1, 2);
+        assert!(matches!(rule.fence(0, 2), WaveStep::Round { epoch: 2, .. }));
+        // An epoch ended by termination turns over into an abandoned one
+        // as well.
+        rule.abandon(3);
+        round_of(&mut rule, &[(0, 0), (0, 0)]);
+        assert_eq!(round_of(&mut rule, &[(0, 0), (0, 0)]), WaveStep::Done(2));
+        fence_all(&mut rule, 2);
+        assert_eq!(rule.epoch(), 4, "epoch 3 turned over without a round");
     }
 }

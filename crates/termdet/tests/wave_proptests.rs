@@ -154,8 +154,9 @@ enum EpochStep {
     Poll(usize),
     /// Rank r re-sends the k-th contribution it made earlier.
     Late(usize, usize),
-    /// Rank r aborts its epoch if the coordinator runs it; every rank
-    /// in it latches the abort.
+    /// Rank r aborts its epoch unless the coordinator already ended it;
+    /// every rank in it latches the abort, every rank behind latches it
+    /// on getting there.
     Abort(usize),
     /// Rank r's `wait()` consumes its latch and opens its next epoch.
     Consume(usize),
@@ -291,10 +292,12 @@ impl Mesh {
 
     fn abort(&mut self, r: usize) {
         let epoch = self.epoch[r];
-        if epoch != self.rule.epoch() {
-            // A rank ahead of the coordinator (its previous epoch was
-            // abandoned and still waits for fences) does not abort: the
-            // ranks still behind would drop its `Abort` as stale.
+        // An epoch the coordinator already ended is not aborted. A rank
+        // behind keeps one abort of an epoch ahead of its own (a
+        // network client's `next_abort`), so a second one is held back.
+        let behind = |s: usize| self.epoch[s] < epoch;
+        let no_room = (0..self.epoch.len()).any(|s| behind(s) && self.next_abort[s].is_some());
+        if epoch < self.rule.epoch() || no_room {
             return;
         }
         for s in 0..self.epoch.len() {
@@ -312,7 +315,10 @@ impl Mesh {
         if self.fenced[r] && self.latched[r] {
             self.epoch[r] += 1;
             self.fenced[r] = false;
-            self.latched[r] = self.next_abort[r].take() == Some(self.epoch[r]);
+            self.latched[r] = self.next_abort[r] == Some(self.epoch[r]);
+            if self.latched[r] {
+                self.next_abort[r] = None;
+            }
         }
     }
 
