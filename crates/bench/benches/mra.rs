@@ -1,5 +1,6 @@
-//! Criterion bench behind Figure 12: the MRA kernels (projection GEMMs,
-//! filter/unfilter) and the full pipeline at small scale.
+//! Criterion bench behind Figure 12: the MRA kernels (a refinement
+//! step, projection, filter/unfilter) and the full pipeline at small
+//! scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
@@ -23,6 +24,9 @@ fn bench_kernels(c: &mut Criterion) {
     for k in [6usize, 10] {
         let ctx = ctx(k);
         let f = Gaussian3::new([0.1, -0.2, 0.3], 40.0);
+        g.bench_function(BenchmarkId::new("refine", k), |b| {
+            b.iter(|| ctx.refine(&f, &BoxKey::ROOT))
+        });
         g.bench_function(BenchmarkId::new("project_box", k), |b| {
             b.iter(|| ctx.project_box(&f, &BoxKey::ROOT))
         });
@@ -34,6 +38,9 @@ fn bench_kernels(c: &mut Criterion) {
         let parent = ctx.filter(&children);
         g.bench_function(BenchmarkId::new("unfilter_child", k), |b| {
             b.iter(|| ctx.unfilter_child(&parent, 5))
+        });
+        g.bench_function(BenchmarkId::new("unfilter_all", k), |b| {
+            b.iter(|| ctx.unfilter_all(&parent))
         });
     }
     g.finish();

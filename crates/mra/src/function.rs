@@ -38,6 +38,16 @@ impl Gaussian3 {
         self.coeff * (-self.exponent * (dx * dx + dy * dy + dz * dz)).exp()
     }
 
+    /// The unnormalised factor of axis `d` at world coordinate `t`:
+    /// exp(−α(t − x₀_d)²). A Gaussian is separable, so
+    /// `eval(x, y, z) = coeff · axis(0, x) · axis(1, y) · axis(2, z)` —
+    /// the normalisation is applied once, not per axis.
+    #[inline]
+    pub fn axis(&self, d: usize, t: f64) -> f64 {
+        let dt = t - self.center[d];
+        (-self.exponent * dt * dt).exp()
+    }
+
     /// Samples `n` Gaussians with centers uniform in `[lo, hi]³` and the
     /// given exponent — the paper's workload generator.
     pub fn random_set(n: usize, lo: f64, hi: f64, exponent: f64, rng: &mut impl Rng) -> Vec<Self> {
@@ -66,6 +76,16 @@ mod tests {
         assert!(peak > 0.0);
         assert!(g.eval(1.5, 2.0, 3.0) < peak);
         assert!(g.eval(5.0, 5.0, 5.0) < 1e-10 * peak);
+    }
+
+    #[test]
+    fn axis_factors_multiply_to_the_value() {
+        let g = Gaussian3::new([0.3, -1.2, 2.0], 7.5);
+        for p in [[0.3, -1.2, 2.0], [0.1, -1.0, 2.4], [1.0, 0.0, 1.5]] {
+            let want = g.eval(p[0], p[1], p[2]);
+            let got = g.coeff * g.axis(0, p[0]) * g.axis(1, p[1]) * g.axis(2, p[2]);
+            assert!((got - want).abs() <= 1e-14 * want, "{got} vs {want}");
+        }
     }
 
     #[test]

@@ -16,15 +16,23 @@
 //! * [`twoscale`] — the two-scale filter matrices H⁰, H¹ with
 //!   φ_j(x) = √2 Σ_i H^c_{ji} φ_i(2x−c); computed exactly by quadrature
 //!   and orthonormal by construction (verified in tests).
-//! * [`tensor`] — k³ coefficient tensors and the mode product, the one
-//!   kernel: three GEMMs of shape k×k · k×k², 3·k⁴ multiply-adds.
-//!   Projection runs one per box, a filter eight (one k-wide product
-//!   per child, summed) and an unfilter one per child. MADNESS gathers
-//!   the children into one (2k)³ tensor instead — the paper's "GEMM on
-//!   20^3" at k = 10; that form is not implemented here.
+//! * [`function`] — the Gaussians, with the per-axis factor that makes
+//!   them separable.
+//! * [`tensor`] — k³ coefficient tensors and the one kernel, a
+//!   single-mode pass: a GEMM of shape k×k · k×k², k⁴ multiply-adds.
+//!   A filter of eight children is 14 passes and an unfilter into
+//!   eight children 14 — sum-factorised, where eight separate mode
+//!   products would take 24. MADNESS gathers the children into one
+//!   (2k)³ tensor instead — the paper's "GEMM on 20^3" at k = 10; that
+//!   form is not implemented here.
 //! * [`tree`] — the adaptive octree: projection with refinement control,
 //!   compression (filter children → parent + per-child residuals), and
-//!   reconstruction (unfilter + residual).
+//!   reconstruction (unfilter + residual). A Gaussian is separable, so
+//!   a refinement step — project the eight children, filter them, take
+//!   the detail norm — is done per axis in rank-1 form: 6k `exp`s and
+//!   O(k²) arithmetic, where the k³-point form took 8k³ `exp`s and nine
+//!   mode products. The paper's "most costly part" is therefore not the
+//!   projection here but compression and reconstruction.
 //!
 //! **Substitution note (see DESIGN.md):** MADNESS stores wavelet
 //! (difference) coefficients in Alpert's multiwavelet basis. Here the

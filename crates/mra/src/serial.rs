@@ -35,14 +35,10 @@ pub fn project(ctx: &MraContext, f: &Gaussian3) -> (HashMap<BoxKey, Tensor3>, us
     let mut depth = 0u8;
     while let Some(key) = stack.pop() {
         boxes += 1;
-        let children: [Tensor3; 8] =
-            std::array::from_fn(|c| ctx.project_box(f, &key.children()[c]));
-        let parent = ctx.filter(&children);
-        let d = ctx.detail_norm(&children, &parent);
-        let forced = key.n < ctx.params.initial_level;
-        if !forced && (d <= ctx.params.eps || key.n >= ctx.params.max_level) {
+        let step = ctx.refine(f, &key);
+        if step.leaf {
             depth = depth.max(key.n);
-            leaves.insert(key, parent);
+            leaves.insert(key, step.coefficients());
         } else {
             stack.extend_from_slice(&key.children());
         }
@@ -85,11 +81,10 @@ pub fn compress(
             kids.sort_by_key(|(c, _)| *c);
             let children: [Tensor3; 8] = std::array::from_fn(|c| kids[c].1.clone());
             let parent = ctx.filter(&children);
-            let resid: [Tensor3; 8] = std::array::from_fn(|c| {
-                let mut r = children[c].clone();
-                r.sub_assign(&ctx.unfilter_child(&parent, c));
-                r
-            });
+            let mut resid = children;
+            for (r, share) in resid.iter_mut().zip(ctx.unfilter_all(&parent)) {
+                r.sub_assign(&share);
+            }
             residuals.insert(pkey, Box::new(resid));
             by_level.entry(pkey.n).or_default().insert(pkey, parent);
         }
@@ -112,9 +107,10 @@ pub fn reconstruct(
     while let Some((key, s)) = stack.pop() {
         match residuals.get(&key) {
             Some(resid) => {
-                for (c, child_key) in key.children().into_iter().enumerate() {
-                    let mut sc = ctx.unfilter_child(&s, c);
-                    sc.add_assign(&resid[c]);
+                let shares = ctx.unfilter_all(&s);
+                for ((child_key, mut sc), r) in key.children().into_iter().zip(shares).zip(&**resid)
+                {
+                    sc.add_assign(r);
                     stack.push((child_key, sc));
                 }
             }

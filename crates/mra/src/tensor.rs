@@ -1,11 +1,15 @@
 //! Small dense matrices and k³ coefficient tensors.
 //!
-//! The MRA kernels are mode-wise tensor transforms: applying a k×k
-//! matrix along each of the three dimensions of a k³ tensor — three
-//! GEMMs of shape (k×k)·(k×k²), 3·k⁴ multiply-adds. Projection runs one
-//! such product per box, a filter eight (one per child, summed into the
-//! parent) and an unfilter one per child. One kernel serves all three,
-//! compiled for each k up to [`MAX_K`].
+//! The MRA kernels are mode-wise tensor transforms built from one
+//! single-mode pass (`pass`): a (k×k)·(k×k²) GEMM, k⁴ multiply-adds,
+//! that contracts a tensor's first mode and rotates it to the back.
+//! Three passes make the mode product [`Tensor3::transform3`]; fourteen
+//! make the two-scale filter of eight octants into one tensor
+//! (`Tensor3::sum_octants`) and its inverse, one tensor into eight
+//! (`Tensor3::split_octants`) — sum-factorised, so the shared
+//! contractions are done once instead of once per octant. Every kernel
+//! is compiled for each k up to [`MAX_K`] and allocates only its
+//! results.
 
 /// A row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,26 +173,63 @@ impl Tensor3 {
         }
     }
 
-    /// The mode product: `out[a,b,c] = Σ t0[i,a]·t1[j,b]·t2[l,c]·
-    /// self[i,j,l]`, i.e. `M₀ ⊗ M₁ ⊗ M₂` applied with each matrix passed
-    /// *transposed* (`t_d = M_dᵀ`), the form the kernel streams row by
-    /// row. 3·k⁴ multiply-adds; allocates only the result.
-    pub fn transform3(&self, t0: &Matrix, t1: &Matrix, t2: &Matrix) -> Tensor3 {
-        let mut out = Tensor3::zeros(self.k);
-        out.add_transform3(self, t0, t1, t2);
+    /// The rank-1 tensor `out[i,j,m] = scale·a[i]·b[j]·c[m]`; the three
+    /// factors have length k.
+    pub(crate) fn outer(scale: f64, a: &[f64], b: &[f64], c: &[f64]) -> Tensor3 {
+        let k = a.len();
+        assert!(
+            b.len() == k && c.len() == k,
+            "factors must have equal length"
+        );
+        let mut out = Tensor3::zeros(k);
+        for (plane, &ai) in out.data.chunks_exact_mut(k * k).zip(a) {
+            for (row, &bj) in plane.chunks_exact_mut(k).zip(b) {
+                let w = scale * ai * bj;
+                for (v, &cm) in row.iter_mut().zip(c) {
+                    *v = w * cm;
+                }
+            }
+        }
         out
     }
 
-    /// `self += transform3(src, t0, t1, t2)`, without a temporary on the
-    /// heap: how a filter sums its eight children into one tensor.
-    pub fn add_transform3(&mut self, src: &Tensor3, t0: &Matrix, t1: &Matrix, t2: &Matrix) {
-        assert_eq!(self.k, src.k);
-        product(self.k, &mut self.data, Some(&src.data), [t0, t1, t2]);
+    /// The mode product: `out[a,b,c] = Σ t0[i,a]·t1[j,b]·t2[l,c]·
+    /// self[i,j,l]`, i.e. `M₀ ⊗ M₁ ⊗ M₂` applied with each matrix passed
+    /// *transposed* (`t_d = M_dᵀ`), the form the kernel streams row by
+    /// row. Three passes, 3·k⁴ multiply-adds; allocates only the result.
+    pub fn transform3(&self, t0: &Matrix, t1: &Matrix, t2: &Matrix) -> Tensor3 {
+        let k = check_k(self.k, &[t0, t1, t2]);
+        let mut out = Tensor3::zeros(k);
+        by_k!(k, product_k(&self.data, [t0, t1, t2], &mut out.data));
+        out
     }
 
-    /// `self = transform3(self, t0, t1, t2)`, without allocating.
-    pub fn transform3_in_place(&mut self, t0: &Matrix, t1: &Matrix, t2: &Matrix) {
-        product(self.k, &mut self.data, None, [t0, t1, t2]);
+    /// `Σ_c (M[cx] ⊗ M[cy] ⊗ M[cz]) srcs[c]` over the eight octants
+    /// `c = cz<<2 | cy<<1 | cx`, each matrix passed transposed (`t[h] =
+    /// M[h]ᵀ`): the two-scale filter. Sum-factorised — x is contracted
+    /// per (cy, cz) pair, y per cz, z once — so 14 passes instead of the
+    /// 24 of eight mode products. Allocates only the result.
+    pub(crate) fn sum_octants(srcs: &[Tensor3; 8], t: [&Matrix; 2]) -> Tensor3 {
+        let k = srcs[0].k;
+        assert!(srcs.iter().all(|s| s.k == k), "octants must share k");
+        check_k(k, &t);
+        let mut out = Tensor3::zeros(k);
+        let srcs = srcs.each_ref().map(|s| s.data.as_slice());
+        by_k!(k, sum_octants_k(srcs, t, &mut out.data));
+        out
+    }
+
+    /// The eight `(M[cx] ⊗ M[cy] ⊗ M[cz]) self`, in octant order `c =
+    /// cz<<2 | cy<<1 | cx`, each matrix passed transposed: the two-scale
+    /// unfilter. Sum-factorised like [`Tensor3::sum_octants`] — x once
+    /// per cx, y per (cx, cy), z per octant — so 14 passes instead of
+    /// 24. Allocates only the eight results.
+    pub(crate) fn split_octants(&self, t: [&Matrix; 2]) -> [Tensor3; 8] {
+        let k = check_k(self.k, &t);
+        let mut out: [Tensor3; 8] = std::array::from_fn(|_| Tensor3::zeros(k));
+        let dsts = out.each_mut().map(|o| o.data.as_mut_slice());
+        by_k!(k, split_octants_k(&self.data, t, dsts));
+        out
     }
 
     /// Maximum absolute difference to another tensor.
@@ -201,40 +242,89 @@ impl Tensor3 {
     }
 }
 
-/// The largest k the mode-product kernel is compiled for.
+/// The largest k the kernels are compiled for.
 pub const MAX_K: usize = 16;
 
 /// A k³ tensor as the kernel sees it: `[i][j][m]`, i slowest.
 type Cube<const K: usize> = [[[f64; K]; K]; K];
 
-/// `dst += P·src`, or `dst = P·dst` when `src` is `None`, where
-/// `P = t[0]ᵀ ⊗ t[1]ᵀ ⊗ t[2]ᵀ`. The one `match` on k: each k in
-/// 1..=[`MAX_K`] has its own monomorphised kernel.
-fn product(k: usize, dst: &mut [f64], src: Option<&[f64]>, t: [&Matrix; 3]) {
+/// Returns `k` after checking that it is in 1..=[`MAX_K`] and that
+/// every matrix is k×k.
+fn check_k(k: usize, t: &[&Matrix]) -> usize {
+    assert!(
+        (1..=MAX_K).contains(&k),
+        "k = {k}: the mode-product kernel supports 1..={MAX_K}"
+    );
     for m in t {
         assert_eq!((m.rows, m.cols), (k, k), "mode matrices must be k×k");
     }
-    macro_rules! by_k {
-        ($($K:literal)*) => {
-            match k {
-                $($K => product_k::<$K>(dst, src, t),)*
-                _ => panic!("k = {k}: the mode-product kernel supports 1..={MAX_K}"),
-            }
-        };
-    }
-    by_k!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    k
 }
 
-/// Three [`pass`]es through two stack temporaries.
-fn product_k<const K: usize>(dst: &mut [f64], src: Option<&[f64]>, t: [&Matrix; 3]) {
+/// `by_k!(k, f(args…))` calls `f::<K>(args…)` for the literal K equal
+/// to `k`: the one `match` on k, so each k in 1..=[`MAX_K`] has its own
+/// monomorphised kernel.
+macro_rules! by_k {
+    ($k:expr, $f:ident $args:tt) => {
+        by_k!(@ $k, $f, $args, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    };
+    (@ $k:expr, $f:ident, $args:tt, $($K:literal)*) => {
+        match $k {
+            $($K => $f::<$K> $args,)*
+            k => unreachable!("k = {k} passed check_k"),
+        }
+    };
+}
+use by_k;
+
+/// `dst = (t[0]ᵀ ⊗ t[1]ᵀ ⊗ t[2]ᵀ) src`: three [`pass`]es through two
+/// stack temporaries.
+fn product_k<const K: usize>(src: &[f64], t: [&Matrix; 3], dst: &mut [f64]) {
     let mut a: Cube<K> = [[[0.0; K]; K]; K];
     let mut b: Cube<K> = [[[0.0; K]; K]; K];
-    pass(cube(src.unwrap_or(dst)), rows(&t[0].data), &mut a, false);
+    pass(cube(src), rows(&t[0].data), &mut a, false);
     pass(&a, rows(&t[1].data), &mut b, false);
-    pass(&b, rows(&t[2].data), cube_mut(dst), src.is_some());
+    pass(&b, rows(&t[2].data), cube_mut(dst), false);
 }
 
-/// One mode product, contracting the first mode and rotating it to the
+/// [`Tensor3::sum_octants`]' 14 passes through two stack temporaries:
+/// `a` holds one (cy, cz) pair's x-contraction, `b` one cz's sum of
+/// y-contractions, and `dst` the sum of the z-contractions.
+fn sum_octants_k<const K: usize>(srcs: [&[f64]; 8], t: [&Matrix; 2], dst: &mut [f64]) {
+    let t = t.map(|m| rows::<K, _>(&m.data));
+    let dst = cube_mut::<K>(dst);
+    let mut a: Cube<K> = [[[0.0; K]; K]; K];
+    let mut b: Cube<K> = [[[0.0; K]; K]; K];
+    for cz in 0..2 {
+        for cy in 0..2 {
+            for cx in 0..2 {
+                pass(cube(srcs[cz << 2 | cy << 1 | cx]), t[cx], &mut a, cx == 1);
+            }
+            pass(&a, t[cy], &mut b, cy == 1);
+        }
+        pass(&b, t[cz], dst, cz == 1);
+    }
+}
+
+/// [`Tensor3::split_octants`]' 14 passes through two stack
+/// temporaries: `a` holds the x-contraction for one cx, `b` its
+/// y-contraction for one cy, and each octant the z-contraction of `b`.
+fn split_octants_k<const K: usize>(src: &[f64], t: [&Matrix; 2], dsts: [&mut [f64]; 8]) {
+    let t = t.map(|m| rows::<K, _>(&m.data));
+    let mut a: Cube<K> = [[[0.0; K]; K]; K];
+    let mut b: Cube<K> = [[[0.0; K]; K]; K];
+    for cx in 0..2 {
+        pass(cube(src), t[cx], &mut a, false);
+        for cy in 0..2 {
+            pass(&a, t[cy], &mut b, false);
+            for cz in 0..2 {
+                pass(&b, t[cz], cube_mut(dsts[cz << 2 | cy << 1 | cx]), false);
+            }
+        }
+    }
+}
+
+/// One single-mode pass, contracting the first mode and rotating it to the
 /// back: `dst[j][m][a] (+)= Σ_i src[i][j][m] · t[i][a]`. Each of the k²
 /// output rows is K accumulators held in registers, summed over i in
 /// ascending order.
@@ -363,37 +453,61 @@ mod tests {
         assert!((out.norm() - t.norm()).abs() < 1e-10);
     }
 
-    /// Rank-3 separable expansion: `out[i,j,m] = a[i]·b[j]·c[m]`.
-    fn outer(a: &[f64], b: &[f64], c: &[f64]) -> Tensor3 {
-        let k = a.len();
-        let mut t = Tensor3::zeros(k);
-        for i in 0..k {
-            for j in 0..k {
-                for m in 0..k {
-                    t.set(i, j, m, a[i] * b[j] * c[m]);
-                }
-            }
-        }
-        t
-    }
-
     /// A separable tensor stays separable, each factor multiplied by its
     /// own mode's matrix: `transform3(a⊗b⊗c, t0, t1, t2) = t0ᵀa ⊗ t1ᵀb
     /// ⊗ t2ᵀc`. Three distinct non-symmetric matrices, so swapping modes
     /// or transposition shows.
     #[test]
     fn outer_builds_separable_tensor() {
-        let t = outer(&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]);
+        let t = Tensor3::outer(1.0, &[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]);
         assert_eq!(t.get(1, 0, 1), 2.0 * 3.0 * 6.0);
         assert_eq!(t.get(0, 1, 0), 1.0 * 4.0 * 5.0);
         let m: [Matrix; 3] =
             std::array::from_fn(|d| Matrix::from_fn(2, 2, |r, c| (1 + d + 2 * r + 5 * c) as f64));
         let mul = |m: &Matrix, v: [f64; 2]| [0, 1].map(|c| m.get(0, c) * v[0] + m.get(1, c) * v[1]);
-        let want = outer(
+        let want = Tensor3::outer(
+            1.0,
             &mul(&m[0], [1.0, 2.0]),
             &mul(&m[1], [3.0, 4.0]),
             &mul(&m[2], [5.0, 6.0]),
         );
         assert_eq!(t.transform3(&m[0], &m[1], &m[2]), want);
+    }
+
+    /// The sum-factorised octant kernels equal their per-octant mode
+    /// products, with two distinct non-symmetric matrices so that an
+    /// octant bit read from the wrong axis shows.
+    #[test]
+    fn octant_kernels_match_per_octant_products() {
+        let k = 5;
+        let t: [Matrix; 2] = std::array::from_fn(|h| {
+            Matrix::from_fn(k, k, |r, c| ((3 * r + 7 * c + 11 * h) as f64 * 0.37).sin())
+        });
+        let srcs: [Tensor3; 8] = std::array::from_fn(|o| {
+            let mut s = Tensor3::zeros(k);
+            for (i, v) in s.data_mut().iter_mut().enumerate() {
+                *v = ((i * 13 + o * 29) as f64 * 0.11).cos();
+            }
+            s
+        });
+        let of = |o: usize| [o & 1, (o >> 1) & 1, (o >> 2) & 1].map(|b| &t[b]);
+        let mut want = Tensor3::zeros(k);
+        for (o, src) in srcs.iter().enumerate() {
+            let [tx, ty, tz] = of(o);
+            want.add_assign(&src.transform3(tx, ty, tz));
+        }
+        let got = Tensor3::sum_octants(&srcs, [&t[0], &t[1]]);
+        assert!(
+            got.max_abs_diff(&want) < 1e-12,
+            "{}",
+            got.max_abs_diff(&want)
+        );
+        for (o, part) in srcs[3].split_octants([&t[0], &t[1]]).iter().enumerate() {
+            let [tx, ty, tz] = of(o);
+            assert!(
+                part.max_abs_diff(&srcs[3].transform3(tx, ty, tz)) < 1e-12,
+                "octant {o}"
+            );
+        }
     }
 }

@@ -1,16 +1,21 @@
 //! The adaptive octree and the level-local MRA operations.
 //!
 //! [`MraContext`] packages the order-k machinery (quadrature, basis
-//! evaluation matrix, two-scale filters) and provides the three
-//! primitive operations every driver (serial or TTG) composes:
+//! evaluation matrix, two-scale filters) and provides the primitive
+//! operations every driver (serial or TTG) composes:
 //!
-//! * [`MraContext::project_box`] — scaling coefficients of `f` on one box
-//!   by Gauss–Legendre quadrature (k³ function evaluations + a mode
-//!   product: the "most costly part" per the paper);
+//! * [`MraContext::refine`] — one refinement step: the box's filtered
+//!   coefficients and the detail norm against its eight children. A
+//!   Gaussian is separable, so every child projection is rank 1 and the
+//!   step is done per axis: 6k `exp`s and O(k²) arithmetic, no mode
+//!   product and no k³ tensor unless the box is a leaf;
+//! * [`MraContext::project_box`] — scaling coefficients of `f` on one
+//!   box, the same rank-1 form (3k `exp`s);
 //! * [`MraContext::filter`] — eight children → parent coefficients
-//!   (one k-wide two-scale mode product per child, summed);
-//! * [`MraContext::unfilter_child`] — parent → one child's coefficients
-//!   (the reconstruction kernel).
+//!   (14 sum-factorised passes, `Tensor3::sum_octants`);
+//! * [`MraContext::unfilter_all`] — parent → the eight children's
+//!   shares (14 passes, `Tensor3::split_octants`), the compression
+//!   residuals' and the reconstruction's kernel.
 
 use crate::function::Gaussian3;
 use crate::quadrature::GaussLegendre;
@@ -105,6 +110,31 @@ impl Default for MraParams {
     }
 }
 
+/// The outcome of [`MraContext::refine`] on one box: its filtered
+/// coefficients in rank-1 form and whether refinement stops there.
+#[derive(Debug, Clone, Copy)]
+pub struct Refinement {
+    k: usize,
+    scale: f64,
+    /// v_x, v_y, v_z; entries past k are zero.
+    factors: [[f64; MAX_K]; 3],
+    /// The detail norm between the box and its eight children.
+    pub detail: f64,
+    /// Whether the box is a leaf: past the initial level, and its
+    /// detail within `eps` or at the maximum level.
+    pub leaf: bool,
+}
+
+impl Refinement {
+    /// The box's scaling coefficients, the filter of its children's:
+    /// the one k³ tensor a refinement step builds, for a leaf.
+    pub fn coefficients(&self) -> Tensor3 {
+        let k = self.k;
+        let [vx, vy, vz] = &self.factors;
+        Tensor3::outer(self.scale, &vx[..k], &vy[..k], &vz[..k])
+    }
+}
+
 /// Precomputed order-k machinery shared by all boxes/functions.
 #[derive(Debug, Clone)]
 pub struct MraContext {
@@ -112,7 +142,7 @@ pub struct MraContext {
     pub params: MraParams,
     quad: GaussLegendre,
     /// Φᵀ[a][i] = w_a φ_i(x_a): the quadrature-to-coefficients matrix
-    /// Φ, stored transposed as [`Tensor3::transform3`] takes it.
+    /// Φ, stored transposed.
     quad_phi_w_t: Matrix,
     twoscale: TwoScale,
     /// H⁰ᵀ and H¹ᵀ: what filtering applies H⁰ and H¹ with.
@@ -159,41 +189,85 @@ impl MraContext {
         lo + (hi - lo) * u
     }
 
+    /// `u = Φᵀg`: the k scaling coefficients of `f`'s axis-`d` factor g
+    /// on the unit-cube interval `[lo, lo + w)`, without the level's
+    /// scale or `f`'s normalisation. k `exp`s and k² multiply-adds.
+    fn axis_coefficients(&self, f: &Gaussian3, d: usize, lo: f64, w: f64) -> [f64; MAX_K] {
+        let k = self.params.k;
+        let mut u = [0.0; MAX_K];
+        for (a, &p) in self.quad.points.iter().enumerate() {
+            let g = f.axis(d, self.to_world(lo + p * w));
+            for (i, ui) in u[..k].iter_mut().enumerate() {
+                *ui += g * self.quad_phi_w_t.get(a, i);
+            }
+        }
+        u
+    }
+
     /// Projects `f` onto the scaling basis of `key`: `s[i,j,m] =
-    /// 2^(−3n/2) Σ w³ f(x) φ_i φ_j φ_m`. Exactly k³ function
-    /// evaluations plus one mode product, in place in the result.
+    /// 2^(−3n/2) Σ w³ f(x) φ_i φ_j φ_m`. `f` is separable, so `s` is the
+    /// rank-1 tensor `c·2^(−3n/2)·u_x ⊗ u_y ⊗ u_z` with `u_d = Φᵀg_d`:
+    /// 3k `exp`s instead of k³.
     pub fn project_box(&self, f: &Gaussian3, key: &BoxKey) -> Tensor3 {
         let k = self.params.k;
         let (lo, w) = key.bounds();
-        let mut s = Tensor3::zeros(k);
-        // The quadrature grid on this box, in world coordinates.
-        let at = |d: usize, p: f64| self.to_world(lo[d] + p * w);
-        let points = &self.quad.points;
-        for (a, &px) in points.iter().enumerate() {
-            let x = at(0, px);
-            for (b, &py) in points.iter().enumerate() {
-                let y = at(1, py);
-                for (c, &pz) in points.iter().enumerate() {
-                    s.set(a, b, c, f.eval(x, y, at(2, pz)));
+        let [ux, uy, uz] = std::array::from_fn(|d| self.axis_coefficients(f, d, lo[d], w));
+        let scale = f.coeff * 2f64.powi(-3 * key.n as i32).sqrt();
+        Tensor3::outer(scale, &ux[..k], &uy[..k], &uz[..k])
+    }
+
+    /// One refinement step of `key`: what projecting its eight children,
+    /// filtering them and taking [`MraContext::detail_norm`] computes,
+    /// done per axis. Child `c` is `K·u_{x,cx} ⊗ u_{y,cy} ⊗ u_{z,cz}`
+    /// with `K = c_f·2^(−3(n+1)/2)`, so the filter is
+    /// `K·v_x ⊗ v_y ⊗ v_z` with `v_d = Σ_h H^h u_{d,h}`, and
+    /// `Σ‖child‖² = K²·Π_d(‖u_{d,0}‖² + ‖u_{d,1}‖²)`,
+    /// `‖parent‖² = K²·Π_d‖v_d‖²`. 6k `exp`s and O(k²) arithmetic; the
+    /// parent tensor is built only by [`Refinement::coefficients`].
+    pub fn refine(&self, f: &Gaussian3, key: &BoxKey) -> Refinement {
+        let k = self.params.k;
+        let (lo, w) = key.bounds();
+        let half = w / 2.0;
+        let norm_sq = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>();
+        let (mut child_sq, mut parent_sq) = (1.0, 1.0);
+        let mut factors = [[0.0; MAX_K]; 3];
+        for (d, v) in factors.iter_mut().enumerate() {
+            let mut u_sq = 0.0;
+            for h in 0..2 {
+                let u = self.axis_coefficients(f, d, lo[d] + h as f64 * half, half);
+                u_sq += norm_sq(&u[..k]);
+                let filter = self.twoscale.h(h);
+                for (j, vj) in v[..k].iter_mut().enumerate() {
+                    *vj += (0..k).map(|i| filter.get(j, i) * u[i]).sum::<f64>();
                 }
             }
+            child_sq *= u_sq;
+            parent_sq *= norm_sq(&v[..k]);
         }
-        let phi_t = &self.quad_phi_w_t;
-        s.transform3_in_place(phi_t, phi_t, phi_t);
-        s.scale(2f64.powi(-3 * key.n as i32).sqrt());
-        s
+        let scale = f.coeff * 2f64.powi(-3 * (key.n as i32 + 1)).sqrt();
+        let detail = scale * (child_sq - parent_sq).max(0.0).sqrt();
+        let forced = key.n < self.params.initial_level;
+        Refinement {
+            k,
+            scale,
+            factors,
+            detail,
+            leaf: !forced && (detail <= self.params.eps || key.n >= self.params.max_level),
+        }
     }
 
     /// Gathers 8 children into the parent's scaling coefficients:
-    /// `s_parent = Σ_c (H^cx ⊗ H^cy ⊗ H^cz) s_child[c]` — eight mode
-    /// products summed into one tensor, the children in octant order.
+    /// `s_parent = Σ_c (H^cx ⊗ H^cy ⊗ H^cz) s_child[c]`, the children in
+    /// octant order — sum-factorised, 14 single-mode passes.
     pub fn filter(&self, children: &[Tensor3; 8]) -> Tensor3 {
-        let mut s = Tensor3::zeros(self.params.k);
-        for (c, child) in children.iter().enumerate() {
-            let [hx, hy, hz] = [c & 1, (c >> 1) & 1, (c >> 2) & 1].map(|b| &self.h_t[b]);
-            s.add_transform3(child, hx, hy, hz);
-        }
-        s
+        Tensor3::sum_octants(children, [&self.h_t[0], &self.h_t[1]])
+    }
+
+    /// Every child's share of a parent's coefficients, in octant order:
+    /// `unfilter_child(parent, c)` for c in 0..8 in 14 passes instead of
+    /// 24.
+    pub fn unfilter_all(&self, parent: &Tensor3) -> [Tensor3; 8] {
+        parent.split_octants([self.twoscale.h(0), self.twoscale.h(1)])
     }
 
     /// Child `c`'s share of a parent's coefficients:
@@ -206,7 +280,8 @@ impl MraContext {
 
     /// Inter-level detail norm: ‖d‖ = √(Σ‖s_child‖² − ‖s_parent‖²) —
     /// exact because the two-scale relation is orthonormal. The
-    /// refinement criterion of projection.
+    /// refinement criterion, which [`MraContext::refine`] evaluates in
+    /// rank-1 form.
     pub fn detail_norm(&self, children: &[Tensor3; 8], parent: &Tensor3) -> f64 {
         let child_sq: f64 = children.iter().map(Tensor3::norm_sq).sum();
         (child_sq - parent.norm_sq()).max(0.0).sqrt()

@@ -2,18 +2,19 @@
 //!
 //! Three TTs over keys `(function, box)`:
 //!
-//! * **Project** — control-flow driven refinement: projects the box's 8
-//!   children (k³-point quadratures + one mode product each), filters
-//!   them, and either records a leaf (sending its coefficients up to the
-//!   parent's Compress task) or sends refinement tokens to its children
-//!   — the template graph's self-loop unfolds into the adaptive octree.
+//! * **Project** — control-flow driven refinement: one
+//!   [`MraContext::refine`] step (the box's 8 children projected and
+//!   filtered per axis, 6k `exp`s), then either records a leaf (sending
+//!   its coefficients up to the parent's Compress task) or sends
+//!   refinement tokens to its children — the template graph's self-loop
+//!   unfolds into the adaptive octree.
 //! * **Compress** — an **aggregator terminal** gathering exactly 8 child
 //!   contributions per box ("data flows up the tree"), producing the
 //!   parent coefficients + per-child residuals, and feeding its own
 //!   parent; at the root it seeds Reconstruct.
-//! * **Reconstruct** — "flows data down the tree": unfilter + residual
-//!   per child, broadcasting along the self-loop; leaves record their
-//!   recovered coefficients.
+//! * **Reconstruct** — "flows data down the tree": one `unfilter_all`
+//!   plus the residual per child, broadcasting along the self-loop;
+//!   leaves record their recovered coefficients.
 //!
 //! Priorities follow depth (deeper boxes are hotter: they gate the
 //! longest chains), exercising the LLP scheduler's priority support.
@@ -188,14 +189,9 @@ impl MraTtg {
             .priority(|k: &MKey| k.1.n as i32)
             .build(move |&(f, key), _inputs, out| {
                 pstores.boxes_projected.fetch_add(1, Ordering::Relaxed);
-                let func = &pfuncs[f as usize];
-                let children: [Tensor3; 8] =
-                    std::array::from_fn(|c| pctx.project_box(func, &key.children()[c]));
-                let parent = pctx.filter(&children);
-                let d = pctx.detail_norm(&children, &parent);
-                let forced = key.n < pctx.params.initial_level;
-                if !forced && (d <= pctx.params.eps || key.n >= pctx.params.max_level) {
-                    // Leaf box.
+                let step = pctx.refine(&pfuncs[f as usize], &key);
+                if step.leaf {
+                    let parent = step.coefficients();
                     pstores.leaves.lock().insert((f, key), parent.clone());
                     match key.parent() {
                         Some(pk) => out.send(
@@ -242,8 +238,8 @@ impl MraTtg {
                 let mut children = slots.map(|s| s.expect("missing child"));
                 let parent = cctx.filter(&children);
                 // Each child becomes its own residual.
-                for (c, r) in children.iter_mut().enumerate() {
-                    r.sub_assign(&cctx.unfilter_child(&parent, c));
+                for (r, share) in children.iter_mut().zip(cctx.unfilter_all(&parent)) {
+                    r.sub_assign(&share);
                 }
                 cstores.internal_boxes.fetch_add(1, Ordering::Relaxed);
                 cstores
@@ -282,9 +278,11 @@ impl MraTtg {
                 let resid = rstores.residuals.lock().remove(&(f, key));
                 match resid {
                     Some(resid) => {
-                        for (c, child_key) in key.children().into_iter().enumerate() {
-                            let mut sc = rctx.unfilter_child(&s, c);
-                            sc.add_assign(&resid[c]);
+                        let shares = rctx.unfilter_all(&s);
+                        for ((child_key, mut sc), r) in
+                            key.children().into_iter().zip(shares).zip(&*resid)
+                        {
+                            sc.add_assign(r);
                             out.send(0, (f, child_key), sc);
                         }
                     }

@@ -1,7 +1,8 @@
 //! The allocation half of the MRA kernels' cost, gated in tier-1: a
-//! kernel entry allocates its result and nothing else — the mode
-//! product's intermediates live on the stack — and a whole
-//! `MraTtg::run` stays under a per-box bound. Counts are
+//! kernel entry allocates its results and nothing else — the passes'
+//! intermediates live on the stack, and a refinement step's result is
+//! three k-vectors on the stack until a leaf asks for its tensor — and
+//! a whole `MraTtg::run` stays under a per-box bound. Counts are
 //! machine-independent, so the kernel checks are equalities.
 
 use rand::SeedableRng;
@@ -88,22 +89,28 @@ fn each_kernel_call_allocates_only_its_result() {
         let ctx = MraContext::new(params(k));
         let children: [Tensor3; 8] =
             std::array::from_fn(|c| ctx.project_box(&f, &key.children()[c]));
+        let (step, refine) = counted(false, || ctx.refine(&f, &key));
+        let (_, leaf) = counted(false, || step.coefficients());
         let (_, project) = counted(false, || ctx.project_box(&f, &key));
         let (parent, filter) = counted(false, || ctx.filter(&children));
         let (_, unfilter) = counted(false, || ctx.unfilter_child(&parent, 5));
+        let (_, unfilter_all) = counted(false, || ctx.unfilter_all(&parent));
         assert_eq!(
-            [project, filter, unfilter],
-            [1, 1, 1],
-            "k = {k}: allocations of project_box, filter, unfilter_child"
+            [refine, leaf, project, filter, unfilter, unfilter_all],
+            [0, 1, 1, 1, 1, 8],
+            "k = {k}: allocations of refine, its coefficients, project_box, \
+             filter, unfilter_child, unfilter_all"
         );
     }
 }
 
 /// Allocations per projected box of the first run on a fresh runtime,
-/// the filling of its pools included. It reads 15.5; it read 68.3 while
-/// each kernel call allocated temporary buffers and Compress and
-/// Reconstruct cloned what they could move.
-const PER_BOX: f64 = 16.0;
+/// the filling of its pools included. It reads 7.39 (46 254 for 6 260
+/// boxes); it read 15.5 while every Project task built its eight
+/// children's tensors and the parent whether or not the box was a leaf,
+/// and 68.3 while each kernel call allocated temporary buffers and
+/// Compress and Reconstruct cloned what they could move.
+const PER_BOX: f64 = 7.6;
 
 #[test]
 fn a_pipeline_run_stays_under_its_per_box_bound() {

@@ -91,8 +91,9 @@ fn triple_pass_oracle(t: &Tensor3, m0: &Matrix, m1: &Matrix, m2: &Matrix) -> Ten
     out
 }
 
-/// What `MraContext::project_box` computed before the kernel: Φ applied
-/// by the oracle to the k³ samples, then the level's scale.
+/// The projection by definition: f sampled at all k³ quadrature points
+/// of the box, Φ applied by the oracle, then the level's scale. The
+/// library computes the same coefficients in rank-1 form.
 fn project_box_oracle(ctx: &MraContext, f: &Gaussian3, key: &BoxKey) -> Tensor3 {
     let k = ctx.params.k;
     let quad = GaussLegendre::new(k);
@@ -289,6 +290,53 @@ proptest! {
                     &triple_pass_oracle(&parent, &hx, &hy, &hz), 1e-13,
                     format_args!("unfilter_child {c}, k = {k}"));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `refine` is the k³-point projection of the box's eight children
+    /// (the oracle samples f at every quadrature point) followed by the
+    /// triple-pass filter and `detail_norm`; and `unfilter_all` is eight
+    /// `unfilter_child` calls. The detail norm is a difference of two
+    /// nearly equal sums of squares in both forms, so it is compared
+    /// relatively down to the cancellation floor 1e-7·√Σ‖child‖², and
+    /// to 1e-150, below which the squares leave f64's normal range:
+    /// under either floor neither form has significant digits.
+    fn refine_matches_the_projected_children(
+        seed in any::<u64>(),
+        k in 1usize..MAX_K + 1,
+        cx in -1.0f64..1.0, cy in -1.0f64..1.0, cz in -1.0f64..1.0,
+        expnt in 1.0f64..200.0,
+        n in 0u8..5,
+    ) {
+        let ctx = ctx(k);
+        let f = Gaussian3::new([cx, cy, cz], expnt);
+        let side = 1u32 << n;
+        let key = BoxKey { n, l: [0, 8, 16].map(|shift| (seed >> shift) as u32 % side) };
+        let children: [Tensor3; 8] =
+            std::array::from_fn(|c| project_box_oracle(&ctx, &f, &key.children()[c]));
+        let mut parent = Tensor3::zeros(k);
+        for (c, child) in children.iter().enumerate() {
+            let [hx, hy, hz] = octant_filters(&ctx, c);
+            parent.add_assign(&triple_pass_oracle(child, hx, hy, hz));
+        }
+        let step = ctx.refine(&f, &key);
+        assert_close(&step.coefficients(), &parent, 1e-13,
+            format_args!("refine, k = {k}, {key:?}"));
+
+        let want = ctx.detail_norm(&children, &parent);
+        let child_sq: f64 = children.iter().map(Tensor3::norm_sq).sum();
+        let tol = 1e-6 * want + 1e-7 * child_sq.sqrt() + 1e-150;
+        prop_assert!((step.detail - want).abs() <= tol,
+            "k = {}, {:?}: detail {:e}, oracle {:e}", k, key, step.detail, want);
+
+        let random = random_tensor(k, seed);
+        for (c, share) in ctx.unfilter_all(&random).iter().enumerate() {
+            assert_close(share, &ctx.unfilter_child(&random, c), 1e-13,
+                format_args!("unfilter_all octant {c}, k = {k}"));
         }
     }
 }
