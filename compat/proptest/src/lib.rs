@@ -297,7 +297,7 @@ pub mod collection {
 /// ```ignore
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(64))]
-///     #[test]  // optional; added automatically when missing
+///     #[test]  // as in real proptest: attributes pass through, none is added
 ///     fn prop(x in 0usize..10, v in any::<u64>()) { prop_assert!(x < 10); }
 /// }
 /// ```
@@ -321,7 +321,6 @@ macro_rules! __proptest_impl {
      $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __cfg: $crate::ProptestConfig = $cfg;
             for __case in 0..__cfg.cases {
@@ -409,11 +408,13 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
         fn macro_generates_cases(x in 0usize..10, flag in any::<bool>()) {
             prop_assert!(x < 10);
             let _ = flag;
         }
 
+        #[test]
         fn second_property_in_same_block(v in crate::collection::vec(0i8..5, 1..4)) {
             prop_assert!(!v.is_empty());
             prop_assert!(v.iter().all(|&x| (0..5).contains(&x)));

@@ -122,7 +122,7 @@ impl Job for TcpJob {
 /// the measured end-to-end figure. Empty stages (a build without
 /// `obs`) render a one-line note instead of a table of zeros.
 fn wire_attribution(job: &TcpJob, payload_len: usize, us_per_msg: f64) -> String {
-    let mut merged = ttg_obs::WireSnapshot::default();
+    let mut merged = ttg_runtime::obs::WireSnapshot::default();
     for m in &job.members {
         merged.merge_stages(&m.runtime().wire_snapshot());
     }

@@ -20,7 +20,8 @@ use ttg_baselines::omptask::DepVar;
 use ttg_baselines::{Flow, OmpTaskRuntime};
 use ttg_bench::{Args, Report, Series};
 use ttg_core::{Edge, Graph};
-use ttg_runtime::{LiveConfig, LiveTelemetry, RuntimeConfig};
+use ttg_obs::{LiveConfig, LiveTelemetry};
+use ttg_runtime::RuntimeConfig;
 
 const USAGE: &str = "fig5_task_latency [--length 100000] [--max-flows 6] [--json] \
      [--bench-json PATH] [--serve]";

@@ -527,8 +527,8 @@ fn cmd_imbalance(argv: &[String]) {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
     use ttg_net::NetRuntime;
-    use ttg_obs::{ClusterAggregator, ClusterConfig};
-    use ttg_runtime::{LiveConfig, LiveTelemetry, RuntimeConfig};
+    use ttg_obs::{ClusterAggregator, ClusterConfig, LiveConfig, LiveTelemetry};
+    use ttg_runtime::RuntimeConfig;
 
     let (pos, opts) = split_args(argv);
     if !pos.is_empty() {
@@ -753,8 +753,8 @@ fn cmd_wire(argv: &[String]) {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
     use ttg_net::NetRuntime;
-    use ttg_obs::ClusterConfig;
-    use ttg_runtime::{LiveConfig, LiveTelemetry, RuntimeConfig};
+    use ttg_obs::{ClusterConfig, LiveConfig, LiveTelemetry};
+    use ttg_runtime::RuntimeConfig;
 
     let (pos, opts) = split_args(argv);
     if !pos.is_empty() {
@@ -988,7 +988,7 @@ fn cmd_wire(argv: &[String]) {
          frames of a batch overlap) vs {us_per_msg:.1} us/msg of wall time"
     );
     for l in &merged.links {
-        use ttg_obs::wire;
+        use ttg_runtime::obs::wire;
         println!(
             "  link rank0->{}: tx {}B/{}f rx {}B/{}f ack_lag {} ack_rtt {}us resend {}B",
             l.peer,

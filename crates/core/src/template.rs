@@ -234,7 +234,7 @@ impl GraphTemplate {
         // Link the scope to its span context before any task can be
         // scheduled under it; packs to 0 (unattributed) with the
         // `obs` feature off.
-        scope.set_span(ttg_runtime::obs::pack_span(&tenant, id));
+        scope.set_span(ttg_runtime::obs::spans::pack_span(&tenant, id));
         let graph = Graph::with_runtime_scoped(Arc::clone(runtime), Arc::clone(&scope));
         let ctx = InstanceCtx {
             id,

@@ -334,7 +334,7 @@ impl<K: Key> TtInner<K> {
                 // must not unwind through the worker and take the shared
                 // runtime (and every sibling instance) down with it. The
                 // instance is marked failed and still drains normally.
-                let outer = outputs.dispatch.worker().enter_scope(scope);
+                outputs.dispatch.worker().enter_scope(scope);
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     (self.body)(key, &mut inputs, &mut outputs)
                 }));
@@ -350,7 +350,7 @@ impl<K: Key> TtInner<K> {
                 // even one that panicked — scheduled. A leaf's decrement
                 // may release a waiter that frees this very TT: the worker
                 // fires it once this task's execute has fully unwound.
-                d.worker().leave_scope(outer, scope);
+                d.worker().leave_scope(scope);
             }
         }
     }

@@ -244,6 +244,7 @@ proptest! {
     /// orthonormal filters cannot tell a correct kernel from one that
     /// applies the modes' matrices in the wrong order, or one that
     /// transposes them consistently in both directions.
+    #[test]
     fn transform3_matches_naive_contraction_for_every_k(seed in any::<u64>()) {
         for k in 1..=MAX_K {
             let t = random_tensor(k, seed);
@@ -259,6 +260,7 @@ proptest! {
 
     /// `project_box`, `filter` and `unfilter_child` agree with the
     /// triple-pass loop they replaced, at every k.
+    #[test]
     fn kernels_match_the_triple_pass_oracle(
         seed in any::<u64>(),
         cx in -1.0f64..1.0, cy in -1.0f64..1.0, cz in -1.0f64..1.0,
@@ -305,6 +307,7 @@ proptest! {
     /// relatively down to the cancellation floor 1e-7·√Σ‖child‖², and
     /// to 1e-150, below which the squares leave f64's normal range:
     /// under either floor neither form has significant digits.
+    #[test]
     fn refine_matches_the_projected_children(
         seed in any::<u64>(),
         k in 1usize..MAX_K + 1,

@@ -379,7 +379,7 @@ impl Transport for FaultyTransport {
         self.inner.counters()
     }
 
-    fn wire_obs(&self) -> Option<Arc<ttg_obs::wire::WireObs>> {
+    fn wire_obs(&self) -> Option<Arc<ttg_runtime::obs::WireObs>> {
         self.inner.wire_obs()
     }
 

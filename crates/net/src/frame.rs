@@ -16,8 +16,8 @@
 //! [`FrameKind`]), which keeps the codec to a single code path.
 //!
 //! `span` is the request-scoped span context of the sending task
-//! (`ttg_obs::spans` packing; 0 = unattributed). It is part of the fixed
-//! header *unconditionally* — builds with the `obs` feature off
+//! (`ttg_runtime::obs::spans` packing; 0 = unattributed). It is part
+//! of the fixed header *unconditionally* — builds with the `obs` feature off
 //! simply send 0 — so mixed-feature deployments stay wire-compatible.
 //! Note the header grew from 9 to 17 bytes when the field was added:
 //! peers from before the change cannot talk to peers after it (the CRC
@@ -494,9 +494,9 @@ impl Frame {
                 Err(e) => return Err(e),
             }
         }
-        let t0 = ttg_obs::wire::WireObs::now_ns();
+        let t0 = ttg_runtime::obs::WireObs::now_ns();
         let decoded = Self::read_from(r)?;
-        let busy_ns = ttg_obs::wire::WireObs::now_ns().saturating_sub(t0);
+        let busy_ns = ttg_runtime::obs::WireObs::now_ns().saturating_sub(t0);
         Ok((decoded, busy_ns))
     }
 }

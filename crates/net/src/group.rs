@@ -424,37 +424,6 @@ impl NetGroup {
             None => Ok(()),
         }
     }
-
-    /// Drains every rank's recorded timeline into one merged Chrome
-    /// trace: one `pid` per rank on a shared timeline, with flow events
-    /// linking frame send → receive across ranks. `None` unless at
-    /// least one rank was configured with `trace: true`. Call after
-    /// [`NetGroup::wait`] so the drain sees a quiescent job.
-    pub fn chrome_trace(&self) -> Option<String> {
-        // All ranks share this process's clock; any rank's anchor works
-        // as the common timeline origin.
-        let base = self
-            .members
-            .iter()
-            .find_map(|m| m.runtime().trace_wall_anchor_ns())?;
-        let parts: Vec<String> = self
-            .members
-            .iter()
-            .filter_map(|m| m.runtime().chrome_trace_with_base(base))
-            .collect();
-        Some(ttg_runtime::obs::merge_chrome_traces(&parts))
-    }
-
-    /// Job-wide metrics: every rank's snapshot merged (counters add,
-    /// histograms merge; the per-rank label drops out of the merge).
-    pub fn metrics(&self) -> ttg_runtime::obs::MetricsSnapshot {
-        let mut members = self.members.iter().map(|m| m.runtime().metrics());
-        let mut merged = members.next().expect("group has at least one rank");
-        for m in members {
-            merged.merge(&m);
-        }
-        merged
-    }
 }
 
 impl std::fmt::Debug for NetGroup {

@@ -128,7 +128,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ttg_obs::wire::WireObs;
+use ttg_runtime::obs::WireObs;
 use ttg_sync::OBS;
 
 /// First retry delay; doubles up to [`CONNECT_RETRY_MAX`].

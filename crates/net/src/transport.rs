@@ -142,7 +142,7 @@ pub trait Transport: Send + Sync {
     /// The endpoint's wire-path recording state (stage
     /// histograms + per-link telemetry), when it keeps one. Default:
     /// none (in-process transports have no wire path to attribute).
-    fn wire_obs(&self) -> Option<Arc<ttg_obs::wire::WireObs>> {
+    fn wire_obs(&self) -> Option<Arc<ttg_runtime::obs::WireObs>> {
         None
     }
 

@@ -13,8 +13,9 @@ use std::time::Instant;
 use ttg_core::{dist, AggCount, Edge, Graph};
 use ttg_net::tcp::ephemeral_listeners;
 use ttg_net::{NetConfig, NetRuntime, TcpTransport, Transport};
+use ttg_obs::assemble_spans;
+use ttg_runtime::obs::spans::pack_span;
 use ttg_runtime::obs::spans::with_ambient_span;
-use ttg_runtime::obs::{assemble_spans, pack_span};
 use ttg_runtime::RuntimeConfig;
 
 const RANKS: usize = 3;

@@ -511,8 +511,8 @@ impl TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{Event, EventKind};
     use crate::trace::chrome_trace;
+    use ttg_runtime::obs::ring::{Event, EventKind};
 
     fn task(name: &'static str, tid: u32, ts: u64, dur: u64) -> Event {
         Event {

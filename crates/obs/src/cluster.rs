@@ -52,22 +52,23 @@
 //! does flip it, with the offending ranks listed.
 //!
 //! The aggregator is embedded in rank 0 of `examples/distributed.rs
-//! --serve` (wired by `ttg-runtime`'s live telemetry from the
+//! --serve` (wired by this crate's live telemetry from the
 //! `TTG_OBS_CLUSTER` env var) and available standalone via
 //! `ttg-bench dash --ranks host:port,...`. Detector state is fed
 //! through the testable [`ClusterAggregator::ingest_round`]; the scrape
 //! loop is just an HTTP front-end to it.
 
-use crate::hist::HistogramSnapshot;
 use crate::http::{http_request, DynamicRoute, HealthVerdict, HttpRequest, HttpResponse};
 use crate::metrics::{MetricsSnapshot, PeriodicSampler};
-use crate::wire::RESEND_BUFFER_BYTES;
-use crate::wire::{ACK_LAG_SEQ, ACK_RTT_US, BYTES_RX, BYTES_TX, FRAMES_TX, LINK_FIELDS};
+use crate::wire::LINK_FIELDS;
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use ttg_runtime::obs::hist::HistogramSnapshot;
+use ttg_runtime::obs::wire::{ACK_LAG_SEQ, ACK_RTT_US, BYTES_RX, BYTES_TX, FRAMES_TX};
+use ttg_runtime::obs::wire::{LINK_VALUES, RESEND_BUFFER_BYTES};
 
 /// Per-request I/O deadline for scrapes; a stalled rank costs one
 /// timeout per round, never wedges the loop.
@@ -102,10 +103,9 @@ pub struct ClusterConfig {
     /// Consecutive deviant rounds before a straggler alert fires.
     pub straggler_consecutive: u32,
     /// Slow-link deviation factor vs the cluster-median link ack RTT /
-    /// ack lag (`TTG_OBS_SLOWLINK_FACTOR`).
+    /// ack lag.
     pub slowlink_factor: f64,
-    /// Consecutive deviant rounds before a slow-link alert fires
-    /// (`TTG_OBS_SLOWLINK_K`).
+    /// Consecutive deviant rounds before a slow-link alert fires.
     pub slowlink_consecutive: u32,
 }
 
@@ -141,7 +141,7 @@ const SLOWLINK_MIN_LAG: f64 = 4.0;
 struct LinkStat {
     /// Destination rank label (the `peer` label value).
     peer: String,
-    values: [u64; LINK_FIELDS.len()],
+    values: [u64; LINK_VALUES],
 }
 
 /// Extracts the per-peer link stats from a scraped snapshot's
@@ -1113,8 +1113,8 @@ fn median(xs: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::LatencyHistogram;
     use crate::http::{HttpRoutes, ObsHttpServer};
+    use ttg_runtime::obs::hist::LatencyHistogram;
 
     fn config(n: usize) -> ClusterConfig {
         ClusterConfig {

@@ -62,8 +62,8 @@ pub fn collapse_chrome_trace(json: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{Event, EventKind};
     use crate::trace::{chrome_trace, merge_chrome_traces};
+    use ttg_runtime::obs::ring::{Event, EventKind};
 
     fn task(name: &'static str, tid: u32, ts: u64, dur: u64) -> Event {
         Event {

@@ -11,7 +11,7 @@
 //!
 //! Like [`HttpRoutes`](crate::http::HttpRoutes), the content sources
 //! are opaque closures: this module knows how to persist evidence, not
-//! where it comes from. The runtime's live-telemetry glue supplies
+//! where it comes from. The live-telemetry glue ([`crate::live`]) supplies
 //! closures that peek (never drain) the event rings, so a dump cannot
 //! corrupt a concurrent end-of-run export.
 

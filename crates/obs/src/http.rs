@@ -25,9 +25,8 @@
 //! (capped; oversize requests get 413). Query strings are tolerated on
 //! every path; methods other than GET/POST get 405.
 //!
-//! The route bodies are opaque closures so this module depends on
-//! nothing above it; `ttg-runtime`'s live-telemetry glue wires them to
-//! the real runtime state.
+//! The route bodies are opaque closures, so the server knows no
+//! runtime; [`crate::live`] wires them to the real runtime state.
 //!
 //! [`http_request`] is the matching client — the only raw-`TcpStream`
 //! HTTP client in the workspace; the cluster aggregator's scrapes and

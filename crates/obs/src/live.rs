@@ -1,10 +1,9 @@
-//! Live telemetry glue: the wiring between a running [`Runtime`] and
-//! the observability surfaces in `ttg-obs` (per-rank HTTP endpoint,
-//! time-series recorder, crash flight recorder).
+//! Live telemetry: the wiring between a running [`Runtime`] and this
+//! crate's surfaces (per-rank HTTP endpoint, time-series recorder,
+//! crash flight recorder, embedded cluster aggregator).
 //!
-//! The obs crate deliberately knows nothing about the runtime — its
-//! HTTP routes and flight-dump sources are opaque closures. This module
-//! supplies those closures. The central piece is the [`RuntimeSlot`]:
+//! The HTTP routes and flight-dump sources are opaque closures; this
+//! module supplies them. The central piece is the [`RuntimeSlot`]:
 //! benchmarks like `fig5_task_latency` build a *fresh* runtime per data
 //! point, so the long-lived server and sampler cannot hold a `Runtime`
 //! directly. They hold the slot; the driver re-points it at each new
@@ -16,15 +15,16 @@
 //! works when a client connects, and the flight recorder only runs at
 //! death. A run with `LiveConfig::disabled` pays nothing.
 
-use crate::runtime::{HealthReport, Runtime};
+use crate::flight::FlightSources;
+use crate::{
+    runtime_metrics, runtime_trace, ClusterAggregator, ClusterConfig, FlightRecorder,
+    HealthVerdict, HttpRoutes, ObsHttpServer, PeriodicSampler, TimeSeriesRecorder,
+};
 use parking_lot::RwLock;
+use serde::Value;
 use std::sync::Arc;
 use std::time::Duration;
-use ttg_obs::flight::FlightSources;
-use ttg_obs::{
-    ClusterAggregator, ClusterConfig, FlightRecorder, HealthVerdict, HttpRoutes, ObsHttpServer,
-    PeriodicSampler, TimeSeriesRecorder,
-};
+use ttg_runtime::{HealthReport, Runtime};
 
 /// Configuration for [`LiveTelemetry`], usually read from the
 /// environment (see [`LiveConfig::from_env`]).
@@ -51,18 +51,14 @@ pub struct LiveConfig {
     pub cluster: Option<ClusterConfig>,
 }
 
-/// Default sampling period (`TTG_OBS_SAMPLE_MS`).
+/// Default sampling period, milliseconds.
 pub const DEFAULT_SAMPLE_MS: u64 = 100;
-/// Default time-series capacity (`TTG_OBS_TS_CAPACITY`).
+/// Default time-series capacity, points.
 pub const DEFAULT_TS_CAPACITY: usize = 512;
-/// Default flight-dump event window (`TTG_OBS_FLIGHT_WINDOW_MS`).
+/// Default flight-dump event window, milliseconds.
 pub const DEFAULT_FLIGHT_WINDOW_MS: u64 = 10_000;
 
 fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn env_f64(name: &str) -> Option<f64> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 
@@ -80,24 +76,16 @@ impl LiveConfig {
         }
     }
 
-    /// Reads the `TTG_OBS_*` environment knobs:
+    /// Reads the `TTG_OBS_*` environment knobs; everything else takes
+    /// its default ([`LiveConfig::disabled`], [`ClusterConfig::default`]):
     ///
     /// | variable                     | meaning                         |
     /// |------------------------------|---------------------------------|
     /// | `TTG_OBS_HTTP_PORT`          | base port (rank adds its id)    |
-    /// | `TTG_OBS_SAMPLE_MS`          | sampler period (default 100)    |
-    /// | `TTG_OBS_TS_CAPACITY`        | ring capacity (default 512)     |
     /// | `TTG_OBS_FLIGHT_DIR`         | flight-dump directory           |
-    /// | `TTG_OBS_FLIGHT_WINDOW_MS`   | dump event window (def. 10000)  |
     /// | `TTG_OBS_CLUSTER`            | comma-separated `host:port`     |
     /// |                              | scrape targets (aggregator on)  |
     /// | `TTG_OBS_CLUSTER_INTERVAL_MS`| scrape period (default 1000)    |
-    /// | `TTG_OBS_CLUSTER_WINDOW`     | skew window, rounds (default 10)|
-    /// | `TTG_OBS_SKEW_COV`           | skew CoV threshold (def. 0.5)   |
-    /// | `TTG_OBS_STRAGGLER_FACTOR`   | straggler deviation (def. 2.0)  |
-    /// | `TTG_OBS_STRAGGLER_K`        | consecutive rounds (default 3)  |
-    /// | `TTG_OBS_SLOWLINK_FACTOR`    | slow-link deviation (def. 4.0)  |
-    /// | `TTG_OBS_SLOWLINK_K`         | consecutive rounds (default 3)  |
     pub fn from_env() -> Self {
         let cluster = std::env::var("TTG_OBS_CLUSTER")
             .ok()
@@ -117,35 +105,16 @@ impl LiveConfig {
                     scrape_interval_ms: env_u64("TTG_OBS_CLUSTER_INTERVAL_MS")
                         .unwrap_or(defaults.scrape_interval_ms)
                         .max(1),
-                    window: env_u64("TTG_OBS_CLUSTER_WINDOW").unwrap_or(defaults.window as u64)
-                        as usize,
-                    skew_cov_threshold: env_f64("TTG_OBS_SKEW_COV")
-                        .unwrap_or(defaults.skew_cov_threshold),
-                    straggler_factor: env_f64("TTG_OBS_STRAGGLER_FACTOR")
-                        .unwrap_or(defaults.straggler_factor),
-                    straggler_consecutive: env_u64("TTG_OBS_STRAGGLER_K")
-                        .unwrap_or(defaults.straggler_consecutive as u64)
-                        as u32,
-                    slowlink_factor: env_f64("TTG_OBS_SLOWLINK_FACTOR")
-                        .unwrap_or(defaults.slowlink_factor),
-                    slowlink_consecutive: env_u64("TTG_OBS_SLOWLINK_K")
-                        .unwrap_or(defaults.slowlink_consecutive as u64)
-                        as u32,
+                    ..defaults
                 }
             });
         LiveConfig {
             http_port: env_u64("TTG_OBS_HTTP_PORT").map(|p| p as u16),
-            sample_ms: env_u64("TTG_OBS_SAMPLE_MS")
-                .unwrap_or(DEFAULT_SAMPLE_MS)
-                .max(1),
-            ts_capacity: env_u64("TTG_OBS_TS_CAPACITY").unwrap_or(DEFAULT_TS_CAPACITY as u64)
-                as usize,
             flight_dir: std::env::var("TTG_OBS_FLIGHT_DIR")
                 .ok()
                 .filter(|d| !d.is_empty()),
-            flight_window_ms: env_u64("TTG_OBS_FLIGHT_WINDOW_MS")
-                .unwrap_or(DEFAULT_FLIGHT_WINDOW_MS),
             cluster,
+            ..LiveConfig::disabled()
         }
     }
 
@@ -232,7 +201,7 @@ impl LiveTelemetry {
             let ts = Arc::clone(&timeseries);
             PeriodicSampler::spawn(Duration::from_millis(config.sample_ms.max(1)), move || {
                 if let Some(rt) = slot.get() {
-                    ts.record(&rt.metrics());
+                    ts.record(&runtime_metrics(&rt));
                 }
             })
         };
@@ -251,7 +220,14 @@ impl LiveTelemetry {
                             .get()
                             .and_then(|rt| {
                                 let base = rt.trace_wall_anchor_ns().unwrap_or(0);
-                                rt.chrome_trace_snapshot_window(base, window_ns)
+                                let mut events = rt.peek_events();
+                                // The trailing window of the newest event.
+                                let newest = events.iter().map(|e| e.ts_ns).max();
+                                if let Some(newest) = newest.filter(|_| window_ns > 0) {
+                                    let cutoff = newest.saturating_sub(window_ns);
+                                    events.retain(|e| e.ts_ns >= cutoff);
+                                }
+                                runtime_trace(&rt, &events, base)
                             })
                             .unwrap_or_default()
                     }),
@@ -267,7 +243,7 @@ impl LiveTelemetry {
                     }),
                 },
             ));
-            ttg_obs::flight::install_panic_hook(Arc::clone(&rec));
+            crate::flight::install_panic_hook(Arc::clone(&rec));
             rec
         });
 
@@ -303,19 +279,17 @@ impl LiveTelemetry {
                 // per-stage document rather than a 404, so dashboards
                 // can always probe the same path.
                 let net_slot = Arc::clone(&slot);
-                let net_route: ttg_obs::DynamicRoute = Box::new(move |req| {
+                let net_route: crate::DynamicRoute = Box::new(move |req| {
                     if req.method != "GET" || req.path != "/net.json" {
                         return None;
                     }
-                    let body = match net_slot.get() {
-                        Some(rt) => rt.wire_snapshot().net_json(rank),
-                        None => ttg_obs::WireSnapshot::default().net_json(rank),
-                    };
-                    Some(ttg_obs::HttpResponse::json(200, body))
+                    let wire = net_slot.get().map(|rt| rt.wire_snapshot());
+                    let body = crate::wire::net_json(&wire.unwrap_or_default(), rank);
+                    Some(crate::HttpResponse::json(200, body))
                 });
                 let cluster_route = cluster
                     .as_ref()
-                    .map(|agg| ttg_obs::cluster_routes(Arc::clone(agg), true));
+                    .map(|agg| crate::cluster_routes(Arc::clone(agg), true));
                 routes.dynamic = Some(Box::new(move |req| {
                     net_route(req).or_else(|| cluster_route.as_ref().and_then(|cr| cr(req)))
                 }));
@@ -352,13 +326,13 @@ impl LiveTelemetry {
             metrics_prometheus: Box::new(move || {
                 prom_slot
                     .get()
-                    .map(|rt| rt.metrics().to_prometheus("ttg"))
+                    .map(|rt| runtime_metrics(&rt).to_prometheus("ttg"))
                     .unwrap_or_default()
             }),
             metrics_json: Box::new(move || {
                 json_slot
                     .get()
-                    .map(|rt| rt.metrics().to_json())
+                    .map(|rt| runtime_metrics(&rt).to_json())
                     .unwrap_or_else(|| "{}".to_string())
             }),
             timeseries_json: Box::new(move || ts.to_json()),
@@ -367,7 +341,7 @@ impl LiveTelemetry {
                     .get()
                     .and_then(|rt| {
                         let base = rt.trace_wall_anchor_ns().unwrap_or(0);
-                        rt.chrome_trace_snapshot(base)
+                        runtime_trace(&rt, &rt.peek_events(), base)
                     })
                     .unwrap_or_else(|| "{\"traceEvents\":[]}".to_string())
             }),
@@ -388,7 +362,7 @@ impl LiveTelemetry {
                 };
                 HealthVerdict {
                     healthy: report.healthy,
-                    body: report.to_json(),
+                    body: health_json(&report),
                 }
             }),
             dynamic: None,
@@ -440,7 +414,7 @@ impl LiveTelemetry {
     /// short runs still leave at least one point in the series.
     pub fn sample_now(&self) {
         if let Some(rt) = self.slot.get() {
-            self.timeseries.record(&rt.metrics());
+            self.timeseries.record(&runtime_metrics(&rt));
         }
     }
 
@@ -464,6 +438,37 @@ impl LiveTelemetry {
     }
 }
 
+/// Renders a rank's verdict as the `/healthz` JSON body.
+fn health_json(h: &HealthReport) -> String {
+    let v = Value::Object(vec![
+        (
+            "status".to_string(),
+            Value::String(if h.healthy { "ok" } else { "unhealthy" }.to_string()),
+        ),
+        ("rank".to_string(), Value::UInt(h.rank as u64)),
+        (
+            "reason".to_string(),
+            h.reason.clone().map_or(Value::Null, Value::String),
+        ),
+        ("peers_lost".to_string(), Value::UInt(h.peers_lost)),
+        ("degraded".to_string(), Value::Bool(h.degraded)),
+        (
+            "recovering_peers".to_string(),
+            Value::Array(
+                h.recovering_peers
+                    .iter()
+                    .map(|&r| Value::UInt(r as u64))
+                    .collect(),
+            ),
+        ),
+        (
+            "quarantined_instances".to_string(),
+            Value::UInt(h.quarantined_instances),
+        ),
+    ]);
+    serde_json::to_string_pretty(&v).expect("health serialization")
+}
+
 impl Drop for LiveTelemetry {
     fn drop(&mut self) {
         self.shutdown();
@@ -473,11 +478,11 @@ impl Drop for LiveTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::RuntimeConfig;
+    use ttg_runtime::RuntimeConfig;
 
     fn http_get(port: u16, path: &str) -> (u16, String) {
         let target = format!("127.0.0.1:{port}");
-        ttg_obs::http::http_request(&target, "GET", path, None, Duration::from_secs(10))
+        crate::http::http_request(&target, "GET", path, None, Duration::from_secs(10))
             .expect("request")
     }
 
@@ -558,7 +563,7 @@ mod tests {
         live.observe(Arc::clone(&rt));
         let (status, _) = http_get(port, "/healthz");
         assert_eq!(status, 200);
-        rt.record_run_error(crate::RunError::Aborted {
+        rt.record_run_error(ttg_runtime::RunError::Aborted {
             reason: "injected stall".to_string(),
         });
         let (status, body) = http_get(port, "/healthz");

@@ -2,17 +2,18 @@
 //! optional periodic sampler thread.
 //!
 //! [`MetricsSnapshot`] is deliberately generic — labels, named
-//! counters, named histograms — so ttg-obs does not depend on
-//! ttg-runtime's stats types; the runtime flattens `RuntimeStats` into
-//! one when asked (`Runtime::metrics`). Snapshots from several ranks
-//! merge by counter addition and histogram merge.
+//! counters, named histograms; [`runtime_metrics`] flattens one
+//! runtime's `RuntimeStats`, histograms, load gauges and wire recorder
+//! into one. Snapshots from several ranks merge by counter addition and
+//! histogram merge.
 
-use crate::hist::{bucket_upper_bound, HistogramSnapshot, HIST_BUCKETS};
 use serde::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
+use ttg_runtime::obs::hist::{bucket_upper_bound, HistogramSnapshot, HIST_BUCKETS};
+use ttg_runtime::Runtime;
 
 /// A set of Prometheus-style labels: `(name, value)` pairs.
 pub type LabelSet = Vec<(String, String)>;
@@ -631,6 +632,85 @@ impl MetricsSnapshot {
     }
 }
 
+/// Flattens `rt`'s [`Runtime::stats`] plus the latency histograms into
+/// a generic metrics snapshot, renderable as JSON
+/// ([`MetricsSnapshot::to_json`]) or Prometheus text
+/// ([`MetricsSnapshot::to_prometheus`]) and mergeable across ranks.
+pub fn runtime_metrics(rt: &Runtime) -> MetricsSnapshot {
+    let s = rt.stats();
+    let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), rt.rank().to_string())]);
+    m.counter("tasks_executed", s.tasks_executed);
+    m.counter("parks", s.parks);
+    m.counter("wave_contributions", s.wave_contributions);
+    m.counter("injections_drained", s.injections_drained);
+    m.counter("inlined", s.inlined);
+    m.counter("messages_sent", s.messages_sent);
+    m.counter("messages_received", s.messages_received);
+    m.counter("bytes_sent", s.bytes_sent);
+    m.counter("bytes_received", s.bytes_received);
+    m.counter("frames_corrupt", s.frames_corrupt);
+    m.counter("heartbeats_sent", s.heartbeats_sent);
+    m.counter("peers_lost", s.peers_lost);
+    m.counter("reconnects", s.reconnects);
+    // Recovery counters appear only once recovery machinery has
+    // actually fired, keeping fault-free snapshots byte-identical
+    // with pre-recovery versions (golden-file stability).
+    for (name, v) in [
+        ("rejoins", s.rejoins),
+        ("frames_replayed", s.frames_replayed),
+        ("frames_deduped", s.frames_deduped),
+        ("resend_buffer_bytes", s.resend_buffer_bytes),
+        ("instances_quarantined", s.instances_quarantined),
+        ("instances_retried", s.instances_retried),
+    ] {
+        m.emit_if_set(name, Vec::new(), Sample::Counter(v));
+    }
+    m.counter("queue_local_pops", s.queue.local_pops as u64);
+    m.counter("queue_steals", s.queue.steals as u64);
+    m.counter("queue_overflow", s.queue.overflow as u64);
+    m.counter("queue_slow_pushes", s.queue.slow_pushes as u64);
+    m.counter("queue_steal_attempts", s.queue.steal_attempts as u64);
+    m.counter("queue_steal_empty", s.queue.steal_empty as u64);
+    m.counter("queue_overflow_pops", s.queue.overflow_pops as u64);
+    m.counter("queue_detach_merges", s.queue.detach_merges as u64);
+    for (f, v) in ttg_sync::LOCK_FIELDS.iter().zip(s.contention.0 .0) {
+        m.counter(f.metric, v);
+    }
+    m.counter("trace_events_dropped", s.trace_events_dropped);
+    if let Some(obs) = rt.recorder() {
+        if obs.histograms_enabled() {
+            let task_duration = obs.task_duration();
+            // Gauge basis for cluster-level utilization: busy-ns per
+            // sample window divided by workers × wall-ns.
+            m.counter("worker_busy_ns", task_duration.sum);
+            m.histogram("task_duration", task_duration);
+            m.histogram("ready_delay", obs.ready_delay());
+            m.histogram("message_latency", obs.message_latency());
+        }
+        // Scheduler-load gauges ride along only when observability
+        // is on, keeping bare-runtime snapshots byte-identical with
+        // pre-gauge versions (same contract as the histograms).
+        let load = rt.load();
+        m.gauge("workers", rt.threads() as u64);
+        m.gauge("queued_tasks", load.queued as u64);
+        m.gauge("running_tasks", load.running as u64);
+        m.gauge("overflow_fifo_depth", load.overflow_depth as u64);
+        for (w, depth) in load.worker_depths.iter().enumerate() {
+            m.labeled_gauge(
+                "worker_queue_depth",
+                vec![("worker".to_string(), w.to_string())],
+                *depth as u64,
+            );
+        }
+    }
+    // Wire-path stage histograms and per-link series; everything in
+    // the snapshot goes through `emit_if_set`, so without wire
+    // activity (and in every `obs`-off build) this appends nothing
+    // and the output stays byte-identical.
+    crate::wire::export_into(&rt.wire_snapshot(), &mut m);
+    m
+}
+
 /// Renders a histogram's non-empty buckets as a sparse
 /// `[[index, count], ...]` array — the exact wire form
 /// [`MetricsSnapshot::from_value`] reads back. Sparse because a typical
@@ -802,8 +882,8 @@ impl Drop for PeriodicSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::LatencyHistogram;
     use std::sync::atomic::AtomicUsize;
+    use ttg_runtime::obs::hist::LatencyHistogram;
 
     fn sample() -> MetricsSnapshot {
         let h = LatencyHistogram::new();

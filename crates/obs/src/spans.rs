@@ -1,21 +1,8 @@
-//! Request-scoped span context and per-instance span assembly.
+//! Per-instance span assembly and the tail-sampling span store.
 //!
-//! A *span context* packs `{tenant, instance}` into one `u64` that
-//! rides every task header, event-ring record, and network frame, so
-//! each task execution and wire hop on any rank is stamped with the
-//! graph instance that caused it:
-//!
-//! ```text
-//! bits 63..48: tenant tag (FNV-1a of the tenant name, forced nonzero)
-//! bits 47..0 : instance id (low 48 bits)
-//! ```
-//!
-//! Zero is reserved for "unattributed" (runtime-internal work, spans
-//! `obs` off). The context costs one `u64` per task header and one
-//! per wire frame; the recording overhead sits behind the one `obs`
-//! switch — when it is off, [`SpanCell`] is zero-sized, its stores
-//! compile away and every ring record carries span 0 (DESIGN.md §7.5).
-//!
+//! The span word itself — `{tenant, instance}` packed into one `u64`
+//! that rides every task header, event-ring record and network frame —
+//! and the ambient span are the runtime's (`ttg_runtime::obs::spans`).
 //! [`assemble_spans`] rebuilds per-instance spans from drained (or
 //! peeked) ring events of one or many ranks: task count, queue-wait vs
 //! execute vs wire time, a per-rank breakdown, and a critical path
@@ -24,88 +11,11 @@
 //! cross-rank clocks are only trusted up to each hop's observed
 //! latency, never below zero).
 
-use crate::ring::{Event, EventKind};
 use parking_lot::Mutex;
 use serde_json::Value;
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
-use ttg_sync::Gated;
-
-/// Bits of the span word reserved for the instance id.
-pub const INSTANCE_BITS: u32 = 48;
-
-/// Mask extracting the instance id from a span word.
-pub const INSTANCE_MASK: u64 = (1 << INSTANCE_BITS) - 1;
-
-/// 16-bit FNV-1a tag of a tenant name, forced nonzero so a packed span
-/// for a real request is never 0 (the unattributed sentinel).
-pub fn tenant_tag(tenant: &str) -> u16 {
-    let mut h: u32 = 0x811C_9DC5;
-    for b in tenant.as_bytes() {
-        h ^= *b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    let tag = ((h >> 16) ^ (h & 0xFFFF)) as u16;
-    if tag == 0 {
-        1
-    } else {
-        tag
-    }
-}
-
-/// Packs a tenant name and instance id into a span context word.
-pub fn pack_span(tenant: &str, instance_id: u64) -> u64 {
-    ((tenant_tag(tenant) as u64) << INSTANCE_BITS) | (instance_id & INSTANCE_MASK)
-}
-
-/// The instance id carried by a span word.
-pub fn span_instance(span: u64) -> u64 {
-    span & INSTANCE_MASK
-}
-
-/// The tenant tag carried by a span word.
-pub fn span_tenant_tag(span: u64) -> u16 {
-    (span >> INSTANCE_BITS) as u16
-}
-
-// ---- span storage on task headers --------------------------------------
-
-/// Span slot embedded in task headers: a `Cell<u64>` when `obs` is on,
-/// zero-sized otherwise, so the header layout and hot path pay only
-/// when the feature is bought (`TaskHeader::stamp_span` and friends are
-/// its accessors).
-pub type SpanCell = Gated<Cell<u64>>;
-
-// ---- ambient span (external seeding threads) ---------------------------
-
-thread_local! {
-    static AMBIENT_SPAN: SpanCell = const { Gated::new(Cell::new(0)) };
-}
-
-/// Runs `f` with `span` as the calling thread's ambient span context.
-/// Work submitted from outside the worker pool (graph seeding, external
-/// `invoke`/`deliver`) inherits the ambient span, which is how a
-/// request's identity first enters the runtime. Nests; restores the
-/// previous value on exit. Pass-through with `obs` off.
-#[inline]
-pub fn with_ambient_span<R>(span: u64, f: impl FnOnce() -> R) -> R {
-    struct Restore(u64);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_SPAN.with(|slot| slot.with(|c| c.set(self.0)));
-        }
-    }
-    let prev = AMBIENT_SPAN.with(|slot| slot.with(|c| c.replace(span)));
-    let _restore = prev.map(Restore);
-    f()
-}
-
-/// The calling thread's current ambient span (0 when none, or when
-/// `obs` is off).
-#[inline]
-pub fn ambient_span() -> u64 {
-    AMBIENT_SPAN.with(|slot| slot.with(Cell::get)).unwrap_or(0)
-}
+use ttg_runtime::obs::ring::{Event, EventKind};
+use ttg_runtime::obs::spans::{span_instance, span_tenant_tag};
 
 // ---- per-instance span assembly ----------------------------------------
 
@@ -500,6 +410,7 @@ impl std::fmt::Debug for SpanTailStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ttg_runtime::obs::spans::pack_span;
 
     fn task(span: u64, _rank: usize, tid: u32, ts: u64, dur: u64, queue: u64) -> Event {
         Event {
@@ -538,17 +449,6 @@ mod tests {
             arg1: seq,
             span,
         }
-    }
-
-    #[test]
-    fn packing_roundtrips_and_zero_is_reserved() {
-        let s = pack_span("tenant-a", 12345);
-        assert_ne!(s, 0);
-        assert_eq!(span_instance(s), 12345);
-        assert_eq!(span_tenant_tag(s), tenant_tag("tenant-a"));
-        assert_ne!(tenant_tag(""), 0, "tag is forced nonzero");
-        // Distinct tenants get (overwhelmingly likely) distinct tags.
-        assert_ne!(tenant_tag("tenant-a"), tenant_tag("tenant-b"));
     }
 
     #[test]
@@ -631,7 +531,8 @@ mod tests {
     /// records; with it on they carry what was stamped.
     #[test]
     fn span_plumbing_follows_the_switch() {
-        use crate::{Obs, ObsConfig};
+        use ttg_runtime::obs::spans::{ambient_span, with_ambient_span};
+        use ttg_runtime::obs::{Obs, ObsConfig};
         use ttg_sync::OBS;
         let gate = |v: u64| if OBS { v } else { 0 };
 

@@ -229,7 +229,7 @@ impl TimeSeriesRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::LatencyHistogram;
+    use ttg_runtime::obs::hist::LatencyHistogram;
 
     fn snap(tasks: u64, steals: u64) -> MetricsSnapshot {
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);

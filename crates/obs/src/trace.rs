@@ -15,14 +15,15 @@
 //! Clock domains: every rank timestamps with its process-local
 //! monotonic epoch (`ttg_sync::clock::now_ns`). To line ranks up, each
 //! export shifts its timestamps by `wall_anchor_ns - base_wall_ns`,
-//! where the anchor is the wall-clock time the rank's `Obs` was created
+//! where the anchor is the wall-clock time the rank's recorder was created
 //! and the base is a job-wide reference (the launcher's start time,
 //! passed to child processes). Residual skew is whatever the hosts'
 //! wall clocks disagree by — fine for visualization; latency *numbers*
 //! always come from single-clock histograms instead.
 
-use crate::ring::{Event, EventKind};
 use serde::Value;
+use ttg_runtime::obs::ring::{Event, EventKind};
+use ttg_runtime::Runtime;
 
 /// Builds a flow id from the frame's (source rank, destination rank,
 /// per-pair sequence number). 20 bits of each keeps ids unique within
@@ -209,6 +210,24 @@ pub fn chrome_trace(
         ("displayTimeUnit", s("ms")),
     ]);
     serde_json::to_string_pretty(&root).expect("trace serialization cannot fail")
+}
+
+/// Renders `events` recorded by `rt` — drained by
+/// [`Runtime::take_events`] after a fence, or copied while it runs by
+/// [`Runtime::peek_events`] — as one rank's Chrome trace on the
+/// timeline whose origin is `base_wall_ns` (unix ns). Pass `rt`'s own
+/// [`Runtime::trace_wall_anchor_ns`] for a trace starting at t=0, or
+/// one base shared by every rank to [`merge_chrome_traces`] a job.
+/// `None` unless `rt` records events (`RuntimeConfig::trace`).
+pub fn runtime_trace(rt: &Runtime, events: &[Event], base_wall_ns: u64) -> Option<String> {
+    let obs = rt.recorder().filter(|o| o.events_enabled())?;
+    Some(chrome_trace(
+        events,
+        obs.rank() as u32,
+        obs.nworkers(),
+        obs.wall_anchor_ns(),
+        base_wall_ns,
+    ))
 }
 
 /// Merges per-rank Chrome trace JSON strings into one trace object by

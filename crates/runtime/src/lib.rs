@@ -28,13 +28,16 @@
 //!   mechanism that lets TTG scale "seamlessly from shared memory to
 //!   distributed memory".
 //! * [`stats`] — per-worker counters for the benchmark harness.
+//! * [`obs`] — the recorders the task and message paths write when
+//!   observability is on (event rings, latency histograms, the span
+//!   word, the wire recorder). `ttg-obs` reads and renders them.
 
 #![warn(missing_docs)]
 
 pub mod comm;
 pub mod copy;
 pub mod error;
-pub mod live;
+pub mod obs;
 pub mod runtime;
 pub mod stats;
 pub mod task;
@@ -42,18 +45,13 @@ pub mod worker;
 
 pub use copy::DataCopy;
 pub use error::RunError;
-pub use live::{LiveConfig, LiveTelemetry, RuntimeSlot};
 pub use runtime::{
     Arrival, FrameSender, HealthReport, RecoveryEvent, RecoveryObserver, Runtime, RuntimeConfig,
     DEFAULT_TRACE_CAPACITY,
 };
-pub use stats::{ContentionStats, NetStats, RuntimeStats};
-
-// Observability vocabulary (event kinds, metrics snapshots, trace
-// merging) re-exported so consumers need no direct ttg-obs dependency.
+pub use stats::{ContentionStats, NetStats, RuntimeStats, SchedLoad};
 pub use task::{RawTask, TaskHeader, TaskVTable};
-pub use ttg_obs as obs;
-pub use worker::{ScopeFrame, WorkerCtx};
+pub use worker::WorkerCtx;
 
 // Re-export the configuration vocabulary so downstream crates configure
 // the runtime with a single import.

@@ -69,7 +69,7 @@ pub struct Event {
     pub arg0: u64,
     /// Kind-specific argument (sequence number).
     pub arg1: u64,
-    /// Request-scoped span context (`ttg_obs::spans` packing: tenant
+    /// Request-scoped span context ([`super::spans`] packing: tenant
     /// tag in the top 16 bits, instance id below). Zero when the event
     /// is not attributable to an instance or the `obs` feature is
     /// off — the field is always present so the ring-slot layout (and

@@ -98,12 +98,13 @@ pub struct RuntimeConfig {
     pub ordering: OrderingPolicy,
     /// Record timeline events (task executions, steals, parks, slow
     /// pushes, wave contributions, pool refills, network frames) into
-    /// per-worker `ttg-obs` rings, retrievable via
-    /// [`Runtime::take_events`] and renderable with
-    /// [`Runtime::chrome_trace`]. Off by default.
+    /// per-worker rings ([`crate::obs`]), retrievable via
+    /// [`Runtime::take_events`] and renderable with `ttg-obs`'s
+    /// `runtime_trace`. Off by default.
     pub trace: bool,
     /// Record latency histograms (task duration, ready-to-run delay,
-    /// message insertion-to-handler wait), retrievable via [`Runtime::metrics`].
+    /// message insertion-to-handler wait), read through
+    /// [`Runtime::recorder`] (`ttg-obs`'s `runtime_metrics` exports them).
     /// Off by default; independent of `trace`.
     pub histograms: bool,
     /// Per-worker event-ring capacity when `trace` is on. Overflow
@@ -190,10 +191,10 @@ pub(crate) struct Inner {
     /// `stats()` can fold transport counters into [`crate::RuntimeStats`].
     pub(crate) net_stats: OnceLock<Arc<dyn Fn() -> NetStats + Send + Sync>>,
     /// Wire-path telemetry source installed by the bound transport;
-    /// `metrics()` folds its snapshot into the export.
+    /// `ttg-obs`'s `runtime_metrics` folds its snapshot into the export.
     /// Always present as a field — the snapshot is empty when the
     /// feature is off, so no cfg-gating is needed above the transport.
-    pub(crate) wire_stats: OnceLock<Arc<dyn Fn() -> ttg_obs::wire::WireSnapshot + Send + Sync>>,
+    pub(crate) wire_stats: OnceLock<Arc<dyn Fn() -> crate::obs::WireSnapshot + Send + Sync>>,
     /// Peers currently inside their recovery window (connection lost,
     /// rejoin pending). Drives the `/healthz` degraded verdict.
     pub(crate) recovering: Mutex<BTreeSet<usize>>,
@@ -224,7 +225,7 @@ pub(crate) struct Inner {
     pub(crate) worker_stats: Box<[CachePadded<WorkerStatsCell>]>,
     /// Present iff `config.trace || config.histograms`. `None` keeps
     /// every hook site at one pointer load and branch.
-    pub(crate) obs: Option<Arc<ttg_obs::Obs>>,
+    pub(crate) obs: Option<Arc<crate::obs::Obs>>,
 }
 
 impl Inner {
@@ -315,7 +316,7 @@ impl Inner {
         unsafe {
             task.0
                 .as_ref()
-                .stamp_span_if_unset(ttg_obs::spans::ambient_span())
+                .stamp_span_if_unset(crate::obs::spans::ambient_span())
         };
         if let Some(obs) = self.obs.as_deref() {
             if obs.histograms_enabled() || obs.spans_enabled() {
@@ -461,45 +462,6 @@ pub struct HealthReport {
     pub quarantined_instances: u64,
 }
 
-impl HealthReport {
-    /// Renders the verdict as the `/healthz` JSON body.
-    pub fn to_json(&self) -> String {
-        let v = serde::Value::Object(vec![
-            (
-                "status".to_string(),
-                serde::Value::String(if self.healthy { "ok" } else { "unhealthy" }.to_string()),
-            ),
-            ("rank".to_string(), serde::Value::UInt(self.rank as u64)),
-            (
-                "reason".to_string(),
-                match &self.reason {
-                    Some(r) => serde::Value::String(r.clone()),
-                    None => serde::Value::Null,
-                },
-            ),
-            (
-                "peers_lost".to_string(),
-                serde::Value::UInt(self.peers_lost),
-            ),
-            ("degraded".to_string(), serde::Value::Bool(self.degraded)),
-            (
-                "recovering_peers".to_string(),
-                serde::Value::Array(
-                    self.recovering_peers
-                        .iter()
-                        .map(|&r| serde::Value::UInt(r as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "quarantined_instances".to_string(),
-                serde::Value::UInt(self.quarantined_instances),
-            ),
-        ]);
-        serde_json::to_string_pretty(&v).expect("health serialization")
-    }
-}
-
 /// A running instance of the task runtime (one rank of a job).
 ///
 /// # Examples
@@ -567,7 +529,7 @@ impl Runtime {
             sleeper_count: AtomicUsize::new(0),
             worker_stats: stats::new_cells(threads),
             obs: (config.trace || config.histograms).then(|| {
-                Arc::new(ttg_obs::Obs::new(ttg_obs::ObsConfig {
+                Arc::new(crate::obs::Obs::new(crate::obs::ObsConfig {
                     rank,
                     workers: threads,
                     events: config.trace,
@@ -780,7 +742,7 @@ impl Runtime {
     /// Drains all recorded timeline events, sorted by timestamp (empty
     /// unless `config.trace`). Fences on worker quiescence first — call
     /// after [`Runtime::wait`] for a complete, loss-free drain.
-    pub fn take_events(&self) -> Vec<ttg_obs::Event> {
+    pub fn take_events(&self) -> Vec<crate::obs::Event> {
         let Some(obs) = self.inner.obs.as_deref() else {
             return Vec::new();
         };
@@ -798,48 +760,12 @@ impl Runtime {
     /// is what the `/trace` endpoint and the crash flight recorder
     /// use, so serving a request can neither race nor consume the
     /// quiescent drain.
-    pub fn peek_events(&self) -> Vec<ttg_obs::Event> {
+    pub fn peek_events(&self) -> Vec<crate::obs::Event> {
         self.inner
             .obs
             .as_deref()
             .map(|o| o.peek_events())
             .unwrap_or_default()
-    }
-
-    /// Renders a *non-draining* snapshot of the current event rings as
-    /// Chrome trace JSON on the shared timeline anchored at
-    /// `base_wall_ns` (`None` unless `config.trace`). Safe to call
-    /// while the runtime is executing; see [`Runtime::peek_events`].
-    pub fn chrome_trace_snapshot(&self, base_wall_ns: u64) -> Option<String> {
-        let obs = self.inner.obs.as_deref()?;
-        if !obs.events_enabled() {
-            return None;
-        }
-        let events = obs.peek_events();
-        Some(obs.chrome_trace(&events, base_wall_ns))
-    }
-
-    /// [`Runtime::chrome_trace_snapshot`] restricted to the trailing
-    /// `window_ns` of the newest recorded event — the flight recorder's
-    /// "last N seconds of evidence" window. `window_ns == 0` keeps
-    /// everything.
-    pub fn chrome_trace_snapshot_window(
-        &self,
-        base_wall_ns: u64,
-        window_ns: u64,
-    ) -> Option<String> {
-        let obs = self.inner.obs.as_deref()?;
-        if !obs.events_enabled() {
-            return None;
-        }
-        let mut events = obs.peek_events();
-        if window_ns > 0 {
-            if let Some(max_ts) = events.iter().map(|e| e.ts_ns).max() {
-                let cutoff = max_ts.saturating_sub(window_ns);
-                events.retain(|e| e.ts_ns >= cutoff);
-            }
-        }
-        Some(obs.chrome_trace(&events, base_wall_ns))
     }
 
     /// Liveness + peer-health verdict for this rank, the state behind
@@ -874,125 +800,33 @@ impl Runtime {
         }
     }
 
-    /// Renders drained events as a single-rank Chrome trace JSON string
-    /// (`None` unless `config.trace`). Timestamps stay on this
-    /// process's own clock; for multi-rank merging use
-    /// [`Runtime::chrome_trace_with_base`] with a shared wall-clock
-    /// base on every rank.
-    pub fn chrome_trace(&self) -> Option<String> {
-        let base = self.trace_wall_anchor_ns()?;
-        self.chrome_trace_with_base(base)
-    }
-
-    /// Renders drained events as Chrome trace JSON with timestamps
-    /// shifted onto the shared timeline whose origin is `base_wall_ns`
-    /// (unix ns). Ranks exporting against the same base merge with
-    /// [`ttg_obs::merge_chrome_traces`] into one aligned multi-process
-    /// trace.
-    pub fn chrome_trace_with_base(&self, base_wall_ns: u64) -> Option<String> {
-        let obs = self.inner.obs.as_deref()?;
-        if !obs.events_enabled() {
-            return None;
-        }
-        self.quiesce_for_drain();
-        let events = obs.drain_events();
-        Some(obs.chrome_trace(&events, base_wall_ns))
-    }
-
     /// Wall-clock unix ns of this process's trace-time origin (`None`
-    /// unless observability is on). Pass one rank's anchor to every
-    /// rank's [`Runtime::chrome_trace_with_base`] to align a job.
+    /// unless observability is on). Rendering every rank's events
+    /// against one rank's anchor aligns a job on one timeline.
     pub fn trace_wall_anchor_ns(&self) -> Option<u64> {
         self.inner.obs.as_deref().map(|o| o.wall_anchor_ns())
     }
 
-    /// Flattens [`Runtime::stats`] plus the latency histograms into a
-    /// generic metrics snapshot, renderable as JSON
-    /// ([`ttg_obs::MetricsSnapshot::to_json`]) or Prometheus text
-    /// ([`ttg_obs::MetricsSnapshot::to_prometheus`]) and mergeable
-    /// across ranks.
-    pub fn metrics(&self) -> ttg_obs::MetricsSnapshot {
-        let s = self.stats();
-        let mut m = ttg_obs::MetricsSnapshot::with_labels(vec![(
-            "rank".to_string(),
-            self.inner.rank.to_string(),
-        )]);
-        m.counter("tasks_executed", s.tasks_executed);
-        m.counter("parks", s.parks);
-        m.counter("wave_contributions", s.wave_contributions);
-        m.counter("injections_drained", s.injections_drained);
-        m.counter("inlined", s.inlined);
-        m.counter("messages_sent", s.messages_sent);
-        m.counter("messages_received", s.messages_received);
-        m.counter("bytes_sent", s.bytes_sent);
-        m.counter("bytes_received", s.bytes_received);
-        m.counter("frames_corrupt", s.frames_corrupt);
-        m.counter("heartbeats_sent", s.heartbeats_sent);
-        m.counter("peers_lost", s.peers_lost);
-        m.counter("reconnects", s.reconnects);
-        // Recovery counters appear only once recovery machinery has
-        // actually fired, keeping fault-free snapshots byte-identical
-        // with pre-recovery versions (golden-file stability).
-        for (name, v) in [
-            ("rejoins", s.rejoins),
-            ("frames_replayed", s.frames_replayed),
-            ("frames_deduped", s.frames_deduped),
-            ("resend_buffer_bytes", s.resend_buffer_bytes),
-            ("instances_quarantined", s.instances_quarantined),
-            ("instances_retried", s.instances_retried),
-        ] {
-            m.emit_if_set(name, Vec::new(), ttg_obs::Sample::Counter(v));
+    /// The recorder behind `config.trace` and `config.histograms`
+    /// (`None` when both are off): its histograms and ring settings are
+    /// what `ttg-obs` renders.
+    pub fn recorder(&self) -> Option<&crate::obs::Obs> {
+        self.inner.obs.as_deref()
+    }
+
+    /// Scheduler load at this instant — racy reads, for gauges.
+    pub fn load(&self) -> crate::stats::SchedLoad {
+        let threads = self.threads();
+        let idle = self.inner.idle_count.load(Ordering::SeqCst).min(threads);
+        crate::stats::SchedLoad {
+            running: threads - idle,
+            queued: self.inner.sched.pending_estimate()
+                + self.inner.injection_len.load(Ordering::Acquire),
+            overflow_depth: self.inner.sched.overflow_depth(),
+            worker_depths: (0..threads)
+                .map(|w| self.inner.sched.worker_depth(w))
+                .collect(),
         }
-        m.counter("queue_local_pops", s.queue.local_pops as u64);
-        m.counter("queue_steals", s.queue.steals as u64);
-        m.counter("queue_overflow", s.queue.overflow as u64);
-        m.counter("queue_slow_pushes", s.queue.slow_pushes as u64);
-        m.counter("queue_steal_attempts", s.queue.steal_attempts as u64);
-        m.counter("queue_steal_empty", s.queue.steal_empty as u64);
-        m.counter("queue_overflow_pops", s.queue.overflow_pops as u64);
-        m.counter("queue_detach_merges", s.queue.detach_merges as u64);
-        for (f, v) in ttg_sync::LOCK_FIELDS.iter().zip(s.contention.0 .0) {
-            m.counter(f.metric, v);
-        }
-        m.counter("trace_events_dropped", s.trace_events_dropped);
-        if let Some(obs) = self.inner.obs.as_deref() {
-            if obs.histograms_enabled() {
-                let task_duration = obs.task_duration();
-                // Gauge basis for cluster-level utilization: busy-ns per
-                // sample window divided by workers × wall-ns.
-                m.counter("worker_busy_ns", task_duration.sum);
-                m.histogram("task_duration", task_duration);
-                m.histogram("ready_delay", obs.ready_delay());
-                m.histogram("message_latency", obs.message_latency());
-            }
-            // Scheduler-load gauges ride along only when observability
-            // is on, keeping bare-runtime snapshots byte-identical with
-            // pre-gauge versions (same contract as the histograms).
-            let threads = self.inner.config.threads.max(1);
-            let idle = self.inner.idle_count.load(Ordering::SeqCst).min(threads);
-            let queued = self.inner.sched.pending_estimate()
-                + self.inner.injection_len.load(Ordering::Acquire);
-            m.gauge("workers", threads as u64);
-            m.gauge("queued_tasks", queued as u64);
-            m.gauge("running_tasks", (threads - idle) as u64);
-            m.gauge(
-                "overflow_fifo_depth",
-                self.inner.sched.overflow_depth() as u64,
-            );
-            for w in 0..threads {
-                m.labeled_gauge(
-                    "worker_queue_depth",
-                    vec![("worker".to_string(), w.to_string())],
-                    self.inner.sched.worker_depth(w) as u64,
-                );
-            }
-        }
-        // Wire-path stage histograms and per-link series; everything in
-        // the snapshot goes through `emit_if_set`, so without wire
-        // activity (and in every `obs`-off build) this appends nothing
-        // and the output stays byte-identical.
-        self.wire_snapshot().export_into(&mut m);
-        m
     }
 
     /// This runtime's pool of `T` task objects — one slot per worker and
@@ -1089,7 +923,7 @@ impl Runtime {
             priority,
             handler,
             payload,
-            ttg_obs::spans::ambient_span(),
+            crate::obs::spans::ambient_span(),
         );
         self.inner.flush_when_idle();
     }
@@ -1122,22 +956,21 @@ impl Runtime {
     }
 
     /// Installs the transport's wire-path telemetry source (stage
-    /// histograms + per-link counters); [`Runtime::metrics`] folds
-    /// its snapshot into the export and [`Runtime::wire_snapshot`]
-    /// serves it to `/net.json`. Later calls are ignored.
+    /// histograms + per-link counters), read by
+    /// [`Runtime::wire_snapshot`]. Later calls are ignored.
     pub fn set_wire_stats_source(
         &self,
-        source: Arc<dyn Fn() -> ttg_obs::wire::WireSnapshot + Send + Sync>,
+        source: Arc<dyn Fn() -> crate::obs::WireSnapshot + Send + Sync>,
     ) {
         let _ = self.inner.wire_stats.set(source);
     }
 
     /// The current wire-path telemetry snapshot — empty when no
     /// transport installed a source or the `obs` feature is off.
-    pub fn wire_snapshot(&self) -> ttg_obs::wire::WireSnapshot {
+    pub fn wire_snapshot(&self) -> crate::obs::WireSnapshot {
         match self.inner.wire_stats.get() {
             Some(source) => source(),
-            None => ttg_obs::wire::WireSnapshot::default(),
+            None => crate::obs::WireSnapshot::default(),
         }
     }
 
@@ -1246,7 +1079,7 @@ impl Runtime {
     }
 
     /// Publications of the injection queue that carried active messages
-    /// ([`RuntimeStats::messages_received`] over this is the batch the
+    /// ([`crate::RuntimeStats::messages_received`] over this is the batch the
     /// receive path achieves; a tier-1 gate reads it, no exported
     /// schema carries it).
     pub fn message_insertions(&self) -> u64 {

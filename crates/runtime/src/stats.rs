@@ -42,6 +42,20 @@ pub(crate) struct WorkerStatsCell {
 // are accepted (monotone counters, diagnostics only).
 unsafe impl Sync for WorkerStatsCell {}
 
+/// Scheduler load at one instant ([`crate::Runtime::load`]): racy
+/// reads for gauges, not accounting.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SchedLoad {
+    /// Workers not idle (executing or looking for work).
+    pub running: usize,
+    /// Tasks queued in the scheduler plus undrained injections.
+    pub queued: usize,
+    /// Global-FIFO backlog of LFQ-style schedulers (0 for LL/LLP).
+    pub overflow_depth: usize,
+    /// Each worker's local queue depth, by worker id.
+    pub worker_depths: Vec<usize>,
+}
+
 /// Aggregated runtime statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct RuntimeStats {

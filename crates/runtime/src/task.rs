@@ -47,10 +47,10 @@ pub struct TaskHeader {
     /// scheduling thread before the task is published to a queue, read
     /// by the executing worker — the queue hand-off orders the accesses.
     ready_ns: std::cell::Cell<u64>,
-    /// Request-scoped span context (`ttg_obs::spans`); zero-sized unless
+    /// Request-scoped span context (`crate::obs::spans`); zero-sized unless
     /// the `obs` feature is on. Same single-stamper-before-publication
     /// discipline as `ready_ns`.
-    span: ttg_obs::SpanCell,
+    span: crate::obs::SpanCell,
 }
 
 impl TaskHeader {
@@ -60,7 +60,7 @@ impl TaskHeader {
             node: SchedNode::new(priority),
             vtable,
             ready_ns: std::cell::Cell::new(0),
-            span: ttg_obs::SpanCell::new(std::cell::Cell::new(0)),
+            span: crate::obs::SpanCell::new(std::cell::Cell::new(0)),
         }
     }
 
@@ -335,16 +335,16 @@ mod tests {
     fn observability_off_is_zero_sized_and_leaves_no_trace() {
         use std::mem::size_of;
         assert_eq!(size_of::<ttg_sync::ContentionCounter>(), 0);
-        assert_eq!(size_of::<ttg_obs::SpanCell>(), 0);
-        assert_eq!(size_of::<ttg_obs::WireObs>(), 0);
+        assert_eq!(size_of::<crate::obs::SpanCell>(), 0);
+        assert_eq!(size_of::<crate::obs::WireObs>(), 0);
         assert_eq!(size_of::<TaskHeader>(), 32);
 
-        let wire = ttg_obs::WireObs::new(4);
+        let wire = crate::obs::WireObs::new(4);
         wire.record_write(2_000, 64, 1);
         wire.link_tx(1, 64);
         wire.resend_delta(1, 64);
         assert!(wire.snapshot().is_empty());
-        assert_eq!(ttg_obs::WireObs::now_ns(), 0, "no clock read");
+        assert_eq!(crate::obs::WireObs::now_ns(), 0, "no clock read");
 
         let counter = ttg_sync::ContentionCounter::new();
         counter.add(41);

@@ -15,8 +15,11 @@ use ttg_termdet::InstanceScope;
 /// ([`WorkerCtx::enter_scope`]): its scope — compared, never read; null
 /// outside scoped tasks — and how many successors it has scheduled into
 /// that scope and not yet seen finish.
-#[derive(Clone, Copy)]
-pub struct ScopeFrame(*const InstanceScope, usize);
+struct ScopeFrame(*const InstanceScope, usize);
+
+impl ScopeFrame {
+    const EMPTY: ScopeFrame = ScopeFrame(std::ptr::null(), 0);
+}
 
 /// Context handed to every executing task.
 ///
@@ -53,7 +56,7 @@ impl<'rt> WorkerCtx<'rt> {
             id,
             bundle: SortedChain::new(),
             completed_scope: None,
-            scope_frame: ScopeFrame(std::ptr::null(), 0),
+            scope_frame: ScopeFrame::EMPTY,
             current_span: 0,
             corked: Cell::new(false),
             drained: VecDeque::new(),
@@ -113,13 +116,15 @@ impl<'rt> WorkerCtx<'rt> {
         self.inner.term.task_discovered(Some(self.id));
     }
 
-    /// Opens the frame of a task of `scope` about to run its body here
-    /// and returns the enclosing one for [`WorkerCtx::leave_scope`].
-    /// What the body schedules into `scope` stays in this worker's
-    /// bundle, so it is counted in the frame and settled once at its end.
+    /// Opens the frame of a task of `scope` about to run its body here;
+    /// [`WorkerCtx::leave_scope`] closes it. What the body schedules
+    /// into `scope` stays in this worker's bundle, so it is counted in
+    /// the frame and settled once at its end. Frames do not nest: a
+    /// worker runs one task body at a time.
     #[inline]
-    pub fn enter_scope(&mut self, scope: &InstanceScope) -> ScopeFrame {
-        std::mem::replace(&mut self.scope_frame, ScopeFrame(scope, 0))
+    pub fn enter_scope(&mut self, scope: &InstanceScope) {
+        debug_assert!(self.scope_frame.0.is_null(), "scope frames do not nest");
+        self.scope_frame = ScopeFrame(scope, 0);
     }
 
     /// Credits `scope` for a task about to be scheduled: in the running
@@ -138,12 +143,12 @@ impl<'rt> WorkerCtx<'rt> {
     /// scheduled: `k` live successors take over the task's credit and
     /// add `k − 1` (`InstanceScope::settle_task`). With none, the task's
     /// `task_completed()` is deferred until `execute` has returned to
-    /// [`WorkerCtx::run_task`]: the zero-crossing can release a waiter
+    /// `WorkerCtx::run_task`: the zero-crossing can release a waiter
     /// that tears the task's template down, and inside `execute` `&self`
     /// references into that template are still live.
     #[inline]
-    pub fn leave_scope(&mut self, outer: ScopeFrame, scope: &std::sync::Arc<InstanceScope>) {
-        match std::mem::replace(&mut self.scope_frame, outer).1 {
+    pub fn leave_scope(&mut self, scope: &std::sync::Arc<InstanceScope>) {
+        match std::mem::replace(&mut self.scope_frame, ScopeFrame::EMPTY).1 {
             0 => {
                 debug_assert!(self.completed_scope.is_none(), "two deferred completions");
                 self.completed_scope = Some(std::sync::Arc::clone(scope));
@@ -162,7 +167,7 @@ impl<'rt> WorkerCtx<'rt> {
     }
 
     /// Schedules an already-counted task: it joins the current bundle,
-    /// which [`WorkerCtx::run_task`] deals with when the running task
+    /// which `WorkerCtx::run_task` deals with when the running task
     /// finishes.
     ///
     /// # Safety

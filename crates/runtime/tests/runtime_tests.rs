@@ -215,54 +215,6 @@ fn a_task_may_drop_the_last_handle_to_its_own_runtime() {
     }
 }
 
-fn run_51_tasks(rt: &Runtime) {
-    rt.submit(0, |ctx| {
-        for i in 0..50 {
-            ctx.spawn(i, |_| {});
-        }
-    });
-    rt.wait();
-}
-
-#[test]
-fn tracing_records_every_task() {
-    use ttg_runtime::obs::EventKind;
-    let mut config = RuntimeConfig::optimized(2);
-    config.trace = true;
-    let rt = Runtime::new(config);
-    run_51_tasks(&rt);
-    let events = rt.take_events();
-    let tasks: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Task)
-        .collect();
-    assert_eq!(tasks.len(), 51, "one event per task");
-    assert!(tasks.iter().all(|e| e.name == "closure"));
-    assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-    // Drained: a second take holds no task.
-    assert!(rt.take_events().iter().all(|e| e.kind != EventKind::Task));
-    // Chrome JSON renders and parses: one "X" slice per task.
-    run_51_tasks(&rt);
-    let json = rt.chrome_trace().expect("tracing is on");
-    let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-    let slices = v["traceEvents"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .filter(|e| e["ph"] == "X" && e["name"] == "closure")
-        .count();
-    assert_eq!(slices, 51);
-}
-
-#[test]
-fn tracing_disabled_is_empty() {
-    let rt = Runtime::new(RuntimeConfig::optimized(1));
-    rt.submit(0, |_| {});
-    rt.wait();
-    assert!(rt.take_events().is_empty());
-    assert!(rt.chrome_trace().is_none());
-}
-
 #[test]
 fn ring_overflow_is_accounted_in_stats() {
     // A deliberately tiny ring must overwrite its oldest events and

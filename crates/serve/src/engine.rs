@@ -31,8 +31,9 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ttg_core::{GraphInstance, GraphTemplate};
-use ttg_obs::{LatencyHistogram, MetricsSnapshot, Sample, SpanTailStore};
-use ttg_runtime::{RecoveryEvent, Runtime, RuntimeSlot};
+use ttg_obs::{MetricsSnapshot, RuntimeSlot, Sample, SpanTailStore};
+use ttg_runtime::obs::LatencyHistogram;
+use ttg_runtime::{RecoveryEvent, Runtime};
 use ttg_termdet::{InstanceScope, ScopeOutcome};
 
 /// Sizing and policy knobs for a [`ServeEngine`].
@@ -1132,7 +1133,7 @@ fn build_trace(
         status,
         InstanceStatus::Failed(_) | InstanceStatus::Abandoned
     ) || Duration::from_nanos(latency_ns) > slo;
-    let span_id = ttg_obs::pack_span(tenant, id);
+    let span_id = ttg_runtime::obs::spans::pack_span(tenant, id);
     let events = inner.runtime.peek_events();
     let rank = inner.runtime.rank();
     let spans = ttg_obs::assemble_spans(&[(rank, events)]);

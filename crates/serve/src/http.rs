@@ -151,12 +151,12 @@ pub fn serve_routes(engine: Arc<ServeEngine>) -> HttpRoutes {
     let health_engine = Arc::clone(&engine);
     HttpRoutes {
         metrics_prometheus: Box::new(move || {
-            let mut snap = prom_engine.runtime().metrics();
+            let mut snap = ttg_obs::runtime_metrics(prom_engine.runtime());
             prom_engine.metrics_into(&mut snap);
             snap.to_prometheus("ttg")
         }),
         metrics_json: Box::new(move || {
-            let mut snap = json_engine.runtime().metrics();
+            let mut snap = ttg_obs::runtime_metrics(json_engine.runtime());
             json_engine.metrics_into(&mut snap);
             snap.to_json()
         }),
@@ -164,7 +164,7 @@ pub fn serve_routes(engine: Arc<ServeEngine>) -> HttpRoutes {
         trace_json: Box::new(move || {
             let rt = trace_engine.runtime();
             let base = rt.trace_wall_anchor_ns().unwrap_or(0);
-            rt.chrome_trace_snapshot(base)
+            ttg_obs::runtime_trace(rt, &rt.peek_events(), base)
                 .unwrap_or_else(|| "{\"traceEvents\":[]}".to_string())
         }),
         healthz: Box::new(move || {

@@ -755,7 +755,7 @@ fn evicted_records_are_forgotten_past_their_cap() {
 fn optional_series_follow_the_one_switch() {
     use ttg_obs::OBS;
     let rt = Arc::new(Runtime::new(RuntimeConfig::optimized(2)));
-    let wire = Arc::new(ttg_obs::WireObs::new(3));
+    let wire = Arc::new(ttg_runtime::obs::WireObs::new(3));
     let source = Arc::clone(&wire);
     rt.set_wire_stats_source(Arc::new(move || source.snapshot()));
     wire.record_encode(500);
@@ -780,7 +780,7 @@ fn optional_series_follow_the_one_switch() {
         .unwrap();
     e.wait_result(id, Duration::from_secs(5)).unwrap();
 
-    let mut snap = rt.metrics();
+    let mut snap = ttg_obs::runtime_metrics(&rt);
     e.metrics_into(&mut snap);
     let (json, prom) = (snap.to_json(), snap.to_prometheus("ttg"));
     // (series, also visible in the JSON view)
@@ -802,16 +802,14 @@ fn optional_series_follow_the_one_switch() {
         assert_eq!(prom.contains(series), OBS, "{series} in text:\n{prom}");
         assert_eq!(json.contains(series), OBS && in_json, "{series} in JSON");
     }
-    for f in &ttg_runtime::obs::LOCK_FIELDS {
+    for f in &ttg_obs::LOCK_FIELDS {
         let line = format!("ttg_{}{{rank=\"0\"}} ", f.metric);
         let at = prom.find(&line).unwrap_or_else(|| panic!("{line} missing"));
         let value = prom[at + line.len()..].lines().next().unwrap();
         assert!(OBS || value == "0", "{line}{value} with obs off");
     }
     assert_eq!(wire.snapshot().is_empty(), !OBS);
-    assert!(rt
-        .wire_snapshot()
-        .net_json(0)
+    assert!(ttg_obs::wire::net_json(&rt.wire_snapshot(), 0)
         .contains(&format!("\"wire_enabled\": {OBS}")));
     let slow = e.slow_json();
     assert_eq!(

@@ -91,7 +91,8 @@ use std::time::Duration;
 use ttg_net::{
     FaultPlan, FaultyTransport, NetConfig, NetGroup, NetRuntime, TcpTransport, Transport,
 };
-use ttg_runtime::{LiveConfig, LiveTelemetry, Runtime, RuntimeConfig};
+use ttg_obs::{LiveConfig, LiveTelemetry};
+use ttg_runtime::{Runtime, RuntimeConfig};
 use ttg_serve::{InstanceStatus, ServeConfig, ServeEngine};
 
 const DEFAULT_RANKS: usize = 4;
@@ -161,7 +162,7 @@ impl ObsArgs {
         if !self.analyze {
             return;
         }
-        match ttg_runtime::obs::analyze_chrome_trace(merged_trace) {
+        match ttg_obs::analyze_chrome_trace(merged_trace) {
             Ok(report) => print!("\n{}", report.render(10)),
             Err(e) => {
                 eprintln!("--analyze failed: {e}");
@@ -174,7 +175,7 @@ impl ObsArgs {
     /// `--flame` was given.
     fn maybe_flame(&self, merged_trace: &str) {
         let Some(path) = &self.flame else { return };
-        match ttg_runtime::obs::collapse_chrome_trace(merged_trace) {
+        match ttg_obs::collapse_chrome_trace(merged_trace) {
             Ok(folded) => write_file(path, &folded, "folded flamegraph stacks"),
             Err(e) => {
                 eprintln!("--flame failed: {e}");
@@ -508,8 +509,19 @@ fn run_simulated(ranks: usize, obs: &ObsArgs) {
         write_file(path, &json, "stats JSON");
     }
     if obs.trace.is_some() {
-        // All ranks share this process's clock and one timeline origin.
-        let merged = group.chrome_trace().expect("tracing enabled");
+        // All ranks share this process's clock, so rank 0's anchor is
+        // every rank's timeline origin.
+        let base = group
+            .runtime(0)
+            .trace_wall_anchor_ns()
+            .expect("tracing enabled");
+        let parts: Vec<String> = (0..ranks)
+            .filter_map(|r| {
+                let rt = group.runtime(r);
+                ttg_obs::runtime_trace(rt, &rt.take_events(), base)
+            })
+            .collect();
+        let merged = ttg_obs::merge_chrome_traces(&parts);
         if let Some(path) = obs.user_trace_path() {
             write_file(path, &merged, "Chrome trace");
         }
@@ -518,7 +530,7 @@ fn run_simulated(ranks: usize, obs: &ObsArgs) {
     }
     if let Some(path) = &obs.metrics {
         let parts: Vec<String> = (0..ranks)
-            .map(|r| group.runtime(r).metrics().to_prometheus("ttg"))
+            .map(|r| ttg_obs::runtime_metrics(group.runtime(r)).to_prometheus("ttg"))
             .collect();
         write_file(path, &merge_prometheus(&parts), "Prometheus metrics");
     }
@@ -673,7 +685,7 @@ fn spawn_tcp_job(
     };
     if let Some(path) = &obs.trace {
         let parts = collect(path, "trace");
-        let merged = ttg_runtime::obs::merge_chrome_traces(&parts);
+        let merged = ttg_obs::merge_chrome_traces(&parts);
         if let Some(path) = obs.user_trace_path() {
             write_file(path, &merged, "Chrome trace");
         }
@@ -996,8 +1008,7 @@ fn finish_tcp_rank(
             .expect("TTG_NET_TRACE_EPOCH")
             .parse()
             .expect("TTG_NET_TRACE_EPOCH");
-        let json = rt
-            .chrome_trace_with_base(epoch)
+        let json = ttg_obs::runtime_trace(rt, &rt.take_events(), epoch)
             .expect("tracing enabled for this rank");
         std::fs::write(path, json).expect("write trace partial");
     }
@@ -1006,7 +1017,7 @@ fn finish_tcp_rank(
         std::fs::write(path, json).expect("write stats partial");
     }
     if let Some(path) = &obs.metrics {
-        let mut snap = rt.metrics();
+        let mut snap = ttg_obs::runtime_metrics(rt);
         if let Some(engine) = engine {
             engine.metrics_into(&mut snap);
         }

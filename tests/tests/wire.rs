@@ -79,7 +79,7 @@ fn stage_sums_are_bounded_by_end_to_end_latency() {
         .map(|m| m.runtime().wire_snapshot())
         .collect();
     let elapsed_ns = start.elapsed().as_nanos() as f64;
-    let m0 = members[0].runtime().metrics();
+    let m0 = ttg_obs::runtime_metrics(members[0].runtime());
     let (json, prom) = (m0.to_json(), m0.to_prometheus("ttg"));
     for m in &members {
         m.shutdown();

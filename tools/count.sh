@@ -4,6 +4,9 @@
 #   non-test lines   every line of crates/*/src/**/*.rs above the file's
 #                    first `#[cfg(test)]`; `tests.rs` and `test_util.rs`
 #                    are test code and left out
+#   ttg-core reaches the same, over the crates under crates/ that
+#                    `cargo tree -p ttg-core -e normal` lists (itself
+#                    included): what a program built on ttg-core links
 #   unsafe lines     lines under crates/ and tests/ that say `unsafe`,
 #                    tests included (tests/ since the 64 KiB gate, whose
 #                    allocator and CPU pinning are `unsafe`)
@@ -22,6 +25,10 @@ non_test() {
 }
 
 printf 'non-test lines of crates/*/src  %s\n' "$(non_test crates/*/src)"
+core_srcs=$(cargo tree -p ttg-core -e normal --offline --prefix none --format '{p}' |
+    sed -n 's|.*(\(.*/crates/[^)]*\)).*|\1/src|p' | sort -u)
+# shellcheck disable=SC2086 # one directory per word
+printf '  of them, what ttg-core reaches %s\n' "$(non_test $core_srcs)"
 printf 'unsafe lines                    %s\n' \
     "$(grep -rn 'unsafe' crates tests --include='*.rs' | wc -l)"
 printf 'thread::sleep sites             %s\n' \
