@@ -420,4 +420,32 @@ mod tests {
             prop_assert!(v.iter().all(|&x| (0..5).contains(&x)));
         }
     }
+
+    // Attributes pass through untouched: `should_panic` reaches the
+    // generated function, and a property without `#[test]` is a plain
+    // function that the harness does not register.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        #[test]
+        #[should_panic(expected = "every case fails")]
+        fn attributes_reach_the_generated_fn(x in 0u8..4) {
+            prop_assert!(x < 4);
+            panic!("every case fails");
+        }
+
+        fn unregistered_property(x in 0u32..3) {
+            UNREGISTERED_CASES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            prop_assert!(x < 3);
+        }
+    }
+
+    static UNREGISTERED_CASES: std::sync::atomic::AtomicUsize =
+        std::sync::atomic::AtomicUsize::new(0);
+
+    #[test]
+    fn a_property_without_test_is_a_plain_fn() {
+        unregistered_property();
+        let cases = UNREGISTERED_CASES.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(cases, ProptestConfig::with_cases(4).cases as usize);
+    }
 }

@@ -581,4 +581,40 @@ mod tests {
         live.shutdown();
         live.shutdown(); // idempotent
     }
+
+    #[test]
+    fn health_json_renders_every_field() {
+        let h = HealthReport {
+            healthy: false,
+            rank: 2,
+            reason: Some("peer 1 lost".to_string()),
+            peers_lost: 1,
+            degraded: true,
+            recovering_peers: vec![1, 3],
+            quarantined_instances: 4,
+        };
+        let v: Value = serde_json::from_str(&health_json(&h)).unwrap();
+        assert_eq!(v["status"], "unhealthy");
+        assert_eq!(v["rank"].as_u64(), Some(2));
+        assert_eq!(v["reason"], "peer 1 lost");
+        assert_eq!(v["peers_lost"].as_u64(), Some(1));
+        assert_eq!(v["degraded"], Value::Bool(true));
+        let peers: Vec<u64> = v["recovering_peers"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter_map(Value::as_u64)
+            .collect();
+        assert_eq!(peers, [1, 3]);
+        assert_eq!(v["quarantined_instances"].as_u64(), Some(4));
+
+        let ok = HealthReport {
+            healthy: true,
+            reason: None,
+            ..h
+        };
+        let v: Value = serde_json::from_str(&health_json(&ok)).unwrap();
+        assert_eq!(v["status"], "ok");
+        assert_eq!(v["reason"], Value::Null);
+    }
 }

@@ -58,3 +58,98 @@ fn tracing_disabled_is_empty() {
     assert!(rt.take_events().is_empty());
     assert!(chrome_trace(&rt).is_none());
 }
+
+fn traced(threads: usize) -> Runtime {
+    let mut config = RuntimeConfig::optimized(threads);
+    config.trace = true;
+    Runtime::new(config)
+}
+
+/// The `ts` of every task slice in a rendered trace.
+fn slice_ts(json: &str) -> Vec<f64> {
+    let v: serde_json::Value = serde_json::from_str(json).unwrap();
+    v["traceEvents"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|e| e["ph"] == "X")
+        .map(|e| e["ts"].as_f64().unwrap())
+        .collect()
+}
+
+#[test]
+fn runtime_trace_needs_an_event_recorder() {
+    let bare = Runtime::new(RuntimeConfig::optimized(1));
+    assert!(ttg_obs::runtime_trace(&bare, &[], 0).is_none());
+    let mut config = RuntimeConfig::optimized(1);
+    config.histograms = true;
+    let timed = Runtime::new(config);
+    assert!(timed.recorder().is_some());
+    assert!(
+        ttg_obs::runtime_trace(&timed, &[], 0).is_none(),
+        "histograms alone record no events"
+    );
+}
+
+#[test]
+fn runtime_trace_shifts_every_timestamp_by_the_base() {
+    let rt = traced(2);
+    run_51_tasks(&rt);
+    let events = rt.take_events();
+    let anchor = rt.trace_wall_anchor_ns().unwrap();
+    let own = slice_ts(&ttg_obs::runtime_trace(&rt, &events, anchor).unwrap());
+    // A job-wide base one millisecond earlier puts this rank 1 000 µs
+    // later on the shared timeline.
+    let shifted = slice_ts(&ttg_obs::runtime_trace(&rt, &events, anchor - 1_000_000).unwrap());
+    assert_eq!(own.len(), 51);
+    assert_eq!(own.len(), shifted.len());
+    for (a, b) in own.iter().zip(&shifted) {
+        assert!((b - a - 1_000.0).abs() < 1e-6, "{a} -> {b}");
+    }
+}
+
+#[test]
+fn runtime_trace_of_no_events_still_names_every_lane() {
+    let rt = traced(3);
+    let json = ttg_obs::runtime_trace(&rt, &[], rt.trace_wall_anchor_ns().unwrap()).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let events = v["traceEvents"].as_array().unwrap();
+    assert!(events.iter().all(|e| e["ph"] == "M"));
+    let lanes: Vec<&str> = events
+        .iter()
+        .filter(|e| e["name"] == "thread_name")
+        .map(|e| e["args"]["name"].as_str().unwrap())
+        .collect();
+    assert_eq!(lanes, ["worker 0", "worker 1", "worker 2", "net"]);
+    assert_eq!(events.len(), 2 + lanes.len(), "process name and sort index");
+}
+
+#[test]
+fn runtime_metrics_count_tasks_and_gauge_load_only_with_a_recorder() {
+    let counter = |m: &ttg_obs::MetricsSnapshot, name: &str| {
+        m.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    };
+    let gauge = |m: &ttg_obs::MetricsSnapshot, name: &str| {
+        m.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    };
+    let bare = Runtime::new(RuntimeConfig::optimized(2));
+    run_51_tasks(&bare);
+    let m = ttg_obs::runtime_metrics(&bare);
+    assert_eq!(counter(&m, "tasks_executed"), Some(51));
+    assert!(m.gauges.is_empty() && m.labeled_gauges.is_empty());
+    assert!(m.histograms.is_empty());
+
+    let rt = traced(2);
+    run_51_tasks(&rt);
+    let m = ttg_obs::runtime_metrics(&rt);
+    assert_eq!(counter(&m, "tasks_executed"), Some(51));
+    assert_eq!(gauge(&m, "workers"), Some(2));
+    assert_eq!(gauge(&m, "queued_tasks"), Some(0));
+    let depths = m
+        .labeled_gauges
+        .iter()
+        .filter(|(n, ..)| n == "worker_queue_depth")
+        .count();
+    assert_eq!(depths, 2, "one depth gauge per worker");
+    assert!(m.histograms.is_empty(), "trace alone keeps no histograms");
+}

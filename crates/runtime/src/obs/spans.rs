@@ -110,4 +110,27 @@ mod tests {
         // Distinct tenants get (overwhelmingly likely) distinct tags.
         assert_ne!(tenant_tag("tenant-a"), tenant_tag("tenant-b"));
     }
+
+    #[test]
+    fn instance_ids_are_masked_to_48_bits() {
+        let s = pack_span("tenant-a", u64::MAX);
+        assert_eq!(span_instance(s), INSTANCE_MASK);
+        assert_eq!(span_tenant_tag(s), tenant_tag("tenant-a"));
+        assert_eq!(span_instance(pack_span("t", 1 << INSTANCE_BITS)), 0);
+    }
+
+    #[test]
+    fn ambient_span_is_restored_after_a_panic() {
+        let seen = std::sync::atomic::AtomicU64::new(u64::MAX);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_ambient_span(5, || {
+                seen.store(ambient_span(), std::sync::atomic::Ordering::Relaxed);
+                panic!("body unwinds");
+            })
+        }));
+        assert!(r.is_err());
+        let expect = if ttg_sync::OBS { 5 } else { 0 };
+        assert_eq!(seen.into_inner(), expect);
+        assert_eq!(ambient_span(), 0, "the guard restores on unwind");
+    }
 }

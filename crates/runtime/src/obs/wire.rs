@@ -321,3 +321,109 @@ impl WireSnapshot {
         self.frames_per_write.merge(&other.frames_per_write);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::hist::LatencyHistogram;
+
+    fn hist(values: &[u64]) -> HistogramSnapshot {
+        let h = LatencyHistogram::new();
+        values.iter().for_each(|&v| h.record(v));
+        h.snapshot()
+    }
+
+    #[test]
+    fn fresh_recorder_snapshots_empty() {
+        assert!(WireSnapshot::default().is_empty());
+        let s = WireObs::new(4).snapshot();
+        assert!(s.is_empty());
+        assert!(s.links.is_empty());
+        assert_eq!(WireObs::new(0).snapshot().links.len(), 0);
+    }
+
+    #[test]
+    fn links_surface_only_once_they_move() {
+        let w = WireObs::new(4);
+        w.link_tx(2, 100);
+        w.link_tx(2, 50);
+        w.link_rx(3, 7);
+        w.link_tx(9, 1); // out of range: ignored
+        let s = w.snapshot();
+        if !OBS {
+            assert!(s.is_empty(), "the off recorder keeps nothing");
+            return;
+        }
+        assert!(!s.is_empty());
+        let peers: Vec<usize> = s.links.iter().map(|l| l.peer).collect();
+        assert_eq!(peers, [2, 3]);
+        assert_eq!(s.links[0].values[BYTES_TX], 150);
+        assert_eq!(s.links[0].values[FRAMES_TX], 2);
+        assert_eq!(s.links[1].values[BYTES_RX], 7);
+        assert_eq!(s.links[1].values[FRAMES_RX], 1);
+    }
+
+    #[test]
+    fn resend_gauge_saturates_at_zero() {
+        let w = WireObs::new(2);
+        w.resend_delta(1, 10);
+        let held = w.snapshot();
+        w.resend_delta(1, -50);
+        let drained = w.snapshot();
+        if OBS {
+            assert_eq!(held.links[0].values[RESEND_BUFFER_BYTES], 10);
+        } else {
+            assert!(held.links.is_empty());
+        }
+        // Back at zero the link holds no state and is filtered out.
+        assert!(drained.links.is_empty());
+    }
+
+    #[test]
+    fn merge_stages_sums_histograms_and_keeps_links() {
+        let link = |peer| LinkSnapshot {
+            peer,
+            values: [1; LINK_VALUES],
+        };
+        let mut a = WireSnapshot {
+            encode: hist(&[10, 20]),
+            bytes_per_write: hist(&[64]),
+            links: vec![link(1)],
+            ..Default::default()
+        };
+        let b = WireSnapshot {
+            encode: hist(&[30, 40, 50]),
+            dispatch: hist(&[5]),
+            links: vec![link(2)],
+            ..Default::default()
+        };
+        a.merge_stages(&b);
+        assert_eq!(a.encode.count(), 5);
+        assert_eq!(a.encode.sum, 150);
+        assert_eq!(a.encode.max, 50);
+        assert_eq!(a.dispatch.count(), 1);
+        assert_eq!(a.bytes_per_write.sum, 64);
+        assert_eq!(a.links, [link(1)], "links are per rank");
+    }
+
+    #[test]
+    fn stages_run_in_lifecycle_order() {
+        let s = WireSnapshot {
+            write: hist(&[3]),
+            ..Default::default()
+        };
+        let names: Vec<&str> = s.stages().iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            [
+                "wire_encode",
+                "wire_lock_wait",
+                "wire_write",
+                "wire_read_decode",
+                "wire_dispatch"
+            ]
+        );
+        assert_eq!(s.stages()[2].1.count(), 1);
+        assert!(!s.is_empty());
+    }
+}

@@ -407,3 +407,62 @@ fn wait_latencies() {
     });
     println!("wait() on an idle runtime: {idle:?}; after finished work: {after:?}; submit + wait(): {submit:?}");
 }
+
+#[test]
+fn load_of_a_quiet_runtime_is_idle() {
+    let rt = Runtime::new(RuntimeConfig::optimized(3));
+    rt.submit(0, |ctx| {
+        for i in 0..20 {
+            ctx.spawn(i, |_| {});
+        }
+    });
+    rt.wait();
+    let load = rt.load();
+    assert_eq!(load.queued, 0, "wait() drained every queue");
+    assert_eq!(load.overflow_depth, 0);
+    assert_eq!(load.worker_depths, vec![0; rt.threads()]);
+    assert!(load.running <= rt.threads());
+}
+
+#[test]
+fn recorder_exists_only_when_trace_or_histograms() {
+    let bare = Runtime::new(RuntimeConfig::optimized(1));
+    assert!(bare.recorder().is_none());
+    assert!(bare.trace_wall_anchor_ns().is_none());
+
+    let mut config = RuntimeConfig::optimized(2);
+    config.trace = true;
+    let traced = Runtime::new(config);
+    let obs = traced.recorder().expect("trace builds a recorder");
+    assert!(obs.events_enabled());
+    assert!(!obs.histograms_enabled());
+    assert_eq!(obs.nworkers(), traced.threads());
+    assert_eq!(traced.trace_wall_anchor_ns(), Some(obs.wall_anchor_ns()));
+
+    let mut config = RuntimeConfig::optimized(1);
+    config.histograms = true;
+    let timed = Runtime::new(config);
+    let obs = timed.recorder().expect("histograms build a recorder");
+    assert!(!obs.events_enabled());
+    assert!(obs.histograms_enabled());
+}
+
+#[test]
+fn peek_events_leaves_them_for_take() {
+    use ttg_runtime::obs::EventKind;
+    let tasks =
+        |evs: &[ttg_runtime::obs::Event]| evs.iter().filter(|e| e.kind == EventKind::Task).count();
+    let mut config = RuntimeConfig::optimized(2);
+    config.trace = true;
+    let rt = Runtime::new(config);
+    rt.submit(0, |ctx| {
+        for i in 0..10 {
+            ctx.spawn(i, |_| {});
+        }
+    });
+    rt.wait();
+    assert_eq!(tasks(&rt.peek_events()), 11);
+    assert_eq!(tasks(&rt.peek_events()), 11, "peeking twice sees the same");
+    assert_eq!(tasks(&rt.take_events()), 11);
+    assert_eq!(tasks(&rt.peek_events()), 0, "take drained them");
+}
