@@ -882,6 +882,8 @@ impl Drop for PeriodicSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
     use ttg_runtime::obs::hist::LatencyHistogram;
 
@@ -1135,6 +1137,412 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
         // recomputed quantiles agree with the source.
         assert_eq!(back.histograms, m.histograms);
         assert_eq!(back.labeled_histograms, m.labeled_histograms);
+    }
+
+    /// Two snapshots covering every kind, plain and labeled, two names
+    /// per kind, names that collide across the sides, and exemplars:
+    /// one replaced by the merge, one kept.
+    fn golden_sides() -> (MetricsSnapshot, MetricsSnapshot) {
+        use Sample::{Counter, Gauge, Histogram};
+        let h = |values: &[u64]| {
+            let h = LatencyHistogram::new();
+            values.iter().for_each(|&v| h.record(v));
+            h.snapshot()
+        };
+        let l = |k: &str, v: &str| vec![(k.to_string(), v.to_string())];
+        let identity = |rank: &str| [l("job", "golden"), l("rank", rank)].concat();
+        let (acme, globex) = (l("tenant", "acme"), l("tenant", "globex"));
+        let mut a = MetricsSnapshot::with_labels(identity("0"));
+        for (name, labels, sample) in [
+            ("tasks_executed", vec![], Counter(5)),
+            ("my_widgets", vec![], Counter(2)),
+            ("queued_tasks", vec![], Gauge(3)),
+            ("workers", vec![], Gauge(2)),
+            ("task_duration", vec![], Histogram(&h(&[100, 2_000]))),
+            ("ready_delay", vec![], Histogram(&h(&[50]))),
+            ("serve_submitted", acme.clone(), Counter(3)),
+            ("serve_submitted", globex.clone(), Counter(1)),
+            ("serve_failed", acme.clone(), Counter(1)),
+            ("worker_queue_depth", l("worker", "0"), Gauge(1)),
+            ("worker_queue_depth", l("worker", "1"), Gauge(2)),
+            ("serve_latency", acme.clone(), Histogram(&h(&[1_000]))),
+            ("serve_latency", globex.clone(), Histogram(&h(&[400]))),
+        ] {
+            a.emit_if_set(name, labels, sample);
+        }
+        a.labeled_exemplar("serve_latency", acme.clone(), l("instance_id", "7"), 1_000);
+        a.labeled_exemplar("serve_latency", globex, l("instance_id", "9"), 400);
+        let mut b = MetricsSnapshot::with_labels(identity("1"));
+        for (name, labels, sample) in [
+            ("tasks_executed", vec![], Counter(7)),
+            ("parks", vec![], Counter(1)),
+            ("queued_tasks", vec![], Gauge(4)),
+            ("my_gauge", vec![], Gauge(9)),
+            ("task_duration", vec![], Histogram(&h(&[300]))),
+            ("my_hist", vec![], Histogram(&h(&[7]))),
+            ("serve_submitted", acme.clone(), Counter(2)),
+            ("serve_completed", l("tenant", "initech"), Counter(4)),
+            ("worker_queue_depth", l("worker", "0"), Gauge(5)),
+            ("net_link_ack_rtt_us", l("peer", "1"), Gauge(250)),
+            ("serve_latency", acme.clone(), Histogram(&h(&[3_000]))),
+            ("my_lat", l("tenant", "x"), Histogram(&h(&[10]))),
+        ] {
+            b.emit_if_set(name, labels, sample);
+        }
+        b.labeled_exemplar("serve_latency", acme, l("instance_id", "42"), 3_000);
+        (a, b)
+    }
+
+    /// Pins every rendered byte of a merge over [`golden_sides`]: the
+    /// category order of the text exposition, `p95_ns` on plain
+    /// histograms only, the JSON sections left out when empty, and
+    /// exemplars on the `+Inf` line only.
+    #[test]
+    fn merged_snapshot_renders_exactly() {
+        let (mut m, b) = golden_sides();
+        m.merge(&b);
+        let json = r##"{
+  "labels": {
+    "job": "golden"
+  },
+  "counters": {
+    "tasks_executed": 12,
+    "my_widgets": 2,
+    "parks": 1
+  },
+  "histograms": {
+    "task_duration": {
+      "count": 3,
+      "sum_ns": 2400,
+      "max_ns": 2000,
+      "mean_ns": 800.0,
+      "p50_ns": 511,
+      "p95_ns": 2000,
+      "p99_ns": 2000,
+      "buckets": [
+        [
+          6,
+          1
+        ],
+        [
+          8,
+          1
+        ],
+        [
+          10,
+          1
+        ]
+      ]
+    },
+    "ready_delay": {
+      "count": 1,
+      "sum_ns": 50,
+      "max_ns": 50,
+      "mean_ns": 50.0,
+      "p50_ns": 50,
+      "p95_ns": 50,
+      "p99_ns": 50,
+      "buckets": [
+        [
+          5,
+          1
+        ]
+      ]
+    },
+    "my_hist": {
+      "count": 1,
+      "sum_ns": 7,
+      "max_ns": 7,
+      "mean_ns": 7.0,
+      "p50_ns": 7,
+      "p95_ns": 7,
+      "p99_ns": 7,
+      "buckets": [
+        [
+          2,
+          1
+        ]
+      ]
+    }
+  },
+  "gauges": {
+    "queued_tasks": 7,
+    "workers": 2,
+    "my_gauge": 9
+  },
+  "labeled_gauges": [
+    {
+      "name": "worker_queue_depth",
+      "labels": {
+        "worker": "0"
+      },
+      "value": 6
+    },
+    {
+      "name": "worker_queue_depth",
+      "labels": {
+        "worker": "1"
+      },
+      "value": 2
+    },
+    {
+      "name": "net_link_ack_rtt_us",
+      "labels": {
+        "peer": "1"
+      },
+      "value": 250
+    }
+  ],
+  "labeled_counters": [
+    {
+      "name": "serve_submitted",
+      "labels": {
+        "tenant": "acme"
+      },
+      "value": 5
+    },
+    {
+      "name": "serve_submitted",
+      "labels": {
+        "tenant": "globex"
+      },
+      "value": 1
+    },
+    {
+      "name": "serve_failed",
+      "labels": {
+        "tenant": "acme"
+      },
+      "value": 1
+    },
+    {
+      "name": "serve_completed",
+      "labels": {
+        "tenant": "initech"
+      },
+      "value": 4
+    }
+  ],
+  "labeled_histograms": [
+    {
+      "name": "serve_latency",
+      "labels": {
+        "tenant": "acme"
+      },
+      "count": 2,
+      "sum_ns": 4000,
+      "max_ns": 3000,
+      "mean_ns": 2000.0,
+      "p50_ns": 1023,
+      "p99_ns": 3000,
+      "buckets": [
+        [
+          9,
+          1
+        ],
+        [
+          11,
+          1
+        ]
+      ]
+    },
+    {
+      "name": "serve_latency",
+      "labels": {
+        "tenant": "globex"
+      },
+      "count": 1,
+      "sum_ns": 400,
+      "max_ns": 400,
+      "mean_ns": 400.0,
+      "p50_ns": 400,
+      "p99_ns": 400,
+      "buckets": [
+        [
+          8,
+          1
+        ]
+      ]
+    },
+    {
+      "name": "my_lat",
+      "labels": {
+        "tenant": "x"
+      },
+      "count": 1,
+      "sum_ns": 10,
+      "max_ns": 10,
+      "mean_ns": 10.0,
+      "p50_ns": 10,
+      "p99_ns": 10,
+      "buckets": [
+        [
+          3,
+          1
+        ]
+      ]
+    }
+  ]
+}"##;
+        let prom = r##"# HELP ttg_tasks_executed Tasks executed by this rank's workers.
+# TYPE ttg_tasks_executed counter
+ttg_tasks_executed{job="golden"} 12
+# TYPE ttg_my_widgets counter
+ttg_my_widgets{job="golden"} 2
+# HELP ttg_parks Times a worker parked idle.
+# TYPE ttg_parks counter
+ttg_parks{job="golden"} 1
+# HELP ttg_queued_tasks Tasks currently queued (scheduler estimate plus injection queue).
+# TYPE ttg_queued_tasks gauge
+ttg_queued_tasks{job="golden"} 7
+# HELP ttg_workers Worker threads configured on this rank.
+# TYPE ttg_workers gauge
+ttg_workers{job="golden"} 2
+# TYPE ttg_my_gauge gauge
+ttg_my_gauge{job="golden"} 9
+# HELP ttg_task_duration_seconds Task body execution time.
+# TYPE ttg_task_duration_seconds histogram
+ttg_task_duration_seconds_bucket{job="golden",le="1e-9"} 0
+ttg_task_duration_seconds_bucket{job="golden",le="3e-9"} 0
+ttg_task_duration_seconds_bucket{job="golden",le="7e-9"} 0
+ttg_task_duration_seconds_bucket{job="golden",le="1.5e-8"} 0
+ttg_task_duration_seconds_bucket{job="golden",le="3.1e-8"} 0
+ttg_task_duration_seconds_bucket{job="golden",le="6.3e-8"} 0
+ttg_task_duration_seconds_bucket{job="golden",le="1.27e-7"} 1
+ttg_task_duration_seconds_bucket{job="golden",le="2.55e-7"} 1
+ttg_task_duration_seconds_bucket{job="golden",le="5.11e-7"} 2
+ttg_task_duration_seconds_bucket{job="golden",le="1.023e-6"} 2
+ttg_task_duration_seconds_bucket{job="golden",le="2.047e-6"} 3
+ttg_task_duration_seconds_bucket{job="golden",le="+Inf"} 3
+ttg_task_duration_seconds_sum{job="golden"} 0.0000024
+ttg_task_duration_seconds_count{job="golden"} 3
+# HELP ttg_ready_delay_seconds Delay between a task becoming ready and starting to run.
+# TYPE ttg_ready_delay_seconds histogram
+ttg_ready_delay_seconds_bucket{job="golden",le="1e-9"} 0
+ttg_ready_delay_seconds_bucket{job="golden",le="3e-9"} 0
+ttg_ready_delay_seconds_bucket{job="golden",le="7e-9"} 0
+ttg_ready_delay_seconds_bucket{job="golden",le="1.5e-8"} 0
+ttg_ready_delay_seconds_bucket{job="golden",le="3.1e-8"} 0
+ttg_ready_delay_seconds_bucket{job="golden",le="6.3e-8"} 1
+ttg_ready_delay_seconds_bucket{job="golden",le="+Inf"} 1
+ttg_ready_delay_seconds_sum{job="golden"} 0.00000005
+ttg_ready_delay_seconds_count{job="golden"} 1
+# TYPE ttg_my_hist_seconds histogram
+ttg_my_hist_seconds_bucket{job="golden",le="1e-9"} 0
+ttg_my_hist_seconds_bucket{job="golden",le="3e-9"} 0
+ttg_my_hist_seconds_bucket{job="golden",le="7e-9"} 1
+ttg_my_hist_seconds_bucket{job="golden",le="+Inf"} 1
+ttg_my_hist_seconds_sum{job="golden"} 0.000000007
+ttg_my_hist_seconds_count{job="golden"} 1
+# HELP ttg_serve_submitted Graph instances admitted per tenant.
+# TYPE ttg_serve_submitted counter
+ttg_serve_submitted{job="golden",tenant="acme"} 5
+ttg_serve_submitted{job="golden",tenant="globex"} 1
+# HELP ttg_serve_failed Graph instances whose scope recorded a failure per tenant.
+# TYPE ttg_serve_failed counter
+ttg_serve_failed{job="golden",tenant="acme"} 1
+# HELP ttg_serve_completed Graph instances that ran to completion per tenant.
+# TYPE ttg_serve_completed counter
+ttg_serve_completed{job="golden",tenant="initech"} 4
+# HELP ttg_worker_queue_depth Per-worker ready-queue depth estimate.
+# TYPE ttg_worker_queue_depth gauge
+ttg_worker_queue_depth{job="golden",worker="0"} 6
+ttg_worker_queue_depth{job="golden",worker="1"} 2
+# HELP ttg_net_link_ack_rtt_us Latest send-to-cumulative-ack round trip per peer link.
+# TYPE ttg_net_link_ack_rtt_us gauge
+ttg_net_link_ack_rtt_us{job="golden",peer="1"} 250
+# HELP ttg_serve_latency_seconds Submit-to-completion latency of served graph instances.
+# TYPE ttg_serve_latency_seconds histogram
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="1e-9"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="3e-9"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="7e-9"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="1.5e-8"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="3.1e-8"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="6.3e-8"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="1.27e-7"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="2.55e-7"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="5.11e-7"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="1.023e-6"} 1
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="2.047e-6"} 1
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="4.095e-6"} 2
+ttg_serve_latency_seconds_bucket{job="golden",tenant="acme",le="+Inf"} 2 # {instance_id="42"} 0.000003
+ttg_serve_latency_seconds_sum{job="golden",tenant="acme"} 0.000004
+ttg_serve_latency_seconds_count{job="golden",tenant="acme"} 2
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="1e-9"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="3e-9"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="7e-9"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="1.5e-8"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="3.1e-8"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="6.3e-8"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="1.27e-7"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="2.55e-7"} 0
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="5.11e-7"} 1
+ttg_serve_latency_seconds_bucket{job="golden",tenant="globex",le="+Inf"} 1 # {instance_id="9"} 0.0000004
+ttg_serve_latency_seconds_sum{job="golden",tenant="globex"} 0.0000004
+ttg_serve_latency_seconds_count{job="golden",tenant="globex"} 1
+# TYPE ttg_my_lat_seconds histogram
+ttg_my_lat_seconds_bucket{job="golden",tenant="x",le="1e-9"} 0
+ttg_my_lat_seconds_bucket{job="golden",tenant="x",le="3e-9"} 0
+ttg_my_lat_seconds_bucket{job="golden",tenant="x",le="7e-9"} 0
+ttg_my_lat_seconds_bucket{job="golden",tenant="x",le="1.5e-8"} 1
+ttg_my_lat_seconds_bucket{job="golden",tenant="x",le="+Inf"} 1
+ttg_my_lat_seconds_sum{job="golden",tenant="x"} 0.00000001
+ttg_my_lat_seconds_count{job="golden",tenant="x"} 1
+"##;
+        assert_eq!(m.to_json(), json);
+        assert_eq!(m.to_prometheus("ttg"), prom);
+    }
+
+    /// Random snapshots: identity labels, then series of every kind
+    /// drawn from small name and label pools (so names collide and a
+    /// zero value is skipped), label values with characters that need
+    /// escaping included.
+    fn arb_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
+        const NAMES: [&str; 4] = ["tasks_executed", "serve_latency", "a", "b_c"];
+        const LABELS: [&[(&str, &str)]; 5] = [
+            &[],
+            &[("tenant", "acme")],
+            &[("tenant", "a\"b")],
+            &[("worker", "0"), ("peer", "x\\y")],
+            &[("tenant", "new\nline")],
+        ];
+        let series = (0usize..3, 0usize..4, 0usize..5, vec(0u64..5_000_000, 1..4));
+        (0usize..3, vec(series, 0..10)).prop_map(|(identity, series)| {
+            let owned = |ls: &[(&str, &str)]| -> LabelSet {
+                ls.iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect()
+            };
+            let mut m = MetricsSnapshot::with_labels(owned(LABELS[identity]));
+            for (kind, name, labels, values) in series {
+                let h = LatencyHistogram::new();
+                values.iter().for_each(|&v| h.record(v));
+                let h = h.snapshot();
+                let sample = match kind {
+                    0 => Sample::Counter(values[0]),
+                    1 => Sample::Gauge(values[0]),
+                    _ => Sample::Histogram(&h),
+                };
+                m.emit_if_set(NAMES[name], owned(LABELS[labels]), sample);
+            }
+            m
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The scrape path loses nothing the renderers show: a snapshot
+        /// rebuilt from its own JSON renders the same JSON and the same
+        /// text (no exemplars here: they never travel in JSON).
+        #[test]
+        fn from_value_renders_what_to_value_read(a in arb_snapshot(), b in arb_snapshot()) {
+            let mut m = a;
+            m.merge(&b);
+            let v: Value = serde_json::from_str(&m.to_json()).unwrap();
+            let back = MetricsSnapshot::from_value(&v).unwrap();
+            prop_assert_eq!(back.to_json(), m.to_json());
+            prop_assert_eq!(back.to_prometheus("ttg"), m.to_prometheus("ttg"));
+        }
     }
 
     #[test]
