@@ -59,8 +59,9 @@
 //! loop is just an HTTP front-end to it.
 
 use crate::http::{http_request, DynamicRoute, HealthVerdict, HttpRequest, HttpResponse};
-use crate::metrics::{MetricsSnapshot, PeriodicSampler};
+use crate::metrics::{MetricsSnapshot, PeriodicSampler, Sample};
 use crate::wire::LINK_FIELDS;
+use crate::{obj, s};
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::VecDeque;
@@ -152,7 +153,11 @@ fn extract_links(m: &MetricsSnapshot) -> Vec<LinkStat> {
         ls.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
     let mut links: Vec<LinkStat> = Vec::new();
-    for (name, ls, v) in m.labeled_counters.iter().chain(&m.labeled_gauges) {
+    for series in &m.series {
+        let (Sample::Counter(v) | Sample::Gauge(v)) = series.sample else {
+            continue;
+        };
+        let (name, ls) = (&series.name, &series.labels);
         let Some(peer) = label(ls, "peer") else {
             continue;
         };
@@ -190,10 +195,10 @@ fn extract_links(m: &MetricsSnapshot) -> Vec<LinkStat> {
 
 /// JSON shape of one link for the per-rank `links` array.
 fn link_value(l: &LinkStat) -> Value {
-    let mut fields = vec![("peer".to_string(), Value::String(l.peer.clone()))];
+    let mut fields = vec![("peer", s(&l.peer))];
     let values = LINK_FIELDS.iter().zip(l.values);
-    fields.extend(values.map(|(f, v)| (f.cluster_json.to_string(), Value::UInt(v))));
-    Value::Object(fields)
+    fields.extend(values.map(|(f, v)| (f.cluster_json, Value::UInt(v))));
+    obj(fields)
 }
 
 /// One rank's scrape outcome for one round — the testable ingest unit.
@@ -279,31 +284,20 @@ impl RankState {
         }
     }
 
-    fn gauge(&self, name: &str) -> Option<u64> {
-        self.metrics
-            .as_ref()?
-            .gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+    /// The latest scrape's plain counter or gauge `name`.
+    fn value(&self, name: &str) -> Option<u64> {
+        match self.metrics.as_ref()?.get(name, &[])? {
+            Sample::Counter(v) | Sample::Gauge(v) => Some(*v),
+            Sample::Histogram(_) => None,
+        }
     }
 
-    fn counter(&self, name: &str) -> Option<u64> {
-        self.metrics
-            .as_ref()?
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
+    /// The latest scrape's plain histogram `name`.
     fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.metrics
-            .as_ref()?
-            .histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
+        match self.metrics.as_ref()?.get(name, &[])? {
+            Sample::Histogram(h) => Some(h),
+            _ => None,
+        }
     }
 }
 
@@ -722,15 +716,15 @@ impl ClusterAggregator {
                 rank.metrics = Some(m.clone());
                 rank.links = extract_links(m);
                 // Load sample for the skew window.
-                let queued = rank.gauge("queued_tasks").unwrap_or(0);
-                let running = rank.gauge("running_tasks").unwrap_or(0);
+                let queued = rank.value("queued_tasks").unwrap_or(0);
+                let running = rank.value("running_tasks").unwrap_or(0);
                 rank.loads.push_back((queued + running) as f64);
                 while rank.loads.len() > self.config.window.max(1) {
                     rank.loads.pop_front();
                 }
                 // Utilization from the busy-ns derivative.
-                if let Some(busy) = rank.counter("worker_busy_ns") {
-                    let workers = rank.gauge("workers").unwrap_or(1).max(1);
+                if let Some(busy) = rank.value("worker_busy_ns") {
+                    let workers = rank.value("workers").unwrap_or(1).max(1);
                     if let Some((prev_busy, prev_ms)) = rank.prev_busy {
                         let dt_ns = now_unix_ms.saturating_sub(prev_ms) as f64 * 1e6;
                         if dt_ns > 0.0 {
@@ -768,22 +762,24 @@ impl ClusterAggregator {
         let mut m = total.unwrap_or_default();
         let unreachable = inner.ranks.iter().filter(|r| !r.reachable).count();
         let active = inner.engine.alerts.iter().filter(|a| a.active).count();
-        m.gauge("cluster_ranks", inner.ranks.len() as u64);
-        m.gauge("cluster_ranks_unreachable", unreachable as u64);
-        m.gauge("cluster_alerts_active", active as u64);
-        m.gauge("cluster_skew_cov", (inner.skew_cov * 100.0).round() as u64);
+        for (name, v) in [
+            ("cluster_ranks", inner.ranks.len() as u64),
+            ("cluster_ranks_unreachable", unreachable as u64),
+            ("cluster_alerts_active", active as u64),
+            ("cluster_skew_cov", (inner.skew_cov * 100.0).round() as u64),
+        ] {
+            m.push(name, Vec::new(), Sample::Gauge(v));
+        }
         for rank in &inner.ranks {
             let labels = vec![("rank".to_string(), rank.rank_label.clone())];
             let straggling = inner.engine.alerts.iter().any(|a| {
                 a.active && a.kind == "straggler" && a.rank.as_deref() == Some(&rank.rank_label)
             });
-            m.labeled_gauge("cluster_straggler", labels.clone(), u64::from(straggling));
+            let straggling = Sample::Gauge(u64::from(straggling));
+            m.push("cluster_straggler", labels.clone(), straggling);
             if let Some(u) = rank.utilization {
-                m.labeled_gauge(
-                    "cluster_rank_utilization_pct",
-                    labels,
-                    (u * 100.0).round() as u64,
-                );
+                let pct = Sample::Gauge((u * 100.0).round() as u64);
+                m.push("cluster_rank_utilization_pct", labels, pct);
             }
         }
         // Firing slow links only — idle meshes (and builds without
@@ -791,11 +787,8 @@ impl ClusterAggregator {
         for a in inner.engine.alerts.iter() {
             if a.active && a.kind == "slow_link" {
                 if let Some(link) = &a.rank {
-                    m.labeled_gauge(
-                        "cluster_slow_link",
-                        vec![("link".to_string(), link.clone())],
-                        1,
-                    );
+                    let labels = vec![("link".to_string(), link.clone())];
+                    m.push("cluster_slow_link", labels, Sample::Gauge(1));
                 }
             }
         }
@@ -837,54 +830,48 @@ impl ClusterAggregator {
                     .metrics
                     .as_ref()
                     .map(|m| {
-                        Value::Object(
-                            m.counters
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                                .collect(),
-                        )
+                        let plain = m.series.iter().filter(|s| s.labels.is_empty());
+                        let counters = plain.filter_map(|s| match s.sample {
+                            Sample::Counter(v) => Some((s.name.clone(), Value::UInt(v))),
+                            _ => None,
+                        });
+                        Value::Object(counters.collect())
                     })
                     .unwrap_or(Value::Object(Vec::new()));
                 let ts = r
                     .ts_summary
                     .map(|(samples, downsamples, points)| {
-                        Value::Object(vec![
-                            ("samples_total".to_string(), Value::UInt(samples)),
-                            ("downsamples".to_string(), Value::UInt(downsamples)),
-                            ("points".to_string(), Value::UInt(points)),
+                        obj(vec![
+                            ("samples_total", Value::UInt(samples)),
+                            ("downsamples", Value::UInt(downsamples)),
+                            ("points", Value::UInt(points)),
                         ])
                     })
                     .unwrap_or(Value::Null);
                 let mut fields = vec![
-                    ("target".to_string(), Value::String(r.target.clone())),
-                    ("rank".to_string(), Value::String(r.rank_label.clone())),
-                    ("status".to_string(), Value::String(status.to_string())),
-                    ("degraded".to_string(), Value::Bool(r.degraded)),
-                    ("rounds_seen".to_string(), Value::UInt(r.rounds_seen)),
+                    ("target", s(&r.target)),
+                    ("rank", s(&r.rank_label)),
+                    ("status", s(status)),
+                    ("degraded", Value::Bool(r.degraded)),
+                    ("rounds_seen", Value::UInt(r.rounds_seen)),
+                    ("scrape_failures", Value::UInt(r.scrape_failures)),
+                    ("workers", Value::UInt(r.value("workers").unwrap_or(0))),
                     (
-                        "scrape_failures".to_string(),
-                        Value::UInt(r.scrape_failures),
+                        "queued_tasks",
+                        Value::UInt(r.value("queued_tasks").unwrap_or(0)),
                     ),
                     (
-                        "workers".to_string(),
-                        Value::UInt(r.gauge("workers").unwrap_or(0)),
+                        "running_tasks",
+                        Value::UInt(r.value("running_tasks").unwrap_or(0)),
                     ),
                     (
-                        "queued_tasks".to_string(),
-                        Value::UInt(r.gauge("queued_tasks").unwrap_or(0)),
-                    ),
-                    (
-                        "running_tasks".to_string(),
-                        Value::UInt(r.gauge("running_tasks").unwrap_or(0)),
-                    ),
-                    (
-                        "utilization_pct".to_string(),
+                        "utilization_pct",
                         r.utilization
                             .map(|u| Value::UInt((u * 100.0).round() as u64))
                             .unwrap_or(Value::Null),
                     ),
                     (
-                        "ready_delay_p99_ns".to_string(),
+                        "ready_delay_p99_ns",
                         Value::UInt(r.histogram("ready_delay").map(|h| h.p99()).unwrap_or(0)),
                     ),
                 ];
@@ -892,23 +879,23 @@ impl ClusterAggregator {
                 // built without `obs` keep the pre-wire shape.
                 if !r.links.is_empty() {
                     fields.push((
-                        "links".to_string(),
+                        "links",
                         Value::Array(r.links.iter().map(link_value).collect()),
                     ));
                 }
-                fields.push(("counters".to_string(), counters));
-                fields.push(("timeseries".to_string(), ts));
-                Value::Object(fields)
+                fields.push(("counters", counters));
+                fields.push(("timeseries", ts));
+                obj(fields)
             })
             .collect();
         let active = inner.engine.alerts.iter().filter(|a| a.active).count();
         let mut fields = vec![
-            ("schema".to_string(), Value::UInt(1)),
-            ("generated_unix_ms".to_string(), Value::UInt(now_unix_ms)),
-            ("rounds".to_string(), Value::UInt(inner.rounds)),
-            ("skew_cov".to_string(), Value::Float(inner.skew_cov)),
-            ("alerts_active".to_string(), Value::UInt(active as u64)),
-            ("ranks".to_string(), Value::Array(ranks)),
+            ("schema", Value::UInt(1)),
+            ("generated_unix_ms", Value::UInt(now_unix_ms)),
+            ("rounds", Value::UInt(inner.rounds)),
+            ("skew_cov", Value::Float(inner.skew_cov)),
+            ("alerts_active", Value::UInt(active as u64)),
+            ("ranks", Value::Array(ranks)),
         ];
         // The rank×rank traffic/latency matrix: one directed entry per
         // exported link, with the destination's receive-side byte count
@@ -924,31 +911,28 @@ impl ClusterAggregator {
                         .find(|p| p.rank_label == l.peer)
                         .and_then(|p| p.links.iter().find(|pl| pl.peer == r.rank_label))
                         .map(|pl| pl.values[BYTES_RX]);
-                    matrix.push(Value::Object(vec![
-                        ("from".to_string(), Value::String(r.rank_label.clone())),
-                        ("to".to_string(), Value::String(l.peer.clone())),
-                        ("tx_bytes".to_string(), Value::UInt(l.values[BYTES_TX])),
-                        ("tx_frames".to_string(), Value::UInt(l.values[FRAMES_TX])),
+                    matrix.push(obj(vec![
+                        ("from", s(&r.rank_label)),
+                        ("to", s(&l.peer)),
+                        ("tx_bytes", Value::UInt(l.values[BYTES_TX])),
+                        ("tx_frames", Value::UInt(l.values[FRAMES_TX])),
                         (
-                            "peer_rx_bytes".to_string(),
+                            "peer_rx_bytes",
                             peer_rx.map(Value::UInt).unwrap_or(Value::Null),
                         ),
-                        ("ack_rtt_us".to_string(), Value::UInt(l.values[ACK_RTT_US])),
+                        ("ack_rtt_us", Value::UInt(l.values[ACK_RTT_US])),
+                        ("ack_lag_seq", Value::UInt(l.values[ACK_LAG_SEQ])),
                         (
-                            "ack_lag_seq".to_string(),
-                            Value::UInt(l.values[ACK_LAG_SEQ]),
-                        ),
-                        (
-                            "resend_buffer_bytes".to_string(),
+                            "resend_buffer_bytes",
                             Value::UInt(l.values[RESEND_BUFFER_BYTES]),
                         ),
                     ]));
                 }
             }
-            fields.push(("traffic_matrix".to_string(), Value::Array(matrix)));
+            fields.push(("traffic_matrix", Value::Array(matrix)));
         }
-        fields.push(("totals".to_string(), totals));
-        let v = Value::Object(fields);
+        fields.push(("totals", totals));
+        let v = obj(fields);
         serde_json::to_string_pretty(&v).expect("cluster serialization")
     }
 
@@ -961,34 +945,22 @@ impl ClusterAggregator {
             .alerts
             .iter()
             .map(|a| {
-                Value::Object(vec![
-                    ("kind".to_string(), Value::String(a.kind.to_string())),
-                    (
-                        "rank".to_string(),
-                        a.rank
-                            .as_ref()
-                            .map(|r| Value::String(r.clone()))
-                            .unwrap_or(Value::Null),
-                    ),
-                    ("active".to_string(), Value::Bool(a.active)),
-                    (
-                        "first_seen_unix_ms".to_string(),
-                        Value::UInt(a.first_seen_unix_ms),
-                    ),
-                    (
-                        "last_seen_unix_ms".to_string(),
-                        Value::UInt(a.last_seen_unix_ms),
-                    ),
-                    ("value".to_string(), Value::Float(a.value)),
-                    ("threshold".to_string(), Value::Float(a.threshold)),
-                    ("detail".to_string(), Value::String(a.detail.clone())),
+                obj(vec![
+                    ("kind", s(a.kind)),
+                    ("rank", a.rank.as_ref().map(|r| s(r)).unwrap_or(Value::Null)),
+                    ("active", Value::Bool(a.active)),
+                    ("first_seen_unix_ms", Value::UInt(a.first_seen_unix_ms)),
+                    ("last_seen_unix_ms", Value::UInt(a.last_seen_unix_ms)),
+                    ("value", Value::Float(a.value)),
+                    ("threshold", Value::Float(a.threshold)),
+                    ("detail", s(&a.detail)),
                 ])
             })
             .collect();
-        let v = Value::Object(vec![
-            ("schema".to_string(), Value::UInt(1)),
-            ("active".to_string(), Value::UInt(active as u64)),
-            ("alerts".to_string(), Value::Array(alerts)),
+        let v = obj(vec![
+            ("schema", Value::UInt(1)),
+            ("active", Value::UInt(active as u64)),
+            ("alerts", Value::Array(alerts)),
         ]);
         serde_json::to_string_pretty(&v).expect("alerts serialization")
     }
@@ -1012,7 +984,7 @@ impl ClusterAggregator {
                 .ranks
                 .iter()
                 .filter(|r| pred(r))
-                .map(|r| Value::String(r.rank_label.clone()))
+                .map(|r| s(&r.rank_label))
                 .collect()
         };
         let unreachable = list(&|r| !r.reachable);
@@ -1030,22 +1002,19 @@ impl ClusterAggregator {
                 })
             })
             .collect();
-        let v = Value::Object(vec![
+        let v = obj(vec![
             (
-                "status".to_string(),
+                "status",
                 Value::String(if healthy { "ok" } else { "unhealthy" }.to_string()),
             ),
-            ("aggregator".to_string(), Value::Bool(true)),
-            ("ranks".to_string(), Value::UInt(inner.ranks.len() as u64)),
-            ("unreachable_ranks".to_string(), Value::Array(unreachable)),
-            ("unhealthy_ranks".to_string(), Value::Array(unhealthy)),
-            ("degraded".to_string(), Value::Bool(degraded)),
-            ("degraded_ranks".to_string(), Value::Array(degraded_ranks)),
-            (
-                "alerts_active".to_string(),
-                Value::UInt(active.len() as u64),
-            ),
-            ("alerts".to_string(), Value::Array(alert_kinds)),
+            ("aggregator", Value::Bool(true)),
+            ("ranks", Value::UInt(inner.ranks.len() as u64)),
+            ("unreachable_ranks", Value::Array(unreachable)),
+            ("unhealthy_ranks", Value::Array(unhealthy)),
+            ("degraded", Value::Bool(degraded)),
+            ("degraded_ranks", Value::Array(degraded_ranks)),
+            ("alerts_active", Value::UInt(active.len() as u64)),
+            ("alerts", Value::Array(alert_kinds)),
         ]);
         HealthVerdict {
             healthy,
@@ -1125,11 +1094,11 @@ mod tests {
 
     fn rank_snapshot(rank: &str, tasks: u64, queued: u64, running: u64) -> MetricsSnapshot {
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), rank.to_string())]);
-        m.counter("tasks_executed", tasks);
-        m.counter("messages_sent", tasks / 2);
-        m.gauge("workers", 2);
-        m.gauge("queued_tasks", queued);
-        m.gauge("running_tasks", running);
+        m.push("tasks_executed", vec![], Sample::Counter(tasks));
+        m.push("messages_sent", vec![], Sample::Counter(tasks / 2));
+        m.push("workers", vec![], Sample::Gauge(2));
+        m.push("queued_tasks", vec![], Sample::Gauge(queued));
+        m.push("running_tasks", vec![], Sample::Gauge(running));
         m
     }
 
@@ -1395,7 +1364,7 @@ mod tests {
         // rank 2 (workers=2, rounds 1s apart ⇒ capacity 2e9 ns/round).
         let ob = |rank: &str, busy: u64| {
             let mut m = rank_snapshot(rank, 10, 4, 2);
-            m.counter("worker_busy_ns", busy);
+            m.push("worker_busy_ns", vec![], Sample::Counter(busy));
             healthy_ob(m)
         };
         for round in 0..6u64 {
@@ -1441,12 +1410,12 @@ mod tests {
             tx.push(("dir".to_string(), "tx".to_string()));
             let mut rx = ls.clone();
             rx.push(("dir".to_string(), "rx".to_string()));
-            m.labeled_counter("net_link_bytes", tx.clone(), *tx_bytes);
-            m.labeled_counter("net_link_frames", tx, tx_bytes / 100);
-            m.labeled_counter("net_link_bytes", rx.clone(), *rx_bytes);
-            m.labeled_counter("net_link_frames", rx, rx_bytes / 100);
-            m.labeled_gauge("net_link_ack_rtt_us", ls.clone(), *rtt);
-            m.labeled_gauge("net_link_ack_lag_seq", ls, *lag);
+            m.push("net_link_bytes", tx.clone(), Sample::Counter(*tx_bytes));
+            m.push("net_link_frames", tx, Sample::Counter(tx_bytes / 100));
+            m.push("net_link_bytes", rx.clone(), Sample::Counter(*rx_bytes));
+            m.push("net_link_frames", rx, Sample::Counter(rx_bytes / 100));
+            m.push("net_link_ack_rtt_us", ls.clone(), Sample::Gauge(*rtt));
+            m.push("net_link_ack_lag_seq", ls, Sample::Gauge(*lag));
         }
         healthy_ob(m)
     }
@@ -1500,12 +1469,9 @@ mod tests {
         );
         // Alert annotates the merged snapshot and health, never flips it.
         let m = agg.merged_snapshot();
-        assert!(m
-            .labeled_gauges
-            .iter()
-            .any(|(n, ls, v)| n == "cluster_slow_link"
-                && ls.iter().any(|(k, p)| k == "link" && p == "0->1")
-                && *v == 1));
+        assert!(m.series.iter().any(|s| s.name == "cluster_slow_link"
+            && s.labels.iter().any(|(k, p)| k == "link" && p == "0->1")
+            && s.sample == Sample::Gauge(1)));
         let h = agg.health();
         assert!(h.healthy, "slow link is degraded, not down: {}", h.body);
         assert!(h.body.contains("slow_link:0->1"));

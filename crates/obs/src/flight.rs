@@ -15,6 +15,7 @@
 //! closures that peek (never drain) the event rings, so a dump cannot
 //! corrupt a concurrent end-of-run export.
 
+use crate::{obj, s};
 use serde::Value;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,17 +105,14 @@ impl FlightRecorder {
             }
             serde_json::from_str(&text).unwrap_or(Value::String(text))
         };
-        let doc = Value::Object(vec![
-            (FLIGHT_MARKER.to_string(), Value::UInt(1)),
-            ("rank".to_string(), Value::UInt(self.rank as u64)),
-            ("reason".to_string(), Value::String(reason.to_string())),
-            ("captured_unix_ms".to_string(), Value::UInt(now_ms)),
-            ("trace".to_string(), embed((self.sources.trace_json)())),
-            (
-                "timeseries".to_string(),
-                embed((self.sources.timeseries_json)()),
-            ),
-            ("stats".to_string(), embed((self.sources.stats_json)())),
+        let doc = obj(vec![
+            (FLIGHT_MARKER, Value::UInt(1)),
+            ("rank", Value::UInt(self.rank as u64)),
+            ("reason", s(reason)),
+            ("captured_unix_ms", Value::UInt(now_ms)),
+            ("trace", embed((self.sources.trace_json)())),
+            ("timeseries", embed((self.sources.timeseries_json)())),
+            ("stats", embed((self.sources.stats_json)())),
         ]);
         let json = serde_json::to_string_pretty(&doc).expect("flight serialization");
         std::fs::write(&path, json)?;

@@ -9,8 +9,11 @@
 //! 1. **Export** ([`trace`], [`metrics`], [`wire`], [`spans`]):
 //!    multi-rank Chrome/Perfetto traces (one `pid` per rank, counter
 //!    tracks, cross-rank flow events), JSON / Prometheus metrics
-//!    snapshots with an optional periodic sampler, the wire-path
-//!    `/net.json` document, and per-instance span assembly.
+//!    snapshots — identity labels plus one list of counter, gauge and
+//!    histogram series, each merged, rendered and parsed by one loop —
+//!    with an optional periodic sampler, the wire-path `/net.json`
+//!    document, and per-instance span assembly. JSON objects are built
+//!    by one helper, `obj`.
 //! 2. **Analysis** ([`analysis`], [`flame`]): post-hoc critical-path
 //!    extraction, per-worker utilization and collapsed-stack
 //!    flamegraphs from exported traces.
@@ -40,8 +43,19 @@ pub use flame::collapse_chrome_trace;
 pub use flight::{extract_flight_trace, FlightRecorder};
 pub use http::{DynamicRoute, HealthVerdict, HttpRequest, HttpResponse, HttpRoutes, ObsHttpServer};
 pub use live::{LiveConfig, LiveTelemetry, RuntimeSlot};
-pub use metrics::{runtime_metrics, LabelSet, MetricsSnapshot, PeriodicSampler, Sample};
+pub use metrics::{runtime_metrics, LabelSet, MetricsSnapshot, PeriodicSampler, Sample, Series};
 pub use spans::{assemble_spans, InstanceSpan, SpanTailStore};
 pub use timeseries::TimeSeriesRecorder;
 pub use trace::{chrome_trace, flow_id, merge_chrome_traces, runtime_trace};
 pub use ttg_sync::{LOCK_FIELDS, OBS};
+
+/// The crate's one JSON object builder: `fields` in the order given.
+pub(crate) fn obj(fields: Vec<(&str, serde::Value)>) -> serde::Value {
+    let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    serde::Value::Object(fields.collect())
+}
+
+/// A JSON string value.
+pub(crate) fn s(v: &str) -> serde::Value {
+    serde::Value::String(v.to_string())
+}

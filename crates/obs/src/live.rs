@@ -16,6 +16,7 @@
 //! death. A run with `LiveConfig::disabled` pays nothing.
 
 use crate::flight::FlightSources;
+use crate::obj;
 use crate::{
     runtime_metrics, runtime_trace, ClusterAggregator, ClusterConfig, FlightRecorder,
     HealthVerdict, HttpRoutes, ObsHttpServer, PeriodicSampler, TimeSeriesRecorder,
@@ -440,20 +441,20 @@ impl LiveTelemetry {
 
 /// Renders a rank's verdict as the `/healthz` JSON body.
 fn health_json(h: &HealthReport) -> String {
-    let v = Value::Object(vec![
+    let v = obj(vec![
         (
-            "status".to_string(),
+            "status",
             Value::String(if h.healthy { "ok" } else { "unhealthy" }.to_string()),
         ),
-        ("rank".to_string(), Value::UInt(h.rank as u64)),
+        ("rank", Value::UInt(h.rank as u64)),
         (
-            "reason".to_string(),
+            "reason",
             h.reason.clone().map_or(Value::Null, Value::String),
         ),
-        ("peers_lost".to_string(), Value::UInt(h.peers_lost)),
-        ("degraded".to_string(), Value::Bool(h.degraded)),
+        ("peers_lost", Value::UInt(h.peers_lost)),
+        ("degraded", Value::Bool(h.degraded)),
         (
-            "recovering_peers".to_string(),
+            "recovering_peers",
             Value::Array(
                 h.recovering_peers
                     .iter()
@@ -462,7 +463,7 @@ fn health_json(h: &HealthReport) -> String {
             ),
         ),
         (
-            "quarantined_instances".to_string(),
+            "quarantined_instances",
             Value::UInt(h.quarantined_instances),
         ),
     ]);

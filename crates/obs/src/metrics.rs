@@ -1,13 +1,16 @@
 //! Metrics snapshot export: JSON and Prometheus text format, plus an
 //! optional periodic sampler thread.
 //!
-//! [`MetricsSnapshot`] is deliberately generic — labels, named
-//! counters, named histograms; [`runtime_metrics`] flattens one
+//! [`MetricsSnapshot`] is deliberately generic — identity labels and
+//! one list of named series, each a counter, a gauge or a histogram
+//! with optional extra labels; [`runtime_metrics`] flattens one
 //! runtime's `RuntimeStats`, histograms, load gauges and wire recorder
 //! into one. Snapshots from several ranks merge by counter addition and
 //! histogram merge.
 
+use crate::{obj, s};
 use serde::Value;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -18,343 +21,219 @@ use ttg_runtime::Runtime;
 /// A set of Prometheus-style labels: `(name, value)` pairs.
 pub type LabelSet = Vec<(String, String)>;
 
-/// One value offered to [`MetricsSnapshot::emit_if_set`].
-#[derive(Debug, Clone, Copy)]
-pub enum Sample<'a> {
+/// The value of one series.
+// A snapshot holds a few dozen series and is built off the task path:
+// boxing the histogram would add an allocation and save nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Sample {
     /// A monotonic counter.
     Counter(u64),
-    /// An instantaneous gauge.
+    /// An instantaneous gauge: describes "now", not "since start".
     Gauge(u64),
     /// A latency histogram (values in ns).
-    Histogram(&'a HistogramSnapshot),
+    Histogram(HistogramSnapshot),
 }
 
-/// One observation of a process's counters and histograms.
+/// Prometheus type of each [`Sample`] kind, in kind order.
+const KINDS: [&str; 3] = ["counter", "gauge", "histogram"];
+
+impl Sample {
+    /// Index into [`KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Sample::Counter(_) => 0,
+            Sample::Gauge(_) => 1,
+            Sample::Histogram(_) => 2,
+        }
+    }
+}
+
+/// One named series of a [`MetricsSnapshot`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Series {
+    /// Metric name, without the exposition prefix.
+    pub name: String,
+    /// Labels beyond the snapshot's identity set (e.g. `tenant`,
+    /// `worker`); empty for most series.
+    pub labels: LabelSet,
+    /// The value.
+    pub sample: Sample,
+    /// OpenMetrics exemplar of a histogram: its labels (e.g.
+    /// `instance_id`) and observed value in ns. Rendered on the `+Inf`
+    /// bucket line, never in JSON.
+    pub exemplar: Option<(LabelSet, u64)>,
+}
+
+impl Series {
+    /// The section both exports group by: plain counters, gauges,
+    /// histograms, then the labeled ones in the same kind order.
+    fn section(&self) -> usize {
+        self.sample.kind() + if self.labels.is_empty() { 0 } else { 3 }
+    }
+}
+
+/// The JSON sections in document order. `counters` and `histograms`
+/// are always written, the others only when they hold a series.
+const JSON_SECTIONS: [usize; 6] = [0, 2, 1, 4, 3, 5];
+
+/// JSON key of each section.
+const SECTION_KEYS: [&str; 6] = [
+    "counters",
+    "gauges",
+    "histograms",
+    "labeled_counters",
+    "labeled_gauges",
+    "labeled_histograms",
+];
+
+/// One observation of a process's counters, gauges and histograms.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Static identity labels (e.g. `rank`), attached to every
     /// Prometheus sample.
     pub labels: LabelSet,
-    /// Monotonic counters, name → value.
-    pub counters: Vec<(String, u64)>,
-    /// Instantaneous gauges (queue depths, running-task counts), name →
-    /// value. Unlike counters these describe "now", not "since start".
-    /// Absent gauges leave both exports byte-identical to the
-    /// pre-gauge format.
-    pub gauges: Vec<(String, u64)>,
-    /// Gauges carrying per-sample labels beyond the identity set (e.g.
-    /// per-worker queue depths): name, extra labels, value.
-    pub labeled_gauges: Vec<(String, LabelSet, u64)>,
-    /// Latency histograms, name → snapshot (values in ns).
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Counters carrying per-sample labels beyond the identity set
-    /// (e.g. per-tenant serving counters): name, extra labels, value.
-    pub labeled_counters: Vec<(String, LabelSet, u64)>,
-    /// Histograms carrying per-sample labels: name, extra labels,
-    /// snapshot (values in ns).
-    pub labeled_histograms: Vec<(String, LabelSet, HistogramSnapshot)>,
-    /// OpenMetrics exemplars for labeled histograms: metric name,
-    /// matching extra labels, exemplar labels (e.g. `instance_id`),
-    /// observed value in ns. Rendered on the matching histogram's
-    /// `+Inf` bucket line; absent exemplars leave the output
-    /// byte-identical.
-    pub labeled_exemplars: Vec<(String, LabelSet, LabelSet, u64)>,
+    /// Every series, grouped by section (plain counters, gauges,
+    /// histograms, then labeled ones in the same order) and in arrival
+    /// order within a section — the order of the text exposition.
+    /// [`MetricsSnapshot::push`] keeps it so.
+    pub series: Vec<Series>,
 }
 
 impl MetricsSnapshot {
     /// Creates an empty snapshot with identity labels.
-    pub fn with_labels(labels: Vec<(String, String)>) -> Self {
+    pub fn with_labels(labels: LabelSet) -> Self {
         MetricsSnapshot {
             labels,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            labeled_gauges: Vec::new(),
-            histograms: Vec::new(),
-            labeled_counters: Vec::new(),
-            labeled_histograms: Vec::new(),
-            labeled_exemplars: Vec::new(),
+            series: Vec::new(),
         }
     }
 
-    /// Appends a counter sample.
-    pub fn counter(&mut self, name: &str, value: u64) {
-        self.counters.push((name.to_string(), value));
+    /// Appends a series at the end of its section and returns it (to
+    /// attach an exemplar). Non-empty `labels` are merged into the
+    /// identity labels on export.
+    pub fn push(&mut self, name: &str, labels: LabelSet, sample: Sample) -> &mut Series {
+        let series = Series {
+            name: name.to_string(),
+            labels,
+            sample,
+            exemplar: None,
+        };
+        let section = series.section();
+        let at = self.series.partition_point(|s| s.section() <= section);
+        self.series.insert(at, series);
+        &mut self.series[at]
     }
 
-    /// Appends a gauge sample (instantaneous value).
-    pub fn gauge(&mut self, name: &str, value: u64) {
-        self.gauges.push((name.to_string(), value));
-    }
-
-    /// Appends a gauge sample with extra labels (e.g.
-    /// `("worker", "3")`) merged into the identity labels on export.
-    pub fn labeled_gauge(&mut self, name: &str, labels: Vec<(String, String)>, value: u64) {
-        self.labeled_gauges.push((name.to_string(), labels, value));
-    }
-
-    /// Appends a histogram sample.
-    pub fn histogram(&mut self, name: &str, snap: HistogramSnapshot) {
-        self.histograms.push((name.to_string(), snap));
-    }
-
-    /// Appends a counter sample with extra labels (e.g.
-    /// `("tenant", "acme")`) merged into the identity labels on export.
-    pub fn labeled_counter(&mut self, name: &str, labels: Vec<(String, String)>, value: u64) {
-        self.labeled_counters
-            .push((name.to_string(), labels, value));
-    }
-
-    /// Appends a histogram sample with extra labels.
-    pub fn labeled_histogram(
-        &mut self,
-        name: &str,
-        labels: Vec<(String, String)>,
-        snap: HistogramSnapshot,
-    ) {
-        self.labeled_histograms
-            .push((name.to_string(), labels, snap));
-    }
-
-    /// Attaches an OpenMetrics exemplar to the labeled histogram
-    /// matching `name`+`labels` (e.g. the instance id of the latest
-    /// SLO-breaching observation). `value_ns` is the exemplar's
-    /// observed latency.
-    pub fn labeled_exemplar(
-        &mut self,
-        name: &str,
-        labels: Vec<(String, String)>,
-        exemplar: Vec<(String, String)>,
-        value_ns: u64,
-    ) {
-        self.labeled_exemplars
-            .push((name.to_string(), labels, exemplar, value_ns));
-    }
-
-    /// The one emit-when-set rule: appends `sample` under `name` (a
-    /// labeled series when `labels` is non-empty) only if it carries
-    /// information — a non-zero counter or gauge, a non-empty
-    /// histogram. Everything optional (recovery counters, wire stages,
-    /// link series) goes through here, which is what keeps a snapshot
-    /// in which none of it happened — and every snapshot of a build
-    /// with `obs` off, whose recorders do not exist — byte-identical
-    /// to the format before the series was introduced.
+    /// The one emit-when-set rule: pushes `sample` under `name` only if
+    /// it carries information — a non-zero counter or gauge, a
+    /// non-empty histogram. Everything optional (recovery counters,
+    /// wire stages, link series) goes through here, which is what
+    /// keeps a snapshot in which none of it happened — and every
+    /// snapshot of a build with `obs` off, whose recorders do not
+    /// exist — byte-identical to the format before the series was
+    /// introduced.
     pub fn emit_if_set(&mut self, name: &str, labels: LabelSet, sample: Sample) {
-        match (sample, labels.is_empty()) {
-            (Sample::Counter(0) | Sample::Gauge(0), _) => {}
-            (Sample::Histogram(h), _) if h.count() == 0 => {}
-            (Sample::Counter(v), true) => self.counter(name, v),
-            (Sample::Counter(v), false) => self.labeled_counter(name, labels, v),
-            (Sample::Gauge(v), true) => self.gauge(name, v),
-            (Sample::Gauge(v), false) => self.labeled_gauge(name, labels, v),
-            (Sample::Histogram(h), true) => self.histogram(name, *h),
-            (Sample::Histogram(h), false) => self.labeled_histogram(name, labels, *h),
+        let set = match &sample {
+            Sample::Counter(v) | Sample::Gauge(v) => *v != 0,
+            Sample::Histogram(h) => h.count() != 0,
+        };
+        if set {
+            self.push(name, labels, sample);
         }
     }
 
-    /// Folds another snapshot in: counters with the same name add,
-    /// histograms with the same name merge, unknown names append.
-    /// Labels keep only the entries both sides agree on.
+    /// The first series named `name` with extra labels `labels`.
+    pub fn get(&self, name: &str, labels: &[(String, String)]) -> Option<&Sample> {
+        let found = self
+            .series
+            .iter()
+            .find(|s| s.name == name && s.labels == labels);
+        found.map(|s| &s.sample)
+    }
+
+    /// Folds another snapshot in: series of the same kind, name and
+    /// labels combine — counters and gauges add (the cluster view of
+    /// `queued_tasks` is the total queued across ranks), histograms
+    /// merge, an incoming exemplar replaces (latest observation wins)
+    /// — and unknown series append. Labels keep only the entries both
+    /// sides agree on.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         self.labels.retain(|l| other.labels.contains(l));
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += v,
-                None => self.counters.push((name.clone(), *v)),
-            }
-        }
-        // Gauges sum like counters under merge: the cluster view of
-        // `queued_tasks` is the total currently queued across ranks.
-        for (name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += v,
-                None => self.gauges.push((name.clone(), *v)),
-            }
-        }
-        for (name, ls, v) in &other.labeled_gauges {
-            match self
-                .labeled_gauges
-                .iter_mut()
-                .find(|(n, l, _)| n == name && l == ls)
-            {
-                Some((_, _, mine)) => *mine += v,
-                None => self.labeled_gauges.push((name.clone(), ls.clone(), *v)),
-            }
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => mine.merge(h),
-                None => self.histograms.push((name.clone(), *h)),
-            }
-        }
-        for (name, ls, v) in &other.labeled_counters {
-            match self
-                .labeled_counters
-                .iter_mut()
-                .find(|(n, l, _)| n == name && l == ls)
-            {
-                Some((_, _, mine)) => *mine += v,
-                None => self.labeled_counters.push((name.clone(), ls.clone(), *v)),
-            }
-        }
-        for (name, ls, h) in &other.labeled_histograms {
-            match self
-                .labeled_histograms
-                .iter_mut()
-                .find(|(n, l, _)| n == name && l == ls)
-            {
-                Some((_, _, mine)) => mine.merge(h),
-                None => self.labeled_histograms.push((name.clone(), ls.clone(), *h)),
-            }
-        }
-        for (name, ls, ex, v) in &other.labeled_exemplars {
-            // Exemplars don't add: the incoming one replaces (latest
-            // observation wins).
-            match self
-                .labeled_exemplars
-                .iter_mut()
-                .find(|(n, l, _, _)| n == name && l == ls)
-            {
-                Some(slot) => {
-                    slot.2 = ex.clone();
-                    slot.3 = *v;
+        for theirs in &other.series {
+            let same = |s: &&mut Series| {
+                s.section() == theirs.section()
+                    && s.name == theirs.name
+                    && s.labels == theirs.labels
+            };
+            let Some(mine) = self.series.iter_mut().find(same) else {
+                self.push(&theirs.name, theirs.labels.clone(), theirs.sample)
+                    .exemplar = theirs.exemplar.clone();
+                continue;
+            };
+            match (&mut mine.sample, &theirs.sample) {
+                (Sample::Histogram(a), Sample::Histogram(b)) => a.merge(b),
+                (Sample::Counter(a) | Sample::Gauge(a), Sample::Counter(b) | Sample::Gauge(b)) => {
+                    *a += b
                 }
-                None => self
-                    .labeled_exemplars
-                    .push((name.clone(), ls.clone(), ex.clone(), *v)),
+                _ => unreachable!("same section, same kind"),
+            }
+            if theirs.exemplar.is_some() {
+                mine.exemplar = theirs.exemplar.clone();
             }
         }
     }
 
-    /// Renders as a JSON value tree: labels and counters as objects,
-    /// histograms with count/sum/max/mean and percentile summaries.
+    /// Renders as a JSON value tree: labels and plain series as objects
+    /// keyed by name, labeled series as arrays of objects carrying
+    /// `name` and `labels`, histograms with count/sum/max/mean,
+    /// percentile summaries and sparse buckets.
     pub fn to_value(&self) -> Value {
-        let labels = Value::Object(
-            self.labels
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::String(v.clone())))
-                .collect(),
-        );
-        let counters = Value::Object(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                .collect(),
-        );
-        let histograms = Value::Object(
-            self.histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Value::Object(vec![
-                            ("count".to_string(), Value::UInt(h.count())),
-                            ("sum_ns".to_string(), Value::UInt(h.sum)),
-                            ("max_ns".to_string(), Value::UInt(h.max)),
-                            ("mean_ns".to_string(), Value::Float(h.mean())),
-                            ("p50_ns".to_string(), Value::UInt(h.p50())),
-                            ("p95_ns".to_string(), Value::UInt(h.p95())),
-                            ("p99_ns".to_string(), Value::UInt(h.p99())),
-                            ("buckets".to_string(), sparse_buckets(h)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let mut fields = vec![
-            ("labels".to_string(), labels),
-            ("counters".to_string(), counters),
-            ("histograms".to_string(), histograms),
-        ];
-        if !self.gauges.is_empty() {
-            fields.push((
-                "gauges".to_string(),
-                Value::Object(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                        .collect(),
-                ),
-            ));
+        let mut sections: [Vec<(String, Value)>; 6] = Default::default();
+        for series in &self.series {
+            let plain = series.labels.is_empty();
+            let mut fields = Vec::new();
+            if !plain {
+                fields.push(("name", s(&series.name)));
+                fields.push(("labels", label_object(&series.labels)));
+            }
+            let value = match &series.sample {
+                Sample::Counter(v) | Sample::Gauge(v) if plain => Value::UInt(*v),
+                Sample::Counter(v) | Sample::Gauge(v) => {
+                    fields.push(("value", Value::UInt(*v)));
+                    obj(fields)
+                }
+                Sample::Histogram(h) => {
+                    fields.extend([
+                        ("count", Value::UInt(h.count())),
+                        ("sum_ns", Value::UInt(h.sum)),
+                        ("max_ns", Value::UInt(h.max)),
+                        ("mean_ns", Value::Float(h.mean())),
+                        ("p50_ns", Value::UInt(h.p50())),
+                    ]);
+                    // Only plain histograms have ever carried p95.
+                    fields.extend(plain.then(|| ("p95_ns", Value::UInt(h.p95()))));
+                    fields.push(("p99_ns", Value::UInt(h.p99())));
+                    fields.push(("buckets", sparse_buckets(h)));
+                    obj(fields)
+                }
+            };
+            sections[series.section()].push((series.name.clone(), value));
         }
-        if !self.labeled_gauges.is_empty() {
-            fields.push((
-                "labeled_gauges".to_string(),
-                Value::Array(
-                    self.labeled_gauges
-                        .iter()
-                        .map(|(k, ls, v)| {
-                            Value::Object(vec![
-                                ("name".to_string(), Value::String(k.clone())),
-                                (
-                                    "labels".to_string(),
-                                    Value::Object(
-                                        ls.iter()
-                                            .map(|(lk, lv)| (lk.clone(), Value::String(lv.clone())))
-                                            .collect(),
-                                    ),
-                                ),
-                                ("value".to_string(), Value::UInt(*v)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
+        let mut fields = vec![("labels", label_object(&self.labels))];
+        for (i, section) in JSON_SECTIONS.into_iter().enumerate() {
+            let entries = std::mem::take(&mut sections[section]);
+            if i >= 2 && entries.is_empty() {
+                continue;
+            }
+            let value = if section < 3 {
+                Value::Object(entries)
+            } else {
+                Value::Array(entries.into_iter().map(|(_, v)| v).collect())
+            };
+            fields.push((SECTION_KEYS[section], value));
         }
-        if !self.labeled_counters.is_empty() {
-            fields.push((
-                "labeled_counters".to_string(),
-                Value::Array(
-                    self.labeled_counters
-                        .iter()
-                        .map(|(k, ls, v)| {
-                            Value::Object(vec![
-                                ("name".to_string(), Value::String(k.clone())),
-                                (
-                                    "labels".to_string(),
-                                    Value::Object(
-                                        ls.iter()
-                                            .map(|(lk, lv)| (lk.clone(), Value::String(lv.clone())))
-                                            .collect(),
-                                    ),
-                                ),
-                                ("value".to_string(), Value::UInt(*v)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        if !self.labeled_histograms.is_empty() {
-            fields.push((
-                "labeled_histograms".to_string(),
-                Value::Array(
-                    self.labeled_histograms
-                        .iter()
-                        .map(|(k, ls, h)| {
-                            Value::Object(vec![
-                                ("name".to_string(), Value::String(k.clone())),
-                                (
-                                    "labels".to_string(),
-                                    Value::Object(
-                                        ls.iter()
-                                            .map(|(lk, lv)| (lk.clone(), Value::String(lv.clone())))
-                                            .collect(),
-                                    ),
-                                ),
-                                ("count".to_string(), Value::UInt(h.count())),
-                                ("sum_ns".to_string(), Value::UInt(h.sum)),
-                                ("max_ns".to_string(), Value::UInt(h.max)),
-                                ("mean_ns".to_string(), Value::Float(h.mean())),
-                                ("p50_ns".to_string(), Value::UInt(h.p50())),
-                                ("p99_ns".to_string(), Value::UInt(h.p99())),
-                                ("buckets".to_string(), sparse_buckets(h)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        Value::Object(fields)
+        obj(fields)
     }
 
     /// Renders as pretty JSON.
@@ -371,265 +250,141 @@ impl MetricsSnapshot {
     /// tree is not a metrics snapshot at all; unknown fields are
     /// ignored, missing optional sections parse as empty.
     pub fn from_value(v: &Value) -> Option<MetricsSnapshot> {
-        let parse_labels = |v: &Value| -> LabelSet {
-            v.as_object()
-                .map(|fields| {
-                    fields
-                        .iter()
-                        .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
-                        .collect()
-                })
-                .unwrap_or_default()
+        let parse_labels = |v: Option<&Value>| -> LabelSet {
+            let fields = v.and_then(Value::as_object).into_iter().flatten();
+            fields
+                .filter_map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+                .collect()
         };
-        let parse_u64_map = |v: Option<&Value>| -> Vec<(String, u64)> {
-            v.and_then(Value::as_object)
-                .map(|fields| {
-                    fields
-                        .iter()
-                        .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let parse_hist = |v: &Value| -> HistogramSnapshot {
-            let mut h = HistogramSnapshot::empty();
-            h.sum = v.get("sum_ns").and_then(Value::as_u64).unwrap_or(0);
-            h.max = v.get("max_ns").and_then(Value::as_u64).unwrap_or(0);
-            if let Some(pairs) = v.get("buckets").and_then(Value::as_array) {
-                for pair in pairs {
-                    if let Some(p) = pair.as_array() {
-                        if let (Some(i), Some(c)) = (
-                            p.first().and_then(Value::as_u64),
-                            p.get(1).and_then(Value::as_u64),
-                        ) {
-                            if (i as usize) < HIST_BUCKETS {
-                                h.buckets[i as usize] = c;
-                            }
-                        }
-                    }
+        v.as_object()?;
+        let mut m = MetricsSnapshot::with_labels(parse_labels(v.get("labels")));
+        for section in JSON_SECTIONS {
+            let labeled = section >= 3;
+            // (name, the value or the object holding it)
+            let entries: Vec<(&str, &Value)> = match (labeled, v.get(SECTION_KEYS[section])) {
+                (false, Some(Value::Object(fields))) => {
+                    fields.iter().map(|(k, v)| (k.as_str(), v)).collect()
                 }
-            }
-            h
-        };
-        let obj = v.as_object()?;
-        let mut m = MetricsSnapshot::with_labels(
-            obj.iter()
-                .find(|(k, _)| k == "labels")
-                .map(|(_, v)| parse_labels(v))
-                .unwrap_or_default(),
-        );
-        m.counters = parse_u64_map(v.get("counters"));
-        m.gauges = parse_u64_map(v.get("gauges"));
-        if let Some(fields) = v.get("histograms").and_then(Value::as_object) {
-            for (name, hv) in fields {
-                m.histograms.push((name.clone(), parse_hist(hv)));
-            }
-        }
-        if let Some(items) = v.get("labeled_counters").and_then(Value::as_array) {
-            for item in items {
-                if let (Some(name), Some(value)) = (
-                    item.get("name").and_then(Value::as_str),
-                    item.get("value").and_then(Value::as_u64),
-                ) {
-                    let ls = item.get("labels").map(parse_labels).unwrap_or_default();
-                    m.labeled_counters.push((name.to_string(), ls, value));
-                }
-            }
-        }
-        if let Some(items) = v.get("labeled_gauges").and_then(Value::as_array) {
-            for item in items {
-                if let (Some(name), Some(value)) = (
-                    item.get("name").and_then(Value::as_str),
-                    item.get("value").and_then(Value::as_u64),
-                ) {
-                    let ls = item.get("labels").map(parse_labels).unwrap_or_default();
-                    m.labeled_gauges.push((name.to_string(), ls, value));
-                }
-            }
-        }
-        if let Some(items) = v.get("labeled_histograms").and_then(Value::as_array) {
-            for item in items {
-                if let Some(name) = item.get("name").and_then(Value::as_str) {
-                    let ls = item.get("labels").map(parse_labels).unwrap_or_default();
-                    m.labeled_histograms
-                        .push((name.to_string(), ls, parse_hist(item)));
-                }
+                (true, Some(Value::Array(items))) => items
+                    .iter()
+                    .filter_map(|item| Some((item.get("name")?.as_str()?, item)))
+                    .collect(),
+                _ => continue,
+            };
+            for (name, entry) in entries {
+                let scalar = if labeled {
+                    entry.get("value")
+                } else {
+                    Some(entry)
+                };
+                let sample = match (section % 3, scalar.and_then(Value::as_u64)) {
+                    (0, Some(v)) => Sample::Counter(v),
+                    (1, Some(v)) => Sample::Gauge(v),
+                    (2, _) => Sample::Histogram(parse_histogram(entry)),
+                    _ => continue,
+                };
+                let labels = if labeled {
+                    parse_labels(entry.get("labels"))
+                } else {
+                    Vec::new()
+                };
+                m.push(name, labels, sample);
             }
         }
         Some(m)
     }
 
-    /// Renders in Prometheus text exposition format. Counters become
-    /// `<prefix>_<name>`; histograms become the conventional
-    /// `_bucket{le=...}` / `_sum` / `_count` triple with cumulative
-    /// power-of-two buckets (empty trailing buckets are elided, `+Inf`
-    /// always present). Histogram values are exported in seconds per
-    /// Prometheus convention. Metrics with a known description also get
-    /// a `# HELP` line (see [`help_text`]).
+    /// Renders in Prometheus text exposition format. Counters and
+    /// gauges become `<prefix>_<name>`; histograms become the
+    /// conventional `_bucket{le=...}` / `_sum` / `_count` triple with
+    /// cumulative power-of-two buckets (empty trailing buckets are
+    /// elided, `+Inf` always present). Histogram values are exported in
+    /// seconds per Prometheus convention. Metrics with a known
+    /// description also get a `# HELP` line (see `help_text`). A
+    /// labeled series' TYPE is written once per name; a plain series
+    /// carries its own.
     pub fn to_prometheus(&self, prefix: &str) -> String {
         let mut out = String::new();
-        let base_labels = |extra: Option<(&str, String)>| -> String {
-            let mut parts: Vec<String> = self
-                .labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{v}\""))
-                .collect();
-            if let Some((k, v)) = extra {
-                parts.push(format!("{k}=\"{v}\""));
+        let mut typed: Vec<(usize, &str)> = Vec::new();
+        for series in &self.series {
+            let (name, kind) = (series.name.as_str(), series.sample.kind());
+            let unit = if kind == 2 { "_seconds" } else { "" };
+            let metric = format!("{prefix}_{name}{unit}");
+            if series.labels.is_empty() || !typed.contains(&(series.section(), name)) {
+                typed.push((series.section(), name));
+                if let Some(help) = help_text(name) {
+                    let _ = writeln!(out, "# HELP {metric} {help}");
+                }
+                let _ = writeln!(out, "# TYPE {metric} {}", KINDS[kind]);
             }
-            if parts.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", parts.join(","))
-            }
-        };
-
-        for (name, v) in &self.counters {
-            if let Some(help) = help_text(name) {
-                out.push_str(&format!("# HELP {prefix}_{name} {help}\n"));
-            }
-            out.push_str(&format!("# TYPE {prefix}_{name} counter\n"));
-            out.push_str(&format!("{prefix}_{name}{} {v}\n", base_labels(None)));
-        }
-        for (name, v) in &self.gauges {
-            if let Some(help) = help_text(name) {
-                out.push_str(&format!("# HELP {prefix}_{name} {help}\n"));
-            }
-            out.push_str(&format!("# TYPE {prefix}_{name} gauge\n"));
-            out.push_str(&format!("{prefix}_{name}{} {v}\n", base_labels(None)));
-        }
-        for (name, h) in &self.histograms {
-            let metric = format!("{prefix}_{name}_seconds");
-            if let Some(help) = help_text(name) {
-                out.push_str(&format!("# HELP {metric} {help}\n"));
-            }
-            out.push_str(&format!("# TYPE {metric} histogram\n"));
-            let last_used = (0..HIST_BUCKETS)
-                .rev()
-                .find(|&i| h.buckets[i] != 0)
-                .unwrap_or(0);
+            let labels = |le: Option<&str>| {
+                let all = self.labels.iter().chain(&series.labels);
+                let all = all.map(|(k, v)| (k.as_str(), v.as_str()));
+                let list = label_list(all.chain(le.map(|v| ("le", v))));
+                if list.is_empty() {
+                    list
+                } else {
+                    format!("{{{list}}}")
+                }
+            };
+            let h = match &series.sample {
+                Sample::Counter(v) | Sample::Gauge(v) => {
+                    let _ = writeln!(out, "{metric}{} {v}", labels(None));
+                    continue;
+                }
+                Sample::Histogram(h) => h,
+            };
+            let last_used = (0..HIST_BUCKETS).rev().find(|&i| h.buckets[i] != 0);
             let mut cumulative = 0u64;
-            for i in 0..=last_used {
+            for i in 0..=last_used.unwrap_or(0) {
                 cumulative += h.buckets[i];
-                let le = bucket_upper_bound(i) as f64 / 1e9;
-                out.push_str(&format!(
-                    "{metric}_bucket{} {cumulative}\n",
-                    base_labels(Some(("le", format!("{le:e}"))))
-                ));
+                let le = format!("{:e}", bucket_upper_bound(i) as f64 / 1e9);
+                let _ = writeln!(out, "{metric}_bucket{} {cumulative}", labels(Some(&le)));
             }
-            out.push_str(&format!(
-                "{metric}_bucket{} {}\n",
-                base_labels(Some(("le", "+Inf".to_string()))),
-                h.count()
-            ));
-            out.push_str(&format!(
-                "{metric}_sum{} {}\n",
-                base_labels(None),
-                h.sum as f64 / 1e9
-            ));
-            out.push_str(&format!(
-                "{metric}_count{} {}\n",
-                base_labels(None),
-                h.count()
-            ));
-        }
-        // Labeled samples: extra labels merge into the identity set.
-        // HELP/TYPE emitted once per metric name (samples for a name
-        // are expected to arrive grouped, but track names to be safe).
-        let extra_labels = |extras: &[(String, String)], le: Option<String>| -> String {
-            let mut parts: Vec<String> = self
-                .labels
-                .iter()
-                .chain(extras.iter())
-                .map(|(k, v)| format!("{k}=\"{v}\""))
-                .collect();
-            if let Some(v) = le {
-                parts.push(format!("le=\"{v}\""));
+            let _ = write!(out, "{metric}_bucket{} {}", labels(Some("+Inf")), h.count());
+            if let Some((exemplar, value_ns)) = &series.exemplar {
+                let exemplar = exemplar.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                let _ = write!(
+                    out,
+                    " # {{{}}} {}",
+                    label_list(exemplar),
+                    *value_ns as f64 / 1e9
+                );
             }
-            if parts.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", parts.join(","))
-            }
-        };
-        let mut typed: Vec<&str> = Vec::new();
-        for (name, ls, v) in &self.labeled_counters {
-            if !typed.contains(&name.as_str()) {
-                typed.push(name);
-                if let Some(help) = help_text(name) {
-                    out.push_str(&format!("# HELP {prefix}_{name} {help}\n"));
-                }
-                out.push_str(&format!("# TYPE {prefix}_{name} counter\n"));
-            }
-            out.push_str(&format!("{prefix}_{name}{} {v}\n", extra_labels(ls, None)));
-        }
-        let mut typed: Vec<&str> = Vec::new();
-        for (name, ls, v) in &self.labeled_gauges {
-            if !typed.contains(&name.as_str()) {
-                typed.push(name);
-                if let Some(help) = help_text(name) {
-                    out.push_str(&format!("# HELP {prefix}_{name} {help}\n"));
-                }
-                out.push_str(&format!("# TYPE {prefix}_{name} gauge\n"));
-            }
-            out.push_str(&format!("{prefix}_{name}{} {v}\n", extra_labels(ls, None)));
-        }
-        let mut typed: Vec<&str> = Vec::new();
-        for (name, ls, h) in &self.labeled_histograms {
-            let metric = format!("{prefix}_{name}_seconds");
-            if !typed.contains(&name.as_str()) {
-                typed.push(name);
-                if let Some(help) = help_text(name) {
-                    out.push_str(&format!("# HELP {metric} {help}\n"));
-                }
-                out.push_str(&format!("# TYPE {metric} histogram\n"));
-            }
-            let last_used = (0..HIST_BUCKETS)
-                .rev()
-                .find(|&i| h.buckets[i] != 0)
-                .unwrap_or(0);
-            let mut cumulative = 0u64;
-            for i in 0..=last_used {
-                cumulative += h.buckets[i];
-                let le = bucket_upper_bound(i) as f64 / 1e9;
-                out.push_str(&format!(
-                    "{metric}_bucket{} {cumulative}\n",
-                    extra_labels(ls, Some(format!("{le:e}")))
-                ));
-            }
-            // OpenMetrics exemplar (latest observation for this series)
-            // rides on the +Inf bucket line.
-            let exemplar = self
-                .labeled_exemplars
-                .iter()
-                .find(|(n, l, _, _)| n == name && l == ls)
-                .map(|(_, _, ex, v)| {
-                    let ex_labels = ex
-                        .iter()
-                        .map(|(k, val)| format!("{k}=\"{val}\""))
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    format!(" # {{{ex_labels}}} {}", *v as f64 / 1e9)
-                })
-                .unwrap_or_default();
-            out.push_str(&format!(
-                "{metric}_bucket{} {}{exemplar}\n",
-                extra_labels(ls, Some("+Inf".to_string())),
-                h.count()
-            ));
-            out.push_str(&format!(
-                "{metric}_sum{} {}\n",
-                extra_labels(ls, None),
-                h.sum as f64 / 1e9
-            ));
-            out.push_str(&format!(
-                "{metric}_count{} {}\n",
-                extra_labels(ls, None),
-                h.count()
-            ));
+            let _ = writeln!(out);
+            let _ = writeln!(out, "{metric}_sum{} {}", labels(None), h.sum as f64 / 1e9);
+            let _ = writeln!(out, "{metric}_count{} {}", labels(None), h.count());
         }
         out
     }
+}
+
+/// `k="v",...` over `pairs`, each value escaped as the text exposition
+/// format requires (`\`, `"` and newline) — the one label formatter of
+/// sample lines and exemplars alike.
+fn label_list<'a>(pairs: impl Iterator<Item = (&'a str, &'a str)>) -> String {
+    let mut out = String::new();
+    for (k, v) in pairs {
+        if !out.is_empty() {
+            out.push(',');
+        }
+        let _ = write!(out, "{k}=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    out
+}
+
+/// A label set as a JSON object.
+fn label_object(labels: &LabelSet) -> Value {
+    Value::Object(labels.iter().map(|(k, v)| (k.clone(), s(v))).collect())
 }
 
 /// Flattens `rt`'s [`Runtime::stats`] plus the latency histograms into
@@ -637,70 +392,99 @@ impl MetricsSnapshot {
 /// ([`MetricsSnapshot::to_json`]) or Prometheus text
 /// ([`MetricsSnapshot::to_prometheus`]) and mergeable across ranks.
 pub fn runtime_metrics(rt: &Runtime) -> MetricsSnapshot {
-    let s = rt.stats();
+    let stats = rt.stats();
     let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), rt.rank().to_string())]);
-    m.counter("tasks_executed", s.tasks_executed);
-    m.counter("parks", s.parks);
-    m.counter("wave_contributions", s.wave_contributions);
-    m.counter("injections_drained", s.injections_drained);
-    m.counter("inlined", s.inlined);
-    m.counter("messages_sent", s.messages_sent);
-    m.counter("messages_received", s.messages_received);
-    m.counter("bytes_sent", s.bytes_sent);
-    m.counter("bytes_received", s.bytes_received);
-    m.counter("frames_corrupt", s.frames_corrupt);
-    m.counter("heartbeats_sent", s.heartbeats_sent);
-    m.counter("peers_lost", s.peers_lost);
-    m.counter("reconnects", s.reconnects);
+    let counters = |m: &mut MetricsSnapshot, values: &[(&str, u64)]| {
+        for &(name, v) in values {
+            m.push(name, Vec::new(), Sample::Counter(v));
+        }
+    };
+    counters(
+        &mut m,
+        &[
+            ("tasks_executed", stats.tasks_executed),
+            ("parks", stats.parks),
+            ("wave_contributions", stats.wave_contributions),
+            ("injections_drained", stats.injections_drained),
+            ("inlined", stats.inlined),
+            ("messages_sent", stats.messages_sent),
+            ("messages_received", stats.messages_received),
+            ("bytes_sent", stats.bytes_sent),
+            ("bytes_received", stats.bytes_received),
+            ("frames_corrupt", stats.frames_corrupt),
+            ("heartbeats_sent", stats.heartbeats_sent),
+            ("peers_lost", stats.peers_lost),
+            ("reconnects", stats.reconnects),
+        ],
+    );
     // Recovery counters appear only once recovery machinery has
     // actually fired, keeping fault-free snapshots byte-identical
     // with pre-recovery versions (golden-file stability).
     for (name, v) in [
-        ("rejoins", s.rejoins),
-        ("frames_replayed", s.frames_replayed),
-        ("frames_deduped", s.frames_deduped),
-        ("resend_buffer_bytes", s.resend_buffer_bytes),
-        ("instances_quarantined", s.instances_quarantined),
-        ("instances_retried", s.instances_retried),
+        ("rejoins", stats.rejoins),
+        ("frames_replayed", stats.frames_replayed),
+        ("frames_deduped", stats.frames_deduped),
+        ("resend_buffer_bytes", stats.resend_buffer_bytes),
+        ("instances_quarantined", stats.instances_quarantined),
+        ("instances_retried", stats.instances_retried),
     ] {
         m.emit_if_set(name, Vec::new(), Sample::Counter(v));
     }
-    m.counter("queue_local_pops", s.queue.local_pops as u64);
-    m.counter("queue_steals", s.queue.steals as u64);
-    m.counter("queue_overflow", s.queue.overflow as u64);
-    m.counter("queue_slow_pushes", s.queue.slow_pushes as u64);
-    m.counter("queue_steal_attempts", s.queue.steal_attempts as u64);
-    m.counter("queue_steal_empty", s.queue.steal_empty as u64);
-    m.counter("queue_overflow_pops", s.queue.overflow_pops as u64);
-    m.counter("queue_detach_merges", s.queue.detach_merges as u64);
-    for (f, v) in ttg_sync::LOCK_FIELDS.iter().zip(s.contention.0 .0) {
-        m.counter(f.metric, v);
+    let q = &stats.queue;
+    counters(
+        &mut m,
+        &[
+            ("queue_local_pops", q.local_pops as u64),
+            ("queue_steals", q.steals as u64),
+            ("queue_overflow", q.overflow as u64),
+            ("queue_slow_pushes", q.slow_pushes as u64),
+            ("queue_steal_attempts", q.steal_attempts as u64),
+            ("queue_steal_empty", q.steal_empty as u64),
+            ("queue_overflow_pops", q.overflow_pops as u64),
+            ("queue_detach_merges", q.detach_merges as u64),
+        ],
+    );
+    for (f, v) in ttg_sync::LOCK_FIELDS.iter().zip(stats.contention.0 .0) {
+        m.push(f.metric, Vec::new(), Sample::Counter(v));
     }
-    m.counter("trace_events_dropped", s.trace_events_dropped);
+    m.push(
+        "trace_events_dropped",
+        Vec::new(),
+        Sample::Counter(stats.trace_events_dropped),
+    );
     if let Some(obs) = rt.recorder() {
         if obs.histograms_enabled() {
             let task_duration = obs.task_duration();
             // Gauge basis for cluster-level utilization: busy-ns per
             // sample window divided by workers × wall-ns.
-            m.counter("worker_busy_ns", task_duration.sum);
-            m.histogram("task_duration", task_duration);
-            m.histogram("ready_delay", obs.ready_delay());
-            m.histogram("message_latency", obs.message_latency());
+            m.push(
+                "worker_busy_ns",
+                Vec::new(),
+                Sample::Counter(task_duration.sum),
+            );
+            for (name, h) in [
+                ("task_duration", task_duration),
+                ("ready_delay", obs.ready_delay()),
+                ("message_latency", obs.message_latency()),
+            ] {
+                m.push(name, Vec::new(), Sample::Histogram(h));
+            }
         }
         // Scheduler-load gauges ride along only when observability
         // is on, keeping bare-runtime snapshots byte-identical with
         // pre-gauge versions (same contract as the histograms).
         let load = rt.load();
-        m.gauge("workers", rt.threads() as u64);
-        m.gauge("queued_tasks", load.queued as u64);
-        m.gauge("running_tasks", load.running as u64);
-        m.gauge("overflow_fifo_depth", load.overflow_depth as u64);
+        for (name, v) in [
+            ("workers", rt.threads()),
+            ("queued_tasks", load.queued),
+            ("running_tasks", load.running),
+            ("overflow_fifo_depth", load.overflow_depth),
+        ] {
+            m.push(name, Vec::new(), Sample::Gauge(v as u64));
+        }
         for (w, depth) in load.worker_depths.iter().enumerate() {
-            m.labeled_gauge(
-                "worker_queue_depth",
-                vec![("worker".to_string(), w.to_string())],
-                *depth as u64,
-            );
+            let worker = vec![("worker".to_string(), w.to_string())];
+            m.push("worker_queue_depth", worker, Sample::Gauge(*depth as u64));
         }
     }
     // Wire-path stage histograms and per-link series; everything in
@@ -716,14 +500,31 @@ pub fn runtime_metrics(rt: &Runtime) -> MetricsSnapshot {
 /// [`MetricsSnapshot::from_value`] reads back. Sparse because a typical
 /// latency histogram occupies well under a dozen of its 64 buckets.
 fn sparse_buckets(h: &HistogramSnapshot) -> Value {
-    Value::Array(
-        h.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c != 0)
-            .map(|(i, c)| Value::Array(vec![Value::UInt(i as u64), Value::UInt(*c)]))
-            .collect(),
-    )
+    let used = h.buckets.iter().enumerate().filter(|(_, c)| **c != 0);
+    let pair = |(i, c): (usize, &u64)| Value::Array(vec![Value::UInt(i as u64), Value::UInt(*c)]);
+    Value::Array(used.map(pair).collect())
+}
+
+/// Reads a histogram back from its JSON object: `sum_ns`, `max_ns` and
+/// the sparse `buckets`; the summaries are recomputed, not trusted.
+fn parse_histogram(v: &Value) -> HistogramSnapshot {
+    let mut h = HistogramSnapshot::empty();
+    h.sum = v.get("sum_ns").and_then(Value::as_u64).unwrap_or(0);
+    h.max = v.get("max_ns").and_then(Value::as_u64).unwrap_or(0);
+    for pair in v
+        .get("buckets")
+        .and_then(Value::as_array)
+        .into_iter()
+        .flatten()
+    {
+        let at = |i: usize| pair.as_array()?.get(i)?.as_u64();
+        if let (Some(i), Some(c)) = (at(0), at(1)) {
+            if (i as usize) < HIST_BUCKETS {
+                h.buckets[i as usize] = c;
+            }
+        }
+    }
+    h
 }
 
 /// Descriptions for the `# HELP` lines of every metric the runtime
@@ -892,8 +693,8 @@ mod tests {
         h.record(100);
         h.record(2_000);
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);
-        m.counter("tasks_executed", 42);
-        m.histogram("task_duration", h.snapshot());
+        m.push("tasks_executed", vec![], Sample::Counter(42));
+        m.push("task_duration", vec![], Sample::Histogram(h.snapshot()));
         m
     }
 
@@ -953,8 +754,11 @@ mod tests {
         let mut a = sample();
         let b = sample();
         a.merge(&b);
-        assert_eq!(a.counters[0].1, 84);
-        assert_eq!(a.histograms[0].1.count(), 4);
+        assert_eq!(a.get("tasks_executed", &[]), Some(&Sample::Counter(84)));
+        let Some(Sample::Histogram(h)) = a.get("task_duration", &[]) else {
+            panic!("task_duration is a histogram");
+        };
+        assert_eq!(h.count(), 4);
     }
 
     #[test]
@@ -964,11 +768,11 @@ mod tests {
         // spelling. Counters only — histogram buckets depend on
         // recorded values and are shape-checked elsewhere.
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "1".to_string())]);
-        m.counter("frames_corrupt", 3);
-        m.counter("peers_lost", 1);
-        m.counter("reconnects", 2);
-        m.counter("lock_spin_acquisitions", 40);
-        m.counter("bravo_revocations", 5);
+        m.push("frames_corrupt", vec![], Sample::Counter(3));
+        m.push("peers_lost", vec![], Sample::Counter(1));
+        m.push("reconnects", vec![], Sample::Counter(2));
+        m.push("lock_spin_acquisitions", vec![], Sample::Counter(40));
+        m.push("bravo_revocations", vec![], Sample::Counter(5));
         let expected = "\
 # HELP ttg_frames_corrupt Frames dropped by the transport for CRC or header validation failure.\n\
 # TYPE ttg_frames_corrupt counter\n\
@@ -991,7 +795,7 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
     #[test]
     fn prometheus_help_lines_for_histograms_and_unknown_counters() {
         let mut m = sample();
-        m.counter("my_app_widgets", 9);
+        m.push("my_app_widgets", vec![], Sample::Counter(9));
         let text = m.to_prometheus("ttg");
         // Known histogram gets HELP on the _seconds metric name.
         assert!(text.contains("# HELP ttg_task_duration_seconds Task body execution time.\n"));
@@ -1018,12 +822,16 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
     fn labeled_counters_render_merge_and_roundtrip() {
         let tenant = |t: &str| vec![("tenant".to_string(), t.to_string())];
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);
-        m.labeled_counter("serve_submitted", tenant("acme"), 7);
-        m.labeled_counter("serve_submitted", tenant("globex"), 2);
-        m.labeled_counter("serve_rejected", tenant("acme"), 1);
+        m.push("serve_submitted", tenant("acme"), Sample::Counter(7));
+        m.push("serve_submitted", tenant("globex"), Sample::Counter(2));
+        m.push("serve_rejected", tenant("acme"), Sample::Counter(1));
         let h = LatencyHistogram::new();
         h.record(1_000);
-        m.labeled_histogram("serve_latency", tenant("acme"), h.snapshot());
+        m.push(
+            "serve_latency",
+            tenant("acme"),
+            Sample::Histogram(h.snapshot()),
+        );
 
         let text = m.to_prometheus("ttg");
         // Identity + extra labels merge; TYPE emitted once per name.
@@ -1039,11 +847,12 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
 
         // Merge matches on name AND labels.
         let mut other = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);
-        other.labeled_counter("serve_submitted", tenant("acme"), 3);
-        other.labeled_counter("serve_submitted", tenant("initech"), 1);
+        other.push("serve_submitted", tenant("acme"), Sample::Counter(3));
+        other.push("serve_submitted", tenant("initech"), Sample::Counter(1));
         m.merge(&other);
-        assert_eq!(m.labeled_counters[0].2, 10);
-        assert_eq!(m.labeled_counters.len(), 4);
+        let submitted = m.get("serve_submitted", &tenant("acme"));
+        assert_eq!(submitted, Some(&Sample::Counter(10)));
+        assert_eq!(m.series.iter().filter(|s| s.section() == 3).count(), 4);
 
         // JSON view exposes the labeled samples.
         let v: Value = serde_json::from_str(&m.to_json()).unwrap();
@@ -1076,10 +885,10 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
     fn gauges_render_merge_and_roundtrip() {
         let worker = |w: usize| vec![("worker".to_string(), w.to_string())];
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);
-        m.gauge("queued_tasks", 12);
-        m.gauge("running_tasks", 3);
-        m.labeled_gauge("worker_queue_depth", worker(0), 7);
-        m.labeled_gauge("worker_queue_depth", worker(1), 5);
+        m.push("queued_tasks", vec![], Sample::Gauge(12));
+        m.push("running_tasks", vec![], Sample::Gauge(3));
+        m.push("worker_queue_depth", worker(0), Sample::Gauge(7));
+        m.push("worker_queue_depth", worker(1), Sample::Gauge(5));
 
         let text = m.to_prometheus("ttg");
         assert!(text.contains("# TYPE ttg_queued_tasks gauge"));
@@ -1092,11 +901,12 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
 
         // Gauges sum under merge: the cluster total of "queued now".
         let mut other = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);
-        other.gauge("queued_tasks", 8);
-        other.labeled_gauge("worker_queue_depth", worker(0), 2);
+        other.push("queued_tasks", vec![], Sample::Gauge(8));
+        other.push("worker_queue_depth", worker(0), Sample::Gauge(2));
         m.merge(&other);
-        assert_eq!(m.gauges[0].1, 20);
-        assert_eq!(m.labeled_gauges[0].2, 9);
+        assert_eq!(m.get("queued_tasks", &[]), Some(&Sample::Gauge(20)));
+        let depth = m.get("worker_queue_depth", &worker(0));
+        assert_eq!(depth, Some(&Sample::Gauge(9)));
 
         let v: Value = serde_json::from_str(&m.to_json()).unwrap();
         assert_eq!(
@@ -1119,24 +929,24 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
             h.record(v);
         }
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "2".to_string())]);
-        m.counter("tasks_executed", 99);
-        m.gauge("queued_tasks", 4);
-        m.labeled_gauge("worker_queue_depth", tenant("x"), 1);
-        m.histogram("task_duration", h.snapshot());
-        m.labeled_counter("serve_submitted", tenant("acme"), 7);
-        m.labeled_histogram("serve_latency", tenant("acme"), h.snapshot());
+        m.push("tasks_executed", vec![], Sample::Counter(99));
+        m.push("queued_tasks", vec![], Sample::Gauge(4));
+        m.push("worker_queue_depth", tenant("x"), Sample::Gauge(1));
+        m.push("task_duration", vec![], Sample::Histogram(h.snapshot()));
+        m.push("serve_submitted", tenant("acme"), Sample::Counter(7));
+        m.push(
+            "serve_latency",
+            tenant("acme"),
+            Sample::Histogram(h.snapshot()),
+        );
 
         let v: Value = serde_json::from_str(&m.to_json()).unwrap();
         let back = MetricsSnapshot::from_value(&v).unwrap();
         assert_eq!(back.labels, m.labels);
-        assert_eq!(back.counters, m.counters);
-        assert_eq!(back.gauges, m.gauges);
-        assert_eq!(back.labeled_gauges, m.labeled_gauges);
-        assert_eq!(back.labeled_counters, m.labeled_counters);
+        // Every series, of every kind, plain and labeled, in order.
         // Histograms reconstruct exactly (buckets, sum, max), so the
         // recomputed quantiles agree with the source.
-        assert_eq!(back.histograms, m.histograms);
-        assert_eq!(back.labeled_histograms, m.labeled_histograms);
+        assert_eq!(back.series, m.series);
     }
 
     /// Two snapshots covering every kind, plain and labeled, two names
@@ -1158,38 +968,45 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
             ("my_widgets", vec![], Counter(2)),
             ("queued_tasks", vec![], Gauge(3)),
             ("workers", vec![], Gauge(2)),
-            ("task_duration", vec![], Histogram(&h(&[100, 2_000]))),
-            ("ready_delay", vec![], Histogram(&h(&[50]))),
+            ("task_duration", vec![], Histogram(h(&[100, 2_000]))),
+            ("ready_delay", vec![], Histogram(h(&[50]))),
             ("serve_submitted", acme.clone(), Counter(3)),
             ("serve_submitted", globex.clone(), Counter(1)),
             ("serve_failed", acme.clone(), Counter(1)),
             ("worker_queue_depth", l("worker", "0"), Gauge(1)),
             ("worker_queue_depth", l("worker", "1"), Gauge(2)),
-            ("serve_latency", acme.clone(), Histogram(&h(&[1_000]))),
-            ("serve_latency", globex.clone(), Histogram(&h(&[400]))),
+            ("serve_latency", acme.clone(), Histogram(h(&[1_000]))),
+            ("serve_latency", globex.clone(), Histogram(h(&[400]))),
         ] {
             a.emit_if_set(name, labels, sample);
         }
-        a.labeled_exemplar("serve_latency", acme.clone(), l("instance_id", "7"), 1_000);
-        a.labeled_exemplar("serve_latency", globex, l("instance_id", "9"), 400);
+        let exemplar = |m: &mut MetricsSnapshot, labels: &LabelSet, id: &str, ns: u64| {
+            let latency = m
+                .series
+                .iter_mut()
+                .find(|s| &s.labels == labels && s.name == "serve_latency");
+            latency.unwrap().exemplar = Some((l("instance_id", id), ns));
+        };
+        exemplar(&mut a, &acme, "7", 1_000);
+        exemplar(&mut a, &globex, "9", 400);
         let mut b = MetricsSnapshot::with_labels(identity("1"));
         for (name, labels, sample) in [
             ("tasks_executed", vec![], Counter(7)),
             ("parks", vec![], Counter(1)),
             ("queued_tasks", vec![], Gauge(4)),
             ("my_gauge", vec![], Gauge(9)),
-            ("task_duration", vec![], Histogram(&h(&[300]))),
-            ("my_hist", vec![], Histogram(&h(&[7]))),
+            ("task_duration", vec![], Histogram(h(&[300]))),
+            ("my_hist", vec![], Histogram(h(&[7]))),
             ("serve_submitted", acme.clone(), Counter(2)),
             ("serve_completed", l("tenant", "initech"), Counter(4)),
             ("worker_queue_depth", l("worker", "0"), Gauge(5)),
             ("net_link_ack_rtt_us", l("peer", "1"), Gauge(250)),
-            ("serve_latency", acme.clone(), Histogram(&h(&[3_000]))),
-            ("my_lat", l("tenant", "x"), Histogram(&h(&[10]))),
+            ("serve_latency", acme.clone(), Histogram(h(&[3_000]))),
+            ("my_lat", l("tenant", "x"), Histogram(h(&[10]))),
         ] {
             b.emit_if_set(name, labels, sample);
         }
-        b.labeled_exemplar("serve_latency", acme, l("instance_id", "42"), 3_000);
+        exemplar(&mut b, &acme, "42", 3_000);
         (a, b)
     }
 
@@ -1521,7 +1338,7 @@ ttg_my_lat_seconds_count{job="golden",tenant="x"} 1
                 let sample = match kind {
                     0 => Sample::Counter(values[0]),
                     1 => Sample::Gauge(values[0]),
-                    _ => Sample::Histogram(&h),
+                    _ => Sample::Histogram(h),
                 };
                 m.emit_if_set(NAMES[name], owned(LABELS[labels]), sample);
             }

@@ -11,6 +11,7 @@
 //! cross-rank clocks are only trusted up to each hop's observed
 //! latency, never below zero).
 
+use crate::{obj, s};
 use parking_lot::Mutex;
 use serde_json::Value;
 use std::collections::{BTreeMap, VecDeque};
@@ -84,57 +85,49 @@ impl InstanceSpan {
     /// Renders the span (and its task tree) as the `trace.json` body.
     pub fn to_json(&self) -> Value {
         let us = |ns: u64| Value::Float(ns as f64 / 1_000.0);
-        Value::Object(vec![
-            ("instance".to_string(), Value::UInt(self.instance)),
-            ("span".to_string(), Value::UInt(self.span)),
+        obj(vec![
+            ("instance", Value::UInt(self.instance)),
+            ("span", Value::UInt(self.span)),
+            ("tenant_tag", Value::UInt(self.tenant_tag as u64)),
+            ("tasks", Value::UInt(self.tasks)),
+            ("queue_us", us(self.queue_ns)),
+            ("execute_us", us(self.execute_ns)),
+            ("wire_us", us(self.wire_ns)),
+            ("wire_hops", Value::UInt(self.wire_hops)),
+            ("critical_path_us", us(self.critical_path_ns)),
             (
-                "tenant_tag".to_string(),
-                Value::UInt(self.tenant_tag as u64),
-            ),
-            ("tasks".to_string(), Value::UInt(self.tasks)),
-            ("queue_us".to_string(), us(self.queue_ns)),
-            ("execute_us".to_string(), us(self.execute_ns)),
-            ("wire_us".to_string(), us(self.wire_ns)),
-            ("wire_hops".to_string(), Value::UInt(self.wire_hops)),
-            ("critical_path_us".to_string(), us(self.critical_path_ns)),
-            (
-                "critical_path".to_string(),
-                Value::Array(
-                    self.critical_path
-                        .iter()
-                        .map(|n| Value::String(n.clone()))
-                        .collect(),
-                ),
+                "critical_path",
+                Value::Array(self.critical_path.iter().map(|n| s(n)).collect()),
             ),
             (
-                "ranks".to_string(),
+                "ranks",
                 Value::Array(
                     self.ranks
                         .iter()
                         .map(|r| {
-                            Value::Object(vec![
-                                ("rank".to_string(), Value::UInt(r.rank as u64)),
-                                ("tasks".to_string(), Value::UInt(r.tasks)),
-                                ("queue_us".to_string(), us(r.queue_ns)),
-                                ("execute_us".to_string(), us(r.execute_ns)),
+                            obj(vec![
+                                ("rank", Value::UInt(r.rank as u64)),
+                                ("tasks", Value::UInt(r.tasks)),
+                                ("queue_us", us(r.queue_ns)),
+                                ("execute_us", us(r.execute_ns)),
                             ])
                         })
                         .collect(),
                 ),
             ),
             (
-                "spans".to_string(),
+                "spans",
                 Value::Array(
                     self.task_list
                         .iter()
                         .map(|t| {
-                            Value::Object(vec![
-                                ("name".to_string(), Value::String(t.name.clone())),
-                                ("rank".to_string(), Value::UInt(t.rank as u64)),
-                                ("tid".to_string(), Value::UInt(t.tid as u64)),
-                                ("ts_us".to_string(), us(t.ts_ns)),
-                                ("dur_us".to_string(), us(t.dur_ns)),
-                                ("queue_us".to_string(), us(t.queue_ns)),
+                            obj(vec![
+                                ("name", s(&t.name)),
+                                ("rank", Value::UInt(t.rank as u64)),
+                                ("tid", Value::UInt(t.tid as u64)),
+                                ("ts_us", us(t.ts_ns)),
+                                ("dur_us", us(t.dur_ns)),
+                                ("queue_us", us(t.queue_ns)),
                             ])
                         })
                         .collect(),

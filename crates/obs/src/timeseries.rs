@@ -16,7 +16,8 @@
 //! never silently truncated; it just gets coarser, and the JSON export
 //! reports how many times that happened.
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{MetricsSnapshot, Sample};
+use crate::obj;
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::VecDeque;
@@ -105,14 +106,22 @@ impl TimeSeriesRecorder {
     /// entry point; `record` is the production path).
     pub fn record_at(&self, snap: &MetricsSnapshot, t_unix_ms: u64) {
         let mut inner = self.inner.lock();
-        let mut deltas = Vec::with_capacity(snap.counters.len());
-        for (name, abs) in &snap.counters {
-            let prev = match inner.last_abs.iter_mut().find(|(n, _)| n == name) {
-                Some((_, p)) => {
-                    let prev = *p;
-                    *p = *abs;
-                    prev
+        let (mut deltas, mut gauges) = (Vec::new(), Vec::new());
+        for series in snap.series.iter().filter(|s| s.labels.is_empty()) {
+            let name = &series.name;
+            let abs = match &series.sample {
+                Sample::Counter(abs) => *abs,
+                Sample::Gauge(_) => continue,
+                Sample::Histogram(h) => {
+                    gauges.push((format!("{name}_p50_ns"), h.p50() as f64));
+                    gauges.push((format!("{name}_p95_ns"), h.p95() as f64));
+                    gauges.push((format!("{name}_p99_ns"), h.p99() as f64));
+                    gauges.push((format!("{name}_count"), h.count() as f64));
+                    continue;
                 }
+            };
+            let prev = match inner.last_abs.iter_mut().find(|(n, _)| n == name) {
+                Some((_, p)) => std::mem::replace(p, abs),
                 None => {
                     // A series appearing on the very first sample is a true
                     // baseline-0 counter. One appearing *mid-run* (e.g. the
@@ -121,22 +130,15 @@ impl TimeSeriesRecorder {
                     // recording its absolute as a delta would plot a spike
                     // that never happened, so baseline it at its current
                     // value instead (first delta 0).
-                    let baseline = if inner.samples_total == 0 { 0 } else { *abs };
-                    inner.last_abs.push((name.clone(), *abs));
+                    let baseline = if inner.samples_total == 0 { 0 } else { abs };
+                    inner.last_abs.push((name.clone(), abs));
                     baseline
                 }
             };
             // Counters are monotonic; a smaller value means the source
             // restarted, in which case the new absolute is the delta.
-            let delta = if *abs >= prev { *abs - prev } else { *abs };
+            let delta = if abs >= prev { abs - prev } else { abs };
             deltas.push((name.clone(), delta));
-        }
-        let mut gauges = Vec::with_capacity(snap.histograms.len() * 4);
-        for (name, h) in &snap.histograms {
-            gauges.push((format!("{name}_p50_ns"), h.p50() as f64));
-            gauges.push((format!("{name}_p95_ns"), h.p95() as f64));
-            gauges.push((format!("{name}_p99_ns"), h.p99() as f64));
-            gauges.push((format!("{name}_count"), h.count() as f64));
         }
         inner.points.push_back(TimePoint {
             t_unix_ms,
@@ -182,10 +184,10 @@ impl TimeSeriesRecorder {
             .points
             .iter()
             .map(|p| {
-                Value::Object(vec![
-                    ("t_unix_ms".to_string(), Value::UInt(p.t_unix_ms)),
+                obj(vec![
+                    ("t_unix_ms", Value::UInt(p.t_unix_ms)),
                     (
-                        "deltas".to_string(),
+                        "deltas",
                         Value::Object(
                             p.deltas
                                 .iter()
@@ -194,7 +196,7 @@ impl TimeSeriesRecorder {
                         ),
                     ),
                     (
-                        "gauges".to_string(),
+                        "gauges",
                         Value::Object(
                             p.gauges
                                 .iter()
@@ -205,18 +207,12 @@ impl TimeSeriesRecorder {
                 ])
             })
             .collect();
-        Value::Object(vec![
-            ("schema".to_string(), Value::UInt(1)),
-            (
-                "interval_hint_ms".to_string(),
-                Value::UInt(inner.interval_hint_ms),
-            ),
-            ("downsamples".to_string(), Value::UInt(inner.downsamples)),
-            (
-                "samples_total".to_string(),
-                Value::UInt(inner.samples_total),
-            ),
-            ("points".to_string(), Value::Array(points)),
+        obj(vec![
+            ("schema", Value::UInt(1)),
+            ("interval_hint_ms", Value::UInt(inner.interval_hint_ms)),
+            ("downsamples", Value::UInt(inner.downsamples)),
+            ("samples_total", Value::UInt(inner.samples_total)),
+            ("points", Value::Array(points)),
         ])
     }
 
@@ -233,8 +229,8 @@ mod tests {
 
     fn snap(tasks: u64, steals: u64) -> MetricsSnapshot {
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);
-        m.counter("tasks_executed", tasks);
-        m.counter("steals", steals);
+        m.push("tasks_executed", vec![], Sample::Counter(tasks));
+        m.push("steals", vec![], Sample::Counter(steals));
         m
     }
 
@@ -270,7 +266,7 @@ mod tests {
             h.record(1_000);
         }
         let mut m = snap(1, 0);
-        m.histogram("task_duration", h.snapshot());
+        m.push("task_duration", vec![], Sample::Histogram(h.snapshot()));
         let ts = TimeSeriesRecorder::new(8, 100);
         ts.record_at(&m, 1000);
         let v: Value = serde_json::from_str(&ts.to_json()).unwrap();
@@ -327,10 +323,10 @@ mod tests {
         ts.record_at(&snap(10, 0), 1000);
         ts.record_at(&snap(20, 0), 1100);
         let mut with_rejoins = snap(30, 0);
-        with_rejoins.counter("rejoins", 5);
+        with_rejoins.push("rejoins", vec![], Sample::Counter(5));
         ts.record_at(&with_rejoins, 1200);
         let mut more = snap(40, 0);
-        more.counter("rejoins", 7);
+        more.push("rejoins", vec![], Sample::Counter(7));
         ts.record_at(&more, 1300);
         let v: Value = serde_json::from_str(&ts.to_json()).unwrap();
         let points = v.get("points").unwrap().as_array().unwrap();

@@ -21,6 +21,7 @@
 //! wall clocks disagree by — fine for visualization; latency *numbers*
 //! always come from single-clock histograms instead.
 
+use crate::{obj, s};
 use serde::Value;
 use ttg_runtime::obs::ring::{Event, EventKind};
 use ttg_runtime::Runtime;
@@ -30,19 +31,6 @@ use ttg_runtime::Runtime;
 /// any realistic trace window.
 pub fn flow_id(src: usize, dst: usize, seq: u64) -> u64 {
     (((src as u64) & 0xFFFFF) << 40) | (((dst as u64) & 0xFFFFF) << 20) | (seq & 0xFFFFF)
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn s(v: &str) -> Value {
-    Value::String(v.to_string())
 }
 
 /// Common head of every emitted event: name/cat/ph/ts/pid/tid.

@@ -16,6 +16,7 @@
 //! | one per [`LINK_FIELDS`] row    | counter / gauge | `peer`, `dir` |
 
 use crate::metrics::{MetricsSnapshot, Sample};
+use crate::obj;
 use serde::Value;
 use ttg_runtime::obs::hist::HistogramSnapshot;
 use ttg_runtime::obs::wire::{WireSnapshot, LINK_VALUES};
@@ -33,7 +34,7 @@ pub struct LinkField {
     /// Value of the `dir` label, for the series that carry one.
     pub dir: Option<&'static str>,
     /// Counter or gauge.
-    pub sample: fn(u64) -> Sample<'static>,
+    pub sample: fn(u64) -> Sample,
     /// Prometheus `# HELP` text.
     pub help: &'static str,
 }
@@ -117,7 +118,7 @@ const EXPORT_ORDER: [usize; 7] = [0, 2, 1, 3, 4, 5, 6];
 /// byte-identically to the pre-wire format.
 pub fn export_into(snap: &WireSnapshot, m: &mut MetricsSnapshot) {
     for (name, h) in snap.stages() {
-        m.emit_if_set(name, Vec::new(), Sample::Histogram(h));
+        m.emit_if_set(name, Vec::new(), Sample::Histogram(*h));
     }
     let writes = [
         ("wire_writes", snap.bytes_per_write.count()),
@@ -151,22 +152,15 @@ pub fn net_json(snap: &WireSnapshot, rank: usize) -> String {
             (format!("max{unit}"), Value::Float(h.max as f64 / scale)),
         ])
     };
-    let stages = Value::Object(
-        snap.stages()
-            .iter()
-            .map(|(name, h)| {
-                let short = name.strip_prefix("wire_").unwrap_or(name).to_string();
-                (short, stage_value(h, true))
-            })
-            .collect(),
-    );
-    let batching = Value::Object(vec![
+    let stages = snap.stages().map(|(name, h)| {
+        let short = name.strip_prefix("wire_").unwrap_or(name);
+        (short, stage_value(h, true))
+    });
+    let stages = obj(stages.into());
+    let batching = obj(vec![
+        ("bytes_per_write", stage_value(&snap.bytes_per_write, false)),
         (
-            "bytes_per_write".to_string(),
-            stage_value(&snap.bytes_per_write, false),
-        ),
-        (
-            "frames_per_write".to_string(),
+            "frames_per_write",
             stage_value(&snap.frames_per_write, false),
         ),
     ]);
@@ -174,20 +168,20 @@ pub fn net_json(snap: &WireSnapshot, rank: usize) -> String {
         snap.links
             .iter()
             .map(|l| {
-                let mut fields = vec![("peer".to_string(), Value::UInt(l.peer as u64))];
+                let mut fields = vec![("peer", Value::UInt(l.peer as u64))];
                 let values = LINK_FIELDS.iter().zip(l.values);
-                fields.extend(values.map(|(f, v)| (f.json.to_string(), Value::UInt(v))));
-                Value::Object(fields)
+                fields.extend(values.map(|(f, v)| (f.json, Value::UInt(v))));
+                obj(fields)
             })
             .collect(),
     );
-    let v = Value::Object(vec![
-        ("schema".to_string(), Value::UInt(1)),
-        ("rank".to_string(), Value::UInt(rank as u64)),
-        ("wire_enabled".to_string(), Value::Bool(OBS)),
-        ("stages".to_string(), stages),
-        ("batching".to_string(), batching),
-        ("links".to_string(), links),
+    let v = obj(vec![
+        ("schema", Value::UInt(1)),
+        ("rank", Value::UInt(rank as u64)),
+        ("wire_enabled", Value::Bool(OBS)),
+        ("stages", stages),
+        ("batching", batching),
+        ("links", links),
     ]);
     serde_json::to_string_pretty(&v).expect("net.json serialization cannot fail")
 }
@@ -203,7 +197,7 @@ mod tests {
         // activity must not change the rendered metrics at all —
         // this is trivially what every off-build snapshot looks like.
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);
-        m.counter("tasks_executed", 1);
+        m.push("tasks_executed", vec![], Sample::Counter(1));
         let before_json = m.to_json();
         let before_prom = m.to_prometheus("ttg");
         export_into(&WireObs::new(4).snapshot(), &mut m);
@@ -267,8 +261,7 @@ mod tests {
         // Round-trips through the scrape parser (the cluster path).
         let v: Value = serde_json::from_str(&m.to_json()).unwrap();
         let back = MetricsSnapshot::from_value(&v).unwrap();
-        assert_eq!(back.labeled_counters, m.labeled_counters);
-        assert_eq!(back.labeled_gauges, m.labeled_gauges);
+        assert_eq!(back.series, m.series);
     }
 
     #[cfg(feature = "obs")]

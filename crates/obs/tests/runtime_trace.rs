@@ -126,18 +126,31 @@ fn runtime_trace_of_no_events_still_names_every_lane() {
 
 #[test]
 fn runtime_metrics_count_tasks_and_gauge_load_only_with_a_recorder() {
-    let counter = |m: &ttg_obs::MetricsSnapshot, name: &str| {
-        m.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    use ttg_obs::{MetricsSnapshot, Sample};
+    let counter = |m: &MetricsSnapshot, name: &str| match m.get(name, &[]) {
+        Some(Sample::Counter(v)) => Some(*v),
+        _ => None,
     };
-    let gauge = |m: &ttg_obs::MetricsSnapshot, name: &str| {
-        m.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    let gauge = |m: &MetricsSnapshot, name: &str| match m.get(name, &[]) {
+        Some(Sample::Gauge(v)) => Some(*v),
+        _ => None,
+    };
+    let any_gauge = |m: &MetricsSnapshot| {
+        m.series
+            .iter()
+            .any(|s| matches!(s.sample, Sample::Gauge(_)))
+    };
+    let any_histogram = |m: &MetricsSnapshot| {
+        m.series
+            .iter()
+            .any(|s| matches!(s.sample, Sample::Histogram(_)))
     };
     let bare = Runtime::new(RuntimeConfig::optimized(2));
     run_51_tasks(&bare);
     let m = ttg_obs::runtime_metrics(&bare);
     assert_eq!(counter(&m, "tasks_executed"), Some(51));
-    assert!(m.gauges.is_empty() && m.labeled_gauges.is_empty());
-    assert!(m.histograms.is_empty());
+    assert!(!any_gauge(&m));
+    assert!(!any_histogram(&m));
 
     let rt = traced(2);
     run_51_tasks(&rt);
@@ -146,10 +159,10 @@ fn runtime_metrics_count_tasks_and_gauge_load_only_with_a_recorder() {
     assert_eq!(gauge(&m, "workers"), Some(2));
     assert_eq!(gauge(&m, "queued_tasks"), Some(0));
     let depths = m
-        .labeled_gauges
+        .series
         .iter()
-        .filter(|(n, ..)| n == "worker_queue_depth")
+        .filter(|s| s.name == "worker_queue_depth" && !s.labels.is_empty())
         .count();
     assert_eq!(depths, 2, "one depth gauge per worker");
-    assert!(m.histograms.is_empty(), "trace alone keeps no histograms");
+    assert!(!any_histogram(&m), "trace alone keeps no histograms");
 }

@@ -642,10 +642,14 @@ impl ServeEngine {
         let st = self.inner.state.lock();
         for t in st.tenants_by_name() {
             let labels = vec![("tenant".to_string(), t.name.to_string())];
-            snap.labeled_counter("serve_submitted", labels.clone(), t.submitted);
-            snap.labeled_counter("serve_completed", labels.clone(), t.completed);
-            snap.labeled_counter("serve_rejected", labels.clone(), t.rejected);
-            snap.labeled_counter("serve_failed", labels.clone(), t.failed);
+            for (name, v) in [
+                ("serve_submitted", t.submitted),
+                ("serve_completed", t.completed),
+                ("serve_rejected", t.rejected),
+                ("serve_failed", t.failed),
+            ] {
+                snap.push(name, labels.clone(), Sample::Counter(v));
+            }
             // Only present once a peer-loss re-execution happened, so
             // fault-free snapshots stay byte-identical.
             snap.emit_if_set("serve_retried", labels.clone(), Sample::Counter(t.retried));
@@ -654,25 +658,25 @@ impl ServeEngine {
             // through `emit_if_set`: with `obs` on these are emitted
             // even when zero.)
             if ttg_obs::OBS {
-                snap.labeled_counter(
-                    "serve_slo_target_us",
-                    labels.clone(),
-                    t.slo.as_micros().min(u128::from(u64::MAX)) as u64,
-                );
-                snap.labeled_counter("serve_slo_good", labels.clone(), t.slo_good);
-                snap.labeled_counter("serve_slo_breached", labels.clone(), t.slo_breached);
-                if let Some((id, latency_ns)) = t.exemplar {
-                    snap.labeled_exemplar(
-                        "serve_latency",
-                        labels.clone(),
-                        vec![("instance_id".to_string(), id.to_string())],
-                        latency_ns,
-                    );
+                let target_us = t.slo.as_micros().min(u128::from(u64::MAX)) as u64;
+                for (name, v) in [
+                    ("serve_slo_target_us", target_us),
+                    ("serve_slo_good", t.slo_good),
+                    ("serve_slo_breached", t.slo_breached),
+                ] {
+                    snap.push(name, labels.clone(), Sample::Counter(v));
                 }
             }
-            snap.labeled_histogram("serve_latency", labels, t.latency.snapshot());
+            let latency = Sample::Histogram(t.latency.snapshot());
+            let latency = snap.push("serve_latency", labels, latency);
+            if ttg_obs::OBS {
+                latency.exemplar = t
+                    .exemplar
+                    .map(|(id, ns)| (vec![("instance_id".to_string(), id.to_string())], ns));
+            }
         }
-        snap.counter("serve_abandoned", st.abandoned_ids.len() as u64);
+        let abandoned = Sample::Counter(st.abandoned_ids.len() as u64);
+        snap.push("serve_abandoned", Vec::new(), abandoned);
     }
 
     /// Standalone snapshot of the engine's metrics (no identity

@@ -500,6 +500,82 @@ fn http_api_end_to_end() {
     assert_eq!(v.get("abandoned").unwrap().as_array().unwrap().len(), 0);
 }
 
+/// Parses one sample line of the Prometheus text format — `name`, an
+/// optional `{k="v",...}` block whose values may hold the escapes
+/// `\\`, `\"` and `\n`, a value, an optional ` # {...} value`
+/// exemplar — and returns the label pairs, unescaped.
+fn parse_sample_line(line: &str) -> Option<Vec<(String, String)>> {
+    let name_end = line.find(['{', ' '])?;
+    let (mut rest, mut labels) = (&line[name_end..], Vec::new());
+    if let Some(block) = rest.strip_prefix('{') {
+        let mut chars = block.char_indices();
+        loop {
+            let (start, _) = chars.clone().next()?;
+            let (eq, _) = chars.by_ref().find(|&(_, c)| c == '=')?;
+            let key = &block[start..eq];
+            if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+                return None;
+            }
+            if chars.next()?.1 != '"' {
+                return None;
+            }
+            let mut value = String::new();
+            loop {
+                match chars.next()?.1 {
+                    '"' => break,
+                    '\\' => value.push(match chars.next()?.1 {
+                        'n' => '\n',
+                        c @ ('\\' | '"') => c,
+                        _ => return None,
+                    }),
+                    '\n' => return None,
+                    c => value.push(c),
+                }
+            }
+            labels.push((key.to_string(), value));
+            match chars.next()? {
+                (_, ',') => {}
+                (end, '}') => {
+                    rest = &block[end + 1..];
+                    break;
+                }
+                _ => return None,
+            }
+        }
+    }
+    let value = rest.strip_prefix(' ')?;
+    let value = value.split_once(" # ").map_or(value, |(v, _)| v);
+    (value == "+Inf" || value.parse::<f64>().is_ok()).then_some(labels)
+}
+
+/// Tenant names come from `/submit` bodies unchecked, so the text
+/// exposition escapes them: a tenant holding a quote, a backslash and
+/// a newline still leaves every `ttg_serve_*` line parseable, and the
+/// label reads back as the name submitted.
+#[test]
+fn metrics_escape_tenant_label_values() {
+    let e = engine(2, ServeConfig::default());
+    let server = ttg_obs::ObsHttpServer::serve(0, serve_routes(Arc::clone(&e))).expect("bind");
+    let body = r#"{"tenant": "q\"t\\s\nn", "template": "doubling", "input": {"n": 1}}"#;
+    let (status, body) = http_request(server.port(), "POST", "/submit", Some(body));
+    assert_eq!(status, 200, "submit: {body}");
+    let tenant = "q\"t\\s\nn";
+    wait_until("the instance to finish", || {
+        e.tenant_load() == vec![(tenant.to_string(), 0, 0)]
+    });
+    let (status, metrics) = http_request(server.port(), "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let mut tenant_lines = 0;
+    for line in metrics.lines().filter(|l| l.starts_with("ttg_serve_")) {
+        let labels = parse_sample_line(line).unwrap_or_else(|| panic!("unparsable: {line}"));
+        if let Some((_, t)) = labels.iter().find(|(k, _)| k == "tenant") {
+            assert_eq!(t, tenant, "{line}");
+            tenant_lines += 1;
+        }
+    }
+    assert!(tenant_lines >= 4, "per-tenant series present:\n{metrics}");
+}
+
 /// One task that first waits for `gate` to open, then appends its
 /// tenant to `order` — completion order, made observable.
 fn gated_template(
