@@ -4,8 +4,9 @@
 //! Two transports are measured back to back with the *same* protocol
 //! stack (framed messages, fenced 4-counter wave termination):
 //!
-//! * **in-process** — [`LocalTransport`]-backed [`NetGroup`]: frames are
-//!   handed over synchronously, isolating protocol overhead.
+//! * **in-process** — [`NetGroup`] over
+//!   [`LocalTransport`](ttg_net::LocalTransport): frames are handed
+//!   over synchronously, isolating protocol overhead.
 //! * **TCP loopback** — every rank a real socket endpoint on
 //!   `127.0.0.1` (all ranks in this process, one mesh per measurement),
 //!   adding kernel round trips and the frame codec to the same path the

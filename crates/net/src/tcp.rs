@@ -28,7 +28,7 @@
 //!   role taken leaves its request and goes. So no sender blocks behind
 //!   another's write (or a fault-injected link delay), and seq order on
 //!   the wire is ring order because there is only one writer.
-//! * **Who acks.** The reader (past [`EAGER_ACK_BYTES`] of unacked
+//! * **Who acks.** The reader (past `EAGER_ACK_BYTES` of unacked
 //!   deliveries) and the monitor (every tick) *publish* the receive
 //!   watermark; the cumulative `Ack` leaves at the head of the next
 //!   write. The monitor flushes at once. The reader asks the sink to
@@ -41,7 +41,7 @@
 //!
 //! [`Transport::send`] is append + flush; the runtime appends `Data`
 //! only and flushes at quiescence (the cork rule), which turns one
-//! `write` per message into one per [`FLUSH_BYTES`]. An appender a
+//! `write` per message into one per `FLUSH_BYTES`. An appender a
 //! window ahead of the peer's acks waits for them. Two locks per peer,
 //! `link` then `recv`, neither held across a system call.
 //!
