@@ -394,29 +394,23 @@ fn label_object(labels: &LabelSet) -> Value {
 pub fn runtime_metrics(rt: &Runtime) -> MetricsSnapshot {
     let stats = rt.stats();
     let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), rt.rank().to_string())]);
-    let counters = |m: &mut MetricsSnapshot, values: &[(&str, u64)]| {
-        for &(name, v) in values {
-            m.push(name, Vec::new(), Sample::Counter(v));
-        }
-    };
-    counters(
-        &mut m,
-        &[
-            ("tasks_executed", stats.tasks_executed),
-            ("parks", stats.parks),
-            ("wave_contributions", stats.wave_contributions),
-            ("injections_drained", stats.injections_drained),
-            ("inlined", stats.inlined),
-            ("messages_sent", stats.messages_sent),
-            ("messages_received", stats.messages_received),
-            ("bytes_sent", stats.bytes_sent),
-            ("bytes_received", stats.bytes_received),
-            ("frames_corrupt", stats.frames_corrupt),
-            ("heartbeats_sent", stats.heartbeats_sent),
-            ("peers_lost", stats.peers_lost),
-            ("reconnects", stats.reconnects),
-        ],
-    );
+    for (name, v) in [
+        ("tasks_executed", stats.tasks_executed),
+        ("parks", stats.parks),
+        ("wave_contributions", stats.wave_contributions),
+        ("injections_drained", stats.injections_drained),
+        ("inlined", stats.inlined),
+        ("messages_sent", stats.messages_sent),
+        ("messages_received", stats.messages_received),
+        ("bytes_sent", stats.bytes_sent),
+        ("bytes_received", stats.bytes_received),
+        ("frames_corrupt", stats.frames_corrupt),
+        ("heartbeats_sent", stats.heartbeats_sent),
+        ("peers_lost", stats.peers_lost),
+        ("reconnects", stats.reconnects),
+    ] {
+        m.push(name, Vec::new(), Sample::Counter(v));
+    }
     // Recovery counters appear only once recovery machinery has
     // actually fired, keeping fault-free snapshots byte-identical
     // with pre-recovery versions (golden-file stability).
@@ -431,19 +425,18 @@ pub fn runtime_metrics(rt: &Runtime) -> MetricsSnapshot {
         m.emit_if_set(name, Vec::new(), Sample::Counter(v));
     }
     let q = &stats.queue;
-    counters(
-        &mut m,
-        &[
-            ("queue_local_pops", q.local_pops as u64),
-            ("queue_steals", q.steals as u64),
-            ("queue_overflow", q.overflow as u64),
-            ("queue_slow_pushes", q.slow_pushes as u64),
-            ("queue_steal_attempts", q.steal_attempts as u64),
-            ("queue_steal_empty", q.steal_empty as u64),
-            ("queue_overflow_pops", q.overflow_pops as u64),
-            ("queue_detach_merges", q.detach_merges as u64),
-        ],
-    );
+    for (name, v) in [
+        ("queue_local_pops", q.local_pops),
+        ("queue_steals", q.steals),
+        ("queue_overflow", q.overflow),
+        ("queue_slow_pushes", q.slow_pushes),
+        ("queue_steal_attempts", q.steal_attempts),
+        ("queue_steal_empty", q.steal_empty),
+        ("queue_overflow_pops", q.overflow_pops),
+        ("queue_detach_merges", q.detach_merges),
+    ] {
+        m.push(name, Vec::new(), Sample::Counter(v as u64));
+    }
     for (f, v) in ttg_sync::LOCK_FIELDS.iter().zip(stats.contention.0 .0) {
         m.push(f.metric, Vec::new(), Sample::Counter(v));
     }
