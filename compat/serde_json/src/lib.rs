@@ -257,12 +257,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char
+                    // boundary, and each byte is decoded once.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
+                    let run = &rest[..run.unwrap_or(rest.len())];
+                    let text = std::str::from_utf8(run)
                         .map_err(|e| Error::new(format!("invalid UTF-8: {e}")))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    s.push_str(text);
+                    self.pos += run.len();
                 }
             }
         }
@@ -426,6 +430,14 @@ mod tests {
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
         assert_eq!(to_string(&50.0f64).unwrap(), "50.0");
         assert_eq!(to_string(&0.1f64).unwrap(), "0.1");
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_between_escapes() {
+        let v: Value = from_str(r#"["grüße\n→ \"q\" ✓", "end"]"#).unwrap();
+        assert_eq!(v[0], "grüße\n→ \"q\" ✓");
+        assert_eq!(v[1], "end");
+        assert!(from_str::<Value>("[\"ünterminated").is_err());
     }
 
     #[test]

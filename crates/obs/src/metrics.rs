@@ -10,6 +10,7 @@
 
 use crate::{obj, s};
 use serde::Value;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,17 +23,15 @@ use ttg_runtime::Runtime;
 pub type LabelSet = Vec<(String, String)>;
 
 /// The value of one series.
-// A snapshot holds a few dozen series and is built off the task path:
-// boxing the histogram would add an allocation and save nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Sample {
     /// A monotonic counter.
     Counter(u64),
     /// An instantaneous gauge: describes "now", not "since start".
     Gauge(u64),
-    /// A latency histogram (values in ns).
-    Histogram(HistogramSnapshot),
+    /// A latency histogram (values in ns), boxed so that the counters
+    /// and gauges that make up most of a snapshot stay small.
+    Histogram(Box<HistogramSnapshot>),
 }
 
 /// Prometheus type of each [`Sample`] kind, in kind order.
@@ -93,10 +92,9 @@ pub struct MetricsSnapshot {
     /// Static identity labels (e.g. `rank`), attached to every
     /// Prometheus sample.
     pub labels: LabelSet,
-    /// Every series, grouped by section (plain counters, gauges,
-    /// histograms, then labeled ones in the same order) and in arrival
-    /// order within a section — the order of the text exposition.
-    /// [`MetricsSnapshot::push`] keeps it so.
+    /// Every series, in the order pushed. The exports group it by
+    /// section: plain counters, gauges, histograms, then the labeled
+    /// ones in the same kind order.
     pub series: Vec<Series>,
 }
 
@@ -109,20 +107,24 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Appends a series at the end of its section and returns it (to
-    /// attach an exemplar). Non-empty `labels` are merged into the
-    /// identity labels on export.
+    /// Appends a series and returns it (to attach an exemplar).
+    /// Non-empty `labels` are merged into the identity labels on export.
     pub fn push(&mut self, name: &str, labels: LabelSet, sample: Sample) -> &mut Series {
-        let series = Series {
+        self.series.push(Series {
             name: name.to_string(),
             labels,
             sample,
             exemplar: None,
-        };
-        let section = series.section();
-        let at = self.series.partition_point(|s| s.section() <= section);
-        self.series.insert(at, series);
-        &mut self.series[at]
+        });
+        self.series.last_mut().expect("just pushed")
+    }
+
+    /// The series grouped by section, each section in push order — the
+    /// order of the text exposition.
+    pub(crate) fn in_sections(&self) -> Vec<&Series> {
+        let mut order: Vec<&Series> = self.series.iter().collect();
+        order.sort_by_key(|s| s.section());
+        order
     }
 
     /// The one emit-when-set rule: pushes `sample` under `name` only if
@@ -157,26 +159,30 @@ impl MetricsSnapshot {
     /// `queued_tasks` is the total queued across ranks), histograms
     /// merge, an incoming exemplar replaces (latest observation wins)
     /// — and unknown series append. Labels keep only the entries both
-    /// sides agree on.
+    /// sides agree on. Linear in both sides: a cluster of ranks serving
+    /// thousands of tenants merges tens of thousands of series.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         self.labels.retain(|l| other.labels.contains(l));
+        let key = |s: &Series| (s.sample.kind(), s.name.clone(), s.labels.clone());
+        let mut index = HashMap::with_capacity(self.series.len());
+        for (i, mine) in self.series.iter().enumerate() {
+            index.entry(key(mine)).or_insert(i);
+        }
         for theirs in &other.series {
-            let same = |s: &&mut Series| {
-                s.section() == theirs.section()
-                    && s.name == theirs.name
-                    && s.labels == theirs.labels
-            };
-            let Some(mine) = self.series.iter_mut().find(same) else {
-                self.push(&theirs.name, theirs.labels.clone(), theirs.sample)
-                    .exemplar = theirs.exemplar.clone();
-                continue;
+            let mine = match index.entry(key(theirs)) {
+                Entry::Occupied(at) => &mut self.series[*at.get()],
+                Entry::Vacant(at) => {
+                    at.insert(self.series.len());
+                    self.series.push(theirs.clone());
+                    continue;
+                }
             };
             match (&mut mine.sample, &theirs.sample) {
                 (Sample::Histogram(a), Sample::Histogram(b)) => a.merge(b),
                 (Sample::Counter(a) | Sample::Gauge(a), Sample::Counter(b) | Sample::Gauge(b)) => {
                     *a += b
                 }
-                _ => unreachable!("same section, same kind"),
+                _ => unreachable!("same kind"),
             }
             if theirs.exemplar.is_some() {
                 mine.exemplar = theirs.exemplar.clone();
@@ -189,10 +195,10 @@ impl MetricsSnapshot {
     /// `name` and `labels`, histograms with count/sum/max/mean,
     /// percentile summaries and sparse buckets.
     pub fn to_value(&self) -> Value {
-        let mut sections: [Vec<(String, Value)>; 6] = Default::default();
+        let mut sections: [Vec<(&str, Value)>; 6] = Default::default();
         for series in &self.series {
             let plain = series.labels.is_empty();
-            let mut fields = Vec::new();
+            let mut fields = Vec::with_capacity(10);
             if !plain {
                 fields.push(("name", s(&series.name)));
                 fields.push(("labels", label_object(&series.labels)));
@@ -218,7 +224,7 @@ impl MetricsSnapshot {
                     obj(fields)
                 }
             };
-            sections[series.section()].push((series.name.clone(), value));
+            sections[series.section()].push((&series.name, value));
         }
         let mut fields = vec![("labels", label_object(&self.labels))];
         for (i, section) in JSON_SECTIONS.into_iter().enumerate() {
@@ -227,7 +233,7 @@ impl MetricsSnapshot {
                 continue;
             }
             let value = if section < 3 {
-                Value::Object(entries)
+                obj(entries)
             } else {
                 Value::Array(entries.into_iter().map(|(_, v)| v).collect())
             };
@@ -280,7 +286,7 @@ impl MetricsSnapshot {
                 let sample = match (section % 3, scalar.and_then(Value::as_u64)) {
                     (0, Some(v)) => Sample::Counter(v),
                     (1, Some(v)) => Sample::Gauge(v),
-                    (2, _) => Sample::Histogram(parse_histogram(entry)),
+                    (2, _) => Sample::Histogram(Box::new(parse_histogram(entry))),
                     _ => continue,
                 };
                 let labels = if labeled {
@@ -306,7 +312,7 @@ impl MetricsSnapshot {
     pub fn to_prometheus(&self, prefix: &str) -> String {
         let mut out = String::new();
         let mut typed: Vec<(usize, &str)> = Vec::new();
-        for series in &self.series {
+        for series in self.in_sections() {
             let (name, kind) = (series.name.as_str(), series.sample.kind());
             let unit = if kind == 2 { "_seconds" } else { "" };
             let metric = format!("{prefix}_{name}{unit}");
@@ -460,7 +466,7 @@ pub fn runtime_metrics(rt: &Runtime) -> MetricsSnapshot {
                 ("ready_delay", obs.ready_delay()),
                 ("message_latency", obs.message_latency()),
             ] {
-                m.push(name, Vec::new(), Sample::Histogram(h));
+                m.push(name, Vec::new(), Sample::Histogram(Box::new(h)));
             }
         }
         // Scheduler-load gauges ride along only when observability
@@ -687,7 +693,11 @@ mod tests {
         h.record(2_000);
         let mut m = MetricsSnapshot::with_labels(vec![("rank".to_string(), "0".to_string())]);
         m.push("tasks_executed", vec![], Sample::Counter(42));
-        m.push("task_duration", vec![], Sample::Histogram(h.snapshot()));
+        m.push(
+            "task_duration",
+            vec![],
+            Sample::Histogram(Box::new(h.snapshot())),
+        );
         m
     }
 
@@ -823,7 +833,7 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
         m.push(
             "serve_latency",
             tenant("acme"),
-            Sample::Histogram(h.snapshot()),
+            Sample::Histogram(Box::new(h.snapshot())),
         );
 
         let text = m.to_prometheus("ttg");
@@ -925,21 +935,26 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
         m.push("tasks_executed", vec![], Sample::Counter(99));
         m.push("queued_tasks", vec![], Sample::Gauge(4));
         m.push("worker_queue_depth", tenant("x"), Sample::Gauge(1));
-        m.push("task_duration", vec![], Sample::Histogram(h.snapshot()));
+        m.push(
+            "task_duration",
+            vec![],
+            Sample::Histogram(Box::new(h.snapshot())),
+        );
         m.push("serve_submitted", tenant("acme"), Sample::Counter(7));
         m.push(
             "serve_latency",
             tenant("acme"),
-            Sample::Histogram(h.snapshot()),
+            Sample::Histogram(Box::new(h.snapshot())),
         );
 
         let v: Value = serde_json::from_str(&m.to_json()).unwrap();
         let back = MetricsSnapshot::from_value(&v).unwrap();
         assert_eq!(back.labels, m.labels);
-        // Every series, of every kind, plain and labeled, in order.
+        // Every series, of every kind, plain and labeled, section by
+        // section and in push order within one.
         // Histograms reconstruct exactly (buckets, sum, max), so the
         // recomputed quantiles agree with the source.
-        assert_eq!(back.series, m.series);
+        assert_eq!(back.in_sections(), m.in_sections());
     }
 
     /// Two snapshots covering every kind, plain and labeled, two names
@@ -950,7 +965,7 @@ ttg_bravo_revocations{rank=\"1\"} 5\n";
         let h = |values: &[u64]| {
             let h = LatencyHistogram::new();
             values.iter().for_each(|&v| h.record(v));
-            h.snapshot()
+            Box::new(h.snapshot())
         };
         let l = |k: &str, v: &str| vec![(k.to_string(), v.to_string())];
         let identity = |rank: &str| [l("job", "golden"), l("rank", rank)].concat();
@@ -1331,7 +1346,7 @@ ttg_my_lat_seconds_count{job="golden",tenant="x"} 1
                 let sample = match kind {
                     0 => Sample::Counter(values[0]),
                     1 => Sample::Gauge(values[0]),
-                    _ => Sample::Histogram(h),
+                    _ => Sample::Histogram(Box::new(h)),
                 };
                 m.emit_if_set(NAMES[name], owned(LABELS[labels]), sample);
             }

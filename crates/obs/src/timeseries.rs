@@ -266,7 +266,11 @@ mod tests {
             h.record(1_000);
         }
         let mut m = snap(1, 0);
-        m.push("task_duration", vec![], Sample::Histogram(h.snapshot()));
+        m.push(
+            "task_duration",
+            vec![],
+            Sample::Histogram(Box::new(h.snapshot())),
+        );
         let ts = TimeSeriesRecorder::new(8, 100);
         ts.record_at(&m, 1000);
         let v: Value = serde_json::from_str(&ts.to_json()).unwrap();

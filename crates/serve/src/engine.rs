@@ -667,7 +667,7 @@ impl ServeEngine {
                     snap.push(name, labels.clone(), Sample::Counter(v));
                 }
             }
-            let latency = Sample::Histogram(t.latency.snapshot());
+            let latency = Sample::Histogram(Box::new(t.latency.snapshot()));
             let latency = snap.push("serve_latency", labels, latency);
             if ttg_obs::OBS {
                 latency.exemplar = t

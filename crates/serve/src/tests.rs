@@ -500,58 +500,10 @@ fn http_api_end_to_end() {
     assert_eq!(v.get("abandoned").unwrap().as_array().unwrap().len(), 0);
 }
 
-/// Parses one sample line of the Prometheus text format — `name`, an
-/// optional `{k="v",...}` block whose values may hold the escapes
-/// `\\`, `\"` and `\n`, a value, an optional ` # {...} value`
-/// exemplar — and returns the label pairs, unescaped.
-fn parse_sample_line(line: &str) -> Option<Vec<(String, String)>> {
-    let name_end = line.find(['{', ' '])?;
-    let (mut rest, mut labels) = (&line[name_end..], Vec::new());
-    if let Some(block) = rest.strip_prefix('{') {
-        let mut chars = block.char_indices();
-        loop {
-            let (start, _) = chars.clone().next()?;
-            let (eq, _) = chars.by_ref().find(|&(_, c)| c == '=')?;
-            let key = &block[start..eq];
-            if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                return None;
-            }
-            if chars.next()?.1 != '"' {
-                return None;
-            }
-            let mut value = String::new();
-            loop {
-                match chars.next()?.1 {
-                    '"' => break,
-                    '\\' => value.push(match chars.next()?.1 {
-                        'n' => '\n',
-                        c @ ('\\' | '"') => c,
-                        _ => return None,
-                    }),
-                    '\n' => return None,
-                    c => value.push(c),
-                }
-            }
-            labels.push((key.to_string(), value));
-            match chars.next()? {
-                (_, ',') => {}
-                (end, '}') => {
-                    rest = &block[end + 1..];
-                    break;
-                }
-                _ => return None,
-            }
-        }
-    }
-    let value = rest.strip_prefix(' ')?;
-    let value = value.split_once(" # ").map_or(value, |(v, _)| v);
-    (value == "+Inf" || value.parse::<f64>().is_ok()).then_some(labels)
-}
-
 /// Tenant names come from `/submit` bodies unchecked, so the text
 /// exposition escapes them: a tenant holding a quote, a backslash and
-/// a newline still leaves every `ttg_serve_*` line parseable, and the
-/// label reads back as the name submitted.
+/// a newline appears escaped on every `ttg_serve_*` line, and no line
+/// is split by a raw newline.
 #[test]
 fn metrics_escape_tenant_label_values() {
     let e = engine(2, ServeConfig::default());
@@ -565,15 +517,85 @@ fn metrics_escape_tenant_label_values() {
     });
     let (status, metrics) = http_request(server.port(), "GET", "/metrics", None);
     assert_eq!(status, 200);
-    let mut tenant_lines = 0;
-    for line in metrics.lines().filter(|l| l.starts_with("ttg_serve_")) {
-        let labels = parse_sample_line(line).unwrap_or_else(|| panic!("unparsable: {line}"));
-        if let Some((_, t)) = labels.iter().find(|(k, _)| k == "tenant") {
-            assert_eq!(t, tenant, "{line}");
-            tenant_lines += 1;
-        }
+    for line in metrics.lines() {
+        assert!(
+            line.starts_with('#') || line.starts_with("ttg_"),
+            "split: {line}"
+        );
     }
-    assert!(tenant_lines >= 4, "per-tenant series present:\n{metrics}");
+    let tenant_lines: Vec<&str> = metrics
+        .lines()
+        .filter(|l| l.starts_with("ttg_serve_") && l.contains("tenant="))
+        .collect();
+    for line in &tenant_lines {
+        assert!(line.contains(r#"tenant="q\"t\\s\nn""#), "{line}");
+    }
+    assert!(
+        tenant_lines.len() >= 4,
+        "per-tenant series present:\n{metrics}"
+    );
+}
+
+/// A scrape of an engine that has served a thousand tenants: every
+/// tenant's series is there, each family's TYPE line is written once,
+/// and the labeled counters, pushed tenant by tenant between the
+/// latency histograms, still render as one group before them.
+#[test]
+fn metrics_scrape_of_a_thousand_tenants() {
+    const TENANTS: usize = 1_000;
+    let e = engine(2, ServeConfig::default());
+    let server = ttg_obs::ObsHttpServer::serve(0, serve_routes(Arc::clone(&e))).expect("bind");
+    for t in 0..TENANTS {
+        let input = obj(vec![("n", Value::UInt(1))]);
+        e.submit(&format!("t{t:04}"), "doubling", input).unwrap();
+    }
+    wait_until("every instance to finish", || {
+        e.tenant_load()
+            .iter()
+            .all(|&(_, queued, inflight)| queued + inflight == 0)
+    });
+    let (status, metrics) = http_request(server.port(), "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let lines: Vec<&str> = metrics.lines().collect();
+    let submitted: Vec<&str> = lines
+        .iter()
+        .copied()
+        .filter(|l| l.starts_with("ttg_serve_submitted{"))
+        .collect();
+    let expected: Vec<String> = (0..TENANTS)
+        .map(|t| format!("ttg_serve_submitted{{rank=\"0\",tenant=\"t{t:04}\"}} 1"))
+        .collect();
+    assert_eq!(submitted, expected);
+    for family in [
+        "# TYPE ttg_serve_submitted counter",
+        "# TYPE ttg_serve_latency_seconds histogram",
+    ] {
+        assert_eq!(
+            lines.iter().filter(|l| **l == family).count(),
+            1,
+            "{family}"
+        );
+    }
+    let last_counter = lines
+        .iter()
+        .rposition(|l| l.starts_with("ttg_serve_failed{"));
+    let first_bucket = lines
+        .iter()
+        .position(|l| l.starts_with("ttg_serve_latency_seconds_bucket{"));
+    assert!(last_counter.unwrap() < first_bucket.unwrap());
+    let count_lines = lines
+        .iter()
+        .filter(|l| l.starts_with("ttg_serve_latency_seconds_count{"));
+    assert_eq!(count_lines.count(), TENANTS);
+
+    let (status, json) = http_request(server.port(), "GET", "/metrics.json", None);
+    assert_eq!(status, 200);
+    let v: Value = serde_json::from_str(&json).unwrap();
+    let labeled = v
+        .get("labeled_histograms")
+        .and_then(Value::as_array)
+        .unwrap();
+    assert_eq!(labeled.len(), TENANTS);
 }
 
 /// One task that first waits for `gate` to open, then appends its
