@@ -26,6 +26,8 @@
 //! boundaries, and one kind of message is enough inside one.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod config;
 pub mod error;

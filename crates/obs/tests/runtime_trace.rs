@@ -65,14 +65,16 @@ fn traced(threads: usize) -> Runtime {
     Runtime::new(config)
 }
 
-/// The `ts` of every task slice in a rendered trace.
+/// The `ts` of every task slice in a rendered trace. A worker that
+/// parks between tasks also emits an `"X"` slice (`cat: "sched"`), and
+/// how many it emits depends on timing, so only `cat: "task"` counts.
 fn slice_ts(json: &str) -> Vec<f64> {
     let v: serde_json::Value = serde_json::from_str(json).unwrap();
     v["traceEvents"]
         .as_array()
         .unwrap()
         .iter()
-        .filter(|e| e["ph"] == "X")
+        .filter(|e| e["ph"] == "X" && e["cat"] == "task")
         .map(|e| e["ts"].as_f64().unwrap())
         .collect()
 }
