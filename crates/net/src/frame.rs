@@ -273,10 +273,9 @@ mod clmul {
     const POLY: i64 = 0x1_db71_0641; // P itself, reflected
     const MU: i64 = 0x1_f701_1641; // floor(x^64 / P), reflected
 
-    /// The fold an input takes. Only [`Fold::for_len`] (and, in tests,
-    /// the constructors that ask it) makes one, after detecting the CPU
-    /// features its kernel needs, so holding one is the proof that
-    /// [`Fold::run`] may call that kernel.
+    /// The fold an input takes. Only [`Fold::for_len`] makes one, after
+    /// detecting the CPU features its kernel needs, so holding one is
+    /// the proof that [`Fold::run`] may call that kernel.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(super) struct Fold {
         wide: bool,
@@ -296,37 +295,9 @@ mod clmul {
             Some(Fold { wide })
         }
 
-        /// The 128-bit fold, when this CPU has it.
-        #[cfg(test)]
-        pub(super) fn narrow() -> Option<Fold> {
-            Fold::for_len(MIN_LEN)
-        }
-
-        /// The 512-bit fold, when this CPU has it.
-        #[cfg(test)]
-        pub(super) fn wide() -> Option<Fold> {
-            Fold::for_len(WIDE_MIN_LEN).filter(|f| f.wide)
-        }
-
-        /// Whether this is the 512-bit fold.
-        #[cfg(test)]
-        pub(super) fn is_wide(self) -> bool {
-            self.wide
-        }
-
-        /// Shortest input this fold takes.
-        #[cfg(test)]
-        pub(super) fn min_len(self) -> usize {
-            if self.wide {
-                WIDE_MIN_LEN
-            } else {
-                MIN_LEN
-            }
-        }
-
         /// Advances the CRC register `state` over `bytes`, whose length
-        /// must be a multiple of 16 and at least [`Fold::min_len`]
-        /// (checked).
+        /// must be a multiple of 16 and at least the shortest input its
+        /// kernel takes, [`MIN_LEN`] or [`WIDE_MIN_LEN`] (checked).
         #[inline]
         pub(super) fn run(self, state: u32, bytes: &[u8]) -> u32 {
             if self.wide {
@@ -783,13 +754,14 @@ mod tests {
 
     type Kernel = fn(u32, &[u8]) -> u32;
 
-    /// One fold called directly: over the input's 16-byte blocks when
-    /// they reach the fold's shortest input, slicing-by-8 for the rest.
+    /// The fold dispatch picks for `min_len` bytes, called directly:
+    /// over the input's 16-byte blocks when they reach `min_len`,
+    /// slicing-by-8 for the rest.
     #[cfg(target_arch = "x86_64")]
-    fn through(fold: Option<clmul::Fold>, state: u32, bytes: &[u8]) -> u32 {
-        let fold = fold.expect("listed only where the CPU has it");
+    fn through(min_len: usize, state: u32, bytes: &[u8]) -> u32 {
+        let fold = clmul::Fold::for_len(min_len).expect("listed only where the CPU has it");
         let (blocks, tail) = bytes.split_at(bytes.len() & !15);
-        if blocks.len() < fold.min_len() {
+        if blocks.len() < min_len {
             return crc32_slice8(state, bytes);
         }
         crc32_slice8(fold.run(state, blocks), tail)
@@ -802,11 +774,14 @@ mod tests {
             vec![("dispatched", crc32_update), ("slice8", crc32_slice8)];
         #[cfg(target_arch = "x86_64")]
         {
-            if clmul::Fold::narrow().is_some() {
-                kernels.push(("clmul128", |s, b| through(clmul::Fold::narrow(), s, b)));
+            let narrow = clmul::Fold::for_len(clmul::MIN_LEN);
+            if narrow.is_some() {
+                kernels.push(("clmul128", |s, b| through(clmul::MIN_LEN, s, b)));
             }
-            if clmul::Fold::wide().is_some() {
-                kernels.push(("clmul512", |s, b| through(clmul::Fold::wide(), s, b)));
+            // Without the wide fold's features 256 bytes take the
+            // 128-bit fold too.
+            if clmul::Fold::for_len(clmul::WIDE_MIN_LEN) != narrow {
+                kernels.push(("clmul512", |s, b| through(clmul::WIDE_MIN_LEN, s, b)));
             }
         }
         let names: Vec<&str> = kernels.iter().map(|(name, _)| *name).collect();
@@ -887,18 +862,20 @@ mod tests {
         use std::arch::is_x86_feature_detected as detected;
         let narrow = detected!("pclmulqdq") && detected!("sse4.1");
         let wide = narrow && detected!("avx512f") && detected!("vpclmulqdq");
-        let width = |len| clmul::Fold::for_len(len).map(clmul::Fold::is_wide);
-        assert_eq!(width(0), None);
-        assert_eq!(width(63), None);
-        assert_eq!(width(64), narrow.then_some(false));
-        assert_eq!(width(255), narrow.then_some(false));
+        let narrow_fold = clmul::Fold::for_len(clmul::MIN_LEN);
+        // The wide fold is the one 64 bytes do not get.
+        let takes_wide = |len| clmul::Fold::for_len(len).map(|f| Some(f) != narrow_fold);
+        assert_eq!(takes_wide(0), None);
+        assert_eq!(takes_wide(63), None);
+        assert_eq!(takes_wide(64), narrow.then_some(false));
+        assert_eq!(takes_wide(255), narrow.then_some(false));
         for len in [256, 4096, 64 << 10] {
             let want = if wide {
                 Some(true)
             } else {
                 narrow.then_some(false)
             };
-            assert_eq!(width(len), want, "len {len}");
+            assert_eq!(takes_wide(len), want, "len {len}");
         }
         println!("pclmulqdq fold: {narrow}, vpclmulqdq fold: {wide}");
     }
