@@ -16,7 +16,7 @@ fn bench_queue_ops(c: &mut Criterion) {
     const N: usize = 1_000;
     g.throughput(Throughput::Elements(2 * N as u64));
     for (name, kind) in [
-        ("lfq", SchedKind::Lfq { buffer: 8 }),
+        ("lfq", SchedKind::Lfq),
         ("ll", SchedKind::Ll),
         ("llp", SchedKind::Llp),
     ] {
@@ -47,10 +47,7 @@ fn bench_tree(c: &mut Criterion) {
     g.sample_size(10);
     const HEIGHT: u64 = 11; // 4095 tasks
     g.throughput(Throughput::Elements((1 << (HEIGHT + 1)) - 1));
-    for (name, kind) in [
-        ("lfq", SchedKind::Lfq { buffer: 8 }),
-        ("llp", SchedKind::Llp),
-    ] {
+    for (name, kind) in [("lfq", SchedKind::Lfq), ("llp", SchedKind::Llp)] {
         let mut config = RuntimeConfig::optimized(1);
         config.scheduler = kind;
         let graph = Graph::new(config);

@@ -71,10 +71,7 @@ fn main() {
     let cyc_per_ns = cycles_per_ns();
     println!("binary tree height {height} -> {ntasks} tasks; tsc ≈ {cyc_per_ns:.2} cycles/ns");
 
-    let schedulers = [
-        ("LFQ", SchedKind::Lfq { buffer: 8 }),
-        ("LLP", SchedKind::Llp),
-    ];
+    let schedulers = [("LFQ", SchedKind::Lfq), ("LLP", SchedKind::Llp)];
 
     // ---- Figure 6a: relative overhead --------------------------------
     let mut fig6a = Report::new(

@@ -116,7 +116,7 @@ fn equation_1_reuse_pattern_matches_4n_plus_4_through_a_queue() {
     // The paper's count: every task is pushed and popped. LFQ never
     // hands off; everything else is the optimized configuration.
     let config = || RuntimeConfig {
-        scheduler: SchedKind::Lfq { buffer: 8 },
+        scheduler: SchedKind::Lfq,
         ..RuntimeConfig::optimized(1)
     };
     for n in [2usize, 3, 4] {

@@ -135,7 +135,7 @@ impl RuntimeConfig {
     pub fn original(threads: usize) -> Self {
         RuntimeConfig {
             threads,
-            scheduler: SchedKind::Lfq { buffer: 8 },
+            scheduler: SchedKind::Lfq,
             termdet: TermDetKind::ProcessWide,
             table_lock: LockKind::Plain,
             ordering: OrderingPolicy::SeqCst,

@@ -245,6 +245,7 @@ mod tests {
         while let Some(n) = c.pop_front() {
             // SAFETY: test nodes.
             got.push(unsafe { n.as_ref().priority });
+            // SAFETY: a Box leaked by `mk`, popped once.
             drop(unsafe { Box::from_raw(n.as_ptr()) });
         }
         assert_eq!(got, vec![8, 4, 2]);

@@ -18,16 +18,18 @@
 //! hints may go stale, which only affects ordering quality).
 
 use crate::chain::SortedChain;
-use crate::{Priority, QueueStats, SchedNode, TaskQueue};
+use crate::{Count, PopSource, Priority, QueueStats, SchedNode, TaskQueue, Workers};
 use std::collections::VecDeque;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicI32, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicPtr, Ordering};
 use std::sync::Mutex;
 use ttg_sync::counted::note_rmw;
-use ttg_sync::{CachePadded, ContentionCounter};
 
 /// Default bounded-buffer capacity per worker (PaRSEC-like small value).
 pub const DEFAULT_BUFFER: usize = 8;
+
+/// The FIFO lock's critical sections are one push or pop; none panics.
+const POISONED: &str = "overflow FIFO lock poisoned";
 
 #[derive(Debug)]
 struct Slot {
@@ -155,100 +157,27 @@ impl BoundedBuffer {
 }
 
 /// The local-flat-queues scheduler.
+#[derive(Debug)]
 pub struct Lfq {
-    buffers: Box<[CachePadded<BoundedBuffer>]>,
+    buffers: Workers<BoundedBuffer>,
     /// The shared overflow FIFO and its global lock — the bottleneck.
-    fifo: Mutex<VecDeque<*mut SchedNode>>,
-    /// Workers per steal domain ("the same domain of the cache and NUMA
-    /// hierarchy"): victims within the thief's domain are scanned before
-    /// the rest. 0 ⇒ flat (a single domain).
-    domain_size: usize,
-    overflow: AtomicUsize,
-    local_pops: AtomicUsize,
-    steals: AtomicUsize,
-    /// Contention counters: zero-sized unless `obs`.
-    steal_attempts: ContentionCounter,
-    steal_empty: ContentionCounter,
-    overflow_pops: ContentionCounter,
+    fifo: Mutex<VecDeque<NonNull<SchedNode>>>,
 }
 
-// SAFETY: raw task pointers in the FIFO are owned by the queue until
+// SAFETY: task pointers in the FIFO are owned by the queue until
 // popped; nodes are Send by the trait contract.
 unsafe impl Send for Lfq {}
+// SAFETY: as for `Send`; the FIFO is only reached through its mutex.
 unsafe impl Sync for Lfq {}
 
 impl Lfq {
-    /// Creates an LFQ scheduler with `workers` buffers of `buffer` slots
-    /// and flat (single-domain) stealing.
+    /// Creates an LFQ scheduler with `workers` buffers of `buffer` slots.
+    /// [`crate::SchedKind::Lfq`] builds it with [`DEFAULT_BUFFER`].
     pub fn new(workers: usize, buffer: usize) -> Self {
-        Self::with_domains(workers, buffer, 0)
-    }
-
-    /// Creates an LFQ scheduler whose steal order prefers victims in the
-    /// thief's `domain_size`-worker domain (modelling the cache/NUMA
-    /// hierarchy PaRSEC's LFQ walks). `domain_size == 0` means flat.
-    pub fn with_domains(workers: usize, buffer: usize, domain_size: usize) -> Self {
         Lfq {
-            buffers: (0..workers.max(1))
-                .map(|_| CachePadded::new(BoundedBuffer::new(buffer)))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            buffers: Workers::new(workers, || BoundedBuffer::new(buffer)),
             fifo: Mutex::new(VecDeque::new()),
-            domain_size,
-            overflow: AtomicUsize::new(0),
-            local_pops: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
-            steal_attempts: ContentionCounter::new(),
-            steal_empty: ContentionCounter::new(),
-            overflow_pops: ContentionCounter::new(),
         }
-    }
-
-    /// Victim scan order for `worker`: same-domain neighbours first,
-    /// then everyone else (both round-robin from the thief).
-    fn victims(&self, worker: usize) -> impl Iterator<Item = usize> + '_ {
-        let w = self.buffers.len();
-        let ds = if self.domain_size == 0 {
-            w
-        } else {
-            self.domain_size
-        };
-        let my_domain = worker / ds;
-        let near = (1..w)
-            .map(move |i| (worker + i) % w)
-            .filter(move |&v| v / ds == my_domain);
-        let far = (1..w)
-            .map(move |i| (worker + i) % w)
-            .filter(move |&v| v / ds != my_domain);
-        near.chain(far)
-    }
-
-    fn push_overflow(&self, node: NonNull<SchedNode>) {
-        // Lock + unlock of the global mutex: the serialization point.
-        note_rmw();
-        self.fifo.lock().unwrap().push_back(node.as_ptr());
-        note_rmw();
-        self.overflow.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn pop_overflow(&self) -> Option<NonNull<SchedNode>> {
-        note_rmw();
-        let popped = self.fifo.lock().unwrap().pop_front();
-        note_rmw();
-        popped.map(|p| {
-            self.overflow_pops.incr();
-            // SAFETY: pointers in the FIFO are live owned tasks.
-            unsafe { NonNull::new_unchecked(p) }
-        })
-    }
-}
-
-impl std::fmt::Debug for Lfq {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Lfq")
-            .field("workers", &self.buffers.len())
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
     }
 }
 
@@ -257,45 +186,47 @@ unsafe impl TaskQueue for Lfq {
     fn push(&self, worker: usize, node: NonNull<SchedNode>) {
         // SAFETY: we own `node` until placed.
         let prio = unsafe { node.as_ref().priority };
-        let buf = &self.buffers[worker];
+        let buf = &self.buffers[worker].queue;
         if buf.try_place(node, prio) {
             return;
         }
-        // Buffer full: keep the highest priorities local, spill the rest.
-        match buf.try_displace(node, prio) {
-            Some(victim) => self.push_overflow(victim),
-            None => self.push_overflow(node),
-        }
+        // Buffer full: keep the highest priorities local, spill the rest
+        // to the global FIFO. Lock + unlock of its mutex: the
+        // serialization point.
+        let spilled = buf.try_displace(node, prio).unwrap_or(node);
+        note_rmw();
+        self.fifo.lock().expect(POISONED).push_back(spilled);
+        note_rmw();
+        self.buffers[worker].stats.overflow.bump();
     }
 
     fn push_chain(&self, worker: usize, mut chain: SortedChain) -> bool {
         // LFQ has no chain concept; PaRSEC pushes elements individually.
         // Report "slow" if any element crossed the global overflow FIFO.
-        let overflow_before = self.overflow.load(Ordering::Relaxed);
+        let overflow = &self.buffers[worker].stats.overflow;
+        let overflow_before = overflow.get();
         while let Some(node) = chain.pop_front() {
             self.push(worker, node);
         }
-        self.overflow.load(Ordering::Relaxed) != overflow_before
+        overflow.get() != overflow_before
     }
 
-    fn pop_from(&self, worker: usize) -> Option<(NonNull<SchedNode>, crate::PopSource)> {
-        if let Some(n) = self.buffers[worker].take_best() {
-            self.local_pops.fetch_add(1, Ordering::Relaxed);
-            return Some((n, crate::PopSource::Local));
+    fn pop_from(&self, worker: usize) -> Option<(NonNull<SchedNode>, PopSource)> {
+        let own = &self.buffers[worker];
+        if let Some(n) = own.queue.take_best() {
+            own.stats.local_pops.bump();
+            return Some((n, PopSource::Local));
         }
-        // Steal from the bounded buffers of other workers, nearest
-        // domain first ("any thread in the same domain of the cache and
-        // NUMA hierarchy", then beyond).
-        for victim in self.victims(worker) {
-            self.steal_attempts.incr();
-            if let Some(n) = self.buffers[victim].take_best() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some((n, crate::PopSource::Steal(victim)));
-            }
-            self.steal_empty.incr();
+        if let Some((n, victim)) = self.buffers.steal(worker, BoundedBuffer::take_best) {
+            return Some((n, PopSource::Steal(victim)));
         }
         // Finally the global FIFO.
-        self.pop_overflow().map(|n| (n, crate::PopSource::Overflow))
+        note_rmw();
+        let popped = self.fifo.lock().expect(POISONED).pop_front();
+        note_rmw();
+        let node = popped?;
+        own.stats.overflow_pops.with(Count::bump);
+        Some((node, PopSource::Overflow))
     }
 
     fn workers(&self) -> usize {
@@ -303,7 +234,7 @@ unsafe impl TaskQueue for Lfq {
     }
 
     fn pending_estimate(&self) -> usize {
-        let buffered: usize = self.buffers.iter().map(|b| b.occupied()).sum();
+        let buffered: usize = self.buffers.iter().map(|b| b.queue.occupied()).sum();
         buffered + self.overflow_depth()
     }
 
@@ -312,19 +243,10 @@ unsafe impl TaskQueue for Lfq {
     }
 
     fn worker_depth(&self, worker: usize) -> usize {
-        self.buffers.get(worker).map(|b| b.occupied()).unwrap_or(0)
+        self.buffers.get(worker).map_or(0, |b| b.queue.occupied())
     }
 
     fn stats(&self) -> QueueStats {
-        QueueStats {
-            local_pops: self.local_pops.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            overflow: self.overflow.load(Ordering::Relaxed),
-            slow_pushes: 0,
-            steal_attempts: self.steal_attempts.get() as usize,
-            steal_empty: self.steal_empty.get() as usize,
-            overflow_pops: self.overflow_pops.get() as usize,
-            detach_merges: 0,
-        }
+        self.buffers.stats()
     }
 }

@@ -7,9 +7,10 @@
 //!   small bounded buffer of task slots; overflow goes to a **global FIFO
 //!   protected by a lock**, which is the contention bottleneck Figure 6
 //!   exposes ("almost all schedule operations cause contention on the
-//!   lock protecting the global FIFO").
-//! * [`Ll`] — *local LIFO*: per-worker Treiber-style LIFO with stealing;
-//!   low contention but no priority support.
+//!   lock protecting the global FIFO"). Thieves probe the other buffers
+//!   in flat ring order, as PaRSEC's LFQ does within one domain.
+//! * [`Ll`] — *local LIFO*: per-worker LIFO with stealing; low
+//!   contention but no priority support.
 //! * [`Llp`] — the paper's *Local LIFO with Priorities*: per-worker LIFO
 //!   kept sorted by priority. The owner pushes with a single CAS when the
 //!   new task's priority is at least the head's; otherwise it *detaches*
@@ -18,6 +19,11 @@
 //!   legal because **only the owning thread may push** into its queue
 //!   (the paper's observation (i)).
 //!
+//! LL and LLP are one protocol, [`Lifo`], that differs only in whether
+//! the chain is kept sorted. All three queues are built on one
+//! per-worker array (`Workers`): a queue and a block of counters per
+//! worker, the one steal loop and the one sum into [`QueueStats`].
+//!
 //! ## Divergence from PaRSEC's LLP, and why it is safe
 //!
 //! PaRSEC steals a single element by CASing the head to `head->next`,
@@ -25,13 +31,17 @@
 //! makes *every* removal (owner pop and thief steal) use the same
 //! detach-whole-chain CAS the paper already requires for ordered
 //! insertion: the remover atomically takes the entire chain (head → null),
-//! keeps the first task, and re-publishes the rest — the owner with a
-//! release store, a thief by merging the remainder into *its own* queue
-//! (which it owns, so the owner-push path applies). Consequences:
+//! keeps the first task, and deposits the rest into *its own* queue with
+//! one release store. Consequences:
 //!
 //! * No node's `next` pointer is ever read unless the reader won the
 //!   detach CAS and thus owns the whole chain — no ABA, no use-after-free,
 //!   no tagged pointers needed.
+//! * The deposit is O(1) and needs no CAS: the remover's own head is
+//!   null — the owner just detached it, and a thief's own detach just
+//!   failed — and only the remover publishes there, so nothing can make
+//!   it non-null before the store. This is why `pop_from` is owner-only,
+//!   like `push`.
 //! * The atomic-operation count per task is unchanged: one CAS to push,
 //!   one CAS to pop (the model's N_S = 2, Section IV-E).
 //! * Stealing moves the victim's whole backlog to the thief, which is
@@ -43,24 +53,27 @@
 //!
 //! Queues store intrusive [`SchedNode`] headers embedded in task objects.
 //! Implementations are `unsafe trait`s because callers and implementors
-//! share obligations: nodes must stay allocated until popped, `push`
-//! must be called from the thread that owns `worker`'s queue, and every
-//! pushed node is delivered exactly once.
+//! share obligations: nodes must stay allocated until popped, `push`,
+//! `push_chain` and `pop_from` must be called from the thread that owns
+//! `worker`'s queue, and every pushed node is delivered exactly once.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod chain;
 pub mod lfq;
-pub mod ll;
-pub mod llp;
+pub mod lifo;
 
 pub use chain::SortedChain;
 pub use lfq::Lfq;
-pub use ll::Ll;
-pub use llp::Llp;
+pub use lifo::{Lifo, Ll, Llp};
 
 use std::cell::UnsafeCell;
+use std::ops::Deref;
 use std::ptr::NonNull;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use ttg_sync::{CachePadded, Gated};
 
 /// Priority type: higher runs first.
 pub type Priority = i32;
@@ -82,6 +95,7 @@ pub struct SchedNode {
 // SAFETY: a SchedNode is inert data; all shared access is mediated by the
 // queues' head synchronization.
 unsafe impl Send for SchedNode {}
+// SAFETY: as for `Send`: `next` is only touched by the node's owner.
 unsafe impl Sync for SchedNode {}
 
 impl SchedNode {
@@ -93,15 +107,25 @@ impl SchedNode {
         }
     }
 
-    /// Reads the next link. Caller must own the node.
+    /// Reads the next link.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own the node.
     #[inline]
     pub(crate) unsafe fn next(&self) -> *mut SchedNode {
+        // SAFETY: the owner is the only thread touching `next`.
         unsafe { *self.next.get() }
     }
 
-    /// Writes the next link. Caller must own the node.
+    /// Writes the next link.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own the node.
     #[inline]
     pub(crate) unsafe fn set_next(&self, next: *mut SchedNode) {
+        // SAFETY: the owner is the only thread touching `next`.
         unsafe { *self.next.get() = next }
     }
 }
@@ -148,15 +172,132 @@ pub struct QueueStats {
     pub detach_merges: usize,
 }
 
+/// One counter of a [`WorkerStats`] block. Its only writer is the
+/// worker that owns the block, so [`Count::bump`] is a load and a
+/// store, not a read-modify-write: one per pop would be an atomic the
+/// cost model (Eq. (1)) does not count.
+#[derive(Debug, Default)]
+pub(crate) struct Count(AtomicUsize);
+
+impl Count {
+    /// Adds one. Owner-only.
+    #[inline]
+    pub(crate) fn bump(&self) {
+        self.0
+            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub(crate) fn get(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// The counters behind [`QueueStats`] for one worker, written only by
+/// that worker. The last four exist only with `obs`.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerStats {
+    pub(crate) local_pops: Count,
+    pub(crate) steals: Count,
+    pub(crate) overflow: Count,
+    pub(crate) slow_pushes: Count,
+    pub(crate) steal_attempts: Gated<Count>,
+    pub(crate) steal_empty: Gated<Count>,
+    pub(crate) overflow_pops: Gated<Count>,
+    pub(crate) detach_merges: Gated<Count>,
+}
+
+/// One worker's slot: its queue and the counters only it writes.
+#[derive(Debug)]
+pub(crate) struct Worker<Q> {
+    pub(crate) queue: Q,
+    pub(crate) stats: WorkerStats,
+}
+
+/// The per-worker array every scheduler is built on, one cache-padded
+/// [`Worker`] a worker.
+#[derive(Debug)]
+pub(crate) struct Workers<Q>(Box<[CachePadded<Worker<Q>>]>);
+
+impl<Q> Workers<Q> {
+    /// `workers` slots (at least one), each queue built by `make`.
+    pub(crate) fn new(workers: usize, mut make: impl FnMut() -> Q) -> Self {
+        Workers(
+            (0..workers.max(1))
+                .map(|_| {
+                    CachePadded::new(Worker {
+                        queue: make(),
+                        stats: WorkerStats::default(),
+                    })
+                })
+                .collect(),
+        )
+    }
+
+    /// The one steal loop: `thief` probes every other worker's queue
+    /// once, in ring order starting after itself, until `take` yields.
+    /// Returns what was taken and from which victim, and keeps the
+    /// thief's `steals`, `steal_attempts` and `steal_empty` counts.
+    /// Owner-only for `thief`, like `pop_from`.
+    #[inline]
+    pub(crate) fn steal<T>(
+        &self,
+        thief: usize,
+        mut take: impl FnMut(&Q) -> Option<T>,
+    ) -> Option<(T, usize)> {
+        let stats = &self.0[thief].stats;
+        let n = self.0.len();
+        for i in 1..n {
+            let victim = (thief + i) % n;
+            stats.steal_attempts.with(Count::bump);
+            if let Some(taken) = take(&self.0[victim].queue) {
+                stats.steals.bump();
+                return Some((taken, victim));
+            }
+            stats.steal_empty.with(Count::bump);
+        }
+        None
+    }
+
+    /// Every worker's counters summed into one [`QueueStats`].
+    pub(crate) fn stats(&self) -> QueueStats {
+        let gated = |c: &Gated<Count>| c.with(Count::get).unwrap_or(0);
+        let mut s = QueueStats::default();
+        for w in self.0.iter() {
+            let w = &w.stats;
+            s.local_pops += w.local_pops.get();
+            s.steals += w.steals.get();
+            s.overflow += w.overflow.get();
+            s.slow_pushes += w.slow_pushes.get();
+            s.steal_attempts += gated(&w.steal_attempts);
+            s.steal_empty += gated(&w.steal_empty);
+            s.overflow_pops += gated(&w.overflow_pops);
+            s.detach_merges += gated(&w.detach_merges);
+        }
+        s
+    }
+}
+
+impl<Q> Deref for Workers<Q> {
+    type Target = [CachePadded<Worker<Q>>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
 /// A work-distribution queue for intrusive task nodes.
 ///
 /// # Safety
 ///
 /// Implementations must deliver every pushed node exactly once and must
 /// not access a node after handing it out. Callers must (a) keep nodes
-/// alive until popped, (b) call `push`/`push_chain` for `worker` only
-/// from the thread that owns that worker index, and (c) pass `worker`
-/// indices `< workers()`.
+/// alive until popped, (b) call `push`, `push_chain`, `pop_from` (and so
+/// `pop`) and `pops_next` for `worker` only from the thread that owns
+/// that worker index — the LIFOs deposit a removed chain's remainder
+/// into `worker`'s head with a plain store, legal only while no other
+/// thread can publish there — and (c) pass `worker` indices
+/// `< workers()`.
 pub unsafe trait TaskQueue: Send + Sync {
     /// Pushes one task into `worker`'s queue.
     fn push(&self, worker: usize, node: NonNull<SchedNode>);
@@ -169,7 +310,7 @@ pub unsafe trait TaskQueue: Send + Sync {
 
     /// Takes the best eligible task for `worker`: its own queue first,
     /// then stealing, then any shared overflow. Reports where the task
-    /// came from so callers can trace steals.
+    /// came from so callers can trace steals. Owner-only, like `push`.
     fn pop_from(&self, worker: usize) -> Option<(NonNull<SchedNode>, PopSource)>;
 
     /// [`Self::pop_from`] without the provenance.
@@ -213,11 +354,9 @@ pub unsafe trait TaskQueue: Send + Sync {
 /// Which scheduler to instantiate; consumed by the runtime's config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedKind {
-    /// Local flat queues + global overflow FIFO (PaRSEC default).
-    Lfq {
-        /// Bounded-buffer capacity per worker.
-        buffer: usize,
-    },
+    /// Local flat queues + global overflow FIFO (PaRSEC default), with
+    /// [`lfq::DEFAULT_BUFFER`] slots per worker.
+    Lfq,
     /// Local LIFO with stealing, no priorities.
     Ll,
     /// Local LIFO with priorities (the paper's contribution).
@@ -229,7 +368,7 @@ impl SchedKind {
     /// Instantiates the scheduler for `workers` queues.
     pub fn build(self, workers: usize) -> Box<dyn TaskQueue> {
         match self {
-            SchedKind::Lfq { buffer } => Box::new(Lfq::new(workers, buffer)),
+            SchedKind::Lfq => Box::new(Lfq::new(workers, lfq::DEFAULT_BUFFER)),
             SchedKind::Ll => Box::new(Ll::new(workers)),
             SchedKind::Llp => Box::new(Llp::new(workers)),
         }

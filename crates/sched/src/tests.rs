@@ -1,5 +1,5 @@
 use crate::test_util::{claim, Arena, TestNode};
-use crate::{Lfq, Ll, Llp, SchedKind, SortedChain, TaskQueue};
+use crate::{Lfq, Ll, Llp, PopSource, SchedKind, SortedChain, TaskQueue};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -169,6 +169,7 @@ fn exactly_once_stress(q: Arc<dyn TaskQueue>, workers: usize, per_worker: usize)
                 while delivered.load(Ordering::Relaxed) < total {
                     match q.pop(w) {
                         Some(n) => {
+                            // SAFETY: arena nodes.
                             unsafe { claim(n) };
                             delivered.fetch_add(1, Ordering::Relaxed);
                         }
@@ -235,10 +236,59 @@ fn stealing_drains_a_single_producer() {
     assert!(q.stats().steals > 0, "no steals recorded");
 }
 
+/// A thief owns what it stole: the remainder of the victim's chain is
+/// deposited into the thief's queue, which pops it in the queue's own
+/// order, and (LLP) the thief's next push is ranked against the
+/// deposited head — at or above it the fast path, below it the slow one.
+#[test]
+fn a_thief_pops_the_stolen_remainder_in_order() {
+    // Ids 0..5 are worker 0's, pushed in ascending priority (all fast);
+    // ids 6 and 5 are pushed by worker 1 after its steal, in that order.
+    let prios = [1, 2, 5, 6, 8, 6, 3];
+
+    let arena = Arena::new(prios);
+    let q = Llp::new(2);
+    for id in 0..5 {
+        q.push(0, arena.node(id).as_sched());
+    }
+    assert_eq!(q.stats().slow_pushes, 0);
+    let (first, src) = q.pop_from(1).expect("worker 0's chain is stealable");
+    // SAFETY: arena node.
+    assert_eq!((unsafe { claim(first) }, src), (4, PopSource::Steal(0)));
+    assert_eq!((q.worker_depth(0), q.worker_depth(1)), (0, 1));
+    q.push(1, arena.node(6).as_sched()); // 3, below the deposited head
+    assert_eq!(q.stats().slow_pushes, 1);
+    q.push(1, arena.node(5).as_sched()); // 6, equal to it (still the head)
+    assert_eq!(q.stats().slow_pushes, 1);
+    // Priority order, the newer 6 before the stolen one.
+    assert_eq!(drain_all(&q, 1), vec![5, 3, 2, 6, 1, 0]);
+    let stats = q.stats();
+    assert_eq!((stats.steals, stats.local_pops), (1, 6));
+    assert!(arena.all_claimed());
+
+    let arena = Arena::new(prios);
+    let q = Ll::new(2);
+    for id in 0..5 {
+        q.push(0, arena.node(id).as_sched());
+    }
+    let (first, src) = q.pop_from(1).expect("worker 0's chain is stealable");
+    // SAFETY: arena node.
+    assert_eq!((unsafe { claim(first) }, src), (4, PopSource::Steal(0)));
+    q.push(1, arena.node(5).as_sched());
+    q.push(1, arena.node(6).as_sched());
+    assert_eq!(drain_all(&q, 1), vec![6, 5, 3, 2, 1, 0], "LIFO order");
+    assert_eq!(q.stats().slow_pushes, 0);
+    assert!(arena.all_claimed());
+}
+
 #[test]
 fn sched_kind_builds_all_variants() {
-    for kind in [SchedKind::Lfq { buffer: 4 }, SchedKind::Ll, SchedKind::Llp] {
-        let q = kind.build(2);
+    let queues: [Box<dyn TaskQueue>; 3] = [
+        Box::new(Lfq::new(2, 4)),
+        SchedKind::Ll.build(2),
+        SchedKind::Llp.build(2),
+    ];
+    for q in queues {
         assert_eq!(q.workers(), 2);
         let n = TestNode::new(0, 3);
         q.push(0, n.as_sched());
@@ -339,6 +389,7 @@ mod proptests {
                         next_id += 1;
                     }
                     Op::Pop => {
+                        // SAFETY: arena nodes.
                         let got = q.pop(0).map(|n| unsafe { claim(n) });
                         let want = if model.is_empty() { None } else { Some(model.remove(0).1) };
                         prop_assert_eq!(got, want);
@@ -355,16 +406,18 @@ mod proptests {
         /// single-threaded use, regardless of op sequence.
         #[test]
         fn all_schedulers_lossless(ops in ops()) {
-            for kind in [SchedKind::Lfq { buffer: 2 }, SchedKind::Ll, SchedKind::Llp] {
+            let queues: [Box<dyn TaskQueue>; 3] =
+                [Box::new(Lfq::new(1, 2)), SchedKind::Ll.build(1), SchedKind::Llp.build(1)];
+            for q in queues {
                 let pushes = ops.iter().filter(|o| matches!(o, Op::Push(_))).count();
                 let arena = Arena::new(std::iter::repeat_n(0, pushes));
-                let q = kind.build(1);
                 let mut next_id = 0;
                 let mut outstanding = 0usize;
                 for op in &ops {
                     match *op {
                         Op::Push(p) => {
                             let node = arena.node(next_id);
+                            // SAFETY: node not yet pushed; we own it.
                             unsafe { (*node.as_sched().as_ptr()).priority = p as i32; }
                             q.push(0, node.as_sched());
                             next_id += 1;
@@ -372,6 +425,7 @@ mod proptests {
                         }
                         Op::Pop => {
                             if let Some(n) = q.pop(0) {
+                                // SAFETY: arena nodes.
                                 unsafe { claim(n) };
                                 outstanding -= 1;
                             } else {
@@ -386,34 +440,4 @@ mod proptests {
             }
         }
     }
-}
-
-#[test]
-fn lfq_domain_stealing_prefers_near_victims_and_stays_correct() {
-    // 4 workers in 2 domains of 2. Worker 1 must find worker 0's tasks
-    // (same domain) and, when its domain is empty, cross domains.
-    let q = Lfq::with_domains(4, 4, 2);
-    let arena = Arena::new([5, 6, 7, 8]);
-    q.push(0, arena.node(0).as_sched()); // domain 0
-    q.push(0, arena.node(1).as_sched()); // domain 0
-    q.push(2, arena.node(2).as_sched()); // domain 1
-    q.push(2, arena.node(3).as_sched()); // domain 1
-                                         // Worker 1 (domain 0) steals: both domain-0 tasks come first.
-    let a = unsafe { claim(q.pop(1).unwrap()) };
-    let b = unsafe { claim(q.pop(1).unwrap()) };
-    assert!(
-        a < 2 && b < 2,
-        "near-domain tasks must be stolen first: {a}, {b}"
-    );
-    // Domain 0 is now empty: the next pops cross into domain 1.
-    let c = unsafe { claim(q.pop(1).unwrap()) };
-    let d = unsafe { claim(q.pop(1).unwrap()) };
-    assert!(c >= 2 && d >= 2);
-    assert!(q.pop(1).is_none());
-    assert!(arena.all_claimed());
-}
-
-#[test]
-fn lfq_domain_stealing_exactly_once_under_contention() {
-    exactly_once_stress(Arc::new(Lfq::with_domains(8, 4, 2)), 8, 2_000);
 }

@@ -14,7 +14,7 @@ use ttg_task_bench::{Implementation, Kernel, Pattern, TaskGraph};
 #[test]
 fn full_config_matrix_is_answer_invariant() {
     let mut configs = Vec::new();
-    for sched in [SchedKind::Lfq { buffer: 4 }, SchedKind::Ll, SchedKind::Llp] {
+    for sched in [SchedKind::Lfq, SchedKind::Ll, SchedKind::Llp] {
         for termdet in [TermDetKind::ProcessWide, TermDetKind::ThreadLocal] {
             for lock in [ttg_runtime::LockKind::Plain, ttg_runtime::LockKind::Bravo] {
                 let mut c = RuntimeConfig::optimized(2);
