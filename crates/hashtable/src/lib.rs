@@ -26,6 +26,8 @@
 //! satisfied, and then unlock the bucket".
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod hash;
 mod lock;

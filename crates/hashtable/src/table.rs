@@ -167,9 +167,20 @@ pub struct ScalableHashTable<K, V, S = FixedState> {
     biased_reads: ContentionCounter,
 }
 
-// SAFETY: all interior mutability is mediated by the table RW lock plus
-// per-bucket spin locks; `K`/`V` move across threads.
+// SAFETY: `chain`, an `UnsafeCell`, is the only field that is not
+// `Send` by itself. It owns the `SubTable<K, V>`s, so moving the table
+// moves them with it, and every reference into it (a `LockedBucket`,
+// a `stats` or `for_each` borrow) borrows the table and so cannot
+// outlive or follow the move. Sending therefore needs what sending a
+// `Vec<(K, V)>` and an `S` needs.
 unsafe impl<K: Send, V: Send, S: Send> Send for ScalableHashTable<K, V, S> {}
+// SAFETY: shared access reaches `chain` only through the table lock:
+// `&` to the chain under the read lock, `&mut` under the write lock
+// (each dereference of it below names the guard it holds), and an
+// entry only under its bucket's spin lock as well. So no two threads
+// race on the chain or an entry; entries are inserted, removed and
+// borrowed from any thread, hence `K`, `V`: `Send + Sync`, and every
+// thread hashes with the shared `S`, hence `S: Sync`.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: Sync> Sync for ScalableHashTable<K, V, S> {}
 
 impl<K: Hash + Eq, V> ScalableHashTable<K, V> {
@@ -238,7 +249,9 @@ impl<K: Hash + Eq, V, S: BuildHasher> ScalableHashTable<K, V, S> {
     /// Snapshot of the table's dynamic-behaviour counters.
     pub fn stats(&self) -> HashTableStats {
         let _r = self.lock.read();
-        // SAFETY: read lock held; chain structure is stable.
+        // SAFETY: `_r` holds the read lock until this borrow ends, and
+        // `&mut` to the chain is taken only under the write lock, so
+        // nothing mutates the chain while this `&` lives.
         let chain = unsafe { &*self.chain.get() };
         HashTableStats {
             len: chain.iter().map(|sub| sub.count_entries()).sum(),
@@ -324,7 +337,9 @@ impl<K: Hash + Eq, V, S: BuildHasher> ScalableHashTable<K, V, S> {
     /// Intended for shutdown diagnostics, not hot paths.
     pub fn for_each(&self, mut f: impl FnMut(&K, &mut V)) {
         let _w = self.lock.write();
-        // SAFETY: exclusive lock held — no concurrent bucket access.
+        // SAFETY: `_w` holds the write lock until this borrow ends; every
+        // other reference to the chain is taken under the read or write
+        // lock and dropped with it, so this `&mut` is the only one.
         let chain = unsafe { &mut *self.chain.get() };
         for sub in chain.iter_mut() {
             for bucket in sub.buckets.iter_mut() {
@@ -338,7 +353,9 @@ impl<K: Hash + Eq, V, S: BuildHasher> ScalableHashTable<K, V, S> {
     /// Removes and returns all live entries under the exclusive lock.
     pub fn drain(&self) -> Vec<(K, V)> {
         let _w = self.lock.write();
-        // SAFETY: exclusive lock held.
+        // SAFETY: `_w` holds the write lock until this borrow ends, so
+        // this `&mut` is the only reference to the chain (as in
+        // `for_each`).
         let chain = unsafe { &mut *self.chain.get() };
         let mut out = Vec::new();
         for sub in chain.iter_mut() {
@@ -368,7 +385,9 @@ impl<K: Hash + Eq, V, S: BuildHasher> ScalableHashTable<K, V, S> {
             return;
         }
         let _w = self.lock.write();
-        // SAFETY: exclusive lock held.
+        // SAFETY: `_w` holds the write lock until this borrow ends, so
+        // this `&mut` is the only reference to the chain (as in
+        // `for_each`).
         let chain = unsafe { &mut *self.chain.get() };
         if do_resize {
             // The main table becomes an old one: from here on its entry
