@@ -38,6 +38,8 @@
 //! requests.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod local;
 mod scope;

@@ -26,8 +26,12 @@ struct LocalCell {
     pending: Cell<i64>,
 }
 
-// SAFETY: each LocalCell is accessed exclusively by its owning worker
-// (enforced by the runtime's worker-index discipline).
+// SAFETY: a `LocalCell` is read and written only through
+// `task_discovered`, `task_executed` and `flush` with its own worker
+// index, and the runtime passes index `w` only on worker `w`'s thread,
+// so one thread at a time touches each cell. That discipline is the
+// runtime's, not the type system's: those methods are safe, and two
+// threads passing the same index would race on the `Cell`.
 unsafe impl Sync for LocalCell {}
 
 /// Process-local termination accounting.
