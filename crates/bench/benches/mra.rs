@@ -1,11 +1,12 @@
 //! Criterion bench behind Figure 12: the MRA kernels (a refinement
-//! step, projection, filter/unfilter) and the full pipeline at small
-//! scale.
+//! step, projection, filter/unfilter), the single-mode pass for every
+//! k, and the full pipeline at small scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
+use ttg_mra::tensor::{PassKernel, MAX_K};
 use ttg_mra::tree::{BoxKey, MraContext, MraParams};
-use ttg_mra::{Gaussian3, MraTtg, Tensor3};
+use ttg_mra::{Gaussian3, Matrix, MraTtg, Tensor3};
 use ttg_runtime::{Runtime, RuntimeConfig};
 
 fn ctx(k: usize) -> MraContext {
@@ -46,6 +47,29 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// The pass dispatch picks for each k against the portable pass. A
+/// `transform3` is three passes and one allocation, so ns per pass is
+/// a third of the time per call.
+fn bench_pass(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fig12_pass");
+    for k in 1..=MAX_K {
+        let m = Matrix::from_fn(k, k, |r, c| ((7 * r + 3 * c) as f64 * 0.11).cos());
+        let mut t = Tensor3::zeros(k);
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            *v = (i as f64 * 0.37).sin();
+        }
+        for (label, kernel) in [
+            ("dispatched", PassKernel::for_k(k)),
+            ("portable", PassKernel::Portable),
+        ] {
+            g.bench_function(BenchmarkId::new(label, k), |b| {
+                b.iter(|| t.transform3_with(kernel, &m, &m, &m))
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig12_pipeline");
     g.sample_size(10);
@@ -70,5 +94,5 @@ fn bench_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_pipeline);
+criterion_group!(benches, bench_kernels, bench_pass, bench_pipeline);
 criterion_main!(benches);

@@ -12,6 +12,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 use ttg_bench::{Args, Report, Series};
+use ttg_mra::tensor::PassKernel;
 use ttg_mra::tree::{MraContext, MraParams};
 use ttg_mra::{Gaussian3, MraTtg};
 use ttg_runtime::{Runtime, RuntimeConfig};
@@ -55,7 +56,8 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "MRA: order k={k}, eps={eps:e}, exponent={exponent}, domain [-6,6]^3 \
-         (paper: k=10, eps=1e-8, exponent=30000); host: nproc={cpus}"
+         (paper: k=10, eps=1e-8, exponent=30000); host: nproc={cpus}, pass kernel: {}",
+        PassKernel::for_k(k).name()
     );
 
     let mut report = Report::new("Figure 12: MRA time to solution", "threads", "seconds");

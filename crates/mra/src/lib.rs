@@ -19,7 +19,9 @@
 //! * [`function`] — the Gaussians, with the per-axis factor that makes
 //!   them separable.
 //! * [`tensor`] — k³ coefficient tensors and the one kernel, a
-//!   single-mode pass: a GEMM of shape k×k · k×k², k⁴ multiply-adds.
+//!   single-mode pass: a GEMM of shape k×k · k×k², k⁴ multiply-adds,
+//!   run by an AVX2 pass where the CPU has it and a portable one
+//!   elsewhere, bit-identical to each other.
 //!   A filter of eight children is 14 passes and an unfilter into
 //!   eight children 14 — sum-factorised, where eight separate mode
 //!   products would take 24. MADNESS gathers the children into one
@@ -53,6 +55,8 @@
 //! pipeline must reproduce its leaf coefficients bit-for-bit-close.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 // Explicit index loops mirror the mathematical notation in tensor code.
 #![allow(clippy::needless_range_loop)]
 

@@ -1,15 +1,27 @@
 //! Small dense matrices and k³ coefficient tensors.
 //!
 //! The MRA kernels are mode-wise tensor transforms built from one
-//! single-mode pass (`pass`): a (k×k)·(k×k²) GEMM, k⁴ multiply-adds,
-//! that contracts a tensor's first mode and rotates it to the back.
-//! Three passes make the mode product [`Tensor3::transform3`]; fourteen
-//! make the two-scale filter of eight octants into one tensor
+//! single-mode pass: a (k×k)·(k×k²) GEMM, k⁴ multiply-adds, that
+//! contracts a tensor's first mode and rotates it to the back. Three
+//! passes make the mode product [`Tensor3::transform3`]; fourteen make
+//! the two-scale filter of eight octants into one tensor
 //! (`Tensor3::sum_octants`) and its inverse, one tensor into eight
 //! (`Tensor3::split_octants`) — sum-factorised, so the shared
 //! contractions are done once instead of once per octant. Every kernel
 //! is compiled for each k up to [`MAX_K`] and allocates only its
 //! results.
+//!
+//! The pass comes in two forms, picked by [`PassKernel::for_k`] once
+//! per kernel call (never per pass): for k ≥ 3 on an x86-64 CPU with
+//! AVX2, an AVX2 pass that keeps a block of output rows in `ymm`
+//! accumulators; otherwise the portable pass, which is also the oracle
+//! the AVX2 pass is tested against. Both round every product
+//! and then add it, in ascending order of the contracted index, to an
+//! accumulator that starts at +0.0, so they agree bit for bit on every
+//! output that is not NaN. That is why the AVX2 pass uses no FMA: a
+//! fused multiply-add rounds once where the portable pass rounds twice,
+//! and results would then depend on the CPU. Other targets build only
+//! the portable pass.
 
 /// A row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,9 +210,24 @@ impl Tensor3 {
     /// *transposed* (`t_d = M_dᵀ`), the form the kernel streams row by
     /// row. Three passes, 3·k⁴ multiply-adds; allocates only the result.
     pub fn transform3(&self, t0: &Matrix, t1: &Matrix, t2: &Matrix) -> Tensor3 {
+        self.transform3_with(PassKernel::for_k(self.k), t0, t1, t2)
+    }
+
+    /// [`Tensor3::transform3`] through `kernel`'s pass instead of the
+    /// one [`PassKernel::for_k`] picks.
+    pub fn transform3_with(
+        &self,
+        kernel: PassKernel,
+        t0: &Matrix,
+        t1: &Matrix,
+        t2: &Matrix,
+    ) -> Tensor3 {
         let k = check_k(self.k, &[t0, t1, t2]);
         let mut out = Tensor3::zeros(k);
-        by_k!(k, product_k(&self.data, [t0, t1, t2], &mut out.data));
+        by_k!(
+            k,
+            product_k(kernel, &self.data, [t0, t1, t2], &mut out.data)
+        );
         out
     }
 
@@ -210,12 +237,17 @@ impl Tensor3 {
     /// per (cy, cz) pair, y per cz, z once — so 14 passes instead of the
     /// 24 of eight mode products. Allocates only the result.
     pub(crate) fn sum_octants(srcs: &[Tensor3; 8], t: [&Matrix; 2]) -> Tensor3 {
+        Self::sum_octants_with(PassKernel::for_k(srcs[0].k), srcs, t)
+    }
+
+    /// [`Tensor3::sum_octants`] through `kernel`'s pass.
+    fn sum_octants_with(kernel: PassKernel, srcs: &[Tensor3; 8], t: [&Matrix; 2]) -> Tensor3 {
         let k = srcs[0].k;
         assert!(srcs.iter().all(|s| s.k == k), "octants must share k");
         check_k(k, &t);
         let mut out = Tensor3::zeros(k);
         let srcs = srcs.each_ref().map(|s| s.data.as_slice());
-        by_k!(k, sum_octants_k(srcs, t, &mut out.data));
+        by_k!(k, sum_octants_k(kernel, srcs, t, &mut out.data));
         out
     }
 
@@ -225,10 +257,15 @@ impl Tensor3 {
     /// per cx, y per (cx, cy), z per octant — so 14 passes instead of
     /// 24. Allocates only the eight results.
     pub(crate) fn split_octants(&self, t: [&Matrix; 2]) -> [Tensor3; 8] {
+        self.split_octants_with(PassKernel::for_k(self.k), t)
+    }
+
+    /// [`Tensor3::split_octants`] through `kernel`'s pass.
+    fn split_octants_with(&self, kernel: PassKernel, t: [&Matrix; 2]) -> [Tensor3; 8] {
         let k = check_k(self.k, &t);
         let mut out: [Tensor3; 8] = std::array::from_fn(|_| Tensor3::zeros(k));
         let dsts = out.each_mut().map(|o| o.data.as_mut_slice());
-        by_k!(k, split_octants_k(&self.data, t, dsts));
+        by_k!(k, split_octants_k(kernel, &self.data, t, dsts));
         out
     }
 
@@ -261,36 +298,117 @@ fn check_k(k: usize, t: &[&Matrix]) -> usize {
     k
 }
 
-/// `by_k!(k, f(args…))` calls `f::<K>(args…)` for the literal K equal
-/// to `k`: the one `match` on k, so each k in 1..=[`MAX_K`] has its own
-/// monomorphised kernel.
+/// `by_k!(k, f(args…))` calls `f::<K, R>(args…)` for the literal K
+/// equal to `k`: the one `match` on k, so each k in 1..=[`MAX_K`] has
+/// its own monomorphised kernel. R is how many output rows the AVX2
+/// pass keeps in registers at once for that K (see `avx2::pass`): its
+/// R·⌈K/4⌉ accumulators must leave room in the 16 `ymm` registers, and
+/// among the R that do, each was picked by measuring that K.
 macro_rules! by_k {
     ($k:expr, $f:ident $args:tt) => {
-        by_k!(@ $k, $f, $args, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+        by_k!(@ $k, $f, $args,
+            1:1 2:2 3:3 4:4 5:4 6:6 7:4 8:4 9:3 10:4 11:4 12:4 13:3 14:3 15:3 16:3)
     };
-    (@ $k:expr, $f:ident, $args:tt, $($K:literal)*) => {
+    (@ $k:expr, $f:ident, $args:tt, $($K:literal : $R:literal)*) => {
         match $k {
-            $($K => $f::<$K> $args,)*
+            $($K => $f::<$K, $R> $args,)*
             k => unreachable!("k = {k} passed check_k"),
         }
     };
 }
 use by_k;
 
-/// `dst = (t[0]ᵀ ⊗ t[1]ᵀ ⊗ t[2]ᵀ) src`: three [`pass`]es through two
-/// stack temporaries.
-fn product_k<const K: usize>(src: &[f64], t: [&Matrix; 3], dst: &mut [f64]) {
+/// The single-mode pass a kernel call runs. The kernel entries pick one
+/// with [`PassKernel::for_k`] when they are called and run every pass
+/// of that call through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PassKernel {
+    /// The portable pass: the fallback on a CPU without AVX2, and the
+    /// oracle the AVX2 pass is tested against.
+    Portable,
+    /// The AVX2 pass, holding the proof that this CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(Avx2),
+}
+
+#[cfg(target_arch = "x86_64")]
+pub use avx2::Avx2;
+
+/// The smallest k dispatch gives the AVX2 pass. At k = 1 and 2 a pass
+/// is a few dozen multiply-adds, and the AVX2 pass measured no faster
+/// than the portable one (EXPERIMENTS.md, Figure 12, the per-k table).
+const VECTOR_MIN_K: usize = 3;
+
+impl PassKernel {
+    /// The pass for tensors of dimension `k` on this CPU: AVX2 where
+    /// the CPU has it and k is at least 3, the portable pass otherwise.
+    pub fn for_k(k: usize) -> PassKernel {
+        match PassKernel::vector() {
+            Some(vector) if k >= VECTOR_MIN_K => vector,
+            _ => PassKernel::Portable,
+        }
+    }
+
+    /// The vector pass, if this CPU has one: AVX2 on x86-64, none on
+    /// other targets.
+    pub fn vector() -> Option<PassKernel> {
+        #[cfg(target_arch = "x86_64")]
+        return Avx2::detect().map(PassKernel::Avx2);
+        #[cfg(not(target_arch = "x86_64"))]
+        None
+    }
+
+    /// `"avx2"` or `"portable"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            PassKernel::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            PassKernel::Avx2(_) => "avx2",
+        }
+    }
+
+    /// One pass through this kernel: `dst[j][m][a] (+)= Σ_i
+    /// src[i][j][m] · t[i][a]`.
+    #[inline(always)]
+    fn run<const K: usize, const R: usize>(
+        self,
+        src: &Cube<K>,
+        t: &[[f64; K]; K],
+        dst: &mut Cube<K>,
+        add: bool,
+    ) {
+        match self {
+            PassKernel::Portable => pass(src, t, dst, add),
+            #[cfg(target_arch = "x86_64")]
+            PassKernel::Avx2(avx2) => avx2.pass::<K, R>(src, t, dst, add),
+        }
+    }
+}
+
+/// `dst = (t[0]ᵀ ⊗ t[1]ᵀ ⊗ t[2]ᵀ) src`: three passes through two stack
+/// temporaries.
+fn product_k<const K: usize, const R: usize>(
+    kernel: PassKernel,
+    src: &[f64],
+    t: [&Matrix; 3],
+    dst: &mut [f64],
+) {
     let mut a: Cube<K> = [[[0.0; K]; K]; K];
     let mut b: Cube<K> = [[[0.0; K]; K]; K];
-    pass(cube(src), rows(&t[0].data), &mut a, false);
-    pass(&a, rows(&t[1].data), &mut b, false);
-    pass(&b, rows(&t[2].data), cube_mut(dst), false);
+    kernel.run::<K, R>(cube(src), rows(&t[0].data), &mut a, false);
+    kernel.run::<K, R>(&a, rows(&t[1].data), &mut b, false);
+    kernel.run::<K, R>(&b, rows(&t[2].data), cube_mut(dst), false);
 }
 
 /// [`Tensor3::sum_octants`]' 14 passes through two stack temporaries:
 /// `a` holds one (cy, cz) pair's x-contraction, `b` one cz's sum of
 /// y-contractions, and `dst` the sum of the z-contractions.
-fn sum_octants_k<const K: usize>(srcs: [&[f64]; 8], t: [&Matrix; 2], dst: &mut [f64]) {
+fn sum_octants_k<const K: usize, const R: usize>(
+    kernel: PassKernel,
+    srcs: [&[f64]; 8],
+    t: [&Matrix; 2],
+    dst: &mut [f64],
+) {
     let t = t.map(|m| rows::<K, _>(&m.data));
     let dst = cube_mut::<K>(dst);
     let mut a: Cube<K> = [[[0.0; K]; K]; K];
@@ -298,36 +416,43 @@ fn sum_octants_k<const K: usize>(srcs: [&[f64]; 8], t: [&Matrix; 2], dst: &mut [
     for cz in 0..2 {
         for cy in 0..2 {
             for cx in 0..2 {
-                pass(cube(srcs[cz << 2 | cy << 1 | cx]), t[cx], &mut a, cx == 1);
+                let src = cube(srcs[cz << 2 | cy << 1 | cx]);
+                kernel.run::<K, R>(src, t[cx], &mut a, cx == 1);
             }
-            pass(&a, t[cy], &mut b, cy == 1);
+            kernel.run::<K, R>(&a, t[cy], &mut b, cy == 1);
         }
-        pass(&b, t[cz], dst, cz == 1);
+        kernel.run::<K, R>(&b, t[cz], dst, cz == 1);
     }
 }
 
 /// [`Tensor3::split_octants`]' 14 passes through two stack
 /// temporaries: `a` holds the x-contraction for one cx, `b` its
 /// y-contraction for one cy, and each octant the z-contraction of `b`.
-fn split_octants_k<const K: usize>(src: &[f64], t: [&Matrix; 2], dsts: [&mut [f64]; 8]) {
+fn split_octants_k<const K: usize, const R: usize>(
+    kernel: PassKernel,
+    src: &[f64],
+    t: [&Matrix; 2],
+    dsts: [&mut [f64]; 8],
+) {
     let t = t.map(|m| rows::<K, _>(&m.data));
     let mut a: Cube<K> = [[[0.0; K]; K]; K];
     let mut b: Cube<K> = [[[0.0; K]; K]; K];
     for cx in 0..2 {
-        pass(cube(src), t[cx], &mut a, false);
+        kernel.run::<K, R>(cube(src), t[cx], &mut a, false);
         for cy in 0..2 {
-            pass(&a, t[cy], &mut b, false);
+            kernel.run::<K, R>(&a, t[cy], &mut b, false);
             for cz in 0..2 {
-                pass(&b, t[cz], cube_mut(dsts[cz << 2 | cy << 1 | cx]), false);
+                let dst = cube_mut(dsts[cz << 2 | cy << 1 | cx]);
+                kernel.run::<K, R>(&b, t[cz], dst, false);
             }
         }
     }
 }
 
-/// One single-mode pass, contracting the first mode and rotating it to the
-/// back: `dst[j][m][a] (+)= Σ_i src[i][j][m] · t[i][a]`. Each of the k²
-/// output rows is K accumulators held in registers, summed over i in
-/// ascending order.
+/// The portable single-mode pass, contracting the first mode and
+/// rotating it to the back: `dst[j][m][a] (+)= Σ_i src[i][j][m] ·
+/// t[i][a]`. Each of the k² output rows is K accumulators, summed over
+/// i in ascending order.
 #[inline(always)]
 fn pass<const K: usize>(src: &Cube<K>, t: &[[f64; K]; K], dst: &mut Cube<K>, add: bool) {
     for j in 0..K {
@@ -341,6 +466,178 @@ fn pass<const K: usize>(src: &Cube<K>, t: &[[f64; K]; K], dst: &mut Cube<K>, add
             }
             for (d, v) in dst[j][m].iter_mut().zip(acc) {
                 *d = if add { *d + v } else { v };
+            }
+        }
+    }
+}
+
+/// The AVX2 single-mode pass. It computes what the portable [`pass`]
+/// computes, in the same order: each product rounded, then added to an
+/// accumulator that starts at +0.0, over i ascending; with `add`, the
+/// old output plus the sum. There is no FMA, so each output is the
+/// portable pass's bit for bit, unless it is NaN (LLVM may commute an
+/// add, which can change which NaN payload survives). What differs is
+/// the shape: an output row `dst[j][m]` of K entries is ⌈K/4⌉
+/// four-lane `ymm` accumulators, and R consecutive rows (in (j, m)
+/// order), whose inputs lie side by side in each plane `src[i]`, are
+/// summed at once, so each row of `t` loaded feeds R rows and R·⌈K/4⌉
+/// independent add chains hide the adds' latency. R is fixed per K at
+/// compile time (`by_k!`), so the accumulators stay in registers.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::Cube;
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_broadcast_sd, _mm256_castpd256_pd128, _mm256_extractf128_pd,
+        _mm256_insertf128_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+        _mm256_zextpd128_pd256, _mm_load_sd, _mm_loadu_pd, _mm_store_sd, _mm_storeu_pd,
+    };
+
+    /// Proof that this CPU has AVX2. Only detection makes one (through
+    /// [`PassKernel::vector`](super::PassKernel::vector)), so holding
+    /// one is what lets the kernels call the AVX2 pass.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Avx2(());
+
+    impl Avx2 {
+        /// An `Avx2` if this CPU has AVX2.
+        pub(super) fn detect() -> Option<Avx2> {
+            std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
+        }
+
+        /// One pass, R output rows at a time.
+        #[inline]
+        pub(super) fn pass<const K: usize, const R: usize>(
+            self,
+            src: &Cube<K>,
+            t: &[[f64; K]; K],
+            dst: &mut Cube<K>,
+            add: bool,
+        ) {
+            // SAFETY: `self` exists, and only `detect` makes an `Avx2`,
+            // after it found `avx2` on this CPU: the one feature `pass`
+            // enables.
+            unsafe { pass::<K, R>(src, t, dst, add) }
+        }
+    }
+
+    /// The k² output rows `dst[j][m]`, taken as one run of rows (j
+    /// slowest), in blocks of R, then the k² mod R left over as one
+    /// smaller block.
+    #[target_feature(enable = "avx2")]
+    fn pass<const K: usize, const R: usize>(
+        src: &Cube<K>,
+        t: &[[f64; K]; K],
+        dst: &mut Cube<K>,
+        add: bool,
+    ) {
+        let dst = dst.as_flattened_mut();
+        let full = K * K - K * K % R;
+        for row in (0..full).step_by(R) {
+            block::<K, R>(src, t, row, dst, add);
+        }
+        match K * K % R {
+            0 => {}
+            1 => block::<K, 1>(src, t, full, dst, add),
+            2 => block::<K, 2>(src, t, full, dst, add),
+            3 => block::<K, 3>(src, t, full, dst, add),
+            4 => block::<K, 4>(src, t, full, dst, add),
+            5 => block::<K, 5>(src, t, full, dst, add),
+            rest => unreachable!("{rest} rows left over: R is at most 6"),
+        }
+    }
+
+    /// The N output rows `dst[row..row + N]`, whose inputs lie side by
+    /// side in each plane of `src`: N·⌈K/4⌉ accumulators held in
+    /// registers over all K of i.
+    #[target_feature(enable = "avx2")]
+    fn block<const K: usize, const N: usize>(
+        src: &Cube<K>,
+        t: &[[f64; K]; K],
+        row: usize,
+        dst: &mut [[f64; K]],
+        add: bool,
+    ) {
+        let mut acc = [[_mm256_setzero_pd(); 4]; N];
+        for (plane, t) in src.iter().zip(t) {
+            let t = load_row(t);
+            for (acc, s) in acc.iter_mut().zip(&plane.as_flattened()[row..row + N]) {
+                let s = _mm256_broadcast_sd(s);
+                for c in 0..K.div_ceil(4) {
+                    acc[c] = _mm256_add_pd(acc[c], _mm256_mul_pd(s, t[c]));
+                }
+            }
+        }
+        for (acc, out) in acc.iter().zip(&mut dst[row..row + N]) {
+            for (acc, lanes) in acc.iter().zip(out.chunks_mut(4)) {
+                let v = if add {
+                    _mm256_add_pd(load(lanes), *acc)
+                } else {
+                    *acc
+                };
+                store(lanes, v);
+            }
+        }
+    }
+
+    /// A row of K entries as ⌈K/4⌉ vectors; the lanes past K, and the
+    /// vectors past ⌈K/4⌉, are 0.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load_row<const K: usize>(row: &[f64; K]) -> [__m256d; 4] {
+        let mut v = [_mm256_setzero_pd(); 4];
+        for (v, lanes) in v.iter_mut().zip(row.chunks(4)) {
+            *v = load(lanes);
+        }
+        v
+    }
+
+    /// `lanes` (one to four entries) as one vector, 0 in the lanes past
+    /// its end.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load(lanes: &[f64]) -> __m256d {
+        let p = lanes.as_ptr();
+        // SAFETY: each arm reads exactly `lanes.len()` f64s from `p`
+        // onwards, all in `lanes`: four as one `ymm`, three as an `xmm`
+        // pair and one more at `p + 2`, two as an `xmm`, or one. The
+        // unaligned loads need no alignment, and `avx2` is enabled here
+        // and in every caller, all reached only through `Avx2::pass`.
+        unsafe {
+            match lanes.len() {
+                4 => _mm256_loadu_pd(p),
+                3 => _mm256_insertf128_pd::<1>(
+                    _mm256_zextpd128_pd256(_mm_loadu_pd(p)),
+                    _mm_load_sd(p.add(2)),
+                ),
+                2 => _mm256_zextpd128_pd256(_mm_loadu_pd(p)),
+                1 => _mm256_zextpd128_pd256(_mm_load_sd(p)),
+                n => unreachable!("{n} lanes"),
+            }
+        }
+    }
+
+    /// Writes the first `lanes.len()` (one to four) lanes of `v` to
+    /// `lanes`, and nothing past its end.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn store(lanes: &mut [f64], v: __m256d) {
+        let p = lanes.as_mut_ptr();
+        let low = _mm256_castpd256_pd128(v);
+        // SAFETY: each arm writes exactly `lanes.len()` f64s from `p`
+        // onwards, all in `lanes`: four as one `ymm`, three as the low
+        // `xmm` pair and lane 2 at `p + 2`, two as the low `xmm`, or
+        // lane 0. Lanes past the end are not written. Alignment and
+        // `avx2` as in `load`.
+        unsafe {
+            match lanes.len() {
+                4 => _mm256_storeu_pd(p, v),
+                3 => {
+                    _mm_storeu_pd(p, low);
+                    _mm_store_sd(p.add(2), _mm256_extractf128_pd::<1>(v));
+                }
+                2 => _mm_storeu_pd(p, low),
+                1 => _mm_store_sd(p, low),
+                n => unreachable!("{n} lanes"),
             }
         }
     }
@@ -509,5 +806,141 @@ mod tests {
                 "octant {o}"
             );
         }
+    }
+
+    /// xorshift64*: enough randomness for test inputs, no dependency.
+    fn next_rand(s: &mut u64) -> u64 {
+        *s ^= *s >> 12;
+        *s ^= *s << 25;
+        *s ^= *s >> 27;
+        s.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// An entry that rounding and IEEE special cases can tell apart:
+    /// either sign of 0, of a subnormal, of a tiny normal whose
+    /// products are subnormal, or of a normal in [2⁻¹⁰, 2¹¹).
+    fn entry(s: &mut u64) -> f64 {
+        let r = next_rand(s);
+        let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+        let unit = 1.0 + (r >> 11) as f64 / (1u64 << 53) as f64;
+        sign * match (r >> 1) % 8 {
+            0 => 0.0,
+            1 => f64::from_bits((r >> 12) | 1),
+            2 => 1e-160 * unit,
+            _ => unit * 2f64.powi(((r >> 4) % 21) as i32 - 10),
+        }
+    }
+
+    /// Eight octant tensors and five matrices of dimension `k` for one
+    /// `case`: 0 and 1 draw every entry with [`entry`]; 2 also puts ±∞
+    /// into two octants; 3 makes every tensor entry −0.0, whose sums
+    /// the portable pass leaves at +0.0 (its accumulators start there).
+    fn inputs(k: usize, case: u64) -> ([Tensor3; 8], [Matrix; 5]) {
+        let mut s = (k as u64) << 8 | case | 1 << 32;
+        let mut srcs: [Tensor3; 8] = std::array::from_fn(|_| {
+            let mut t = Tensor3::zeros(k);
+            for v in t.data_mut() {
+                *v = if case == 3 { -0.0 } else { entry(&mut s) };
+            }
+            t
+        });
+        if case == 2 {
+            let n = k * k * k;
+            srcs[1].data_mut()[next_rand(&mut s) as usize % n] = f64::INFINITY;
+            srcs[6].data_mut()[next_rand(&mut s) as usize % n] = f64::NEG_INFINITY;
+        }
+        let mats = std::array::from_fn(|_| Matrix::from_fn(k, k, |_, _| entry(&mut s)));
+        (srcs, mats)
+    }
+
+    /// `got` equals `want` bit for bit where `want` is not NaN, and is
+    /// NaN where it is (the payload may differ).
+    fn assert_bitwise(got: &Tensor3, want: &Tensor3, what: &str) {
+        for (n, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            if w.is_nan() {
+                assert!(g.is_nan(), "{what}, entry {n}: {g:e}, want NaN");
+            } else {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{what}, entry {n}: {g:e}, want {w:e}"
+                );
+            }
+        }
+    }
+
+    /// Every k, through dispatch and through the vector pass called
+    /// directly (where the CPU has one; dispatch keeps the portable
+    /// pass for the smallest k): the mode product, the octant sum (the
+    /// passes that add into their output) and the octant split all
+    /// equal the portable pass's, bit for bit.
+    #[test]
+    fn every_kernel_matches_the_portable_pass_bit_for_bit() {
+        let vector = PassKernel::vector();
+        println!("vector pass: {:?}", vector.map(PassKernel::name));
+        for k in 1..=MAX_K {
+            for case in 0..4 {
+                let (srcs, m) = inputs(k, case);
+                let at = |what: &str, via: &str| format!("k = {k}, case {case}, {what} via {via}");
+                let t = [&m[3], &m[4]];
+                let portable = PassKernel::Portable;
+                let product = srcs[0].transform3_with(portable, &m[0], &m[1], &m[2]);
+                let sum = Tensor3::sum_octants_with(portable, &srcs, t);
+                let split = srcs[5].split_octants_with(portable, t);
+
+                assert_bitwise(
+                    &srcs[0].transform3(&m[0], &m[1], &m[2]),
+                    &product,
+                    &at("transform3", "dispatch"),
+                );
+                assert_bitwise(
+                    &Tensor3::sum_octants(&srcs, t),
+                    &sum,
+                    &at("sum_octants", "dispatch"),
+                );
+                for (o, part) in srcs[5].split_octants(t).iter().enumerate() {
+                    assert_bitwise(part, &split[o], &at(&format!("octant {o}"), "dispatch"));
+                }
+
+                let Some(vector) = vector else { continue };
+                let via = vector.name();
+                assert_bitwise(
+                    &srcs[0].transform3_with(vector, &m[0], &m[1], &m[2]),
+                    &product,
+                    &at("transform3", via),
+                );
+                assert_bitwise(
+                    &Tensor3::sum_octants_with(vector, &srcs, t),
+                    &sum,
+                    &at("sum_octants", via),
+                );
+                for (o, part) in srcs[5].split_octants_with(vector, t).iter().enumerate() {
+                    assert_bitwise(part, &split[o], &at(&format!("octant {o}"), via));
+                }
+            }
+        }
+    }
+
+    /// The rule the kernel entries dispatch by. On a CPU with AVX2,
+    /// every k from `VECTOR_MIN_K` up must take the AVX2 pass.
+    #[test]
+    fn dispatch_takes_the_vector_pass_where_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        assert_eq!(PassKernel::vector().is_some(), avx2);
+        for k in 1..=MAX_K {
+            let want = if avx2 && k >= VECTOR_MIN_K {
+                "avx2"
+            } else {
+                "portable"
+            };
+            assert_eq!(PassKernel::for_k(k).name(), want, "k = {k}");
+        }
+        println!(
+            "avx2: {avx2}, pass at k = 6: {}",
+            PassKernel::for_k(6).name()
+        );
     }
 }
